@@ -2,9 +2,25 @@
 // keys, YCSB-style zipfian keys (α = 0.99, 34-bit), R-MAT edge streams
 // (a=0.5, b=c=0.1, d=0.3), Erdős–Rényi graphs, and scaled synthetic
 // stand-ins for the social-network graphs (§6, DESIGN.md §4).
+//
+// Determinism contract: every generator's output is a function of its seed
+// and parameters alone. The bulk generators — Uniform, RMAT and
+// EdgeStream.Next — fill their output in parallel chunks, yet return
+// exactly what a sequential loop would and leave the RNG in the same state,
+// at every GOMAXPROCS. That rests on splitmix64 being counter-based: draw j
+// after state s is mix(s + j·γ), so a chunk jumps straight to its first
+// draw (RNG.Skip). Uniform's key i is draw i+1. R-MAT candidate edge k is
+// built from draws k·scale+1 … k·scale+scale, one per vertex bit from the
+// lowest up. The tests pin both layouts against the one-draw-at-a-time
+// generators they replaced.
 package workload
 
-import "math"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/parallel"
+)
 
 // RNG is a splitmix64 generator: tiny, fast, and deterministic across
 // platforms, so every experiment is exactly reproducible.
@@ -12,17 +28,28 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is splitmix64's state increment: the n-th draw is mix(seed+n·gamma).
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG seeds a generator.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Uint64 returns the next pseudorandom value.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += gamma
+	return mix(r.state)
+}
+
+// mix is splitmix64's output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Skip advances the generator past n draws in O(1), leaving it where n
+// Uint64 calls would.
+func (r *RNG) Skip(n int) { r.state += uint64(n) * gamma }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -38,15 +65,29 @@ func (r *RNG) Intn(n int) int {
 // a balance between the compression ratio and the number of duplicates".
 const UniformBits = 40
 
-// Uniform fills a slice with n uniform random keys in [1, 2^bits).
+// Uniform fills a slice with n uniform random keys in [1, 2^bits): key i is
+// 1 + (draw i+1 mod (2^bits - 1)). Chunks fill in parallel.
 func Uniform(r *RNG, n, bits int) []uint64 {
 	span := uint64(1)<<uint(bits) - 1
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = 1 + r.Uint64()%span
-	}
+	start := *r
+	parallel.ForRange(n, uniformGrain, func(lo, hi int) {
+		g := start
+		g.Skip(lo)
+		for i := lo; i < hi; i++ {
+			out[i] = 1 + g.Uint64()%span
+		}
+	})
+	r.Skip(n)
 	return out
 }
+
+// Chunk sizes of the parallel generators: a few tens of microseconds of
+// draws each, well above the cost of forking a chunk.
+const (
+	uniformGrain = 1 << 14
+	rmatGrain    = 1 << 11
+)
 
 // Zipf generates keys from a zipfian distribution over [1, 2^bits) with the
 // YCSB skew parameter. Item ranks are scrambled with a multiplicative hash
@@ -307,32 +348,92 @@ type RMATParams struct {
 func DefaultRMAT() RMATParams { return RMATParams{A: 0.5, B: 0.1, C: 0.1} }
 
 // RMAT samples n directed edges over 2^scale vertices (duplicates and
-// self-loops possible, as in the paper's insert streams).
+// self-loops possible, as in the paper's insert streams). Edge k is built
+// from draws k·scale+1 … k·scale+scale of r, one per vertex bit from the
+// lowest up: a draw u = Float64() picks quadrant A (neither bit) when
+// u < p.A, else B (dst bit) when u < p.A+p.B, else C (src bit) when
+// u < p.A+p.B+p.C, else D (both). The edges are generated in parallel and
+// the result depends only on (r's state, n, scale, p); r is left past all
+// n·scale draws. scale must lie in [1, 32].
 func RMAT(r *RNG, n int, scale int, p RMATParams) []Edge {
+	checkScale(scale)
 	out := make([]Edge, n)
-	for i := range out {
-		out[i] = rmatOne(r, scale, p)
-	}
+	rmatFill(r, out, scale, newRMATCuts(p))
 	return out
 }
 
-func rmatOne(r *RNG, scale int, p RMATParams) Edge {
-	var src, dst uint32
-	for bit := 0; bit < scale; bit++ {
-		u := r.Float64()
-		switch {
-		case u < p.A:
-			// top-left: no bits set
-		case u < p.A+p.B:
-			dst |= 1 << uint(bit)
-		case u < p.A+p.B+p.C:
-			src |= 1 << uint(bit)
-		default:
-			src |= 1 << uint(bit)
-			dst |= 1 << uint(bit)
-		}
+// checkScale panics unless Edge's 32-bit vertex ids can hold every vertex
+// of 2^scale and at least one edge other than (0,0) exists, which the
+// stream's redraw loop needs to make progress.
+func checkScale(scale int) {
+	if scale < 1 || scale > 32 {
+		panic(fmt.Sprintf("workload: R-MAT scale %d outside [1, 32]", scale))
 	}
-	return Edge{Src: src, Dst: dst}
+}
+
+// rmatFill fills out with r's next len(out) R-MAT edges, in parallel, and
+// advances r past their draws.
+func rmatFill(r *RNG, out []Edge, scale int, c rmatCuts) {
+	start := *r
+	parallel.ForRange(len(out), rmatGrain, func(lo, hi int) {
+		g := start
+		g.Skip(lo * scale)
+		c.fill(g, out[lo:hi], scale)
+	})
+	r.Skip(len(out) * scale)
+}
+
+// rmatCuts are the R-MAT quadrant boundaries as integer thresholds on a
+// draw's top 53 bits m = x>>11. Float64 returns u = m/2^53 exactly, so
+// u < t ⇔ m < ceil(t·2^53) with no rounding, and comparing m against the
+// cuts picks the same quadrant as comparing u against the float sums, with
+// no unpredictable branches.
+type rmatCuts struct{ a, ab, abc uint64 }
+
+// newRMATCuts converts p's cumulative sums, computed in the same float
+// arithmetic the quadrant rule states them in. The compare chain tests the
+// cuts in order, so a cut below an earlier one never decides a draw;
+// raising it to the earlier cut keeps every decision and makes the cuts
+// ascend, which fill relies on.
+func newRMATCuts(p RMATParams) rmatCuts {
+	a := rmatCut(p.A)
+	ab := max(a, rmatCut(p.A+p.B))
+	return rmatCuts{a, ab, max(ab, rmatCut(p.A+p.B+p.C))}
+}
+
+// rmatCut returns ceil(t·2^53) clamped to [0, 2^53]; NaN, which no draw is
+// below, maps to 0.
+func rmatCut(t float64) uint64 {
+	x := math.Ceil(t * (1 << 53))
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(x)
+}
+
+// fill writes the R-MAT edges drawn from g into out.
+func (c rmatCuts) fill(g RNG, out []Edge, scale int) {
+	const sign = 1 << 63
+	s := g.state
+	for i := range out {
+		var src, dst uint64
+		for range scale {
+			s += gamma
+			m := mix(s) >> 11
+			// m minus a cut has its sign bit set exactly when m is below
+			// the cut, as both are at most 2^53. Quadrant A is [0, a), B
+			// is [a, ab), C is [ab, abc) and D is [abc, 2^53). Each draw's
+			// bits enter at the top and shift down, so the first draw
+			// ends as bit 0.
+			a, ab, abc := m-c.a, m-c.ab, m-c.abc
+			src = src>>1 | ^ab&sign
+			dst = dst>>1 | (ab&^a|^abc)&sign
+		}
+		out[i] = Edge{Src: uint32(src >> (64 - scale)), Dst: uint32(dst >> (64 - scale))}
+	}
 }
 
 // ErdosRenyi generates G(n, p) as a directed edge list via geometric

@@ -1,0 +1,24 @@
+package workload
+
+import "testing"
+
+// BenchmarkEdgeStreamNext generates one batch of the graph-stream
+// benchmark's input: 25,000 scale-17 edges with 20% deletes, on a stream
+// whose reservoir is already full.
+func BenchmarkEdgeStreamNext(b *testing.B) {
+	s := NewEdgeStream(1, 17, 0.2)
+	for range reservoirCap/25_000 + 1 {
+		s.Next(25_000)
+	}
+	for b.Loop() {
+		s.Next(25_000)
+	}
+}
+
+// BenchmarkRMAT generates 100,000 scale-17 edges with the paper's params.
+func BenchmarkRMAT(b *testing.B) {
+	r := NewRNG(1)
+	for b.Loop() {
+		RMAT(r, 100_000, 17, DefaultRMAT())
+	}
+}

@@ -488,8 +488,10 @@ func NewShardedFGraph(numVertices, shards int, opts *ShardedFGraphOptions) *Shar
 // edges. It never emits the unstorable edge (0,0).
 type EdgeStream = workload.EdgeStream
 
-// NewEdgeStream seeds an edge stream over 2^scale vertices; deleteFrac of
-// each batch is emitted as deletions of earlier inserts.
+// NewEdgeStream seeds an edge stream over 2^scale vertices, scale in
+// [1, 32]; deleteFrac of each batch is emitted as deletions of earlier
+// inserts. Its batches depend on the seed, scale, deleteFrac and the batch
+// sizes alone, at any GOMAXPROCS.
 func NewEdgeStream(seed uint64, scale int, deleteFrac float64) *EdgeStream {
 	return workload.NewEdgeStream(seed, scale, deleteFrac)
 }
@@ -531,7 +533,8 @@ func NewRNG(seed uint64) *RNG { return workload.NewRNG(seed) }
 func UniformKeys(r *RNG, n, bits int) []uint64 { return workload.Uniform(r, n, bits) }
 
 // RMATEdges samples n directed edges over 2^scale vertices from the R-MAT
-// distribution the paper uses for graph insert streams.
+// distribution the paper uses for graph insert streams; scale must lie in
+// [1, 32].
 func RMATEdges(r *RNG, n, scale int) []Edge {
 	return workload.RMAT(r, n, scale, workload.DefaultRMAT())
 }
