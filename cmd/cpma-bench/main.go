@@ -29,9 +29,9 @@
 // streaming batch inserts concurrently (something a single-writer CPMA
 // cannot accept) and -readers goroutines issuing point lookups and range
 // sums during the mixed phase; -partition selects hash or range routing.
-// It then sweeps the asynchronous mailbox pipeline over clients × mailbox
-// depth (-depths), comparing fire-and-forget ingest (with a final Flush)
-// against the blocking front-end and reporting the achieved coalesced
+// It then sweeps the mailbox pipeline over clients × mailbox depth
+// (-depths), comparing fire-and-forget ingest (with a final Flush) against
+// blocking ticketed InsertBatch calls and reporting the achieved coalesced
 // batch size. With -zipf (or the standalone rebalance experiment) it adds
 // the zipfian skew sweep: power-law inserts (-zipfs exponent) into a
 // range-partitioned set with live span rebalancing off versus on,
@@ -294,10 +294,10 @@ func main() {
 		arows := experiments.ShardAsyncIngest(cfg, *shards, *clients, depthList, *asyncBatch, part)
 		fmt.Fprintf(out, "Async ingest pipeline (%s partition): %d shards, client batch %d, clients x mailbox depth\n",
 			*partition, *shards, *asyncBatch)
-		at := stats.NewTable("clients", "depth", "sync TP", "async TP", "async/sync", "sub-batch", "applied", "coalesce", "p50 ms", "p99 ms")
+		at := stats.NewTable("clients", "depth", "ticketed TP", "async TP", "async/ticketed", "sub-batch", "applied", "coalesce", "p50 ms", "p99 ms")
 		for _, r := range arows {
 			at.Row(r.Clients, r.Depth,
-				stats.Sci(r.SyncTP), stats.Sci(r.AsyncTP), stats.Ratio(r.AsyncTP, r.SyncTP),
+				stats.Sci(r.TicketedTP), stats.Sci(r.AsyncTP), stats.Ratio(r.AsyncTP, r.TicketedTP),
 				fmt.Sprintf("%.0f", r.MeanSubBatch), fmt.Sprintf("%.0f", r.MeanApplied),
 				stats.Ratio(r.MeanApplied, r.MeanSubBatch),
 				fmt.Sprintf("%.3f", r.P50ms), fmt.Sprintf("%.3f", r.P99ms))
@@ -603,7 +603,7 @@ func runReplSweep(out *os.File, n, shards, readers int, seed uint64, jsonPath st
 }
 
 // runRebalanceSweep prints the zipfian skew sweep (rebalance off vs on
-// over a range-partitioned async set) and reports whether the
+// over a range-partitioned set) and reports whether the
 // rebalance-on run met the <= 2x max/mean load-ratio bound.
 func runRebalanceSweep(out *os.File, cfg experiments.MicroConfig, shards, clients, batchSize int, s float64) bool {
 	rows := experiments.ShardRebalanceSweep(cfg, shards, clients, batchSize, s)

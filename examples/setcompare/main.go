@@ -1,10 +1,9 @@
 // Setcompare: a miniature Figure 1 + Figure 2 — batch-insert and
 // range-query throughput of the CPMA against the uncompressed PMA and the
-// sharded front-end flavors on this machine, over a sweep of batch sizes.
-// The Sharded column applies each batch synchronously across its shards;
-// the AsyncSharded column enqueues fire-and-forget batches into the
-// per-shard mailboxes (with a final Flush inside the timed region), so the
-// writers coalesce adjacent batches and recover Figure 1's batch-size
+// sharded front-end on this machine, over a sweep of batch sizes. The
+// Sharded column enqueues fire-and-forget batches into the per-shard
+// mailboxes (with a final Flush inside the timed region), so the writers
+// coalesce adjacent batches and recover Figure 1's batch-size
 // amortization even though the client streams small batches.
 package main
 
@@ -24,21 +23,21 @@ func main() {
 		shards, runtime.GOMAXPROCS(0), baseN, total)
 
 	fmt.Println("batch-insert throughput (keys/s):")
-	fmt.Printf("%10s %12s %12s %12s %12s\n", "batch", "PMA", "CPMA", "Sharded", "AsyncSharded")
+	fmt.Printf("%10s %12s %12s %12s\n", "batch", "PMA", "CPMA", "Sharded")
 	for _, bs := range []int{100, 1_000, 10_000, 100_000} {
 		pTP := measureInsert(repro.NewPMA(nil), baseN, total, bs)
 		cTP := measureInsert(repro.NewSet(nil), baseN, total, bs)
-		sTP := measureInsert(repro.NewShardedSet(shards, nil), baseN, total, bs)
-		a := repro.NewAsyncShardedSet(shards, nil)
+		a := repro.NewShardedSet(shards, nil)
 		aTP := measureInsertAsync(a, baseN, total, bs)
 		a.Close()
-		fmt.Printf("%10d %12.0f %12.0f %12.0f %12.0f\n", bs, pTP, cTP, sTP, aTP)
+		fmt.Printf("%10d %12.0f %12.0f %12.0f\n", bs, pTP, cTP, aTP)
 	}
 
 	fmt.Println("\nrange-query throughput (keys scanned/s):")
 	p := repro.NewPMA(nil)
 	c := repro.NewSet(nil)
 	s := repro.NewShardedSet(shards, nil)
+	defer s.Close()
 	r := repro.NewRNG(1)
 	keys := repro.UniformKeys(r, baseN, 40)
 	p.InsertBatch(keys, false)

@@ -1,11 +1,11 @@
 // Shardserver: the sharded front-end as a tiny in-memory set server,
-// running the asynchronous ingest pipeline. The CPMA itself is
-// batch-parallel but single-writer; an async ShardedSet multiplexes many
+// running the mailbox ingest pipeline. The CPMA itself is
+// batch-parallel but single-writer; a ShardedSet multiplexes many
 // concurrently mutating clients onto P single-writer shards, each fed by
 // a bounded mailbox whose writer goroutine coalesces adjacent batches
 // into one large merged apply. Writers here fire-and-forget their
 // batches (InsertBatchAsync/RemoveBatchAsync) while point readers issue
-// lookups against the applied state and analytics readers run whole-set
+// lookups against the published state and analytics readers run whole-set
 // scans off Snapshot captures — frozen epoch cuts the shard writers
 // publish after every state-changing drain — so the query phase runs
 // concurrently with ingest instead of behind a flush barrier, never
@@ -106,10 +106,7 @@ func main() {
 			fmt.Printf("serving WAL replication on %s\n", ln.Addr())
 		}
 	} else {
-		s = repro.NewShardedSetWith(*shards, &repro.ShardedSetOptions{
-			Async:        true,
-			MailboxDepth: *depth,
-		})
+		s = repro.NewShardedSetWith(*shards, &repro.ShardedSetOptions{MailboxDepth: *depth})
 	}
 	defer s.Close()
 
@@ -156,8 +153,8 @@ func main() {
 		}(w)
 	}
 
-	// Point readers: lookups against the applied state (read-through)
-	// until the writers are done enqueueing.
+	// Point readers: lookups against the writer-published handles until
+	// the writers are done enqueueing.
 	var lookups atomic.Int64
 	var done atomic.Bool
 	var readerWG sync.WaitGroup
@@ -176,7 +173,7 @@ func main() {
 	// Analysts: the query phase, running concurrently with ingest. Each
 	// analyst captures a frozen Snapshot (a lock-free handle grab off the
 	// writer-published epoch cuts) and scans it — whole-set Len plus a
-	// range sum — with no flush barrier and no shard locks, so scans
+	// range sum — with no flush barrier and no locks, so scans
 	// neither wait for the mailboxes to drain nor stall the writers.
 	var scans, scannedKeys atomic.Int64
 	for g := 0; g < *analysts; g++ {

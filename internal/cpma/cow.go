@@ -23,8 +23,7 @@ package cpma
 //
 //   - Clone may only be called at rest (no batch in flight) and never
 //     concurrently with any mutation of the receiver; the shard layer
-//     guarantees this by publishing from the single writer goroutine (or
-//     under the cell's publish mutex in sync mode).
+//     guarantees this by publishing only from a shard's sole mutator.
 //   - After Clone, BOTH sides may be mutated independently; whichever side
 //     writes a shared leaf first pays the one-leaf copy (plus the one-chunk
 //     spine copy if the chunk is still shared). Within one CPMA, the batch

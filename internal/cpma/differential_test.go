@@ -35,8 +35,8 @@ type sut interface {
 type validator interface{ Validate() error }
 
 // snapshotter is implemented by the sharded systems: Snapshot captures a
-// frozen epoch cut and Flush makes it cover everything previously enqueued
-// (the read-your-flushes guarantee).
+// frozen cut of the published handles and Flush makes it cover everything
+// previously enqueued (the read-your-flushes guarantee).
 type snapshotter interface {
 	Flush()
 	Snapshot() *shard.Snapshot
@@ -140,32 +140,45 @@ func systems() map[string]func() sut {
 		"cpma":       func() sut { return cpma.New(nil) },
 		"cpma-small": func() sut { return cpma.New(smallLeaf) },
 		"pma":        func() sut { return pma.New(nil) },
+		// The sharded set, driven through its blocking (ticketed enqueue +
+		// wait) paths: every step's counts must stay exact and every read
+		// must observe the preceding mutations (read-your-writes). The
+		// "shard-async" systems differ from the first two by tiny mailboxes
+		// (constant backpressure); "flushreads" also flushes before every
+		// read.
 		"shard-hash": func() sut {
 			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf})
 		},
 		"shard-range": func() sut {
 			return shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf})
 		},
-		// The async mailbox pipeline, driven through its synchronous
-		// (ticketed enqueue + wait) batch paths: every step's counts must
-		// stay exact and every read must observe the preceding mutations.
 		"shard-async": func() sut {
-			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-				Async: true, MailboxDepth: 4})
+			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4})
 		},
 		"shard-async-flushreads": func() sut {
-			return shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-				Async: true, MailboxDepth: 2, FlushReads: true})
+			return flushReads{shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
+				MailboxDepth: 2})}
 		},
 		// Hot-key absorption with an aggressive detector: the walk's
 		// repeated small keys promote quickly, so ticketed counts and reads
-		// run through the separation/overlay path and must stay exact.
+		// run through the separation/absorption path and must stay exact.
 		"shard-async-hotkey": func() sut {
-			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-				Async: true, MailboxDepth: 4,
+			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
 				HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8})
 		},
 	}
+}
+
+// flushReads wraps a sharded set so every read flushes first: its reads
+// also cover fire-and-forget batches enqueued before them.
+type flushReads struct{ *shard.Sharded }
+
+func (f flushReads) Has(x uint64) bool { f.Flush(); return f.Sharded.Has(x) }
+func (f flushReads) Len() int          { f.Flush(); return f.Sharded.Len() }
+func (f flushReads) Keys() []uint64    { f.Flush(); return f.Sharded.Keys() }
+func (f flushReads) MapRange(start, end uint64, fn func(uint64) bool) bool {
+	f.Flush()
+	return f.Sharded.MapRange(start, end, fn)
 }
 
 func validate(s sut) error {
@@ -302,48 +315,49 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
-// TestDifferentialAsync drives the async mailbox pipeline the way it is
-// meant to be used — bursts of fire-and-forget enqueues — against the
+// TestDifferentialAsync drives the mailbox pipeline the way it is meant
+// to be used — bursts of fire-and-forget enqueues — against the
 // sorted-slice model. Enqueues from one goroutine apply in order per
 // shard, so after a barrier the contents must equal the model's replay of
-// the same burst sequence. One variant establishes the barrier with an
-// explicit Flush; the other relies on FlushReads, where every read
-// flushes the shards it touches on demand.
+// the same burst sequence. The "flush" variants establish the barrier
+// with one Flush per burst; the "flushreads" variants flush before every
+// read instead (flushReads).
 func TestDifferentialAsync(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		opt           *shard.Options
-		explicitFlush bool
+		name       string
+		opt        *shard.Options
+		flushReads bool
 	}{
-		{"flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-			Async: true, MailboxDepth: 4}, true},
+		{"flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4}, false},
 		{"flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			Async: true, MailboxDepth: 2, FlushReads: true}, false},
-		{"hotkey-flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-			Async: true, MailboxDepth: 4,
-			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, true},
-		{"hotkey-flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			Async: true, MailboxDepth: 2, FlushReads: true,
+			MailboxDepth: 2}, true},
+		{"hotkey-flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, false},
+		{"hotkey-flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
+			MailboxDepth: 2, HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := shard.New(3, tc.opt)
-			t.Cleanup(s.Close)
+			set := shard.New(3, tc.opt)
+			t.Cleanup(set.Close)
+			s := sut(set)
+			if tc.flushReads {
+				s = flushReads{set}
+			}
 			m := &model{}
 			r := workload.NewRNG(5)
 			for round := 0; round < 40; round++ {
 				for b := 1 + r.Intn(8); b > 0; b-- {
 					keys := workload.Uniform(r, 1+r.Intn(400), 16)
 					if r.Intn(3) == 0 {
-						s.RemoveBatchAsync(keys, false)
+						set.RemoveBatchAsync(keys, false)
 						m.RemoveBatch(keys)
 					} else {
-						s.InsertBatchAsync(keys, false)
+						set.InsertBatchAsync(keys, false)
 						m.InsertBatch(keys)
 					}
 				}
-				if tc.explicitFlush {
-					s.Flush()
+				if !tc.flushReads {
+					set.Flush()
 				}
 				if got, want := s.Len(), len(m.keys); got != want {
 					t.Fatalf("round %d: Len = %d, model says %d", round, got, want)
@@ -358,10 +372,10 @@ func TestDifferentialAsync(t *testing.T) {
 							t.Fatalf("round %d: Keys[%d] = %d, model says %d", round, i, got[i], m.keys[i])
 						}
 					}
-					if err := s.Validate(); err != nil {
+					if err := set.Validate(); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
-					auditSnapshot(t, fmt.Sprintf("round %d", round), s, m)
+					auditSnapshot(t, fmt.Sprintf("round %d", round), set, m)
 				}
 			}
 		})

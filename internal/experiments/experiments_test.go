@@ -56,10 +56,10 @@ func TestFig2RangeQueries(t *testing.T) {
 }
 
 func TestFig1ShardedFlavors(t *testing.T) {
-	// The comparison tables carry the sharded front-end flavors; both must
-	// measure cleanly through the synchronous Set interface (the async one
-	// via ticketed enqueues, closed after each measurement).
-	makers := []SetMaker{ShardedMaker(2), AsyncShardedMaker(2)}
+	// The comparison tables carry the sharded front-end; it must measure
+	// cleanly through the blocking Set interface (ticketed enqueues, closed
+	// after each measurement).
+	makers := []SetMaker{ShardedMaker(2)}
 	rows := Fig1BatchInsert(makers, tinyMicro(), false)
 	for _, row := range rows {
 		for _, mk := range makers {
@@ -68,8 +68,8 @@ func TestFig1ShardedFlavors(t *testing.T) {
 			}
 		}
 	}
-	if len(ComparisonSetMakers(2)) != len(AllSetMakers())+2 {
-		t.Fatal("ComparisonSetMakers must extend AllSetMakers with both sharded flavors")
+	if len(ComparisonSetMakers(2)) != len(AllSetMakers())+1 {
+		t.Fatal("ComparisonSetMakers must extend AllSetMakers with the sharded set")
 	}
 }
 
@@ -81,7 +81,7 @@ func TestShardAsyncIngest(t *testing.T) {
 			t.Fatalf("got %d rows, want 3", len(rows))
 		}
 		for _, r := range rows {
-			if r.SyncTP <= 0 || r.AsyncTP <= 0 {
+			if r.TicketedTP <= 0 || r.AsyncTP <= 0 {
 				t.Fatalf("bad throughput %+v", r)
 			}
 			if r.MeanSubBatch <= 0 {

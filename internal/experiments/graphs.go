@@ -5,11 +5,10 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/aspen"
-	"repro/internal/cpacgraph"
 	"repro/internal/fgraph"
 	"repro/internal/graph"
 	"repro/internal/stats"
+	"repro/internal/treegraph"
 	"repro/internal/workload"
 )
 
@@ -36,10 +35,10 @@ type GraphMaker struct {
 func GraphMakers() []GraphMaker {
 	return []GraphMaker{
 		{Name: "Aspen", New: func(nv int, e []workload.Edge) GraphSystem {
-			return aspen.FromEdges(nv, e)
+			return treegraph.FromEdges(nv, e, treegraph.Aspen)
 		}},
 		{Name: "C-PaC", New: func(nv int, e []workload.Edge) GraphSystem {
-			return cpacgraph.FromEdges(nv, e)
+			return treegraph.FromEdges(nv, e, treegraph.CPaC)
 		}},
 		{Name: "F-Graph", New: func(nv int, e []workload.Edge) GraphSystem {
 			return fgraphSystem{fgraph.FromEdges(nv, e, nil)}

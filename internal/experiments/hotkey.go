@@ -125,7 +125,7 @@ func ShardHotKeySweep(cfg MicroConfig, shards, clients, batchSize, hotKeys int, 
 		slices.Sort(want)
 
 		for _, absorb := range []bool{false, true} {
-			opt := &shard.Options{Partition: shard.HashPartition, Async: true}
+			opt := &shard.Options{Partition: shard.HashPartition}
 			if absorb {
 				opt.HotKeys = true
 				// A smaller-than-default detector window so promotions

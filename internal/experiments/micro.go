@@ -500,17 +500,19 @@ func ShardConcurrentClients(cfg MicroConfig, maxShards, clients, readers, batchS
 		row.MixedTP = stats.Throughput(perClient*clients, d)
 		row.ReadOps = stats.Throughput(int(readOps.Load()), d)
 		row.FinalElems = s.Len()
+		s.Close()
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// AsyncIngestRow reports the async pipeline at one (clients, mailbox
-// depth) point against the synchronous front-end at equal shard count.
+// AsyncIngestRow reports the pipeline at one (clients, mailbox depth)
+// point: fire-and-forget ingest against blocking ticketed ingest of the
+// same batches into a set with the same options.
 type AsyncIngestRow struct {
 	Clients      int
 	Depth        int     // mailbox depth (pending sub-batches per shard)
-	SyncTP       float64 // blocking InsertBatch inserts / second
+	TicketedTP   float64 // blocking (ticketed) InsertBatch inserts / second
 	AsyncTP      float64 // InsertBatchAsync + final Flush inserts / second
 	MeanSubBatch float64 // mean keys per enqueued sub-batch
 	MeanApplied  float64 // mean keys per merged apply (coalescing win)
@@ -519,14 +521,14 @@ type AsyncIngestRow struct {
 	LatSamples   uint64  // residency samples behind the percentiles
 }
 
-// ShardAsyncIngest sweeps the asynchronous ingest pipeline over client
-// count (1, 2, 4, ..., maxClients) and mailbox depth: every client streams
-// small private batches — the adversarial regime for the synchronous
-// front-end, which forfeits the CPMA's batch-size amortization — and the
-// per-shard writers coalesce whatever accumulates. Each row compares
-// against the synchronous front-end at the same shard and client count and
-// reports the achieved coalescing (mean applied-batch size over mean
-// enqueued sub-batch size).
+// ShardAsyncIngest sweeps the ingest pipeline over client count (1, 2, 4,
+// ..., maxClients) and mailbox depth: every client streams small private
+// batches — the adversarial regime for blocking calls, where each client
+// has one batch in flight and the writers forfeit the CPMA's batch-size
+// amortization — and with fire-and-forget calls the per-shard writers
+// coalesce whatever accumulates. Each row measures both disciplines on
+// fresh sets with the row's options and reports the achieved coalescing
+// (mean applied-batch size over mean enqueued sub-batch size).
 func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, batchSize int, part shard.Partition) []AsyncIngestRow {
 	if shards < 1 {
 		shards = 1
@@ -562,23 +564,23 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 			wg.Wait()
 		}
 
-		sync_ := shard.New(shards, shardOptions(part))
-		sync_.InsertBatch(base, false)
-		d := stats.Time(func() {
-			runClients(func(_ int, b []uint64) { sync_.InsertBatch(b, false) })
-		})
-		syncTP := stats.Throughput(total, d)
-
 		for _, depth := range depths {
 			opt := shardOptions(part)
-			opt.Async = true
 			opt.MailboxDepth = depth
+			tkt := shard.New(shards, opt)
+			tkt.InsertBatch(base, false)
+			d := stats.Time(func() {
+				runClients(func(_ int, b []uint64) { tkt.InsertBatch(b, false) })
+			})
+			tkt.Close()
+			ticketedTP := stats.Throughput(total, d)
+
 			s := shard.New(shards, opt)
 			observeSet(fmt.Sprintf("async-ingest c%d d%d", clients, depth), s)
 			s.InsertBatch(base, false)
 			before := s.IngestStats()
 			lat0 := s.PipelineLatencies()
-			d := stats.Time(func() {
+			d = stats.Time(func() {
 				runClients(func(_ int, b []uint64) { s.InsertBatchAsync(b, false) })
 				s.Flush() // the measured phase ends only once everything applied
 			})
@@ -589,7 +591,7 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 			rows = append(rows, AsyncIngestRow{
 				Clients:      clients,
 				Depth:        depth,
-				SyncTP:       syncTP,
+				TicketedTP:   ticketedTP,
 				AsyncTP:      stats.Throughput(total, d),
 				MeanSubBatch: st.MeanEnqueuedBatch(),
 				MeanApplied:  st.MeanAppliedBatch(),
@@ -602,13 +604,12 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 	return rows
 }
 
-// SnapshotScanRow compares analytics scans running concurrently with async
-// ingest under two read disciplines at one scanner count: flush-barrier
-// scans (Flush, then an aggregate read holding every shard lock) versus
-// Snapshot scans (lock-free capture of the writer-published frozen
-// handles). IngestTP columns show how much each discipline steals from the
-// writers; Publishes/CloneMB expose the copy-on-publish cost the snapshots
-// pay instead.
+// SnapshotScanRow compares analytics scans running concurrently with
+// fire-and-forget ingest under two read disciplines at one scanner count:
+// flush-barrier scans (Flush, then an aggregate read) versus plain
+// Snapshot scans of whatever the writers last published. IngestTP columns
+// show how much each discipline steals from the writers; Publishes/CloneMB
+// expose the copy-on-publish cost every read path shares.
 type SnapshotScanRow struct {
 	Scanners      int
 	FlushScans    float64 // flush-barrier scans / second
@@ -620,13 +621,12 @@ type SnapshotScanRow struct {
 }
 
 // ShardSnapshotScan sweeps snapshot-scan-while-ingesting: `clients`
-// goroutines stream fire-and-forget batches through the async pipeline
-// while `sc` scanner goroutines run full aggregate scans (Sum) as fast as
-// they can, first through a Flush barrier against the live set, then
-// through Snapshot captures. The snapshot discipline should hold ingest
-// throughput while scanning far more often — the flush barrier serializes
-// every scan behind the mailbox drain and blocks writers for the scan's
-// whole duration.
+// goroutines stream fire-and-forget batches through the pipeline while
+// `sc` scanner goroutines run full aggregate scans (Sum) as fast as they
+// can, first each behind a Flush barrier, then through plain Snapshot
+// captures. The snapshot discipline should hold ingest throughput while
+// scanning far more often — every flush-barrier scan waits for the
+// mailbox drain and makes each writer publish once more.
 func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, batchSize int, part shard.Partition) []SnapshotScanRow {
 	if shards < 1 {
 		shards = 1
@@ -649,13 +649,11 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 		clientBatches[c] = makeBatches(rc, perClient, batchSize, false)
 	}
 
-	// run ingests the full client workload into a fresh async set while
+	// run ingests the full client workload into a fresh set while
 	// `sc` scanners execute scan() in a loop; it returns the ingest
 	// duration, scan count, and the phase's snapshot-counter delta.
 	run := func(sc int, scan func(s *shard.Sharded)) (d time.Duration, scans int64, st shard.SnapshotStats) {
-		opt := shardOptions(part)
-		opt.Async = true
-		s := shard.New(shards, opt)
+		s := shard.New(shards, shardOptions(part))
 		s.InsertBatch(base, false)
 		before := s.SnapshotStats()
 		var done atomic.Bool

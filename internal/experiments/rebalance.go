@@ -6,7 +6,7 @@ package experiments
 // bottom of the key space) one shard's writer absorbs nearly the whole
 // insert stream and the pipeline degrades to single-writer throughput.
 // This experiment streams the same skewed workload into a
-// range-partitioned async set with the live rebalancer off and on, and
+// range-partitioned set with the live rebalancer off and on, and
 // reports per-shard load imbalance (max/mean key-count ratio), ingest
 // throughput, and the rebalancer's work (boundary moves, keys moved).
 
@@ -37,7 +37,7 @@ type RebalanceRow struct {
 
 // ShardRebalanceSweep streams `clients` goroutines of power-law
 // (exponent s, unscrambled — the range-partition-adversarial form)
-// insert batches through a range-partitioned async set, once with the
+// insert batches through a range-partitioned set, once with the
 // live rebalancer off and once with it on, and measures the resulting
 // shard balance and throughput. The first half of each client's stream
 // is an untimed warmup in both configurations — the rebalancer converges
@@ -78,7 +78,6 @@ func ShardRebalanceSweep(cfg MicroConfig, shards, clients, batchSize int, s floa
 		opt := &shard.Options{
 			Partition: shard.RangePartition,
 			KeyBits:   RebalanceBits,
-			Async:     true,
 		}
 		if rebalance {
 			opt.Rebalance = true

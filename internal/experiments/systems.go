@@ -60,23 +60,15 @@ func CPaCMaker() SetMaker {
 // ShardedMaker returns the concurrent sharded CPMA front-end at a given
 // shard count. It is not part of AllSetMakers (the paper's tables compare
 // single-writer structures); ComparisonSetMakers, the shards experiments,
-// and ad-hoc comparisons use it.
+// and ad-hoc comparisons use it. Through the blocking Set interface its
+// batches are ticketed (enqueue + wait), so it measures the pipeline's
+// overhead, not its coalescing win — ShardAsyncIngest measures that.
+// Drivers close the returned sets (closeSet) to stop the writer
+// goroutines.
 func ShardedMaker(shards int) SetMaker {
 	return SetMaker{
 		Name: fmt.Sprintf("Shard-%d", shards),
 		New:  func() Set { return shard.New(shards, nil) },
-	}
-}
-
-// AsyncShardedMaker returns the sharded front-end running the mailbox
-// ingest pipeline. Through the synchronous Set interface its batches are
-// ticketed (enqueue + wait), so it measures the pipeline's overhead, not
-// its coalescing win — ShardAsyncIngest measures that. Drivers close the
-// returned sets (closeSet) to stop the writer goroutines.
-func AsyncShardedMaker(shards int) SetMaker {
-	return SetMaker{
-		Name: fmt.Sprintf("AShard-%d", shards),
-		New:  func() Set { return shard.New(shards, &shard.Options{Async: true}) },
 	}
 }
 
@@ -85,15 +77,15 @@ func AllSetMakers() []SetMaker {
 	return []SetMaker{PMAMaker(), CPMAMaker(), UPaCMaker(), CPaCMaker(), PTreeMaker()}
 }
 
-// ComparisonSetMakers is AllSetMakers plus the sharded front-end flavors
-// (lock-per-batch and async-ticketed) at the given shard count, for the
-// comparison tables that go beyond the paper's single-writer systems.
+// ComparisonSetMakers is AllSetMakers plus the sharded front-end at the
+// given shard count, for the comparison tables that go beyond the paper's
+// single-writer systems.
 func ComparisonSetMakers(shards int) []SetMaker {
-	return append(AllSetMakers(), ShardedMaker(shards), AsyncShardedMaker(shards))
+	return append(AllSetMakers(), ShardedMaker(shards))
 }
 
 // closeSet stops a measured system's background goroutines, if it has any
-// (async sharded sets); drivers call it when a system leaves measurement.
+// (sharded sets); drivers call it when a system leaves measurement.
 func closeSet(s Set) {
 	if c, ok := s.(interface{ Close() }); ok {
 		c.Close()

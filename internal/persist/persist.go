@@ -7,7 +7,7 @@
 // is a raw dump of those slabs (cpma.WriteTo) taken from an immutable
 // handle the shard writer already publishes for snapshots: no traversal,
 // no pointer fixup, no stop-the-world. The log side piggybacks on the
-// async ingest pipeline: each shard's mailbox writer is the shard's sole
+// ingest pipeline: each shard's mailbox writer is the shard's sole
 // mutator, so it appends every coalesced batch to the shard's log before
 // applying it (write-ahead), with no extra synchronization on the hot
 // path.

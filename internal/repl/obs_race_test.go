@@ -13,7 +13,7 @@ import (
 )
 
 // TestStatsScrapeRace is the observability race hammer: a durable,
-// rebalancing, hot-key async set with a live replication link, scraped
+// rebalancing, hot-key set with a live replication link, scraped
 // continuously — Prometheus text, JSON statz, trace dumps, pipeline
 // latency snapshots, and every raw *Stats accessor — while clients
 // ingest, the rebalancer moves boundaries, and checkpoints run. Any

@@ -1,11 +1,13 @@
 // Package repl replicates a durable sharded set to read-only followers by
 // shipping its write-ahead log.
 //
-// A Primary wraps a live async durable set (shard.Sharded + its
-// persist.Store). Followers replay the primary's per-shard WAL records —
-// already a total order per shard — into replica sets (shard.NewReplica)
-// and serve the full epoch-consistent snapshot and live read API off
-// them, scaling read traffic horizontally. Two transports share one
+// A Primary wraps a live durable set (shard.Sharded + its persist.Store).
+// Followers replay the primary's per-shard WAL records — already a total
+// order per shard — into replica sets (shard.NewReplica) and serve the
+// same handle-based snapshot and live read API off them, scaling read
+// traffic horizontally. The applier is the replica's only publisher: each
+// replayed batch of records, bootstrap state, and boundary table becomes
+// visible to readers as soon as it is applied. Two transports share one
 // shipping engine: Pair wires a follower in process (catch-up, then
 // tailing), Serve/Dial put a length-prefixed socket protocol in the
 // middle with resume-from-position on reconnect.
@@ -113,7 +115,7 @@ type Primary struct {
 	links map[*cursor]struct{}
 }
 
-// NewPrimary wraps a running durable async set and its store for
+// NewPrimary wraps a running durable set and its store for
 // replication. The set must have been opened from st (persist.OpenSharded
 // or repro.OpenPrimary wire this correctly).
 func NewPrimary(set *shard.Sharded, st *persist.Store) (*Primary, error) {
@@ -342,7 +344,7 @@ type Follower struct {
 
 // NewFollower builds a follower with the given geometry; opts carries the
 // primary's Partition/KeyBits/Bounds/BoundsGen/Set (other fields are
-// ignored — followers are synchronous replicas).
+// ignored — followers change only by replay).
 func NewFollower(shards int, opts *shard.Options) *Follower {
 	var so *cpma.Options
 	if opts != nil {
@@ -442,24 +444,31 @@ func (f *Follower) applyBoot(p int, tip uint64, set *cpma.CPMA) {
 
 // applyRecs replays records for shard p, enforcing gap-free sequence
 // continuity: already-applied records are skipped, a hole is a hard error
-// (the prefix invariant would silently break).
+// (the prefix invariant would silently break). Everything applied is
+// published in one step at the end — also when a hole stops the replay —
+// so the position and the readable state always agree.
 func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	t0 := time.Now()
 	f.mu.Lock()
 	cur := f.pos[p].Seq
 	f.mu.Unlock()
 	var applied, keys uint64
+	var err error
 	for _, r := range recs {
 		if r.Seq <= cur {
 			continue
 		}
 		if r.Seq != cur+1 {
-			return fmt.Errorf("repl: shard %d sequence gap: applied %d, next record %d", p, cur, r.Seq)
+			err = fmt.Errorf("repl: shard %d sequence gap: applied %d, next record %d", p, cur, r.Seq)
+			break
 		}
 		f.set.ReplicaApply(p, r.Remove, r.Keys)
 		cur = r.Seq
 		applied++
 		keys += uint64(len(r.Keys))
+	}
+	if applied > 0 {
+		f.set.ReplicaPublish(p)
 	}
 	f.mu.Lock()
 	f.pos[p].Seq = cur
@@ -470,12 +479,13 @@ func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 		f.applyDur.Since(t0)
 		f.set.Trace().Record(p, obs.EvApply, 0, 0, applied, keys)
 	}
-	return nil
+	return err
 }
 
-// applyBounds installs a replicated boundary table.
-func (f *Follower) applyBounds(gen uint64, bounds []uint64) {
-	f.set.ReplicaSetBounds(gen, bounds)
+// applyBounds installs a replicated boundary table; a malformed table is
+// an error and changes nothing.
+func (f *Follower) applyBounds(gen uint64, bounds []uint64) error {
+	return f.set.ReplicaSetBounds(gen, bounds)
 }
 
 // localSink applies shipped state directly to an in-process follower.
@@ -487,8 +497,7 @@ func (s localSink) sendBoot(p int, tip uint64, set *cpma.CPMA) error {
 }
 func (s localSink) sendRecs(p int, recs []persist.Rec) error { return s.f.applyRecs(p, recs) }
 func (s localSink) sendBounds(gen uint64, bounds []uint64) error {
-	s.f.applyBounds(gen, bounds)
-	return nil
+	return s.f.applyBounds(gen, bounds)
 }
 
 // Link is a running in-process replication link. Close stops it; a

@@ -164,13 +164,13 @@ func (s *connSink) sendBoot(p int, tip uint64, set *cpma.CPMA) error {
 func (s *connSink) sendRecs(p int, recs []persist.Rec) error {
 	size := 8
 	for _, r := range recs {
-		size += 13 + 8*len(r.Keys)
+		size += recHeader + 8*len(r.Keys)
 	}
 	buf := make([]byte, 8, size)
 	binary.LittleEndian.PutUint32(buf[:4], uint32(p))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(recs)))
 	for _, r := range recs {
-		var rh [13]byte
+		var rh [recHeader]byte
 		binary.LittleEndian.PutUint64(rh[:8], r.Seq)
 		if r.Remove {
 			rh[8] = 1
@@ -294,6 +294,15 @@ func (c *Conn) applyBootFrame(payload []byte) error {
 	return nil
 }
 
+// recHeader is the fixed per-record prefix of a recs frame: seq, remove
+// flag, key count.
+const recHeader = 13
+
+// applyRecsFrame decodes and applies a recs frame. The peer is not
+// trusted: the record count is checked against the payload before it
+// sizes anything, and every record's keys must be nonzero and ascending
+// (the replica applies them as a pre-sorted batch), so a malformed frame
+// is rejected whole before any record is applied.
 func (c *Conn) applyRecsFrame(payload []byte) error {
 	if len(payload) < 8 {
 		return errors.New("repl: short recs frame")
@@ -304,21 +313,27 @@ func (c *Conn) applyRecsFrame(payload []byte) error {
 		return fmt.Errorf("repl: recs frame for shard %d", p)
 	}
 	b := payload[8:]
+	if count > len(b)/recHeader {
+		return fmt.Errorf("repl: recs frame claims %d records in %d bytes", count, len(b))
+	}
 	recs := make([]persist.Rec, 0, count)
 	for i := 0; i < count; i++ {
-		if len(b) < 13 {
+		if len(b) < recHeader {
 			return errors.New("repl: truncated record")
 		}
 		seq := binary.LittleEndian.Uint64(b[:8])
 		remove := b[8] == 1
-		n := int(binary.LittleEndian.Uint32(b[9:13]))
-		b = b[13:]
-		if n < 0 || len(b) < 8*n {
+		n := int(binary.LittleEndian.Uint32(b[9:recHeader]))
+		b = b[recHeader:]
+		if len(b)/8 < n {
 			return errors.New("repl: truncated record keys")
 		}
 		keys := make([]uint64, n)
 		for j := range keys {
 			keys[j] = binary.LittleEndian.Uint64(b[8*j:])
+			if keys[j] == 0 || (j > 0 && keys[j] < keys[j-1]) {
+				return fmt.Errorf("repl: record %d: key %d at position %d is zero or out of order", seq, keys[j], j)
+			}
 		}
 		b = b[8*n:]
 		recs = append(recs, persist.Rec{Seq: seq, Remove: remove, Keys: keys})
@@ -342,8 +357,7 @@ func (c *Conn) applyBoundsFrame(payload []byte) error {
 	for i := range bounds {
 		bounds[i] = binary.LittleEndian.Uint64(payload[12+8*i:])
 	}
-	c.f.applyBounds(gen, bounds)
-	return nil
+	return c.f.applyBounds(gen, bounds)
 }
 
 func (c *Conn) setErr(err error) {

@@ -30,29 +30,24 @@ package shard
 //     table (an atomic pointer load; nil when nothing is hot) and runs of
 //     promoted keys are excised the same way.
 //   - Absorption: the writer folds an op's entries into per-key slots (a
-//     last-wins insert/remove bit over a base-presence bit) inside the same
-//     critical section as the op's cold apply, at the op's FIFO position.
-//     A writer-side strip in applyOne is the backstop for sub-batches split
-//     against a stale table during a promotion, so a promoted key's CPMA
-//     state ("base") never changes outside reconciliation.
-//   - Overlay: live reads add the pending delta (effective minus base
-//     presence, ±key for sums) under the same shard read locks the cut
-//     already holds, so Len/Sum/RangeSum/Has/Next/Max/Map stay exact while
-//     ops sit absorbed.
+//     last-wins insert/remove bit over a base-presence bit) at the op's
+//     FIFO position, next to the op's cold apply. A writer-side strip in
+//     applyOne is the backstop for sub-batches split against a stale table
+//     during a promotion, so a promoted key's CPMA state ("base") never
+//     changes outside reconciliation.
 //   - Reconciliation: before every publish point (drain end, Flush token,
 //     quiesce token) the writer folds dirty slots into the CPMA as ordinary
 //     sorted batches — WAL-appended first, exactly like any other apply —
-//     so published snapshot handles are always an exact FIFO prefix of the
-//     shard's history (absorption is invisible to the snapshot contract),
-//     Flush forces reconciliation, and durability covers exactly the
-//     reconciled state.
+//     so every published handle, and therefore every read, is an exact
+//     FIFO prefix of the shard's history (absorption is invisible to
+//     readers), Flush forces reconciliation, and durability covers exactly
+//     the reconciled state.
 
 import (
 	"fmt"
 	"sort"
 	"time"
 
-	"repro/internal/cpma"
 	"repro/internal/obs"
 )
 
@@ -85,10 +80,8 @@ type hotEntry struct {
 // in the shard's CPMA (the truth as of the last reconciliation — promoted
 // keys are stripped from every apply, so base changes only at reconcile);
 // pend is the last-wins pending op. The effective membership is pend if
-// set, else base. base and pend are written by the shard's writer goroutine
-// under the shard's write lock and read by overlay reads under its read
-// lock. hits counts absorbed occurrences since the last detector window
-// and is touched only by the writer goroutine (no lock).
+// set, else base. hits counts absorbed occurrences since the last detector
+// window. Only the shard's writer goroutine touches a slot.
 type hotSlot struct {
 	base bool
 	pend uint8
@@ -96,7 +89,7 @@ type hotSlot struct {
 }
 
 // eff returns the slot's effective membership: the pending op if one is
-// absorbed, else the base presence. Callers hold the shard lock.
+// absorbed, else the base presence.
 func (sl *hotSlot) eff() bool {
 	if sl.pend != pendNone {
 		return sl.pend == pendInsert
@@ -105,16 +98,15 @@ func (sl *hotSlot) eff() bool {
 }
 
 // hotTable is one shard's promoted-key set: sorted keys with parallel
-// slots. The table itself is immutable once published through cell.hot
-// (promotion/demotion installs a replacement under the shard's write
-// lock); the slots it points to are mutable under the shard lock.
+// slots. The table's keys are immutable once published through cell.hot
+// (promotion/demotion installs a replacement), so enqueuers may read them;
+// the slots belong to the writer.
 type hotTable struct {
 	keys  []uint64
 	slots []*hotSlot
 }
 
-// lookup returns the slot for k, nil if k is not promoted. Reading the
-// returned slot's base/pend requires the shard lock.
+// lookup returns the slot for k, nil if k is not promoted.
 func (ht *hotTable) lookup(k uint64) *hotSlot {
 	if ht == nil || len(ht.keys) == 0 {
 		return nil
@@ -126,83 +118,11 @@ func (ht *hotTable) lookup(k uint64) *hotSlot {
 	return nil
 }
 
-// pendingLists returns the overlay's visible difference from the CPMA:
-// added (effective but not base — in the set, not yet in the CPMA) and
-// removed (base but not effective) keys, both sorted. Caller holds the
-// shard lock.
-func (ht *hotTable) pendingLists() (added, removed []uint64) {
-	if ht == nil {
-		return nil, nil
-	}
-	for i, sl := range ht.slots {
-		if sl.pend == pendNone {
-			continue
-		}
-		if e := sl.pend == pendInsert; e != sl.base {
-			if e {
-				added = append(added, ht.keys[i])
-			} else {
-				removed = append(removed, ht.keys[i])
-			}
-		}
-	}
-	return added, removed
-}
-
-// lenSumDelta returns the overlay's contribution to Len and Sum (mod 2^64):
-// +1/+key per pending-added key, -1/-key per pending-removed key. Caller
-// holds the shard lock.
-func (ht *hotTable) lenSumDelta() (dn int, dsum uint64) {
-	if ht == nil {
-		return 0, 0
-	}
-	for i, sl := range ht.slots {
-		if sl.pend == pendNone {
-			continue
-		}
-		if e := sl.pend == pendInsert; e != sl.base {
-			if e {
-				dn++
-				dsum += ht.keys[i]
-			} else {
-				dn--
-				dsum -= ht.keys[i]
-			}
-		}
-	}
-	return dn, dsum
-}
-
-// rangeDelta is lenSumDelta restricted to keys in [start, end). Caller
-// holds the shard lock.
-func (ht *hotTable) rangeDelta(start, end uint64) (dn int, dsum uint64) {
-	if ht == nil {
-		return 0, 0
-	}
-	for i, sl := range ht.slots {
-		k := ht.keys[i]
-		if k < start || k >= end || sl.pend == pendNone {
-			continue
-		}
-		if e := sl.pend == pendInsert; e != sl.base {
-			if e {
-				dn++
-				dsum += k
-			} else {
-				dn--
-				dsum -= k
-			}
-		}
-	}
-	return dn, dsum
-}
-
 // stripHotSorted excises runs of promoted keys from a sorted sub-batch. It
 // returns (nil, nil) when no promoted key occurs — the caller keeps sub —
 // and otherwise a freshly built cold remainder (never aliasing sub) plus
 // one entry per promoted key found, in table (ascending key) order. It
-// reads only the table's immutable keys, so enqueuers may call it without
-// the shard lock.
+// reads only the table's immutable keys, so enqueuers may call it.
 func stripHotSorted(sub []uint64, ht *hotTable) ([]uint64, []hotEntry) {
 	if ht == nil || len(ht.keys) == 0 {
 		return nil, nil
@@ -320,8 +240,7 @@ func (d *hotDetector) observe(keys []uint64) {
 // with the other n-1 reported as surplus so the absorbed-key accounting
 // (AppliedKeys + AbsorbedKeys converges to EnqueuedKeys) stays exact.
 // Entries from a coalesced run are concatenated per op, so the fallback
-// list is sorted before use. Reads only immutable table keys — no lock
-// needed.
+// list is sorted before use. Reads only immutable table keys.
 func splitEntries(ht *hotTable, ents []hotEntry) (abs []hotEntry, fallback []uint64, surplus uint64) {
 	for _, e := range ents {
 		if ht.lookup(e.key) != nil {
@@ -355,12 +274,10 @@ func mergeSortedInto(keys, extra []uint64) []uint64 {
 }
 
 // reconcileHot folds every dirty slot into the shard's CPMA as ordinary
-// sorted batches: WAL-appended before the apply (outside the lock, exactly
-// like applyOne), then applied with the slot bases flipped in the same
-// critical section, so overlay readers can never see a key both pending
-// and applied. Called by the writer before every publish point; after it
-// returns, the published handle equals the exact FIFO prefix of the
-// shard's operation history — absorption is invisible to snapshots,
+// sorted batches, WAL-appended before the apply exactly like applyOne, and
+// flips the slot bases. Called by the writer before every publish point;
+// after it returns, the published handle equals the exact FIFO prefix of
+// the shard's operation history — absorption is invisible to reads,
 // recovery, and checkpoints.
 func (s *Sharded) reconcileHot(p int, c *cell) {
 	ht := c.hot.Load()
@@ -398,7 +315,6 @@ func (s *Sharded) reconcileHot(p int, c *cell) {
 			}
 		}
 	}
-	c.mu.Lock()
 	changed := 0
 	if len(ins) > 0 {
 		changed += c.set.InsertBatch(ins, true)
@@ -417,7 +333,6 @@ func (s *Sharded) reconcileHot(p int, c *cell) {
 	if changed > 0 {
 		c.epoch.Add(1)
 	}
-	c.mu.Unlock()
 	s.pm.reconcile.Since(t0)
 }
 
@@ -425,8 +340,7 @@ func (s *Sharded) reconcileHot(p int, c *cell) {
 // after reconcileHot, so every slot is clean: a demoted key's CPMA state
 // is already the truth (dropping the slot loses nothing), and a freshly
 // promoted key's base is read straight off the CPMA (this goroutine is the
-// only mutator). Table swaps install under the shard's write lock so no
-// overlay read holds a cut across the change.
+// only mutator), and the new table installs with one atomic store.
 func (s *Sharded) retuneHot(p int, c *cell) {
 	d := &c.det
 	if d.window < uint64(s.opt.HotKeyEvery) {
@@ -478,17 +392,12 @@ func (s *Sharded) retuneHot(p int, c *cell) {
 				}
 			}
 			for _, k := range adds {
-				// The writer is the shard's sole mutator, so reading the
-				// CPMA here without the lock is safe against concurrent
-				// readers.
 				nt.keys = append(nt.keys, k)
 				nt.slots = append(nt.slots, &hotSlot{base: c.set.Has(k)})
 			}
 			sortTable(nt)
 		}
-		c.mu.Lock()
 		c.hot.Store(nt)
-		c.mu.Unlock()
 		s.rebuildHotIndex()
 		c.promos.Add(uint64(len(adds)))
 		c.demos.Add(uint64(demoted))
@@ -521,12 +430,12 @@ func sortTable(t *hotTable) {
 }
 
 // dropHotTables demotes every promoted key on shard p, resetting the
-// detector. Called by the rebalancer with the writer quiesced and the
-// shard's write lock held: a boundary move changes which shard owns a key,
-// so per-shard promoted state (whose base was read from this shard's CPMA)
-// must not survive the move. Slots are clean — the quiesce token's publish
-// reconciled them — so dropping the table loses nothing; genuinely hot
-// keys re-promote within one detector window.
+// detector. Called by the rebalancer with the writer quiesced: a boundary
+// move changes which shard owns a key, so per-shard promoted state (whose
+// base was read from this shard's CPMA) must not survive the move. Slots
+// are clean — the quiesce token's publish reconciled them — so dropping
+// the table loses nothing; genuinely hot keys re-promote within one
+// detector window.
 func (s *Sharded) dropHotTables(p int, c *cell) {
 	if !s.opt.HotKeys {
 		return
@@ -692,120 +601,6 @@ func routeHot(rt *router, ik []uint64, counts []uint64) [][]hotEntry {
 	return ents
 }
 
-// --- overlay read helpers (live cuts; snapshots never need them because
-// published handles are reconciled) ---
-
-// overlayHas resolves a point lookup through the overlay: a promoted key's
-// effective state is its slot, everything else reads the CPMA. Caller
-// holds the shard lock.
-func overlayHas(set *cpma.CPMA, ht *hotTable, x uint64) bool {
-	if sl := ht.lookup(x); sl != nil {
-		return sl.eff()
-	}
-	return set.Has(x)
-}
-
-// overlayNext returns the smallest effective key >= x: the CPMA's
-// successor chain skipping pending-removed keys, merged with the smallest
-// pending-added key. Caller holds the shard lock.
-func overlayNext(set *cpma.CPMA, ht *hotTable, x uint64) (uint64, bool) {
-	added, removed := ht.pendingLists()
-	r, ok := set.Next(x)
-	for ok && sortedContains(removed, r) {
-		r, ok = set.Next(r + 1)
-	}
-	for _, a := range added {
-		if a >= x && (!ok || a < r) {
-			return a, true
-		}
-	}
-	return r, ok
-}
-
-// overlayMax returns the largest effective key: the CPMA's max, walked
-// down past pending-removed keys (the CPMA has no predecessor query, so
-// each step is a binary search on the key space driven by Next), merged
-// with the largest pending-added key. Caller holds the shard lock.
-func overlayMax(set *cpma.CPMA, ht *hotTable) (uint64, bool) {
-	added, removed := ht.pendingLists()
-	m, ok := set.Max()
-	for ok && sortedContains(removed, m) {
-		m, ok = prevBelow(set, m)
-	}
-	if len(added) > 0 {
-		if a := added[len(added)-1]; !ok || a > m {
-			return a, true
-		}
-	}
-	return m, ok
-}
-
-// prevBelow returns the largest key < m in set. Invariant of the search:
-// a key exists in [lo, m) and none exists in [hi, m), so when the bounds
-// meet, lo itself is that key (Next(lo) < m but Next(lo+1) >= m).
-func prevBelow(set *cpma.CPMA, m uint64) (uint64, bool) {
-	if m <= 1 {
-		return 0, false
-	}
-	if r, ok := set.Next(1); !ok || r >= m {
-		return 0, false
-	}
-	lo, hi := uint64(1), m
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if r, ok := set.Next(mid); ok && r < m {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, true
-}
-
-// overlayMapRange streams the effective keys of [start, end) in order:
-// the CPMA's stream with pending-removed keys skipped and pending-added
-// keys merged in. Caller holds the shard lock (live range-partition scans
-// run under it by contract).
-func overlayMapRange(set *cpma.CPMA, ht *hotTable, start, end uint64, f func(uint64) bool) bool {
-	added, removed := ht.pendingLists()
-	if added == nil && removed == nil {
-		return set.MapRange(start, end, f)
-	}
-	ai := 0
-	for ai < len(added) && added[ai] < start {
-		ai++
-	}
-	ok := set.MapRange(start, end, func(x uint64) bool {
-		for ai < len(added) && added[ai] < x {
-			if !f(added[ai]) {
-				return false
-			}
-			ai++
-		}
-		if sortedContains(removed, x) {
-			return true
-		}
-		return f(x)
-	})
-	if !ok {
-		return false
-	}
-	for ; ai < len(added) && added[ai] < end; ai++ {
-		if !f(added[ai]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedContains(keys []uint64, x uint64) bool {
-	if len(keys) == 0 {
-		return false
-	}
-	i := sort.Search(len(keys), func(j int) bool { return keys[j] >= x })
-	return i < len(keys) && keys[i] == x
-}
-
 // HotKeys returns the currently promoted (absorbed-path) keys across all
 // shards, sorted — bench and test introspection for the absorber.
 func (s *Sharded) HotKeys() []uint64 {
@@ -814,12 +609,9 @@ func (s *Sharded) HotKeys() []uint64 {
 	}
 	var out []uint64
 	for p := range s.cells {
-		c := &s.cells[p]
-		c.mu.RLock()
-		if ht := c.hot.Load(); ht != nil {
+		if ht := s.cells[p].hot.Load(); ht != nil {
 			out = append(out, ht.keys...)
 		}
-		c.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -10,13 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// hotOpts builds a hot-key-enabled async Options with a tiny detector
-// window so tests promote within a few batches.
+// hotOpts builds a hot-key-enabled Options with a tiny detector window so
+// tests promote within a few batches.
 func hotOpts(part Partition) *Options {
 	o := &Options{
 		Partition:    part,
 		Set:          smallSet,
-		Async:        true,
 		MailboxDepth: 4,
 		HotKeys:      true,
 		HotKeyEvery:  64,
@@ -27,129 +26,6 @@ func hotOpts(part Partition) *Options {
 		o.KeyBits = 16
 	}
 	return o
-}
-
-// TestHotKeyOverlayReads pins every overlay read path deterministically:
-// a hand-installed promoted-key table with dirty slots must make live
-// reads behave exactly as if the pending ops had been applied, and the
-// next Flush must reconcile the slots into the CPMA verbatim. White-box —
-// it bypasses detection so the overlay arithmetic is isolated from
-// promotion timing.
-func TestHotKeyOverlayReads(t *testing.T) {
-	for _, part := range []Partition{HashPartition, RangePartition} {
-		name := "hash"
-		if part == RangePartition {
-			name = "range"
-		}
-		t.Run(name, func(t *testing.T) {
-			opt := hotOpts(part)
-			opt.HotKeyEvery = 1 << 30 // never retune: the table stays as installed
-			s := New(1, opt)
-			t.Cleanup(s.Close)
-			s.InsertBatch([]uint64{10, 20, 30, 100, 200}, true)
-			s.Flush()
-
-			// Overlay: remove 10 and 200 (the max), add 25, plus two no-op
-			// pending slots (insert of a present key, remove of an absent
-			// one) that must contribute nothing.
-			c := &s.cells[0]
-			c.mu.Lock()
-			c.hot.Store(&hotTable{
-				keys: []uint64{10, 25, 30, 40, 200},
-				slots: []*hotSlot{
-					{base: true, pend: pendRemove},
-					{base: false, pend: pendInsert},
-					{base: true, pend: pendInsert},
-					{base: false, pend: pendRemove},
-					{base: true, pend: pendRemove},
-				},
-			})
-			c.mu.Unlock()
-
-			want := []uint64{20, 25, 30, 100}
-			if got := s.Keys(); !slices.Equal(got, want) {
-				t.Fatalf("Keys = %v, want %v", got, want)
-			}
-			if got := s.Len(); got != 4 {
-				t.Fatalf("Len = %d, want 4", got)
-			}
-			if got := s.Sum(); got != 175 {
-				t.Fatalf("Sum = %d, want 175", got)
-			}
-			for k, present := range map[uint64]bool{10: false, 20: true, 25: true, 30: true, 40: false, 100: true, 200: false} {
-				if s.Has(k) != present {
-					t.Fatalf("Has(%d) = %v, want %v", k, s.Has(k), present)
-				}
-			}
-			if v, ok := s.Next(1); !ok || v != 20 {
-				t.Fatalf("Next(1) = %d,%v want 20 (overlay-removed 10 not skipped)", v, ok)
-			}
-			if v, ok := s.Next(21); !ok || v != 25 {
-				t.Fatalf("Next(21) = %d,%v want overlay-added 25", v, ok)
-			}
-			if v, ok := s.Next(101); ok {
-				t.Fatalf("Next(101) = %d, want none (200 is overlay-removed)", v)
-			}
-			if v, ok := s.Max(); !ok || v != 100 {
-				t.Fatalf("Max = %d,%v want 100 (walk below the removed max)", v, ok)
-			}
-			if sum, n := s.RangeSum(10, 30); sum != 45 || n != 2 {
-				t.Fatalf("RangeSum[10,30) = %d,%d want 45,2", sum, n)
-			}
-			visited := 0
-			if s.MapRange(1, 1<<15, func(uint64) bool { visited++; return visited < 2 }) {
-				t.Fatal("MapRange ignored early stop through the overlay")
-			}
-
-			// Flush reconciles: the CPMA itself must now hold the effective
-			// set, the slots must be clean, and reads unchanged.
-			s.Flush()
-			c.mu.RLock()
-			got := c.set.Keys()
-			ht := c.hot.Load()
-			for i, sl := range ht.slots {
-				if sl.pend != pendNone {
-					t.Fatalf("slot %d dirty after Flush", i)
-				}
-				if wantBase := slices.Contains(want, ht.keys[i]); sl.base != wantBase {
-					t.Fatalf("slot %d base = %v after reconcile, want %v", i, sl.base, wantBase)
-				}
-			}
-			c.mu.RUnlock()
-			if !slices.Equal(got, want) {
-				t.Fatalf("CPMA after reconcile = %v, want %v", got, want)
-			}
-			if got := s.Keys(); !slices.Equal(got, want) {
-				t.Fatalf("Keys after reconcile = %v, want %v", got, want)
-			}
-			sn := s.Snapshot()
-			if !slices.Equal(sn.Keys(), want) {
-				t.Fatalf("Snapshot after reconcile = %v, want %v", sn.Keys(), want)
-			}
-			if st := s.IngestStats(); st.ReconcileBatches == 0 {
-				t.Fatalf("no reconcile batches counted: %+v", st)
-			}
-
-			// Second overlay phase: a pending-added key above the current
-			// max must win Max.
-			c.mu.Lock()
-			c.hot.Store(&hotTable{
-				keys:  []uint64{5000},
-				slots: []*hotSlot{{base: false, pend: pendInsert}},
-			})
-			c.mu.Unlock()
-			if v, ok := s.Max(); !ok || v != 5000 {
-				t.Fatalf("Max = %d,%v want overlay-added 5000", v, ok)
-			}
-			s.Flush()
-			if !s.Has(5000) {
-				t.Fatal("5000 lost by reconcile")
-			}
-			if err := s.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestHotKeyAbsorptionDifferential streams hot-spot traffic (rotating hot
@@ -275,8 +151,8 @@ func TestHotKeyAbsorptionDifferential(t *testing.T) {
 // TestHotKeyExactTicketedCounts: once a key is promoted, blocking point
 // ops route through the absorbed path and must still report exact
 // fresh/present answers (from the slot's effective-membership flip), and
-// reads between them must see each op immediately (read-your-writes via
-// the overlay).
+// reads between them must see each op immediately (read-your-writes: the
+// ticket completes after the reconciled handle is published).
 func TestHotKeyExactTicketedCounts(t *testing.T) {
 	opt := hotOpts(HashPartition)
 	opt.HotKeyEvery = 256
@@ -396,7 +272,6 @@ func TestHotKeyRace(t *testing.T) {
 		Partition:    RangePartition,
 		KeyBits:      20,
 		Set:          smallSet,
-		Async:        true,
 		MailboxDepth: 4,
 		HotKeys:      true,
 		HotKeyEvery:  64,

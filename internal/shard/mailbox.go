@@ -1,15 +1,16 @@
 package shard
 
-// The asynchronous ingest pipeline: each shard owns a bounded mailbox of
-// pending operations drained by a dedicated writer goroutine. Clients
-// enqueue sorted sub-batches and return immediately (async) or wait on a
-// completion ticket (sync); the writer greedily drains whatever has
-// accumulated, merges runs of adjacent same-kind fire-and-forget batches
-// into one sorted run, and applies it as a single InsertBatch/RemoveBatch
-// under the shard lock. Coalescing is what makes the pipeline fast: the
-// CPMA's rebalance cost amortizes with batch size (paper Fig. 1), so under
-// many clients sending small batches the writer applies few large merges
-// instead of many small ones.
+// The ingest pipeline: each shard owns a bounded mailbox of pending
+// operations drained by a dedicated writer goroutine, the shard's only
+// mutator. Clients enqueue sorted sub-batches and return immediately
+// (fire-and-forget) or wait on a completion ticket (blocking calls); the
+// writer greedily drains whatever has accumulated, merges runs of adjacent
+// same-kind fire-and-forget batches into one sorted run, and applies it as
+// a single InsertBatch/RemoveBatch. Coalescing is what makes the pipeline
+// fast: the CPMA's rebalance cost amortizes with batch size (paper Fig. 1),
+// so under many clients sending small batches the writer applies few large
+// merges instead of many small ones. Tickets complete only after the drain
+// publishes, which is what makes blocking calls read-your-writes.
 
 import (
 	"fmt"
@@ -37,11 +38,12 @@ const (
 // pipeline owns outright, but ticketed ops may alias the caller's slice,
 // which the caller is free to reuse the moment its ticket completes
 // (asyncSplit documents the ownership matrix). A non-nil ticket makes the
-// op synchronous: the writer applies it individually (for an exact
-// fresh/removed count) and completes the ticket; ticket-free ops are the
-// coalescable fast path. A quiesce token parks the writer — it completes
-// the ticket and then blocks until resume is closed, leaving the
-// rebalancer as the shard's sole mutator for the interim.
+// op blocking: the writer applies it individually (for an exact
+// fresh/removed count) and completes the ticket once the result is
+// published; ticket-free ops are the coalescable fast path. A quiesce
+// token parks the writer — it completes the ticket and then blocks until
+// resume is closed, leaving the rebalancer as the shard's sole mutator for
+// the interim.
 //
 // With the hot-key absorber on (Options.HotKeys), hot carries the
 // promoted-key occurrences the enqueuer stripped from keys — run-collapsed
@@ -93,8 +95,7 @@ func (t *ticket) wait() int {
 // writers. AppliedKeys + AbsorbedKeys always converges to EnqueuedKeys
 // once the pipeline is flushed; AppliedBatches <= EnqueuedBatches, and the
 // gap is the coalescing win (mean applied-batch size / mean enqueued
-// sub-batch size). In synchronous mode both sides count the per-shard
-// applies directly.
+// sub-batch size).
 //
 // The last four counters track the hot-key absorber (Options.HotKeys; all
 // zero when it is off): AbsorbedKeys counts key occurrences diverted from
@@ -167,14 +168,30 @@ func (s *Sharded) IngestStats() IngestStats {
 }
 
 // writerScratch holds one writer's reusable buffers: the drained-op list,
-// two ping-pong merge arenas, and the run-level hot-entry accumulator, so
-// steady-state coalescing allocates nothing beyond what the CPMA itself
-// needs.
+// two ping-pong merge arenas, the run-level hot-entry accumulator, and the
+// ticket answers waiting for the next publication, so steady-state
+// coalescing allocates nothing beyond what the CPMA itself needs.
 type writerScratch struct {
 	pending []shardOp
 	runs    [][]uint64
 	bufs    [2][]uint64
 	ents    []hotEntry
+	acks    []ack
+}
+
+// ack is a ticketed op's exact count, held until the drain publishes.
+type ack struct {
+	tk *ticket
+	n  int
+}
+
+// ackAll completes every held ticket; callers have just published.
+func (ws *writerScratch) ackAll() {
+	for _, a := range ws.acks {
+		a.tk.complete(a.n)
+	}
+	clear(ws.acks)
+	ws.acks = ws.acks[:0]
 }
 
 // maxRetainedArena caps the merge-arena capacity (in keys) a writer keeps
@@ -228,26 +245,15 @@ func (s *Sharded) writer(p int) {
 		}
 		t0 := time.Now()
 		s.applyPending(p, c, &ws)
-		// Reconcile-before-publish: fold absorbed hot-key state into the
-		// CPMA so the handle published next is an exact FIFO prefix of the
-		// shard's history (absorption stays invisible to snapshots and
-		// durability), then let the detector retune the promoted set at
+		// Copy-on-publish: one frozen handle per state-changing drain, so
+		// reads never wait on (or block) the apply path. The final drain
+		// before exit publishes too, so reads after Close see the fully
+		// drained state. Then let the detector retune the promoted set at
 		// this rest point — slots are clean, so promotion and demotion are
 		// plain table swaps.
+		sn := s.rest(p, c, &ws)
 		if s.opt.HotKeys {
-			s.reconcileHot(p, c)
 			s.retuneHot(p, c)
-		}
-		// Copy-on-publish: one frozen handle per state-changing drain, so
-		// snapshot captures never wait on (or block) the apply path. The
-		// final drain before exit publishes too, so a Snapshot taken after
-		// Close sees the fully drained state.
-		sn := s.publish(p, c)
-		// The journal learns the published handle after every drain: it is
-		// the immutable state a checkpoint can serialize, covering every
-		// record appended so far (this goroutine appended them all).
-		if j := s.opt.Journal; j != nil {
-			j.Published(p, sn.set)
 		}
 		// Two clock reads bound the whole drain; residency for each
 		// drained sub-batch derives from its enqueue stamp against the
@@ -282,11 +288,31 @@ func (s *Sharded) writer(p int) {
 	}
 }
 
+// rest is a publication point: it reconciles absorbed hot-key state into
+// the CPMA (so the handle is an exact FIFO prefix of the shard's history
+// and absorption stays invisible to reads and durability), publishes, and
+// hands the handle to the journal — the immutable state a checkpoint can
+// serialize, covering every record this goroutine appended so far. Then
+// it completes the tickets held since the previous rest point: their
+// results are now visible to every read.
+func (s *Sharded) rest(p int, c *cell, ws *writerScratch) *shardSnap {
+	if s.opt.HotKeys {
+		s.reconcileHot(p, c)
+	}
+	sn := s.publish(p, c)
+	if j := s.opt.Journal; j != nil {
+		j.Published(p, sn.set)
+	}
+	ws.ackAll()
+	return sn
+}
+
 // applyPending executes the drained ops in mailbox order. Maximal runs of
 // adjacent ticket-free ops of one kind merge into a single sorted apply;
-// ticketed ops apply alone so their fresh/removed counts stay exact; flush
-// tokens just complete their tickets (everything enqueued before them has
-// been applied by the time they are reached).
+// ticketed ops apply alone so their fresh/removed counts stay exact, and
+// their answers wait for the next rest point. Flush and quiesce tokens
+// are rest points themselves (everything enqueued before them has been
+// applied by the time they are reached).
 func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 	pending := ws.pending
 	for i := 0; i < len(pending); {
@@ -294,20 +320,11 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 		switch {
 		case op.kind == opFlush:
 			// Publish before completing the token: once a Flush returns,
-			// the published handles must include everything it covered
-			// (the snapshot read-your-flushes guarantee). Reconcile first:
-			// Flush promises applied-and-logged, so absorbed state covered
-			// by the token must fold into the CPMA (and the WAL) before
-			// the publish. On a durable set the token is also the
-			// durability barrier — hand the journal the fresh handle and
-			// force its log to disk before anyone waiting on the Flush is
-			// released.
-			if s.opt.HotKeys {
-				s.reconcileHot(p, c)
-			}
-			sn := s.publish(p, c)
+			// every read must include everything it covered. On a durable
+			// set the token is also the durability barrier — force the log
+			// to disk before anyone waiting on the Flush is released.
+			s.rest(p, c, ws)
 			if j := s.opt.Journal; j != nil {
-				j.Published(p, sn.set)
 				if err := j.Synced(p); err != nil {
 					panic(fmt.Sprintf("shard %d: journal sync: %v", p, err))
 				}
@@ -316,26 +333,18 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			i++
 		case op.kind == opQuiesce:
 			// Park for the rebalancer: publish the rest-point state (the
-			// pre-move handle other shards' captures may still pair with),
-			// signal arrival, and block. Reconcile first so the rebalancer
-			// extracts a CPMA with no absorbed state hiding beside it.
-			// Everything drained before this token has been applied;
-			// nothing can follow it in the mailbox because the rebalancer
-			// holds the enqueue-side lifecycle lock while it is
-			// outstanding. Until resume closes, the rebalancer is this
-			// shard's sole mutator.
-			if s.opt.HotKeys {
-				s.reconcileHot(p, c)
-			}
-			sn := s.publish(p, c)
-			if j := s.opt.Journal; j != nil {
-				j.Published(p, sn.set)
-			}
+			// pre-move handle other shards' captures may still pair with,
+			// with no absorbed state hiding beside the CPMA the rebalancer
+			// extracts), signal arrival, and block. Nothing can follow this
+			// token in the mailbox because the rebalancer holds the
+			// enqueue-side lifecycle lock while it is outstanding. Until
+			// resume closes, the rebalancer is this shard's sole mutator.
+			s.rest(p, c, ws)
 			op.tk.complete(0)
 			<-op.resume
 			i++
 		case op.tk != nil:
-			op.tk.complete(s.applyOne(p, c, op.kind, op.keys, op.hot))
+			ws.acks = append(ws.acks, ack{op.tk, s.applyOne(p, c, op.kind, op.keys, op.hot)})
 			i++
 		default:
 			j := i + 1
@@ -368,13 +377,13 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 	}
 }
 
-// applyOne applies one sorted batch to shard p under its lock, records it
-// in the ingest counters, and advances the shard's snapshot epoch when the
-// apply changed state (all-duplicate or all-absent batches leave the state
-// — and therefore the published snapshot — untouched). On a durable set
-// the batch is appended to the shard's write-ahead log first, outside the
-// shard lock: the log must never trail the in-memory state it redoes, and
-// a log the set cannot append to is fatal (see Journal).
+// applyOne applies one sorted batch to shard p, records it in the ingest
+// counters, and advances the shard's epoch when the apply changed state
+// (all-duplicate or all-absent batches leave the state — and therefore the
+// published handle — untouched). On a durable set the batch is appended
+// to the shard's write-ahead log first: the log must never trail the
+// in-memory state it redoes, and a log the set cannot append to is fatal
+// (see Journal).
 //
 // With the absorber on, hot carries the op's pre-separated promoted-key
 // entries, and the batch is re-checked against the current table first
@@ -383,8 +392,8 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 // reconciliation). Entries whose key was demoted while the op was in
 // flight fall back into the applied batch at this same FIFO position, so
 // the write-ahead contract covers them; surviving entries fold into slot
-// state inside the same critical section as the cold apply — absorbed keys
-// are deliberately NOT journaled here, their WAL records are written by
+// state at the same FIFO position as the cold apply — absorbed keys are
+// deliberately NOT journaled here, their WAL records are written by
 // reconcileHot when the slot state folds into the CPMA. The returned count
 // stays exact for ticketed ops: a slot whose effective membership flips
 // counts exactly like a fresh insert or a present remove.
@@ -427,7 +436,6 @@ func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64, hot []hot
 	}
 	var n int
 	var absorbed uint64
-	c.mu.Lock()
 	if len(keys) > 0 {
 		if kind == opInsert {
 			n = c.set.InsertBatch(keys, true)
@@ -452,7 +460,6 @@ func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64, hot []hot
 		sl.hits += e.n
 		absorbed += e.n
 	}
-	c.mu.Unlock()
 	if s.opt.HotKeys {
 		if absorbed > 0 {
 			c.absorbed.Add(absorbed)

@@ -62,15 +62,16 @@ func defaultBounds(keyBits, shards int) []uint64 {
 }
 
 // checkBounds validates a caller-supplied interior boundary table.
-func checkBounds(bounds []uint64, shards int) {
+func checkBounds(bounds []uint64, shards int) error {
 	if len(bounds) != shards-1 {
-		panic(fmt.Sprintf("shard: boundary table has %d entries, want shards-1 = %d", len(bounds), shards-1))
+		return fmt.Errorf("shard: boundary table has %d entries, want shards-1 = %d", len(bounds), shards-1)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] < bounds[i-1] {
-			panic(fmt.Sprintf("shard: boundary table not sorted at %d: %d < %d", i, bounds[i], bounds[i-1]))
+			return fmt.Errorf("shard: boundary table not sorted at %d: %d < %d", i, bounds[i], bounds[i-1])
 		}
 	}
+	return nil
 }
 
 // mix64 is the splitmix64 finalizer, the same bijective scramble the

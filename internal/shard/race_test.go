@@ -21,6 +21,7 @@ func TestConcurrentReadersDuringBatchWrites(t *testing.T) {
 		{Partition: RangePartition, KeyBits: 20},
 	} {
 		s := New(4, opt)
+		defer s.Close()
 		s.InsertBatch(workload.Uniform(workload.NewRNG(1), 20000, 20), false)
 
 		const writers, readers, rounds = 2, 4, 30
@@ -79,6 +80,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 		{Partition: RangePartition, KeyBits: 32},
 	} {
 		s := New(5, opt)
+		defer s.Close()
 		var wg sync.WaitGroup
 		for cl := 0; cl < clients; cl++ {
 			wg.Add(1)
@@ -110,15 +112,15 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	}
 }
 
-// TestAsyncIngestRace hammers the mailbox pipeline: concurrent async
-// enqueuers (with occasional synchronous ticketed batches and point ops),
-// readers, and a flusher, finishing with a Close that races the readers
-// and flusher. Meaningful mostly under -race; without the detector it
+// TestAsyncIngestRace hammers the mailbox pipeline: concurrent
+// fire-and-forget enqueuers (with occasional ticketed batches and point
+// ops), readers, and a flusher, finishing with a Close that races the
+// readers and flusher. Meaningful mostly under -race; without the detector it
 // still verifies that Close drains every enqueued key.
 func TestAsyncIngestRace(t *testing.T) {
 	for _, opt := range []*Options{
-		{Async: true, MailboxDepth: 4, Partition: HashPartition},
-		{Async: true, MailboxDepth: 2, Partition: RangePartition, KeyBits: 18, FlushReads: true},
+		{MailboxDepth: 4, Partition: HashPartition},
+		{MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
 	} {
 		s := New(4, opt)
 		const writers = 4
@@ -134,7 +136,7 @@ func TestAsyncIngestRace(t *testing.T) {
 					case 2:
 						s.RemoveBatchAsync(workload.Uniform(r, 700, 18), false)
 					case 4:
-						s.InsertBatch(workload.Uniform(r, 100, 18), false) // ticketed sync path
+						s.InsertBatch(workload.Uniform(r, 100, 18), false) // ticketed path
 						s.Insert(1 + r.Uint64()%(1<<18))
 					}
 				}
@@ -189,9 +191,11 @@ func TestAsyncIngestRace(t *testing.T) {
 func TestConcurrentInsertRemoveConverge(t *testing.T) {
 	// Writers insert and remove overlapping uniform batches; afterwards the
 	// set must equal the result of replaying the same per-client streams
-	// serially per shard (which the per-shard locks guarantee), so we only
-	// assert structural health and that point ops agree with membership.
+	// serially per shard (which the per-shard mailboxes guarantee), so we
+	// only assert structural health and that point ops agree with
+	// membership.
 	s := New(4, &Options{Partition: HashPartition})
+	defer s.Close()
 	var wg sync.WaitGroup
 	for cl := 0; cl < 4; cl++ {
 		wg.Add(1)
@@ -233,7 +237,7 @@ func TestConcurrentInsertRemoveConverge(t *testing.T) {
 func TestRebalanceRace(t *testing.T) {
 	const writers, perWriter, bits = 4, 20000, 28
 	s := New(5, &Options{
-		Partition: RangePartition, KeyBits: bits, Async: true, MailboxDepth: 4,
+		Partition: RangePartition, KeyBits: bits, MailboxDepth: 4,
 		Rebalance: true, RebalanceEvery: time.Millisecond, MaxSkew: 1.3,
 	})
 	var wwg sync.WaitGroup
@@ -330,8 +334,8 @@ func TestRebalanceRace(t *testing.T) {
 // capture after Close must equal the fully drained state.
 func TestSnapshotRace(t *testing.T) {
 	for _, opt := range []*Options{
-		{Async: true, MailboxDepth: 4, Partition: HashPartition},
-		{Async: true, MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
+		{MailboxDepth: 4, Partition: HashPartition},
+		{MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
 	} {
 		s := New(4, opt)
 		const writers = 3
@@ -404,45 +408,5 @@ func TestSnapshotRace(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSnapshotSyncRace: sync-mode captures (which clone under all read
-// locks) racing batch writers and each other.
-func TestSnapshotSyncRace(t *testing.T) {
-	s := New(4, &Options{Partition: HashPartition})
-	s.InsertBatch(workload.Uniform(workload.NewRNG(8), 20000, 20), false)
-	var wwg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			r := workload.NewRNG(uint64(700 + w))
-			for i := 0; i < 20; i++ {
-				s.InsertBatch(workload.Uniform(r, 2000, 20), false)
-				s.RemoveBatch(workload.Uniform(r, 1000, 20), false)
-			}
-		}(w)
-	}
-	var done atomic.Bool
-	var rwg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for !done.Load() {
-				sn := s.Snapshot()
-				if got := len(sn.Keys()); got != sn.Len() {
-					t.Errorf("snapshot inconsistent: %d keys, Len %d", got, sn.Len())
-					return
-				}
-			}
-		}()
-	}
-	wwg.Wait()
-	done.Store(true)
-	rwg.Wait()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

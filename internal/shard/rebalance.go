@@ -16,8 +16,7 @@ package shard
 //     and mailed against another, and Close is excluded.
 //  2. Quiesce the two affected writers with opQuiesce tokens: each parks
 //     at a rest point between applies, leaving the rebalancer as the sole
-//     mutator of both CPMAs (readers still proceed under the shard read
-//     locks).
+//     mutator of both CPMAs (readers keep reading published handles).
 //  3. Extract both shards' keys (they are frozen and adjacent, so the
 //     concatenation is already sorted), pick the new boundary at the
 //     target split index, and build the two new CPMAs with a batch build.
@@ -25,15 +24,14 @@ package shard
 //     barrier records carrying the moved keys plus a durable boundary-
 //     table update, ordered so any crash point recovers to exactly the
 //     pre- or post-move state.
-//  5. Under both shards' write locks: install the new CPMAs, bump the
-//     shard epochs, publish fresh snapshot handles stamped with the new
-//     span generation, and swap in the new router.
+//  5. Install the new CPMAs, bump the shard epochs, swap in the new
+//     router, and publish fresh handles stamped with the new span
+//     generation.
 //  6. Resume the writers and release life.Lock.
 //
-// Readers that routed against the old table re-validate after locking
-// (withCut/Has) and retry; snapshot captures validate handle span
-// generations; so no read can ever pair pre-move placement with post-move
-// routing or vice versa.
+// Every read validates its handles' span generations against the router
+// it routes with (capture), so no read can ever pair pre-move placement
+// with post-move routing or vice versa.
 
 import (
 	"fmt"
@@ -132,14 +130,14 @@ func (s *Sharded) rebalanceMonitor() {
 // key-count ratio exceeds Options.MaxSkew, repartition passes move the
 // adjacent span boundaries so every shard converges to its fair share.
 // It returns the number of boundary moves performed (0 when the set
-// is already balanced, closed, or too small to matter). Requires the
-// async pipeline and RangePartition — the same preconditions as
-// Options.Rebalance — and panics otherwise; it may be called manually
+// is already balanced, closed, or too small to matter). Requires
+// RangePartition — the same precondition as Options.Rebalance — and a
+// primary set, and panics otherwise; it may be called manually
 // whether or not the background monitor is running, and is serialized
 // against it.
 func (s *Sharded) RebalanceOnce() int {
-	if !s.opt.Async || s.opt.Partition != RangePartition {
-		panic("shard: RebalanceOnce requires the async pipeline and RangePartition")
+	if s.replica || s.opt.Partition != RangePartition {
+		panic("shard: RebalanceOnce requires RangePartition on a primary (non-replica) set")
 	}
 	if len(s.cells) < 2 {
 		return 0
@@ -204,13 +202,8 @@ func (s *Sharded) RebalanceOnce() int {
 	return moves
 }
 
-func (s *Sharded) cellLen(p int) int {
-	c := &s.cells[p]
-	c.mu.RLock()
-	n := c.set.Len()
-	c.mu.RUnlock()
-	return n
-}
+// cellLen is shard p's key count as of its published handle.
+func (s *Sharded) cellLen(p int) int { return s.cells[p].snap.Load().set.Len() }
 
 // moveBoundary rebalances the adjacent pair (a, a+1) by moving their
 // shared boundary so the left shard keeps keepLeft keys (clamped to the
@@ -307,12 +300,11 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 		}
 	}
 
-	// Install under both write locks: readers either hold a read lock now
-	// (and saw the old router — consistent with the old placement they are
-	// reading) or will acquire one after us and re-validate the router.
+	// Install. Until the fresh handles below land, captures under the new
+	// router see stale-generation handles for the pair and retry; captures
+	// under the old router either finish before the swap (and read the
+	// old placement consistently) or see the router change and retry.
 	ca, cb := &s.cells[a], &s.cells[b]
-	ca.mu.Lock()
-	cb.mu.Lock()
 	ca.set, cb.set = newA, newB
 	ca.epoch.Add(1)
 	cb.epoch.Add(1)
@@ -325,12 +317,10 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 	s.dropHotTables(a, ca)
 	s.dropHotTables(b, cb)
 	s.rt.Store(nrt)
-	// Publish fresh handles at the new span generation so snapshot
-	// captures converge (stale-gen handles are rejected until these land).
+	// Publish fresh handles at the new span generation so captures
+	// converge (stale-gen handles are rejected until these land).
 	sa := s.publish(a, ca)
 	sb := s.publish(b, cb)
-	cb.mu.Unlock()
-	ca.mu.Unlock()
 	if j := s.opt.Journal; j != nil {
 		// The writers are still parked, so recording the published handles
 		// (covering the barrier records just appended) is race-free.

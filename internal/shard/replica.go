@@ -1,16 +1,17 @@
 package shard
 
 // Replica mode: a read-only Sharded set driven by a replication applier
-// (repro/internal/repl) instead of clients. A replica runs the synchronous
-// engine with no mailboxes, no journal, and no rebalancer — its mutation
-// history arrives pre-serialized as per-shard WAL records, already sorted
-// and already routed, so the only writes it needs are the applier's
-// ReplicaApply/ReplicaReset/ReplicaSetBounds below. Everything on the
-// read side — live atomic-cut reads, Snapshot (the sync-mode capture:
-// all read locks, clone-if-changed publication), SnapshotStats — works
-// unchanged, which is the point: a follower serves the exact read API the
-// primary does, off state that is always a per-shard prefix of the
-// primary's acknowledged history.
+// (repro/internal/repl) instead of clients. A replica has no mailboxes, no
+// writers, no journal, and no rebalancer — its mutation history arrives
+// pre-serialized as per-shard WAL records, already sorted and already
+// routed, so the only writes it needs are the applier's ReplicaApply /
+// ReplicaReset / ReplicaSetBounds below. The applier is the replica's sole
+// mutator, and so its only publisher: it publishes after each batch of
+// records, after a reset, and after a bounds update. Everything on the
+// read side — live reads, Snapshot, SnapshotStats — is the same
+// handle-based path the primary serves, which is the point: a follower
+// serves the exact read API the primary does, off state that is always a
+// per-shard prefix of the primary's acknowledged history.
 //
 // Client mutations (Insert, InsertBatch, ...) panic on a replica: the
 // replica's state must be a pure function of the replicated log, and a
@@ -37,9 +38,7 @@ func NewReplica(shards int, opts *Options) *Sharded {
 		BoundsGen: o.BoundsGen,
 		Set:       o.Set,
 	}
-	s := newSharded(shards, nil, &ro)
-	s.replica = true
-	return s
+	return newSharded(shards, nil, &ro, true)
 }
 
 // Replica reports whether this set is a read-only replication follower.
@@ -52,21 +51,25 @@ func (s *Sharded) checkNotReplica() {
 	}
 }
 
+// checkReplica guards the applier entry points.
+func (s *Sharded) checkReplica(op string) {
+	if !s.replica {
+		panic("shard: " + op + " on a non-replica set")
+	}
+}
+
 // ReplicaApply applies one replicated record to shard p: a sorted key
 // batch, inserted or removed exactly as the primary's writer applied it.
-// Returns the number of keys whose membership changed. Caller is the
-// single applier goroutine; concurrent readers are safe (the shard's
-// write lock serializes them), concurrent appliers on one shard are not.
+// Returns the number of keys whose membership changed. Reads do not see
+// the record until ReplicaPublish(p). Caller is the single applier
+// goroutine.
 func (s *Sharded) ReplicaApply(p int, remove bool, keys []uint64) int {
-	if !s.replica {
-		panic("shard: ReplicaApply on a non-replica set")
-	}
+	s.checkReplica("ReplicaApply")
 	c := &s.cells[p]
 	c.enqBatches.Add(1)
 	c.enqKeys.Add(uint64(len(keys)))
 	c.appBatches.Add(1)
 	c.appKeys.Add(uint64(len(keys)))
-	c.mu.Lock()
 	var n int
 	if remove {
 		n = c.set.RemoveBatch(keys, true)
@@ -76,48 +79,47 @@ func (s *Sharded) ReplicaApply(p int, remove bool, keys []uint64) int {
 	if n > 0 {
 		c.epoch.Add(1)
 	}
-	c.mu.Unlock()
 	return n
 }
 
-// ReplicaReset replaces shard p's entire state — the bootstrap path: the
-// applier installs a checkpoint-chain state received from the primary and
-// resumes record replay from the sequence it covers. Ownership of set
-// transfers to the shard.
+// ReplicaPublish publishes shard p's handle, making every record applied
+// so far visible to reads. Single applier goroutine.
+func (s *Sharded) ReplicaPublish(p int) {
+	s.checkReplica("ReplicaPublish")
+	s.publish(p, &s.cells[p])
+}
+
+// ReplicaReset replaces shard p's entire state and publishes it — the
+// bootstrap path: the applier installs a checkpoint-chain state received
+// from the primary and resumes record replay from the sequence it covers.
+// Ownership of set transfers to the shard.
 func (s *Sharded) ReplicaReset(p int, set *cpma.CPMA) {
-	if !s.replica {
-		panic("shard: ReplicaReset on a non-replica set")
-	}
+	s.checkReplica("ReplicaReset")
 	if set == nil {
 		set = cpma.New(s.opt.Set)
 	}
 	c := &s.cells[p]
-	c.mu.Lock()
 	c.set = set
 	c.epoch.Add(1)
-	c.mu.Unlock()
+	s.publish(p, c)
 }
 
 // ReplicaSetBounds installs the primary's boundary table at router
 // generation gen, so the follower's range routing (shardSpan on reads,
 // span pruning on MapRange) matches the shard contents the replicated
-// moves produce. Stale or repeated generations are ignored. Single
-// applier goroutine; concurrent readers revalidate the router pointer
-// after locking and simply retry across the swap, exactly as they do on
-// the primary. No-op under HashPartition.
-func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) {
-	if !s.replica {
-		panic("shard: ReplicaSetBounds on a non-replica set")
+// moves produce, and restamps every shard's handle with the new span
+// generation (reads only accept handles stamped with their router's
+// generations). Stale or repeated generations are ignored, as is any
+// table under HashPartition; a table of the wrong length or out of order
+// is an error and changes nothing. Single applier goroutine.
+func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) error {
+	s.checkReplica("ReplicaSetBounds")
+	if s.opt.Partition != RangePartition || len(s.cells) < 2 || gen <= s.router().gen {
+		return nil
 	}
-	if s.opt.Partition != RangePartition || len(s.cells) < 2 {
-		return
+	if err := checkBounds(bounds, len(s.cells)); err != nil {
+		return err
 	}
-	old := s.rt.Load()
-	if gen <= old.gen {
-		return
-	}
-	nb := append([]uint64(nil), bounds...)
-	checkBounds(nb, len(s.cells))
 	sg := make([]uint64, len(s.cells))
 	for i := range sg {
 		sg[i] = gen
@@ -125,10 +127,14 @@ func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) {
 	s.rt.Store(&router{
 		part:    RangePartition,
 		shards:  len(s.cells),
-		bounds:  nb,
+		bounds:  append([]uint64(nil), bounds...),
 		gen:     gen,
 		spanGen: sg,
 	})
+	for p := range s.cells {
+		s.publish(p, &s.cells[p])
+	}
+	return nil
 }
 
 // RouterBounds returns the current boundary table (a copy; nil under
@@ -144,14 +150,11 @@ func (s *Sharded) RouterBounds() (gen uint64, bounds []uint64) {
 	return rt.gen, append([]uint64(nil), rt.bounds...)
 }
 
-// ShardKeys returns shard p's keys in ascending order under its read
-// lock — the differential harness's per-shard comparison primitive (the
-// prefix invariant is per shard, so the comparison must be too; a
-// cross-shard read would route through bounds that may sit at a different
-// point of the move history than the shard contents do).
+// ShardKeys returns shard p's published keys in ascending order — the
+// differential harness's per-shard comparison primitive (the prefix
+// invariant is per shard, so the comparison must be too; a cross-shard
+// read would route through bounds that may sit at a different point of
+// the move history than the shard contents do).
 func (s *Sharded) ShardKeys(p int) []uint64 {
-	c := &s.cells[p]
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.set.Keys()
+	return s.cells[p].snap.Load().set.Keys()
 }

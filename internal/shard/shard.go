@@ -7,104 +7,87 @@
 // free. A Sharded set turns P single-writer CPMAs into one concurrently
 // usable set — the way PaC-trees wrap batch-parallel structures behind a
 // concurrent collection interface. Keys are partitioned across P shards
-// (by hash or by key range), each shard owning one CPMA guarded by its own
-// RWMutex:
+// (by hash or by key range). Each shard owns one CPMA and exactly one
+// mutator: a writer goroutine draining the shard's mailbox. There are no
+// shard locks.
 //
-//   - Point mutations (Insert, Remove) lock only the owning shard.
-//   - Batch mutations (InsertBatch, RemoveBatch) scatter the batch into
-//     per-shard sub-batches and apply them with one writer goroutine per
-//     shard, so a single large batch still uses many cores and independent
-//     clients mutating different shards proceed in parallel.
-//   - Reads (Has, Next, MapRange, RangeSum, Sum, Len, Keys) take shard read
-//     locks, so any number of readers proceed concurrently with each other
-//     and with writers on other shards.
+// # Writes: the mailbox pipeline
 //
-// # Asynchronous ingest (Options.Async)
-//
-// In the default synchronous mode every batch call blocks until its
-// sub-batches land, so under many concurrent clients each shard applies a
-// stream of small batches and forfeits exactly the amortization that makes
-// CPMA batches fast (larger merged batches insert strictly faster per
-// element — paper Fig. 1). Async mode decouples accepting updates from
-// applying them: each shard owns a bounded mailbox (Options.MailboxDepth)
-// drained by a dedicated writer goroutine that coalesces adjacent pending
-// sub-batches into one sorted merge and applies it as a single batch under
-// the shard lock.
+// Every mutation scatters into sorted per-shard sub-batches that are mailed
+// to the owning shards' bounded mailboxes (Options.MailboxDepth). Each
+// writer greedily drains whatever has accumulated, coalesces adjacent
+// fire-and-forget sub-batches into one sorted merge, and applies it as a
+// single CPMA batch: under many concurrent clients a shard applies a few
+// large merges instead of many small ones, recovering the batch-size
+// amortization of paper Fig. 1 (larger batches insert strictly faster per
+// element).
 //
 //   - InsertBatchAsync/RemoveBatchAsync scatter, enqueue, and return
 //     without waiting for the apply. A full mailbox exerts backpressure:
 //     the enqueue blocks until the writer catches up.
-//   - InsertBatch/RemoveBatch on an async set enqueue with a completion
-//     ticket and wait, so they remain exact (their fresh/removed counts are
-//     computed by applying them individually) and everything they enqueued
-//     is applied when they return.
-//   - Flush blocks until every operation enqueued before the call is
-//     applied; it is the read barrier for async ingest. Operations enqueued
-//     concurrently with a Flush may or may not be covered by it.
+//   - Insert, Remove, InsertBatch and RemoveBatch enqueue with a completion
+//     ticket and wait. A ticketed sub-batch is applied on its own, so the
+//     returned fresh/removed count is exact.
+//   - Flush blocks until every operation enqueued before the call has been
+//     applied and published. Operations enqueued concurrently with a Flush
+//     may or may not be covered by it.
 //   - Close drains all mailboxes (a final implicit Flush), stops the
 //     writers, and makes further mutations panic; reads remain valid on the
 //     closed set. Close must not race with in-flight mutations, but is safe
 //     against concurrent Flush and reads, and is idempotent.
 //
+// # Reads: published handles
+//
+// After every drain that changed its shard, a writer publishes an immutable
+// cpma.Clone handle through an atomic pointer (copy-on-write: the clone
+// costs O(dirty leaves), see snapshot.go). Every read — Has, Len, Sum,
+// SizeBytes, RangeSum, Next, Min, Max, Map, MapRange, Keys, Validate, and
+// Snapshot itself — grabs the published handles of the shards its span
+// covers, validated against one routing table, and runs on those frozen
+// CPMAs. Readers never wait on an apply and never block a writer, and Map
+// and MapRange callbacks run on frozen data, so they may call back into the
+// set (mutations included).
+//
 // # Consistency contract
 //
-// Each shard is individually linearizable — its mailbox is FIFO and its
-// mutex serializes access, so within a shard the CPMA's single-writer
-// contract is preserved by construction, and all operations enqueued by
-// one goroutine apply in their enqueue order on every shard they touch.
-// Operations from different goroutines interleave in mailbox arrival
-// order, exactly as lock-acquisition order interleaves them in synchronous
-// mode.
+// Each shard is linearizable in mailbox order: its mailbox is FIFO and its
+// writer is its only mutator, so all operations one goroutine enqueues
+// apply in enqueue order on every shard they touch, and every published
+// handle is an exact prefix of its shard's operation history.
 //
-// Reads on an async set read through by default: they observe only what
-// the writers have applied, so a client's own fire-and-forget batches may
-// be invisible until a Flush. Setting Options.FlushReads makes every read
-// flush the shards it touches first (read-your-enqueues at per-shard
-// cost); Len, Sum, Keys and friends then flush every shard.
-//
-// Cross-shard reads (Len, Sum, Keys, a MapRange spanning several shards,
-// Next, Max, ...) observe one atomic cut: they hold every overlapping
-// shard's read lock simultaneously for the capture, so a concurrent writer
-// can never land between the read of shard p and shard q and the aggregate
-// view is never torn. In async read-through mode the cut covers applied
-// state; with Options.FlushReads it covers everything previously enqueued.
-// Iteration callbacks (Map, MapRange) under RangePartition run while the
-// span's read locks are held and must not call back into the same Sharded;
-// under HashPartition the range is gathered first and f runs lock-free.
+//   - Blocking calls are read-your-writes. A ticket completes only after
+//     the drain that applied it has published, so once Insert, Remove,
+//     InsertBatch or RemoveBatch returns, every later read — a Snapshot
+//     included — observes it.
+//   - Fire-and-forget calls are read-your-flushes. InsertBatchAsync and
+//     RemoveBatchAsync become visible when their drain publishes; once a
+//     Flush returns, every read covers everything it flushed.
+//   - A read spanning several shards observes one frontier cut: each
+//     shard's handle is a prefix of that shard's history, all grabbed at one
+//     instant, so different shards may sit at different prefixes of a
+//     multi-shard batch stream. Within one read (or one Snapshot) the data
+//     never changes.
 //
 // # Snapshots
 //
-// Snapshot() captures a frozen, immutable view — one epoch cut across all
-// shards — that serves the full read API off frozen CPMAs with no locks,
-// so long analytics scans run concurrently with ingest instead of blocking
-// writers (and instead of being blocked by them). In async mode each shard
-// writer publishes an immutable cpma.Clone handle after every
-// state-changing drain (copy-on-publish, amortized over coalesced
-// applies), and Snapshot grabs one published handle per shard without any
-// barrier; in sync mode the capture holds all shard read locks and clones
-// only shards that changed since their last publication. Snapshots observe
-// published state and guarantee read-your-flushes — a Snapshot captured
-// after a Flush returns includes everything that Flush covered — but not
-// read-your-writes: in async mode a blocking mutation that has returned
-// may be missing from a Snapshot captured before its drain ends (direct
-// reads like Has and Len do see it; only the snapshot publication lags).
-// A Snapshot outlives Close. See Snapshot and SnapshotStats in
-// snapshot.go.
+// Snapshot() captures the same handles as a long-lived value: a frozen view
+// serving the full read API, so many reads share one cut and long analytics
+// scans run concurrently with ingest. A Snapshot outlives Close. See
+// Snapshot and SnapshotStats in snapshot.go.
 //
 // # Durability (Options.Journal)
 //
 // A durable set plugs a Journal (implemented by repro/internal/persist)
-// into the async pipeline. The mailbox writers are the hook points: each
-// writer appends its batch to the journal before applying it
-// (write-ahead), hands the journal the frozen handle it publishes after
-// every drain (the checkpointable state), and turns Flush tokens into
-// fsync barriers. Checkpoint() is Flush plus a slab checkpoint of every
-// shard and WAL truncation; PersistStats() reports the journal counters.
-// Because all mutations on an async set flow through the writers — point
-// ops and ticketed batches included — the journal observes the complete
-// per-shard operation sequence with no extra synchronization on the
-// ingest path. See the persist package for the durability contract and
-// the on-disk formats.
+// into the pipeline. The mailbox writers are the hook points: each writer
+// appends its batch to the journal before applying it (write-ahead), hands
+// the journal the frozen handle it publishes after every drain (the
+// checkpointable state), and turns Flush tokens into fsync barriers.
+// Checkpoint() is Flush plus a slab checkpoint of every shard and WAL
+// truncation; PersistStats() reports the journal counters. Because all
+// mutations flow through the writers, the journal observes the complete
+// per-shard operation sequence with no extra synchronization on the ingest
+// path. See the persist package for the durability contract and the
+// on-disk formats.
 //
 // # Rebalancing (Options.Rebalance)
 //
@@ -116,22 +99,19 @@
 // between an overloaded shard and its lighter neighbor. One move
 // quiesces exactly the two affected mailbox writers (a quiesce token
 // parks each writer at a rest point between applies), extracts the
-// pair's keys from their frozen-ordered CPMAs, rebuilds two CPMAs split
-// at the pair's target share, journals the move on a durable set
-// (see the persist package's barrier protocol), installs the new sets
-// and publishes fresh snapshot handles under the pair's write locks, and
-// swaps in a new router generation. Every other shard keeps ingesting
-// throughout; enqueues stall only for the move's duration (the
+// pair's keys from their frozen CPMAs, rebuilds two CPMAs split at the
+// pair's target share, journals the move on a durable set (see the
+// persist package's barrier protocol), swaps in a new router generation,
+// and publishes fresh handles stamped with it. Every other shard keeps
+// ingesting throughout; enqueues stall only for the move's duration (the
 // rebalancer holds the enqueue-side lifecycle lock so no batch can be
 // split against one boundary table and mailed against another).
 //
-// The consistency contract survives rebalancing unchanged: multi-shard
-// live reads validate that the router they routed with is still current
-// after acquiring their shard locks (retrying on the rare conflict), and
-// snapshot captures validate every published handle against the router's
-// per-shard span generation, so a capture can never pair a handle from
-// before a boundary move with a routing table from after it (or vice
-// versa). Rebalancing requires the async pipeline and RangePartition.
+// The consistency contract survives rebalancing unchanged: every read
+// validates each grabbed handle against the router's per-shard span
+// generation, so no read can pair a handle from before a boundary move
+// with a routing table from after it (or vice versa). Rebalancing requires
+// RangePartition.
 //
 // # Hot-key absorption (Options.HotKeys)
 //
@@ -144,23 +124,11 @@
 // bit over the key's CPMA presence) at the record's FIFO position — the
 // Doppel split-phase protocol applied to the mailbox pipeline. The
 // absorbed state reconciles into the CPMA immediately before every
-// snapshot publication (drain end, Flush token, rebalance quiesce) as
-// ordinary write-ahead-logged batches.
-//
-// The consistency contract is unchanged by absorption:
-//
-//   - Live reads (Has, Len, Sum, RangeSum, Next, Max, Map, MapRange, Keys)
-//     overlay the absorbed state under the same shard read locks their cut
-//     already holds, so they remain exact — an applied-but-unreconciled
-//     hot-key op is visible exactly as if it had been applied to the CPMA.
-//   - Published snapshot handles are reconciled first, so every Snapshot
-//     remains an exact per-shard FIFO prefix of the operation history and
-//     never needs the overlay.
-//   - Flush forces reconciliation before its token completes: after a
-//     Flush, absorbed state is folded, logged, and (on a durable set)
-//     fsynced — durability always covers exactly the reconciled state.
-//   - Ticketed mutations stay exact: an absorbed Insert/Remove reports
-//     fresh/present from the slot's effective-membership flip.
+// publication (drain end, Flush token, rebalance quiesce) as ordinary
+// write-ahead-logged batches, so every published handle — and therefore
+// every read — is an exact FIFO prefix with no absorbed state beside it.
+// Ticketed mutations stay exact: an absorbed Insert/Remove reports
+// fresh/present from the slot's effective-membership flip.
 //
 // Detection and demotion are per shard: a space-saving sketch over applied
 // traffic promotes keys whose share of a HotKeyEvery-key window exceeds
@@ -173,7 +141,6 @@
 package shard
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,7 +164,7 @@ const (
 	RangePartition
 )
 
-// Default async tuning: a mailbox holds up to DefaultMailboxDepth pending
+// Default pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
 // sub-batches, and one drain coalesces at most DefaultCoalesceMax keys
 // into a single apply (a single larger batch is still applied whole).
 const (
@@ -236,10 +203,8 @@ type Options struct {
 	// Set configures each shard's CPMA; nil selects the paper's defaults.
 	Set *cpma.Options
 
-	// Async enables the mailbox ingest pipeline (see the package
-	// documentation): per-shard writer goroutines drain bounded mailboxes
-	// and coalesce pending sub-batches into large merged applies. Async
-	// sets should be Closed when done to stop their writers.
+	// Async is ignored: every set runs the mailbox pipeline. The field
+	// remains so existing callers that set it keep compiling.
 	Async bool
 	// MailboxDepth bounds each shard's mailbox (pending sub-batches); a
 	// full mailbox blocks enqueues. 0 means DefaultMailboxDepth.
@@ -247,18 +212,14 @@ type Options struct {
 	// CoalesceMax caps the keys one drain merges into a single apply.
 	// 0 means DefaultCoalesceMax.
 	CoalesceMax int
-	// FlushReads makes every read flush the shards it touches before
-	// reading, so reads observe all previously enqueued operations. The
-	// default is read-through: reads see only applied state.
-	FlushReads bool
 
 	// HotKeys enables the per-shard hot-key absorber (see the package
 	// documentation and hotkey.go): detected-hot keys are stripped from
 	// enqueued sub-batches and absorbed into per-shard slot state, then
-	// reconciled into the CPMA before every snapshot publication. Requires
-	// Async; New panics otherwise. Works with either partition policy and
-	// composes with Rebalance (a boundary move demotes the pair's keys)
-	// and a Journal (absorbed keys are WAL-logged at reconcile time).
+	// reconciled into the CPMA before every publication. Works with either
+	// partition policy and composes with Rebalance (a boundary move demotes
+	// the pair's keys) and a Journal (absorbed keys are WAL-logged at
+	// reconcile time).
 	HotKeys bool
 	// HotKeyFrac is the promotion threshold: a key is promoted when its
 	// share of one detector window exceeds this fraction, and demoted when
@@ -275,9 +236,9 @@ type Options struct {
 	// Rebalance starts the live span rebalancer (see the package
 	// documentation): a background monitor samples per-shard key counts and
 	// moves span boundaries between adjacent shards whenever the max/mean
-	// ratio exceeds MaxSkew. Requires Async and RangePartition; New panics
-	// otherwise. RebalanceOnce can always be called manually on an async
-	// range-partitioned set, monitor or not.
+	// ratio exceeds MaxSkew. Requires RangePartition; New panics otherwise.
+	// RebalanceOnce can always be called manually on a range-partitioned
+	// set, monitor or not.
 	Rebalance bool
 	// MaxSkew is the rebalance trigger: the monitor moves boundaries while
 	// the max/mean shard key-count ratio exceeds it. 0 means
@@ -316,13 +277,13 @@ type Options struct {
 	// (0 = the persist layer's default, negative = compact on every
 	// checkpoint, i.e. disable deltas).
 	CompactEveryDeltas int
-	// Journal is the durability hook the persist layer implements. Requires
-	// Async: the journal is driven by the mailbox writer goroutines.
+	// Journal is the durability hook the persist layer implements; the
+	// mailbox writer goroutines drive it.
 	Journal Journal
 }
 
-// Journal is the hook a persistence layer plugs into an async Sharded set.
-// All per-shard calls (Append, Published, Synced) are made from the owning
+// Journal is the hook a persistence layer plugs into a Sharded set. All
+// per-shard calls (Append, Published, Synced) are made from the owning
 // shard's writer goroutine only, strictly ordered: every batch is Appended
 // before it is applied to the shard's CPMA (write-ahead), Published hands
 // over the frozen handle covering everything appended so far after each
@@ -416,11 +377,14 @@ func (st PersistStats) Sub(prev PersistStats) PersistStats {
 	}
 }
 
-// cell is one shard: a CPMA plus its lock, mailbox, and ingest counters,
-// padded so that neighboring shards' hot state does not share a cache line
-// under write contention.
+// cell is one shard: a CPMA plus its mailbox, published handle, and ingest
+// counters, padded so that neighboring shards' hot state does not share a
+// cache line under write contention.
 type cell struct {
-	mu   sync.RWMutex
+	// set is the live CPMA. Only the shard's current sole mutator touches
+	// it: the writer goroutine, the rebalancer while the writer is parked,
+	// the constructor, or (on a replica) the replication applier. Readers
+	// go through snap.
 	set  *cpma.CPMA
 	mbox chan shardOp
 
@@ -429,20 +393,16 @@ type cell struct {
 	appBatches atomic.Uint64
 	appKeys    atomic.Uint64
 
-	// Snapshot publication state (snapshot.go): epoch counts this shard's
-	// state-changing applies (bumped under the shard's write lock), snap is
-	// the last published frozen handle at its epoch, and pubMu makes
-	// publication single-flight — racing sync-mode captures must not run
-	// cpma.Clone concurrently on one cell (the COW ownership handoff is
-	// single-caller by contract).
+	// Publication state (snapshot.go): epoch counts this shard's
+	// state-changing applies and snap is the last published frozen handle.
+	// Both are written only by the sole mutator.
 	epoch atomic.Uint64
 	snap  atomic.Pointer[shardSnap]
-	pubMu sync.Mutex
 
 	// Hot-key absorber state (hotkey.go): hot is the promoted-key table
-	// (nil when nothing is promoted; the table is immutable, its slots
-	// mutate under mu), det is the traffic detector owned by the writer
-	// goroutine, and the counters feed IngestStats.
+	// (nil when nothing is promoted), det is the traffic detector; the
+	// table's slots and det belong to the writer goroutine, and the
+	// counters feed IngestStats.
 	hot        atomic.Pointer[hotTable]
 	det        hotDetector
 	absorbed   atomic.Uint64
@@ -453,37 +413,28 @@ type cell struct {
 	_ [40]byte
 }
 
-// countOne records a synchronous point op in the ingest counters (a
-// sub-batch of one, applied directly), keeping IngestStats comparable
-// between the sync and async modes.
-func (c *cell) countOne() {
-	c.enqBatches.Add(1)
-	c.enqKeys.Add(1)
-	c.appBatches.Add(1)
-	c.appKeys.Add(1)
-}
-
 // Sharded is a concurrent set of nonzero uint64 keys built from P
 // single-writer CPMA shards. The zero value is not usable; call New.
 type Sharded struct {
 	cells []cell
 	opt   Options
 	// rt is the current routing table. Each published *router is immutable;
-	// a rebalance installs a replacement while holding life.Lock and the
-	// affected shards' write locks, so enqueues (which split and mail under
-	// life.RLock) and locked reads (which re-validate the pointer after
-	// acquiring their shard locks) always route against one coherent table.
+	// a rebalance installs a replacement while holding life.Lock with the
+	// pair's writers parked, so enqueues (which split and mail under
+	// life.RLock) always route against one coherent table, and reads
+	// validate their handles against the table they routed with.
 	rt atomic.Pointer[router]
 
-	// Async lifecycle: enqueues hold life.RLock while sending; Close and
-	// the rebalancer take life.Lock, so no send can race a mailbox close or
-	// a router swap.
+	// Lifecycle: enqueues hold life.RLock while sending; Close and the
+	// rebalancer take life.Lock, so no send can race a mailbox close or a
+	// router swap.
 	life    sync.RWMutex
 	closed  bool
 	writers sync.WaitGroup
 
-	// replica marks a read-only replication follower (replica.go): client
-	// mutations panic, state changes only through the Replica* appliers.
+	// replica marks a read-only replication follower (replica.go): it has
+	// no mailboxes or writers, client mutations panic, and state changes
+	// only through the Replica* appliers.
 	replica bool
 
 	// Rebalancer state: rebalMu serializes moves (monitor vs manual
@@ -517,9 +468,10 @@ type Sharded struct {
 }
 
 // New returns a Sharded set with the given number of shards (clamped to at
-// least 1); opts may be nil for hash partitioning over default CPMAs.
+// least 1); opts may be nil for hash partitioning over default CPMAs. Close
+// the set when done to stop its writer goroutines.
 func New(shards int, opts *Options) *Sharded {
-	return newSharded(shards, nil, opts)
+	return newSharded(shards, nil, opts, false)
 }
 
 // NewFrom returns a Sharded set seeded with the given per-shard CPMAs —
@@ -530,16 +482,15 @@ func NewFrom(sets []*cpma.CPMA, opts *Options) *Sharded {
 	if len(sets) == 0 {
 		panic("shard: NewFrom needs at least one shard")
 	}
-	return newSharded(len(sets), sets, opts)
+	return newSharded(len(sets), sets, opts, false)
 }
 
-func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
+// newSharded builds the set; a replica gets no mailboxes, writers, or
+// rebalance monitor.
+func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sharded {
 	var o Options
 	if opts != nil {
 		o = *opts
-	}
-	if o.Journal != nil && !o.Async {
-		panic("shard: a Journal requires the async pipeline (Options.Async)")
 	}
 	if o.Dir != "" && o.Journal == nil {
 		panic("shard: Options.Dir set without a Journal; build durable sets with repro.OpenDurableShardedSet")
@@ -556,13 +507,10 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 	if o.CoalesceMax <= 0 {
 		o.CoalesceMax = DefaultCoalesceMax
 	}
-	if o.Rebalance && (!o.Async || o.Partition != RangePartition) {
-		panic("shard: Options.Rebalance requires the async pipeline and RangePartition")
+	if o.Rebalance && o.Partition != RangePartition {
+		panic("shard: Options.Rebalance requires RangePartition")
 	}
 	if o.HotKeys {
-		if !o.Async {
-			panic("shard: Options.HotKeys requires the async pipeline (Options.Async)")
-		}
 		if o.HotKeyFrac <= 0 {
 			o.HotKeyFrac = DefaultHotKeyFrac
 		}
@@ -581,7 +529,7 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 	if o.RebalanceEvery <= 0 {
 		o.RebalanceEvery = DefaultRebalanceEvery
 	}
-	s := &Sharded{cells: make([]cell, shards), opt: o}
+	s := &Sharded{cells: make([]cell, shards), opt: o, replica: replica}
 	s.trace = obs.NewTrace(shards, 0)
 	bounds := o.Bounds
 	if o.Partition != RangePartition {
@@ -589,7 +537,9 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 	} else if bounds == nil {
 		bounds = defaultBounds(o.KeyBits, shards)
 	} else {
-		checkBounds(bounds, shards)
+		if err := checkBounds(bounds, shards); err != nil {
+			panic(err)
+		}
 		bounds = append([]uint64(nil), bounds...) // the router owns its table
 	}
 	s.rt.Store(&router{
@@ -606,10 +556,8 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 			s.cells[i].set = cpma.New(o.Set)
 		}
 		// Seed each shard's published handle through the regular publish
-		// path, so a Snapshot captured before any publication still holds
-		// valid frozen sets stamped with a real (epoch, gen) — the old bare
-		// shardSnap literal had zero stamps, bypassed the stats, and (being
-		// a pre-COW deep clone) doubled resident memory on durable reopens.
+		// path, so reads before the first drain hold valid frozen sets
+		// stamped with a real (epoch, gen).
 		sn := s.publish(i, &s.cells[i])
 		if o.Journal != nil {
 			// The journal must learn the seed handle too: on a durable
@@ -620,6 +568,9 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 			o.Journal.Published(i, sn.set)
 		}
 	}
+	if replica {
+		return s
+	}
 	if o.HotKeys {
 		// The sketch tracks a few times more candidates than can be
 		// promoted, so near-threshold keys are not evicted by churn right
@@ -628,14 +579,12 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 			s.cells[i].det.sk.cap = 4 * o.HotKeyMax
 		}
 	}
-	if o.Async {
-		for i := range s.cells {
-			s.cells[i].mbox = make(chan shardOp, o.MailboxDepth)
-		}
-		s.writers.Add(shards)
-		for i := range s.cells {
-			go s.writer(i)
-		}
+	for i := range s.cells {
+		s.cells[i].mbox = make(chan shardOp, o.MailboxDepth)
+	}
+	s.writers.Add(shards)
+	for i := range s.cells {
+		go s.writer(i)
 	}
 	if o.Rebalance && shards > 1 {
 		s.rebalStop = make(chan struct{})
@@ -648,9 +597,6 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 // Shards returns the number of shards.
 func (s *Sharded) Shards() int { return len(s.cells) }
 
-// Async reports whether this set runs the mailbox ingest pipeline.
-func (s *Sharded) Async() bool { return s.opt.Async }
-
 // Partition returns the routing policy keys are partitioned by.
 func (s *Sharded) Partition() Partition { return s.opt.Partition }
 
@@ -658,8 +604,8 @@ func (s *Sharded) Partition() Partition { return s.opt.Partition }
 func (s *Sharded) KeyBits() int { return s.opt.KeyBits }
 
 // checkKey rejects the reserved key 0 at the API boundary, in the caller's
-// goroutine — once writers are asynchronous, a panic inside one would be
-// unrecoverable for the client that enqueued the bad key.
+// goroutine — a panic inside a writer would be unrecoverable for the
+// client that enqueued the bad key.
 func checkKey(x uint64) {
 	if x == 0 {
 		panic("shard: key 0 is reserved")
@@ -681,123 +627,65 @@ func checkKeys(keys []uint64, sorted bool) {
 	}
 }
 
-// Insert adds x, returning false if already present. Locks one shard; on
-// an async set it routes through the owning shard's mailbox (behind any
-// batches already enqueued) and waits for the apply.
+// Insert adds x, returning false if already present. It routes through the
+// owning shard's mailbox (behind any batches already enqueued) and waits
+// until the apply is published.
 func (s *Sharded) Insert(x uint64) bool {
 	s.checkNotReplica()
 	checkKey(x)
-	if s.opt.Async {
-		return s.enqueueOne(opInsert, x)
-	}
-	c := &s.cells[s.shardOf(x)]
-	c.countOne()
-	c.mu.Lock()
-	ok := c.set.Insert(x)
-	if ok {
-		c.epoch.Add(1)
-	}
-	c.mu.Unlock()
-	return ok
+	return s.enqueueOne(opInsert, x)
 }
 
-// Remove deletes x, returning false if absent. Locks one shard; on an
-// async set it routes through the mailbox like Insert.
+// Remove deletes x, returning false if absent; the same path as Insert.
 func (s *Sharded) Remove(x uint64) bool {
 	s.checkNotReplica()
 	checkKey(x)
-	if s.opt.Async {
-		return s.enqueueOne(opRemove, x)
-	}
-	c := &s.cells[s.shardOf(x)]
-	c.countOne()
-	c.mu.Lock()
-	ok := c.set.Remove(x)
-	if ok {
-		c.epoch.Add(1)
-	}
-	c.mu.Unlock()
-	return ok
+	return s.enqueueOne(opRemove, x)
 }
 
-// Has reports whether x is in the set. Read-locks one shard; if a
-// rebalance moved x's span between routing and locking, the lookup
-// re-routes against the new table (the shard it locked would no longer
-// hold x).
+// Has reports whether x is in the set, read off x's shard's published
+// handle. It allocates nothing.
 func (s *Sharded) Has(x uint64) bool {
 	if x == 0 {
 		return false
 	}
-	for {
-		rt := s.router()
+	var buf [1]*shardSnap
+	v := s.capture(func(rt *router) (int, int) {
 		p := rt.shardOf(x)
-		if s.opt.FlushReads {
-			s.flushSpan(p, p)
-		}
-		c := &s.cells[p]
-		c.mu.RLock()
-		if s.router() == rt {
-			var ok bool
-			if s.opt.HotKeys {
-				ok = overlayHas(c.set, c.hot.Load(), x)
-			} else {
-				ok = c.set.Has(x)
-			}
-			c.mu.RUnlock()
-			return ok
-		}
-		c.mu.RUnlock()
-	}
+		return p, p
+	}, buf[:])
+	return v.at(v.lo).Has(x)
 }
 
 // InsertBatch inserts a batch of keys, returning how many were new. The
-// batch is scattered into per-shard sub-batches applied by one writer
-// goroutine per shard. If sorted is true the keys must be in ascending
-// order (scattering preserves order, so sub-batches stay sorted). On an
-// async set the sub-batches go through the mailboxes with a completion
-// ticket, so the call still blocks until applied and the count is exact.
+// batch is scattered into per-shard sub-batches mailed with a completion
+// ticket; the call returns once every shard has applied and published its
+// part, so the count is exact and every later read observes the batch. If
+// sorted is true the keys must be in ascending order.
 func (s *Sharded) InsertBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
-	if s.opt.Async {
-		return s.enqueue(opInsert, keys, sorted, true)
-	}
-	checkKeys(keys, sorted)
-	return s.batch(keys, sorted, func(set *cpma.CPMA, sub []uint64) int {
-		return set.InsertBatch(sub, sorted)
-	})
+	return s.enqueue(opInsert, keys, sorted, true)
 }
 
-// RemoveBatch removes a batch of keys, returning how many were present.
+// RemoveBatch removes a batch of keys, returning how many were present;
+// the same contract as InsertBatch.
 func (s *Sharded) RemoveBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
-	if s.opt.Async {
-		return s.enqueue(opRemove, keys, sorted, true)
-	}
-	checkKeys(keys, sorted)
-	return s.batch(keys, sorted, func(set *cpma.CPMA, sub []uint64) int {
-		return set.RemoveBatch(sub, sorted)
-	})
+	return s.enqueue(opRemove, keys, sorted, true)
 }
 
 // InsertBatchAsync enqueues a batch for insertion and returns without
-// waiting for it to apply; use Flush (or a FlushReads read) to observe it.
-// A full shard mailbox blocks until its writer catches up (backpressure).
-// On a synchronous set it falls back to a plain blocking InsertBatch.
+// waiting for it to apply; Flush makes it visible to every read. A full
+// shard mailbox blocks until its writer catches up (backpressure).
 func (s *Sharded) InsertBatchAsync(keys []uint64, sorted bool) {
-	if !s.opt.Async {
-		s.InsertBatch(keys, sorted)
-		return
-	}
+	s.checkNotReplica()
 	s.enqueue(opInsert, keys, sorted, false)
 }
 
 // RemoveBatchAsync enqueues a batch for removal and returns without
 // waiting; the same contract as InsertBatchAsync.
 func (s *Sharded) RemoveBatchAsync(keys []uint64, sorted bool) {
-	if !s.opt.Async {
-		s.RemoveBatch(keys, sorted)
-		return
-	}
+	s.checkNotReplica()
 	s.enqueue(opRemove, keys, sorted, false)
 }
 
@@ -836,9 +724,9 @@ func (s *Sharded) enqueueOne(kind opKind, x uint64) bool {
 // shard, all under life.RLock — the split must use the same boundary
 // table the mailboxes are routed by, and a rebalance excludes itself via
 // life.Lock. With wait set it attaches a completion ticket, blocks until
-// every shard has applied its part, and returns the summed exact count;
-// otherwise it returns 0 as soon as everything is enqueued (see asyncSplit
-// for when sub-batches may alias the caller's slice).
+// every shard has applied and published its part, and returns the summed
+// exact count; otherwise it returns 0 as soon as everything is enqueued
+// (see asyncSplit for when sub-batches may alias the caller's slice).
 func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) int {
 	// Fast pre-pass, outside the lock: tally globally promoted keys before
 	// the sort+scatter — on hot-key-dominated streams this shrinks the
@@ -918,18 +806,13 @@ func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) in
 }
 
 // Flush blocks until every operation enqueued before the call has been
-// applied, establishing a read barrier across all shards — even when it
-// races a concurrent Close, in which case it waits for Close's final
-// drain. On a synchronous set it returns immediately.
+// applied and published, establishing a read barrier across all shards —
+// even when it races a concurrent Close, in which case it waits for
+// Close's final drain. Mailbox FIFO order means everything enqueued
+// earlier has applied by the time a shard's flush token completes. A
+// no-op on a replica (its applier publishes as it goes).
 func (s *Sharded) Flush() {
-	s.flushSpan(0, len(s.cells)-1)
-}
-
-// flushSpan flushes shards [lo, hi] by mailing each a flush token and
-// waiting for all of them; mailbox FIFO order means everything enqueued
-// earlier has applied by the time a token completes.
-func (s *Sharded) flushSpan(lo, hi int) {
-	if !s.opt.Async {
+	if s.replica {
 		return
 	}
 	s.life.RLock()
@@ -940,8 +823,8 @@ func (s *Sharded) flushSpan(lo, hi int) {
 		s.writers.Wait()
 		return
 	}
-	tk := newTicket(hi - lo + 1)
-	for p := lo; p <= hi; p++ {
+	tk := newTicket(len(s.cells))
+	for p := range s.cells {
 		s.cells[p].mbox <- shardOp{kind: opFlush, tk: tk}
 	}
 	s.life.RUnlock()
@@ -951,13 +834,13 @@ func (s *Sharded) flushSpan(lo, hi int) {
 // Close drains all mailboxes, stops the writer goroutines, and marks the
 // set closed: further mutations panic, Flush becomes a no-op, and reads
 // keep working against the final state. Idempotent; safe against
-// concurrent Flush and reads, but must not race in-flight mutations. A
-// no-op on synchronous sets. On a durable set the Close that wins the
-// race additionally closes the journal after the drain, fsyncing every
-// shard's log (the final durability barrier); journal close errors are
-// sticky — check PersistErr after Close.
+// concurrent Flush and reads, but must not race in-flight mutations. On a
+// durable set the Close that wins the race additionally closes the journal
+// after the drain, fsyncing every shard's log (the final durability
+// barrier); journal close errors are sticky — check PersistErr after
+// Close. A no-op on a replica.
 func (s *Sharded) Close() {
-	if !s.opt.Async {
+	if s.replica {
 		return
 	}
 	s.life.Lock()
@@ -1035,110 +918,36 @@ func (s *Sharded) PersistErr() error {
 	return s.opt.Journal.Err()
 }
 
-func (s *Sharded) batch(keys []uint64, sorted bool, apply func(set *cpma.CPMA, sub []uint64) int) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	// Synchronous sets never rebalance, so one router load covers the whole
-	// scatter-and-apply.
-	subs, _ := s.router().split(keys, sorted)
-	var total atomic.Int64
-	parallel.For(len(subs), 1, func(p int) {
-		sub := subs[p]
-		if len(sub) == 0 {
-			return
-		}
-		c := &s.cells[p]
-		c.enqBatches.Add(1)
-		c.enqKeys.Add(uint64(len(sub)))
-		c.appBatches.Add(1)
-		c.appKeys.Add(uint64(len(sub)))
-		t0 := time.Now()
-		c.mu.Lock()
-		n := apply(c.set, sub)
-		if n > 0 {
-			c.epoch.Add(1)
-		}
-		c.mu.Unlock()
-		// Sync mode has no mailbox: the locked apply is both the drain and
-		// the client-observed batch latency, so it lands in the same
-		// histograms the async writer feeds.
-		s.pm.drain.Since(t0)
-		s.pm.coalesce.Record(uint64(len(sub)))
-		total.Add(int64(n))
-	})
-	return int(total.Load())
+// spanOf is the capture span of a read over [start, end).
+func spanOf(start, end uint64) func(rt *router) (int, int) {
+	return func(rt *router) (int, int) { return rt.shardSpan(start, end) }
 }
 
-// readBarrier flushes every shard when FlushReads is set; the multi-shard
-// read paths call it before touching any shard.
-func (s *Sharded) readBarrier() {
-	if s.opt.FlushReads {
-		s.flushSpan(0, len(s.cells)-1)
-	}
-}
-
-// Len returns the number of keys stored, captured as one atomic cut (all
-// shard read locks held at once).
-func (s *Sharded) Len() int {
-	s.readBarrier()
-	total := 0
-	s.withCut(fullSpan, func(v cut) { total = v.length() })
-	return total
-}
+// Len returns the number of keys stored.
+func (s *Sharded) Len() int { return s.capture(fullSpan, nil).length() }
 
 // SizeBytes returns the summed memory footprint of the shards.
-func (s *Sharded) SizeBytes() uint64 {
-	s.readBarrier()
-	var total uint64
-	s.withCut(fullSpan, func(v cut) { total = v.sizeBytes() })
-	return total
-}
+func (s *Sharded) SizeBytes() uint64 { return s.capture(fullSpan, nil).sizeBytes() }
 
-// Sum returns the sum (mod 2^64) of all keys over one atomic cut, shards
-// processed in parallel.
-func (s *Sharded) Sum() uint64 {
-	s.readBarrier()
-	var total uint64
-	s.withCut(fullSpan, func(v cut) { total = v.sum() })
-	return total
-}
+// Sum returns the sum (mod 2^64) of all keys, shards processed in
+// parallel.
+func (s *Sharded) Sum() uint64 { return s.capture(fullSpan, nil).sum() }
 
-// RangeSum sums keys in [start, end) over one atomic cut of the
-// overlapping shards. Under RangePartition only the span's shards are
-// locked and read; under HashPartition every shard is, in parallel (order
-// is irrelevant for a sum). Degenerate ranges (end <= start) are empty.
+// RangeSum sums keys in [start, end). Under RangePartition only the span's
+// shards are read; under HashPartition every shard is, in parallel.
+// Degenerate ranges (end <= start) are empty.
 func (s *Sharded) RangeSum(start, end uint64) (sum uint64, count int) {
-	if start >= end {
-		return 0, 0
-	}
-	s.withCut(func(rt *router) (int, int) {
-		lo, hi := rt.shardSpan(start, end)
-		if s.opt.FlushReads && hi >= lo {
-			s.flushSpan(lo, hi)
-		}
-		return lo, hi
-	}, func(v cut) { sum, count = v.rangeSum(start, end) })
-	return sum, count
+	return s.capture(spanOf(start, end), nil).rangeSum(start, end)
 }
 
-// Next returns the smallest key >= x across all shards, read off one
-// atomic cut — the merge cannot skip a key that a concurrent writer moved
-// into view mid-read, which per-shard re-querying could.
+// Next returns the smallest key >= x across all shards.
 func (s *Sharded) Next(x uint64) (uint64, bool) {
-	var best uint64
-	var found bool
-	s.withCut(func(rt *router) (int, int) {
-		lo := 0
+	return s.capture(func(rt *router) (int, int) {
 		if rt.part == RangePartition {
-			lo = rt.shardOf(x)
+			return rt.shardOf(x), rt.shards - 1
 		}
-		if s.opt.FlushReads {
-			s.flushSpan(lo, rt.shards-1)
-		}
-		return lo, rt.shards - 1
-	}, func(v cut) { best, found = v.next(x) })
-	return best, found
+		return 0, rt.shards - 1
+	}, nil).next(x)
 }
 
 // Min returns the smallest key in the set.
@@ -1146,76 +955,31 @@ func (s *Sharded) Min() (uint64, bool) {
 	return s.Next(1)
 }
 
-// Max returns the largest key in the set, read off one atomic cut.
-func (s *Sharded) Max() (uint64, bool) {
-	s.readBarrier()
-	var best uint64
-	var found bool
-	s.withCut(fullSpan, func(v cut) { best, found = v.max() })
-	return best, found
-}
+// Max returns the largest key in the set.
+func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).max() }
 
-// MapRange applies f to keys in [start, end) in ascending order over one
-// atomic cut of the overlapping shards, stopping early when f returns
-// false; reports whether the scan completed. Degenerate ranges (end <=
-// start) complete immediately. Under RangePartition the span's shards
-// stream in key order with all of the span's read locks held and f running
-// under them — f must not call back into this Sharded, or it can deadlock
-// against a waiting writer. Under HashPartition the whole range is
-// gathered from every shard in parallel under the cut and merged (so early
-// exits still pay the full gather), and f runs lock-free.
+// MapRange applies f to keys in [start, end) in ascending order, stopping
+// early when f returns false; reports whether the scan completed.
+// Degenerate ranges (end <= start) complete immediately. Under
+// RangePartition the span's shards stream in key order; under
+// HashPartition the whole range is gathered from every shard in parallel
+// and merged first (so early exits still pay the full gather). f runs on
+// frozen handles and may call back into the set.
 func (s *Sharded) MapRange(start, end uint64, f func(uint64) bool) bool {
 	if start >= end {
 		return true
 	}
-	if s.opt.Partition == RangePartition {
-		done := true
-		s.withCut(func(rt *router) (int, int) {
-			lo, hi := rt.shardSpan(start, end)
-			if s.opt.FlushReads && hi >= lo {
-				s.flushSpan(lo, hi)
-			}
-			return lo, hi
-		}, func(v cut) { done = v.streamRange(start, end, f) })
-		return done
-	}
-	s.readBarrier()
-	var gathered []uint64
-	s.withCut(fullSpan, func(v cut) { gathered = v.gatherRange(start, end) })
-	for _, x := range gathered {
-		if !f(x) {
-			return false
-		}
-	}
-	return true
+	return s.capture(spanOf(start, end), nil).mapRange(start, end, f)
 }
 
-// Map applies f to every key in ascending order over one atomic cut,
-// stopping early when f returns false; reports whether the scan completed.
-// The same locking contract as MapRange applies: under RangePartition f
-// runs under the shard read locks and must not call back into this
-// Sharded; under HashPartition f runs lock-free after the gather.
+// Map applies f to every key in ascending order, stopping early when f
+// returns false; reports whether the scan completed. The same contract as
+// MapRange.
 func (s *Sharded) Map(f func(uint64) bool) bool {
-	s.readBarrier()
-	if s.opt.Partition == RangePartition {
-		done := true
-		s.withCut(fullSpan, func(v cut) { done = v.streamAll(f) })
-		return done
-	}
-	var gathered []uint64
-	s.withCut(fullSpan, func(v cut) { gathered = v.gatherAll() })
-	for _, x := range gathered {
-		if !f(x) {
-			return false
-		}
-	}
-	return true
+	return s.capture(fullSpan, nil).mapAll(f)
 }
 
-// Keys returns all keys in ascending order; primarily for tests. The
-// gather runs under Map's single read barrier and cut (sizing the result
-// via Len would pay a second capture for a hint that concurrent enqueuers
-// could stale anyway).
+// Keys returns all keys in ascending order; primarily for tests.
 func (s *Sharded) Keys() []uint64 {
 	var out []uint64
 	s.Map(func(v uint64) bool {
@@ -1254,19 +1018,9 @@ func mergeLists(lists [][]uint64) []uint64 {
 	return lists[0]
 }
 
-// Validate checks every shard's CPMA invariants (a test helper). On an
-// async set it flushes first; callers must still quiesce their own
-// writers.
+// Validate flushes, then checks every shard's published CPMA invariants (a
+// test helper); callers must still quiesce their own writers.
 func (s *Sharded) Validate() error {
 	s.Flush()
-	for p := range s.cells {
-		c := &s.cells[p]
-		c.mu.RLock()
-		err := c.set.Validate()
-		c.mu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", p, err)
-		}
-	}
-	return nil
+	return s.capture(fullSpan, nil).validate()
 }

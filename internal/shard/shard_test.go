@@ -2,12 +2,17 @@ package shard
 
 import (
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cpma"
 	"repro/internal/workload"
 )
 
+// configs are the geometries every table test runs. The unprefixed ones
+// use the default mailbox depth; the "async-" ones run tiny mailboxes, so
+// enqueues hit backpressure constantly.
 func configs() map[string]*Options {
 	return map[string]*Options{
 		"hash-1":        {Partition: HashPartition},
@@ -16,16 +21,15 @@ func configs() map[string]*Options {
 		"range-4":       {Partition: RangePartition, KeyBits: workload.UniformBits},
 		"range-5":       {Partition: RangePartition, KeyBits: 64},
 		"range-64":      {Partition: RangePartition, KeyBits: 16},
-		"async-hash-1":  {Partition: HashPartition, Async: true, MailboxDepth: 2},
-		"async-hash-4":  {Partition: HashPartition, Async: true, MailboxDepth: 4},
-		"async-range-4": {Partition: RangePartition, KeyBits: workload.UniformBits, Async: true, MailboxDepth: 4, FlushReads: true},
+		"async-hash-1":  {Partition: HashPartition, MailboxDepth: 2},
+		"async-hash-4":  {Partition: HashPartition, MailboxDepth: 4},
+		"async-range-4": {Partition: RangePartition, KeyBits: workload.UniformBits, MailboxDepth: 4},
 		// Extreme partition geometries: more shards than distinct spans
-		// (2-bit keys across 9 shards leave most spans empty), the full
-		// 64-bit space over a non-power-of-two shard count, and the async
-		// pipeline over both.
+		// (2-bit keys across 9 shards leave most spans empty) and the full
+		// 64-bit space over a non-power-of-two shard count.
 		"range-9x2bit":       {Partition: RangePartition, KeyBits: 2},
-		"async-range-9x2bit": {Partition: RangePartition, KeyBits: 2, Async: true, MailboxDepth: 2},
-		"async-range-7x64":   {Partition: RangePartition, KeyBits: 64, Async: true, MailboxDepth: 4},
+		"async-range-9x2bit": {Partition: RangePartition, KeyBits: 2, MailboxDepth: 2},
+		"async-range-7x64":   {Partition: RangePartition, KeyBits: 64, MailboxDepth: 4},
 	}
 }
 
@@ -47,7 +51,7 @@ func shardCount(name string) int {
 }
 
 // newTestSet builds a Sharded for one named config and stops its writer
-// goroutines (async configs) when the test finishes.
+// goroutines when the test finishes.
 func newTestSet(t *testing.T, name string, opt *Options) *Sharded {
 	t.Helper()
 	s := New(shardCount(name), opt)
@@ -237,12 +241,14 @@ func TestRoutingIsTotal(t *testing.T) {
 					prev = id
 				}
 			}
+			s.Close()
 		}
 	}
 }
 
 func TestZeroShardClamp(t *testing.T) {
 	s := New(0, nil)
+	defer s.Close()
 	if s.Shards() != 1 {
 		t.Fatalf("Shards = %d, want 1", s.Shards())
 	}
@@ -257,7 +263,7 @@ func TestZeroShardClamp(t *testing.T) {
 // may be reused immediately after an async enqueue returns.
 func TestAsyncFlushVisibility(t *testing.T) {
 	for _, part := range []Partition{HashPartition, RangePartition} {
-		s := New(3, &Options{Partition: part, KeyBits: 18, Async: true, MailboxDepth: 4})
+		s := New(3, &Options{Partition: part, KeyBits: 18, MailboxDepth: 4})
 		defer s.Close()
 		ref := cpma.New(nil)
 		r := workload.NewRNG(21)
@@ -291,7 +297,7 @@ func TestAsyncFlushVisibility(t *testing.T) {
 // every enqueued batch, is idempotent, keeps reads working, and makes
 // further mutations panic.
 func TestCloseDrainsAndRejects(t *testing.T) {
-	s := New(3, &Options{Async: true, MailboxDepth: 2})
+	s := New(3, &Options{MailboxDepth: 2})
 	keys := workload.Uniform(workload.NewRNG(5), 20000, 18)
 	ref := cpma.New(nil)
 	ref.InsertBatch(keys, false)
@@ -320,31 +326,32 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestIngestStatsCoalesce pins the writers behind their shard locks while
+// TestIngestStatsCoalesce parks the writers on quiesce tokens while
 // sub-batches pile up in the mailboxes, making coalescing deterministic:
-// releasing the locks must drain each mailbox in at most two applies.
+// releasing them must drain each mailbox in one apply.
 func TestIngestStatsCoalesce(t *testing.T) {
 	const batches, batchLen = 16, 100
-	s := New(2, &Options{Async: true, MailboxDepth: 2 * batches})
+	s := New(2, &Options{MailboxDepth: 2 * batches})
 	defer s.Close()
 	r := workload.NewRNG(9)
+	resume := make(chan struct{})
+	park := newTicket(s.Shards())
 	for p := range s.cells {
-		s.cells[p].mu.Lock()
+		s.cells[p].mbox <- shardOp{kind: opQuiesce, tk: park, resume: resume}
 	}
+	park.wait()
 	for i := 0; i < batches; i++ {
 		s.InsertBatchAsync(workload.Uniform(r, batchLen, 20), false)
 	}
-	for p := range s.cells {
-		s.cells[p].mu.Unlock()
-	}
+	close(resume)
 	s.Flush()
 	st := s.IngestStats()
 	if st.EnqueuedKeys != uint64(batches*batchLen) || st.EnqueuedKeys != st.AppliedKeys {
 		t.Fatalf("key accounting off: %+v", st)
 	}
-	// Per shard: at most one pre-pile apply (the op grabbed before the
-	// lock stalled the writer) plus one coalesced drain of the rest.
-	if max := uint64(2 * s.Shards()); st.AppliedBatches > max {
+	// The whole pile was enqueued before the writers resumed, so each
+	// shard's next drain takes all of it in one coalesced apply.
+	if max := uint64(s.Shards()); st.AppliedBatches > max {
 		t.Fatalf("coalescing failed: %d applies for %d sub-batches (max %d): %+v",
 			st.AppliedBatches, st.EnqueuedBatches, max, st)
 	}
@@ -358,30 +365,28 @@ func TestIngestStatsCoalesce(t *testing.T) {
 }
 
 // TestZeroKeyRejected: the reserved key 0 fails fast at the API boundary,
-// in the caller's goroutine, in both modes.
+// in the caller's goroutine.
 func TestZeroKeyRejected(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		s := New(2, &Options{Async: async})
-		defer s.Close()
-		if s.Has(0) {
-			t.Fatal("Has(0) must be false")
+	s := New(2, nil)
+	defer s.Close()
+	if s.Has(0) {
+		t.Fatal("Has(0) must be false")
+	}
+	for name, op := range map[string]func(){
+		"Insert":               func() { s.Insert(0) },
+		"Remove":               func() { s.Remove(0) },
+		"InsertBatch unsorted": func() { s.InsertBatch([]uint64{3, 0, 5}, false) },
+		"InsertBatch sorted":   func() { s.InsertBatch([]uint64{0, 3}, true) },
+		"RemoveBatch unsorted": func() { s.RemoveBatch([]uint64{3, 0}, false) },
+		"InsertBatchAsync":     func() { s.InsertBatchAsync([]uint64{0}, true) },
+		"RemoveBatchAsync":     func() { s.RemoveBatchAsync([]uint64{5, 0}, false) },
+	} {
+		if !panics(op) {
+			t.Fatalf("%s accepted key 0", name)
 		}
-		for name, op := range map[string]func(){
-			"Insert":               func() { s.Insert(0) },
-			"Remove":               func() { s.Remove(0) },
-			"InsertBatch unsorted": func() { s.InsertBatch([]uint64{3, 0, 5}, false) },
-			"InsertBatch sorted":   func() { s.InsertBatch([]uint64{0, 3}, true) },
-			"RemoveBatch unsorted": func() { s.RemoveBatch([]uint64{3, 0}, false) },
-			"InsertBatchAsync":     func() { s.InsertBatchAsync([]uint64{0}, true) },
-			"RemoveBatchAsync":     func() { s.RemoveBatchAsync([]uint64{5, 0}, false) },
-		} {
-			if !panics(op) {
-				t.Fatalf("async=%v: %s accepted key 0", async, name)
-			}
-		}
-		if s.Len() != 0 {
-			t.Fatalf("async=%v: rejected ops mutated the set", async)
-		}
+	}
+	if s.Len() != 0 {
+		t.Fatal("rejected ops mutated the set")
 	}
 }
 
@@ -411,14 +416,14 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 		name string
 		opt  *Options
 	}{
-		{"hash", &Options{Partition: HashPartition, Set: smallSet, Async: true, MailboxDepth: 4}},
-		{"range", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, Async: true, MailboxDepth: 4}},
+		{"hash", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4}},
+		{"range", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4}},
 		// Hot-key absorption must not change the cut contract: absorbed
 		// occurrences reconcile before every publish, so each capture is
 		// still an exact FIFO prefix even mid-absorption.
-		{"hash-hotkey", &Options{Partition: HashPartition, Set: smallSet, Async: true, MailboxDepth: 4,
+		{"hash-hotkey", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
-		{"range-hotkey", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, Async: true, MailboxDepth: 4,
+		{"range-hotkey", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -498,13 +503,14 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 				default:
 				}
 				sn := s.Snapshot()
+				epochs := sn.Epochs()
 				for p := 0; p < P; p++ {
-					if sn.epochs[p] < lastEpochs[p] {
+					if epochs[p] < lastEpochs[p] {
 						t.Fatalf("capture %d shard %d: epoch went backwards (%d < %d)",
-							captures, p, sn.epochs[p], lastEpochs[p])
+							captures, p, epochs[p], lastEpochs[p])
 					}
-					lastEpochs[p] = sn.epochs[p]
-					got := sn.v.sets[p].Keys()
+					lastEpochs[p] = epochs[p]
+					got := sn.v.at(p).Keys()
 					j := cur[p]
 					for j <= rounds && !slices.Equal(got, states[p][j]) {
 						j++
@@ -535,7 +541,7 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 			// After the final Flush, a fresh snapshot sits at the full history.
 			sn := s.Snapshot()
 			for p := 0; p < P; p++ {
-				if !slices.Equal(sn.v.sets[p].Keys(), states[p][rounds]) {
+				if !slices.Equal(sn.v.at(p).Keys(), states[p][rounds]) {
 					t.Fatalf("post-flush snapshot shard %d does not hold the full history", p)
 				}
 			}
@@ -627,52 +633,10 @@ func TestSnapshotReadAPI(t *testing.T) {
 	}
 }
 
-// TestSnapshotSyncCaptureCaching: in sync mode an unchanged shard's handle
-// is reused across captures (no re-clone), and a point write re-clones
-// exactly the one shard it touched.
-func TestSnapshotSyncCaptureCaching(t *testing.T) {
-	s := New(4, &Options{Partition: HashPartition})
-	s.InsertBatch(workload.Uniform(workload.NewRNG(3), 10000, 20), false)
-	sn1 := s.Snapshot()
-	st1 := s.SnapshotStats()
-	sn2 := s.Snapshot()
-	st2 := s.SnapshotStats()
-	if st2.Publishes != st1.Publishes {
-		t.Fatalf("unchanged set re-published: %d -> %d", st1.Publishes, st2.Publishes)
-	}
-	if st2.Captures != st1.Captures+1 {
-		t.Fatalf("capture counter off: %+v", st2)
-	}
-	for p := range sn1.v.sets {
-		if sn1.v.sets[p] != sn2.v.sets[p] {
-			t.Fatalf("shard %d handle not shared across unchanged captures", p)
-		}
-	}
-	const k = 123456789
-	s.Insert(k)
-	sn3 := s.Snapshot()
-	st3 := s.SnapshotStats()
-	if !sn3.Has(k) {
-		t.Fatal("fresh capture missed the new key")
-	}
-	if sn2.Has(k) {
-		t.Fatal("old capture sees the new key")
-	}
-	if st3.Publishes != st2.Publishes+1 {
-		t.Fatalf("want exactly one re-clone for a one-shard write, got %d", st3.Publishes-st2.Publishes)
-	}
-	if st3.Epochs != st2.Epochs+1 {
-		t.Fatalf("epoch accounting off: %+v", st3)
-	}
-	if st3.CloneBytes <= st2.CloneBytes {
-		t.Fatal("clone bytes did not grow")
-	}
-}
-
 // TestSnapshotReadYourFlushes: a Snapshot captured after Flush returns
-// covers everything enqueued before the Flush, without FlushReads.
+// covers every fire-and-forget batch enqueued before the Flush.
 func TestSnapshotReadYourFlushes(t *testing.T) {
-	s := New(3, &Options{Async: true, MailboxDepth: 4})
+	s := New(3, &Options{MailboxDepth: 4})
 	t.Cleanup(s.Close)
 	ref := cpma.New(nil)
 	r := workload.NewRNG(29)
@@ -692,5 +656,175 @@ func TestSnapshotReadYourFlushes(t *testing.T) {
 	st := s.SnapshotStats()
 	if st.Publishes == 0 || st.Publishes > st.Epochs+uint64(s.Shards()) {
 		t.Fatalf("publication accounting off: %+v", st)
+	}
+}
+
+// TestReadYourWrites: a blocking mutation is visible to every read the
+// moment it returns — live reads and a Snapshot captured at once — while
+// fire-and-forget traffic keeps the writers busy, so the drain that applied
+// a ticketed op goes on applying other batches before it publishes. The
+// ticketed ops use odd keys and the background traffic even ones, so the
+// expected membership is exact. The hot-key case runs the ticketed batches
+// through the absorbed path (a hot key in every batch; the background
+// traffic avoids its shard so it stays promoted); the follower
+// case drives a replica the way the replication applier does and checks a
+// bounds update cannot strand a capture.
+func TestReadYourWrites(t *testing.T) {
+	hot := hotOpts(HashPartition)
+	hot.HotKeyEvery = 256
+	for _, tc := range []struct {
+		name string
+		opt  *Options
+	}{
+		{"hash", &Options{Partition: HashPartition, MailboxDepth: 4}},
+		{"range", &Options{Partition: RangePartition, KeyBits: 18, MailboxDepth: 4}},
+		{"hotkey", hot},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(3, tc.opt)
+			t.Cleanup(s.Close)
+			const hotKey = 7
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := workload.NewRNG(3)
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					keys := workload.Uniform(r, 256, 17)
+					for j := range keys {
+						keys[j] *= 2
+					}
+					if tc.opt.HotKeys {
+						keys = slices.DeleteFunc(keys, func(k uint64) bool { return s.shardOf(k) == s.shardOf(hotKey) })
+					}
+					if i%3 == 2 {
+						s.RemoveBatchAsync(keys, false)
+					} else {
+						s.InsertBatchAsync(keys, false)
+					}
+				}
+			}()
+			defer func() {
+				close(done)
+				wg.Wait()
+			}()
+
+			visible := func(step string, keys []uint64, want bool) {
+				t.Helper()
+				sn := s.Snapshot()
+				for _, k := range keys {
+					if sn.Has(k) != want || s.Has(k) != want {
+						t.Fatalf("%s: key %d: snapshot Has %v, live Has %v, want %v",
+							step, k, sn.Has(k), s.Has(k), want)
+					}
+				}
+				var n int
+				s.MapRange(keys[0], keys[0]+1, func(uint64) bool { n++; return true })
+				if (n == 1) != want {
+					t.Fatalf("%s: MapRange sees key %d %d times, want present=%v", step, keys[0], n, want)
+				}
+			}
+			r := workload.NewRNG(11)
+			for i := 0; i < 150; i++ {
+				k := 2*(1+r.Uint64()%(1<<17)) + 1
+				if !s.Insert(k) {
+					t.Fatalf("round %d: Insert(%d) reported duplicate", i, k)
+				}
+				visible("Insert", []uint64{k}, true)
+				if !s.Remove(k) {
+					t.Fatalf("round %d: Remove(%d) reported absent", i, k)
+				}
+				visible("Remove", []uint64{k}, false)
+
+				batch := make([]uint64, 0, 80)
+				for j := 0; j < 16; j++ {
+					batch = append(batch, 2*(1+r.Uint64()%(1<<17))+1)
+				}
+				if tc.opt.HotKeys {
+					for j := 0; j < 64; j++ {
+						batch = append(batch, hotKey)
+					}
+				}
+				s.InsertBatch(batch, false)
+				visible("InsertBatch", batch, true)
+				s.RemoveBatch(batch, false)
+				visible("RemoveBatch", batch, false)
+			}
+			if tc.opt.HotKeys && s.IngestStats().AbsorbedKeys == 0 {
+				t.Fatalf("hot key never absorbed: %+v", s.IngestStats())
+			}
+		})
+	}
+
+	t.Run("follower", func(t *testing.T) {
+		f := NewReplica(3, &Options{Partition: RangePartition, KeyBits: 16})
+		for p := 0; p < 3; p++ {
+			lo := uint64(p)<<14 + 1
+			f.ReplicaApply(p, false, []uint64{lo, lo + 1, lo + 2})
+			f.ReplicaApply(p, true, []uint64{lo + 1})
+			f.ReplicaPublish(p)
+		}
+		if err := f.ReplicaSetBounds(1, []uint64{1 << 14, 2 << 14}); err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan *Snapshot, 1)
+		go func() { got <- f.Snapshot() }()
+		var sn *Snapshot
+		select {
+		case sn = <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Snapshot never returned after a bounds update")
+		}
+		for p := 0; p < 3; p++ {
+			want := f.ShardKeys(p)
+			if len(want) != 2 || !slices.Equal(sn.v.at(p).Keys(), want) {
+				t.Fatalf("shard %d: snapshot %v, ShardKeys %v", p, sn.v.at(p).Keys(), want)
+			}
+		}
+		if !slices.Equal(sn.Bounds(), []uint64{1 << 14, 2 << 14}) || !f.Has(1) || f.Has(2) {
+			t.Fatalf("follower reads off: bounds %v", sn.Bounds())
+		}
+	})
+}
+
+// TestMapCallbacksReenter: Map and MapRange callbacks run on frozen
+// handles, so they may read and even mutate the set they iterate.
+func TestMapCallbacksReenter(t *testing.T) {
+	for _, part := range []Partition{HashPartition, RangePartition} {
+		s := New(3, &Options{Partition: part, KeyBits: 16})
+		s.InsertBatch([]uint64{10, 20, 30}, true)
+		var seen []uint64
+		s.Map(func(k uint64) bool {
+			if !s.Has(k) {
+				t.Fatalf("partition %v: Has(%d) false inside Map", part, k)
+			}
+			s.Insert(k + 1)
+			seen = append(seen, k)
+			return true
+		})
+		if !slices.Equal(seen, []uint64{10, 20, 30}) || s.Len() != 6 {
+			t.Fatalf("partition %v: Map saw %v, then Len %d", part, seen, s.Len())
+		}
+		s.MapRange(1, 100, func(k uint64) bool { return s.Remove(k) })
+		if s.Len() != 0 {
+			t.Fatalf("partition %v: Len %d after MapRange removed every key it saw", part, s.Len())
+		}
+		s.Close()
+	}
+}
+
+// TestHasDoesNotAllocate pins the point-read path to zero allocations.
+func TestHasDoesNotAllocate(t *testing.T) {
+	s := New(4, &Options{Partition: RangePartition, KeyBits: 20})
+	defer s.Close()
+	s.InsertBatch(workload.Uniform(workload.NewRNG(2), 5000, 20), false)
+	if n := testing.AllocsPerRun(100, func() { s.Has(12345) }); n != 0 {
+		t.Fatalf("Has allocates %.1f times per call", n)
 	}
 }

@@ -1,33 +1,22 @@
 package shard
 
-// Consistent multi-shard reads via writer-published epochs.
+// Reads via writer-published handles.
 //
 // The CPMA's pointer-free layout makes a whole-structure copy a
 // memcpy-class operation, and its leaf-granular copy-on-write Clone makes
 // it cheaper still — O(dirty leaves) per publication — which this file
-// turns into cheap snapshots the way Aspen derives functional graph
-// snapshots and PAM-style structures derive persistence: the structure's
-// sole mutator publishes an immutable handle after it mutates, and readers
-// grab handles instead of locks. Two capture paths share one read implementation (cut):
-//
-//   - Async mode: each shard's mailbox writer is already the shard's only
-//     mutator, so after every drain that changed state it stamps the shard's
-//     monotone epoch and publishes a frozen Clone through an atomic.Pointer
-//     — zero new synchronization on the apply path. Snapshot() then grabs
-//     one published handle per shard, lock-free, without stalling ingest.
-//   - Sync mode: there are no writer goroutines, so Snapshot() holds every
-//     shard's read lock simultaneously (an atomic cut — writers are blocked
-//     everywhere for the duration) and refreshes only the shards whose
-//     published handle is stale; an unchanged shard reuses its last clone.
-//
-// The live multi-shard read paths (Len, Sum, Keys, Map/MapRange, Next, Max,
-// RangeSum, SizeBytes) go through the same machinery via withCut: they hold
-// all overlapping read locks at once and run the shared cut algorithms
-// against the live sets, so even non-snapshot aggregate reads observe one
-// atomic cut instead of per-shard consistency.
+// turns into the set's only read path, the way Aspen derives functional
+// graph snapshots and PAM-style structures derive persistence: each
+// shard's sole mutator publishes an immutable handle after it mutates, and
+// readers grab handles instead of locks. After every drain that changed
+// state, the writer stamps the shard's monotone epoch and publishes a
+// frozen Clone through an atomic.Pointer. Every read — a point lookup, an
+// aggregate, a scan, or a whole Snapshot — captures the handles of the
+// shards it covers (capture) and runs the shared cut algorithms on them.
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -49,88 +38,52 @@ type shardSnap struct {
 	set   *cpma.CPMA
 }
 
-// cut is a captured per-shard view that the multi-shard read algorithms run
-// against: at(p) is shard p's CPMA as of the capture, for p in [lo, hi]
-// (sets is span-sized and indexed relative to lo, so a narrow-span capture
-// allocates only what it covers). A cut over the live sets is valid only
-// while the overlapping read locks are held (withCut); a cut over
-// published frozen handles is valid forever (Snapshot). rt is the routing
-// table the capture was validated against — the cut's data placement and
-// its routing always agree, even across rebalances.
-//
-// With the hot-key absorber on, a live cut also captures each shard's
-// promoted-key table (hot; same indexing) and the read algorithms overlay
-// the absorbed pending state — reading slot bits under the same read locks
-// that keep the writer out — so live reads stay exact between
-// reconciliations. Snapshot cuts leave hot nil: published handles are
-// reconciled before publication and never need the overlay.
+// cut is a captured per-shard view that the read algorithms run against:
+// snaps[p-lo] is shard p's published handle, for p in [lo, hi] (span-sized,
+// so a narrow read holds only what it covers). rt is the routing table the
+// capture was validated against — the cut's data placement and its routing
+// always agree, even across rebalances. A cut is valid forever.
 type cut struct {
-	sets   []*cpma.CPMA // sets[p-lo] is shard p's CPMA
-	hot    []*hotTable  // hot[p-lo] is shard p's promoted-key table (live cuts only)
+	snaps  []*shardSnap
 	rt     *router
 	lo, hi int
 }
 
-func (v cut) at(p int) *cpma.CPMA { return v.sets[p-v.lo] }
+func (v cut) at(p int) *cpma.CPMA { return v.snaps[p-v.lo].set }
 
-// hotAt returns shard p's captured promoted-key table, nil when the
-// absorber is off, nothing is promoted, or the cut is a snapshot.
-func (v cut) hotAt(p int) *hotTable {
-	if v.hot == nil {
-		return nil
-	}
-	return v.hot[p-v.lo]
-}
-
-// withCut computes the shard interval span(rt) under the current router,
-// acquires those shards' read locks in ascending order, and — after
-// re-validating that the router was not swapped by a concurrent rebalance
-// while the locks were being taken (rebalances install new routers while
-// holding the affected shards' write locks, so a reader that holds a lock
-// and still sees the old pointer routed correctly) — runs f against the
-// resulting atomic cut of the live sets. Holding every overlapping lock at
-// once is what upgrades the multi-shard read paths from per-shard
-// consistency to one consistent cut: no writer can land between the
-// capture of shard p and shard q. Ascending acquisition cannot deadlock
-// against writers or the rebalancer (which locks its pair ascending) or
-// against other cuts. span may return hi < lo for a degenerate range; f
-// then runs on an empty cut.
-func (s *Sharded) withCut(span func(rt *router) (lo, hi int), f func(v cut)) {
+// capture grabs the published handles of the shards span(rt) covers under
+// the current router rt. Every handle must have been published under rt's
+// span generation for its shard, and rt must still be current once all
+// are grabbed; otherwise a rebalance (or a replica's bounds update) is
+// mid-publication — a handle's keys may sit on the other side of a moved
+// boundary — and the capture starts over. buf backs the cut when it is
+// large enough (Has passes a one-element array so a point read allocates
+// nothing). span may return hi < lo for a degenerate range, which yields
+// an empty cut.
+func (s *Sharded) capture(span func(rt *router) (lo, hi int), buf []*shardSnap) cut {
+retry:
 	for {
 		rt := s.router()
 		lo, hi := span(rt)
 		if hi < lo {
-			f(cut{rt: rt, lo: 0, hi: -1})
-			return
+			return cut{rt: rt, lo: 0, hi: -1}
+		}
+		snaps := buf
+		if n := hi - lo + 1; cap(snaps) >= n {
+			snaps = snaps[:n]
+		} else {
+			snaps = make([]*shardSnap, n)
 		}
 		for p := lo; p <= hi; p++ {
-			s.cells[p].mu.RLock()
+			sn := s.cells[p].snap.Load()
+			if sn.gen != rt.spanGen[p] {
+				runtime.Gosched()
+				continue retry
+			}
+			snaps[p-lo] = sn
 		}
 		if s.router() == rt {
-			sets := make([]*cpma.CPMA, hi-lo+1)
-			var hots []*hotTable
-			if s.opt.HotKeys {
-				// Captured under the read locks: the writer installs tables
-				// and mutates slots only under the write lock, so both are
-				// stable for the cut's lifetime.
-				hots = make([]*hotTable, hi-lo+1)
-			}
-			for p := lo; p <= hi; p++ {
-				sets[p-lo] = s.cells[p].set
-				if hots != nil {
-					hots[p-lo] = s.cells[p].hot.Load()
-				}
-			}
-			f(cut{sets: sets, hot: hots, rt: rt, lo: lo, hi: hi})
-			for p := lo; p <= hi; p++ {
-				s.cells[p].mu.RUnlock()
-			}
-			return
-		}
-		// A rebalance swapped the router between routing and locking; the
-		// spans (and possibly the data placement) moved, so re-route.
-		for p := lo; p <= hi; p++ {
-			s.cells[p].mu.RUnlock()
+			return cut{snaps: snaps, rt: rt, lo: lo, hi: hi}
 		}
 	}
 }
@@ -140,32 +93,21 @@ func fullSpan(rt *router) (int, int) { return 0, rt.shards - 1 }
 
 // publish refreshes c's published handle if state-changing applies landed
 // since the last publication (or the shard's span changed generation), and
-// returns the current handle. The caller must exclude mutation of c.set
-// for the duration: the async shard writer (the shard's sole mutator)
-// calls it between applies, sync-mode capture calls it while holding the
-// shard's read lock, and the rebalancer calls it with the writer quiesced
-// and the shard's write lock held.
-//
-// Publication is single-flight per (epoch, gen): concurrent sync-mode
-// captures of the same stale shard serialize on pubMu, exactly one builds
-// the clone, and the rest reuse it. This is load-bearing beyond the stats:
-// cpma.Clone performs a dirty-window handoff and flips COW ownership bits
-// on the parent, so two racing Clones of one cell would corrupt each other
-// — the old CompareAndSwap-and-discard scheme stopped being sound the
-// moment Clone became copy-on-write.
+// returns the current handle. Only the shard's sole mutator calls it —
+// the writer between applies, the rebalancer with the writer parked, the
+// constructor, or a replica's applier — because cpma.Clone hands over the
+// dirty window and flips copy-on-write ownership on the live set, which is
+// single-caller by contract.
 func (s *Sharded) publish(p int, c *cell) *shardSnap {
 	e := c.epoch.Load()
 	g := s.router().spanGen[p]
-	if old := c.snap.Load(); old != nil && old.epoch == e && old.gen == g {
-		return old
-	}
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	// Re-check under the lock: a concurrent capture may have published this
-	// (epoch, gen) while we waited.
-	e = c.epoch.Load()
-	g = s.router().spanGen[p]
-	if old := c.snap.Load(); old != nil && old.epoch == e && old.gen == g {
+	if old := c.snap.Load(); old != nil && old.epoch == e {
+		if old.gen != g {
+			// Only the span generation moved (a replica's bounds update):
+			// the frozen contents are still current, so restamp them.
+			old = &shardSnap{epoch: e, gen: g, set: old.set}
+			c.snap.Store(old)
+		}
 		return old
 	}
 	t0 := time.Now()
@@ -179,105 +121,41 @@ func (s *Sharded) publish(p int, c *cell) *shardSnap {
 	return sn
 }
 
-// Snapshot is a frozen, immutable view of a Sharded set: one consistent
-// epoch cut across all shards, serving the full read API off frozen CPMAs
-// with no locks. Scans on a Snapshot never block writers and never observe
+// Snapshot is a frozen, immutable view of a Sharded set: one capture of
+// every shard's published handle, serving the full read API off frozen
+// CPMAs. Scans on a Snapshot never block writers and never observe
 // in-flight batches, so long analytics reads can run concurrently with
 // ingest. A Snapshot remains valid forever — including after the set is
 // Closed.
 //
 // Consistency: each shard's handle reflects a prefix of that shard's
 // applied operation sequence (its mailbox is FIFO and its writer publishes
-// only at rest points between applies), and all handles are captured at one
-// instant. In async mode the cut is a frontier — different shards may sit
-// at different prefixes of a multi-shard batch stream — while in sync mode
-// the capture holds every shard lock at once and is a pointwise atomic cut.
-// Within one Snapshot every read is mutually consistent: Len equals the
-// number of keys Map visits, Sum matches Keys, and repeated reads are
-// stable.
-//
-// A snapshot observes only published state, and publication happens at
-// drain boundaries and Flush tokens — not at ticket completion. So in
-// async mode even a blocking mutation (Insert, a ticketed InsertBatch)
-// that has returned may be missing from an immediately captured Snapshot
-// until its drain ends; the guarantee is read-your-flushes, not
-// read-your-writes: after a Flush returns, the published handles include
-// everything the Flush covered. Call Flush before Snapshot (or set
-// Options.FlushReads, which Snapshot honors) when the capture must cover
-// your own preceding mutations. Sync-mode captures never lag: they
-// publish the live state under the shard locks.
+// only at rest points between applies), and all handles are captured at
+// one instant — a frontier cut, where different shards may sit at
+// different prefixes of a multi-shard batch stream. Within one Snapshot
+// every read is mutually consistent: Len equals the number of keys Map
+// visits, Sum matches Keys, and repeated reads are stable. A Snapshot
+// captured after a blocking mutation returns includes it
+// (read-your-writes); one captured after a Flush returns includes
+// everything the Flush covered (read-your-flushes).
 type Snapshot struct {
-	v      cut
-	epochs []uint64
+	v cut
 }
 
-// Snapshot captures one epoch cut across all shards. In async mode it is a
-// lock-free handle grab — no flush barrier, no shard locks, O(shards) work
-// — and honors Options.FlushReads by flushing first. In sync mode it holds
-// all shard read locks for the capture and clones only shards that changed
-// since their last publication (repeated snapshots of an unchanged set are
-// free and share handles).
-//
-// Rebalance coherence: the async capture validates every grabbed handle's
-// span generation against the routing table it grabbed first (and
-// re-checks the table afterwards), retrying if a concurrent boundary move
-// tore the capture — so a Snapshot can never route with spans that
-// disagree with where its frozen handles actually hold the keys. The
-// sync-mode capture needs no validation: rebalancing requires the async
-// pipeline.
+// Snapshot captures one cut across all shards: a lock-free handle grab —
+// no flush barrier, O(shards) work. The capture validates every handle's
+// span generation against the routing table it serves reads with (see
+// capture), so a Snapshot never routes with spans that disagree with
+// where its frozen handles actually hold the keys.
 func (s *Sharded) Snapshot() *Snapshot {
 	t0 := time.Now()
 	defer s.pm.capture.Since(t0)
 	s.snapCaptures.Add(1)
-	P := len(s.cells)
-	snaps := make([]*shardSnap, P)
-	var rt *router
-	if s.opt.Async {
-		if s.opt.FlushReads {
-			s.Flush()
-		}
-	capture:
-		for {
-			rt = s.router()
-			for p := range s.cells {
-				sp := s.cells[p].snap.Load()
-				if sp.gen != rt.spanGen[p] {
-					// This handle was published under a different span for
-					// shard p (a rebalance is mid-publication); its keys may
-					// sit on the other side of a moved boundary. Re-grab.
-					continue capture
-				}
-				snaps[p] = sp
-			}
-			if s.router() == rt {
-				break
-			}
-		}
-	} else {
-		rt = s.router()
-		for p := range s.cells {
-			s.cells[p].mu.RLock()
-		}
-		parallel.For(P, 1, func(p int) {
-			snaps[p] = s.publish(p, &s.cells[p])
-		})
-		for p := range s.cells {
-			s.cells[p].mu.RUnlock()
-		}
-	}
-	sn := &Snapshot{
-		v:      cut{sets: make([]*cpma.CPMA, P), rt: rt, lo: 0, hi: P - 1},
-		epochs: make([]uint64, P),
-	}
-	for p, sp := range snaps {
-		sn.v.sets[p] = sp.set
-		sn.epochs[p] = sp.epoch
-	}
-	return sn
+	return &Snapshot{v: s.capture(fullSpan, nil)}
 }
 
 // Shards returns the number of shards the snapshot covers.
-func (sn *Snapshot) Shards() int { return len(sn.v.sets) }
+func (sn *Snapshot) Shards() int { return len(sn.v.snaps) }
 
 // ShardSets returns the snapshot's frozen per-shard CPMA handles in shard
 // order. The handles are immutable by the publication contract: callers may
@@ -286,10 +164,14 @@ func (sn *Snapshot) Shards() int { return len(sn.v.sets) }
 // never mutate them. Under RangePartition shard order is key order, so the
 // concatenated leaf sequence of the returned sets holds every key of the
 // snapshot in ascending order — the property leaf-level analytics (the
-// sharded F-Graph view) build on. The returned slice is a copy; the
+// sharded F-Graph view) build on. The returned slice is fresh; the
 // handles are the originals.
 func (sn *Snapshot) ShardSets() []*cpma.CPMA {
-	return append([]*cpma.CPMA(nil), sn.v.sets...)
+	out := make([]*cpma.CPMA, len(sn.v.snaps))
+	for p, h := range sn.v.snaps {
+		out[p] = h.set
+	}
+	return out
 }
 
 // Bounds returns a copy of the interior span-boundary table the snapshot
@@ -310,7 +192,11 @@ func (sn *Snapshot) RangePartitioned() bool { return sn.v.rt.part == RangePartit
 // the snapshot was cut at. Epochs are monotone per shard: a later Snapshot
 // never reports a smaller epoch for any shard.
 func (sn *Snapshot) Epochs() []uint64 {
-	return append([]uint64(nil), sn.epochs...)
+	out := make([]uint64, len(sn.v.snaps))
+	for p, h := range sn.v.snaps {
+		out[p] = h.epoch
+	}
+	return out
 }
 
 // Len returns the number of keys in the snapshot.
@@ -332,7 +218,7 @@ func (sn *Snapshot) Has(x uint64) bool {
 	if x == 0 {
 		return false
 	}
-	return sn.v.sets[sn.v.rt.shardOf(x)].Has(x)
+	return sn.v.at(sn.v.rt.shardOf(x)).Has(x)
 }
 
 // Next returns the smallest key >= x in the snapshot.
@@ -371,43 +257,36 @@ func (sn *Snapshot) Keys() []uint64 {
 }
 
 // Validate checks every frozen shard's CPMA invariants (a test helper).
-func (sn *Snapshot) Validate() error {
-	for p, set := range sn.v.sets {
-		if err := set.Validate(); err != nil {
-			return fmt.Errorf("snapshot shard %d: %w", p, err)
+func (sn *Snapshot) Validate() error { return sn.v.validate() }
+
+// --- shared read algorithms over a cut ---
+
+func (v cut) validate() error {
+	for i, h := range v.snaps {
+		if err := h.set.Validate(); err != nil {
+			return fmt.Errorf("shard %d: %w", v.lo+i, err)
 		}
 	}
 	return nil
 }
 
-// --- shared read algorithms over a cut ---
-
 func (v cut) length() int {
 	total := 0
-	for i, set := range v.sets {
-		total += set.Len()
-		if v.hot != nil {
-			dn, _ := v.hot[i].lenSumDelta()
-			total += dn
-		}
+	for _, h := range v.snaps {
+		total += h.set.Len()
 	}
 	return total
 }
 
 func (v cut) sizeBytes() uint64 {
-	return parallel.ReduceSum(len(v.sets), 1, func(i int) uint64 {
-		return v.sets[i].SizeBytes()
+	return parallel.ReduceSum(len(v.snaps), 1, func(i int) uint64 {
+		return v.snaps[i].set.SizeBytes()
 	})
 }
 
 func (v cut) sum() uint64 {
-	return parallel.ReduceSum(len(v.sets), 1, func(i int) uint64 {
-		s := v.sets[i].Sum()
-		if v.hot != nil {
-			_, dsum := v.hot[i].lenSumDelta()
-			s += dsum
-		}
-		return s
+	return parallel.ReduceSum(len(v.snaps), 1, func(i int) uint64 {
+		return v.snaps[i].set.Sum()
 	})
 }
 
@@ -416,44 +295,21 @@ func (v cut) rangeSum(start, end uint64) (uint64, int) {
 		return 0, 0
 	}
 	lo, hi := v.rt.shardSpan(start, end)
-	if lo < v.lo {
-		lo = v.lo
-	}
-	if hi > v.hi {
-		hi = v.hi
-	}
+	lo, hi = max(lo, v.lo), min(hi, v.hi)
 	var su atomic.Uint64
 	var cnt atomic.Int64
 	parallel.For(hi-lo+1, 1, func(i int) {
 		s, k := v.at(lo+i).RangeSum(start, end)
-		if ht := v.hotAt(lo + i); ht != nil {
-			dn, dsum := ht.rangeDelta(start, end)
-			s += dsum
-			k += dn
-		}
 		su.Add(s)
 		cnt.Add(int64(k))
 	})
 	return su.Load(), int(cnt.Load())
 }
 
-// shardNext is one shard's successor query through the overlay (a plain
-// CPMA Next when the shard has no absorbed state).
-func (v cut) shardNext(p int, x uint64) (uint64, bool) {
-	if ht := v.hotAt(p); ht != nil {
-		return overlayNext(v.at(p), ht, x)
-	}
-	return v.at(p).Next(x)
-}
-
 func (v cut) next(x uint64) (uint64, bool) {
 	if v.rt.part == RangePartition {
-		lo := v.rt.shardOf(x)
-		if lo < v.lo {
-			lo = v.lo
-		}
-		for p := lo; p <= v.hi; p++ {
-			if r, ok := v.shardNext(p, x); ok {
+		for p := max(v.rt.shardOf(x), v.lo); p <= v.hi; p++ {
+			if r, ok := v.at(p).Next(x); ok {
 				return r, true
 			}
 		}
@@ -462,26 +318,18 @@ func (v cut) next(x uint64) (uint64, bool) {
 	var best uint64
 	found := false
 	for p := v.lo; p <= v.hi; p++ {
-		if r, ok := v.shardNext(p, x); ok && (!found || r < best) {
+		if r, ok := v.at(p).Next(x); ok && (!found || r < best) {
 			best, found = r, true
 		}
 	}
 	return best, found
 }
 
-// shardMax is one shard's maximum through the overlay.
-func (v cut) shardMax(p int) (uint64, bool) {
-	if ht := v.hotAt(p); ht != nil {
-		return overlayMax(v.at(p), ht)
-	}
-	return v.at(p).Max()
-}
-
 func (v cut) max() (uint64, bool) {
 	var best uint64
 	found := false
 	for p := v.hi; p >= v.lo; p-- {
-		if r, ok := v.shardMax(p); ok {
+		if r, ok := v.at(p).Max(); ok {
 			if v.rt.part == RangePartition {
 				return r, true
 			}
@@ -493,71 +341,44 @@ func (v cut) max() (uint64, bool) {
 	return best, found
 }
 
-// mapRange is the full ordered scan dispatch for a cut whose lifetime does
-// not depend on locks (Snapshot): range partitions stream in key order, a
-// hash partition gathers the merged range and then iterates. The live
-// Sharded front-end cannot use it for the hash path — there f must run
-// after the shard locks are released — so Sharded.MapRange keeps the
-// gather-inside/iterate-outside split and shares only the pieces.
+// mapRange is the ordered scan over [start, end): range partitions stream
+// shard by shard in key order, a hash partition gathers the merged range
+// and then iterates.
 func (v cut) mapRange(start, end uint64, f func(uint64) bool) bool {
 	if v.rt.part == RangePartition {
-		return v.streamRange(start, end, f)
-	}
-	for _, x := range v.gatherRange(start, end) {
-		if !f(x) {
-			return false
+		lo, hi := v.rt.shardSpan(start, end)
+		for p := max(lo, v.lo); p <= min(hi, v.hi); p++ {
+			if !v.at(p).MapRange(start, end, f) {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	return iterate(v.gatherRange(start, end), f)
 }
 
-// mapAll is mapRange over the whole key space (see mapRange's caveats).
+// mapAll is mapRange over the whole key space, top key included.
 func (v cut) mapAll(f func(uint64) bool) bool {
 	if v.rt.part == RangePartition {
-		return v.streamAll(f)
+		for _, h := range v.snaps {
+			if !h.set.Map(f) {
+				return false
+			}
+		}
+		return true
 	}
-	for _, x := range v.gatherAll() {
+	all := v.gatherRange(1, ^uint64(0))
+	// The half-open gather range cannot express the maximum key.
+	if top := ^uint64(0); v.at(v.rt.shardOf(top)).Has(top) {
+		all = append(all, top)
+	}
+	return iterate(all, f)
+}
+
+// iterate applies f to keys in order until it returns false.
+func iterate(keys []uint64, f func(uint64) bool) bool {
+	for _, x := range keys {
 		if !f(x) {
-			return false
-		}
-	}
-	return true
-}
-
-// streamRange streams [start, end) in key order across a range-partitioned
-// cut, shard by shard, calling f inline.
-func (v cut) streamRange(start, end uint64, f func(uint64) bool) bool {
-	lo, hi := v.rt.shardSpan(start, end)
-	if lo < v.lo {
-		lo = v.lo
-	}
-	if hi > v.hi {
-		hi = v.hi
-	}
-	for p := lo; p <= hi; p++ {
-		if ht := v.hotAt(p); ht != nil {
-			if !overlayMapRange(v.at(p), ht, start, end, f) {
-				return false
-			}
-		} else if !v.at(p).MapRange(start, end, f) {
-			return false
-		}
-	}
-	return true
-}
-
-// streamAll streams every key in order across a range-partitioned cut.
-func (v cut) streamAll(f func(uint64) bool) bool {
-	for i, set := range v.sets {
-		if ht := v.hotAt(v.lo + i); ht != nil {
-			// The overlay merge is half-open; cover the top key explicitly.
-			if !overlayMapRange(set, ht, 1, ^uint64(0), f) {
-				return false
-			}
-			if top := ^uint64(0); overlayHas(set, ht, top) && !f(top) {
-				return false
-			}
-		} else if !set.Map(f) {
 			return false
 		}
 	}
@@ -567,33 +388,16 @@ func (v cut) streamAll(f func(uint64) bool) bool {
 // gatherRange collects [start, end) from every shard of the cut in parallel
 // and merges the disjoint sorted runs (the hash-partition scan shape).
 func (v cut) gatherRange(start, end uint64) []uint64 {
-	lists := make([][]uint64, len(v.sets))
+	lists := make([][]uint64, len(v.snaps))
 	parallel.For(len(lists), 1, func(i int) {
 		var keys []uint64
-		collect := func(x uint64) bool {
+		v.snaps[i].set.MapRange(start, end, func(x uint64) bool {
 			keys = append(keys, x)
 			return true
-		}
-		if ht := v.hotAt(v.lo + i); ht != nil {
-			overlayMapRange(v.sets[i], ht, start, end, collect)
-		} else {
-			v.sets[i].MapRange(start, end, collect)
-		}
+		})
 		lists[i] = keys
 	})
 	return mergeLists(lists)
-}
-
-// gatherAll collects every key of the cut, including the maximum key that
-// the half-open gather range cannot express.
-func (v cut) gatherAll() []uint64 {
-	out := v.gatherRange(1, ^uint64(0))
-	top := ^uint64(0)
-	p := v.rt.shardOf(top)
-	if overlayHas(v.at(p), v.hotAt(p), top) {
-		out = append(out, top)
-	}
-	return out
 }
 
 // SnapshotStats counts the snapshot machinery's work: epoch advances
@@ -604,10 +408,9 @@ func (v cut) gatherAll() []uint64 {
 // 0 when the set is built): the gap is the publication amortization
 // (drains coalesce many applies into one clone, unchanged shards
 // republish nothing). CloneBytes/FullCopyBytes is the copy-on-write win:
-// clones
-// materialize only the per-leaf spine plus the leaves dirtied since the
-// previous publication, while FullCopyBytes accumulates what eager deep
-// copies of the same handles would have cost.
+// clones materialize only the per-leaf spine plus the leaves dirtied since
+// the previous publication, while FullCopyBytes accumulates what eager
+// deep copies of the same handles would have cost.
 type SnapshotStats struct {
 	Epochs        uint64 // state-changing applies across all shards
 	Publishes     uint64 // frozen handles published (cpma.Clone calls)

@@ -1,8 +1,8 @@
-// Package treegraph is the shared machinery behind the tree-based
-// dynamic-graph baselines (C-PaC and Aspen): a per-vertex edge tree —
-// a blocked, optionally compressed PaC-tree — reached through a vertex
-// table. The two baselines differ in block size and per-vertex overhead
-// (see internal/cpacgraph and internal/aspen).
+// Package treegraph implements the tree-based dynamic-graph baselines of
+// paper §6: a per-vertex edge tree — a blocked, optionally compressed
+// PaC-tree — reached through a vertex table. The two baselines, C-PaC and
+// Aspen, are presets of one Config that differ in block size and
+// per-vertex overhead.
 package treegraph
 
 import (
@@ -23,6 +23,18 @@ type Config struct {
 	Compressed      bool // delta-byte-code blocks
 	VertexNodeBytes int  // modeled per-vertex overhead of the vertex tree
 }
+
+// CPaC is the C-PaC baseline: the CPAM library's graph mode, one
+// compressed PaC edge tree per vertex (block size 256, the library
+// default) under a vertex tree modeled at 32 bytes per vertex.
+var CPaC = Config{Name: "C-PaC", BlockMax: 256, Compressed: true, VertexNodeBytes: 32}
+
+// Aspen is the Aspen baseline: compressed purely-functional C-trees [36],
+// modeled with smaller edge chunks than C-PaC (so more per-edge overhead,
+// matching the paper's Table 7 where Aspen uses ~1.5-1.9x the space of
+// C-PaC) under a heavier vertex tree (48 bytes per vertex: C-tree vertex
+// entries carry the vertex id, edge-structure pointer, and tree linkage).
+var Aspen = Config{Name: "Aspen", BlockMax: 64, Compressed: true, VertexNodeBytes: 48}
 
 // Graph is an undirected dynamic graph stored as one edge tree per vertex.
 // Single writer; batch updates parallelize across vertices.

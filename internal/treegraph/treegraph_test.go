@@ -104,3 +104,49 @@ func TestSizeBytesGrowsWithEdges(t *testing.T) {
 		t.Fatalf("SizeBytes not monotone: %d vs %d", big.SizeBytes(), small.SizeBytes())
 	}
 }
+
+// TestPresets checks the two baseline presets end to end: names, edges,
+// degrees, neighbors, and deletes.
+func TestPresets(t *testing.T) {
+	t.Run("Aspen", func(t *testing.T) {
+		edges := workload.Symmetrize([]workload.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+		g := FromEdges(4, edges, Aspen)
+		if g.Name() != "Aspen" {
+			t.Fatalf("Name = %s", g.Name())
+		}
+		if g.NumEdges() != 4 || g.Degree(1) != 2 {
+			t.Fatalf("edges=%d deg(1)=%d", g.NumEdges(), g.Degree(1))
+		}
+	})
+	t.Run("C-PaC", func(t *testing.T) {
+		edges := workload.Symmetrize([]workload.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 3}})
+		g := FromEdges(4, edges, CPaC)
+		if g.Name() != "C-PaC" {
+			t.Fatalf("Name = %s", g.Name())
+		}
+		var got []uint32
+		g.Neighbors(0, func(u uint32) bool {
+			got = append(got, u)
+			return true
+		})
+		if !slices.Equal(got, []uint32{1, 3}) {
+			t.Fatalf("Neighbors(0) = %v", got)
+		}
+		removed := g.DeleteEdges(workload.Symmetrize([]workload.Edge{{Src: 0, Dst: 1}}))
+		if removed != 2 || g.NumEdges() != 2 {
+			t.Fatalf("removed=%d edges=%d", removed, g.NumEdges())
+		}
+	})
+}
+
+// TestAspenUsesMoreSpaceThanCPaC: the paper's Table 7 has Aspen at
+// ~1.5-1.9x the space of C-PaC — smaller chunks plus a heavier vertex tree.
+func TestAspenUsesMoreSpaceThanCPaC(t *testing.T) {
+	rng := workload.NewRNG(1)
+	edges := workload.Symmetrize(workload.RMAT(rng, 60_000, 11, workload.DefaultRMAT()))
+	a := FromEdges(1<<11, edges, Aspen)
+	c := FromEdges(1<<11, edges, CPaC)
+	if a.SizeBytes() <= c.SizeBytes() {
+		t.Fatalf("Aspen %d bytes should exceed C-PaC %d bytes", a.SizeBytes(), c.SizeBytes())
+	}
+}

@@ -25,34 +25,31 @@
 // not concurrent, as defined in §2 of the paper.
 //
 // ShardedSet relaxes that at the system level while preserving it per
-// structure: keys are partitioned across P shards, each one Set guarded by
-// its own RWMutex, so at most one writer ever mutates a given shard (the
-// single-writer-per-shard contract) while writers on different shards and
-// any number of readers proceed concurrently. Batches scatter into
-// per-shard sub-batches applied by one writer goroutine per shard, each of
-// which still runs the Set's parallel batch algorithm inside the shard.
-// Cross-shard reads (Len, Sum, Keys, multi-shard MapRange, Next, Max)
-// observe one atomic cut: the overlapping shard read locks are held
-// simultaneously for the capture, so a concurrent writer can never tear
-// the aggregate view. For long scans that must not block (or be blocked
-// by) writers, (*ShardedSet).Snapshot captures a ShardedSnapshot — a
-// frozen epoch cut published by the shard writers via copy-on-publish
-// Set.Clone handles — whose reads are lock-free, mutually consistent, and
-// stable, and which remains valid after Close. Snapshots observe
-// published state and are read-your-flushes (not read-your-writes):
-// capture after Flush to guarantee coverage of your own preceding
-// mutations on an async set.
-//
-// NewAsyncShardedSet (or ShardedSetOptions{Async: true}) upgrades the
-// ShardedSet to a fully asynchronous ingest pipeline: each shard owns a
-// bounded mailbox drained by a dedicated writer goroutine that coalesces
-// adjacent pending batches into one large merged apply, recovering the
+// structure. Keys are partitioned across P shards; each shard is one Set
+// with exactly one mutator, a writer goroutine draining the shard's
+// bounded mailbox, and there are no shard locks. Every mutation scatters
+// into per-shard sub-batches mailed to those writers, which coalesce
+// adjacent pending batches into one large merged apply — recovering the
 // batch-size amortization of Figure 1 under many small concurrent
-// batches. InsertBatchAsync/RemoveBatchAsync enqueue and return
-// immediately (a full mailbox applies backpressure), Flush is the read
-// barrier, and Close drains and stops the writers. See the
-// repro/internal/shard package documentation for the precise consistency
-// contract.
+// batches — and run the Set's parallel batch algorithm inside the shard.
+// After each drain a writer publishes an immutable copy-on-write
+// Set.Clone handle, and every read (Has, Len, Sum, RangeSum, Next,
+// Min/Max, Map, MapRange, Keys, and Snapshot) runs on the published
+// handles of the shards it covers: readers never wait on a writer and
+// never block one, and Map/MapRange callbacks may call back into the set.
+//
+// Blocking calls (Insert, Remove, InsertBatch, RemoveBatch) return exact
+// counts and are read-your-writes: they return only after the drain that
+// applied them has published, so every later read sees them.
+// Fire-and-forget calls (InsertBatchAsync, RemoveBatchAsync) return once
+// enqueued (a full mailbox applies backpressure) and are
+// read-your-flushes: they are visible to every read after a Flush
+// returns. A read spanning several shards sees each shard at some prefix
+// of its own history, all captured at one instant. (*ShardedSet).Snapshot
+// keeps such a capture as a ShardedSnapshot, whose reads are mutually
+// consistent and stable and which remains valid after Close. Close drains
+// the mailboxes and stops the writers. See the repro/internal/shard
+// package documentation for the precise consistency contract.
 //
 // Range-partitioned sets route through an authoritative sorted span
 // boundary table rather than fixed-width arithmetic, and
@@ -67,22 +64,21 @@
 // ShardRebalanceStats counts the moves. On a durable set every move is
 // journaled as a WAL barrier plus a boundary-table update, so crash
 // recovery replays against exactly the spans the history was routed
-// with. Rebalancing requires the async pipeline and RangePartition.
+// with. Rebalancing requires RangePartition.
 //
 // Neither partitioning nor rebalancing helps when the skew concentrates
 // on a handful of individual keys — all traffic for one key routes to one
 // shard's writer. ShardedSetOptions{HotKeys: true} adds a per-shard
-// hot-key absorber to the async pipeline: a streaming top-k detector
+// hot-key absorber to the pipeline: a streaming top-k detector
 // promotes the heaviest keys, and promoted traffic collapses into
 // per-key absorbed state (a membership bit plus a last-wins pending op)
 // instead of repeatedly re-proving idempotent updates against the CPMA.
-// Reads stay exact — point and range reads resolve through the overlay,
-// so an absorbed insert or remove is visible under the same contract as
-// an applied one — and every publish (drain, Flush, Snapshot barrier,
-// checkpoint) first reconciles absorbed state into the structure, so
-// published handles and durable state never contain half-absorbed keys:
-// on a durable set the reconciled batch is WAL-appended before it
-// applies, and recovery replays it like any other batch. Keys that cool
+// Every publish (drain, Flush, rebalance) first reconciles absorbed state
+// into the structure, so an absorbed insert or remove is visible under the
+// same contract as an applied one and published handles and durable state
+// never contain half-absorbed keys: on a durable set the reconciled batch
+// is WAL-appended before it applies, and recovery replays it like any
+// other batch. Keys that cool
 // off demote back to the ordinary path. ShardIngestStats reports the
 // promotion/absorption/reconcile counters.
 //
@@ -91,7 +87,7 @@
 // FGraph is the paper's phased design: one writer, mutations and analytics
 // strictly alternating, with the vertex index rebuilt after each batch.
 // NewShardedFGraph removes the phasing. Edge keys (src<<32|dst) stripe
-// across a range-partitioned async ShardedSet — range partitioning by key
+// across a range-partitioned ShardedSet — range partitioning by key
 // is vertex striping for free, each shard owning a contiguous vertex range
 // — so InsertEdges/DeleteEdges enqueue and return while per-shard writers
 // apply batches, and (*ShardedFGraph).View captures an immutable FGraphView
@@ -114,7 +110,7 @@
 //
 // # Durability
 //
-// OpenDurableShardedSet adds crash durability to the async pipeline,
+// OpenDurableShardedSet adds crash durability to the pipeline,
 // exploiting the paper's headline property: a CPMA has no pointers — its
 // whole state is flat slabs — so a checkpoint is a raw slab dump of a
 // frozen snapshot handle, with no traversal and no pointer fixup on
@@ -220,16 +216,18 @@ func NewSet(opts *SetOptions) *Set { return cpma.New(opts) }
 // SetFromSorted builds a CPMA from sorted, duplicate-free, nonzero keys.
 func SetFromSorted(keys []uint64, opts *SetOptions) *Set { return cpma.FromSorted(keys, opts) }
 
-// ShardedSet is a concurrent set assembled from P single-writer Sets
-// behind per-shard RWMutexes (see the package documentation's concurrency
-// contract).
+// ShardedSet is a concurrent set assembled from P single-writer Sets, each
+// mutated only by its shard's mailbox writer and read through the
+// handles that writer publishes (see the package documentation's
+// concurrency contract).
 type ShardedSet = shard.Sharded
 
 // ShardedSetOptions configures a ShardedSet beyond NewShardedSet's
 // defaults: the partitioning policy (hash or contiguous key ranges), the
-// expected key width for range partitioning, per-shard Set options, and
-// the asynchronous ingest pipeline (Async, MailboxDepth, CoalesceMax,
-// FlushReads).
+// expected key width for range partitioning, per-shard Set options, the
+// mailbox tuning (MailboxDepth, CoalesceMax), rebalancing, hot-key
+// absorption, and durability. Its Async field is ignored: every
+// ShardedSet runs the mailbox pipeline.
 type ShardedSetOptions = shard.Options
 
 // ShardIngestStats reports a ShardedSet's batch traffic: sub-batches
@@ -238,11 +236,12 @@ type ShardedSetOptions = shard.Options
 type ShardIngestStats = shard.IngestStats
 
 // ShardedSnapshot is a frozen, immutable view of a ShardedSet captured by
-// its Snapshot method: one epoch cut across all shards serving the full
-// read API (Len, Sum, RangeSum, Has, Next, Min/Max, Keys, Map, MapRange)
-// off frozen Sets with no locks. Scans on a snapshot run concurrently with
-// ingest — they neither block writers nor observe in-flight batches — and
-// a snapshot keeps working after the set is Closed.
+// its Snapshot method: one capture of every shard's published handle,
+// serving the full read API (Len, Sum, RangeSum, Has, Next, Min/Max, Keys,
+// Map, MapRange) off frozen Sets with no locks. Scans on a snapshot run
+// concurrently with ingest — they neither block writers nor observe
+// in-flight batches — and a snapshot keeps working after the set is
+// Closed.
 type ShardedSnapshot = shard.Snapshot
 
 // ShardSnapshotStats reports the snapshot machinery's work: per-shard
@@ -256,24 +255,16 @@ type ShardSnapshotStats = shard.SnapshotStats
 type ShardRebalanceStats = shard.RebalanceStats
 
 // NewShardedSet returns a concurrently usable set of `shards`
-// hash-partitioned Sets; opts configures each shard's Set and may be nil
-// for the paper's defaults. Use NewShardedSetWith to select range
-// partitioning or the async pipeline.
+// hash-partitioned Sets with default mailbox tuning; opts configures each
+// shard's Set and may be nil for the paper's defaults. Close it when done
+// to stop the shard writers. Use NewShardedSetWith to select range
+// partitioning or tune the pipeline.
 func NewShardedSet(shards int, opts *SetOptions) *ShardedSet {
 	return shard.New(shards, &shard.Options{Set: opts})
 }
 
-// NewAsyncShardedSet returns a ShardedSet running the asynchronous ingest
-// pipeline with default mailbox tuning: InsertBatchAsync/RemoveBatchAsync
-// enqueue without waiting, per-shard writers coalesce pending batches,
-// Flush establishes the read barrier, and Close must be called to stop
-// the writers. opts configures each shard's Set and may be nil.
-func NewAsyncShardedSet(shards int, opts *SetOptions) *ShardedSet {
-	return shard.New(shards, &shard.Options{Set: opts, Async: true})
-}
-
 // NewShardedSetWith returns a ShardedSet with full control over
-// partitioning and the async pipeline; opts may be nil. It builds
+// partitioning and the pipeline; opts may be nil. It builds
 // in-memory sets only: opts.Dir must be empty (use OpenDurableShardedSet
 // for a durable set — this constructor cannot report recovery errors).
 func NewShardedSetWith(shards int, opts *ShardedSetOptions) *ShardedSet {
@@ -288,11 +279,11 @@ func NewShardedSetWith(shards int, opts *ShardedSetOptions) *ShardedSet {
 type ShardPersistStats = shard.PersistStats
 
 // OpenDurableShardedSet opens (creating if absent) the durable sharded
-// set stored under dir and returns it recovered and running: an async
+// set stored under dir and returns it recovered and running: a
 // ShardedSet whose mailbox writers append every batch to a per-shard
 // write-ahead log before applying it, with slab checkpoints written off
-// the hot path. opts may be nil; its Dir field is overridden by dir,
-// Async is implied, and SyncEvery/SyncBytes/CheckpointEveryBatches tune
+// the hot path. opts may be nil; its Dir field is overridden by dir, and
+// SyncEvery/SyncBytes/CheckpointEveryBatches tune
 // the group-commit and checkpoint cadence (see the package documentation
 // for the durability contract). The set's Checkpoint method is the
 // durability barrier, PersistStats reports the journal counters, and

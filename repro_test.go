@@ -83,7 +83,7 @@ func TestFGraphEndToEnd(t *testing.T) {
 }
 
 func TestAsyncShardedSet(t *testing.T) {
-	s := repro.NewAsyncShardedSet(4, nil)
+	s := repro.NewShardedSet(4, nil)
 	defer s.Close()
 	r := repro.NewRNG(3)
 	ref := repro.NewSet(nil)
@@ -96,12 +96,13 @@ func TestAsyncShardedSet(t *testing.T) {
 	if s.Len() != ref.Len() || s.Sum() != ref.Sum() {
 		t.Fatalf("after Flush: Len/Sum = %d/%d, want %d/%d", s.Len(), s.Sum(), ref.Len(), ref.Sum())
 	}
-	// Synchronous batches on an async set keep exact counts.
+	// Blocking batches keep exact counts and are visible on return, to
+	// live reads and snapshots alike.
 	if n := s.InsertBatch([]uint64{10, 20, 30}, true); n < 0 || n > 3 {
-		t.Fatalf("sync InsertBatch on async set returned %d", n)
+		t.Fatalf("blocking InsertBatch returned %d", n)
 	}
-	if !s.Has(10) || !s.Has(20) || !s.Has(30) {
-		t.Fatal("sync insert on async set not visible on return")
+	if !s.Has(10) || !s.Has(20) || !s.Snapshot().Has(30) {
+		t.Fatal("blocking insert not visible on return")
 	}
 	st := s.IngestStats()
 	if st.EnqueuedBatches == 0 || st.AppliedKeys != st.EnqueuedKeys {
@@ -125,7 +126,7 @@ func TestSortedConstructors(t *testing.T) {
 // analytics reader would: capture a frozen cut while async ingest keeps
 // running, scan it without a flush barrier, and rely on its immutability.
 func TestShardedSnapshot(t *testing.T) {
-	s := repro.NewAsyncShardedSet(4, nil)
+	s := repro.NewShardedSet(4, nil)
 	defer s.Close()
 	r := repro.NewRNG(7)
 	ref := repro.NewSet(nil)
