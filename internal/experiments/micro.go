@@ -584,7 +584,13 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 				runClients(func(_ int, b []uint64) { s.InsertBatchAsync(b, false) })
 				s.Flush() // the measured phase ends only once everything applied
 			})
-			st := s.IngestStats().Sub(before)
+			after := s.IngestStats()
+			st := shard.IngestStats{
+				EnqueuedBatches: after.EnqueuedBatches - before.EnqueuedBatches,
+				EnqueuedKeys:    after.EnqueuedKeys - before.EnqueuedKeys,
+				AppliedBatches:  after.AppliedBatches - before.AppliedBatches,
+				AppliedKeys:     after.AppliedKeys - before.AppliedKeys,
+			}
 			res := s.PipelineLatencies().Sub(lat0).Residency
 			s.Close()
 			p50, p99, n := residencyObs(res)
@@ -651,8 +657,8 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 
 	// run ingests the full client workload into a fresh set while
 	// `sc` scanners execute scan() in a loop; it returns the ingest
-	// duration, scan count, and the phase's snapshot-counter delta.
-	run := func(sc int, scan func(s *shard.Sharded)) (d time.Duration, scans int64, st shard.SnapshotStats) {
+	// duration, scan count, and the phase's publications and clone bytes.
+	run := func(sc int, scan func(s *shard.Sharded)) (d time.Duration, scans int64, pubs, cloneBytes uint64) {
 		s := shard.New(shards, shardOptions(part))
 		s.InsertBatch(base, false)
 		before := s.SnapshotStats()
@@ -685,10 +691,10 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 		})
 		done.Store(true)
 		swg.Wait()
-		st = s.SnapshotStats().Sub(before)
+		after := s.SnapshotStats()
 		scans = nscans.Load()
 		s.Close()
-		return d, scans, st
+		return d, scans, after.Publishes - before.Publishes, after.CloneBytes - before.CloneBytes
 	}
 
 	var rows []SnapshotScanRow
@@ -696,11 +702,11 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 		if sc < 1 {
 			sc = 1
 		}
-		fd, fscans, _ := run(sc, func(s *shard.Sharded) {
+		fd, fscans, _, _ := run(sc, func(s *shard.Sharded) {
 			s.Flush()
 			s.Sum()
 		})
-		sd, sscans, st := run(sc, func(s *shard.Sharded) {
+		sd, sscans, pubs, cloneBytes := run(sc, func(s *shard.Sharded) {
 			s.Snapshot().Sum()
 		})
 		rows = append(rows, SnapshotScanRow{
@@ -709,8 +715,8 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 			FlushIngestTP: stats.Throughput(total, fd),
 			SnapScans:     stats.Throughput(int(sscans), sd),
 			SnapIngestTP:  stats.Throughput(total, sd),
-			Publishes:     st.Publishes,
-			CloneMB:       float64(st.CloneBytes) / (1 << 20),
+			Publishes:     pubs,
+			CloneMB:       float64(cloneBytes) / (1 << 20),
 		})
 	}
 	return rows

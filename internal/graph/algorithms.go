@@ -65,8 +65,15 @@ func PageRank(g Graph, iters int) []float64 {
 	return rank
 }
 
-// ConnectedComponents labels every vertex with the minimum vertex id
-// reachable from it, via frontier-based label propagation (Ligra's CC).
+// ConnectedComponents labels every vertex v with the minimum id of any
+// vertex that reaches v along stored edges (v included), by frontier-based
+// min-label propagation (Ligra's CC). Labels travel only forward along
+// each stored edge s→d, so the fixpoint is unique: the result does not
+// depend on frontier direction switches or on races within a round. On a
+// symmetric graph (every edge stored both ways) a label is the minimum id
+// of the vertex's component. On a directed graph, such as a streaming
+// F-Graph view of one-way R-MAT edges, it is the minimum over the vertex's
+// ancestors, not a weakly-connected-component label.
 func ConnectedComponents(g Graph) []uint32 {
 	n := g.NumVertices()
 	labels := make([]uint32, n)
@@ -75,13 +82,9 @@ func ConnectedComponents(g Graph) []uint32 {
 	}
 	frontier := All(n)
 	for !frontier.Empty() {
-		frontier = EdgeMap(g, frontier,
-			func(s, d uint32) bool {
-				return writeMinUint32(&labels[d], atomic.LoadUint32(&labels[s]))
-			},
-			func(uint32) bool { return true },
-			nil,
-		)
+		frontier = edgeMapPush(g, frontier, func(s, d uint32) bool {
+			return writeMinUint32(&labels[d], atomic.LoadUint32(&labels[s]))
+		})
 	}
 	return labels
 }

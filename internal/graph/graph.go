@@ -135,6 +135,15 @@ type EdgeMapOptions struct {
 // called concurrently for the same d. Direction (sparse push vs dense pull)
 // follows Ligra's threshold heuristic.
 func EdgeMap(g Graph, frontier VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, opts *EdgeMapOptions) VertexSubset {
+	if denseRound(g, frontier, opts) {
+		return edgeMapDense(g, frontier, update, cond)
+	}
+	return edgeMapSparse(g, frontier, update, cond)
+}
+
+// denseRound is Ligra's direction heuristic: a round goes dense when
+// |frontier| + out-degree(frontier) > edges/DenseThresholdFrac.
+func denseRound(g Graph, frontier VertexSubset, opts *EdgeMapOptions) bool {
 	frac := int64(20)
 	if opts != nil && opts.DenseThresholdFrac > 0 {
 		frac = opts.DenseThresholdFrac
@@ -143,10 +152,35 @@ func EdgeMap(g Graph, frontier VertexSubset, update func(s, d uint32) bool, cond
 	frontier.ForEach(func(v uint32) {
 		atomic.AddInt64(&outDeg, int64(g.Degree(v)))
 	})
-	if int64(frontier.Size())+outDeg > g.NumEdges()/frac {
-		return edgeMapDense(g, frontier, update, cond)
+	return int64(frontier.Size())+outDeg > g.NumEdges()/frac
+}
+
+// edgeMapPush is EdgeMap without the pull direction: update runs only
+// along stored edges s→d, so it is exact on directed graphs. A frontier
+// past the dense threshold walks its bitmap and marks a dense output
+// instead of claiming and collecting a sparse list.
+func edgeMapPush(g Graph, frontier VertexSubset, update func(s, d uint32) bool) VertexSubset {
+	always := func(uint32) bool { return true }
+	if !denseRound(g, frontier, nil) {
+		return edgeMapSparse(g, frontier, update, always)
 	}
-	return edgeMapSparse(g, frontier, update, cond)
+	n := g.NumVertices()
+	in := frontier.toDense()
+	marks := make([]uint32, n)
+	parallel.For(n, 64, func(i int) {
+		if !in[i] {
+			return
+		}
+		g.Neighbors(uint32(i), func(d uint32) bool {
+			if update(uint32(i), d) && atomic.LoadUint32(&marks[d]) == 0 {
+				atomic.StoreUint32(&marks[d], 1)
+			}
+			return true
+		})
+	})
+	out := make([]bool, n)
+	parallel.For(n, 2048, func(i int) { out[i] = marks[i] != 0 })
+	return NewDense(out)
 }
 
 // edgeMapDense pulls: every vertex d with cond(d) scans its in-neighbors

@@ -180,6 +180,59 @@ func TestConnectedComponentsRandomAgainstUnionFind(t *testing.T) {
 	}
 }
 
+// TestConnectedComponentsDirected pins CC's contract on one-way edges:
+// every label is the minimum id that reaches the vertex, whatever the mix
+// of dense and sparse rounds. A descending path (i+1 → i) keeps frontiers
+// small for many rounds after the dense first one; random extra edges add
+// shortcuts that race the path within a round.
+func TestConnectedComponentsDirected(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		n := 300 + r.Intn(300)
+		g := &sliceGraph{adj: make([][]uint32, n)}
+		add := func(a, b int) {
+			g.adj[a] = append(g.adj[a], uint32(b))
+			g.m++
+		}
+		for i := 0; i+1 < n; i++ {
+			add(i+1, i)
+		}
+		for e := r.Intn(3 * n); e > 0; e-- {
+			if a, b := r.Intn(n), r.Intn(n); a != b {
+				add(a, b)
+			}
+		}
+		for _, a := range g.adj {
+			slices.Sort(a)
+		}
+		// Reference: search forward from each id in ascending order; the
+		// first search to reach a vertex carries the smallest ancestor.
+		want := make([]uint32, n)
+		seen := make([]bool, n)
+		for u := 0; u < n; u++ {
+			if seen[u] {
+				continue
+			}
+			seen[u] = true
+			stack := []uint32{uint32(u)}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				want[v] = uint32(u)
+				for _, d := range g.adj[v] {
+					if !seen[d] {
+						seen[d] = true
+						stack = append(stack, d)
+					}
+				}
+			}
+		}
+		if got := ConnectedComponents(g); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: labels differ from the minimum-ancestor reference", trial)
+		}
+	}
+}
+
 func TestPageRankStar(t *testing.T) {
 	// Star graph: the center must carry the highest rank, leaves equal.
 	var edges [][2]uint32

@@ -57,12 +57,35 @@
 //	{p}_apply_ns      ns  one replay batch applied to the replica set
 //	                      (batches that applied zero records not recorded)
 //
-// Counter/gauge families expanded at scrape time from the legacy
-// *Stats structs via Registry.Stats (uint64 fields become counters,
-// int fields gauges, CamelCase→snake_case): {p}_ingest_* from
-// IngestStats, {p}_snapshot_* from SnapshotStats, {p}_rebalance_*
-// from RebalanceStats, {p}_persist_* from PersistStats when the set is
-// durable, plus the repl/follower stats under their prefixes.
+// Counters and gauges are registered one by one with CounterFunc and
+// GaugeFunc, each reading a field of the component's typed stats
+// accessor at scrape time. The registration lines in
+// Sharded.RegisterMetrics and the repl RegisterMetrics methods carry
+// every name, unit and help string; the families are:
+//
+//	{p}_ingest_*     IngestStats: enqueued/applied/reconcile batches
+//	                 (batches); enqueued/applied/absorbed keys, hot-key
+//	                 promotions and demotions (keys)
+//	{p}_snapshot_*   SnapshotStats: epochs (epochs), publishes (handles),
+//	                 clone and full-copy bytes (bytes), captures (captures)
+//	{p}_rebalance_*  RebalanceStats: checks (checks), moves (moves), moved
+//	                 keys (keys), router gen (generation)
+//	{p}_persist_*    PersistStats, durable sets only: appended, replayed
+//	                 and move records (records); keys (keys); WAL, slab,
+//	                 delta and torn bytes (bytes); fsyncs (fsyncs); base
+//	                 and delta checkpoints and truncated segments (files)
+//	repl_*           ReplStats: links (gauge, links), lag_records (gauge,
+//	                 records), shipped records (records) and keys (keys),
+//	                 bootstraps (transfers), bounds updates (tables)
+//	follower_*       FollowerStats: applied records (records) and keys
+//	                 (keys), bootstraps (transfers), attaches (links)
+//	fgraph_*         views built (views), view_edges (gauge, edges); the
+//	                 graph's set registers the families above under
+//	                 fgraph_set_*
+//
+// The three gauges move both ways; every counter is monotone over its
+// component's lifetime. Every Prometheus HELP line ends with the unit in
+// parentheses.
 //
 // # Stage latency map
 //

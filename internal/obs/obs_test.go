@@ -151,12 +151,8 @@ func TestRegistryScrape(t *testing.T) {
 	c := r.Counter("test_ops", "ops", "operations")
 	g := r.Gauge("test_links", "links", "live links")
 	h := r.Histogram("test_lat_ns", "ns", "latency")
-	r.CounterFunc("test_fn", "", "computed", func() uint64 { return 7 })
-	type fake struct {
-		EnqueuedKeys uint64
-		Links        int
-	}
-	r.Stats("test_stats", "legacy", func() any { return fake{EnqueuedKeys: 42, Links: 3} })
+	r.CounterFunc("test_fn", "calls", "computed", func() uint64 { return 7 })
+	r.GaugeFunc("test_lag", "records", "computed lag", func() int64 { return 3 })
 
 	c.Add(5)
 	g.Set(-2)
@@ -170,8 +166,8 @@ func TestRegistryScrape(t *testing.T) {
 	}
 	prom := sb.String()
 	for _, want := range []string{
-		"test_ops 5", "test_links -2", "test_fn 7",
-		"test_stats_enqueued_keys 42", "test_stats_links 3",
+		"test_ops 5", "test_links -2", "test_fn 7", "test_lag 3",
+		"# HELP test_fn computed (calls)", "# TYPE test_fn counter", "# TYPE test_lag gauge",
 		"test_lat_ns_count 100", "test_lat_ns_bucket{le=\"+Inf\"} 100",
 		"# TYPE test_lat_ns histogram", "# TYPE test_ops counter", "# TYPE test_links gauge",
 	} {
@@ -185,24 +181,9 @@ func TestRegistryScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	statz := sb.String()
-	for _, want := range []string{`"test_lat_ns"`, `"p99"`, `"test_stats_enqueued_keys"`, `"registry": "test"`} {
+	for _, want := range []string{`"test_lat_ns"`, `"p99"`, `"test_fn"`, `"registry": "test"`} {
 		if !strings.Contains(statz, want) {
 			t.Fatalf("statz output missing %q:\n%s", want, statz)
-		}
-	}
-}
-
-func TestSnakeCase(t *testing.T) {
-	for in, want := range map[string]string{
-		"EnqueuedKeys":  "enqueued_keys",
-		"CkptSeq":       "ckpt_seq",
-		"Links":         "links",
-		"LagRecords":    "lag_records",
-		"BoundsUpdates": "bounds_updates",
-		"Gen":           "gen",
-	} {
-		if got := snakeCase(in); got != want {
-			t.Fatalf("snakeCase(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -33,7 +31,6 @@ const (
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
-	kindStats
 )
 
 type entry struct {
@@ -44,15 +41,13 @@ type entry struct {
 	h                *Histogram
 	cfn              func() uint64
 	gfn              func() int64
-	stats            func() any
 }
 
 // Registry is a named set of metrics. Registration takes a lock;
 // recording on the returned Counter/Gauge/Histogram is lock-free.
 // Scraping (Gather/WriteProm/WriteStatz) walks the entries and reads
-// every value atomically at that instant — legacy *Stats() accessors
-// plugged in via Stats() are invoked at scrape time only, so the hot
-// path pays nothing for them.
+// every value atomically at that instant. CounterFunc/GaugeFunc callbacks
+// run at scrape time only, so the hot path pays nothing for them.
 type Registry struct {
 	name string
 
@@ -117,16 +112,6 @@ func (r *Registry) GaugeFunc(name, unit, help string, fn func() int64) {
 	r.register(&entry{name: name, unit: unit, help: help, kind: kindGaugeFunc, gfn: fn})
 }
 
-// Stats registers a legacy stats struct provider. fn is called at scrape
-// time; every exported uint64 field of the returned struct becomes a
-// counter named prefix_snake_case(field), every int field a gauge. This
-// is the unification path for the pre-obs *Stats() accessors: the hot
-// path keeps its existing atomic counters, and the registry reads them
-// through the same snapshot accessor tests and callers use.
-func (r *Registry) Stats(prefix, help string, fn func() any) {
-	r.register(&entry{name: prefix, help: help, kind: kindStats, stats: fn})
-}
-
 // Sample is one scraped metric value.
 type Sample struct {
 	Name string
@@ -138,8 +123,8 @@ type Sample struct {
 	Hist  *HistSnap // histogram capture, nil otherwise
 }
 
-// Gather scrapes every registered metric, expanding Stats providers via
-// reflection, and returns samples sorted by name.
+// Gather scrapes every registered metric and returns samples sorted by
+// name.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
 	ents := make([]*entry, len(r.ents))
@@ -160,62 +145,10 @@ func (r *Registry) Gather() []Sample {
 		case kindHistogram:
 			sn := e.h.Snapshot()
 			out = append(out, Sample{Name: e.name, Unit: e.unit, Help: e.help, Kind: "histogram", Hist: &sn})
-		case kindStats:
-			out = append(out, statsSamples(e.name, e.help, e.stats())...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// statsSamples expands one stats struct into counter/gauge samples.
-func statsSamples(prefix, help string, v any) []Sample {
-	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return nil
-		}
-		rv = rv.Elem()
-	}
-	if rv.Kind() != reflect.Struct {
-		return nil
-	}
-	rt := rv.Type()
-	out := make([]Sample, 0, rt.NumField())
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name := prefix + "_" + snakeCase(f.Name)
-		switch f.Type.Kind() {
-		case reflect.Uint64:
-			out = append(out, Sample{Name: name, Help: help, Kind: "counter", Value: float64(rv.Field(i).Uint())})
-		case reflect.Int, reflect.Int64:
-			out = append(out, Sample{Name: name, Help: help, Kind: "gauge", Value: float64(rv.Field(i).Int())})
-		}
-	}
-	return out
-}
-
-// snakeCase converts CamelCase field names to snake_case metric suffixes
-// ("EnqueuedKeys" -> "enqueued_keys", "CkptSeq" -> "ckpt_seq").
-func snakeCase(s string) string {
-	var b strings.Builder
-	rs := []rune(s)
-	for i, c := range rs {
-		if c >= 'A' && c <= 'Z' {
-			lowerPrev := i > 0 && rs[i-1] >= 'a' && rs[i-1] <= 'z'
-			lowerNext := i+1 < len(rs) && rs[i+1] >= 'a' && rs[i+1] <= 'z'
-			if i > 0 && (lowerPrev || lowerNext) {
-				b.WriteByte('_')
-			}
-			b.WriteRune(c - 'A' + 'a')
-		} else {
-			b.WriteRune(c)
-		}
-	}
-	return b.String()
 }
 
 // WriteProm writes the registry in Prometheus text exposition format.

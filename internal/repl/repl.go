@@ -142,6 +142,7 @@ func (pr *Primary) Set() *shard.Sharded { return pr.set }
 // in-process links shipping and applying are one synchronous step, so it
 // is the true follower apply lag; for socket links it measures up to the
 // send (the follower's own FollowerStats positions give the apply side).
+// Links and LagRecords are gauges; the other fields are monotone counters.
 type ReplStats struct {
 	Links          int
 	ShippedRecords uint64
@@ -151,31 +152,24 @@ type ReplStats struct {
 	LagRecords     uint64
 }
 
-// Sub returns the counters accumulated since prev. Links and LagRecords
-// are instantaneous gauges, not monotonic counters, and are carried.
-func (s ReplStats) Sub(prev ReplStats) ReplStats {
-	return ReplStats{
-		Links:          s.Links,
-		ShippedRecords: s.ShippedRecords - prev.ShippedRecords,
-		ShippedKeys:    s.ShippedKeys - prev.ShippedKeys,
-		Bootstraps:     s.Bootstraps - prev.Bootstraps,
-		BoundsUpdates:  s.BoundsUpdates - prev.BoundsUpdates,
-		LagRecords:     s.LagRecords,
-	}
-}
-
 // ShipLatency snapshots the primary's per-shipment latency histogram.
 func (pr *Primary) ShipLatency() obs.HistSnap { return pr.shipDur.Snapshot() }
 
-// RegisterMetrics registers the primary's replication counters and
-// shipping latency histograms with r under prefix (e.g. "cpma_repl").
+// RegisterMetrics registers the primary's shipping latency histograms and
+// one counter or gauge per ReplStats field with r under prefix ("repl"
+// when empty).
 func (pr *Primary) RegisterMetrics(r *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "repl"
 	}
 	r.RegisterHistogram(prefix+"_ship_ns", "ns", "one record shipment, send through apply for in-process links", &pr.shipDur)
 	r.RegisterHistogram(prefix+"_bootstrap_ns", "ns", "one bootstrap state transfer", &pr.bootDur)
-	r.Stats(prefix, "primary replication counters", func() any { return pr.ReplStats() })
+	r.GaugeFunc(prefix+"_links", "links", "live replication links", func() int64 { return int64(pr.ReplStats().Links) })
+	r.CounterFunc(prefix+"_shipped_records", "records", "WAL records shipped to followers", func() uint64 { return pr.ReplStats().ShippedRecords })
+	r.CounterFunc(prefix+"_shipped_keys", "keys", "keys across shipped records", func() uint64 { return pr.ReplStats().ShippedKeys })
+	r.CounterFunc(prefix+"_bootstraps", "transfers", "checkpoint-chain bootstraps sent", func() uint64 { return pr.ReplStats().Bootstraps })
+	r.CounterFunc(prefix+"_bounds_updates", "tables", "boundary tables shipped", func() uint64 { return pr.ReplStats().BoundsUpdates })
+	r.GaugeFunc(prefix+"_lag_records", "records", "largest sealed-but-unshipped record count across live links", func() int64 { return int64(pr.ReplStats().LagRecords) })
 }
 
 // ReplStats returns the primary's replication counters.
@@ -388,27 +382,21 @@ type FollowerStats struct {
 	Attaches       uint64
 }
 
-// Sub returns the counters accumulated since prev.
-func (s FollowerStats) Sub(prev FollowerStats) FollowerStats {
-	return FollowerStats{
-		AppliedRecords: s.AppliedRecords - prev.AppliedRecords,
-		AppliedKeys:    s.AppliedKeys - prev.AppliedKeys,
-		Bootstraps:     s.Bootstraps - prev.Bootstraps,
-		Attaches:       s.Attaches - prev.Attaches,
-	}
-}
-
 // ApplyLatency snapshots the follower's replay-batch latency histogram.
 func (f *Follower) ApplyLatency() obs.HistSnap { return f.applyDur.Snapshot() }
 
-// RegisterMetrics registers the follower's replay counters and apply
-// latency histogram with r under prefix (e.g. "cpma_follower").
+// RegisterMetrics registers the follower's apply latency histogram and
+// one counter per FollowerStats field with r under prefix ("follower"
+// when empty).
 func (f *Follower) RegisterMetrics(r *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "follower"
 	}
 	r.RegisterHistogram(prefix+"_apply_ns", "ns", "one replay batch applied to the replica set", &f.applyDur)
-	r.Stats(prefix, "follower replay counters", func() any { return f.Stats() })
+	r.CounterFunc(prefix+"_applied_records", "records", "WAL records replayed into the replica set", func() uint64 { return f.Stats().AppliedRecords })
+	r.CounterFunc(prefix+"_applied_keys", "keys", "keys across replayed records", func() uint64 { return f.Stats().AppliedKeys })
+	r.CounterFunc(prefix+"_bootstraps", "transfers", "checkpoint-chain bootstraps loaded", func() uint64 { return f.Stats().Bootstraps })
+	r.CounterFunc(prefix+"_attaches", "links", "links attached over the follower's lifetime", func() uint64 { return f.Stats().Attaches })
 }
 
 // Stats returns the follower's replay counters.

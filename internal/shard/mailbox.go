@@ -133,24 +133,9 @@ func (st IngestStats) MeanAppliedBatch() float64 {
 	return float64(st.AppliedKeys) / float64(st.AppliedBatches)
 }
 
-// Sub returns the counter deltas st - prev (for measuring one phase).
-func (st IngestStats) Sub(prev IngestStats) IngestStats {
-	return IngestStats{
-		EnqueuedBatches: st.EnqueuedBatches - prev.EnqueuedBatches,
-		EnqueuedKeys:    st.EnqueuedKeys - prev.EnqueuedKeys,
-		AppliedBatches:  st.AppliedBatches - prev.AppliedBatches,
-		AppliedKeys:     st.AppliedKeys - prev.AppliedKeys,
-
-		AbsorbedKeys:     st.AbsorbedKeys - prev.AbsorbedKeys,
-		ReconcileBatches: st.ReconcileBatches - prev.ReconcileBatches,
-		HotKeys:          st.HotKeys - prev.HotKeys,
-		Demotions:        st.Demotions - prev.Demotions,
-	}
-}
-
 // IngestStats returns the batch-traffic counters summed over all shards.
-// Counters are monotone; snapshot before and after a phase and Sub the two
-// to measure it.
+// Counters are monotone; RegisterMetrics exports each field under
+// {prefix}_ingest_*.
 func (s *Sharded) IngestStats() IngestStats {
 	var st IngestStats
 	for p := range s.cells {

@@ -83,11 +83,13 @@ func (l PipelineLatencies) Sub(prev PipelineLatencies) PipelineLatencies {
 func (s *Sharded) Trace() *obs.Trace { return s.trace }
 
 // RegisterMetrics registers every metric the set exports into r under
-// prefix ("cpma" when empty): the stage latency histograms plus all
-// legacy stats counters (IngestStats, SnapshotStats, RebalanceStats, and
-// on a durable set PersistStats and the journal's WAL-level histograms),
-// unified through the registry's scrape-time snapshot path. Scrapes never
-// block the pipeline and remain valid after Close.
+// prefix ("cpma" when empty): the stage latency histograms, one counter
+// per IngestStats, SnapshotStats and RebalanceStats field, and on a
+// durable set one per PersistStats field plus the journal's WAL-level
+// histograms. Each counter reads the same typed accessor tests and
+// experiments use, so every value is computed in one place; these lines
+// are where names and units are documented. Scrapes never block the
+// pipeline and remain valid after Close.
 func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "cpma"
@@ -102,15 +104,50 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+"_move_ns", "ns", "one whole rebalance boundary move", &pm.move)
 	r.RegisterHistogram(prefix+"_snapshot_capture_ns", "ns", "one Snapshot() capture", &pm.capture)
 	r.RegisterHistogram(prefix+"_checkpoint_ns", "ns", "one Checkpoint() barrier: flush plus journal checkpoint", &pm.checkpoint)
-	r.Stats(prefix+"_ingest", "batch traffic counters (IngestStats)", func() any { return s.IngestStats() })
-	r.Stats(prefix+"_snapshot", "snapshot machinery counters (SnapshotStats)", func() any { return s.SnapshotStats() })
-	r.Stats(prefix+"_rebalance", "rebalancer counters (RebalanceStats)", func() any { return s.RebalanceStats() })
-	if j := s.opt.Journal; j != nil {
-		r.Stats(prefix+"_persist", "durability journal counters (PersistStats)", func() any { return j.Stats() })
-		if mr, ok := j.(interface {
-			RegisterMetrics(*obs.Registry, string)
-		}); ok {
-			mr.RegisterMetrics(r, prefix+"_wal")
-		}
+
+	r.CounterFunc(prefix+"_ingest_enqueued_batches", "batches", "sub-batches handed to shards", func() uint64 { return s.IngestStats().EnqueuedBatches })
+	r.CounterFunc(prefix+"_ingest_enqueued_keys", "keys", "keys across enqueued sub-batches", func() uint64 { return s.IngestStats().EnqueuedKeys })
+	r.CounterFunc(prefix+"_ingest_applied_batches", "batches", "coalesced applies at shards", func() uint64 { return s.IngestStats().AppliedBatches })
+	r.CounterFunc(prefix+"_ingest_applied_keys", "keys", "keys across coalesced applies, before dedup", func() uint64 { return s.IngestStats().AppliedKeys })
+	r.CounterFunc(prefix+"_ingest_absorbed_keys", "keys", "hot-key occurrences absorbed instead of applied", func() uint64 { return s.IngestStats().AbsorbedKeys })
+	r.CounterFunc(prefix+"_ingest_reconcile_batches", "batches", "batches folding absorbed hot-key state into CPMAs", func() uint64 { return s.IngestStats().ReconcileBatches })
+	r.CounterFunc(prefix+"_ingest_hot_keys", "keys", "cumulative promotions to the absorbed path", func() uint64 { return s.IngestStats().HotKeys })
+	r.CounterFunc(prefix+"_ingest_demotions", "keys", "cumulative demotions back to the normal path", func() uint64 { return s.IngestStats().Demotions })
+
+	r.CounterFunc(prefix+"_snapshot_epochs", "epochs", "state-changing applies across all shards", func() uint64 { return s.SnapshotStats().Epochs })
+	r.CounterFunc(prefix+"_snapshot_publishes", "handles", "frozen handles published (cpma.Clone calls)", func() uint64 { return s.SnapshotStats().Publishes })
+	r.CounterFunc(prefix+"_snapshot_clone_bytes", "bytes", "bytes materialized by copy-on-write clones", func() uint64 { return s.SnapshotStats().CloneBytes })
+	r.CounterFunc(prefix+"_snapshot_full_copy_bytes", "bytes", "SizeBytes of the published handles (full-copy baseline)", func() uint64 { return s.SnapshotStats().FullCopyBytes })
+	r.CounterFunc(prefix+"_snapshot_captures", "captures", "Snapshot() calls", func() uint64 { return s.SnapshotStats().Captures })
+
+	r.CounterFunc(prefix+"_rebalance_checks", "checks", "skew evaluations (monitor ticks and RebalanceOnce calls)", func() uint64 { return s.RebalanceStats().Checks })
+	r.CounterFunc(prefix+"_rebalance_moves", "moves", "boundary moves performed", func() uint64 { return s.RebalanceStats().Moves })
+	r.CounterFunc(prefix+"_rebalance_moved_keys", "keys", "keys that changed shards in boundary moves", func() uint64 { return s.RebalanceStats().MovedKeys })
+	r.CounterFunc(prefix+"_rebalance_gen", "generation", "current router generation (0 = never rebalanced)", func() uint64 { return s.RebalanceStats().Gen })
+
+	j := s.opt.Journal
+	if j == nil {
+		return
+	}
+	r.CounterFunc(prefix+"_persist_appended_batches", "records", "WAL records appended, one per applied batch", func() uint64 { return s.PersistStats().AppendedBatches })
+	r.CounterFunc(prefix+"_persist_appended_keys", "keys", "keys across appended WAL records", func() uint64 { return s.PersistStats().AppendedKeys })
+	r.CounterFunc(prefix+"_persist_appended_bytes", "bytes", "encoded WAL bytes appended", func() uint64 { return s.PersistStats().AppendedBytes })
+	r.CounterFunc(prefix+"_persist_fsyncs", "fsyncs", "WAL fsyncs (group commits and barriers)", func() uint64 { return s.PersistStats().Fsyncs })
+	r.CounterFunc(prefix+"_persist_checkpoints", "files", "full base slab checkpoints written", func() uint64 { return s.PersistStats().Checkpoints })
+	r.CounterFunc(prefix+"_persist_checkpoint_bytes", "bytes", "encoded slab bytes across base checkpoints", func() uint64 { return s.PersistStats().CheckpointBytes })
+	r.CounterFunc(prefix+"_persist_delta_checkpoints", "files", "delta checkpoints written", func() uint64 { return s.PersistStats().DeltaCheckpoints })
+	r.CounterFunc(prefix+"_persist_delta_bytes", "bytes", "encoded bytes across delta checkpoints", func() uint64 { return s.PersistStats().DeltaBytes })
+	r.CounterFunc(prefix+"_persist_truncated_segments", "files", "WAL segment files deleted behind checkpoints", func() uint64 { return s.PersistStats().TruncatedSegments })
+	r.CounterFunc(prefix+"_persist_move_records", "records", "rebalance barrier records appended (two per move)", func() uint64 { return s.PersistStats().MoveRecords })
+	r.CounterFunc(prefix+"_persist_moved_keys", "keys", "keys carried by rebalance barrier records", func() uint64 { return s.PersistStats().MovedKeys })
+	r.CounterFunc(prefix+"_persist_recovered_keys", "keys", "keys in the shards recovered at open", func() uint64 { return s.PersistStats().RecoveredKeys })
+	r.CounterFunc(prefix+"_persist_replayed_batches", "records", "WAL records replayed at open", func() uint64 { return s.PersistStats().ReplayedBatches })
+	r.CounterFunc(prefix+"_persist_replayed_keys", "keys", "keys across replayed WAL records", func() uint64 { return s.PersistStats().ReplayedKeys })
+	r.CounterFunc(prefix+"_persist_torn_bytes", "bytes", "trailing WAL bytes discarded as torn at open", func() uint64 { return s.PersistStats().TornBytes })
+	r.CounterFunc(prefix+"_persist_dropped_keys", "keys", "out-of-span keys dropped by recovery", func() uint64 { return s.PersistStats().DroppedKeys })
+	if mr, ok := j.(interface {
+		RegisterMetrics(*obs.Registry, string)
+	}); ok {
+		mr.RegisterMetrics(r, prefix+"_wal")
 	}
 }

@@ -42,23 +42,12 @@ import (
 )
 
 // RebalanceStats counts the rebalancer's work. Counters are monotone;
-// snapshot before and after a phase and Sub the two to measure it.
+// RegisterMetrics exports each field under {prefix}_rebalance_*.
 type RebalanceStats struct {
 	Checks    uint64 // skew evaluations (monitor ticks + RebalanceOnce calls)
 	Moves     uint64 // boundary moves performed
 	MovedKeys uint64 // keys that changed shards across those moves
 	Gen       uint64 // current router generation (0 = never rebalanced)
-}
-
-// Sub returns the counter deltas st - prev (Gen is carried, not
-// subtracted).
-func (st RebalanceStats) Sub(prev RebalanceStats) RebalanceStats {
-	return RebalanceStats{
-		Checks:    st.Checks - prev.Checks,
-		Moves:     st.Moves - prev.Moves,
-		MovedKeys: st.MovedKeys - prev.MovedKeys,
-		Gen:       st.Gen,
-	}
 }
 
 // RebalanceStats returns the rebalancer counters.

@@ -355,28 +355,6 @@ type PersistStats struct {
 	DroppedKeys       uint64 // out-of-span keys dropped by recovery (mid-rebalance crash repair)
 }
 
-// Sub returns the counter deltas st - prev (for measuring one phase).
-func (st PersistStats) Sub(prev PersistStats) PersistStats {
-	return PersistStats{
-		AppendedBatches:   st.AppendedBatches - prev.AppendedBatches,
-		AppendedKeys:      st.AppendedKeys - prev.AppendedKeys,
-		AppendedBytes:     st.AppendedBytes - prev.AppendedBytes,
-		Fsyncs:            st.Fsyncs - prev.Fsyncs,
-		Checkpoints:       st.Checkpoints - prev.Checkpoints,
-		CheckpointBytes:   st.CheckpointBytes - prev.CheckpointBytes,
-		DeltaCheckpoints:  st.DeltaCheckpoints - prev.DeltaCheckpoints,
-		DeltaBytes:        st.DeltaBytes - prev.DeltaBytes,
-		TruncatedSegments: st.TruncatedSegments - prev.TruncatedSegments,
-		MoveRecords:       st.MoveRecords - prev.MoveRecords,
-		MovedKeys:         st.MovedKeys - prev.MovedKeys,
-		RecoveredKeys:     st.RecoveredKeys - prev.RecoveredKeys,
-		ReplayedBatches:   st.ReplayedBatches - prev.ReplayedBatches,
-		ReplayedKeys:      st.ReplayedKeys - prev.ReplayedKeys,
-		TornBytes:         st.TornBytes - prev.TornBytes,
-		DroppedKeys:       st.DroppedKeys - prev.DroppedKeys,
-	}
-}
-
 // cell is one shard: a CPMA plus its mailbox, published handle, and ingest
 // counters, padded so that neighboring shards' hot state does not share a
 // cache line under write contention.
@@ -897,8 +875,8 @@ func (s *Sharded) Checkpoint() error {
 }
 
 // PersistStats returns the durability counters (zero on a non-durable
-// set). Counters are monotone; snapshot before and after a phase and Sub
-// the two to measure it.
+// set). Counters are monotone; RegisterMetrics exports each field under
+// {prefix}_persist_*.
 func (s *Sharded) PersistStats() PersistStats {
 	if s.opt.Journal == nil {
 		return PersistStats{}

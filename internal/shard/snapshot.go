@@ -419,19 +419,8 @@ type SnapshotStats struct {
 	Captures      uint64 // Snapshot() calls
 }
 
-// Sub returns the counter deltas st - prev (for measuring one phase).
-func (st SnapshotStats) Sub(prev SnapshotStats) SnapshotStats {
-	return SnapshotStats{
-		Epochs:        st.Epochs - prev.Epochs,
-		Publishes:     st.Publishes - prev.Publishes,
-		CloneBytes:    st.CloneBytes - prev.CloneBytes,
-		FullCopyBytes: st.FullCopyBytes - prev.FullCopyBytes,
-		Captures:      st.Captures - prev.Captures,
-	}
-}
-
 // SnapshotStats returns the snapshot counters. Counters are monotone;
-// snapshot before and after a phase and Sub the two to measure it.
+// RegisterMetrics exports each field under {prefix}_snapshot_*.
 func (s *Sharded) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
 		Publishes:     s.snapPublishes.Load(),

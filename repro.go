@@ -410,9 +410,12 @@ type EventTrace = obs.Trace
 func NewMetrics(name string) *Metrics { return obs.NewRegistry(name) }
 
 // Observe registers every metric a ShardedSet exposes into m under the
-// given prefix ("" means "cpma"): the pipeline stage histograms, the
-// ingest/snapshot/rebalance stats counters, and — on a durable set — the
-// journal's WAL append/fsync/checkpoint histograms and persist counters.
+// given prefix ("" means "cpma"): the pipeline stage histograms, one
+// counter per IngestStats, SnapshotStats and RebalanceStats field
+// ({prefix}_ingest_*, _snapshot_*, _rebalance_*), and on a durable set
+// the journal's WAL append/fsync/checkpoint histograms plus one counter
+// per PersistStats field ({prefix}_persist_*). Every counter carries a
+// unit and reads the same accessor the typed stats methods return.
 // Call once per (set, registry): duplicate names panic by contract.
 func Observe(s *ShardedSet, m *Metrics, prefix string) { s.RegisterMetrics(m, prefix) }
 
