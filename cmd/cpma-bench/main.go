@@ -37,23 +37,22 @@
 // range-partitioned set with live span rebalancing off versus on,
 // reporting per-shard load ratio, ingest throughput, and boundary moves —
 // the standalone form exits nonzero if rebalancing leaves the max/mean
-// key-count ratio above 2x. With -hotfrac > 0 it also embeds the hot-key
-// absorption sweep.
-//
-// The hotkey experiment measures the hot-key absorber (shard
-// Options.HotKeys): it streams single-key-hotspot workloads — power-law
-// s=2.5 unscrambled, plus a -hotfrac/-hotkeys hot-spot mix — through the
-// async pipeline with absorption off and on, differentially verifying
-// each run's final contents against an exact model. Results land in
-// -hotjson (the repo's committed BENCH_hotkey.json). It exits nonzero if
-// any row fails verification or the power-law speedup misses the
-// acceptance bound (>= 5x at >= 1M inserted keys, >= 2x at CI smoke
-// sizes). Finally it sweeps
-// snapshot-scan-while-ingesting (-scanners):
+// key-count ratio above 2x. With -hotfrac > 0 it also embeds the
+// skewed-ingest sweep. Finally it sweeps snapshot-scan-while-ingesting
+// (-scanners):
 // concurrent full-set scans through Flush barriers versus lock-free
 // Snapshot captures of the writer-published frozen handles, reporting
 // scan and ingest throughput under each discipline plus the
 // copy-on-publish cost (publishes, clone MB).
+//
+// The hotkey experiment measures skewed ingest: it streams single-key-
+// hotspot workloads — power-law s=2.5 unscrambled, plus a -hotfrac/-hotkeys
+// hot-spot mix — and a uniform control of the same shape through the async
+// pipeline, where the enqueue-side repeat filter drops each batch's
+// repeated keys, and differentially verifies each run's final contents
+// against an exact model. Results land in -hotjson (the repo's committed
+// BENCH_hotkey.json). It exits nonzero unless every row is verified and
+// power-law ingest is at least 5x the uniform control's.
 //
 // The repl experiment measures WAL-shipping replication (internal/repl):
 // it preloads and checkpoints a durable primary, then sweeps 0..3
@@ -101,8 +100,8 @@ func main() {
 	zipf := flag.Bool("zipf", false, "add the zipfian skew/rebalance sweep to the shards experiment")
 	zipfS := flag.Float64("zipfs", 1.1, "power-law exponent for the skew sweep")
 	cloneJSON := flag.String("clonejson", "BENCH_clone.json", "output file for the clonecost experiment's JSON rows")
-	hotFrac := flag.Float64("hotfrac", 0, "hot-spot traffic fraction for the hot-key sweep (0 disables the -shards embed; the hotkey experiment defaults to 0.9)")
-	hotKeysN := flag.Int("hotkeys", 4, "distinct hot keys in the hot-key sweep's hot-spot workload")
+	hotFrac := flag.Float64("hotfrac", 0, "hot-spot traffic fraction for the skewed-ingest sweep (0 disables the -shards embed; the hotkey experiment defaults to 0.9)")
+	hotSetN := flag.Int("hotkeys", 4, "distinct hot keys in the skewed-ingest sweep's hot-spot workload")
 	hotJSON := flag.String("hotjson", "BENCH_hotkey.json", "output file for the hotkey experiment's JSON rows")
 	replJSON := flag.String("repljson", "BENCH_repl.json", "output file for the repl experiment's JSON rows")
 	obsJSON := flag.String("obsjson", "BENCH_obs.json", "output file for the percentile rows of the shards/hotkey/persist experiments (empty disables)")
@@ -320,8 +319,8 @@ func main() {
 		if *hotFrac > 0 {
 			// Embedded form: print the sweep, no gate (the standalone
 			// hotkey experiment enforces the acceptance bound).
-			hrows, _, _ := runHotKeySweep(out, cfg, *shards, *clients, *asyncBatch, *hotKeysN, []float64{*hotFrac}, "")
-			obsRows = append(obsRows, hotKeyObsRows(hrows)...)
+			hrows, _, _ := runSkewSweep(out, cfg, *shards, *clients, *asyncBatch, *hotSetN, []float64{*hotFrac}, "")
+			obsRows = append(obsRows, skewObsRows(hrows)...)
 		}
 
 		srows := experiments.ShardSnapshotScan(cfg, *shards, *clients, scannerList, *asyncBatch, part)
@@ -350,18 +349,14 @@ func main() {
 		if *hotFrac > 0 {
 			fracs = []float64{*hotFrac}
 		}
-		hrows, speedup, verified := runHotKeySweep(out, cfg, *shards, *clients, *asyncBatch, *hotKeysN, fracs, *hotJSON)
-		obsRows = append(obsRows, hotKeyObsRows(hrows)...)
-		thr := 2.0
-		if cfg.TotalK >= 1_000_000 {
-			thr = 5.0
-		}
+		hrows, gain, verified := runSkewSweep(out, cfg, *shards, *clients, *asyncBatch, *hotSetN, fracs, *hotJSON)
+		obsRows = append(obsRows, skewObsRows(hrows)...)
 		if !verified {
 			fmt.Fprintln(os.Stderr, "hotkey sweep: differential verification FAILED")
 			fail(1)
 		}
-		if speedup < thr {
-			fmt.Fprintf(os.Stderr, "hotkey sweep: power-law absorber speedup %.1fx below the %.0fx acceptance bound\n", speedup, thr)
+		if gain < 5 {
+			fmt.Fprintf(os.Stderr, "hotkey sweep: power-law ingest %.1fx the uniform control, below the 5x acceptance bound\n", gain)
 			fail(1)
 		}
 	}
@@ -452,12 +447,12 @@ func main() {
 	}
 }
 
-// hotKeyObsRows distills a hot-key sweep into percentile rows for
-// -obsjson: one row per (workload, absorber) pair.
-func hotKeyObsRows(rows []experiments.HotKeyRow) []experiments.ObsRow {
+// skewObsRows distills a skewed-ingest sweep into percentile rows for
+// -obsjson: one row per workload.
+func skewObsRows(rows []experiments.SkewRow) []experiments.ObsRow {
 	var out []experiments.ObsRow
 	for _, r := range rows {
-		label := fmt.Sprintf("%s frac=%.2f absorb=%v", r.Workload, r.HotFrac, r.Absorb)
+		label := fmt.Sprintf("%s frac=%.2f", r.Workload, r.HotFrac)
 		out = append(out, experiments.ObsRow{
 			Experiment: "hotkey",
 			Label:      label,
@@ -633,37 +628,28 @@ func runRebalanceSweep(out *os.File, cfg experiments.MicroConfig, shards, client
 	return ok
 }
 
-// runHotKeySweep prints the hot-key absorption sweep (absorber off vs on
-// over identical skewed streams), optionally writes the JSON rows to
-// jsonPath (skipped when empty — the -shards embedded form), and returns
-// the power-law row pair's on/off throughput ratio plus whether every row
-// passed its exact differential verification.
-func runHotKeySweep(out *os.File, cfg experiments.MicroConfig, shards, clients, batchSize, hotKeys int, hotFracs []float64, jsonPath string) (rows []experiments.HotKeyRow, speedup float64, verified bool) {
+// runSkewSweep prints the skewed-ingest sweep, optionally writes the JSON
+// rows to jsonPath (skipped when empty — the -shards embedded form), and
+// returns the power-law row's throughput over the uniform control's plus
+// whether every row passed its verification.
+func runSkewSweep(out *os.File, cfg experiments.MicroConfig, shards, clients, batchSize, hotSet int, hotFracs []float64, jsonPath string) (rows []experiments.SkewRow, gain float64, verified bool) {
 	const s = 2.5
-	rows = experiments.ShardHotKeySweep(cfg, shards, clients, batchSize, hotKeys, s, hotFracs)
-	fmt.Fprintf(out, "Hot-key absorption sweep (hash partition, %d shards, %d clients): power-law s=%.1f unscrambled + hot-spot mixes, absorber off vs on\n",
-		shards, clients, s)
-	t := stats.NewTable("workload", "hot frac", "absorb", "ingest TP", "TP gain", "absorbed", "promos", "demos", "final n", "verified", "p50 ms", "p99 ms")
+	rows = experiments.ShardHotKeySweep(cfg, shards, clients, batchSize, hotSet, s, hotFracs)
+	fmt.Fprintf(out, "Skewed-ingest sweep (hash partition, %d shards, %d clients, batch %d): power-law s=%.1f unscrambled + hot-spot mixes vs a uniform control\n",
+		shards, clients, batchSize, s)
+	t := stats.NewTable("workload", "hot frac", "ingest TP", "vs uniform", "repeats dropped", "final n", "verified", "p50 ms", "p99 ms")
 	verified = true
-	var offTP float64
+	uniformTP := rows[len(rows)-1].IngestTP
 	for _, r := range rows {
-		name, gain := "off", "-"
-		if r.Absorb {
-			name = "on"
-			gain = stats.Ratio(r.IngestTP, offTP)
-			if r.Workload == "powerlaw-2.5" && offTP > 0 {
-				speedup = r.IngestTP / offTP
-			}
-		} else {
-			offTP = r.IngestTP
-		}
 		if !r.Verified {
 			verified = false
 		}
-		t.Row(r.Workload, fmt.Sprintf("%.2f", r.HotFrac), name,
-			stats.Sci(r.IngestTP), gain,
-			fmt.Sprintf("%.0f%%", 100*r.AbsorbedFrac),
-			r.Promotions, r.Demotions,
+		if r.Workload == "powerlaw-2.5" && uniformTP > 0 {
+			gain = r.IngestTP / uniformTP
+		}
+		t.Row(r.Workload, fmt.Sprintf("%.2f", r.HotFrac),
+			stats.Sci(r.IngestTP), stats.Ratio(r.IngestTP, uniformTP),
+			fmt.Sprintf("%.1f%%", 100*r.RepeatFrac),
 			stats.Sci(float64(r.FinalKeys)), fmt.Sprintf("%v", r.Verified),
 			fmt.Sprintf("%.3f", r.P50ms), fmt.Sprintf("%.3f", r.P99ms))
 	}
@@ -672,23 +658,24 @@ func runHotKeySweep(out *os.File, cfg experiments.MicroConfig, shards, clients, 
 
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(struct {
-			Shards    int                     `json:"shards"`
-			Clients   int                     `json:"clients"`
-			TotalKeys int                     `json:"total_keys"`
-			PowerLawS float64                 `json:"powerlaw_s"`
-			Rows      []experiments.HotKeyRow `json:"rows"`
-		}{shards, clients, cfg.TotalK, s, rows}, "", "  ")
+			Shards    int                   `json:"shards"`
+			Clients   int                   `json:"clients"`
+			TotalKeys int                   `json:"total_keys"`
+			BatchKeys int                   `json:"batch_keys"`
+			PowerLawS float64               `json:"powerlaw_s"`
+			Rows      []experiments.SkewRow `json:"rows"`
+		}{shards, clients, cfg.TotalK, batchSize, s, rows}, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hotkey sweep: %v\n", err)
-			return rows, speedup, false
+			return rows, gain, false
 		}
 		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hotkey sweep: %v\n", err)
-			return rows, speedup, false
+			return rows, gain, false
 		}
 		fmt.Fprintf(out, "hotkey: wrote %s\n\n", jsonPath)
 	}
-	return rows, speedup, verified
+	return rows, gain, verified
 }
 
 // profiling notes whether a -cpuprofile run is active so fail can flush

@@ -159,14 +159,37 @@ func systems() map[string]func() sut {
 			return flushReads{shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
 				MailboxDepth: 2})}
 		},
-		// Hot-key absorption with an aggressive detector: the walk's
-		// repeated small keys promote quickly, so ticketed counts and reads
-		// run through the separation/absorption path and must stay exact.
+		// "shard-async" with every unsorted batch resent full of repeats
+		// (hotBatches), so ticketed counts run through the enqueue-side
+		// repeat filter and must stay exact.
 		"shard-async-hotkey": func() sut {
-			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
-				HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8})
+			return hotBatches{shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4})}
 		},
 	}
+}
+
+// hotBatches wraps a sharded set so every unsorted batch is sent with each
+// key twice and its first key 64 more times: the same set operation, so
+// every count must match the model's.
+type hotBatches struct{ *shard.Sharded }
+
+func (h hotBatches) InsertBatch(keys []uint64, sorted bool) int {
+	return h.Sharded.InsertBatch(withRepeats(keys, sorted), sorted)
+}
+
+func (h hotBatches) RemoveBatch(keys []uint64, sorted bool) int {
+	return h.Sharded.RemoveBatch(withRepeats(keys, sorted), sorted)
+}
+
+func withRepeats(keys []uint64, sorted bool) []uint64 {
+	if sorted || len(keys) == 0 {
+		return keys
+	}
+	out := append(slices.Clone(keys), keys...)
+	for i := 0; i < 64; i++ {
+		out = append(out, keys[0])
+	}
+	return out
 }
 
 // flushReads wraps a sharded set so every read flushes first: its reads
@@ -321,20 +344,22 @@ func TestDifferential(t *testing.T) {
 // shard, so after a barrier the contents must equal the model's replay of
 // the same burst sequence. The "flush" variants establish the barrier
 // with one Flush per burst; the "flushreads" variants flush before every
-// read instead (flushReads).
+// read instead (flushReads). The "hotkey" variants add two occurrences of a
+// four-key hot set per key to every batch, so bursts of inserts and removes
+// of the same hot keys race through the enqueue-side repeat filter.
 func TestDifferentialAsync(t *testing.T) {
+	hashOpt := &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4}
+	rangeOpt := &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf, MailboxDepth: 2}
 	for _, tc := range []struct {
 		name       string
 		opt        *shard.Options
 		flushReads bool
+		hot        bool
 	}{
-		{"flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4}, false},
-		{"flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			MailboxDepth: 2}, true},
-		{"hotkey-flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
-			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, false},
-		{"hotkey-flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			MailboxDepth: 2, HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, true},
+		{"flush", hashOpt, false, false},
+		{"flushreads", rangeOpt, true, false},
+		{"hotkey-flush", hashOpt, false, true},
+		{"hotkey-flushreads", rangeOpt, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := shard.New(3, tc.opt)
@@ -348,6 +373,11 @@ func TestDifferentialAsync(t *testing.T) {
 			for round := 0; round < 40; round++ {
 				for b := 1 + r.Intn(8); b > 0; b-- {
 					keys := workload.Uniform(r, 1+r.Intn(400), 16)
+					if tc.hot {
+						for i := 2 * len(keys); i > 0; i-- {
+							keys = append(keys, 1+uint64(r.Intn(4)))
+						}
+					}
 					if r.Intn(3) == 0 {
 						set.RemoveBatchAsync(keys, false)
 						m.RemoveBatch(keys)

@@ -18,9 +18,8 @@ import (
 type ShardedOptions struct {
 	// Set configures each shard's CPMA; nil selects the paper's defaults.
 	Set *cpma.Options
-	// MailboxDepth / CoalesceMax tune the async pipeline (0 = defaults).
+	// MailboxDepth bounds each shard's mailbox (0 = the default).
 	MailboxDepth int
-	CoalesceMax  int
 	// Rebalance starts the live vertex-range rebalancer: skewed degree
 	// distributions (a power-law graph's hub vertices) load shards
 	// unevenly, and the boundary monitor moves vertex-range boundaries
@@ -78,7 +77,6 @@ func NewSharded(numVertices, shards int, opts *ShardedOptions) *Sharded {
 		KeyBits:        32 + bits.Len(uint(numVertices-1)),
 		Set:            o.Set,
 		MailboxDepth:   o.MailboxDepth,
-		CoalesceMax:    o.CoalesceMax,
 		Rebalance:      o.Rebalance,
 		MaxSkew:        o.MaxSkew,
 		RebalanceEvery: o.RebalanceEvery,
@@ -198,8 +196,8 @@ func (g *Sharded) Close() { g.set.Close() }
 func (g *Sharded) View() *View {
 	st := g.set.IngestStats()
 	var lag uint64
-	if done := st.AppliedKeys + st.AbsorbedKeys; st.EnqueuedKeys > done {
-		lag = st.EnqueuedKeys - done
+	if st.EnqueuedKeys > st.AppliedKeys {
+		lag = st.EnqueuedKeys - st.AppliedKeys
 	}
 	t0 := time.Now()
 	snap := g.set.Snapshot()

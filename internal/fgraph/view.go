@@ -98,6 +98,7 @@ func (v *View) CapturedAt() time.Time { return v.capturedAt }
 func (v *View) Age() time.Duration { return time.Since(v.capturedAt) }
 
 // LagKeys returns the ingest backlog — edge keys enqueued to the sharded
-// pipeline but not yet applied — observed at capture: how far the view
-// trails what clients had already submitted.
+// pipeline but not yet applied, a key repeated within one batch counting
+// once — observed at capture: how far the view trails what clients had
+// already submitted.
 func (v *View) LagKeys() uint64 { return v.lagKeys }

@@ -22,14 +22,12 @@
 //	                                sub-batch; stamped at enqueue, recorded at
 //	                                the end of the writer drain that applied it
 //	{p}_drain_ns              ns    one writer drain end to end: coalesce, WAL
-//	                                append, apply, reconcile, publish (drains
-//	                                parked by a quiesce token are not recorded)
+//	                                append, apply, publish (drains parked by
+//	                                a quiesce token are not recorded)
 //	{p}_coalesce_keys         keys  keys merged into one drain (width of the
 //	                                batch the writer actually applied)
 //	{p}_publish_ns            ns    one copy-on-write publication (leaf-COW
 //	                                Clone + snapshot handle swap)
-//	{p}_reconcile_ns          ns    one hot-key reconcile pass that had dirty
-//	                                absorbed state to fold in
 //	{p}_quiesce_ns            ns    rebalance pair park: quiesce tokens sent →
 //	                                both writers at rest
 //	{p}_move_ns               ns    one whole rebalance boundary move, quiesce
@@ -63,9 +61,9 @@
 // Sharded.RegisterMetrics and the repl RegisterMetrics methods carry
 // every name, unit and help string; the families are:
 //
-//	{p}_ingest_*     IngestStats: enqueued/applied/reconcile batches
-//	                 (batches); enqueued/applied/absorbed keys, hot-key
-//	                 promotions and demotions (keys)
+//	{p}_ingest_*     IngestStats: enqueued/applied batches (batches);
+//	                 enqueued/applied keys (keys), enqueued counted after
+//	                 the enqueue-side repeat filter
 //	{p}_snapshot_*   SnapshotStats: epochs (epochs), publishes (handles),
 //	                 clone and full-copy bytes (bytes), captures (captures)
 //	{p}_rebalance_*  RebalanceStats: checks (checks), moves (moves), moved
@@ -92,7 +90,7 @@
 // Where each histogram sits on the ingest path:
 //
 //	client InsertBatchAsync
-//	   │ scatter ── hot-key absorb (absorbed keys skip the mailbox)
+//	   │ drop repeats, sort, scatter
 //	   ▼
 //	mailbox ══ residency_ns ══╗
 //	   │ writer wakes         ║
@@ -101,7 +99,7 @@
 //	   │                      ║
 //	WAL append ── wal_append_ns ──▶ fsync (wal_fsync_ns)
 //	   │                      ║
-//	apply → reconcile (reconcile_ns)
+//	apply
 //	   │                      ║
 //	publish COW clone (publish_ns) ◀══ drain_ns covers coalesce→publish
 //	   ▼
@@ -112,7 +110,7 @@
 // Trace keeps one fixed-depth ring per shard plus a global ring;
 // Record is lock-free in the common case (a mutex per ring guards only
 // the slot write). Events carry a timestamp, shard, kind (drain,
-// publish, checkpoint, promote, demote, move, ship, bootstrap, apply),
+// publish, checkpoint, move, ship, bootstrap, apply, index),
 // the shard's epoch and snapshot generation, and two free operands.
 // The ring overwrites oldest-first, so /tracez is always "the last N
 // things each shard did", never a growing log.

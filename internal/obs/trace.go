@@ -15,8 +15,6 @@ const (
 	EvDrain      EventKind = iota // writer drained its mailbox: A=ops coalesced, B=keys applied
 	EvPublish                     // copy-on-write publication: A=approx clone cost (bytes or keys)
 	EvCheckpoint                  // checkpoint barrier completed (set-global): A=duration ns
-	EvPromote                     // hot-key promotions installed: A=keys promoted
-	EvDemote                      // hot-key demotions (or table drop): A=keys demoted
 	EvMove                        // rebalance boundary move: A=destination shard, B=keys moved
 	EvShip                        // replication shipped records: A=records, B=keys
 	EvBootstrap                   // replication bootstrap sent: A=records in base state
@@ -28,8 +26,6 @@ var eventNames = [...]string{
 	EvDrain:      "drain",
 	EvPublish:    "publish",
 	EvCheckpoint: "checkpoint",
-	EvPromote:    "promote",
-	EvDemote:     "demote",
 	EvMove:       "move",
 	EvShip:       "ship",
 	EvBootstrap:  "bootstrap",

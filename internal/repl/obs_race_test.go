@@ -13,8 +13,8 @@ import (
 )
 
 // TestStatsScrapeRace is the observability race hammer: a durable,
-// rebalancing, hot-key set with a live replication link, scraped
-// continuously — Prometheus text, JSON statz, trace dumps, pipeline
+// rebalancing set taking skewed batches, with a live replication link,
+// scraped continuously — Prometheus text, JSON statz, trace dumps, pipeline
 // latency snapshots, and every raw *Stats accessor — while clients
 // ingest, the rebalancer moves boundaries, and checkpoints run. Any
 // non-atomic multi-field read in a stats path surfaces here under -race
@@ -24,7 +24,6 @@ func TestStatsScrapeRace(t *testing.T) {
 	opt := shard.Options{
 		Partition: shard.RangePartition,
 		KeyBits:   20,
-		HotKeys:   true,
 		SyncEvery: 8,
 		// Manual checkpoints only: the hammer drives its own cadence.
 		CheckpointEveryBatches: -1,
@@ -58,8 +57,8 @@ func TestStatsScrapeRace(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Ingest: skewed clients (half the traffic on a handful of keys, so
-	// the absorber promotes) plus disjoint uniform churn.
+	// Ingest: skewed clients (a third of every batch repeats a handful of
+	// keys) plus disjoint uniform churn.
 	for c := 0; c < 3; c++ {
 		wg.Add(1)
 		go func(seed uint64) {

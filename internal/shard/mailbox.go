@@ -44,17 +44,9 @@ const (
 // token parks the writer — it completes the ticket and then blocks until
 // resume is closed, leaving the rebalancer as the shard's sole mutator for
 // the interim.
-//
-// With the hot-key absorber on (Options.HotKeys), hot carries the
-// promoted-key occurrences the enqueuer stripped from keys — run-collapsed
-// {key, count} records the writer absorbs into slot state at this op's
-// FIFO position instead of pushing through the merge and the CPMA
-// (hotkey.go). Entries are always freshly built, never aliasing caller
-// memory.
 type shardOp struct {
 	kind   opKind
 	keys   []uint64
-	hot    []hotEntry
 	tk     *ticket
 	resume chan struct{}
 	// enq is the enqueue timestamp feeding the mailbox-residency
@@ -92,29 +84,17 @@ func (t *ticket) wait() int {
 
 // IngestStats counts the batch traffic through a Sharded set: sub-batches
 // as enqueued by clients versus merged applies executed by the shard
-// writers. AppliedKeys + AbsorbedKeys always converges to EnqueuedKeys
-// once the pipeline is flushed; AppliedBatches <= EnqueuedBatches, and the
-// gap is the coalescing win (mean applied-batch size / mean enqueued
-// sub-batch size).
-//
-// The last four counters track the hot-key absorber (Options.HotKeys; all
-// zero when it is off): AbsorbedKeys counts key occurrences diverted from
-// the apply path into per-shard slot state, ReconcileBatches the batches
-// that folded absorbed state back into the CPMAs at publish points
-// (deliberately excluded from AppliedBatches/AppliedKeys, which keep
-// counting client traffic only), and HotKeys/Demotions the cumulative
-// promotions and demotions (HotKeys - Demotions is the number of keys on
-// the absorbed path right now).
+// writers. EnqueuedKeys counts keys after the enqueue-side repeat filter,
+// so an unsorted batch contributes its distinct keys, not its length.
+// AppliedKeys converges to EnqueuedKeys once the pipeline is flushed, and
+// EnqueuedKeys - AppliedKeys is the backlog still in the mailboxes;
+// AppliedBatches <= EnqueuedBatches, and the gap is the coalescing win
+// (mean applied-batch size / mean enqueued sub-batch size).
 type IngestStats struct {
 	EnqueuedBatches uint64 // sub-batches handed to shards
 	EnqueuedKeys    uint64 // keys across those sub-batches
 	AppliedBatches  uint64 // merged InsertBatch/RemoveBatch calls at shards
 	AppliedKeys     uint64 // keys across those applies (pre-dedup)
-
-	AbsorbedKeys     uint64 // hot-key occurrences absorbed instead of applied
-	ReconcileBatches uint64 // reconcile batches folding absorbed state into CPMAs
-	HotKeys          uint64 // cumulative key promotions to the absorbed path
-	Demotions        uint64 // cumulative demotions back to the normal path
 }
 
 // MeanEnqueuedBatch returns the mean keys per enqueued sub-batch.
@@ -144,23 +124,18 @@ func (s *Sharded) IngestStats() IngestStats {
 		st.EnqueuedKeys += c.enqKeys.Load()
 		st.AppliedBatches += c.appBatches.Load()
 		st.AppliedKeys += c.appKeys.Load()
-		st.AbsorbedKeys += c.absorbed.Load()
-		st.ReconcileBatches += c.reconciles.Load()
-		st.HotKeys += c.promos.Load()
-		st.Demotions += c.demos.Load()
 	}
 	return st
 }
 
 // writerScratch holds one writer's reusable buffers: the drained-op list,
-// two ping-pong merge arenas, the run-level hot-entry accumulator, and the
-// ticket answers waiting for the next publication, so steady-state
-// coalescing allocates nothing beyond what the CPMA itself needs.
+// two ping-pong merge arenas, and the ticket answers waiting for the next
+// publication, so steady-state coalescing allocates nothing beyond what
+// the CPMA itself needs.
 type writerScratch struct {
 	pending []shardOp
 	runs    [][]uint64
 	bufs    [2][]uint64
-	ents    []hotEntry
 	acks    []ack
 }
 
@@ -180,8 +155,8 @@ func (ws *writerScratch) ackAll() {
 }
 
 // maxRetainedArena caps the merge-arena capacity (in keys) a writer keeps
-// between drains; a one-off burst near CoalesceMax must not pin megabytes
-// of scratch for the rest of the set's lifetime.
+// between drains; a one-off burst near maxCoalesceKeys must not pin
+// megabytes of scratch for the rest of the set's lifetime.
 const maxRetainedArena = 1 << 16
 
 // release drops references the last drain no longer needs: the applied
@@ -190,7 +165,6 @@ const maxRetainedArena = 1 << 16
 func (ws *writerScratch) release() {
 	clear(ws.pending[:cap(ws.pending)]) // full capacity: drop prior drains' stale headers too
 	clear(ws.runs[:cap(ws.runs)])
-	clear(ws.ents[:cap(ws.ents)])
 	for i := range ws.bufs {
 		if cap(ws.bufs[i]) > maxRetainedArena {
 			ws.bufs[i] = nil
@@ -199,7 +173,7 @@ func (ws *writerScratch) release() {
 }
 
 // writer is shard p's single mutator: it blocks for the next op, greedily
-// drains whatever else is already buffered (up to CoalesceMax keys), and
+// drains whatever else is already buffered (up to maxCoalesceKeys keys), and
 // applies the drained prefix in order. It exits when the mailbox is closed
 // and fully drained, so Close doubles as a final flush.
 func (s *Sharded) writer(p int) {
@@ -215,7 +189,7 @@ func (s *Sharded) writer(p int) {
 		n := len(op.keys)
 		closed := false
 	drain:
-		for n < s.opt.CoalesceMax {
+		for n < maxCoalesceKeys {
 			select {
 			case op2, ok2 := <-c.mbox:
 				if !ok2 {
@@ -233,13 +207,8 @@ func (s *Sharded) writer(p int) {
 		// Copy-on-publish: one frozen handle per state-changing drain, so
 		// reads never wait on (or block) the apply path. The final drain
 		// before exit publishes too, so reads after Close see the fully
-		// drained state. Then let the detector retune the promoted set at
-		// this rest point — slots are clean, so promotion and demotion are
-		// plain table swaps.
+		// drained state.
 		sn := s.rest(p, c, &ws)
-		if s.opt.HotKeys {
-			s.retuneHot(p, c)
-		}
 		// Two clock reads bound the whole drain; residency for each
 		// drained sub-batch derives from its enqueue stamp against the
 		// same end time. A drain that carried a quiesce token spent its
@@ -273,17 +242,12 @@ func (s *Sharded) writer(p int) {
 	}
 }
 
-// rest is a publication point: it reconciles absorbed hot-key state into
-// the CPMA (so the handle is an exact FIFO prefix of the shard's history
-// and absorption stays invisible to reads and durability), publishes, and
-// hands the handle to the journal — the immutable state a checkpoint can
-// serialize, covering every record this goroutine appended so far. Then
-// it completes the tickets held since the previous rest point: their
-// results are now visible to every read.
+// rest is a publication point: it publishes the shard's state (an exact
+// FIFO prefix of its history) and hands the handle to the journal — the
+// immutable state a checkpoint can serialize, covering every record this
+// goroutine appended so far. Then it completes the tickets held since the
+// previous rest point: their results are now visible to every read.
 func (s *Sharded) rest(p int, c *cell, ws *writerScratch) *shardSnap {
-	if s.opt.HotKeys {
-		s.reconcileHot(p, c)
-	}
 	sn := s.publish(p, c)
 	if j := s.opt.Journal; j != nil {
 		j.Published(p, sn.set)
@@ -318,9 +282,8 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			i++
 		case op.kind == opQuiesce:
 			// Park for the rebalancer: publish the rest-point state (the
-			// pre-move handle other shards' captures may still pair with,
-			// with no absorbed state hiding beside the CPMA the rebalancer
-			// extracts), signal arrival, and block. Nothing can follow this
+			// pre-move handle other shards' captures may still pair with),
+			// signal arrival, and block. Nothing can follow this
 			// token in the mailbox because the rebalancer holds the
 			// enqueue-side lifecycle lock while it is outstanding. Until
 			// resume closes, the rebalancer is this shard's sole mutator.
@@ -329,131 +292,50 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			<-op.resume
 			i++
 		case op.tk != nil:
-			ws.acks = append(ws.acks, ack{op.tk, s.applyOne(p, c, op.kind, op.keys, op.hot)})
+			ws.acks = append(ws.acks, ack{op.tk, s.applyOne(p, c, op.kind, op.keys)})
 			i++
 		default:
 			j := i + 1
 			for j < len(pending) && pending[j].kind == op.kind && pending[j].tk == nil {
 				j++
 			}
-			keys, hot := op.keys, op.hot
+			keys := op.keys
 			if j > i+1 {
 				ws.runs = ws.runs[:0]
-				// Hot entries from the run's ops concatenate in op order;
-				// within one run every op has the same kind, so a last-wins
-				// fold over them lands on the same slot state regardless of
-				// how the cold keys merged.
-				ws.ents = ws.ents[:0]
 				for k := i; k < j; k++ {
-					if ks := pending[k].keys; len(ks) > 0 {
-						ws.runs = append(ws.runs, ks)
-					}
-					ws.ents = append(ws.ents, pending[k].hot...)
+					ws.runs = append(ws.runs, pending[k].keys)
 				}
-				keys = nil
-				if len(ws.runs) > 0 {
-					keys = mergeRuns(ws.runs, &ws.bufs)
-				}
-				hot = ws.ents
+				keys = mergeRuns(ws.runs, &ws.bufs)
 			}
-			s.applyOne(p, c, op.kind, keys, hot)
+			s.applyOne(p, c, op.kind, keys)
 			i = j
 		}
 	}
 }
 
-// applyOne applies one sorted batch to shard p, records it in the ingest
-// counters, and advances the shard's epoch when the apply changed state
-// (all-duplicate or all-absent batches leave the state — and therefore the
-// published handle — untouched). On a durable set the batch is appended
-// to the shard's write-ahead log first: the log must never trail the
-// in-memory state it redoes, and a log the set cannot append to is fatal
-// (see Journal).
-//
-// With the absorber on, hot carries the op's pre-separated promoted-key
-// entries, and the batch is re-checked against the current table first
-// (the backstop for sub-batches split against a stale table during a
-// promotion — a promoted key's CPMA state must never change outside
-// reconciliation). Entries whose key was demoted while the op was in
-// flight fall back into the applied batch at this same FIFO position, so
-// the write-ahead contract covers them; surviving entries fold into slot
-// state at the same FIFO position as the cold apply — absorbed keys are
-// deliberately NOT journaled here, their WAL records are written by
-// reconcileHot when the slot state folds into the CPMA. The returned count
-// stays exact for ticketed ops: a slot whose effective membership flips
-// counts exactly like a fresh insert or a present remove.
-func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64, hot []hotEntry) int {
-	var ht *hotTable
-	if s.opt.HotKeys {
-		ht = c.hot.Load()
-		if ht != nil && len(keys) > 0 {
-			if cold, ents := stripHotSorted(keys, ht); ents != nil {
-				keys = cold
-				hot = append(hot, ents...)
-			}
-		}
-		if len(hot) > 0 {
-			abs, fallback, surplus := splitEntries(ht, hot)
-			if len(fallback) > 0 {
-				keys = mergeSortedInto(keys, fallback)
-			}
-			if surplus > 0 {
-				// Demotion-fallback duplicates collapsed by separation: they
-				// count as absorbed traffic (they never reach the CPMA) even
-				// though their key travels the normal path again.
-				c.absorbed.Add(surplus)
-				c.det.window += surplus
-			}
-			hot = abs
+// applyOne applies one sorted, nonempty batch to shard p, records it in
+// the ingest counters, and advances the shard's epoch when the apply
+// changed state (all-duplicate or all-absent batches leave the state — and
+// therefore the published handle — untouched). On a durable set the batch
+// is appended to the shard's write-ahead log first: the log must never
+// trail the in-memory state it redoes, and a log the set cannot append to
+// is fatal (see Journal).
+func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64) int {
+	if j := s.opt.Journal; j != nil {
+		if err := j.Append(p, kind == opRemove, keys); err != nil {
+			panic(fmt.Sprintf("shard %d: journal append: %v", p, err))
 		}
 	}
-	if len(keys) == 0 && len(hot) == 0 {
-		return 0
-	}
-	if len(keys) > 0 {
-		if j := s.opt.Journal; j != nil {
-			if err := j.Append(p, kind == opRemove, keys); err != nil {
-				panic(fmt.Sprintf("shard %d: journal append: %v", p, err))
-			}
-		}
-		c.appBatches.Add(1)
-		c.appKeys.Add(uint64(len(keys)))
-	}
+	c.appBatches.Add(1)
+	c.appKeys.Add(uint64(len(keys)))
 	var n int
-	var absorbed uint64
-	if len(keys) > 0 {
-		if kind == opInsert {
-			n = c.set.InsertBatch(keys, true)
-		} else {
-			n = c.set.RemoveBatch(keys, true)
-		}
-		if n > 0 {
-			c.epoch.Add(1)
-		}
+	if kind == opInsert {
+		n = c.set.InsertBatch(keys, true)
+	} else {
+		n = c.set.RemoveBatch(keys, true)
 	}
-	for _, e := range hot {
-		sl := ht.lookup(e.key) // non-nil: splitEntries kept only table keys
-		was := sl.eff()
-		if kind == opInsert {
-			sl.pend = pendInsert
-		} else {
-			sl.pend = pendRemove
-		}
-		if sl.eff() != was {
-			n++
-		}
-		sl.hits += e.n
-		absorbed += e.n
-	}
-	if s.opt.HotKeys {
-		if absorbed > 0 {
-			c.absorbed.Add(absorbed)
-		}
-		// Absorbed traffic advances the detector's window (it is real
-		// traffic for share computation) but not the sketch — its keys are
-		// already promoted.
-		c.det.observe(keys)
-		c.det.window += absorbed
+	if n > 0 {
+		c.epoch.Add(1)
 	}
 	return n
 }

@@ -21,10 +21,9 @@ import (
 // durations are nanoseconds.
 type pipeMetrics struct {
 	residency  obs.Histogram // enqueue -> applied mailbox residency per sub-batch
-	drain      obs.Histogram // one writer drain: WAL append + apply + reconcile + publish
+	drain      obs.Histogram // one writer drain: WAL append + apply + publish
 	coalesce   obs.Histogram // keys merged into one drain (the coalescing win, as a distribution)
 	publish    obs.Histogram // one copy-on-write publication (cpma.Clone)
-	reconcile  obs.Histogram // one hot-key reconcile that folded dirty slots
 	quiesce    obs.Histogram // rebalance pair park: tokens sent -> both writers at rest
 	move       obs.Histogram // whole rebalance boundary move
 	capture    obs.Histogram // one Snapshot() capture
@@ -39,7 +38,6 @@ type PipelineLatencies struct {
 	Drain      obs.HistSnap
 	Coalesce   obs.HistSnap
 	Publish    obs.HistSnap
-	Reconcile  obs.HistSnap
 	Quiesce    obs.HistSnap
 	Move       obs.HistSnap
 	Capture    obs.HistSnap
@@ -53,7 +51,6 @@ func (s *Sharded) PipelineLatencies() PipelineLatencies {
 		Drain:      s.pm.drain.Snapshot(),
 		Coalesce:   s.pm.coalesce.Snapshot(),
 		Publish:    s.pm.publish.Snapshot(),
-		Reconcile:  s.pm.reconcile.Snapshot(),
 		Quiesce:    s.pm.quiesce.Snapshot(),
 		Move:       s.pm.move.Snapshot(),
 		Capture:    s.pm.capture.Snapshot(),
@@ -68,7 +65,6 @@ func (l PipelineLatencies) Sub(prev PipelineLatencies) PipelineLatencies {
 		Drain:      l.Drain.Sub(prev.Drain),
 		Coalesce:   l.Coalesce.Sub(prev.Coalesce),
 		Publish:    l.Publish.Sub(prev.Publish),
-		Reconcile:  l.Reconcile.Sub(prev.Reconcile),
 		Quiesce:    l.Quiesce.Sub(prev.Quiesce),
 		Move:       l.Move.Sub(prev.Move),
 		Capture:    l.Capture.Sub(prev.Capture),
@@ -77,7 +73,7 @@ func (l PipelineLatencies) Sub(prev PipelineLatencies) PipelineLatencies {
 }
 
 // Trace returns the set's lifecycle event trace: per-shard rings of
-// drain/publish/promote/demote/move events plus a global ring for
+// drain/publish/move events plus a global ring for
 // checkpoints, each stamped with the epoch and router generation current
 // when it fired. Attach it to an obs.Server (AddTrace) to expose /tracez.
 func (s *Sharded) Trace() *obs.Trace { return s.trace }
@@ -96,10 +92,9 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	}
 	pm := &s.pm
 	r.RegisterHistogram(prefix+"_mailbox_residency_ns", "ns", "enqueue-to-apply mailbox residency per sub-batch", &pm.residency)
-	r.RegisterHistogram(prefix+"_drain_ns", "ns", "one writer drain: WAL append, apply, reconcile, publish", &pm.drain)
+	r.RegisterHistogram(prefix+"_drain_ns", "ns", "one writer drain: WAL append, apply, publish", &pm.drain)
 	r.RegisterHistogram(prefix+"_coalesce_keys", "keys", "keys coalesced into one drain", &pm.coalesce)
 	r.RegisterHistogram(prefix+"_publish_ns", "ns", "one copy-on-write publication (cpma.Clone)", &pm.publish)
-	r.RegisterHistogram(prefix+"_reconcile_ns", "ns", "one hot-key reconcile folding absorbed state into the CPMA", &pm.reconcile)
 	r.RegisterHistogram(prefix+"_quiesce_ns", "ns", "rebalance pair park: quiesce tokens sent to both writers at rest", &pm.quiesce)
 	r.RegisterHistogram(prefix+"_move_ns", "ns", "one whole rebalance boundary move", &pm.move)
 	r.RegisterHistogram(prefix+"_snapshot_capture_ns", "ns", "one Snapshot() capture", &pm.capture)
@@ -109,10 +104,6 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"_ingest_enqueued_keys", "keys", "keys across enqueued sub-batches", func() uint64 { return s.IngestStats().EnqueuedKeys })
 	r.CounterFunc(prefix+"_ingest_applied_batches", "batches", "coalesced applies at shards", func() uint64 { return s.IngestStats().AppliedBatches })
 	r.CounterFunc(prefix+"_ingest_applied_keys", "keys", "keys across coalesced applies, before dedup", func() uint64 { return s.IngestStats().AppliedKeys })
-	r.CounterFunc(prefix+"_ingest_absorbed_keys", "keys", "hot-key occurrences absorbed instead of applied", func() uint64 { return s.IngestStats().AbsorbedKeys })
-	r.CounterFunc(prefix+"_ingest_reconcile_batches", "batches", "batches folding absorbed hot-key state into CPMAs", func() uint64 { return s.IngestStats().ReconcileBatches })
-	r.CounterFunc(prefix+"_ingest_hot_keys", "keys", "cumulative promotions to the absorbed path", func() uint64 { return s.IngestStats().HotKeys })
-	r.CounterFunc(prefix+"_ingest_demotions", "keys", "cumulative demotions back to the normal path", func() uint64 { return s.IngestStats().Demotions })
 
 	r.CounterFunc(prefix+"_snapshot_epochs", "epochs", "state-changing applies across all shards", func() uint64 { return s.SnapshotStats().Epochs })
 	r.CounterFunc(prefix+"_snapshot_publishes", "handles", "frozen handles published (cpma.Clone calls)", func() uint64 { return s.SnapshotStats().Publishes })

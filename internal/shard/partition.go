@@ -243,29 +243,21 @@ func (s *Sharded) router() *router { return s.rt.Load() }
 
 func (s *Sharded) shardOf(key uint64) int { return s.router().shardOf(key) }
 
-// asyncSplit partitions a batch into per-shard sub-batches that are sorted
-// and safe for the ingest pipeline to hold: a fire-and-forget enqueue
+// asyncSplit partitions a sorted batch into per-shard sorted sub-batches
+// that are safe for the ingest pipeline to hold: a fire-and-forget enqueue
 // outlives the call, so its sub-batches must never alias the caller's
 // slice (which the caller is free to reuse the moment the enqueue
-// returns). A ticketed enqueue (wait) blocks until the writers have
-// consumed the keys, so aliasing is safe and the defensive copy is
-// skipped. Unsorted input is sorted up front — the writers' coalescing
-// merge needs sorted runs — which also makes every split path below
-// order-preserving. The caller must hold life.RLock so the router cannot
-// be swapped between the split and the enqueue.
-func (s *Sharded) asyncSplit(rt *router, keys []uint64, sorted, wait bool) [][]uint64 {
+// returns). They may alias keys only when private reports that keys is
+// safe to hold: the pipeline's own copy (distinctSorted's output), or the
+// caller's slice under a ticketed enqueue, which blocks until the writers
+// have consumed the keys. The caller must hold life.RLock so the router
+// cannot be swapped between the split and the enqueue.
+func asyncSplit(rt *router, keys []uint64, private bool) [][]uint64 {
 	if len(keys) == 0 {
 		return nil
 	}
-	owned := false
-	if !sorted {
-		keys = parallel.SortedCopy(keys)
-		owned = true
-	}
 	subs, aliased := rt.split(keys, true)
-	// Aliased sub-batches need copies unless the sort above produced a
-	// private copy or the caller waits for the apply.
-	if aliased && !owned && !wait {
+	if aliased && !private {
 		for p, sub := range subs {
 			if len(sub) > 0 {
 				subs[p] = append(make([]uint64, 0, len(sub)), sub...)

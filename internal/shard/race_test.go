@@ -114,10 +114,21 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 
 // TestAsyncIngestRace hammers the mailbox pipeline: concurrent
 // fire-and-forget enqueuers (with occasional ticketed batches and point
-// ops), readers, and a flusher, finishing with a Close that races the
-// readers and flusher. Meaningful mostly under -race; without the detector it
-// still verifies that Close drains every enqueued key.
+// ops) whose batches repeat keys — a shared hot set in every batch plus a
+// resent slice of the batch itself — readers, and a flusher, finishing with
+// a Close that races the readers and flusher. Meaningful mostly under
+// -race; without the detector it still verifies that Close drains every
+// enqueued key.
 func TestAsyncIngestRace(t *testing.T) {
+	hot := []uint64{11, 12, 13, 1 << 17}
+	repeated := func(r *workload.RNG, n int) []uint64 {
+		keys := workload.Uniform(r, n, 18)
+		keys = append(keys, keys[:n/3]...)
+		for i := 0; i < n/4; i++ {
+			keys = append(keys, hot[r.Intn(len(hot))])
+		}
+		return keys
+	}
 	for _, opt := range []*Options{
 		{MailboxDepth: 4, Partition: HashPartition},
 		{MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
@@ -131,12 +142,12 @@ func TestAsyncIngestRace(t *testing.T) {
 				defer wwg.Done()
 				r := workload.NewRNG(uint64(300 + w))
 				for i := 0; i < 25; i++ {
-					s.InsertBatchAsync(workload.Uniform(r, 1500, 18), false)
+					s.InsertBatchAsync(repeated(r, 1500), false)
 					switch i % 5 {
 					case 2:
-						s.RemoveBatchAsync(workload.Uniform(r, 700, 18), false)
+						s.RemoveBatchAsync(repeated(r, 700), false)
 					case 4:
-						s.InsertBatch(workload.Uniform(r, 100, 18), false) // ticketed path
+						s.InsertBatch(repeated(r, 100), false) // ticketed path
 						s.Insert(1 + r.Uint64()%(1<<18))
 					}
 				}

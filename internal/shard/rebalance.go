@@ -297,14 +297,6 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 	ca.set, cb.set = newA, newB
 	ca.epoch.Add(1)
 	cb.epoch.Add(1)
-	// The move changed which shard owns which keys, so both shards'
-	// promoted-key state (whose base bits were read off the old CPMAs) is
-	// demoted wholesale. Slots are clean — the quiesce-token publish
-	// reconciled them, so the extracted Keys above were already the full
-	// truth — and genuinely hot keys re-promote within one detector window.
-	// The parked writers give the rebalancer safe access to the detectors.
-	s.dropHotTables(a, ca)
-	s.dropHotTables(b, cb)
 	s.rt.Store(nrt)
 	// Publish fresh handles at the new span generation so captures
 	// converge (stale-gen handles are rejected until these land).

@@ -113,34 +113,23 @@
 // with a routing table from after it (or vice versa). Rebalancing requires
 // RangePartition.
 //
-// # Hot-key absorption (Options.HotKeys)
+// # Repeated keys
 //
-// Rebalancing caps span skew but cannot subdivide one key: when a single
-// key dominates traffic, its owning shard's writer is the whole pipeline's
-// ceiling. CPMA insert/remove of one key is idempotent-commutative, so the
-// absorber (hotkey.go) detects such keys from the ingest traffic itself,
-// strips them from enqueued sub-batches into compact absorbed records, and
-// folds each record into per-shard slot state (a last-wins insert/remove
-// bit over the key's CPMA presence) at the record's FIFO position — the
-// Doppel split-phase protocol applied to the mailbox pipeline. The
-// absorbed state reconciles into the CPMA immediately before every
-// publication (drain end, Flush token, rebalance quiesce) as ordinary
-// write-ahead-logged batches, so every published handle — and therefore
-// every read — is an exact FIFO prefix with no absorbed state beside it.
-// Ticketed mutations stay exact: an absorbed Insert/Remove reports
-// fresh/present from the slot's effective-membership flip.
-//
-// Detection and demotion are per shard: a space-saving sketch over applied
-// traffic promotes keys whose share of a HotKeyEvery-key window exceeds
-// HotKeyFrac (at most HotKeyMax per shard), and cooled keys demote back to
-// the normal path at the next evaluation. A rebalance boundary move
-// demotes both affected shards' keys (ownership moved); in-flight
-// operations split against a stale promoted-key table are re-checked by
-// the writer, so promotion and demotion never reorder or lose operations.
-// IngestStats reports AbsorbedKeys/ReconcileBatches/HotKeys/Demotions.
+// A batch update is a set union (or difference), so a key that repeats
+// within one batch carries no information — and skewed streams repeat a
+// few hot keys constantly, which rebalancing cannot help (it cannot
+// subdivide one key). Every unsorted enqueue therefore drops repeats
+// before anything else touches the batch: one pass over the caller's keys
+// probes a small direct-mapped table of last-seen keys and copies only
+// first sightings (distinctSorted), then sorts and compacts that private
+// copy, so every sub-batch reaches its mailbox sorted and distinct and a
+// hot key costs one table probe per occurrence instead of a trip through
+// the sort, the scatter, the mailbox, the coalescing merge and the CPMA.
+// Caller-sorted batches skip the filter: the CPMA dedups sorted input.
 package shard
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,13 +153,19 @@ const (
 	RangePartition
 )
 
-// Default pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
-// sub-batches, and one drain coalesces at most DefaultCoalesceMax keys
-// into a single apply (a single larger batch is still applied whole).
+// Pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
+// sub-batches (Options.MailboxDepth overrides it), and one drain coalesces
+// at most maxCoalesceKeys keys into a single apply (a single larger batch
+// is still applied whole).
 const (
 	DefaultMailboxDepth = 64
-	DefaultCoalesceMax  = 1 << 20
+	maxCoalesceKeys     = 1 << 20
 )
+
+// repeatBits sizes the enqueue-side repeat filter: a direct-mapped table
+// of 1<<repeatBits last-seen keys (8 KiB on the stack), enough to hold a
+// skewed stream's hot set while staying in L1.
+const repeatBits = 10
 
 // Default rebalancer tuning: the monitor samples per-shard key counts
 // every DefaultRebalanceEvery and moves boundaries while the max/mean
@@ -209,29 +204,6 @@ type Options struct {
 	// MailboxDepth bounds each shard's mailbox (pending sub-batches); a
 	// full mailbox blocks enqueues. 0 means DefaultMailboxDepth.
 	MailboxDepth int
-	// CoalesceMax caps the keys one drain merges into a single apply.
-	// 0 means DefaultCoalesceMax.
-	CoalesceMax int
-
-	// HotKeys enables the per-shard hot-key absorber (see the package
-	// documentation and hotkey.go): detected-hot keys are stripped from
-	// enqueued sub-batches and absorbed into per-shard slot state, then
-	// reconciled into the CPMA before every publication. Works with either
-	// partition policy and composes with Rebalance (a boundary move demotes
-	// the pair's keys) and a Journal (absorbed keys are WAL-logged at
-	// reconcile time).
-	HotKeys bool
-	// HotKeyFrac is the promotion threshold: a key is promoted when its
-	// share of one detector window exceeds this fraction, and demoted when
-	// its absorbed traffic cools below a quarter of it. 0 means
-	// DefaultHotKeyFrac.
-	HotKeyFrac float64
-	// HotKeyMax caps the promoted keys per shard. 0 means DefaultHotKeyMax.
-	HotKeyMax int
-	// HotKeyEvery is the detector window: promotion/demotion is evaluated
-	// once this many keys have passed through a shard since the last
-	// evaluation. 0 means DefaultHotKeyEvery.
-	HotKeyEvery int
 
 	// Rebalance starts the live span rebalancer (see the package
 	// documentation): a background monitor samples per-shard key counts and
@@ -377,18 +349,7 @@ type cell struct {
 	epoch atomic.Uint64
 	snap  atomic.Pointer[shardSnap]
 
-	// Hot-key absorber state (hotkey.go): hot is the promoted-key table
-	// (nil when nothing is promoted), det is the traffic detector; the
-	// table's slots and det belong to the writer goroutine, and the
-	// counters feed IngestStats.
-	hot        atomic.Pointer[hotTable]
-	det        hotDetector
-	absorbed   atomic.Uint64
-	reconciles atomic.Uint64
-	promos     atomic.Uint64
-	demos      atomic.Uint64
-
-	_ [40]byte
+	_ [64]byte
 }
 
 // Sharded is a concurrent set of nonzero uint64 keys built from P
@@ -434,15 +395,6 @@ type Sharded struct {
 	// latency histograms and the per-shard lifecycle event trace.
 	pm    pipeMetrics
 	trace *obs.Trace
-
-	// hotIdx is the global promoted-key index: the sorted union of every
-	// shard's hot-table keys, rebuilt whenever a retune or boundary move
-	// changes promotions. enqueue's pre-pass consults it to excise hot
-	// occurrences before the sort+scatter (the dominant enqueue cost on
-	// skewed streams). Mild staleness either way is benign: a missing key
-	// travels cold and applyOne's backstop strip absorbs it; an extra key
-	// arrives as an entry and splitEntries falls it back to the cold path.
-	hotIdx atomic.Pointer[hotIndex]
 }
 
 // New returns a Sharded set with the given number of shards (clamped to at
@@ -482,22 +434,8 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 	if o.MailboxDepth <= 0 {
 		o.MailboxDepth = DefaultMailboxDepth
 	}
-	if o.CoalesceMax <= 0 {
-		o.CoalesceMax = DefaultCoalesceMax
-	}
 	if o.Rebalance && o.Partition != RangePartition {
 		panic("shard: Options.Rebalance requires RangePartition")
-	}
-	if o.HotKeys {
-		if o.HotKeyFrac <= 0 {
-			o.HotKeyFrac = DefaultHotKeyFrac
-		}
-		if o.HotKeyMax <= 0 {
-			o.HotKeyMax = DefaultHotKeyMax
-		}
-		if o.HotKeyEvery <= 0 {
-			o.HotKeyEvery = DefaultHotKeyEvery
-		}
 	}
 	if o.MaxSkew <= 0 {
 		o.MaxSkew = DefaultMaxSkew
@@ -549,14 +487,6 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 	if replica {
 		return s
 	}
-	if o.HotKeys {
-		// The sketch tracks a few times more candidates than can be
-		// promoted, so near-threshold keys are not evicted by churn right
-		// before an evaluation.
-		for i := range s.cells {
-			s.cells[i].det.sk.cap = 4 * o.HotKeyMax
-		}
-	}
 	for i := range s.cells {
 		s.cells[i].mbox = make(chan shardOp, o.MailboxDepth)
 	}
@@ -590,19 +520,33 @@ func checkKey(x uint64) {
 	}
 }
 
-// checkKeys rejects batches containing the reserved key 0. Sorted batches
-// only need their first element checked.
-func checkKeys(keys []uint64, sorted bool) {
-	if len(keys) == 0 {
-		return
-	}
-	if sorted {
-		checkKey(keys[0])
-		return
-	}
+// distinctSorted returns a sorted, duplicate-free private copy of an
+// unsorted batch. One pass drops repeats before the sort: each key probes
+// a direct-mapped table of last-seen keys (slot = the top repeatBits bits
+// of a Fibonacci hash) and only keys not found there are copied out. The
+// table is a filter, not a set — a key evicted by a colliding one is
+// copied again — so slices.Compact finishes the job after the sort; on a
+// skewed stream the hot keys stay resident and almost all their
+// occurrences are gone before the O(n log n) sort sees them. The pass is
+// also the batch's reserved-key check, made before the probe: the zeroed
+// table already "holds" key 0, so a check after it would drop the key
+// silently instead of panicking.
+func distinctSorted(keys []uint64) []uint64 {
+	var seen [1 << repeatBits]uint64
+	out := make([]uint64, len(keys))
+	n := 0
 	for _, k := range keys {
 		checkKey(k)
+		h := (k * 0x9e3779b97f4a7c15) >> (64 - repeatBits)
+		if seen[h] != k {
+			seen[h] = k
+			out[n] = k
+			n++
+		}
 	}
+	out = out[:n]
+	parallel.Sort(out)
+	return slices.Compact(out)
 }
 
 // Insert adds x, returning false if already present. It routes through the
@@ -639,7 +583,8 @@ func (s *Sharded) Has(x uint64) bool {
 // batch is scattered into per-shard sub-batches mailed with a completion
 // ticket; the call returns once every shard has applied and published its
 // part, so the count is exact and every later read observes the batch. If
-// sorted is true the keys must be in ascending order.
+// sorted is true the keys must be in ascending order; an unsorted batch may
+// repeat keys freely (repeats are dropped before the enqueue).
 func (s *Sharded) InsertBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
 	return s.enqueue(opInsert, keys, sorted, true)
@@ -684,52 +629,37 @@ func (s *Sharded) enqueueOne(kind opKind, x uint64) bool {
 	c := &s.cells[s.shardOf(x)]
 	c.enqBatches.Add(1)
 	c.enqKeys.Add(1)
-	op := shardOp{kind: kind, tk: tk, enq: time.Now()}
-	if s.opt.HotKeys && c.hot.Load().lookup(x) != nil {
-		// Promoted key: mail the compact absorbed form. The exact
-		// fresh/removed answer comes off the slot's effective-membership
-		// flip, so the ticket contract is unchanged.
-		op.hot = []hotEntry{{key: x, n: 1}}
-	} else {
-		op.keys = []uint64{x}
-	}
-	c.mbox <- op
+	c.mbox <- shardOp{kind: kind, keys: []uint64{x}, tk: tk, enq: time.Now()}
 	s.life.RUnlock()
 	return tk.wait() == 1
 }
 
-// enqueue scatters keys into sorted sub-batches and mails each to its
-// shard, all under life.RLock — the split must use the same boundary
-// table the mailboxes are routed by, and a rebalance excludes itself via
-// life.Lock. With wait set it attaches a completion ticket, blocks until
-// every shard has applied and published its part, and returns the summed
-// exact count; otherwise it returns 0 as soon as everything is enqueued
-// (see asyncSplit for when sub-batches may alias the caller's slice).
+// enqueue splits keys into sorted sub-batches and mails each to its shard.
+// An unsorted batch first becomes a private sorted, distinct copy
+// (distinctSorted, which also rejects key 0), outside the lock; a sorted
+// one only needs its first key checked. The split and the sends run under
+// life.RLock — the split must use the same boundary table the mailboxes
+// are routed by, and a rebalance excludes itself via life.Lock. With wait
+// set it attaches a completion ticket, blocks until every shard has
+// applied and published its part, and returns the summed exact count;
+// otherwise it returns 0 as soon as everything is enqueued (see asyncSplit
+// for when sub-batches may alias the caller's slice).
 func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) int {
-	// Fast pre-pass, outside the lock: tally globally promoted keys before
-	// the sort+scatter — on hot-key-dominated streams this shrinks the
-	// expensive split to the cold residue. The scan doubles as the
-	// reserved-key check (one pass over the batch, not two).
-	var hotIK, hotCounts []uint64
-	if s.opt.HotKeys && !sorted {
-		keys, hotIK, hotCounts = s.hotScan(keys)
-	} else {
-		checkKeys(keys, sorted)
+	private := wait
+	if !sorted {
+		keys, private = distinctSorted(keys), true
+	} else if len(keys) > 0 {
+		checkKey(keys[0])
 	}
 	s.life.RLock()
 	if s.closed {
 		s.life.RUnlock()
 		panic("shard: mutation on closed Sharded")
 	}
-	rt := s.router()
-	var hotEnts [][]hotEntry
-	if hotCounts != nil {
-		hotEnts = routeHot(rt, hotIK, hotCounts)
-	}
-	subs := s.asyncSplit(rt, keys, sorted, wait)
+	subs := asyncSplit(s.router(), keys, private)
 	parts := 0
-	for p := range s.cells {
-		if (subs != nil && len(subs[p]) > 0) || (hotEnts != nil && len(hotEnts[p]) > 0) {
+	for _, sub := range subs {
+		if len(sub) > 0 {
 			parts++
 		}
 	}
@@ -744,37 +674,14 @@ func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) in
 	// One clock read covers every sub-batch this call mails: residency is
 	// measured per drained op, stamped per enqueue call, never per key.
 	now := time.Now()
-	for p := range s.cells {
-		var sub []uint64
-		if subs != nil {
-			sub = subs[p]
-		}
-		var hot []hotEntry
-		if hotEnts != nil {
-			hot = hotEnts[p]
-		}
-		if len(sub) == 0 && len(hot) == 0 {
+	for p, sub := range subs {
+		if len(sub) == 0 {
 			continue
 		}
 		c := &s.cells[p]
 		c.enqBatches.Add(1)
-		n := uint64(len(sub))
-		for _, e := range hot {
-			n += e.n
-		}
-		c.enqKeys.Add(n)
-		if s.opt.HotKeys && len(sub) > 0 {
-			// Separation against the owning shard's own table catches keys
-			// the global index hasn't picked up yet (and the whole sorted
-			// path). Splitting against a table one retune older than the
-			// writer's is benign — the writer re-checks in applyOne
-			// (backstop strip / demotion fallback).
-			if cold, ents := stripHotSorted(sub, c.hot.Load()); ents != nil {
-				sub = cold
-				hot = append(hot, ents...)
-			}
-		}
-		c.mbox <- shardOp{kind: kind, keys: sub, hot: hot, tk: tk, enq: now}
+		c.enqKeys.Add(uint64(len(sub)))
+		c.mbox <- shardOp{kind: kind, keys: sub, tk: tk, enq: now}
 	}
 	s.life.RUnlock()
 	if wait {

@@ -380,6 +380,10 @@ func TestZeroKeyRejected(t *testing.T) {
 		"RemoveBatch unsorted": func() { s.RemoveBatch([]uint64{3, 0}, false) },
 		"InsertBatchAsync":     func() { s.InsertBatchAsync([]uint64{0}, true) },
 		"RemoveBatchAsync":     func() { s.RemoveBatchAsync([]uint64{5, 0}, false) },
+		// The repeat filter's table starts zeroed, so it already "holds"
+		// key 0: a check after the probe would drop these silently.
+		"InsertBatch repeat then zero": func() { s.InsertBatch([]uint64{7, 7, 0}, false) },
+		"InsertBatchAsync zeros":       func() { s.InsertBatchAsync([]uint64{0, 0}, false) },
 	} {
 		if !panics(op) {
 			t.Fatalf("%s accepted key 0", name)
@@ -412,19 +416,20 @@ var smallSet = &cpma.Options{LeafBytes: 256, PointThreshold: 10}
 // partitions. Each subtest verifies 600+ randomized capture interleavings
 // (1200+ total), which the CI race job runs under -race with -count=2.
 func TestSnapshotPrefixCutDifferential(t *testing.T) {
+	hashOpt := &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4}
+	rangeOpt := &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4}
 	for _, tc := range []struct {
 		name string
 		opt  *Options
+		hot  bool
 	}{
-		{"hash", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4}},
-		{"range", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4}},
-		// Hot-key absorption must not change the cut contract: absorbed
-		// occurrences reconcile before every publish, so each capture is
-		// still an exact FIFO prefix even mid-absorption.
-		{"hash-hotkey", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4,
-			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
-		{"range-hotkey", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4,
-			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
+		{"hash", hashOpt, false},
+		{"range", rangeOpt, false},
+		// Repeated keys must not change the cut contract: the hot
+		// histories repeat four keys 150 times per batch, so every capture
+		// races batches the enqueue-side repeat filter has shrunk.
+		{"hash-hotkey", hashOpt, true},
+		{"range-hotkey", rangeOpt, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const P = 3
@@ -459,9 +464,7 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 			for j := range hist {
 				remove := j%4 == 3
 				keys := workload.Uniform(r, 1+r.Intn(250), 16)
-				if tc.opt.HotKeys {
-					// Make the history hot-heavy so batches actually cross
-					// the separation/absorption path mid-capture.
+				if tc.hot {
 					for i := 0; i < 150; i++ {
 						keys = append(keys, 1+uint64(r.Intn(4)))
 					}
@@ -664,21 +667,20 @@ func TestSnapshotReadYourFlushes(t *testing.T) {
 // fire-and-forget traffic keeps the writers busy, so the drain that applied
 // a ticketed op goes on applying other batches before it publishes. The
 // ticketed ops use odd keys and the background traffic even ones, so the
-// expected membership is exact. The hot-key case runs the ticketed batches
-// through the absorbed path (a hot key in every batch; the background
-// traffic avoids its shard so it stays promoted); the follower
-// case drives a replica the way the replication applier does and checks a
-// bounds update cannot strand a capture.
+// expected membership is exact, and so are the ticketed batch counts. The
+// hot-key case repeats one key 64 times in every ticketed batch, on small
+// leaves, so the counts come through the enqueue-side repeat filter; the
+// follower case drives a replica the way the replication applier does and
+// checks a bounds update cannot strand a capture.
 func TestReadYourWrites(t *testing.T) {
-	hot := hotOpts(HashPartition)
-	hot.HotKeyEvery = 256
 	for _, tc := range []struct {
 		name string
 		opt  *Options
+		hot  bool
 	}{
-		{"hash", &Options{Partition: HashPartition, MailboxDepth: 4}},
-		{"range", &Options{Partition: RangePartition, KeyBits: 18, MailboxDepth: 4}},
-		{"hotkey", hot},
+		{"hash", &Options{Partition: HashPartition, MailboxDepth: 4}, false},
+		{"range", &Options{Partition: RangePartition, KeyBits: 18, MailboxDepth: 4}, false},
+		{"hotkey", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(3, tc.opt)
@@ -699,9 +701,6 @@ func TestReadYourWrites(t *testing.T) {
 					keys := workload.Uniform(r, 256, 17)
 					for j := range keys {
 						keys[j] *= 2
-					}
-					if tc.opt.HotKeys {
-						keys = slices.DeleteFunc(keys, func(k uint64) bool { return s.shardOf(k) == s.shardOf(hotKey) })
 					}
 					if i%3 == 2 {
 						s.RemoveBatchAsync(keys, false)
@@ -746,18 +745,22 @@ func TestReadYourWrites(t *testing.T) {
 				for j := 0; j < 16; j++ {
 					batch = append(batch, 2*(1+r.Uint64()%(1<<17))+1)
 				}
-				if tc.opt.HotKeys {
+				if tc.hot {
 					for j := 0; j < 64; j++ {
 						batch = append(batch, hotKey)
 					}
 				}
-				s.InsertBatch(batch, false)
+				// Every batch key is absent (odd keys are only ever inserted
+				// and removed again by this loop), so both counts are exact.
+				want := len(slices.Compact(slices.Sorted(slices.Values(batch))))
+				if n := s.InsertBatch(batch, false); n != want {
+					t.Fatalf("round %d: InsertBatch added %d, want %d", i, n, want)
+				}
 				visible("InsertBatch", batch, true)
-				s.RemoveBatch(batch, false)
+				if n := s.RemoveBatch(batch, false); n != want {
+					t.Fatalf("round %d: RemoveBatch removed %d, want %d", i, n, want)
+				}
 				visible("RemoveBatch", batch, false)
-			}
-			if tc.opt.HotKeys && s.IngestStats().AbsorbedKeys == 0 {
-				t.Fatalf("hot key never absorbed: %+v", s.IngestStats())
 			}
 		})
 	}

@@ -268,7 +268,8 @@ func PowerLawBatch(z *PowerLaw, n int) []uint64 {
 // is the adversary rebalancing cannot fix: the hot keys are the smallest
 // keys of the space (1..k, all inside one range-partition span, matching
 // PowerLaw's unscrambled bottom-clustering), and no boundary move can
-// subdivide the traffic to a single key — only hot-key absorption helps.
+// subdivide the traffic to a single key — only dropping each batch's
+// repeated keys before they reach the shards helps.
 type HotSpot struct {
 	rng  *RNG
 	hot  []uint64

@@ -56,20 +56,16 @@ func TestMetricCatalog(t *testing.T) {
 	}
 }
 
-// metricCatalog is one "kind name unit" line per exported metric: 62
-// counters and gauges and 26 histograms.
+// metricCatalog is one "kind name unit" line per exported metric: 54
+// counters and gauges and 24 histograms.
 const metricCatalog = `
 histogram cpma_checkpoint_ns                  ns
 histogram cpma_coalesce_keys                  keys
 histogram cpma_drain_ns                       ns
-counter   cpma_ingest_absorbed_keys           keys
 counter   cpma_ingest_applied_batches         batches
 counter   cpma_ingest_applied_keys            keys
-counter   cpma_ingest_demotions               keys
 counter   cpma_ingest_enqueued_batches        batches
 counter   cpma_ingest_enqueued_keys           keys
-counter   cpma_ingest_hot_keys                keys
-counter   cpma_ingest_reconcile_batches       batches
 histogram cpma_mailbox_residency_ns           ns
 histogram cpma_move_ns                        ns
 counter   cpma_persist_appended_batches       records
@@ -94,7 +90,6 @@ counter   cpma_rebalance_checks               checks
 counter   cpma_rebalance_gen                  generation
 counter   cpma_rebalance_moved_keys           keys
 counter   cpma_rebalance_moves                moves
-histogram cpma_reconcile_ns                   ns
 histogram cpma_snapshot_capture_ns            ns
 counter   cpma_snapshot_captures              captures
 counter   cpma_snapshot_clone_bytes           bytes
@@ -108,14 +103,10 @@ histogram fgraph_index_build_ns               ns
 histogram fgraph_set_checkpoint_ns            ns
 histogram fgraph_set_coalesce_keys            keys
 histogram fgraph_set_drain_ns                 ns
-counter   fgraph_set_ingest_absorbed_keys     keys
 counter   fgraph_set_ingest_applied_batches   batches
 counter   fgraph_set_ingest_applied_keys      keys
-counter   fgraph_set_ingest_demotions         keys
 counter   fgraph_set_ingest_enqueued_batches  batches
 counter   fgraph_set_ingest_enqueued_keys     keys
-counter   fgraph_set_ingest_hot_keys          keys
-counter   fgraph_set_ingest_reconcile_batches batches
 histogram fgraph_set_mailbox_residency_ns     ns
 histogram fgraph_set_move_ns                  ns
 histogram fgraph_set_publish_ns               ns
@@ -124,7 +115,6 @@ counter   fgraph_set_rebalance_checks         checks
 counter   fgraph_set_rebalance_gen            generation
 counter   fgraph_set_rebalance_moved_keys     keys
 counter   fgraph_set_rebalance_moves          moves
-histogram fgraph_set_reconcile_ns             ns
 histogram fgraph_set_snapshot_capture_ns      ns
 counter   fgraph_set_snapshot_captures        captures
 counter   fgraph_set_snapshot_clone_bytes     bytes

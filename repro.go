@@ -68,19 +68,11 @@
 //
 // Neither partitioning nor rebalancing helps when the skew concentrates
 // on a handful of individual keys — all traffic for one key routes to one
-// shard's writer. ShardedSetOptions{HotKeys: true} adds a per-shard
-// hot-key absorber to the pipeline: a streaming top-k detector
-// promotes the heaviest keys, and promoted traffic collapses into
-// per-key absorbed state (a membership bit plus a last-wins pending op)
-// instead of repeatedly re-proving idempotent updates against the CPMA.
-// Every publish (drain, Flush, rebalance) first reconciles absorbed state
-// into the structure, so an absorbed insert or remove is visible under the
-// same contract as an applied one and published handles and durable state
-// never contain half-absorbed keys: on a durable set the reconciled batch
-// is WAL-appended before it applies, and recovery replays it like any
-// other batch. Keys that cool
-// off demote back to the ordinary path. ShardIngestStats reports the
-// promotion/absorption/reconcile counters.
+// shard's writer. A batch update is a set union, so a key repeated within
+// one batch carries no information: every unsorted batch drops its
+// repeats in one pass before the sort (a small direct-mapped table of
+// last-seen keys), and only its distinct keys travel the pipeline.
+// ShardIngestStats counts enqueued keys after that filter.
 //
 // # Graph streaming
 //
@@ -160,7 +152,7 @@
 // Every pipeline stage is instrumented with always-on atomic counters and
 // lock-free log-bucketed latency histograms (mailbox residency, drain,
 // coalesce width, publish/clone, WAL append and fsync stall, checkpoint,
-// rebalance quiesce/move, hot-key reconcile, replication ship/apply).
+// rebalance quiesce/move, replication ship/apply).
 // NewMetrics builds a named registry, Observe registers a ShardedSet's
 // full metric surface into it (a durable set's journal and an attached
 // ReplPrimary/ReplFollower register through the same path), and
@@ -225,9 +217,8 @@ type ShardedSet = shard.Sharded
 // ShardedSetOptions configures a ShardedSet beyond NewShardedSet's
 // defaults: the partitioning policy (hash or contiguous key ranges), the
 // expected key width for range partitioning, per-shard Set options, the
-// mailbox tuning (MailboxDepth, CoalesceMax), rebalancing, hot-key
-// absorption, and durability. Its Async field is ignored: every
-// ShardedSet runs the mailbox pipeline.
+// mailbox depth, rebalancing, and durability. Its Async field is ignored:
+// every ShardedSet runs the mailbox pipeline.
 type ShardedSetOptions = shard.Options
 
 // ShardIngestStats reports a ShardedSet's batch traffic: sub-batches
@@ -401,8 +392,8 @@ type MetricsServer = obs.Server
 type MetricsHistogram = obs.Histogram
 
 // EventTrace is a set of fixed-size per-shard ring buffers recording
-// pipeline lifecycle events (drain, publish, checkpoint, promote, demote,
-// move, ship, bootstrap, apply) with epoch and generation stamps;
+// pipeline lifecycle events (drain, publish, checkpoint, move, ship,
+// bootstrap, apply, index) with epoch and generation stamps;
 // (*ShardedSet).Trace returns the live one and /tracez dumps it.
 type EventTrace = obs.Trace
 
