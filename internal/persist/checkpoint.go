@@ -267,9 +267,14 @@ func loadDelta(path string, shardID int, seq uint64) (prevSeq, baseSeq uint64, p
 // wrong shards). Version history: 1 = fixed equal-width spans; 2 = the
 // span boundary table became dynamic state, carried in the generation-
 // stamped BOUNDS sidecar (see bounds.go) and updated by rebalance
-// barriers. Both versions are accepted on open — a version-1 store simply
-// has no BOUNDS file yet and runs on the default table until its first
-// rebalance — and new stores are written at version 2.
+// barriers; 3 = hash shards store quotients, not keys (see
+// shard.HashPartition), so their WAL records and checkpoints hold values
+// an older binary would misread as keys. New stores are written at
+// version 3. Range stores of every version open (their layout never
+// changed; a version-1 store simply has no BOUNDS file yet and runs on
+// the default table until its first rebalance) and are upgraded in place.
+// A multi-shard hash store below version 3 holds the old whole-key layout
+// and is refused.
 type manifest struct {
 	Version   int    `json:"version"`
 	Shards    int    `json:"shards"`
@@ -279,8 +284,11 @@ type manifest struct {
 
 const (
 	manifestName       = "MANIFEST"
-	manifestVersion    = 2
+	manifestVersion    = 3
 	manifestVersionMin = 1
+	// quotientVersion is the first version whose hash shards store
+	// quotients.
+	quotientVersion = 3
 )
 
 func partitionString(p shard.Partition) string {
@@ -292,10 +300,11 @@ func partitionString(p shard.Partition) string {
 
 // ensureManifest validates dir's manifest against opts, writing a fresh
 // one (atomically) if none exists yet. An older-version manifest with
-// matching geometry is upgraded in place: this binary is about to write
-// state the old format cannot express (version-2 WAL segments, the BOUNDS
-// sidecar), and bumping the manifest makes an old binary refuse the store
-// outright instead of silently discarding the new segments as invalid.
+// matching geometry and an unchanged layout is upgraded in place: this
+// binary is about to write state the old format cannot express
+// (version-2 WAL segments, the BOUNDS sidecar), and bumping the manifest
+// makes an old binary refuse the store outright instead of silently
+// discarding the new segments as invalid.
 func ensureManifest(o Options) error {
 	path := filepath.Join(o.Dir, manifestName)
 	want := manifest{Version: manifestVersion, Shards: o.Shards, Partition: partitionString(o.Partition), KeyBits: o.KeyBits}
@@ -311,6 +320,10 @@ func ensureManifest(o Options) error {
 		if got.Shards != want.Shards || got.Partition != want.Partition || got.KeyBits != want.KeyBits {
 			return fmt.Errorf("persist: store at %s holds a %d-shard %s/%d-bit set; asked to open it as %d-shard %s/%d-bit",
 				o.Dir, got.Shards, got.Partition, got.KeyBits, want.Shards, want.Partition, want.KeyBits)
+		}
+		if got.Partition == "hash" && got.Shards > 1 && got.Version < quotientVersion {
+			return fmt.Errorf("persist: store at %s has manifest version %d, whose hash shards store whole keys; this build stores quotients (version %d) and cannot read that layout",
+				o.Dir, got.Version, quotientVersion)
 		}
 		if got.Version == manifestVersion {
 			return nil

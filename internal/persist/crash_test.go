@@ -26,16 +26,12 @@ import (
 // internals so a routing regression breaks this test instead of silently
 // re-deriving the model from the bug) ---
 
-func mix64Test(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func shardOfTest(part shard.Partition, shards, keyBits int, key uint64) int {
+// routeTest returns the shard a key routes to and the value that shard
+// stores for it: the key itself under RangePartition, and under
+// HashPartition the quotient q = key>>b plus one on shard (h(q) + r) mod
+// shards, with b = floor(log2 shards), r the key's low b bits and h(q)
+// the Fibonacci multiply-shift hi64((q * 0x9e3779b97f4a7c15) * shards).
+func routeTest(part shard.Partition, shards, keyBits int, key uint64) (int, uint64) {
 	if part == shard.RangePartition {
 		total := uint64(1) << uint(keyBits)
 		w := total / uint64(shards)
@@ -46,10 +42,15 @@ func shardOfTest(part shard.Partition, shards, keyBits int, key uint64) int {
 		if p >= shards {
 			p = shards - 1
 		}
-		return p
+		return p, key
 	}
-	hi, _ := bits.Mul64(mix64Test(key), uint64(shards))
-	return int(hi)
+	if shards == 1 {
+		return 0, key
+	}
+	b := bits.Len(uint(shards)) - 1
+	q := key >> b
+	h, _ := bits.Mul64(q*0x9e3779b97f4a7c15, uint64(shards))
+	return int((h + key&(1<<b-1)) % uint64(shards)), q + 1
 }
 
 // scriptOp is one global batch of the scripted history.
@@ -78,16 +79,16 @@ func buildScript(batches, batchSize, keyBits int) []scriptOp {
 }
 
 // subBatches projects the script onto one shard: the per-shard sequence of
-// non-empty sorted sub-batches, exactly the records the shard's WAL must
-// hold (blocking batch calls are ticketed, so each sub-batch applies — and
-// logs — individually, in enqueue order).
+// non-empty sorted sub-batches of stored values, exactly the records the
+// shard's WAL must hold (blocking batch calls are ticketed, so each
+// sub-batch applies — and logs — individually, in enqueue order).
 func subBatches(script []scriptOp, part shard.Partition, shards, keyBits, p int) []scriptOp {
 	var subs []scriptOp
 	for _, op := range script {
 		var sub []uint64
 		for _, k := range op.keys {
-			if shardOfTest(part, shards, keyBits, k) == p {
-				sub = append(sub, k)
+			if q, v := routeTest(part, shards, keyBits, k); q == p {
+				sub = append(sub, v)
 			}
 		}
 		if len(sub) > 0 {

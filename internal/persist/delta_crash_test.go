@@ -67,25 +67,23 @@ func deltaStoreOptions(dir string, part shard.Partition) Options {
 }
 
 // recoverAndCheck opens the (possibly damaged) store at dir and requires
-// every shard to validate and the union of their keys to equal want.
+// the recovered shards to validate (routing included) and their keys to
+// equal want.
 func recoverAndCheck(t *testing.T, dir string, part shard.Partition, want []uint64, what string) {
 	t.Helper()
 	st, sets, err := Open(deltaStoreOptions(dir, part))
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", what, err)
 	}
-	var got []uint64
-	for q, set := range sets {
-		if err := set.Validate(); err != nil {
-			t.Fatalf("%s: recovered shard %d invalid: %v", what, q, err)
-		}
-		got = append(got, cpmaKeys(set)...)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("%s: close after recovery: %v", what, err)
 	}
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
+	s := shard.NewFrom(sets, &shard.Options{Partition: part, KeyBits: 20})
+	defer s.Close()
+	if err := s.Validate(); err != nil {
+		t.Fatalf("%s: recovered set invalid: %v", what, err)
+	}
+	if got := s.Keys(); !slices.Equal(got, want) {
 		t.Fatalf("%s: recovered %d keys, acknowledged history has %d", what, len(got), len(want))
 	}
 }

@@ -8,9 +8,11 @@ package persist
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/shard"
@@ -298,5 +300,77 @@ func TestManifestVersionCompat(t *testing.T) {
 	opt.Dir = dir2
 	if _, _, err := Open(opt); err == nil {
 		t.Fatal("future manifest version accepted")
+	}
+}
+
+// TestManifestHashLayoutGuard: a multi-shard hash store below manifest
+// version 3 holds whole keys where this build stores quotients, so it is
+// refused with an error naming the layout, and the refusal leaves its
+// manifest alone. Range stores of versions 1 and 2 (and a single-shard
+// hash store, whose layout never changed) still open and are upgraded; a
+// fresh hash store is written at version 3.
+func TestManifestHashLayoutGuard(t *testing.T) {
+	write := func(body string) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	version := func(dir string) int {
+		blob, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Version
+	}
+
+	for _, v := range []int{1, 2} {
+		dir := write(fmt.Sprintf(`{"version":%d,"shards":4,"partition":"hash","key_bits":64}`, v))
+		_, _, err := Open(Options{Dir: dir, Shards: 4, Partition: shard.HashPartition, KeyBits: 64})
+		if err == nil || !strings.Contains(err.Error(), "hash shards store whole keys") {
+			t.Fatalf("v%d hash store: got %v, want a refusal naming the layout", v, err)
+		}
+		if got := version(dir); got != v {
+			t.Fatalf("v%d hash store: refused manifest rewritten to version %d", v, got)
+		}
+	}
+
+	for _, tc := range []struct{ body, what string }{
+		{`{"version":1,"shards":2,"partition":"range","key_bits":16}`, "v1 range"},
+		{`{"version":2,"shards":2,"partition":"range","key_bits":16}`, "v2 range"},
+		{`{"version":2,"shards":1,"partition":"hash","key_bits":64}`, "v2 single-shard hash"},
+	} {
+		dir := write(tc.body)
+		var m manifest
+		if err := json.Unmarshal([]byte(tc.body), &m); err != nil {
+			t.Fatal(err)
+		}
+		part := shard.RangePartition
+		if m.Partition == "hash" {
+			part = shard.HashPartition
+		}
+		st, _, err := Open(Options{Dir: dir, Shards: m.Shards, Partition: part, KeyBits: m.KeyBits})
+		if err != nil {
+			t.Fatalf("%s store refused: %v", tc.what, err)
+		}
+		st.Close()
+		if got := version(dir); got != manifestVersion {
+			t.Fatalf("%s store not upgraded: version %d", tc.what, got)
+		}
+	}
+
+	dir := t.TempDir()
+	st, _, err := Open(Options{Dir: dir, Shards: 4, Partition: shard.HashPartition, KeyBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got := version(dir); got != 3 {
+		t.Fatalf("fresh hash store written at version %d, want 3", got)
 	}
 }

@@ -264,7 +264,7 @@ func TestReadShippableRetentionAndBootstrap(t *testing.T) {
 				set.InsertBatch(r.Keys, true)
 			}
 		}
-		if !slices.Equal(s.ShardKeys(p), set.Keys()) {
+		if !slices.Equal(s.Snapshot().ShardSets()[p].Keys(), set.Keys()) {
 			t.Fatalf("shard %d: bootstrapped state differs from primary", p)
 		}
 	}

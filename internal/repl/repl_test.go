@@ -66,17 +66,19 @@ func replayPrefix(hist []persist.Rec, upto uint64) []uint64 {
 	return keys
 }
 
-// verifyPrefix checks every follower shard against the replay of the
-// harness history at the follower's own position. Call with the
-// follower's link closed (positions frozen).
+// verifyPrefix checks every follower shard's stored values against the
+// replay of the harness history (records carry stored values) at the
+// follower's own position. Call with the follower's link closed
+// (positions frozen).
 func verifyPrefix(t *testing.T, f *Follower, hist [][]persist.Rec, when string) {
 	t.Helper()
+	sets := f.Snapshot().ShardSets()
 	for p, pos := range f.Positions() {
 		if pos.Seq > uint64(len(hist[p])) {
 			t.Fatalf("%s: follower shard %d at seq %d, history only holds %d", when, p, pos.Seq, len(hist[p]))
 		}
 		want := replayPrefix(hist[p], pos.Seq)
-		got := f.Set().ShardKeys(p)
+		got := sets[p].Keys()
 		if !slices.Equal(want, got) {
 			t.Fatalf("%s: follower shard %d at seq %d: %d keys, prefix replay has %d", when, p, pos.Seq, len(got), len(want))
 		}

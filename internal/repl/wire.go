@@ -29,7 +29,10 @@ import (
 )
 
 const (
-	wireMagic    = "CPMARPL1"
+	// wireMagic opens a follower's hello. Version 2 ships hash shards'
+	// stored quotients (see shard.HashPartition); a version-1 peer, which
+	// ships whole keys, is refused instead of misread.
+	wireMagic    = "CPMARPL2"
 	maxFrameLen  = 1 << 30
 	pingAfterMax = 250 * time.Millisecond
 

@@ -59,6 +59,13 @@ func TestMalformedFrames(t *testing.T) {
 		t.Fatalf("follower serves keys %v bounds %v", sn.Keys(), sn.Bounds())
 	}
 
+	// A hello in the current format parses, so the old-magic case below
+	// fails on its magic alone.
+	pr := &Primary{set: f.Set()}
+	if _, err := pr.parseHello(helloPayload(f)); err != nil {
+		t.Fatalf("current hello refused: %v", err)
+	}
+
 	hugeCount := make([]byte, 8)
 	binary.LittleEndian.PutUint32(hugeCount[4:], ^uint32(0))
 	hugeKeys := make([]byte, 8+recHeader)
@@ -88,6 +95,12 @@ func TestMalformedFrames(t *testing.T) {
 		{"recs key count beyond payload", func() error { return c.applyRecsFrame(hugeKeys) }},
 		{"recs bad shard", func() error {
 			return c.applyRecsFrame(recs(7, persist.Rec{Seq: 3, Keys: []uint64{20}}))
+		}},
+		{"hello with the whole-key magic", func() error {
+			h := helloPayload(f)
+			copy(h, "CPMARPL1")
+			_, err := pr.parseHello(h)
+			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -74,16 +74,10 @@ func checkBounds(bounds []uint64, shards int) error {
 	return nil
 }
 
-// mix64 is the splitmix64 finalizer, the same bijective scramble the
-// workload generator uses to spread keys uniformly.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// fibMul is 2^64 divided by the golden ratio (made odd): the Fibonacci
+// multiplier whose product's high bits spread arithmetic progressions of
+// quotients evenly.
+const fibMul = 0x9e3779b97f4a7c15
 
 // router routes keys to shards: the partition policy plus the authoritative
 // sorted span-boundary table it needs under RangePartition. A router is
@@ -107,22 +101,88 @@ type router struct {
 	// published under an older span generation must not be routed with this
 	// router (the keys it holds may have moved shards since).
 	spanGen []uint64
+	// replica marks a follower's table. A replicated move lands shard by
+	// shard, so a follower's range shards can briefly hold keys outside
+	// their spans; the routing audit in validate skips spans there.
+	replica bool
 }
 
-// shardOf routes a key to its owning shard.
-func (rt *router) shardOf(key uint64) int {
+// ordered reports that shard order is key order and shards store keys as
+// they are: every RangePartition, and the single shard of a HashPartition.
+func (rt *router) ordered() bool { return rt.part == RangePartition || rt.shards == 1 }
+
+// qbits is b = floor(log2 shards), the low key bits a hash router takes
+// out of every stored value (see HashPartition).
+func (rt *router) qbits() uint { return uint(bits.Len(uint(rt.shards)) - 1) }
+
+// home is h(q), the shard a quotient's zero digit routes to: the
+// multiply-shift hi64((q * fibMul mod 2^64) * shards). Reads decode every
+// stored value through it, so it is one multiply rather than a full
+// finalizer.
+func home(q uint64, shards int) int {
+	hi, _ := bits.Mul64(q*fibMul, uint64(shards))
+	return int(hi)
+}
+
+// unquote decodes the value s that shard p stores under the quotient
+// layout with b digit bits: q = s-1, r = (p - h(q)) mod shards, and the key
+// is q<<b | r. Scan loops call it with b and shards in locals.
+func unquote(p int, s uint64, b uint, shards int) uint64 {
+	q := s - 1
+	r := p - home(q, shards)
+	if r < 0 {
+		r += shards
+	}
+	return q<<b | uint64(r)
+}
+
+// route returns a key's owning shard and the value that shard stores for
+// it: the key itself when ordered, else its quotient plus one on shard
+// (h(q) + r) mod shards.
+func (rt *router) route(key uint64) (p int, stored uint64) {
 	if rt.shards == 1 {
-		return 0
+		return 0, key
 	}
 	if rt.part == RangePartition {
 		// First interior boundary strictly above the key; keys at or above
 		// every boundary (including keys past 2^KeyBits) route to the last
 		// shard.
-		return sort.Search(len(rt.bounds), func(i int) bool { return key < rt.bounds[i] })
+		return sort.Search(len(rt.bounds), func(i int) bool { return key < rt.bounds[i] }), key
 	}
-	// Multiply-shift maps the hash onto [0, shards) without a modulo.
-	hi, _ := bits.Mul64(mix64(key), uint64(rt.shards))
-	return int(hi)
+	b := rt.qbits()
+	q := key >> b
+	// h(q) < shards and r < 2^b <= shards, so one subtraction reduces.
+	if p = home(q, rt.shards) + int(key&(1<<b-1)); p >= rt.shards {
+		p -= rt.shards
+	}
+	return p, q + 1
+}
+
+// shardOf routes a key to its owning shard.
+func (rt *router) shardOf(key uint64) int {
+	p, _ := rt.route(key)
+	return p
+}
+
+// key decodes a value shard p stores back into its key: the inverse of
+// route.
+func (rt *router) key(p int, stored uint64) uint64 {
+	if rt.ordered() {
+		return stored
+	}
+	return unquote(p, stored, rt.qbits(), rt.shards)
+}
+
+// owns reports whether shard p may hold stored value v: v decodes to a key
+// that routes back to (p, v). A digit of 2^b or more (possible when shards
+// is not a power of two) or a quotient too large for a key fails the round
+// trip. A replica's range shards are exempt (see router.replica).
+func (rt *router) owns(p int, v uint64) bool {
+	if rt.replica && rt.part == RangePartition {
+		return true
+	}
+	q, w := rt.route(rt.key(p, v))
+	return q == p && w == v
 }
 
 // spanOf returns shard p's half-open span [lo, hi) under RangePartition;
@@ -152,8 +212,9 @@ func (rt *router) shardSpan(start, end uint64) (lo, hi int) {
 	return 0, rt.shards - 1
 }
 
-// split partitions a batch into per-shard sub-batches, preserving input
-// order within each sub-batch (so sorted inputs yield sorted sub-batches).
+// split partitions a batch into per-shard sub-batches of stored values
+// (see route), preserving input order within each sub-batch (so sorted
+// inputs yield sorted sub-batches).
 // Sorted range-partitioned batches split into subslices of the input with
 // no copying — the per-shard search bound is the same boundary table
 // shardOf routes with, so the two can never disagree; everything else goes
@@ -183,10 +244,11 @@ func (rt *router) split(keys []uint64, sorted bool) (subs [][]uint64, aliased bo
 	return rt.scatter(keys), false
 }
 
-// scatter buckets keys by shard with a two-pass counting scatter: blocks
-// count in parallel, a shard-major prefix sum assigns every block a private
-// window in each bucket, and blocks then fill their windows in parallel
-// without synchronization. Input order is preserved within each bucket.
+// scatter buckets keys' stored values by shard with a two-pass counting
+// scatter: blocks count in parallel, a shard-major prefix sum assigns every
+// block a private window in each bucket, and blocks then fill their windows
+// in parallel without synchronization. Input order is preserved within
+// each bucket.
 func (rt *router) scatter(keys []uint64) [][]uint64 {
 	P := rt.shards
 	n := len(keys)
@@ -216,6 +278,7 @@ func (rt *router) scatter(keys []uint64) [][]uint64 {
 		totals[p] = run
 	}
 	subs := make([][]uint64, P)
+	quot, qb := !rt.ordered(), rt.qbits()
 	for p := range subs {
 		if totals[p] > 0 {
 			subs[p] = make([]uint64, totals[p])
@@ -230,7 +293,11 @@ func (rt *router) scatter(keys []uint64) [][]uint64 {
 		copy(pos, offsets[b*P:(b+1)*P])
 		for i := lo; i < hi; i++ {
 			id := ids[i]
-			subs[id][pos[id]] = keys[i]
+			v := keys[i]
+			if quot {
+				v = v>>qb + 1 // the stored value route returns
+			}
+			subs[id][pos[id]] = v
 			pos[id]++
 		}
 	})

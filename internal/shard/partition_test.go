@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
+	"repro/internal/cpma"
 	"repro/internal/workload"
 )
 
@@ -95,10 +97,11 @@ func routerGeometries(r *workload.RNG) []*router {
 
 // TestSplitMatchesShardOf is the property test pinning the satellite fix:
 // split's per-shard search bounds and shardOf's routing must derive from
-// the same boundary table, so every key of every sub-batch must route to
-// the sub-batch's shard — across default and randomized (rebalanced)
-// tables, sorted and unsorted inputs — and the sub-batches must
-// concatenate back to the input. The old fixed-width recomputation
+// the same boundary table, so every stored value of every sub-batch must
+// decode to a key that routes to the sub-batch's shard as that value —
+// across default and randomized (rebalanced) tables, a hash table, sorted
+// and unsorted inputs — and the decoded sub-batches must reassemble the
+// input. The old fixed-width recomputation
 // (uint64(p+1) * width) drifted from shardOf's clamp on exactly the
 // rounded-up geometries this sweep includes.
 func TestSplitMatchesShardOf(t *testing.T) {
@@ -134,28 +137,31 @@ func TestSplitMatchesShardOf(t *testing.T) {
 				if len(subs) != rt.shards {
 					t.Fatalf("split returned %d sub-batches for %d shards", len(subs), rt.shards)
 				}
-				total := 0
+				var cat []uint64
 				for p, sub := range subs {
-					total += len(sub)
-					for _, k := range sub {
-						if got := rt.shardOf(k); got != p {
-							t.Fatalf("shards=%d bounds=%v sorted=%v: key %d in sub-batch %d, shardOf says %d",
-								rt.shards, rt.bounds, sorted, k, p, got)
+					for _, v := range sub {
+						k := rt.key(p, v)
+						if got, w := rt.route(k); got != p || w != v {
+							t.Fatalf("shards=%d bounds=%v sorted=%v: key %d stored as %d in sub-batch %d, route says %d as %d",
+								rt.shards, rt.bounds, sorted, k, v, p, got, w)
 						}
+						cat = append(cat, k)
+					}
+					if sorted && !slices.IsSorted(sub) {
+						t.Fatalf("shards=%d: sorted split made an unsorted sub-batch %d", rt.shards, p)
 					}
 				}
-				if total != len(in) {
-					t.Fatalf("split dropped keys: %d of %d", total, len(in))
+				if len(cat) != len(in) {
+					t.Fatalf("split dropped keys: %d of %d", len(cat), len(in))
 				}
-				if sorted && rt.part == RangePartition {
-					// Sorted input: sub-batches must concatenate to the input.
-					var cat []uint64
-					for _, sub := range subs {
-						cat = append(cat, sub...)
-					}
-					if !slices.Equal(cat, in) {
-						t.Fatalf("shards=%d: sorted split does not concatenate to input", rt.shards)
-					}
+				if !sorted || rt.part != RangePartition {
+					// Only a sorted range split keeps input order across
+					// sub-batches; the rest reassemble as a multiset.
+					slices.Sort(cat)
+					in = slices.Sorted(slices.Values(in))
+				}
+				if !slices.Equal(cat, in) {
+					t.Fatalf("shards=%d sorted=%v: decoded sub-batches do not reassemble the input", rt.shards, sorted)
 				}
 			}
 		}
@@ -199,5 +205,178 @@ func TestDefaultBoundsMatchWidthArithmetic(t *testing.T) {
 					g.keyBits, g.shards, k, got, want)
 			}
 		}
+	}
+}
+
+// TestQuotientRouting pins the hash layout: for every shard count and key
+// family, a key's stored value is nonzero and decodes back to the key on
+// the shard it routes to, a shard holds each quotient at most once (so its
+// stored order is key order), and shard loads stay within 5% of the mean
+// at 2^16 keys per shard — also for keys whose low bits never vary.
+func TestQuotientRouting(t *testing.T) {
+	for _, P := range []int{1, 2, 3, 4, 5, 7, 8} {
+		rt := &router{part: HashPartition, shards: P, spanGen: make([]uint64, P)}
+		b := rt.qbits()
+		n := P << 16
+		families := map[string][]uint64{
+			"dense":     make([]uint64, n),
+			"0 mod 4":   make([]uint64, n),
+			"2^20-step": make([]uint64, n),
+			"uniform40": workload.Uniform(workload.NewRNG(uint64(P)), n, 40),
+		}
+		for i := range n {
+			k := uint64(i + 1)
+			families["dense"][i] = k
+			families["0 mod 4"][i] = 4 * k
+			families["2^20-step"][i] = k << 20
+		}
+		edge := []uint64{1, 1<<b - 1, 1 << b, ^uint64(0)}
+		for name, keys := range families {
+			loads := make([]int, P)
+			last := make([]uint64, P)
+			for _, k := range keys {
+				p, v := rt.route(k)
+				if v == 0 {
+					t.Fatalf("P=%d %s: key %d stored as 0", P, name, k)
+				}
+				if got := rt.key(p, v); got != k || !rt.owns(p, v) {
+					t.Fatalf("P=%d %s: key %d -> shard %d value %d -> key %d (owned %v)", P, name, k, p, v, got, rt.owns(p, v))
+				}
+				if name != "uniform40" {
+					// Ascending keys must reach each shard as strictly
+					// ascending stored values.
+					if v <= last[p] {
+						t.Fatalf("P=%d %s: shard %d stores %d after %d", P, name, p, v, last[p])
+					}
+					last[p] = v
+				}
+				loads[p]++
+			}
+			if r := loadRatio(loads); r > 1.05 {
+				t.Fatalf("P=%d %s: max/mean shard load %.4f > 1.05 (%v)", P, name, r, loads)
+			}
+		}
+		for _, k := range edge {
+			if k == 0 {
+				continue
+			}
+			p, v := rt.route(k)
+			if v == 0 || rt.key(p, v) != k || !rt.owns(p, v) {
+				t.Fatalf("P=%d: edge key %d -> shard %d value %d -> key %d", P, k, p, v, rt.key(p, v))
+			}
+			if P > 1 && v > 1<<63 {
+				t.Fatalf("P=%d: edge key %d stored as %d > 2^63", P, k, v)
+			}
+		}
+	}
+}
+
+// TestHashTopKeys drives keys at both ends of the key space — the top key
+// ^uint64(0) included — through every hash geometry's read paths, live and
+// snapshot, against a sorted model.
+func TestHashTopKeys(t *testing.T) {
+	top := ^uint64(0)
+	keys := []uint64{1, 2, 3, 5, 1 << 62, 1<<63 - 1, 1 << 63, 1<<63 + 1, top - 7, top - 2, top - 1, top}
+	for _, P := range []int{1, 3, 4, 7, 8} {
+		s := New(P, &Options{Partition: HashPartition})
+		s.InsertBatch(keys, false)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("P=%d: %v", P, err)
+		}
+		sn := s.Snapshot()
+		for _, r := range []interface {
+			Has(uint64) bool
+			Next(uint64) (uint64, bool)
+			Max() (uint64, bool)
+			Keys() []uint64
+			Sum() uint64
+			RangeSum(uint64, uint64) (uint64, int)
+			MapRange(uint64, uint64, func(uint64) bool) bool
+		}{s, sn} {
+			if got := r.Keys(); !slices.Equal(got, keys) {
+				t.Fatalf("P=%d: Keys = %v, want %v", P, got, keys)
+			}
+			var sum uint64
+			for _, k := range keys {
+				sum += k
+			}
+			if r.Sum() != sum {
+				t.Fatalf("P=%d: Sum = %d, want %d", P, r.Sum(), sum)
+			}
+			if m, ok := r.Max(); !ok || m != top {
+				t.Fatalf("P=%d: Max = %d, %v", P, m, ok)
+			}
+			for _, k := range keys {
+				if !r.Has(k) {
+					t.Fatalf("P=%d: Has(%d) = false", P, k)
+				}
+			}
+			for _, k := range []uint64{4, 1<<63 + 2, top - 3} {
+				if r.Has(k) {
+					t.Fatalf("P=%d: Has(%d) = true", P, k)
+				}
+			}
+			for i, k := range keys {
+				if got, ok := r.Next(k); !ok || got != k {
+					t.Fatalf("P=%d: Next(%d) = %d, %v", P, k, got, ok)
+				}
+				if i+1 == len(keys) {
+					break
+				}
+				if got, ok := r.Next(k + 1); !ok || got != keys[i+1] {
+					t.Fatalf("P=%d: Next(%d) = %d, %v, want %d", P, k+1, got, ok, keys[i+1])
+				}
+			}
+			if s, c := r.RangeSum(top-7, top); c != 3 || s != (top-7)+(top-2)+(top-1) {
+				t.Fatalf("P=%d: RangeSum(top-7, top) = %d, %d", P, s, c)
+			}
+			var seen []uint64
+			r.MapRange(1<<63-1, 1<<63+2, func(x uint64) bool { seen = append(seen, x); return true })
+			if !slices.Equal(seen, []uint64{1<<63 - 1, 1 << 63, 1<<63 + 1}) {
+				t.Fatalf("P=%d: MapRange around 2^63 = %v", P, seen)
+			}
+		}
+		if n := s.RemoveBatch([]uint64{top}, true); n != 1 {
+			t.Fatalf("P=%d: removing the top key removed %d", P, n)
+		}
+		if m, _ := s.Max(); m != top-1 {
+			t.Fatalf("P=%d: Max after removing the top key = %d", P, m)
+		}
+		s.Close()
+	}
+}
+
+// TestValidateAuditsRouting plants values on shards the router would never
+// send them to and requires Validate to report each one: on a hash
+// follower, a stored value whose decoded digit is out of range (5 shards,
+// digit 4) and one whose quotient overflows the key (4 shards, q = 2^62);
+// on a range primary, a key outside its shard's span.
+func TestValidateAuditsRouting(t *testing.T) {
+	plant := func(P, p int, v uint64) error {
+		f := NewReplica(P, &Options{Partition: HashPartition})
+		f.ReplicaApply(p, false, []uint64{v})
+		f.ReplicaPublish(p)
+		return f.Validate()
+	}
+	// Quotient q = 6172 (keys 24688..24691 on 5 shards, b = 2) stores
+	// q+1 on shard (h(q) + digit) mod 5, h the Fibonacci multiply-shift.
+	var q uint64 = 6172
+	h, _ := bits.Mul64(q*0x9e3779b97f4a7c15, 5)
+	if err := plant(5, int(h+3)%5, q+1); err != nil {
+		t.Fatalf("a rightly routed value failed validation: %v", err)
+	}
+	if err := plant(5, int(h+4)%5, q+1); err == nil {
+		t.Fatal("a value with digit 4 on a 5-shard hash set passed validation")
+	}
+	if err := plant(4, 0, 1<<62+1); err == nil {
+		t.Fatal("a quotient past the key space passed validation")
+	}
+
+	seed := []*cpma.CPMA{cpma.New(nil), cpma.New(nil)}
+	seed[0].InsertBatch([]uint64{5, 1 << 20}, true) // 1<<20 belongs to shard 1
+	s := NewFrom(seed, &Options{Partition: RangePartition, KeyBits: 21})
+	defer s.Close()
+	if err := s.Validate(); err == nil {
+		t.Fatal("a key outside its range shard's span passed validation")
 	}
 }

@@ -130,6 +130,7 @@ func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) error {
 		bounds:  append([]uint64(nil), bounds...),
 		gen:     gen,
 		spanGen: sg,
+		replica: true,
 	})
 	for p := range s.cells {
 		s.publish(p, &s.cells[p])
@@ -150,11 +151,17 @@ func (s *Sharded) RouterBounds() (gen uint64, bounds []uint64) {
 	return rt.gen, append([]uint64(nil), rt.bounds...)
 }
 
-// ShardKeys returns shard p's published keys in ascending order — the
-// differential harness's per-shard comparison primitive (the prefix
+// ShardKeys returns shard p's published keys, decoded, in ascending order
+// — the differential harness's per-shard comparison primitive (the prefix
 // invariant is per shard, so the comparison must be too; a cross-shard
 // read would route through bounds that may sit at a different point of
-// the move history than the shard contents do).
+// the move history than the shard contents do). A shard's stored order is
+// its key order under either partition, so decoding keeps it ascending.
 func (s *Sharded) ShardKeys(p int) []uint64 {
-	return s.cells[p].snap.Load().set.Keys()
+	rt := s.router()
+	keys := s.cells[p].snap.Load().set.Keys()
+	for i, v := range keys {
+		keys[i] = rt.key(p, v)
+	}
+	return keys
 }

@@ -11,6 +11,13 @@
 // mutator: a writer goroutine draining the shard's mailbox. There are no
 // shard locks.
 //
+// A CPMA leaf stores deltas, so a shard stores its keys more compactly the
+// denser they sit. Range shards hold contiguous keys. Hash shards store
+// quotients: a key's low b = floor(log2 P) bits pick its shard together
+// with a hash of the rest, and the shard stores only the rest. Every
+// stored delta is then b bits shorter than the key delta would be, and
+// reads decode each stored value back into its key (see HashPartition).
+//
 // # Writes: the mailbox pipeline
 //
 // Every mutation scatters into sorted per-shard sub-batches that are mailed
@@ -143,9 +150,18 @@ import (
 type Partition int
 
 const (
-	// HashPartition routes a key through a splitmix64 finalizer, spreading
-	// any input distribution evenly across shards. Ordered operations
-	// (MapRange, Keys) must merge across all shards.
+	// HashPartition spreads any input distribution evenly across shards
+	// and stores quotients. With b = floor(log2 P), a key k splits into
+	// the quotient q = k>>b and the digit r = k mod 2^b. It routes to shard
+	// (h(q) + r) mod P, where h(q) = hi64((q * fibMul mod 2^64) * P) is a
+	// multiply-shift hash, and that shard stores q+1 (never 0, never
+	// overflowing). The 2^b <= P digits of one quotient land on distinct
+	// shards, so each shard holds a quotient at most once and its stored
+	// order is its key order. A shard's keys are 2^b times denser than
+	// the keys themselves, so each stored delta is b bits shorter. Reads
+	// decode q = s-1, r = (p - h(q)) mod P, k = q<<b | r. One shard (b = 0)
+	// stores keys as they are. Ordered operations (MapRange, Keys) must
+	// merge across all shards.
 	HashPartition Partition = iota
 	// RangePartition splits the key space [1, 2^KeyBits) into P contiguous
 	// equal spans, so ordered operations touch only the overlapping shards.
@@ -464,6 +480,7 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 		bounds:  bounds,
 		gen:     o.BoundsGen,
 		spanGen: make([]uint64, shards),
+		replica: replica,
 	})
 	for i := range s.cells {
 		if seed != nil {
@@ -537,7 +554,7 @@ func distinctSorted(keys []uint64) []uint64 {
 	n := 0
 	for _, k := range keys {
 		checkKey(k)
-		h := (k * 0x9e3779b97f4a7c15) >> (64 - repeatBits)
+		h := (k * fibMul) >> (64 - repeatBits)
 		if seen[h] != k {
 			seen[h] = k
 			out[n] = k
@@ -576,7 +593,7 @@ func (s *Sharded) Has(x uint64) bool {
 		p := rt.shardOf(x)
 		return p, p
 	}, buf[:])
-	return v.at(v.lo).Has(x)
+	return v.has(x)
 }
 
 // InsertBatch inserts a batch of keys, returning how many were new. The
@@ -626,10 +643,11 @@ func (s *Sharded) enqueueOne(kind opKind, x uint64) bool {
 		s.life.RUnlock()
 		panic("shard: mutation on closed Sharded")
 	}
-	c := &s.cells[s.shardOf(x)]
+	p, v := s.router().route(x)
+	c := &s.cells[p]
 	c.enqBatches.Add(1)
 	c.enqKeys.Add(1)
-	c.mbox <- shardOp{kind: kind, keys: []uint64{x}, tk: tk, enq: time.Now()}
+	c.mbox <- shardOp{kind: kind, keys: []uint64{v}, tk: tk, enq: time.Now()}
 	s.life.RUnlock()
 	return tk.wait() == 1
 }
@@ -903,8 +921,10 @@ func mergeLists(lists [][]uint64) []uint64 {
 	return lists[0]
 }
 
-// Validate flushes, then checks every shard's published CPMA invariants (a
-// test helper); callers must still quiesce their own writers.
+// Validate flushes, then checks every shard's published CPMA invariants
+// and audits its routing: every stored value must be one the router sends
+// to that shard (a test helper); callers must still quiesce their own
+// writers.
 func (s *Sharded) Validate() error {
 	s.Flush()
 	return s.capture(fullSpan, nil).validate()

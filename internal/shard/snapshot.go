@@ -164,8 +164,9 @@ func (sn *Snapshot) Shards() int { return len(sn.v.snaps) }
 // never mutate them. Under RangePartition shard order is key order, so the
 // concatenated leaf sequence of the returned sets holds every key of the
 // snapshot in ascending order — the property leaf-level analytics (the
-// sharded F-Graph view) build on. The returned slice is fresh; the
-// handles are the originals.
+// sharded F-Graph view) build on. Under HashPartition with more than one
+// shard the handles hold stored quotients, not keys (see HashPartition).
+// The returned slice is fresh; the handles are the originals.
 func (sn *Snapshot) ShardSets() []*cpma.CPMA {
 	out := make([]*cpma.CPMA, len(sn.v.snaps))
 	for p, h := range sn.v.snaps {
@@ -218,7 +219,7 @@ func (sn *Snapshot) Has(x uint64) bool {
 	if x == 0 {
 		return false
 	}
-	return sn.v.at(sn.v.rt.shardOf(x)).Has(x)
+	return sn.v.has(x)
 }
 
 // Next returns the smallest key >= x in the snapshot.
@@ -256,15 +257,31 @@ func (sn *Snapshot) Keys() []uint64 {
 	return out
 }
 
-// Validate checks every frozen shard's CPMA invariants (a test helper).
+// Validate checks every frozen shard's CPMA invariants and routing (a test
+// helper).
 func (sn *Snapshot) Validate() error { return sn.v.validate() }
 
 // --- shared read algorithms over a cut ---
+//
+// Ordered cuts (see router.ordered) read keys straight off the shards.
+// Under the quotient layout every shard is read instead, and each stored
+// value is decoded through the cut's router before it is compared or
+// returned.
 
+// validate checks every shard's CPMA invariants and audits its routing:
+// every stored value must be one the router sends to that shard.
 func (v cut) validate() error {
 	for i, h := range v.snaps {
+		p := v.lo + i
 		if err := h.set.Validate(); err != nil {
-			return fmt.Errorf("shard %d: %w", v.lo+i, err)
+			return fmt.Errorf("shard %d: %w", p, err)
+		}
+		var bad uint64
+		if !h.set.Map(func(s uint64) bool {
+			bad = s
+			return v.rt.owns(p, s)
+		}) {
+			return fmt.Errorf("shard %d: stored value %d does not route to it", p, bad)
 		}
 	}
 	return nil
@@ -284,15 +301,27 @@ func (v cut) sizeBytes() uint64 {
 	})
 }
 
+func (v cut) has(x uint64) bool {
+	p, s := v.rt.route(x)
+	return v.at(p).Has(s)
+}
+
 func (v cut) sum() uint64 {
-	return parallel.ReduceSum(len(v.snaps), 1, func(i int) uint64 {
-		return v.snaps[i].set.Sum()
-	})
+	if v.rt.ordered() {
+		return parallel.ReduceSum(len(v.snaps), 1, func(i int) uint64 {
+			return v.snaps[i].set.Sum()
+		})
+	}
+	s, _ := v.sumIn(1, ^uint64(0))
+	return s
 }
 
 func (v cut) rangeSum(start, end uint64) (uint64, int) {
 	if start >= end {
 		return 0, 0
+	}
+	if !v.rt.ordered() {
+		return v.sumIn(start, end-1)
 	}
 	lo, hi := v.rt.shardSpan(start, end)
 	lo, hi = max(lo, v.lo), min(hi, v.hi)
@@ -306,8 +335,34 @@ func (v cut) rangeSum(start, end uint64) (uint64, int) {
 	return su.Load(), int(cnt.Load())
 }
 
+// sumIn sums the keys in [first, last] of an unordered cut, shards in
+// parallel. The keys in [first, last] are stored as the quotients
+// first>>b .. last>>b (plus one), so one stored-range scan per shard finds
+// them; only the two boundary quotients can decode to keys outside the
+// range. last>>b + 2 <= 2^63 + 1, so the stored range never wraps.
+func (v cut) sumIn(first, last uint64) (uint64, int) {
+	var su atomic.Uint64
+	var cnt atomic.Int64
+	b, P := v.rt.qbits(), v.rt.shards
+	parallel.For(len(v.snaps), 1, func(i int) {
+		var s uint64
+		var k int64
+		p := v.lo + i
+		v.snaps[i].set.MapRange(first>>b+1, last>>b+2, func(st uint64) bool {
+			if x := unquote(p, st, b, P); x >= first && x <= last {
+				s += x
+				k++
+			}
+			return true
+		})
+		su.Add(s)
+		cnt.Add(k)
+	})
+	return su.Load(), int(cnt.Load())
+}
+
 func (v cut) next(x uint64) (uint64, bool) {
-	if v.rt.part == RangePartition {
+	if v.rt.ordered() {
 		for p := max(v.rt.shardOf(x), v.lo); p <= v.hi; p++ {
 			if r, ok := v.at(p).Next(x); ok {
 				return r, true
@@ -315,10 +370,25 @@ func (v cut) next(x uint64) (uint64, bool) {
 		}
 		return 0, false
 	}
+	// A shard's first stored value at or past x's quotient decodes to x's
+	// quotient with a lower digit at most once; the value after it is then
+	// the shard's answer.
+	q := x >> v.rt.qbits()
 	var best uint64
 	found := false
 	for p := v.lo; p <= v.hi; p++ {
-		if r, ok := v.at(p).Next(x); ok && (!found || r < best) {
+		s, ok := v.at(p).Next(q + 1)
+		if !ok {
+			continue
+		}
+		r := v.rt.key(p, s)
+		if r < x {
+			if s, ok = v.at(p).Next(s + 1); !ok {
+				continue
+			}
+			r = v.rt.key(p, s)
+		}
+		if !found || r < best {
 			best, found = r, true
 		}
 	}
@@ -329,8 +399,9 @@ func (v cut) max() (uint64, bool) {
 	var best uint64
 	found := false
 	for p := v.hi; p >= v.lo; p-- {
-		if r, ok := v.at(p).Max(); ok {
-			if v.rt.part == RangePartition {
+		if s, ok := v.at(p).Max(); ok {
+			r := v.rt.key(p, s)
+			if v.rt.ordered() {
 				return r, true
 			}
 			if !found || r > best {
@@ -341,11 +412,11 @@ func (v cut) max() (uint64, bool) {
 	return best, found
 }
 
-// mapRange is the ordered scan over [start, end): range partitions stream
-// shard by shard in key order, a hash partition gathers the merged range
-// and then iterates.
+// mapRange is the ordered scan over [start, end): ordered cuts stream
+// shard by shard in key order, unordered ones gather the merged range and
+// then iterate.
 func (v cut) mapRange(start, end uint64, f func(uint64) bool) bool {
-	if v.rt.part == RangePartition {
+	if v.rt.ordered() {
 		lo, hi := v.rt.shardSpan(start, end)
 		for p := max(lo, v.lo); p <= min(hi, v.hi); p++ {
 			if !v.at(p).MapRange(start, end, f) {
@@ -354,12 +425,12 @@ func (v cut) mapRange(start, end uint64, f func(uint64) bool) bool {
 		}
 		return true
 	}
-	return iterate(v.gatherRange(start, end), f)
+	return iterate(v.gatherRange(start, end-1), f)
 }
 
 // mapAll is mapRange over the whole key space, top key included.
 func (v cut) mapAll(f func(uint64) bool) bool {
-	if v.rt.part == RangePartition {
+	if v.rt.ordered() {
 		for _, h := range v.snaps {
 			if !h.set.Map(f) {
 				return false
@@ -367,12 +438,7 @@ func (v cut) mapAll(f func(uint64) bool) bool {
 		}
 		return true
 	}
-	all := v.gatherRange(1, ^uint64(0))
-	// The half-open gather range cannot express the maximum key.
-	if top := ^uint64(0); v.at(v.rt.shardOf(top)).Has(top) {
-		all = append(all, top)
-	}
-	return iterate(all, f)
+	return iterate(v.gatherRange(1, ^uint64(0)), f)
 }
 
 // iterate applies f to keys in order until it returns false.
@@ -385,14 +451,19 @@ func iterate(keys []uint64, f func(uint64) bool) bool {
 	return true
 }
 
-// gatherRange collects [start, end) from every shard of the cut in parallel
-// and merges the disjoint sorted runs (the hash-partition scan shape).
-func (v cut) gatherRange(start, end uint64) []uint64 {
+// gatherRange collects [first, last] from every shard of an unordered cut
+// in parallel, scanning stored ranges as sumIn does, and merges the
+// disjoint sorted runs.
+func (v cut) gatherRange(first, last uint64) []uint64 {
+	b, P := v.rt.qbits(), v.rt.shards
 	lists := make([][]uint64, len(v.snaps))
 	parallel.For(len(lists), 1, func(i int) {
 		var keys []uint64
-		v.snaps[i].set.MapRange(start, end, func(x uint64) bool {
-			keys = append(keys, x)
+		p := v.lo + i
+		v.snaps[i].set.MapRange(first>>b+1, last>>b+2, func(s uint64) bool {
+			if x := unquote(p, s, b, P); x >= first && x <= last {
+				keys = append(keys, x)
+			}
 			return true
 		})
 		lists[i] = keys
