@@ -1,37 +1,26 @@
 // Command fgraph-bench regenerates the paper's dynamic-graph evaluation:
 // the algorithm suite of Figure 9 / Table 14 (PR, CC, BC on F-Graph vs
 // C-PaC vs Aspen), the batch-insert throughput of Figure 10 / Table 15,
-// and the memory footprint of Table 7 — plus the repo's streaming
-// extension: the sharded F-Graph's ingest-rate x analytics-latency x
-// snapshot-staleness sweep ("stream"), whose rows land in -graphjson (the
-// committed BENCH_graph.json). With -verify the stream experiment gates
-// bytewise BFS/PR/CC equality against the phased single-CPMA reference on
-// every mid-stream view and exits nonzero on any divergence — the CI
-// smoke gate. -obs serves live metrics (/metrics, /statz, /tracez) while
-// the stream runs.
+// and the memory footprint of Table 7.
 //
 // Usage:
 //
 //	fgraph-bench [flags] <experiment>...
-//	fgraph-bench algos inserts space stream
+//	fgraph-bench algos inserts space
 //	fgraph-bench all
 //
 // The synthetic graphs are scaled R-MAT/Erdős–Rényi stand-ins for the
-// paper's social networks (DESIGN.md §4); -graphs selects a subset.
+// paper's social networks; -graphs selects a subset.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/fgraph"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -41,14 +30,6 @@ func main() {
 	prIters := flag.Int("priters", 10, "PageRank iterations")
 	inserts := flag.Int("inserts", 1_000_000, "edges inserted in the throughput benchmark")
 	graphsFlag := flag.String("graphs", "LJ,CO,ER", "comma-separated graph subset (LJ,CO,ER,TW,FS)")
-	shardsFlag := flag.String("shards", "2,8", "comma-separated shard counts for the stream experiment")
-	scale := flag.Int("scale", 17, "stream experiment R-MAT scale (vertices = 2^scale)")
-	batches := flag.Int("batches", 64, "stream experiment edge batches per shard count")
-	batchSize := flag.Int("batch", 100_000, "stream experiment inserted edges per batch")
-	delFrac := flag.Float64("delfrac", 0.2, "stream experiment delete fraction per batch")
-	verify := flag.Bool("verify", false, "stream experiment: gate bytewise kernel equality vs the single-CPMA reference")
-	graphJSON := flag.String("graphjson", "BENCH_graph.json", "output file for the stream experiment's JSON rows (empty disables)")
-	obsAddr := flag.String("obs", "", "serve live metrics on this address while experiments run (e.g. :9090)")
 	flag.Parse()
 
 	keep := map[string]bool{}
@@ -96,81 +77,6 @@ func main() {
 		experiments.WriteGraphSpace(out, rows)
 		fmt.Fprintln(out)
 	}
-	if all || run["stream"] {
-		cfg := experiments.StreamConfig{
-			Seed:       *seed,
-			Scale:      *scale,
-			Shards:     parseShards(*shardsFlag),
-			Batches:    *batches,
-			BatchSize:  *batchSize,
-			DeleteFrac: *delFrac,
-			PRIters:    *prIters,
-			Verify:     *verify,
-		}
-		if *obsAddr != "" {
-			srv, err := obs.Serve(*obsAddr, nil)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "obs: serving /metrics /statz /tracez on %s\n", srv.Addr())
-			// Each shard count's live graph gets a fresh registry swapped
-			// into the server, so /metrics reflects the current run.
-			experiments.ObserveGraph = func(label string, g *fgraph.Sharded) {
-				r := obs.NewRegistry(label)
-				g.RegisterMetrics(r, "fgraph")
-				srv.SetRegistry(r)
-				srv.AddTrace("current", g.Set().Trace())
-			}
-		}
-		rows, err := experiments.GraphStreamSweep(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stream:", err)
-			os.Exit(1)
-		}
-		experiments.WriteGraphStream(out, rows)
-		if cfg.Verify {
-			fmt.Fprintln(out, "verify: all mid-stream views byte-identical to the single-CPMA reference")
-		}
-		fmt.Fprintln(out)
-		if *graphJSON != "" {
-			blob, err := json.MarshalIndent(struct {
-				Scale int                     `json:"scale"`
-				Procs int                     `json:"gomaxprocs"`
-				Note  string                  `json:"note"`
-				Rows  []experiments.StreamRow `json:"rows"`
-			}{cfg.Scale, runtime.GOMAXPROCS(0),
-				"analytics rounds run against mid-stream snapshot views with no flush barrier; lag is the enqueued-unapplied key backlog at view capture",
-				rows}, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*graphJSON, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(out, "stream: wrote %s (%d rows)\n", *graphJSON, len(rows))
-		}
-	}
-}
-
-func parseShards(s string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		fmt.Fprintln(os.Stderr, "-shards selects nothing")
-		os.Exit(2)
-	}
-	return out
 }
 
 // writeAlgoRatios prints the speedup-over-baselines summary of Figure 9.

@@ -8,7 +8,7 @@
 // replaying the address patterns each data structure performs during batch
 // inserts (binary-search probes, sequential leaf/block scans, pointer-chased
 // root-to-block walks, redistribution copies), at a scaled-down size with
-// proportionally scaled caches. See DESIGN.md §4.
+// proportionally scaled caches.
 package cachesim
 
 // Cache is one set-associative LRU cache level.

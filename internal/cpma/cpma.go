@@ -328,7 +328,7 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 // leaf stays within its byte capacity, encoding each chunk in parallel. The
 // split walks the leaves greedily, giving each one min(capacity, fair share
 // + one max code) bytes — which both balances the leaves and guarantees
-// that the whole run is placed whenever it fits (see DESIGN.md).
+// that the whole run is placed whenever it fits.
 func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) error {
 	nl := hiLeaf - loLeaf
 	if len(elems) == 0 {

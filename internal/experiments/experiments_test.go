@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -16,8 +15,8 @@ func tinyMicro() MicroConfig {
 func TestBatchSizesCapped(t *testing.T) {
 	got := BatchSizes(50_000)
 	want := []int{10, 100, 1_000, 10_000}
-	if len(got) != len(want) {
-		t.Fatalf("BatchSizes = %v", got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("BatchSizes = %v, want %v", got, want)
 	}
 }
 
@@ -71,46 +70,6 @@ func TestFig1ShardedFlavors(t *testing.T) {
 	}
 	if len(ComparisonSetMakers(2)) != len(AllSetMakers())+1 {
 		t.Fatal("ComparisonSetMakers must extend AllSetMakers with the sharded set")
-	}
-}
-
-func TestShardAsyncIngest(t *testing.T) {
-	cfg := MicroConfig{BaseN: 5_000, TotalK: 8_000, Seed: 1, Trials: 1}
-	for _, part := range []shard.Partition{shard.HashPartition, shard.RangePartition} {
-		rows := ShardAsyncIngest(cfg, 2, 4, []int{4}, 250, part)
-		if len(rows) != 3 { // clients 1, 2, 4 at one depth
-			t.Fatalf("got %d rows, want 3", len(rows))
-		}
-		for _, r := range rows {
-			if r.TicketedTP <= 0 || r.AsyncTP <= 0 {
-				t.Fatalf("bad throughput %+v", r)
-			}
-			if r.MeanSubBatch <= 0 {
-				t.Fatalf("no sub-batches recorded %+v", r)
-			}
-			// Applies are merges of >= 1 sub-batch, so the applied mean can
-			// never fall below the enqueued mean (how far above depends on
-			// scheduling, so the strict win is asserted only in the
-			// deterministic shard-package test).
-			if r.MeanApplied+1e-9 < r.MeanSubBatch {
-				t.Fatalf("applied mean below sub-batch mean: %+v", r)
-			}
-		}
-	}
-}
-
-func TestShardConcurrentClientsPartitions(t *testing.T) {
-	cfg := MicroConfig{BaseN: 4_000, TotalK: 4_000, Seed: 2, Trials: 1}
-	for _, part := range []shard.Partition{shard.HashPartition, shard.RangePartition} {
-		rows := ShardConcurrentClients(cfg, 2, 2, 1, 200, part)
-		if len(rows) != 2 {
-			t.Fatalf("got %d rows", len(rows))
-		}
-		for _, r := range rows {
-			if r.InsertTP <= 0 || r.MixedTP <= 0 || r.FinalElems <= 0 {
-				t.Fatalf("bad row %+v", r)
-			}
-		}
 	}
 }
 
@@ -235,89 +194,5 @@ func TestFig10NonPowerOfTwoVertexSpace(t *testing.T) {
 				t.Fatalf("%s tp %f", name, tp)
 			}
 		}
-	}
-}
-
-func TestShardRebalanceSweep(t *testing.T) {
-	cfg := MicroConfig{BaseN: 5_000, TotalK: 30_000, Seed: 3, Trials: 1}
-	rows := ShardRebalanceSweep(cfg, 4, 4, 250, 1.1)
-	if len(rows) != 2 || rows[0].Rebalance || !rows[1].Rebalance {
-		t.Fatalf("want an off/on row pair, got %+v", rows)
-	}
-	off, on := rows[0], rows[1]
-	if off.IngestTP <= 0 || on.IngestTP <= 0 {
-		t.Fatalf("bad throughputs: %+v", rows)
-	}
-	if off.FinalKeys != on.FinalKeys {
-		t.Fatalf("identical workloads diverged: %d vs %d keys", off.FinalKeys, on.FinalKeys)
-	}
-	if off.Moves != 0 || on.Moves == 0 {
-		t.Fatalf("move accounting off: off=%d on=%d", off.Moves, on.Moves)
-	}
-	// The acceptance bound: unscrambled power-law skew must be visible
-	// with rebalancing off and repaired (max/mean <= 2) with it on.
-	if off.MaxMeanRatio <= 2 {
-		t.Fatalf("workload not skewed enough to test: off ratio %.2f", off.MaxMeanRatio)
-	}
-	if on.MaxMeanRatio > 2 {
-		t.Fatalf("rebalancing left ratio %.2f", on.MaxMeanRatio)
-	}
-}
-
-func TestShardHotKeySweep(t *testing.T) {
-	cfg := MicroConfig{TotalK: 60_000, Seed: 3, Trials: 1}
-	rows := ShardHotKeySweep(cfg, 4, 4, 500, 4, 2.5, []float64{0.9})
-	var names []string
-	for i, r := range rows {
-		names = append(names, r.Workload)
-		if r.IngestTP <= 0 {
-			t.Fatalf("row %d: bad throughput %+v", i, r)
-		}
-		if !r.Verified {
-			t.Fatalf("row %d failed differential verification: %+v", i, r)
-		}
-		// Both skewed workloads concentrate most occurrences on a handful
-		// of keys, so the repeat filter must drop the bulk of the stream;
-		// the uniform control over 2^30 keys repeats almost nothing.
-		if skewed := r.Workload != "uniform"; skewed != (r.RepeatFrac > 0.5) {
-			t.Fatalf("row %d: %.1f%% of the stream dropped as repeats: %+v", i, 100*r.RepeatFrac, r)
-		}
-	}
-	if want := []string{"powerlaw-2.5", "hotspot", "uniform"}; !slices.Equal(names, want) {
-		t.Fatalf("rows %v, want %v", names, want)
-	}
-}
-
-func TestReplSweep(t *testing.T) {
-	cfg := ReplConfig{
-		Shards:    2,
-		Readers:   1,
-		Preload:   5_000,
-		Followers: []int{0, 2},
-		MeasureMS: 30,
-		Seed:      5,
-	}
-	rows, err := ReplSweep(cfg, t.TempDir())
-	if err != nil {
-		t.Fatalf("ReplSweep: %v", err)
-	}
-	if len(rows) != 2 || rows[0].Followers != 0 || rows[1].Followers != 2 {
-		t.Fatalf("want rows for 0 and 2 followers, got %+v", rows)
-	}
-	base, fleet := rows[0], rows[1]
-	if base.FleetTP <= 0 || fleet.FleetTP <= 0 || fleet.CoschedTP <= 0 {
-		t.Fatalf("bad throughputs: %+v", rows)
-	}
-	if len(base.NodeReadTP) != 1 || len(fleet.NodeReadTP) != 3 {
-		t.Fatalf("per-node rate counts off: %d and %d", len(base.NodeReadTP), len(fleet.NodeReadTP))
-	}
-	if fleet.FleetGain <= 1 {
-		t.Fatalf("two followers added no fleet capacity: gain %.2fx", fleet.FleetGain)
-	}
-	if fleet.Bootstraps == 0 {
-		t.Fatal("followers joined after a checkpoint but never bootstrapped")
-	}
-	if fleet.ShippedKeys == 0 {
-		t.Fatal("tail phase shipped nothing")
 	}
 }

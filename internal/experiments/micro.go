@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cpma"
 	"repro/internal/parallel"
 	"repro/internal/pma"
 	"repro/internal/rma"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -387,337 +384,6 @@ func Fig8RangeScaling(cfg MicroConfig, queries, avgLen int) []ScalingRow {
 	var rows []ScalingRow
 	for _, procs := range CoreCounts() {
 		rows = append(rows, ScalingRow{Procs: procs, PMATP: run(p, procs), CPMATP: run(c, procs)})
-	}
-	return rows
-}
-
-// ShardRow reports concurrent-clients throughput at one shard count.
-type ShardRow struct {
-	Shards     int
-	InsertTP   float64 // concurrent batch inserts / second
-	MixedTP    float64 // concurrent batch inserts / second with readers running
-	ReadOps    float64 // reader operations / second during the mixed phase
-	FinalElems int
-}
-
-// ShardCounts returns the sweep 1, 2, 4, ... up to max (always including
-// max itself).
-func ShardCounts(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var out []int
-	for p := 1; p <= max; p *= 2 {
-		out = append(out, p)
-	}
-	if out[len(out)-1] != max {
-		out = append(out, max)
-	}
-	return out
-}
-
-// shardOptions builds the Options one shards experiment uses: the chosen
-// partition policy over the microbenchmark key space.
-func shardOptions(part shard.Partition) *shard.Options {
-	return &shard.Options{Partition: part, KeyBits: workload.UniformBits}
-}
-
-// ShardConcurrentClients measures the sharded front-end beyond what the
-// single-writer CPMA can express: `clients` goroutines each stream private
-// uniform batches into one Sharded set concurrently. The first phase is
-// write-only; the second re-runs the writers while `readers` goroutines
-// issue point lookups and range sums against the same set. Sweeps shard
-// counts 1, 2, 4, ..., maxShards under the given partition policy.
-func ShardConcurrentClients(cfg MicroConfig, maxShards, clients, readers, batchSize int, part shard.Partition) []ShardRow {
-	if clients < 1 {
-		clients = 1
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	perClient := cfg.TotalK / clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	var rows []ShardRow
-	for _, p := range ShardCounts(maxShards) {
-		s := shard.New(p, shardOptions(part))
-		r := workload.NewRNG(cfg.Seed)
-		s.InsertBatch(workload.Uniform(r, cfg.BaseN, workload.UniformBits), false)
-
-		clientBatches := make([][][]uint64, clients)
-		for c := range clientBatches {
-			rc := workload.NewRNG(cfg.Seed + uint64(c) + 1)
-			clientBatches[c] = makeBatches(rc, perClient, batchSize, false)
-		}
-		runWriters := func() {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for _, b := range clientBatches[c] {
-						s.InsertBatch(b, false)
-					}
-				}(c)
-			}
-			wg.Wait()
-		}
-
-		row := ShardRow{Shards: p}
-		d := stats.Time(runWriters)
-		row.InsertTP = stats.Throughput(perClient*clients, d)
-
-		// Mixed phase: fresh key stream per writer so inserts stay real work,
-		// readers hammer lookups and short range sums until writers finish.
-		for c := range clientBatches {
-			rc := workload.NewRNG(cfg.Seed + uint64(clients+c) + 1)
-			clientBatches[c] = makeBatches(rc, perClient, batchSize, false)
-		}
-		var done atomic.Bool
-		var readOps atomic.Int64
-		var rwg sync.WaitGroup
-		for g := 0; g < readers; g++ {
-			rwg.Add(1)
-			go func(g int) {
-				defer rwg.Done()
-				rr := workload.NewRNG(cfg.Seed + uint64(1000+g))
-				keySpace := uint64(1) << workload.UniformBits
-				for !done.Load() {
-					if rr.Intn(4) == 0 {
-						start := rr.Uint64() % keySpace
-						s.RangeSum(start, start+4096)
-					} else {
-						s.Has(1 + rr.Uint64()%keySpace)
-					}
-					readOps.Add(1)
-				}
-			}(g)
-		}
-		d = stats.Time(runWriters)
-		done.Store(true)
-		rwg.Wait()
-		row.MixedTP = stats.Throughput(perClient*clients, d)
-		row.ReadOps = stats.Throughput(int(readOps.Load()), d)
-		row.FinalElems = s.Len()
-		s.Close()
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// AsyncIngestRow reports the pipeline at one (clients, mailbox depth)
-// point: fire-and-forget ingest against blocking ticketed ingest of the
-// same batches into a set with the same options.
-type AsyncIngestRow struct {
-	Clients      int
-	Depth        int     // mailbox depth (pending sub-batches per shard)
-	TicketedTP   float64 // blocking (ticketed) InsertBatch inserts / second
-	AsyncTP      float64 // InsertBatchAsync + final Flush inserts / second
-	MeanSubBatch float64 // mean keys per enqueued sub-batch
-	MeanApplied  float64 // mean keys per merged apply (coalescing win)
-	P50ms        float64 // median mailbox residency (enqueue -> applied), ms
-	P99ms        float64 // p99 mailbox residency, ms
-	LatSamples   uint64  // residency samples behind the percentiles
-}
-
-// ShardAsyncIngest sweeps the ingest pipeline over client count (1, 2, 4,
-// ..., maxClients) and mailbox depth: every client streams small private
-// batches — the adversarial regime for blocking calls, where each client
-// has one batch in flight and the writers forfeit the CPMA's batch-size
-// amortization — and with fire-and-forget calls the per-shard writers
-// coalesce whatever accumulates. Each row measures both disciplines on
-// fresh sets with the row's options and reports the achieved coalescing
-// (mean applied-batch size over mean enqueued sub-batch size).
-func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, batchSize int, part shard.Partition) []AsyncIngestRow {
-	if shards < 1 {
-		shards = 1
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	base := workload.Uniform(workload.NewRNG(cfg.Seed), cfg.BaseN, workload.UniformBits)
-	var rows []AsyncIngestRow
-	for _, clients := range ShardCounts(maxClients) {
-		perClient := cfg.TotalK / clients
-		if perClient < 1 {
-			perClient = 1
-		}
-		clientBatches := make([][][]uint64, clients)
-		for c := range clientBatches {
-			rc := workload.NewRNG(cfg.Seed + uint64(c) + 1)
-			clientBatches[c] = makeBatches(rc, perClient, batchSize, false)
-		}
-		total := perClient * clients
-
-		runClients := func(ingest func(c int, b []uint64)) {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for _, b := range clientBatches[c] {
-						ingest(c, b)
-					}
-				}(c)
-			}
-			wg.Wait()
-		}
-
-		for _, depth := range depths {
-			opt := shardOptions(part)
-			opt.MailboxDepth = depth
-			tkt := shard.New(shards, opt)
-			tkt.InsertBatch(base, false)
-			d := stats.Time(func() {
-				runClients(func(_ int, b []uint64) { tkt.InsertBatch(b, false) })
-			})
-			tkt.Close()
-			ticketedTP := stats.Throughput(total, d)
-
-			s := shard.New(shards, opt)
-			observeSet(fmt.Sprintf("async-ingest c%d d%d", clients, depth), s)
-			s.InsertBatch(base, false)
-			before := s.IngestStats()
-			lat0 := s.PipelineLatencies()
-			d = stats.Time(func() {
-				runClients(func(_ int, b []uint64) { s.InsertBatchAsync(b, false) })
-				s.Flush() // the measured phase ends only once everything applied
-			})
-			after := s.IngestStats()
-			st := shard.IngestStats{
-				EnqueuedBatches: after.EnqueuedBatches - before.EnqueuedBatches,
-				EnqueuedKeys:    after.EnqueuedKeys - before.EnqueuedKeys,
-				AppliedBatches:  after.AppliedBatches - before.AppliedBatches,
-				AppliedKeys:     after.AppliedKeys - before.AppliedKeys,
-			}
-			res := s.PipelineLatencies().Sub(lat0).Residency
-			s.Close()
-			p50, p99, n := residencyObs(res)
-			rows = append(rows, AsyncIngestRow{
-				Clients:      clients,
-				Depth:        depth,
-				TicketedTP:   ticketedTP,
-				AsyncTP:      stats.Throughput(total, d),
-				MeanSubBatch: st.MeanEnqueuedBatch(),
-				MeanApplied:  st.MeanAppliedBatch(),
-				P50ms:        p50,
-				P99ms:        p99,
-				LatSamples:   n,
-			})
-		}
-	}
-	return rows
-}
-
-// SnapshotScanRow compares analytics scans running concurrently with
-// fire-and-forget ingest under two read disciplines at one scanner count:
-// flush-barrier scans (Flush, then an aggregate read) versus plain
-// Snapshot scans of whatever the writers last published. IngestTP columns
-// show how much each discipline steals from the writers; Publishes/CloneMB
-// expose the copy-on-publish cost every read path shares.
-type SnapshotScanRow struct {
-	Scanners      int
-	FlushScans    float64 // flush-barrier scans / second
-	FlushIngestTP float64 // inserts / second while flush-barrier scans run
-	SnapScans     float64 // snapshot scans / second
-	SnapIngestTP  float64 // inserts / second while snapshot scans run
-	Publishes     uint64  // frozen handles published during the snapshot phase
-	CloneMB       float64 // megabytes cloned for those handles
-}
-
-// ShardSnapshotScan sweeps snapshot-scan-while-ingesting: `clients`
-// goroutines stream fire-and-forget batches through the pipeline while
-// `sc` scanner goroutines run full aggregate scans (Sum) as fast as they
-// can, first each behind a Flush barrier, then through plain Snapshot
-// captures. The snapshot discipline should hold ingest throughput while
-// scanning far more often — every flush-barrier scan waits for the
-// mailbox drain and makes each writer publish once more.
-func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, batchSize int, part shard.Partition) []SnapshotScanRow {
-	if shards < 1 {
-		shards = 1
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	perClient := cfg.TotalK / clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	total := perClient * clients
-	base := workload.Uniform(workload.NewRNG(cfg.Seed), cfg.BaseN, workload.UniformBits)
-	clientBatches := make([][][]uint64, clients)
-	for c := range clientBatches {
-		rc := workload.NewRNG(cfg.Seed + uint64(c) + 1)
-		clientBatches[c] = makeBatches(rc, perClient, batchSize, false)
-	}
-
-	// run ingests the full client workload into a fresh set while
-	// `sc` scanners execute scan() in a loop; it returns the ingest
-	// duration, scan count, and the phase's publications and clone bytes.
-	run := func(sc int, scan func(s *shard.Sharded)) (d time.Duration, scans int64, pubs, cloneBytes uint64) {
-		s := shard.New(shards, shardOptions(part))
-		s.InsertBatch(base, false)
-		before := s.SnapshotStats()
-		var done atomic.Bool
-		var nscans atomic.Int64
-		var swg sync.WaitGroup
-		for g := 0; g < sc; g++ {
-			swg.Add(1)
-			go func() {
-				defer swg.Done()
-				for !done.Load() {
-					scan(s)
-					nscans.Add(1)
-				}
-			}()
-		}
-		d = stats.Time(func() {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for _, b := range clientBatches[c] {
-						s.InsertBatchAsync(b, false)
-					}
-				}(c)
-			}
-			wg.Wait()
-			s.Flush()
-		})
-		done.Store(true)
-		swg.Wait()
-		after := s.SnapshotStats()
-		scans = nscans.Load()
-		s.Close()
-		return d, scans, after.Publishes - before.Publishes, after.CloneBytes - before.CloneBytes
-	}
-
-	var rows []SnapshotScanRow
-	for _, sc := range scanners {
-		if sc < 1 {
-			sc = 1
-		}
-		fd, fscans, _, _ := run(sc, func(s *shard.Sharded) {
-			s.Flush()
-			s.Sum()
-		})
-		sd, sscans, pubs, cloneBytes := run(sc, func(s *shard.Sharded) {
-			s.Snapshot().Sum()
-		})
-		rows = append(rows, SnapshotScanRow{
-			Scanners:      sc,
-			FlushScans:    stats.Throughput(int(fscans), fd),
-			FlushIngestTP: stats.Throughput(total, fd),
-			SnapScans:     stats.Throughput(int(sscans), sd),
-			SnapIngestTP:  stats.Throughput(total, sd),
-			Publishes:     pubs,
-			CloneMB:       float64(cloneBytes) / (1 << 20),
-		})
 	}
 	return rows
 }

@@ -59,12 +59,11 @@ func CPaCMaker() SetMaker {
 
 // ShardedMaker returns the concurrent sharded CPMA front-end at a given
 // shard count. It is not part of AllSetMakers (the paper's tables compare
-// single-writer structures); ComparisonSetMakers, the shards experiments,
-// and ad-hoc comparisons use it. Through the blocking Set interface its
-// batches are ticketed (enqueue + wait), so it measures the pipeline's
-// overhead, not its coalescing win — ShardAsyncIngest measures that.
-// Drivers close the returned sets (closeSet) to stop the writer
-// goroutines.
+// single-writer structures); ComparisonSetMakers and ad-hoc comparisons
+// use it. Through the blocking Set interface its batches are ticketed
+// (enqueue + wait), so it measures the pipeline's overhead, not its
+// coalescing win. Drivers close the returned sets (closeSet) to stop the
+// writer goroutines.
 func ShardedMaker(shards int) SetMaker {
 	return SetMaker{
 		Name: fmt.Sprintf("Shard-%d", shards),

@@ -1,6 +1,7 @@
 package fgraph
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -57,9 +58,16 @@ func modelEquals(model map[uint64]bool, keys []uint64) bool {
 // and (c) consistent with a sorted-slice adjacency model for Degree and
 // Neighbors. A final Flush must land every shard on the full history.
 func TestStreamingDifferential(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			streamingDifferential(t, shards)
+		})
+	}
+}
+
+func streamingDifferential(t *testing.T, shards int) {
 	const (
 		scale  = 9
-		shards = 4
 		rounds = 24
 		batch  = 800
 	)

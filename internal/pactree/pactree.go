@@ -4,12 +4,11 @@
 // carry a separator pivot; batch updates partition the batch by pivot and
 // recurse in parallel, merging at the blocks.
 //
-// Balance substitution (documented in DESIGN.md §4): CPAM's weight-balanced
-// joins are replaced with weight-balance-checked subtree rebuilds
-// (scapegoat-style), which preserve the expected logarithmic depth and,
-// importantly for the paper's comparison, the identical memory layout:
-// pointer-linked internal nodes over contiguous (possibly compressed)
-// blocks.
+// Balance substitution: CPAM's weight-balanced joins are replaced with
+// weight-balance-checked subtree rebuilds (scapegoat-style), which preserve
+// the expected logarithmic depth and, importantly for the paper's
+// comparison, the identical memory layout: pointer-linked internal nodes
+// over contiguous (possibly compressed) blocks.
 package pactree
 
 import (

@@ -546,15 +546,6 @@ func (st *Store) Latencies() StoreLatencies {
 	}
 }
 
-// Sub returns the latencies accumulated since prev.
-func (l StoreLatencies) Sub(prev StoreLatencies) StoreLatencies {
-	return StoreLatencies{
-		Append:     l.Append.Sub(prev.Append),
-		Fsync:      l.Fsync.Sub(prev.Fsync),
-		Checkpoint: l.Checkpoint.Sub(prev.Checkpoint),
-	}
-}
-
 // RegisterMetrics registers the store's latency histograms with r under
 // prefix (e.g. "cpma_wal"). Sharded.RegisterMetrics calls this through an
 // optional interface when the set's Journal is a *Store, so the WAL's

@@ -5,11 +5,10 @@
 // walk whenever a leaf fills.
 //
 // The actual RMA's memory-rewiring trick is an OS-level optimization
-// orthogonal to the batch algorithm and unavailable in pure Go (DESIGN.md
-// §4); what Table 4 isolates — and what this package reproduces — is the
-// algorithmic gap: no work sharing between segments and no skipped
-// redistribution levels, which is exactly what the paper's batch algorithm
-// adds.
+// orthogonal to the batch algorithm and unavailable in pure Go; what
+// Table 4 isolates — and what this package reproduces — is the algorithmic
+// gap: no work sharing between segments and no skipped redistribution
+// levels, which is exactly what the paper's batch algorithm adds.
 package rma
 
 import (

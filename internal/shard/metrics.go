@@ -58,20 +58,6 @@ func (s *Sharded) PipelineLatencies() PipelineLatencies {
 	}
 }
 
-// Sub returns the per-histogram deltas l - prev (for measuring one phase).
-func (l PipelineLatencies) Sub(prev PipelineLatencies) PipelineLatencies {
-	return PipelineLatencies{
-		Residency:  l.Residency.Sub(prev.Residency),
-		Drain:      l.Drain.Sub(prev.Drain),
-		Coalesce:   l.Coalesce.Sub(prev.Coalesce),
-		Publish:    l.Publish.Sub(prev.Publish),
-		Quiesce:    l.Quiesce.Sub(prev.Quiesce),
-		Move:       l.Move.Sub(prev.Move),
-		Capture:    l.Capture.Sub(prev.Capture),
-		Checkpoint: l.Checkpoint.Sub(prev.Checkpoint),
-	}
-}
-
 // Trace returns the set's lifecycle event trace: per-shard rings of
 // drain/publish/move events plus a global ring for
 // checkpoints, each stamped with the epoch and router generation current

@@ -1,7 +1,7 @@
 // Package workload generates the paper's evaluation inputs: 40-bit uniform
 // keys, YCSB-style zipfian keys (α = 0.99, 34-bit), R-MAT edge streams
 // (a=0.5, b=c=0.1, d=0.3), Erdős–Rényi graphs, and scaled synthetic
-// stand-ins for the social-network graphs (§6, DESIGN.md §4).
+// stand-ins for the social-network graphs (§6).
 //
 // Determinism contract: every generator's output is a function of its seed
 // and parameters alone. The bulk generators — Uniform, RMAT and
