@@ -218,7 +218,7 @@ func main() {
 		final.Len(), float64(final.SizeBytes())/(1<<20), float64(final.SizeBytes())/float64(final.Len()))
 
 	// Durable runs: cut a final checkpoint so the next boot recovers from
-	// slabs instead of replaying the whole log, and show what durability
+	// checkpoints instead of replaying the whole log, and show what durability
 	// cost this session.
 	if s.Durable() {
 		if err := s.Checkpoint(); err != nil {
@@ -226,7 +226,7 @@ func main() {
 			os.Exit(1)
 		}
 		pst := s.PersistStats()
-		fmt.Printf("durability: %d WAL batches (%.1f MB, %d fsyncs), %d checkpoints (%.1f MB slabs), %d segments truncated\n",
+		fmt.Printf("durability: %d WAL batches (%.1f MB, %d fsyncs), %d checkpoints (%.1f MB), %d segments truncated\n",
 			pst.AppendedBatches, float64(pst.AppendedBytes)/(1<<20), pst.Fsyncs,
 			pst.Checkpoints, float64(pst.CheckpointBytes)/(1<<20), pst.TruncatedSegments)
 	}

@@ -237,7 +237,8 @@ func snapshotReadRate(node *shard.Sharded, readers, bits int, seed uint64) float
 // a snapshot publication clones and for the bytes a checkpoint writes. A
 // durable shard of 100k keys takes 16 drains of 256 keys, each published
 // and checkpointed. The baselines are a deep copy of the set per
-// publication and one full slab per checkpoint.
+// publication and one base checkpoint (every non-empty leaf) per
+// checkpoint.
 func TestGateCloneCost(t *testing.T) {
 	const (
 		keys     = 100_000
@@ -257,11 +258,11 @@ func TestGateCloneCost(t *testing.T) {
 	defer s.Close()
 	r := workload.NewRNG(seed)
 	s.InsertBatch(workload.Uniform(r, keys, workload.UniformBits), false)
-	if err := s.Checkpoint(); err != nil { // the base slab the deltas chain to
+	if err := s.Checkpoint(); err != nil { // the base the deltas chain to
 		t.Fatal(err)
 	}
 	ss0, ps0 := s.SnapshotStats(), s.PersistStats()
-	fullSlab := ps0.CheckpointBytes
+	fullBase := ps0.CheckpointBytes
 
 	for range rounds {
 		base := 1 + r.Uint64()%(uint64(1)<<workload.UniformBits-batch-1)
@@ -284,9 +285,9 @@ func TestGateCloneCost(t *testing.T) {
 			ss.Publishes-ss0.Publishes, cloned, events, written)
 	}
 	cloneRatio := float64(fullCopies) / float64(cloned)
-	ckptRatio := float64(events*fullSlab) / float64(written)
+	ckptRatio := float64(events*fullBase) / float64(written)
 	t.Logf("clone %.1fx cheaper (%d of %d B), checkpoint %.1fx cheaper (%d of %d B); gate %.0fx",
-		cloneRatio, cloned, fullCopies, ckptRatio, written, events*fullSlab, minRatio)
+		cloneRatio, cloned, fullCopies, ckptRatio, written, events*fullBase, minRatio)
 	if cloneRatio < minRatio || ckptRatio < minRatio {
 		t.Fatalf("clustered drains: clone %.1fx, checkpoint %.1fx cheaper than full copies, below %.0fx",
 			cloneRatio, ckptRatio, minRatio)

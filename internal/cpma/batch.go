@@ -35,7 +35,7 @@ func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 			}
 		}
 		return added
-	case float64(len(batch)) >= c.opt.RebuildFraction*float64(c.n):
+	case float64(len(batch)) >= rebuildFraction*float64(c.n):
 		return c.rebuildMerge(batch)
 	default:
 		return c.batchMerge(batch)

@@ -118,13 +118,13 @@ func TestDeltaRoundTripDifferential(t *testing.T) {
 			fulls++
 		} else {
 			var buf bytes.Buffer
-			want := handle.DeltaEncodedSize(bits.Indices())
+			want := handle.EncodedSize(bits.Indices())
 			n, err := handle.WriteDeltaTo(&buf, bits.Indices())
 			if err != nil {
 				t.Fatalf("round %d: WriteDeltaTo: %v", round, err)
 			}
 			if uint64(n) != want || uint64(buf.Len()) != want {
-				t.Fatalf("round %d: wrote %d bytes, DeltaEncodedSize said %d", round, n, want)
+				t.Fatalf("round %d: wrote %d bytes, EncodedSize said %d", round, n, want)
 			}
 			if err := shadow.ApplyDeltaFrom(&buf); err != nil {
 				t.Fatalf("round %d: ApplyDeltaFrom: %v", round, err)

@@ -31,12 +31,6 @@ type Options struct {
 	// PointThreshold is the batch size below which batch ops degrade to
 	// point updates.
 	PointThreshold int
-	// RebuildFraction r: batches with k >= r*n rebuild the whole array.
-	RebuildFraction float64
-	// Bounds overrides density thresholds (in bytes). The leaf upper bound
-	// is additionally capped so an in-bounds leaf always has room for one
-	// more insertion.
-	Bounds pmatree.Bounds
 }
 
 func (o Options) withDefaults() Options {
@@ -46,14 +40,11 @@ func (o Options) withDefaults() Options {
 	if o.PointThreshold <= 0 {
 		o.PointThreshold = 100
 	}
-	if o.RebuildFraction <= 0 {
-		o.RebuildFraction = 0.1
-	}
-	if o.Bounds == (pmatree.Bounds{}) {
-		o.Bounds = pmatree.DefaultBounds()
-	}
 	return o
 }
+
+// rebuildFraction r: batches with k >= r*n rebuild the whole array.
+const rebuildFraction = 0.1
 
 const (
 	// minLeafBytes keeps enough slack in every leaf that the byte-budget
@@ -206,11 +197,13 @@ func (c *CPMA) head(leaf int) uint64     { return codec.Head(c.leafSt(leaf).data
 func (c *CPMA) usedOf(leaf int) int      { return int(c.leafSt(leaf).used) }
 func (c *CPMA) ecntOf(leaf int) int      { return int(c.leafSt(leaf).ecnt) }
 
-// effectiveBounds caps the upper density bounds so that any in-bounds region
-// can always be redistributed into chunks of at most leafBytes - MaxGrowth
-// bytes — which both guarantees the greedy byte-budget scatter succeeds and
-// leaves every redistributed leaf enough slack for the next point insert.
-func effectiveBounds(b pmatree.Bounds, leafBytes int) pmatree.Bounds {
+// effectiveBounds returns the default density bounds (in bytes) with the
+// upper bounds capped so that any in-bounds region can always be
+// redistributed into chunks of at most leafBytes - MaxGrowth bytes — which
+// both guarantees the greedy byte-budget scatter succeeds and leaves every
+// redistributed leaf enough slack for the next point insert.
+func effectiveBounds(leafBytes int) pmatree.Bounds {
+	b := pmatree.DefaultBounds()
 	cap := float64(leafBytes-leafSlack) / float64(leafBytes)
 	if b.UpperLeaf > cap {
 		b.UpperLeaf = cap
@@ -274,7 +267,7 @@ func (c *CPMA) capacityFor(elems []uint64, prefix []int) int {
 	for {
 		lb := c.leafBytesFor(cap)
 		leaves := bitutil.Max(1, cap/lb)
-		bounds := effectiveBounds(c.opt.Bounds, lb)
+		bounds := effectiveBounds(lb)
 		// Every extra leaf re-spends a head; budget for the worst case.
 		need := payload + (leaves-1)*codec.HeadBytes
 		if float64(need) <= bounds.UpperRoot*float64(leaves*lb) {
@@ -312,7 +305,7 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 	c.lf = newLeafSpine(leaves, lb)
 	c.ownAllChunks()
 	c.overflow = nil
-	c.tree = pmatree.New(leaves, lb, effectiveBounds(c.opt.Bounds, lb))
+	c.tree = pmatree.New(leaves, lb, effectiveBounds(lb))
 	c.n = len(all)
 	// A rebuild replaces every leaf: the whole geometry is dirty relative
 	// to any prior Clone, and no prior slab is shared anymore.

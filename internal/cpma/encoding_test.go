@@ -1,0 +1,277 @@
+package cpma
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"slices"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/workload"
+)
+
+// roundTrip serializes c, asserts the byte count matches EncodedSize, and
+// deserializes it back with the same options.
+func roundTrip(t *testing.T, c *CPMA, opts *Options) *CPMA {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := c.WriteTo(&buf)
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if want := c.EncodedSize(c.NonEmptyLeaves()); uint64(n) != want {
+		t.Fatalf("WriteTo wrote %d bytes, EncodedSize says %d", n, want)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, buffer holds %d", n, buf.Len())
+	}
+	d, err := ReadFrom(&buf, opts)
+	if err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	return d
+}
+
+// assertEqualSets checks that two CPMAs decode to the same keys and both
+// pass the strict validator.
+func assertEqualSets(t *testing.T, want, got *CPMA) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("deserialized CPMA invalid: %v", err)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("Len mismatch: want %d, got %d", want.Len(), got.Len())
+	}
+	if !slices.Equal(want.Keys(), got.Keys()) {
+		t.Fatal("key sets differ after round trip")
+	}
+}
+
+func TestSlabRoundTripStates(t *testing.T) {
+	r := workload.NewRNG(7)
+	for _, tc := range []struct {
+		name string
+		opts *Options
+		fill func(c *CPMA)
+	}{
+		{"empty", nil, func(c *CPMA) {}},
+		{"single-key", nil, func(c *CPMA) { c.Insert(42) }},
+		// LeafBytes == minCapacity gives exactly one leaf.
+		{"single-leaf", &Options{LeafBytes: 4 * minLeafBytes}, func(c *CPMA) {
+			c.InsertBatch([]uint64{3, 9, 1 << 30, 1 << 50}, true)
+		}},
+		// Dense sequential keys drive every leaf toward the byte-density
+		// ceiling (1-byte deltas), the max-density shape.
+		{"max-density", nil, func(c *CPMA) {
+			keys := make([]uint64, 40_000)
+			for i := range keys {
+				keys[i] = uint64(i + 1)
+			}
+			c.InsertBatch(keys, true)
+		}},
+		{"uniform-grown", nil, func(c *CPMA) {
+			c.InsertBatch(workload.Uniform(r, 60_000, 40), false)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(tc.opts)
+			tc.fill(c)
+			if err := c.Validate(); err != nil {
+				t.Fatalf("source invalid before serialization: %v", err)
+			}
+			assertEqualSets(t, c, roundTrip(t, c, tc.opts))
+		})
+	}
+}
+
+// TestSlabRoundTripAcrossRebuilds walks one CPMA through growth and shrink
+// rebuilds, round-tripping at every stage, and finally checks the
+// deserialized copy is a fully functional CPMA by mutating it onward.
+func TestSlabRoundTripAcrossRebuilds(t *testing.T) {
+	r := workload.NewRNG(11)
+	c := New(nil)
+	keys := workload.Uniform(r, 80_000, 40)
+	for i := 0; i < len(keys); i += 20_000 { // growth rebuilds
+		c.InsertBatch(keys[i:i+20_000], false)
+		assertEqualSets(t, c, roundTrip(t, c, nil))
+	}
+	c.RemoveBatch(keys[:72_000], false) // shrink rebuilds
+	d := roundTrip(t, c, nil)
+	assertEqualSets(t, c, d)
+
+	// The copy must keep working independently of the original.
+	fresh := d.InsertBatch(keys[:30_000], false)
+	if err := d.Validate(); err != nil {
+		t.Fatalf("mutated deserialized CPMA invalid: %v", err)
+	}
+	if c.Len()+fresh != d.Len() {
+		t.Fatalf("independent mutation leaked: orig %d + %d fresh != copy %d", c.Len(), fresh, d.Len())
+	}
+}
+
+// TestSlabRejectsCorruption: every malformed image is refused with an
+// error. Structural cases carry a recomputed CRC, so the decoder's own
+// check is what rejects them, not the checksum.
+func TestSlabRejectsCorruption(t *testing.T) {
+	c := New(nil)
+	c.InsertBatch([]uint64{5, 9, 1000, 1 << 33}, true)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if c.Leaves() < 2 || len(c.NonEmptyLeaves()) != 1 {
+		t.Fatalf("fixture wants one non-empty leaf of several, has %v of %d", c.NonEmptyLeaves(), c.Leaves())
+	}
+	entry := good[encHeaderSize:]                      // the single {leaf, used, ecnt}
+	used := int(binary.LittleEndian.Uint32(entry[4:])) // its payload follows the entry
+	data := encHeaderSize + encEntrySize
+
+	corrupt := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		return b
+	}
+	forge := func(mutate func(b []byte)) []byte {
+		return withCRC(corrupt(mutate))
+	}
+	cases := map[string][]byte{
+		"bad-magic":   forge(func(b []byte) { b[0] = 'X' }),
+		"bad-version": forge(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 99) }),
+		"leaflog-out-of-range": forge(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[12:], 40)
+		}),
+		"zero-leaves": forge(func(b []byte) { binary.LittleEndian.PutUint64(b[16:], 0) }),
+		"overflowing-geometry": forge(func(b []byte) {
+			// leaves<<leafLog2 wraps uint64; the bound check must not.
+			binary.LittleEndian.PutUint32(b[12:], 4)
+			binary.LittleEndian.PutUint64(b[16:], 1<<60)
+		}),
+		"sparse-geometry": forge(func(b []byte) {
+			// In range, but 16 GiB for four keys: refused before allocating.
+			binary.LittleEndian.PutUint64(b[16:], 1<<26)
+		}),
+		"absurd-count":     forge(func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<40) }),
+		"absurd-entries":   forge(func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<40) }),
+		"flipped-metadata": forge(func(b []byte) { b[encHeaderSize] ^= 0xff }),
+		"used-over-leaf": forge(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[encHeaderSize+4:], uint32(c.LeafBytes()+1))
+		}),
+		"empty-with-keys": forge(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[encHeaderSize+4:], 0)
+		}),
+		"short-head": forge(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[encHeaderSize+4:], codec.HeadBytes-1)
+		}),
+		// The last code byte carries a continue bit: a decode would run
+		// past used.
+		"code-runs-past-used": forge(func(b []byte) { b[data+used-1] |= 0x80 }),
+		"flipped-data":        corrupt(func(b []byte) { b[len(b)-10] ^= 0x01 }),
+		"flipped-crc":         corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }),
+		"truncated":           good[:len(good)-7],
+		"payload-short":       withCRC(append(append([]byte(nil), good[:len(good)-5]...), 0, 0, 0, 0)),
+		"empty":               nil,
+	}
+	for name, blob := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadFrom(bytes.NewReader(blob), nil); err == nil {
+				t.Fatal("ReadFrom accepted a corrupted image")
+			}
+		})
+	}
+
+	// A short writer must surface the error, not emit a silent prefix.
+	if _, err := c.WriteTo(&limitedWriter{limit: 10}); err == nil {
+		t.Fatal("WriteTo swallowed a short write")
+	}
+}
+
+// TestDecodeFullLeafPastUsed is the crafted input that used to crash a
+// follower: a leaf with used == leafBytes whose bytes all carry continue
+// bits, under a valid CRC. The decoder must refuse it.
+func TestDecodeFullLeafPastUsed(t *testing.T) {
+	c := New(nil)
+	c.Insert(42)
+	lb := c.LeafBytes()
+	var buf bytes.Buffer
+	if _, err := c.WriteDeltaTo(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()[:encHeaderSize]
+	binary.LittleEndian.PutUint64(b[32:], 1)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(lb))
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = append(b, 42, 0, 0, 0, 0, 0, 0, 0)
+	for len(b) < encHeaderSize+encEntrySize+lb {
+		b = append(b, 0xff)
+	}
+	b = withCRC(append(b, 0, 0, 0, 0))
+	if _, err := ReadFrom(bytes.NewReader(b), nil); err == nil {
+		t.Fatal("ReadFrom accepted a leaf whose code runs past used")
+	}
+}
+
+// withCRC replaces the last four bytes of b with the CRC32C of the rest.
+func withCRC(b []byte) []byte {
+	if len(b) < encCRCSize {
+		return b
+	}
+	body := b[:len(b)-encCRCSize]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, castagnoli))
+	return b
+}
+
+// FuzzDecode feeds arbitrary bytes to both entry points of the decoder,
+// as they arrive and with a valid CRC appended over them, so mutations
+// reach the structural checks behind the checksum. Whatever the input,
+// ReadFrom and ApplyDeltaFrom (onto a fixed base) either fail or produce
+// a set whose Validate runs to completion.
+func FuzzDecode(f *testing.F) {
+	r := workload.NewRNG(3)
+	opts := &Options{LeafBytes: 256, PointThreshold: 10}
+	c := New(opts)
+	c.InsertBatch(workload.Uniform(r, 60, 30), false)
+	base := c.Clone()
+	c.InsertBatch(workload.Uniform(r, 3, 30), false)
+	handle := c.Clone()
+	_, dirty := handle.DirtySince()
+
+	var delta bytes.Buffer
+	if _, err := handle.WriteDeltaTo(&delta, dirty.Indices()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(delta.Bytes())
+	for _, s := range []*CPMA{New(nil), FromSorted([]uint64{1, 2, 3, 1 << 40}, nil), base} {
+		var img bytes.Buffer
+		if _, err := s.WriteTo(&img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, b := range [][]byte{in, withCRC(append([]byte(nil), in...))} {
+			if s, err := ReadFrom(bytes.NewReader(b), opts); err == nil {
+				_ = s.Validate()
+			}
+			d := base.Clone()
+			if err := d.ApplyDeltaFrom(bytes.NewReader(b)); err == nil {
+				_ = d.Validate()
+			}
+		}
+	})
+}
+
+type limitedWriter struct{ limit int }
+
+func (w *limitedWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, io.ErrShortWrite
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}

@@ -69,7 +69,7 @@
 //	{p}_rebalance_*  RebalanceStats: checks (checks), moves (moves), moved
 //	                 keys (keys), router gen (generation)
 //	{p}_persist_*    PersistStats, durable sets only: appended, replayed
-//	                 and move records (records); keys (keys); WAL, slab,
+//	                 and move records (records); keys (keys); WAL, base,
 //	                 delta and torn bytes (bytes); fsyncs (fsyncs); base
 //	                 and delta checkpoints and truncated segments (files)
 //	repl_*           ReplStats: links (gauge, links), lag_records (gauge,

@@ -231,7 +231,7 @@ func TestDeltaChainFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob[dckptHeaderSize+2] ^= 0x40 // inside the cpma payload
+		blob[ckptHeaderSize+2] ^= 0x40 // inside the cpma payload
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package persist gives the sharded CPMA front-end crash durability: a
-// per-shard write-ahead batch log plus pointer-free slab checkpoints, and
-// the recovery that stitches the two back together after a crash.
+// per-shard write-ahead batch log plus pointer-free checkpoints, and the
+// recovery that stitches the two back together after a crash.
 //
 // The design leans on the paper's central property. A CPMA is a compressed
-// set *without pointers* — its entire state is flat slabs — so a checkpoint
-// is a raw dump of those slabs (cpma.WriteTo) taken from an immutable
+// set *without pointers* — its entire state is its leaves — so a
+// checkpoint is one pass over the leaves (cpma.WriteTo) of an immutable
 // handle the shard writer already publishes for snapshots: no traversal,
 // no pointer fixup, no stop-the-world. The log side piggybacks on the
 // ingest pipeline: each shard's mailbox writer is the shard's sole
@@ -19,9 +19,9 @@
 //	                                 (absent until the first rebalance)
 //	dir/shard-NNNN/wal-<seq20>.log   WAL segments; <seq20> is the sequence
 //	                                 number of the segment's first record
-//	dir/shard-NNNN/ckpt-<seq20>.ckpt full (base) slab checkpoints; <seq20>
-//	                                 is the last record sequence the state
-//	                                 reflects
+//	dir/shard-NNNN/ckpt-<seq20>.ckpt base checkpoints: every non-empty
+//	                                 leaf; <seq20> is the last record
+//	                                 sequence the state reflects
 //	dir/shard-NNNN/delta-<seq20>.dckpt delta checkpoints: the dirty leaves
 //	                                 since the previous checkpoint in the
 //	                                 chain, patched onto a named base
@@ -29,13 +29,17 @@
 // Every WAL record frames one applied batch: a little-endian length and
 // CRC32C header, then kind (insert/remove/moveIn/moveOut), the record's
 // per-shard sequence number, the router generation (barrier kinds only),
-// and the sorted keys varint-delta encoded. Checkpoint files wrap a cpma
-// slab (itself CRC-guarded) in a header naming the shard and covered
-// sequence, with a whole-file CRC32C trailer. All formats are versioned
-// via magics; readers reject unknown versions. The manifest records the
-// immutable creation-time geometry (version 2; version-1 stores, from
-// before rebalancing, still open); the BOUNDS sidecar records the live,
-// generation-stamped boundary table that rebalancing rewrites.
+// and the sorted keys varint-delta encoded. Bases and deltas are one file
+// type: a header naming the shard, the covered sequence, the checkpoint
+// it patches (prevSeq, 0 for a base) and the base anchoring its chain
+// (baseSeq, its own sequence for a base), then a cpma leaf-list encoding
+// (itself CRC-guarded), then a whole-file CRC32C trailer. All formats are
+// versioned via magics; readers reject unknown versions. The manifest
+// records the immutable creation-time geometry and the store version:
+// 4 since bases and deltas share the leaf-list encoding, and a store at
+// any other version is refused at open (see manifest for the history).
+// The BOUNDS sidecar records the live, generation-stamped boundary table
+// that rebalancing rewrites.
 //
 // # Rebalance barriers
 //
@@ -70,14 +74,14 @@
 //     AND its shard's WAL is fsynced: Flush is the durability barrier.
 //     SyncEvery=1 makes every record durable before its call returns.
 //   - After Checkpoint returns, every shard's state is additionally
-//     captured in a slab checkpoint and the WAL prefix it covers is
+//     captured in a checkpoint and the WAL prefix it covers is
 //     truncated (recovery work becomes proportional to the log tail).
 //
 // # Delta checkpoints
 //
 // The CPMA's copy-on-write clones report which leaves changed between
 // published handles (cpma.DirtySince), and checkpoints exploit it: once
-// a shard has a full base slab on disk, subsequent checkpoints write
+// a shard has a base checkpoint on disk, subsequent checkpoints write
 // only the dirty leaves as a delta file (cpma.WriteDeltaTo) chained to
 // that base — each delta's header names the base it anchors to and the
 // checkpoint it patches on top of. Checkpoint I/O then scales with how
@@ -146,7 +150,7 @@ type Options struct {
 	CheckpointEveryBatches int
 	// CompactEveryDeltas bounds a shard's delta-checkpoint chain: after
 	// this many deltas against one base, the next checkpoint is a fresh
-	// full base slab (which also lets retention reap the older chain). A
+	// base checkpoint (which also lets retention reap the older chain). A
 	// negative value disables delta checkpoints entirely — every
 	// checkpoint is a base, restoring the pre-delta behavior.
 	CompactEveryDeltas int

@@ -216,9 +216,8 @@ func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, bas
 		return nil, 0, 0, 0, nil, nil, err
 	}
 	for i := len(ckptSeqs) - 1; i >= 0; i-- {
-		s, lerr := loadCheckpoint(filepath.Join(dir, checkpointName(ckptSeqs[i])), shardID, ckptSeqs[i], opts)
-		if lerr == nil {
-			set, base = s, ckptSeqs[i]
+		if set = loadBase(dir, shardID, ckptSeqs[i], opts); set != nil {
+			base = ckptSeqs[i]
 			break
 		}
 	}
@@ -234,7 +233,7 @@ func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, bas
 		if ds <= base || base == 0 {
 			continue
 		}
-		prevSeq, baseRef, payload, lerr := loadDelta(filepath.Join(dir, deltaName(ds)), shardID, ds)
+		prevSeq, baseRef, payload, lerr := loadCheckpoint(filepath.Join(dir, deltaName(ds)), shardID, ds)
 		if lerr != nil || baseRef != base || prevSeq != tip {
 			break
 		}
@@ -249,6 +248,21 @@ func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, bas
 		applied++
 	}
 	return set, base, tip, applied, ckptSeqs, deltaSeqs, nil
+}
+
+// loadBase loads base checkpoint seq, or returns nil when the file fails
+// any check: framing, the base links (prevSeq 0, baseSeq its own seq),
+// the cpma decoder, and the strict validator.
+func loadBase(dir string, shardID int, seq uint64, opts *cpma.Options) *cpma.CPMA {
+	prevSeq, baseSeq, payload, err := loadCheckpoint(filepath.Join(dir, checkpointName(seq)), shardID, seq)
+	if err != nil || prevSeq != 0 || baseSeq != seq {
+		return nil
+	}
+	set, err := cpma.ReadFrom(bytes.NewReader(payload), opts)
+	if err != nil || set.Validate() != nil {
+		return nil
+	}
+	return set
 }
 
 // dropOutOfSpan removes from a recovered shard every key outside its span

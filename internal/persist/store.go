@@ -102,8 +102,7 @@ type storeShard struct {
 	// carries the leaves mutated since the previous publish
 	// (cpma.DirtySince), and their union is exactly the leaf set the next
 	// delta checkpoint must include. pendingAll means the window is
-	// unknown or spans a rebuild — the next checkpoint must be a full
-	// base slab.
+	// unknown or spans a rebuild — the next checkpoint must be a base.
 	pubMu        sync.Mutex
 	pubSet       *cpma.CPMA
 	pubSeq       uint64
@@ -113,7 +112,7 @@ type storeShard struct {
 	// ckptSeq is the sequence covered by the newest durable checkpoint —
 	// base or delta, the tip of the chain (Append's trigger reads it).
 	// The rest is the checkpointer's chain state, touched only under
-	// ckptMu: baseSeq is the full slab the live delta chain patches (0 =
+	// ckptMu: baseSeq is the base the live delta chain patches (0 =
 	// none yet), prevBaseSeq the previous chain's base — the file/WAL
 	// deletion floor, see the retention note in the package doc — and
 	// deltasSinceBase the chain length, bounded by CompactEveryDeltas.
@@ -529,23 +528,6 @@ func (st *Store) Stats() shard.PersistStats {
 	}
 }
 
-// StoreLatencies is a snapshot of the store's latency histograms, all in
-// nanoseconds.
-type StoreLatencies struct {
-	Append     obs.HistSnap // whole Append call, lock wait included
-	Fsync      obs.HistSnap // seg.sync alone (group-commit and barrier syncs)
-	Checkpoint obs.HistSnap // per-shard checkpoint passes that wrote a file
-}
-
-// Latencies snapshots the store's latency histograms.
-func (st *Store) Latencies() StoreLatencies {
-	return StoreLatencies{
-		Append:     st.walAppend.Snapshot(),
-		Fsync:      st.walFsync.Snapshot(),
-		Checkpoint: st.ckptDur.Snapshot(),
-	}
-}
-
 // RegisterMetrics registers the store's latency histograms with r under
 // prefix (e.g. "cpma_wal"). Sharded.RegisterMetrics calls this through an
 // optional interface when the set's Journal is a *Store, so the WAL's
@@ -559,7 +541,7 @@ func (st *Store) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+"_checkpoint_ns", "ns", "per-shard checkpoint pass duration (passes that wrote a base or delta)", &st.ckptDur)
 }
 
-// Checkpoint writes a slab checkpoint for every shard whose published
+// Checkpoint writes a checkpoint for every shard whose published
 // state has advanced past its last checkpoint, then truncates obsolete
 // WAL segments (shard.Journal). Callers wanting "everything enqueued so
 // far is checkpointed" should flush the set first — Sharded.Checkpoint
@@ -591,10 +573,10 @@ func (st *Store) Checkpoint() error {
 //
 // The checkpoint is a delta against the current base when the pending
 // dirty window is known and the chain is shorter than the compaction
-// cadence, otherwise a fresh full base slab. Only a base moves the
-// retention floor: the delta path deletes nothing, so any single
-// corrupt file in the live chain still leaves the previous base — and
-// the WAL tail above it — available for fallback.
+// cadence, otherwise a fresh base. Only a base moves the retention
+// floor: the delta path deletes nothing, so any single corrupt file in
+// the live chain still leaves the previous base — and the WAL tail above
+// it — available for fallback.
 func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	// Time the pass, but only record it when a checkpoint file was
 	// actually written — skipped passes (nothing published, no advance)
@@ -635,7 +617,7 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	}
 
 	if writeDelta {
-		payloadBytes, err := writeDeltaCheckpoint(sh.dir, sh.id, seq, cur, sh.baseSeq, set, dirtyBits.Indices())
+		payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, cur, sh.baseSeq, set, dirtyBits.Indices())
 		if err != nil {
 			restore()
 			return err
@@ -649,7 +631,7 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 		return st.rotateSegment(sh)
 	}
 
-	payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, set)
+	payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, 0, seq, set, set.NonEmptyLeaves())
 	if err != nil {
 		restore()
 		return err

@@ -1,9 +1,11 @@
 package persist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +158,59 @@ func TestManifestMismatchRejected(t *testing.T) {
 	defer s2.Close()
 	if !s2.Has(7) {
 		t.Fatal("recovered set lost its key")
+	}
+}
+
+// refuseManifest writes a manifest of the given version and geometry and
+// checks that Open refuses it with an error naming that version, and that
+// the refusal leaves the manifest untouched.
+func refuseManifest(t *testing.T, version, shards int, part shard.Partition) {
+	t.Helper()
+	dir := t.TempDir()
+	body := fmt.Sprintf(`{"version":%d,"shards":%d,"partition":%q,"key_bits":16}`,
+		version, shards, partitionString(part))
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(Options{Dir: dir, Shards: shards, Partition: part, KeyBits: 16})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("manifest version %d;", version)) {
+		t.Fatalf("%s: got %v, want a refusal naming version %d", body, err, version)
+	}
+	if got, _ := os.ReadFile(path); string(got) != body {
+		t.Fatalf("%s: refused manifest rewritten to %s", body, got)
+	}
+}
+
+// TestManifestVersionCompat: a store below manifest version 4 holds
+// checkpoint files in a format this build cannot read (and possibly
+// version-1 WAL segments), so it is refused with an error naming its
+// version and its manifest is left alone; a future version is refused the
+// same way, and a fresh store is written at version 4.
+func TestManifestVersionCompat(t *testing.T) {
+	for _, v := range []int{1, 2, 3, 99} {
+		refuseManifest(t, v, 2, shard.RangePartition)
+	}
+
+	dir := t.TempDir()
+	st, _, err := Open(Options{Dir: dir, Shards: 4, Partition: shard.HashPartition, KeyBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); !strings.Contains(string(got), `"version":4,`) {
+		t.Fatalf("fresh store written with manifest %s, want version 4", got)
+	}
+}
+
+// TestManifestHashLayoutGuard: a multi-shard hash store below manifest
+// version 3 holds whole keys where this build stores quotients, and a
+// version-3 hash store (single-shard included) holds old-format
+// checkpoints; each is refused with its version named and its manifest
+// left alone.
+func TestManifestHashLayoutGuard(t *testing.T) {
+	for _, tc := range []struct{ version, shards int }{{1, 4}, {2, 4}, {3, 4}, {3, 1}} {
+		refuseManifest(t, tc.version, tc.shards, shard.HashPartition)
 	}
 }
 

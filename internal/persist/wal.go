@@ -22,13 +22,12 @@ const SegmentHeaderBytes = 8 + 4 + 4
 
 const (
 	segMagic = "CPMAWAL1"
-	// walVersion is the version stamped into new segments. Version 2 added
-	// the rebalance barrier record kinds (recMoveIn/recMoveOut, which carry
-	// a router generation after the sequence number); version 1 segments
-	// are still read — they simply predate rebalancing and contain only
-	// insert/remove records.
+	// walVersion is the segment version, the only one read. Version 2
+	// added the rebalance barrier record kinds (recMoveIn/recMoveOut,
+	// which carry a router generation after the sequence number); stores
+	// holding version-1 segments predate manifest version 4 and are
+	// refused at open.
 	walVersion    = 2
-	walVersionMin = 1
 	segHeaderSize = SegmentHeaderBytes
 
 	recHeaderSize  = 8 // payload length u32, payload CRC32C u32
@@ -250,8 +249,7 @@ func scanSegment(path string, shardID int) (recs []walRecord, validEnd int64, he
 // reaching disk.
 func scanSegmentBytes(data []byte, shardID int) (recs []walRecord, validEnd int64, headerOK bool) {
 	if len(data) < segHeaderSize || string(data[:8]) != segMagic ||
-		binary.LittleEndian.Uint32(data[8:]) < walVersionMin ||
-		binary.LittleEndian.Uint32(data[8:]) > walVersion ||
+		binary.LittleEndian.Uint32(data[8:]) != walVersion ||
 		binary.LittleEndian.Uint32(data[12:]) != uint32(shardID) {
 		return nil, 0, false
 	}

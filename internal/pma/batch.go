@@ -35,7 +35,7 @@ func (p *PMA) InsertBatch(keys []uint64, sorted bool) int {
 			}
 		}
 		return added
-	case float64(len(batch)) >= p.opt.RebuildFraction*float64(p.n):
+	case float64(len(batch)) >= rebuildFraction*float64(p.n):
 		return p.rebuildMerge(batch)
 	default:
 		return p.batchMerge(batch)

@@ -30,12 +30,6 @@ type Options struct {
 	// fall back to point updates (paper §4: "if k is small, point updates
 	// are more efficient").
 	PointThreshold int
-	// RebuildFraction r makes batches of size >= r*n rebuild the whole
-	// structure with a two-finger merge (paper §4: k >= n/10).
-	RebuildFraction float64
-	// Bounds overrides the density thresholds. Zero value selects
-	// pmatree.DefaultBounds.
-	Bounds pmatree.Bounds
 }
 
 func (o Options) withDefaults() Options {
@@ -45,14 +39,12 @@ func (o Options) withDefaults() Options {
 	if o.PointThreshold <= 0 {
 		o.PointThreshold = 100
 	}
-	if o.RebuildFraction <= 0 {
-		o.RebuildFraction = 0.1
-	}
-	if o.Bounds == (pmatree.Bounds{}) {
-		o.Bounds = pmatree.DefaultBounds()
-	}
 	return o
 }
+
+// rebuildFraction r makes batches of size >= r*n rebuild the whole
+// structure with a two-finger merge (paper §4: k >= n/10).
+const rebuildFraction = 0.1
 
 // minCells is the smallest array the PMA shrinks to.
 const minCells = 32
@@ -134,7 +126,7 @@ func autoLeafSize(cells int) int {
 // violations would grow the array.
 func (p *PMA) capacityFor(n int) int {
 	c := minCells
-	upper := p.opt.Bounds.UpperRoot
+	upper := pmatree.DefaultBounds().UpperRoot
 	for float64(n) > upper*float64(c) {
 		next := int(float64(c) * p.opt.GrowthFactor)
 		if next <= c {
@@ -160,7 +152,7 @@ func (p *PMA) rebuildFrom(all []uint64) {
 	p.cells = make([]uint64, leaves<<p.leafLog2)
 	p.counts = make([]int32, leaves)
 	p.overflow = nil
-	p.tree = pmatree.New(leaves, leafSize, p.opt.Bounds)
+	p.tree = pmatree.New(leaves, leafSize, pmatree.DefaultBounds())
 	p.n = len(all)
 	p.scatter(all, 0, leaves)
 }

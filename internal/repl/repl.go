@@ -38,8 +38,8 @@
 //     primary could not have served at some recent instant.
 //   - Bootstrap: a fresh or too-far-behind follower (its position deleted
 //     behind a base checkpoint: persist.ErrPositionGone) receives the
-//     newest verifiable checkpoint chain state — the pointer-free slab
-//     format makes this a memcpy-grade transfer — stamped with the
+//     newest verifiable checkpoint chain state — the pointer-free leaf
+//     list a base checkpoint holds, verified on arrival — stamped with the
 //     sequence it covers, then resumes record shipping from there.
 //     Recovery-time span-enforcement drops are journaled by the store, so
 //     chain-state ⊕ records is always exactly the acknowledged history.
@@ -151,9 +151,6 @@ type ReplStats struct {
 	BoundsUpdates  uint64
 	LagRecords     uint64
 }
-
-// ShipLatency snapshots the primary's per-shipment latency histogram.
-func (pr *Primary) ShipLatency() obs.HistSnap { return pr.shipDur.Snapshot() }
 
 // RegisterMetrics registers the primary's shipping latency histograms and
 // one counter or gauge per ReplStats field with r under prefix ("repl"
@@ -381,9 +378,6 @@ type FollowerStats struct {
 	Bootstraps     uint64
 	Attaches       uint64
 }
-
-// ApplyLatency snapshots the follower's replay-batch latency histogram.
-func (f *Follower) ApplyLatency() obs.HistSnap { return f.applyDur.Snapshot() }
 
 // RegisterMetrics registers the follower's apply latency histogram and
 // one counter per FollowerStats field with r under prefix ("follower"

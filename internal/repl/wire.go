@@ -9,8 +9,9 @@ package repl
 // frames while idle so a dead peer is detected even with nothing to ship.
 //
 // Frames: u32 payload length, u8 type, payload. All integers little
-// endian. Boot payloads carry the shard's slab via cpma.WriteTo/ReadFrom
-// — the pointer-free layout shipping as flat bytes.
+// endian. Boot payloads carry the shard's state in the cpma leaf-list
+// encoding (cpma.WriteTo/ReadFrom), the same bytes a base checkpoint
+// holds — the pointer-free layout shipping as flat bytes.
 
 import (
 	"bufio"
@@ -29,10 +30,11 @@ import (
 )
 
 const (
-	// wireMagic opens a follower's hello. Version 2 ships hash shards'
-	// stored quotients (see shard.HashPartition); a version-1 peer, which
-	// ships whole keys, is refused instead of misread.
-	wireMagic    = "CPMARPL2"
+	// wireMagic opens a follower's hello. Version 2 shipped hash shards'
+	// stored quotients (see shard.HashPartition); version 3 ships boot
+	// state in the cpma leaf-list encoding. Older peers are refused at
+	// hello instead of misread.
+	wireMagic    = "CPMARPL3"
 	maxFrameLen  = 1 << 30
 	pingAfterMax = 250 * time.Millisecond
 
@@ -291,6 +293,9 @@ func (c *Conn) applyBootFrame(payload []byte) error {
 	}
 	set, err := cpma.ReadFrom(bytes.NewReader(payload[12:]), c.f.setOpts)
 	if err != nil {
+		return err
+	}
+	if err := set.Validate(); err != nil {
 		return err
 	}
 	c.f.applyBoot(p, tip, set)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"slices"
 	"testing"
 
+	"repro/internal/cpma"
 	"repro/internal/persist"
 	"repro/internal/shard"
 )
@@ -66,6 +68,32 @@ func TestMalformedFrames(t *testing.T) {
 		t.Fatalf("current hello refused: %v", err)
 	}
 
+	// Boot frames: the cpma encoding after a 12-byte {shard, tip} prefix.
+	// forge edits a well-formed frame and re-seals its CRC, so the decoder
+	// or validator, not the checksum, must catch the damage.
+	dense := make([]uint64, 600)
+	for i := range dense {
+		dense[i] = uint64(i + 1)
+	}
+	boot := func(p int, keys ...uint64) []byte {
+		set := cpma.FromSorted(keys, nil)
+		return frame(t, func(sk *connSink) error { return sk.sendBoot(p, 9, set) })
+	}
+	forge := func(b []byte, edit func(enc []byte)) []byte {
+		enc := b[12:]
+		edit(enc)
+		body := enc[:len(enc)-4]
+		binary.LittleEndian.PutUint32(enc[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		return b
+	}
+	// lastLeaf returns the offset of the last listed leaf's bytes: entries
+	// of {leaf, used, ecnt} follow a 40-byte header, leaf bytes follow them.
+	lastLeaf := func(enc []byte) int {
+		d := int(binary.LittleEndian.Uint64(enc[32:]))
+		used := int(binary.LittleEndian.Uint32(enc[40+12*(d-1)+4:]))
+		return len(enc) - 4 - used
+	}
+
 	hugeCount := make([]byte, 8)
 	binary.LittleEndian.PutUint32(hugeCount[4:], ^uint32(0))
 	hugeKeys := make([]byte, 8+recHeader)
@@ -95,6 +123,25 @@ func TestMalformedFrames(t *testing.T) {
 		{"recs key count beyond payload", func() error { return c.applyRecsFrame(hugeKeys) }},
 		{"recs bad shard", func() error {
 			return c.applyRecsFrame(recs(7, persist.Rec{Seq: 3, Keys: []uint64{20}}))
+		}},
+		{"boot code runs past used", func() error {
+			return c.applyBootFrame(forge(boot(0, 5, 1000), func(enc []byte) { enc[len(enc)-5] |= 0x80 }))
+		}},
+		{"boot keys out of order", func() error {
+			return c.applyBootFrame(forge(boot(0, dense...), func(enc []byte) {
+				binary.LittleEndian.PutUint64(enc[lastLeaf(enc):], 1)
+			}))
+		}},
+		{"boot bad shard", func() error { return c.applyBootFrame(boot(7, 5, 1000)) }},
+		{"boot truncated payload", func() error {
+			b := boot(0, 5, 1000)
+			return c.applyBootFrame(b[:len(b)-6])
+		}},
+		{"hello with the quotient-era magic", func() error {
+			h := helloPayload(f)
+			copy(h, "CPMARPL2")
+			_, err := pr.parseHello(h)
+			return err
 		}},
 		{"hello with the whole-key magic", func() error {
 			h := helloPayload(f)

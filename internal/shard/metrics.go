@@ -30,34 +30,6 @@ type pipeMetrics struct {
 	checkpoint obs.Histogram // one Checkpoint() barrier: flush + journal checkpoint
 }
 
-// PipelineLatencies is a frozen capture of the pipeline histograms —
-// plain values, safe to keep, subtract, and merge. Field names mirror
-// pipeMetrics; see RegisterMetrics for units and recording sites.
-type PipelineLatencies struct {
-	Residency  obs.HistSnap
-	Drain      obs.HistSnap
-	Coalesce   obs.HistSnap
-	Publish    obs.HistSnap
-	Quiesce    obs.HistSnap
-	Move       obs.HistSnap
-	Capture    obs.HistSnap
-	Checkpoint obs.HistSnap
-}
-
-// PipelineLatencies captures the current pipeline histograms.
-func (s *Sharded) PipelineLatencies() PipelineLatencies {
-	return PipelineLatencies{
-		Residency:  s.pm.residency.Snapshot(),
-		Drain:      s.pm.drain.Snapshot(),
-		Coalesce:   s.pm.coalesce.Snapshot(),
-		Publish:    s.pm.publish.Snapshot(),
-		Quiesce:    s.pm.quiesce.Snapshot(),
-		Move:       s.pm.move.Snapshot(),
-		Capture:    s.pm.capture.Snapshot(),
-		Checkpoint: s.pm.checkpoint.Snapshot(),
-	}
-}
-
 // Trace returns the set's lifecycle event trace: per-shard rings of
 // drain/publish/move events plus a global ring for
 // checkpoints, each stamped with the epoch and router generation current
@@ -110,8 +82,8 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"_persist_appended_keys", "keys", "keys across appended WAL records", func() uint64 { return s.PersistStats().AppendedKeys })
 	r.CounterFunc(prefix+"_persist_appended_bytes", "bytes", "encoded WAL bytes appended", func() uint64 { return s.PersistStats().AppendedBytes })
 	r.CounterFunc(prefix+"_persist_fsyncs", "fsyncs", "WAL fsyncs (group commits and barriers)", func() uint64 { return s.PersistStats().Fsyncs })
-	r.CounterFunc(prefix+"_persist_checkpoints", "files", "full base slab checkpoints written", func() uint64 { return s.PersistStats().Checkpoints })
-	r.CounterFunc(prefix+"_persist_checkpoint_bytes", "bytes", "encoded slab bytes across base checkpoints", func() uint64 { return s.PersistStats().CheckpointBytes })
+	r.CounterFunc(prefix+"_persist_checkpoints", "files", "base checkpoints written", func() uint64 { return s.PersistStats().Checkpoints })
+	r.CounterFunc(prefix+"_persist_checkpoint_bytes", "bytes", "encoded bytes across base checkpoints", func() uint64 { return s.PersistStats().CheckpointBytes })
 	r.CounterFunc(prefix+"_persist_delta_checkpoints", "files", "delta checkpoints written", func() uint64 { return s.PersistStats().DeltaCheckpoints })
 	r.CounterFunc(prefix+"_persist_delta_bytes", "bytes", "encoded bytes across delta checkpoints", func() uint64 { return s.PersistStats().DeltaBytes })
 	r.CounterFunc(prefix+"_persist_truncated_segments", "files", "WAL segment files deleted behind checkpoints", func() uint64 { return s.PersistStats().TruncatedSegments })

@@ -89,7 +89,7 @@
 // appends its batch to the journal before applying it (write-ahead), hands
 // the journal the frozen handle it publishes after every drain (the
 // checkpointable state), and turns Flush tokens into fsync barriers.
-// Checkpoint() is Flush plus a slab checkpoint of every shard and WAL
+// Checkpoint() is Flush plus a checkpoint of every shard and WAL
 // truncation; PersistStats() reports the journal counters. Because all
 // mutations flow through the writers, the journal observes the complete
 // per-shard operation sequence with no extra synchronization on the ingest
@@ -238,7 +238,7 @@ type Options struct {
 	RebalanceEvery time.Duration
 
 	// Dir, when non-empty, asks for crash durability: a per-shard
-	// write-ahead log plus slab checkpoints rooted at this directory. The
+	// write-ahead log plus checkpoints rooted at this directory. The
 	// shard package itself only carries these fields — the persist layer
 	// reads them, recovers the on-disk state, and hands New a Journal; use
 	// repro.OpenDurableShardedSet (or persist.OpenSharded) to build a
@@ -255,13 +255,13 @@ type Options struct {
 	// regardless of both knobs.
 	SyncBytes int
 	// CheckpointEveryBatches makes the background checkpointer write a
-	// shard's slab checkpoint (and truncate its WAL prefix) once that many
+	// shard's checkpoint (and truncate its WAL prefix) once that many
 	// batch records accumulate past the last checkpoint (0 = default,
 	// negative = checkpoint only on explicit Checkpoint calls).
 	CheckpointEveryBatches int
 	// CompactEveryDeltas bounds a shard's delta-checkpoint chain: after
-	// this many incremental delta checkpoints against one base slab, the
-	// next checkpoint writes a fresh full base and compacts the chain away
+	// this many incremental delta checkpoints against one base, the
+	// next checkpoint writes a fresh base and compacts the chain away
 	// (0 = the persist layer's default, negative = compact on every
 	// checkpoint, i.e. disable deltas).
 	CompactEveryDeltas int
@@ -318,10 +318,11 @@ type Journal interface {
 
 // PersistStats counts a durable set's journal and checkpoint work. The
 // Appended/Fsync counters track the write-ahead log; the Checkpoint
-// counters count full base slabs and the Delta counters the incremental
-// delta checkpoints written against them (CheckpointBytes+DeltaBytes is
-// the total checkpoint I/O, and its gap to Checkpoints+DeltaCheckpoints
-// times the full slab size is the incremental-checkpoint win); the
+// counters count base checkpoints (every non-empty leaf) and the Delta
+// counters the incremental delta checkpoints written against them
+// (CheckpointBytes+DeltaBytes is the total checkpoint I/O, and its gap to
+// Checkpoints+DeltaCheckpoints times the base size is the
+// incremental-checkpoint win); the
 // Recovered/Replayed/Torn counters describe the recovery the store
 // performed when it was opened.
 type PersistStats struct {
@@ -329,8 +330,8 @@ type PersistStats struct {
 	AppendedKeys      uint64 // keys across those records
 	AppendedBytes     uint64 // encoded WAL bytes appended
 	Fsyncs            uint64 // WAL fsyncs (group commits + barriers)
-	Checkpoints       uint64 // full (base) slab checkpoints written
-	CheckpointBytes   uint64 // encoded slab bytes across those bases
+	Checkpoints       uint64 // base checkpoints written
+	CheckpointBytes   uint64 // encoded bytes across those bases
 	DeltaCheckpoints  uint64 // delta checkpoints written
 	DeltaBytes        uint64 // encoded bytes across those deltas
 	TruncatedSegments uint64 // WAL segment files deleted behind checkpoints
@@ -779,7 +780,7 @@ func (s *Sharded) Close() {
 func (s *Sharded) Durable() bool { return s.opt.Journal != nil }
 
 // Checkpoint is the durability barrier: it flushes the pipeline (every
-// previously enqueued operation applied and logged), then writes a slab
+// previously enqueued operation applied and logged), then writes a
 // checkpoint of every shard's published state and truncates the obsolete
 // WAL prefix. After Checkpoint returns, recovery replays at most the
 // operations enqueued after the call. On a non-durable set it degrades to

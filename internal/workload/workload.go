@@ -263,76 +263,6 @@ func PowerLawBatch(z *PowerLaw, n int) []uint64 {
 	return out
 }
 
-// HotSpot sends a fixed fraction of traffic to k fixed hot keys (chosen
-// uniformly among them) and the remainder uniformly over [1, 2^bits). It
-// is the adversary rebalancing cannot fix: the hot keys are the smallest
-// keys of the space (1..k, all inside one range-partition span, matching
-// PowerLaw's unscrambled bottom-clustering), and no boundary move can
-// subdivide the traffic to a single key — only dropping each batch's
-// repeated keys before they reach the shards helps.
-type HotSpot struct {
-	rng  *RNG
-	hot  []uint64
-	frac float64
-	bits int
-}
-
-// NewHotSpot builds a generator over [1, 2^bits) sending fraction frac of
-// draws to hotKeys fixed keys (clamped to at least 1; frac clamped to
-// [0, 1]).
-func NewHotSpot(r *RNG, bits, hotKeys int, frac float64) *HotSpot {
-	if bits < 1 {
-		bits = 1
-	}
-	if bits > 63 {
-		bits = 63
-	}
-	if hotKeys < 1 {
-		hotKeys = 1
-	}
-	if max := int(uint64(1)<<uint(bits)) - 1; hotKeys > max {
-		hotKeys = max
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	hot := make([]uint64, hotKeys)
-	for i := range hot {
-		hot[i] = uint64(i + 1)
-	}
-	return &HotSpot{rng: r, hot: hot, frac: frac, bits: bits}
-}
-
-// Hot returns the generator's fixed hot keys (1..k, ascending). Callers
-// must not mutate the slice.
-func (h *HotSpot) Hot() []uint64 { return h.hot }
-
-// Next returns the next key: one of the hot keys with probability frac,
-// else uniform over [1, 2^bits).
-func (h *HotSpot) Next() uint64 {
-	if h.rng.Float64() < h.frac {
-		return h.hot[h.rng.Intn(len(h.hot))]
-	}
-	mask := uint64(1)<<uint(h.bits) - 1
-	k := h.rng.Uint64() & mask
-	if k == 0 {
-		k = 1
-	}
-	return k
-}
-
-// HotSpotBatch draws n hot-spot keys.
-func HotSpotBatch(h *HotSpot, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = h.Next()
-	}
-	return out
-}
-
 // Edge is a directed graph edge.
 type Edge struct {
 	Src, Dst uint32

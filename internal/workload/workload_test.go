@@ -89,57 +89,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestHotSpotFractions(t *testing.T) {
-	r := NewRNG(5)
-	h := NewHotSpot(r, 30, 4, 0.9)
-	if got := h.Hot(); len(got) != 4 || got[0] != 1 || got[3] != 4 {
-		t.Fatalf("Hot() = %v, want [1 2 3 4]", got)
-	}
-	n := 200_000
-	hotDraws := 0
-	perKey := map[uint64]int{}
-	for i := 0; i < n; i++ {
-		k := h.Next()
-		if k == 0 || k >= 1<<30 {
-			t.Fatalf("key %d out of range", k)
-		}
-		if k <= 4 {
-			hotDraws++
-			perKey[k]++
-		}
-	}
-	// 90% ± noise must land on the 4 hot keys (cold draws hitting 1..4 by
-	// chance are ~0), spread roughly evenly among them.
-	if f := float64(hotDraws) / float64(n); f < 0.88 || f > 0.92 {
-		t.Fatalf("hot fraction %.3f, want ~0.9", f)
-	}
-	for k := uint64(1); k <= 4; k++ {
-		if f := float64(perKey[k]) / float64(hotDraws); f < 0.2 || f > 0.3 {
-			t.Fatalf("hot key %d got %.3f of hot draws, want ~0.25", k, f)
-		}
-	}
-	// Clamps: zero hot keys becomes one, fractions clamp to [0, 1].
-	all := NewHotSpot(NewRNG(6), 20, 0, 2)
-	for i := 0; i < 100; i++ {
-		if k := all.Next(); k != 1 {
-			t.Fatalf("frac>1 clamp: drew %d, want the single hot key 1", k)
-		}
-	}
-	none := NewHotSpot(NewRNG(7), 20, 3, -1)
-	cold := 0
-	for i := 0; i < 1000; i++ {
-		if none.Next() > 3 {
-			cold++
-		}
-	}
-	if cold < 900 {
-		t.Fatalf("frac<0 clamp: only %d/1000 cold draws", cold)
-	}
-	if got := HotSpotBatch(NewHotSpot(NewRNG(8), 20, 2, 0.5), 64); len(got) != 64 {
-		t.Fatalf("HotSpotBatch length %d", len(got))
-	}
-}
-
 func TestZetaApproxMatchesExactSmall(t *testing.T) {
 	// For n below the exact cutoff the approximation IS the exact sum.
 	exact := 0.0

@@ -104,9 +104,11 @@
 //
 // OpenDurableShardedSet adds crash durability to the pipeline,
 // exploiting the paper's headline property: a CPMA has no pointers — its
-// whole state is flat slabs — so a checkpoint is a raw slab dump of a
-// frozen snapshot handle, with no traversal and no pointer fixup on
-// either side. Each shard's mailbox writer appends every coalesced batch
+// whole state is its leaves — so a checkpoint is one pass over the leaves
+// of a frozen snapshot handle, with no traversal and no pointer fixup on
+// either side. A base checkpoint lists every non-empty leaf; a delta
+// lists only the leaves changed since the previous checkpoint, in the
+// same encoding. Each shard's mailbox writer appends every coalesced batch
 // to a per-shard CRC-framed write-ahead log before applying it; a
 // background checkpointer serializes the writer-published snapshot
 // handles off the hot path and truncates the log prefix they cover; on
@@ -122,16 +124,17 @@
 // written since. Recovery restores, per shard, an exact prefix of the
 // acknowledged batch history: synced batches are never lost and torn
 // tails are cleanly truncated. The on-disk formats (manifest, WAL
-// segments, checkpoints) are versioned via magics; mismatched versions or
-// set geometry (shard count, partition, key bits) are rejected at open.
+// segments, checkpoints) are versioned via magics; a store written at
+// another manifest version, or with other set geometry (shard count,
+// partition, key bits), is rejected at open.
 //
 // # Replication
 //
 // OpenPrimary and OpenFollower turn a durable sharded set into a
 // primary/replica group: the primary streams its sealed per-shard WAL
 // records (and, for fresh or lagging followers, whole checkpoint-chain
-// states — another payoff of the pointer-free slab format, which ships as
-// flat bytes) to read-only followers that replay them and serve the full
+// states, shipped in the same leaf-list encoding a base checkpoint holds
+// and verified before install) to read-only followers that replay them and serve the full
 // snapshot and live read API. PairReplica wires a follower in process;
 // ServeReplication/DialPrimary do the same over a length-prefixed socket
 // protocol with resume-from-position on reconnect.
@@ -263,8 +266,8 @@ func NewShardedSetWith(shards int, opts *ShardedSetOptions) *ShardedSet {
 }
 
 // ShardPersistStats reports a durable ShardedSet's journal and checkpoint
-// work: WAL records/bytes/fsyncs, checkpoints and their encoded slab
-// bytes (comparable with SizeBytes and the snapshot CloneBytes), WAL
+// work: WAL records/bytes/fsyncs, checkpoints and their encoded bytes
+// (comparable with SizeBytes and the snapshot CloneBytes), WAL
 // segments truncated behind checkpoints, and what recovery did at open
 // (keys recovered, batches replayed, torn bytes discarded).
 type ShardPersistStats = shard.PersistStats
@@ -272,7 +275,7 @@ type ShardPersistStats = shard.PersistStats
 // OpenDurableShardedSet opens (creating if absent) the durable sharded
 // set stored under dir and returns it recovered and running: a
 // ShardedSet whose mailbox writers append every batch to a per-shard
-// write-ahead log before applying it, with slab checkpoints written off
+// write-ahead log before applying it, with checkpoints written off
 // the hot path. opts may be nil; its Dir field is overridden by dir, and
 // SyncEvery/SyncBytes/CheckpointEveryBatches tune
 // the group-commit and checkpoint cadence (see the package documentation
