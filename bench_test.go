@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fgraph"
 	"repro/internal/graph"
-	"repro/internal/pma"
 	"repro/internal/rma"
 	"repro/internal/workload"
 )
@@ -132,7 +131,7 @@ func BenchmarkTable3SerialVsParallel(b *testing.B) {
 				restore := setProcs(1)
 				defer restore()
 			}
-			p := pma.New(nil)
+			p := cpma.NewUncompressed(nil)
 			p.InsertBatch(baseKeys(1), false)
 			batches := benchBatches(2, 64, 10_000, false)
 			b.ResetTimer()
@@ -156,7 +155,7 @@ func BenchmarkTable4RMA(b *testing.B) {
 		}
 	})
 	b.Run("PMA", func(b *testing.B) {
-		p := pma.New(nil)
+		p := cpma.NewUncompressed(nil)
 		p.InsertBatch(baseKeys(1), false)
 		batches := benchBatches(2, 64, 10_000, false)
 		b.ResetTimer()

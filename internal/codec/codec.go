@@ -8,7 +8,10 @@
 // empty-cell marker, exactly like the reference implementation.
 package codec
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // MaxLen is the longest byte code for a uint64 (ceil(64/7) bytes).
 const MaxLen = 10
@@ -122,19 +125,11 @@ func CountRun(src []byte, used int) int {
 	return cnt
 }
 
-func putHead(dst []byte, v uint64) {
-	for i := 0; i < HeadBytes; i++ {
-		dst[i] = byte(v >> (8 * i))
-	}
-}
+// The head is one little-endian uint64; binary.LittleEndian compiles to a
+// single 8-byte load or store, which a byte loop does not.
+func putHead(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
 
-func head(src []byte) uint64 {
-	var v uint64
-	for i := 0; i < HeadBytes; i++ {
-		v |= uint64(src[i]) << (8 * i)
-	}
-	return v
-}
+func head(src []byte) uint64 { return binary.LittleEndian.Uint64(src) }
 
 // Head returns the uncompressed head of an encoded run.
 func Head(src []byte) uint64 { return head(src) }

@@ -4,20 +4,24 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/codec"
 	"repro/internal/parallel"
 )
 
-// The batch-update algorithm below is identical to the uncompressed PMA's
-// (paper §5: "the batch-update algorithm in the CPMA is identical to the
-// batch-update algorithm for PMAs described in Section 4") — only the
-// per-leaf merge and the redistribution work on byte codes.
+// This is the paper's parallel batch-update algorithm (§4), the same for
+// both leaf formats (§5: "the batch-update algorithm in the CPMA is
+// identical to the batch-update algorithm for PMAs described in Section
+// 4"): only the per-leaf merge and the redistribution go through the
+// format.
 
+// mergeForkGrain is the batch size above which the recursive batch merge
+// forks its three-way work (leaf merge, left recursion, right recursion).
 const mergeForkGrain = 2048
 
 // InsertBatch inserts a batch of keys, returning how many were new. If
 // sorted is false the batch is sorted in a copy first; duplicates within
-// the batch are removed either way.
+// the batch are removed either way. Tiny batches become point inserts,
+// batches of Ω(n) a full two-finger rebuild merge, and the rest run the
+// three-phase merge/count/redistribute algorithm.
 func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 	batch := c.prepareBatch(keys, sorted)
 	if len(batch) == 0 {
@@ -43,6 +47,8 @@ func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 }
 
 // RemoveBatch removes a batch of keys, returning how many were present.
+// Batch deletes are symmetric to inserts (§4) but never overflow leaves,
+// and the counting phase checks lower density bounds.
 func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 	batch := c.prepareBatch(keys, sorted)
 	if len(batch) == 0 || c.n == 0 {
@@ -61,13 +67,14 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 	var removed atomic.Int64
 	c.removeRange(batch, 0, c.leaves-1, dirty, &removed)
 	c.n -= int(removed.Load())
-	if c.Capacity() > minCapacity {
+	if c.Capacity() > c.f.minCapacity() {
 		plan := c.tree.Count(c.usedOf, dirty.Indices(), false, true)
 		c.applyPlan(plan)
 	}
 	return int(removed.Load())
 }
 
+// prepareBatch normalizes a batch: sorted, duplicate-free, nonzero keys.
 func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
 	if len(keys) == 0 {
 		return nil
@@ -84,6 +91,7 @@ func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
 	return batch
 }
 
+// batchMerge runs the three phases of the parallel batch insert.
 func (c *CPMA) batchMerge(batch []uint64) int {
 	if c.overflow == nil {
 		c.overflow = make([][]uint64, c.leaves)
@@ -91,14 +99,24 @@ func (c *CPMA) batchMerge(batch []uint64) int {
 	dirty := parallel.NewBitset(c.leaves)
 	var added atomic.Int64
 
+	// Phase 1: recursive parallel batch merge.
 	c.mergeRange(batch, 0, c.leaves-1, dirty, &added)
 	c.n += int(added.Load())
 
+	// Phase 2: work-efficient parallel counting. An overflowed leaf always
+	// violates its bound, so the plan covers it with a redistribution
+	// region or a rebuild, and gatherElems drains its buffer.
 	plan := c.tree.Count(c.usedOf, dirty.Indices(), true, false)
+
+	// Phase 3: parallel redistribution (or growth).
 	c.applyPlan(plan)
 	return int(added.Load())
 }
 
+// rebuildMerge handles batches of size Ω(n): gather everything, two-finger
+// merge with the batch in parallel, and rebuild the array (paper §4: "if k
+// is large, the optimal algorithm is to rebuild the entire data structure
+// with a linear two-finger merge").
 func (c *CPMA) rebuildMerge(batch []uint64) int {
 	all := c.gatherElems(0, c.leaves)
 	merged, fresh := parallel.MergeDedup(all, batch)
@@ -106,8 +124,14 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 	return fresh
 }
 
-// mergeRange mirrors pma.mergeRange; see that implementation for the
-// leaf-range ownership argument that makes the recursion lock-free.
+// mergeRange implements the recursive batch-merge phase (paper §4): search
+// for the batch median's target leaf within [loLeaf, hiLeaf], find the
+// extent of the batch destined for that leaf, then in parallel merge that
+// extent into the leaf and recurse on the left and right remainders.
+//
+// The leaf-range bounds guarantee that no search performed by this call
+// probes a leaf owned by a concurrently forked merge, so the phase is safe
+// without locks.
 func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, added *atomic.Int64) {
 	if len(batch) == 0 {
 		return
@@ -119,11 +143,16 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 	leaf := c.leafForIn(mid, loLeaf, hiLeaf)
 	var lo, hi int
 	if leaf == -1 {
+		// No non-empty leaf with head <= mid in range.
 		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
 		if first == -1 {
+			// The whole range is empty: the parent guaranteed every batch
+			// element sorts between the surrounding leaves, so park the run
+			// in the middle leaf; redistribution will spread it.
 			c.mergeLeaf((loLeaf+hiLeaf)/2, batch, dirty, added)
 			return
 		}
+		// Elements preceding the first head merge into that leaf.
 		leaf = first
 		lo = 0
 	} else if leaf == loLeaf {
@@ -151,9 +180,10 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 	)
 }
 
-// mergeLeaf merges a sorted batch run into a compressed leaf: decode, merge,
-// re-encode if the bytes fit, otherwise keep the merged run out-of-place
-// with its encoded size recorded for the counting phase (Figure 4).
+// mergeLeaf merges a sorted batch run into a leaf: decode, merge, re-encode
+// if the bytes fit, otherwise keep the merged run out-of-place in the
+// overflow buffer with its encoded size recorded for the counting phase
+// (Figure 4).
 func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *atomic.Int64) {
 	if len(sub) == 0 {
 		return
@@ -165,13 +195,13 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *
 	if ec == 0 {
 		merged, fresh = sub, len(sub)
 	} else {
-		cur := codec.DecodeRun(make([]uint64, 0, ec), c.leafData(leaf), c.usedOf(leaf))
+		cur := c.f.decode(make([]uint64, 0, ec), c.leafData(leaf), c.usedOf(leaf))
 		merged, fresh = parallel.MergeDedup(cur, sub)
 	}
-	size := codec.SizeOfRun(merged)
+	size := c.f.runSize(merged)
 	if size <= c.LeafBytes() {
 		ld := c.leafDataW(leaf)
-		w := codec.EncodeRun(ld, merged)
+		w := c.f.encode(ld, merged)
 		clearBytes(ld[w:])
 	} else {
 		// Overflow: the slab is untouched (the counting phase redistributes
@@ -185,6 +215,7 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *
 	added.Add(int64(fresh))
 }
 
+// removeRange is the delete-side analogue of mergeRange.
 func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, removed *atomic.Int64) {
 	if len(batch) == 0 || loLeaf > hiLeaf {
 		return
@@ -195,7 +226,7 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 	if leaf == -1 {
 		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
 		if first == -1 {
-			return
+			return // nothing stored in this range, nothing to delete
 		}
 		leaf = first
 		lo = 0
@@ -223,13 +254,15 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 }
 
 // removeLeaf deletes keys of sub present in the leaf with a two-finger
-// difference over the decoded run. Deletion never grows the encoding, so
-// the result always re-encodes in place.
+// difference over the decoded run. Deletes never overflow (paper §6:
+// "deletes do not have to allocate temporary space as they will never
+// overflow the PMA leaves"): deletion never grows the encoding, so the
+// result always re-encodes in place.
 func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, removed *atomic.Int64) {
 	if len(sub) == 0 || c.usedOf(leaf) == 0 {
 		return
 	}
-	cur := codec.DecodeRun(make([]uint64, 0, c.ecntOf(leaf)), c.leafData(leaf), c.usedOf(leaf))
+	cur := c.f.decode(make([]uint64, 0, c.ecntOf(leaf)), c.leafData(leaf), c.usedOf(leaf))
 	w := 0
 	j := 0
 	dropped := 0
@@ -255,7 +288,7 @@ func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, remove
 		c.setLeafMeta(leaf, 0, 0)
 		return
 	}
-	size := codec.EncodeRun(ld, cur[:w])
+	size := c.f.encode(ld, cur[:w])
 	clearBytes(ld[size:c.usedOf(leaf)])
 	c.setLeafMeta(leaf, int32(size), int32(w))
 }

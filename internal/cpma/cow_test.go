@@ -37,40 +37,42 @@ func cloneEqualState(t *testing.T, a, b *CPMA, what string) {
 // parent's accumulated dirt since the previous clone, and Clone resets
 // the parent's window.
 func TestDirtyWindowHandoff(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	c := New(&Options{LeafBytes: 256, PointThreshold: 10})
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		r := rand.New(rand.NewSource(41))
+		c := newSet(&Options{LeafBytes: 256, PointThreshold: 10})
 
-	// A handle that never went through Clone reports unknown.
-	if all, bits := c.DirtySince(); all || bits != nil {
-		t.Fatalf("non-clone handle reported a window: all=%v bits=%v", all, bits)
-	}
+		// A handle that never went through Clone reports unknown.
+		if all, bits := c.DirtySince(); all || bits != nil {
+			t.Fatalf("non-clone handle reported a window: all=%v bits=%v", all, bits)
+		}
 
-	c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
-	first := c.Clone()
-	if all, _ := first.DirtySince(); !all {
-		// The initial build is a rebuild: everything is dirty.
-		t.Fatal("first clone after build should report all")
-	}
+		c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
+		first := c.Clone()
+		if all, _ := first.DirtySince(); !all {
+			// The initial build is a rebuild: everything is dirty.
+			t.Fatal("first clone after build should report all")
+		}
 
-	// No mutations between clones: the window must be empty, not all.
-	second := c.Clone()
-	if all, bits := second.DirtySince(); all || bits == nil || bits.Count() != 0 {
-		t.Fatalf("idle window not empty: all=%v count=%v", all, bits)
-	}
+		// No mutations between clones: the window must be empty, not all.
+		second := c.Clone()
+		if all, bits := second.DirtySince(); all || bits == nil || bits.Count() != 0 {
+			t.Fatalf("idle window not empty: all=%v count=%v", all, bits)
+		}
 
-	// A small point mutation dirties at least the touched leaf, and far
-	// fewer than all leaves at this size.
-	k, _ := c.Min()
-	c.Remove(k)
-	c.Insert(k)
-	third := c.Clone()
-	all, bits := third.DirtySince()
-	if all || bits == nil {
-		t.Fatalf("point-mutation window reported all")
-	}
-	if n := bits.Count(); n == 0 || n >= c.Leaves() {
-		t.Fatalf("point-mutation window covers %d of %d leaves", n, c.Leaves())
-	}
+		// A small point mutation dirties at least the touched leaf, and far
+		// fewer than all leaves at this size.
+		k, _ := c.Min()
+		c.Remove(k)
+		c.Insert(k)
+		third := c.Clone()
+		all, bits := third.DirtySince()
+		if all || bits == nil {
+			t.Fatalf("point-mutation window reported all")
+		}
+		if n := bits.Count(); n == 0 || n >= c.Leaves() {
+			t.Fatalf("point-mutation window covers %d of %d leaves", n, c.Leaves())
+		}
+	})
 }
 
 // TestDeltaRoundTripDifferential walks a mutation history, maintaining a

@@ -1,9 +1,22 @@
-// Package cpma implements the Compressed Packed Memory Array (paper §5),
-// the paper's primary contribution: a PMA whose leaves store an uncompressed
-// 8-byte head followed by delta-encoded byte codes, with density bounds
-// measured in bytes. It supports the same point operations, range maps, and
-// three-phase parallel batch updates as the uncompressed PMA (§4) — the
-// batch algorithm is identical, only the leaf representation changes.
+// Package cpma implements the batch-parallel Packed Memory Array engine of
+// paper §3–5 once, over two leaf formats:
+//
+//   - compressed (New, FromSorted): the Compressed Packed Memory Array of
+//     §5, the paper's primary contribution. A leaf stores an uncompressed
+//     8-byte head followed by delta-encoded byte codes, and density bounds
+//     are measured in bytes.
+//   - uncompressed (NewUncompressed, UncompressedFromSorted): the PMA of
+//     §3–4. A leaf stores every key as 8 little-endian bytes, Θ(log n) keys
+//     per leaf.
+//
+// Both formats start a non-empty leaf with its smallest key as an 8-byte
+// little-endian head and live in the same byte slabs, so the leaf search,
+// the point updates, the range maps and the three-phase parallel batch
+// updates are one engine (§5: "the batch-update algorithm in the CPMA is
+// identical to the batch-update algorithm for PMAs described in Section
+// 4"). Only the per-leaf operations in leaf.go and a few geometry constants
+// differ by format. Copy-on-write clones work on both; serialization
+// (encoding.go) is defined for compressed sets only.
 //
 // Keys are uint64; key 0 is reserved (an all-zero head marks an empty leaf,
 // and no delta byte code contains a zero byte).
@@ -20,16 +33,21 @@ import (
 	"repro/internal/pmatree"
 )
 
-// Options configures a CPMA; semantics match pma.Options.
+// Options configures a CPMA of either format. The zero value selects the
+// defaults of the paper's evaluation (growing factor 1.2, point updates
+// below batch size 100, full rebuild for batches of at least n/10).
 type Options struct {
 	// GrowthFactor is the growing factor applied on root violations
 	// (Appendix C studies 1.1–2.0; the paper's benchmarks use 1.2).
 	GrowthFactor float64
-	// LeafBytes fixes the leaf size in bytes (power of two, >= 128).
-	// 0 selects Θ(log n) scaled automatically.
+	// LeafBytes fixes the leaf size in bytes. It is rounded up to a power
+	// of two and clamped to [256, 1 MiB] for the compressed format and to
+	// [64, 1 MiB] for the uncompressed one. 0 selects Θ(log n) scaled
+	// automatically on each rebuild.
 	LeafBytes int
 	// PointThreshold is the batch size below which batch ops degrade to
-	// point updates.
+	// point updates (paper §4: "if k is small, point updates are more
+	// efficient").
 	PointThreshold int
 }
 
@@ -43,26 +61,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// rebuildFraction r: batches with k >= r*n rebuild the whole array.
+// rebuildFraction r: batches with k >= r*n rebuild the whole array with a
+// two-finger merge (paper §4: k >= n/10).
 const rebuildFraction = 0.1
 
 const (
-	// minLeafBytes keeps enough slack in every leaf that the byte-budget
-	// redistribution always succeeds (see scatterElems).
-	minLeafBytes = 256
-	maxLeafBytes = 2048
-	// minCapacity is the smallest byte capacity the CPMA shrinks to.
-	minCapacity = 4 * minLeafBytes
-	// leafSlack is the headroom the effective leaf density bound reserves:
-	// redistribution may re-spend up to MaxGrowth bytes per leaf on chunk
-	// boundaries and must still leave MaxGrowth bytes of insertion slack, so
-	// a redistributed leaf never immediately re-triggers a rebalance.
-	leafSlack = 2*codec.MaxGrowth + codec.MaxLen
+	// maxAutoLeafBytes caps the automatic Θ(log n) leaf size.
+	maxAutoLeafBytes = 2048
+	// maxLeafLog2 bounds every leaf, automatic or set by LeafBytes. The
+	// decoder enforces the same bound, so every image WriteTo produces
+	// can be read back.
+	maxLeafLog2 = 20
 )
 
-// CPMA is a compressed batch-parallel Packed Memory Array storing a set of
-// nonzero uint64 keys. Single writer; batch operations parallelize
-// internally.
+// CPMA is a batch-parallel Packed Memory Array storing a set of nonzero
+// uint64 keys in one of the two leaf formats. Single writer; batch
+// operations parallelize internally (batch-parallel, not concurrent —
+// paper §2).
 type CPMA struct {
 	lf         []atomic.Pointer[leafChunk] // chunked per-leaf slab + metadata spine (see cow.go)
 	ownChunk   *parallel.Bitset            // spine chunks private to this CPMA
@@ -73,6 +88,7 @@ type CPMA struct {
 	leaves     int
 	n          int
 	opt        Options
+	f          *format
 
 	// Copy-on-write bookkeeping (cow.go). dirty/dirtyAll accumulate the
 	// leaves mutated since the last Clone; pubAll/pubDirty hold the window
@@ -89,13 +105,19 @@ type CPMA struct {
 	clones     uint64
 }
 
-// New returns an empty CPMA; opts may be nil for defaults.
-func New(opts *Options) *CPMA {
+// New returns an empty compressed CPMA; opts may be nil for defaults.
+func New(opts *Options) *CPMA { return newFormat(compressed, opts) }
+
+// NewUncompressed returns an empty CPMA in the uncompressed format: the
+// PMA of paper §3–4. opts may be nil for defaults.
+func NewUncompressed(opts *Options) *CPMA { return newFormat(uncompressed, opts) }
+
+func newFormat(f *format, opts *Options) *CPMA {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	c := &CPMA{opt: o.withDefaults()}
+	c := &CPMA{opt: o.withDefaults(), f: f}
 	c.rebuildFrom(nil)
 	return c
 }
@@ -150,9 +172,17 @@ func (c *CPMA) Clone() *CPMA {
 	return &d
 }
 
-// FromSorted builds a CPMA from sorted, duplicate-free, nonzero keys.
-func FromSorted(keys []uint64, opts *Options) *CPMA {
-	c := New(opts)
+// FromSorted builds a compressed CPMA from sorted, duplicate-free, nonzero
+// keys. The slice is not retained.
+func FromSorted(keys []uint64, opts *Options) *CPMA { return New(opts).load(keys) }
+
+// UncompressedFromSorted builds an uncompressed CPMA from sorted,
+// duplicate-free, nonzero keys. The slice is not retained.
+func UncompressedFromSorted(keys []uint64, opts *Options) *CPMA {
+	return NewUncompressed(opts).load(keys)
+}
+
+func (c *CPMA) load(keys []uint64) *CPMA {
 	if len(keys) > 0 {
 		if keys[0] == 0 {
 			panic("cpma: key 0 is reserved")
@@ -197,107 +227,46 @@ func (c *CPMA) head(leaf int) uint64     { return codec.Head(c.leafSt(leaf).data
 func (c *CPMA) usedOf(leaf int) int      { return int(c.leafSt(leaf).used) }
 func (c *CPMA) ecntOf(leaf int) int      { return int(c.leafSt(leaf).ecnt) }
 
-// effectiveBounds returns the default density bounds (in bytes) with the
-// upper bounds capped so that any in-bounds region can always be
-// redistributed into chunks of at most leafBytes - MaxGrowth bytes — which
-// both guarantees the greedy byte-budget scatter succeeds and leaves every
-// redistributed leaf enough slack for the next point insert.
-func effectiveBounds(leafBytes int) pmatree.Bounds {
-	b := pmatree.DefaultBounds()
-	cap := float64(leafBytes-leafSlack) / float64(leafBytes)
-	if b.UpperLeaf > cap {
-		b.UpperLeaf = cap
-	}
-	if b.UpperRoot > b.UpperLeaf {
-		b.UpperRoot = b.UpperLeaf
-	}
-	return b
-}
-
-// autoLeafBytes picks a power-of-two leaf size of Θ(log n) scaled bytes.
-func autoLeafBytes(totalBytes int) int {
-	lb := int(bitutil.CeilPow2(uint64(8 * bitutil.Log2Ceil(uint64(totalBytes)+1))))
-	if lb < minLeafBytes {
-		lb = minLeafBytes
-	}
-	if lb > maxLeafBytes {
-		lb = maxLeafBytes
-	}
-	return lb
-}
-
-// deltaPrefix builds the prefix sums of per-element delta code sizes:
-// P[i] = sum of codec.Len(elems[j]-elems[j-1]) for j in [1, i]. A run
-// [s, e) then encodes to 8 + P[e-1] - P[s] bytes.
-func deltaPrefix(elems []uint64) []int {
-	p := make([]int, len(elems))
-	if len(elems) == 0 {
-		return p
-	}
-	// Parallel by blocks: sizes are independent, only the sum is sequential.
-	grain := 64 << 10
-	if len(elems) <= grain || parallel.Serial() {
-		for i := 1; i < len(elems); i++ {
-			p[i] = p[i-1] + codec.Len(elems[i]-elems[i-1])
-		}
-		return p
-	}
-	parallel.ForRange(len(elems), grain, func(lo, hi int) {
-		if lo == 0 {
-			lo = 1
-		}
-		for i := lo; i < hi; i++ {
-			p[i] = codec.Len(elems[i] - elems[i-1])
-		}
-	})
-	for i := 1; i < len(elems); i++ {
-		p[i] += p[i-1]
-	}
-	return p
-}
-
-// capacityFor sizes the array for the given elements by applying the
-// growing factor until the encoded payload fits under the root bound.
-func (c *CPMA) capacityFor(elems []uint64, prefix []int) int {
-	payload := 0
-	if len(elems) > 0 {
-		payload = codec.HeadBytes + prefix[len(elems)-1]
-	}
-	cap := minCapacity
+// capacityFor sizes the array for a run of payload encoded bytes by
+// applying the growing factor, in the format's units, until it fits under
+// the root bound, the way repeated root violations would grow it.
+func (c *CPMA) capacityFor(payload int) int {
+	units := c.f.minCapacity() / c.f.unit
 	for {
+		cap := units * c.f.unit
 		lb := c.leafBytesFor(cap)
 		leaves := bitutil.Max(1, cap/lb)
-		bounds := effectiveBounds(lb)
-		// Every extra leaf re-spends a head; budget for the worst case.
-		need := payload + (leaves-1)*codec.HeadBytes
-		if float64(need) <= bounds.UpperRoot*float64(leaves*lb) {
+		// Every extra leaf may re-spend a head; budget for the worst case.
+		need := payload + (leaves-1)*c.f.headCost
+		if float64(need) <= c.f.bounds(lb).UpperRoot*float64(leaves*lb) {
 			return leaves * lb
 		}
-		next := int(float64(cap) * c.opt.GrowthFactor)
-		if next <= cap {
-			next = cap + 1
+		next := int(float64(units) * c.opt.GrowthFactor)
+		if next <= units {
+			next = units + 1
 		}
-		cap = next
+		units = next
 	}
 }
 
+// leafBytesFor picks the leaf size of an array of capacity bytes: the
+// LeafBytes option, or Θ(log n) units of the format, rounded up to a power
+// of two within the format's bounds.
 func (c *CPMA) leafBytesFor(capacity int) int {
 	lb := c.opt.LeafBytes
 	if lb <= 0 {
-		lb = autoLeafBytes(capacity)
+		lb = 8 * bitutil.Log2Ceil(uint64(capacity/c.f.unit)+1)
+		lb = bitutil.Min(lb, maxAutoLeafBytes)
 	}
 	lb = int(bitutil.CeilPow2(uint64(lb)))
-	if lb < minLeafBytes {
-		lb = minLeafBytes
-	}
-	return lb
+	return bitutil.Min(bitutil.Max(lb, c.f.minLeafBytes), 1<<maxLeafLog2)
 }
 
 // rebuildFrom replaces the structure with a fresh array holding the sorted,
 // duplicate-free keys.
 func (c *CPMA) rebuildFrom(all []uint64) {
-	prefix := deltaPrefix(all)
-	capacity := c.capacityFor(all, prefix)
+	prefix := c.f.prefix(all)
+	capacity := c.capacityFor(c.f.runBytes(prefix, 0, len(all)))
 	lb := c.leafBytesFor(capacity)
 	leaves := bitutil.Max(1, capacity/lb)
 	c.leafLog2 = uint(bitutil.Log2Ceil(uint64(lb)))
@@ -305,7 +274,7 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 	c.lf = newLeafSpine(leaves, lb)
 	c.ownAllChunks()
 	c.overflow = nil
-	c.tree = pmatree.New(leaves, lb, effectiveBounds(lb))
+	c.tree = pmatree.New(leaves, lb, c.f.bounds(lb))
 	c.n = len(all)
 	// A rebuild replaces every leaf: the whole geometry is dirty relative
 	// to any prior Clone, and no prior slab is shared anymore.
@@ -319,16 +288,20 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 
 // scatterElems splits a sorted run across leaves [loLeaf, hiLeaf) so every
 // leaf stays within its byte capacity, encoding each chunk in parallel. The
-// split walks the leaves greedily, giving each one min(capacity, fair share
-// + one max code) bytes — which both balances the leaves and guarantees
-// that the whole run is placed whenever it fits.
+// split walks the leaves greedily, giving each one min(capacity - slack,
+// fair share + the format's slop) bytes — which both balances the leaves
+// and, for the compressed format, guarantees that the whole run is placed
+// whenever it fits. The uncompressed format has no slop, so its leaves get
+// an even split of keys.
 func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) error {
 	nl := hiLeaf - loLeaf
 	if len(elems) == 0 {
 		forLeaves(nl, func(i int) { c.clearLeaf(loLeaf + i) })
 		return nil
 	}
-	leafCap := c.LeafBytes()
+	// Always keep slack bytes free so the next point insert into the leaf
+	// cannot exceed its capacity.
+	maxBudget := c.LeafBytes() - c.f.slack
 	starts := make([]int, nl+1)
 	start := 0
 	n := len(elems)
@@ -338,17 +311,11 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 			continue
 		}
 		remLeaves := nl - t
-		remBytes := remLeaves*codec.HeadBytes + prefix[n-1] - prefix[start]
-		fair := bitutil.CeilDiv(remBytes, remLeaves)
-		budget := fair + codec.MaxLen + codec.HeadBytes
-		// Always keep MaxGrowth bytes free so the next point insert into the
-		// leaf cannot exceed its capacity.
-		if max := leafCap - codec.MaxGrowth; budget > max {
-			budget = max
-		}
-		// Largest e with 8 + P[e-1] - P[start] <= budget; e >= start+1.
+		remBytes := (remLeaves-1)*c.f.headCost + c.f.runBytes(prefix, start, n)
+		budget := bitutil.Min(bitutil.CeilDiv(remBytes, remLeaves)+c.f.slop, maxBudget)
+		// Largest e with runBytes(start, e) <= budget; e >= start+1.
 		k := sort.Search(n-(start+1), func(k int) bool {
-			return codec.HeadBytes+prefix[start+1+k]-prefix[start] > budget
+			return c.f.runBytes(prefix, start, start+2+k) > budget
 		})
 		starts[t+1] = start + 1 + k
 		start = starts[t+1]
@@ -364,7 +331,7 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 			return
 		}
 		ld := c.leafDataW(leaf)
-		w := codec.EncodeRun(ld, elems[s:e])
+		w := c.f.encode(ld, elems[s:e])
 		clearBytes(ld[w:])
 		c.setLeafMeta(leaf, int32(w), int32(e-s))
 		if c.overflow != nil {
@@ -422,8 +389,8 @@ func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 			return
 		}
 		// Append in place: capacity is exactly the leaf's element count, so
-		// DecodeRun fills buf[lo:hi] without reallocating.
-		codec.DecodeRun(buf[lo:lo:hi], c.leafData(leaf), c.usedOf(leaf))
+		// decode fills buf[lo:hi] without reallocating.
+		c.f.decode(buf[lo:lo:hi], c.leafData(leaf), c.usedOf(leaf))
 	})
 	return buf
 }
@@ -431,7 +398,7 @@ func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 // redistribute evens out a planned region by byte budget.
 func (c *CPMA) redistribute(r pmatree.Region) error {
 	elems := c.gatherElems(r.LoLeaf, r.HiLeaf)
-	return c.scatterElems(elems, deltaPrefix(elems), r.LoLeaf, r.HiLeaf)
+	return c.scatterElems(elems, c.f.prefix(elems), r.LoLeaf, r.HiLeaf)
 }
 
 // applyPlan executes a rebalance plan; a failed regional scatter (possible
@@ -489,11 +456,11 @@ func (c *CPMA) CheckInvariants() error {
 		if u < codec.HeadBytes {
 			return fmt.Errorf("cpma: leaf %d used %d < head size", leaf, u)
 		}
-		elems := codec.DecodeRun(nil, ld, u)
+		elems := c.f.decode(nil, ld, u)
 		if len(elems) != c.ecntOf(leaf) {
 			return fmt.Errorf("cpma: leaf %d decodes to %d elements, ecnt says %d", leaf, len(elems), c.ecntOf(leaf))
 		}
-		if got := codec.SizeOfRun(elems); got != u {
+		if got := c.f.runSize(elems); got != u {
 			return fmt.Errorf("cpma: leaf %d used %d but re-encode is %d", leaf, u, got)
 		}
 		for i, v := range elems {

@@ -6,61 +6,68 @@ import (
 	"repro/internal/workload"
 )
 
-func benchBase(n int) *CPMA {
-	c := New(nil)
-	c.InsertBatch(workload.Uniform(workload.NewRNG(1), n, 40), false)
-	return c
+// benchFormats runs bench once per leaf format over a set preloaded with n
+// uniform 40-bit keys.
+func benchFormats(b *testing.B, n int, bench func(b *testing.B, c *CPMA)) {
+	for _, f := range formats {
+		b.Run(f.name, func(b *testing.B) {
+			c := f.new(nil)
+			c.InsertBatch(workload.Uniform(workload.NewRNG(1), n, 40), false)
+			b.ResetTimer()
+			bench(b, c)
+		})
+	}
 }
 
 func BenchmarkPointInsert(b *testing.B) {
-	c := benchBase(100_000)
-	r := workload.NewRNG(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Insert(1 + r.Uint64()%(1<<40))
-	}
+	benchFormats(b, 100_000, func(b *testing.B, c *CPMA) {
+		r := workload.NewRNG(2)
+		for i := 0; i < b.N; i++ {
+			c.Insert(1 + r.Uint64()%(1<<40))
+		}
+	})
 }
 
 func BenchmarkPointQuery(b *testing.B) {
-	c := benchBase(100_000)
-	r := workload.NewRNG(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Has(1 + r.Uint64()%(1<<40))
-	}
+	benchFormats(b, 100_000, func(b *testing.B, c *CPMA) {
+		r := workload.NewRNG(3)
+		for i := 0; i < b.N; i++ {
+			c.Has(1 + r.Uint64()%(1<<40))
+		}
+	})
 }
 
 func BenchmarkBatchInsert10k(b *testing.B) {
-	c := benchBase(100_000)
 	r := workload.NewRNG(4)
 	batches := make([][]uint64, 32)
 	for i := range batches {
 		batches[i] = workload.Uniform(r, 10_000, 40)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.InsertBatch(batches[i%len(batches)], false)
-	}
+	benchFormats(b, 100_000, func(b *testing.B, c *CPMA) {
+		for i := 0; i < b.N; i++ {
+			c.InsertBatch(batches[i%len(batches)], false)
+		}
+	})
 }
 
 func BenchmarkSum(b *testing.B) {
-	c := benchBase(200_000)
-	b.SetBytes(int64(c.UsedBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Sum()
-	}
+	benchFormats(b, 200_000, func(b *testing.B, c *CPMA) {
+		b.SetBytes(int64(c.UsedBytes()))
+		for i := 0; i < b.N; i++ {
+			c.Sum()
+		}
+	})
 }
 
 func BenchmarkRangeSum(b *testing.B) {
-	c := benchBase(200_000)
-	r := workload.NewRNG(5)
-	span := uint64(1) << 40 / 100
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := 1 + r.Uint64()%(uint64(1)<<40-span)
-		c.RangeSum(lo, lo+span)
-	}
+	span := uint64(1) << 40 / 100 // ~1% of the key space
+	benchFormats(b, 200_000, func(b *testing.B, c *CPMA) {
+		r := workload.NewRNG(5)
+		for i := 0; i < b.N; i++ {
+			lo := 1 + r.Uint64()%(uint64(1)<<40-span)
+			c.RangeSum(lo, lo+span)
+		}
+	})
 }
 
 func BenchmarkBuildFromSorted(b *testing.B) {
@@ -68,8 +75,11 @@ func BenchmarkBuildFromSorted(b *testing.B) {
 	c := New(nil)
 	c.InsertBatch(keys, false)
 	sorted := c.Keys()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FromSorted(sorted, nil)
+	for _, f := range formats {
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.fromSorted(sorted, nil)
+			}
+		})
 	}
 }

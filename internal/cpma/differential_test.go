@@ -1,11 +1,12 @@
 package cpma_test
 
-// Differential fuzz test: CPMA, PMA, and the sharded front-end are driven
-// against a sorted-slice reference model through randomized interleaved
-// point/batch/query sequences. After every step the mutated system must
-// hold exactly the model's contents, and the CPMA-backed systems must pass
-// the strict leaf invariants (byte-density bounds, strictly increasing
-// decoded keys, zero-free codes) — failures dump the offending leaf.
+// Differential fuzz test: the CPMA in both leaf formats and the sharded
+// front-end are driven against a sorted-slice reference model through
+// randomized interleaved point/batch/query sequences. After every step the
+// mutated system must hold exactly the model's contents and pass the
+// strict leaf invariants (byte-density bounds, strictly increasing decoded
+// keys, zero-free codes in compressed leaves) — failures dump the
+// offending leaf.
 
 import (
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/cpma"
-	"repro/internal/pma"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -31,7 +31,7 @@ type sut interface {
 	MapRange(uint64, uint64, func(uint64) bool) bool
 }
 
-// validator is implemented by the CPMA-backed systems.
+// validator is implemented by every system under test.
 type validator interface{ Validate() error }
 
 // snapshotter is implemented by the sharded systems: Snapshot captures a
@@ -139,7 +139,7 @@ func systems() map[string]func() sut {
 	return map[string]func() sut{
 		"cpma":       func() sut { return cpma.New(nil) },
 		"cpma-small": func() sut { return cpma.New(smallLeaf) },
-		"pma":        func() sut { return pma.New(nil) },
+		"pma":        func() sut { return cpma.NewUncompressed(nil) },
 		// The sharded set, driven through its blocking (ticketed enqueue +
 		// wait) paths: every step's counts must stay exact and every read
 		// must observe the preceding mutations (read-your-writes). The

@@ -13,7 +13,9 @@ package cpma
 // just as a Clone does in memory. ReadFrom loads a full image into a
 // fresh CPMA; ApplyDeltaFrom patches a receiver of the same geometry.
 // Geometry changes cannot be expressed as a delta: a rebuild reports
-// DirtySince all, and the caller writes a full image instead.
+// DirtySince all, and the caller writes a full image instead. The format
+// holds compressed leaves only: WriteTo and WriteDeltaTo refuse an
+// uncompressed set.
 //
 // Format (version 1, all integers little-endian):
 //
@@ -34,6 +36,7 @@ package cpma
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -50,11 +53,10 @@ const (
 	encCRCSize    = 4
 
 	// Sanity bounds the decoder enforces before allocating anything, so a
-	// corrupted header cannot demand an absurd allocation. maxSlabLeafLog2
-	// is generous (1 MiB leaves) next to the in-memory cap of 2 KiB; the
+	// corrupted header cannot demand an absurd allocation. Leaves are at
+	// most 1<<maxLeafLog2 bytes, the bound every CPMA is built within; the
 	// leaf count then fits the 4-byte entry field.
 	minSlabLeafLog2 = 4
-	maxSlabLeafLog2 = 20
 	maxSlabBytes    = 1 << 36
 	// A fresh load allocates the whole data array, so its capacity must
 	// also be plausible for the bytes the image carries: at most
@@ -100,8 +102,12 @@ func (c *CPMA) WriteTo(w io.Writer) (int64, error) {
 // WriteDeltaTo serializes the given leaves (ascending, in range,
 // duplicate-free — Bitset.Indices output qualifies) and returns the bytes
 // written, always EncodedSize(leaves) on success. The receiver must be at
-// rest, like WriteTo.
+// rest, like WriteTo, and compressed: an uncompressed set writes nothing
+// and returns an error.
 func (c *CPMA) WriteDeltaTo(w io.Writer, leaves []int) (int64, error) {
+	if c.f.raw {
+		return 0, errors.New("cpma: an uncompressed set has no encoding")
+	}
 	buf := make([]byte, encHeaderSize+encEntrySize*len(leaves))
 	copy(buf, encMagic)
 	binary.LittleEndian.PutUint32(buf[8:], encVersion)
@@ -195,7 +201,7 @@ func decode(r io.Reader, base *CPMA) (*encoded, error) {
 	leaves := binary.LittleEndian.Uint64(body[16:])
 	count := binary.LittleEndian.Uint64(body[24:])
 	d := binary.LittleEndian.Uint64(body[32:])
-	if leafLog2 < minSlabLeafLog2 || leafLog2 > maxSlabLeafLog2 {
+	if leafLog2 < minSlabLeafLog2 || leafLog2 > maxLeafLog2 {
 		return nil, fmt.Errorf("cpma: leafLog2 %d out of range", leafLog2)
 	}
 	// Compare without shifting leaves: a crafted huge leaf count must not
@@ -293,8 +299,9 @@ func ReadFrom(r io.Reader, opts *Options) (*CPMA, error) {
 		leafLog2: e.leafLog2,
 		leaves:   e.leaves,
 		opt:      o.withDefaults(),
+		f:        compressed,
 	}
-	c.tree = pmatree.New(c.leaves, leafBytes, effectiveBounds(leafBytes))
+	c.tree = pmatree.New(c.leaves, leafBytes, c.f.bounds(leafBytes))
 	c.ownAllChunks()
 	c.resetDirty()
 	// patch leaves the image clean: mutations applied on top (e.g. WAL

@@ -59,8 +59,13 @@ func TestSlabRoundTripStates(t *testing.T) {
 		{"empty", nil, func(c *CPMA) {}},
 		{"single-key", nil, func(c *CPMA) { c.Insert(42) }},
 		// LeafBytes == minCapacity gives exactly one leaf.
-		{"single-leaf", &Options{LeafBytes: 4 * minLeafBytes}, func(c *CPMA) {
+		{"single-leaf", &Options{LeafBytes: compressed.minCapacity()}, func(c *CPMA) {
 			c.InsertBatch([]uint64{3, 9, 1 << 30, 1 << 50}, true)
+		}},
+		// A leaf size past the decoder's bound is clamped to it, so the
+		// image still reads back.
+		{"huge-leaf", &Options{LeafBytes: 1 << 21}, func(c *CPMA) {
+			c.InsertBatch(workload.Uniform(r, 5_000, 40), false)
 		}},
 		// Dense sequential keys drive every leaf toward the byte-density
 		// ceiling (1-byte deltas), the max-density shape.
@@ -185,6 +190,22 @@ func TestSlabRejectsCorruption(t *testing.T) {
 	// A short writer must surface the error, not emit a silent prefix.
 	if _, err := c.WriteTo(&limitedWriter{limit: 10}); err == nil {
 		t.Fatal("WriteTo swallowed a short write")
+	}
+}
+
+// TestUncompressedHasNoEncoding: the encoding holds compressed leaves
+// only, so an uncompressed set refuses to write and writes nothing.
+func TestUncompressedHasNoEncoding(t *testing.T) {
+	c := UncompressedFromSorted([]uint64{5, 9, 1000, 1 << 33}, nil)
+	var buf bytes.Buffer
+	if n, err := c.WriteTo(&buf); err == nil || n != 0 {
+		t.Fatalf("WriteTo = %d, %v; want 0 and an error", n, err)
+	}
+	if n, err := c.WriteDeltaTo(&buf, c.NonEmptyLeaves()); err == nil || n != 0 {
+		t.Fatalf("WriteDeltaTo = %d, %v; want 0 and an error", n, err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused writes left %d bytes", buf.Len())
 	}
 }
 

@@ -1,14 +1,11 @@
 package cpma
 
-import (
-	"repro/internal/codec"
-	"repro/internal/pmatree"
-)
+import "repro/internal/pmatree"
 
 // leafForIn returns the last non-empty leaf in [lo, hi] whose head is <= x,
 // or -1. The binary search probes uncompressed leaf heads (§5: "the
 // uncompressed head allows for efficient searching"), walking left over
-// empty leaves.
+// empty leaves, the classic PMA search.
 func (c *CPMA) leafForIn(x uint64, lo, hi int) int {
 	res := -1
 	for lo <= hi {
@@ -31,6 +28,7 @@ func (c *CPMA) leafForIn(x uint64, lo, hi int) int {
 	return res
 }
 
+// firstNonEmptyIn returns the first non-empty leaf in [lo, hi], or -1.
 func (c *CPMA) firstNonEmptyIn(lo, hi int) int {
 	for j := lo; j <= hi; j++ {
 		if c.leafSt(j).used != 0 {
@@ -40,6 +38,8 @@ func (c *CPMA) firstNonEmptyIn(lo, hi int) int {
 	return -1
 }
 
+// nextHeadIn returns the head of the first non-empty leaf in (leaf, hi], or
+// MaxUint64 when the rest of the range is empty.
 func (c *CPMA) nextHeadIn(leaf, hi int) uint64 {
 	for j := leaf + 1; j <= hi; j++ {
 		if c.leafSt(j).used != 0 {
@@ -117,9 +117,10 @@ func (c *CPMA) Max() (uint64, bool) {
 	return 0, false
 }
 
-// Insert adds x, returning false if already present. Point updates follow
-// the PMA's four steps with the place step done as a single pass over the
-// compressed leaf (§5, Figure 6).
+// Insert adds x, returning false if already present. Point inserts follow
+// the paper's four steps: search, place, count, redistribute (§3, Figure
+// 3); in the compressed format the place step is a single pass over the
+// leaf's codes (§5, Figure 6).
 func (c *CPMA) Insert(x uint64) bool {
 	if x == 0 {
 		panic("cpma: key 0 is reserved")
@@ -129,9 +130,9 @@ func (c *CPMA) Insert(x uint64) bool {
 		if leaf == -1 {
 			leaf = 0
 		}
-		if c.usedOf(leaf)+codec.MaxGrowth > c.LeafBytes() {
-			// Not enough slack for the worst-case code growth: rebalance
-			// first (such a leaf always violates its byte-density bound).
+		if c.usedOf(leaf)+c.f.slack > c.LeafBytes() {
+			// Not enough slack for the worst-case growth: rebalance first
+			// (such a leaf always violates its byte-density bound).
 			c.rebalanceLeaf(leaf, true, false)
 			continue
 		}
@@ -162,9 +163,12 @@ func (c *CPMA) Remove(x uint64) bool {
 	return true
 }
 
+// rebalanceLeaf performs the point-update rebalance: walk up from the leaf
+// to the lowest ancestor within its density bounds and redistribute it, or
+// resize the array if the violation reaches the root.
 func (c *CPMA) rebalanceLeaf(leaf int, checkUpper, checkLower bool) {
-	if checkLower && c.Capacity() <= minCapacity {
-		return
+	if checkLower && c.Capacity() <= c.f.minCapacity() {
+		return // already at minimum capacity; sparseness is acceptable
 	}
 	plan := c.tree.WalkUp(c.usedOf, leaf, checkUpper, checkLower)
 	c.applyPlan(plan)

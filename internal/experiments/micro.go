@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cpma"
 	"repro/internal/parallel"
-	"repro/internal/pma"
 	"repro/internal/rma"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -176,7 +175,7 @@ func runPMAInsertWithProcs(cfg MicroConfig, bs, procs int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	r := workload.NewRNG(cfg.Seed)
 	base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-	p := pma.New(nil)
+	p := cpma.NewUncompressed(nil)
 	p.InsertBatch(base, false)
 	batches := makeBatches(r, cfg.TotalK, bs, false)
 	d := stats.Time(func() {
@@ -213,7 +212,7 @@ func Table4RMA(cfg MicroConfig) []Table4Row {
 
 		r = workload.NewRNG(cfg.Seed)
 		base = workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-		p := pma.New(nil)
+		p := cpma.NewUncompressed(nil)
 		p.InsertBatch(base, false)
 		batches = makeBatches(r, cfg.TotalK, bs, false)
 		dPMA := stats.Time(func() {
@@ -248,7 +247,7 @@ func Table5InsertDelete(cfg MicroConfig, zipf bool) []Table5Row {
 			base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
 			var s Set
 			if which == "PMA" {
-				s = pma.New(nil)
+				s = cpma.NewUncompressed(nil)
 			} else {
 				s = cpma.New(nil)
 			}
@@ -357,7 +356,7 @@ func runCPMAInsertWithProcs(cfg MicroConfig, bs, procs int) float64 {
 func Fig8RangeScaling(cfg MicroConfig, queries, avgLen int) []ScalingRow {
 	r := workload.NewRNG(cfg.Seed)
 	base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-	p := pma.New(nil)
+	p := cpma.NewUncompressed(nil)
 	p.InsertBatch(base, false)
 	c := cpma.New(nil)
 	c.InsertBatch(base, false)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cpma"
 	"repro/internal/pactree"
-	"repro/internal/pma"
 	"repro/internal/ptree"
 	"repro/internal/rma"
 	"repro/internal/shard"
@@ -34,7 +33,7 @@ type SetMaker struct {
 
 // PMAMaker returns the uncompressed batch-parallel PMA.
 func PMAMaker() SetMaker {
-	return SetMaker{Name: "PMA", New: func() Set { return pma.New(nil) }}
+	return SetMaker{Name: "PMA", New: func() Set { return cpma.NewUncompressed(nil) }}
 }
 
 // CPMAMaker returns the CPMA.

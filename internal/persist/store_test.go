@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpma"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -74,50 +75,63 @@ func TestDurableReopenEquality(t *testing.T) {
 }
 
 func TestCheckpointTruncatesWAL(t *testing.T) {
-	dir := t.TempDir()
-	r := workload.NewRNG(2)
-	s, _ := openSet(t, dir, 2, shard.Options{SyncEvery: 1})
-	defer s.Close()
+	for _, tc := range []struct {
+		name string
+		set  *cpma.Options
+	}{
+		{"default", nil},
+		// A leaf size past the checkpoint decoder's bound is clamped to
+		// it, so the store reopens from its own checkpoints.
+		{"huge-leaf", &cpma.Options{LeafBytes: 1 << 21}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := shard.Options{SyncEvery: 1, Set: tc.set}
+			dir := t.TempDir()
+			r := workload.NewRNG(2)
+			s, _ := openSet(t, dir, 2, opt)
+			defer s.Close()
 
-	for i := 0; i < 3; i++ {
-		s.InsertBatch(workload.Uniform(r, 5_000, 30), false)
-		if err := s.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint %d: %v", i, err)
-		}
-	}
-	st := s.PersistStats()
-	if st.Checkpoints < 6 { // 2 shards x 3 checkpoints
-		t.Fatalf("Checkpoints = %d, want >= 6", st.Checkpoints)
-	}
-	if st.CheckpointBytes == 0 {
-		t.Fatal("CheckpointBytes not reported")
-	}
-	// After >= 2 checkpoints per shard the first segments must be gone.
-	if st.TruncatedSegments == 0 {
-		t.Fatalf("no WAL segments truncated: %+v", st)
-	}
-	for p := 0; p < 2; p++ {
-		sdir := filepath.Join(dir, shardDirName(p))
-		ckpts, _ := listSeqFiles(sdir, "ckpt-", ".ckpt")
-		if len(ckpts) > 2 {
-			t.Fatalf("shard %d retains %d checkpoints, want <= 2", p, len(ckpts))
-		}
-		segs, _ := listSeqFiles(sdir, "wal-", ".log")
-		if len(segs) == 0 {
-			t.Fatalf("shard %d has no active segment", p)
-		}
-	}
+			for i := 0; i < 3; i++ {
+				s.InsertBatch(workload.Uniform(r, 5_000, 30), false)
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint %d: %v", i, err)
+				}
+			}
+			st := s.PersistStats()
+			if st.Checkpoints < 6 { // 2 shards x 3 checkpoints
+				t.Fatalf("Checkpoints = %d, want >= 6", st.Checkpoints)
+			}
+			if st.CheckpointBytes == 0 {
+				t.Fatal("CheckpointBytes not reported")
+			}
+			// After >= 2 checkpoints per shard the first segments must be gone.
+			if st.TruncatedSegments == 0 {
+				t.Fatalf("no WAL segments truncated: %+v", st)
+			}
+			for p := 0; p < 2; p++ {
+				sdir := filepath.Join(dir, shardDirName(p))
+				ckpts, _ := listSeqFiles(sdir, "ckpt-", ".ckpt")
+				if len(ckpts) > 2 {
+					t.Fatalf("shard %d retains %d checkpoints, want <= 2", p, len(ckpts))
+				}
+				segs, _ := listSeqFiles(sdir, "wal-", ".log")
+				if len(segs) == 0 {
+					t.Fatalf("shard %d has no active segment", p)
+				}
+			}
 
-	// A checkpointed store recovers without replay.
-	want := s.Keys()
-	s.Close()
-	s2, _ := openSet(t, dir, 2, shard.Options{SyncEvery: 1})
-	defer s2.Close()
-	if !slices.Equal(want, s2.Keys()) {
-		t.Fatal("recovered keys differ after checkpointed close")
-	}
-	if st2 := s2.PersistStats(); st2.ReplayedBatches != 0 {
-		t.Fatalf("replayed %d batches despite fresh checkpoint", st2.ReplayedBatches)
+			// A checkpointed store recovers without replay.
+			want := s.Keys()
+			s.Close()
+			s2, _ := openSet(t, dir, 2, opt)
+			defer s2.Close()
+			if !slices.Equal(want, s2.Keys()) {
+				t.Fatal("recovered keys differ after checkpointed close")
+			}
+			if st2 := s2.PersistStats(); st2.ReplayedBatches != 0 {
+				t.Fatalf("replayed %d batches despite fresh checkpoint", st2.ReplayedBatches)
+			}
+		})
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // The tree is purely arithmetic: a node is a (level, index) pair whose region
 // is a contiguous range of leaves. The planner in this package decides which
-// regions must be redistributed after a batch merge; the PMA and CPMA own the
-// actual data movement. Occupancy is measured in abstract "units" — cells for
-// the uncompressed PMA, bytes for the CPMA — so one planner serves both.
+// regions must be redistributed after a batch merge; internal/cpma owns the
+// actual data movement. Occupancy is measured in abstract "units" (bytes for
+// both of cpma's leaf formats), so the planner knows nothing of leaf layout.
 package pmatree
 
 import (

@@ -104,7 +104,7 @@ func (r *RMA) gather(loLeaf, hiLeaf int) []uint64 {
 	return out
 }
 
-// findLeaf returns the leaf x belongs to (see pma.findLeaf), or -1 if empty.
+// findLeaf returns the leaf x belongs to (see cpma.findLeaf), or -1 if empty.
 func (r *RMA) findLeaf(x uint64) int {
 	res := -1
 	lo, hi := 0, r.leaves-1

@@ -6,7 +6,8 @@
 //   - Set — the batch-parallel Compressed Packed Memory Array (the paper's
 //     primary contribution): a compressed, dynamic, ordered set of uint64
 //     keys with parallel batch updates and cache-friendly range maps.
-//   - PMA — the uncompressed batch-parallel Packed Memory Array.
+//   - PMA — the uncompressed batch-parallel Packed Memory Array: the same
+//     engine as Set over uncompressed leaves.
 //   - ShardedSet — a concurrent front-end over P single-writer Sets, for
 //     servers with many mutating clients.
 //   - FGraph — the F-Graph dynamic-graph system built on a single Set, with
@@ -191,7 +192,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/pma"
 	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -420,17 +420,22 @@ func Observe(s *ShardedSet, m *Metrics, prefix string) { s.RegisterMetrics(m, pr
 // stop listening.
 func ServeMetrics(addr string, m *Metrics) (*MetricsServer, error) { return obs.Serve(addr, m) }
 
-// PMA is the uncompressed batch-parallel Packed Memory Array.
-type PMA = pma.PMA
+// PMA is the uncompressed batch-parallel Packed Memory Array of paper
+// §3–4: the CPMA engine over leaves that store every key as 8 bytes. It
+// has the Set API; a PMA cannot be serialized (WriteTo and WriteDeltaTo
+// return an error).
+type PMA = cpma.CPMA
 
-// PMAOptions configures a PMA.
-type PMAOptions = pma.Options
+// PMAOptions configures a PMA; LeafBytes counts 8 bytes per key.
+type PMAOptions = cpma.Options
 
 // NewPMA returns an empty PMA; opts may be nil for defaults.
-func NewPMA(opts *PMAOptions) *PMA { return pma.New(opts) }
+func NewPMA(opts *PMAOptions) *PMA { return cpma.NewUncompressed(opts) }
 
 // PMAFromSorted builds a PMA from sorted, duplicate-free, nonzero keys.
-func PMAFromSorted(keys []uint64, opts *PMAOptions) *PMA { return pma.FromSorted(keys, opts) }
+func PMAFromSorted(keys []uint64, opts *PMAOptions) *PMA {
+	return cpma.UncompressedFromSorted(keys, opts)
+}
 
 // FGraph is the F-Graph dynamic-graph system: the whole graph in one CPMA.
 type FGraph = fgraph.Graph
