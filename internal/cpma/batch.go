@@ -180,15 +180,30 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 	)
 }
 
-// mergeLeaf merges a sorted batch run into a leaf: decode, merge, re-encode
-// if the bytes fit, otherwise keep the merged run out-of-place in the
-// overflow buffer with its encoded size recorded for the counting phase
-// (Figure 4).
+// inPlaceMerge is the largest run mergeLeaf splices into a leaf key by
+// key, as point inserts do, instead of decoding and re-encoding the leaf.
+const inPlaceMerge = 2
+
+// mergeLeaf merges a sorted batch run into a leaf. A run of at most
+// inPlaceMerge keys that the leaf has slack for is spliced in place.
+// Otherwise: decode, merge, re-encode if the bytes fit, or else keep the
+// merged run out-of-place in the overflow buffer with its encoded size
+// recorded for the counting phase (Figure 4).
 func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *atomic.Int64) {
 	if len(sub) == 0 {
 		return
 	}
 	dirty.Set(leaf)
+	if len(sub) <= inPlaceMerge && c.usedOf(leaf)+len(sub)*c.f.slack <= c.LeafBytes() {
+		fresh := 0
+		for _, x := range sub {
+			if c.leafInsert(leaf, x) {
+				fresh++
+			}
+		}
+		added.Add(int64(fresh))
+		return
+	}
 	ec := c.ecntOf(leaf)
 	var merged []uint64
 	fresh := 0

@@ -39,7 +39,7 @@ func cloneEqualState(t *testing.T, a, b *CPMA, what string) {
 func TestDirtyWindowHandoff(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(41))
-		c := newSet(&Options{LeafBytes: 256, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
 
 		// A handle that never went through Clone reports unknown.
 		if all, bits := c.DirtySince(); all || bits != nil {
@@ -82,7 +82,7 @@ func TestDirtyWindowHandoff(t *testing.T) {
 // exact contract persist's delta checkpoints recover by.
 func TestDeltaRoundTripDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	opts := &Options{LeafBytes: 256, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512, PointThreshold: 10}
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 8000, 1<<26), false)
 
@@ -158,7 +158,7 @@ func fullSlabCopy(t *testing.T, c *CPMA, opts *Options) *CPMA {
 // exactly as it was.
 func TestDeltaCorruptionRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	opts := &Options{LeafBytes: 256, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512, PointThreshold: 10}
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 6000, 1<<26), false)
 	_ = c.Clone()

@@ -41,9 +41,11 @@ type Options struct {
 	// (Appendix C studies 1.1–2.0; the paper's benchmarks use 1.2).
 	GrowthFactor float64
 	// LeafBytes fixes the leaf size in bytes. It is rounded up to a power
-	// of two and clamped to [256, 1 MiB] for the compressed format and to
+	// of two and clamped to [512, 1 MiB] for the compressed format and to
 	// [64, 1 MiB] for the uncompressed one. 0 selects Θ(log n) scaled
-	// automatically on each rebuild.
+	// automatically on each rebuild: 8·log2 of the capacity in the
+	// format's units, which never exceeds 512 bytes, so compressed leaves
+	// are 512 bytes unless LeafBytes asks for more.
 	LeafBytes int
 	// PointThreshold is the batch size below which batch ops degrade to
 	// point updates (paper §4: "if k is small, point updates are more
@@ -65,14 +67,10 @@ func (o Options) withDefaults() Options {
 // two-finger merge (paper §4: k >= n/10).
 const rebuildFraction = 0.1
 
-const (
-	// maxAutoLeafBytes caps the automatic Θ(log n) leaf size.
-	maxAutoLeafBytes = 2048
-	// maxLeafLog2 bounds every leaf, automatic or set by LeafBytes. The
-	// decoder enforces the same bound, so every image WriteTo produces
-	// can be read back.
-	maxLeafLog2 = 20
-)
+// maxLeafLog2 bounds every leaf, automatic or set by LeafBytes. The
+// decoder enforces the same bound, so every image WriteTo produces can be
+// read back.
+const maxLeafLog2 = 20
 
 // CPMA is a batch-parallel Packed Memory Array storing a set of nonzero
 // uint64 keys in one of the two leaf formats. Single writer; batch
@@ -103,6 +101,11 @@ type CPMA struct {
 	cowBytes   uint64
 	cloneBytes uint64
 	clones     uint64
+
+	// Rebalances run (applyPlan): redistributions of regions wider than
+	// one leaf, and growths. A Clone inherits its parent's counts.
+	multiLeaf int
+	grows     int
 }
 
 // New returns an empty compressed CPMA; opts may be nil for defaults.
@@ -192,6 +195,12 @@ func (c *CPMA) load(keys []uint64) *CPMA {
 	return c
 }
 
+// Rebalances reports how many redistributions of more than one leaf and
+// how many growths this CPMA has run since it was built or loaded,
+// counting those of the CPMA it was cloned from. Tests use it to check
+// that a workload exercises both.
+func (c *CPMA) Rebalances() (multiLeaf, grows int) { return c.multiLeaf, c.grows }
+
 // Len returns the number of keys stored.
 func (c *CPMA) Len() int { return c.n }
 
@@ -256,7 +265,6 @@ func (c *CPMA) leafBytesFor(capacity int) int {
 	lb := c.opt.LeafBytes
 	if lb <= 0 {
 		lb = 8 * bitutil.Log2Ceil(uint64(capacity/c.f.unit)+1)
-		lb = bitutil.Min(lb, maxAutoLeafBytes)
 	}
 	lb = int(bitutil.CeilPow2(uint64(lb)))
 	return bitutil.Min(bitutil.Max(lb, c.f.minLeafBytes), 1<<maxLeafLog2)
@@ -405,8 +413,16 @@ func (c *CPMA) redistribute(r pmatree.Region) error {
 // only in pathological byte-skew cases) escalates to a full rebuild.
 func (c *CPMA) applyPlan(plan pmatree.Plan) {
 	if plan.Grow || plan.Shrink {
+		if plan.Grow {
+			c.grows++
+		}
 		c.rebuildFrom(c.gatherElems(0, c.leaves))
 		return
+	}
+	for _, r := range plan.Redistribute {
+		if r.HiLeaf-r.LoLeaf > 1 {
+			c.multiLeaf++
+		}
 	}
 	failed := false
 	parallel.For(len(plan.Redistribute), 1, func(i int) {

@@ -869,7 +869,7 @@ func TestCloneEquality(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(31))
 		for _, n := range []int{0, 1, 100, 20000} {
-			c := newSet(&Options{LeafBytes: 256, PointThreshold: 10})
+			c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
 			keys := uniqueRandom(r, n, 1<<30)
 			c.InsertBatch(keys, false)
 			d := c.Clone()
@@ -889,7 +889,7 @@ func TestCloneEquality(t *testing.T) {
 func TestCloneIsolation(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(32))
-		c := newSet(&Options{LeafBytes: 256, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
 		c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
 		frozen := c.Clone()
 		want := frozen.Keys()
@@ -936,7 +936,7 @@ func TestCloneIsolation(t *testing.T) {
 func TestCloneChain(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(33))
-		c := newSet(&Options{LeafBytes: 256, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
 		var snaps []*CPMA
 		var wants [][]uint64
 		for round := 0; round < 8; round++ {

@@ -131,9 +131,10 @@ func (m *model) Range(start, end uint64) []uint64 {
 	return m.keys[lo:hi]
 }
 
-// smallLeaf shrinks the CPMA leaves so the random walks cross many more
-// leaf boundaries, splits, and rebuilds than default sizing would.
-var smallLeaf = &cpma.Options{LeafBytes: 256, PointThreshold: 10}
+// smallLeaf pins the CPMA leaves to the compressed format's minimum, 512
+// bytes, and makes small batches point updates, so the random walks cross
+// many leaf boundaries, splits and rebuilds.
+var smallLeaf = &cpma.Options{LeafBytes: 512, PointThreshold: 10}
 
 func systems() map[string]func() sut {
 	return map[string]func() sut{
@@ -202,6 +203,22 @@ func (f flushReads) Keys() []uint64    { f.Flush(); return f.Sharded.Keys() }
 func (f flushReads) MapRange(start, end uint64, fn func(uint64) bool) bool {
 	f.Flush()
 	return f.Sharded.MapRange(start, end, fn)
+}
+
+// rebalances sums cpma.Rebalances over a system's CPMAs: the set itself,
+// or a sharded set's shard handles once everything enqueued is applied.
+func rebalances(s sut) (multiLeaf, grows int) {
+	switch s := s.(type) {
+	case *cpma.CPMA:
+		return s.Rebalances()
+	case snapshotter:
+		s.Flush()
+		for _, set := range s.Snapshot().ShardSets() {
+			m, g := set.Rebalances()
+			multiLeaf, grows = multiLeaf+m, grows+g
+		}
+	}
+	return multiLeaf, grows
 }
 
 func validate(s sut) error {
@@ -294,6 +311,11 @@ func step(t *testing.T, r *workload.RNG, bits int, m *model, s sut) string {
 func TestDifferential(t *testing.T) {
 	const steps = 1200
 	for name, mk := range systems() {
+		// Each system's walks together must reach a redistribution of more
+		// than one leaf and a growth. The dense 14-bit walks of the hash
+		// sharded systems hold ~1.5k keys per shard, under the 0.9 leaf
+		// bound of four 512-byte leaves, so they never grow.
+		multi, grows := 0, 0
 		for _, seed := range []uint64{1, 2} {
 			for _, bits := range []int{14, 30} {
 				t.Run(fmt.Sprintf("%s/seed%d/bits%d", name, seed, bits), func(t *testing.T) {
@@ -332,8 +354,13 @@ func TestDifferential(t *testing.T) {
 							}
 						}
 					}
+					dm, dg := rebalances(s)
+					multi, grows = multi+dm, grows+dg
 				})
 			}
+		}
+		if multi == 0 || grows == 0 {
+			t.Errorf("%s: walks ran %d multi-leaf redistributions and %d growths; they must reach both", name, multi, grows)
 		}
 	}
 }
@@ -350,6 +377,11 @@ func TestDifferential(t *testing.T) {
 func TestDifferentialAsync(t *testing.T) {
 	hashOpt := &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4}
 	rangeOpt := &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf, MailboxDepth: 2}
+	// The variants together must reach a redistribution of more than one
+	// leaf and a growth. How often a drain redistributes rather than
+	// grows depends on how the writers coalesce bursts, so a variant may
+	// see none on its own.
+	multi, grows := 0, 0
 	for _, tc := range []struct {
 		name       string
 		opt        *shard.Options
@@ -370,9 +402,9 @@ func TestDifferentialAsync(t *testing.T) {
 			}
 			m := &model{}
 			r := workload.NewRNG(5)
-			for round := 0; round < 40; round++ {
+			for round := 0; round < 80; round++ {
 				for b := 1 + r.Intn(8); b > 0; b-- {
-					keys := workload.Uniform(r, 1+r.Intn(400), 16)
+					keys := workload.Uniform(r, 1+r.Intn(800), 16)
 					if tc.hot {
 						for i := 2 * len(keys); i > 0; i-- {
 							keys = append(keys, 1+uint64(r.Intn(4)))
@@ -392,7 +424,7 @@ func TestDifferentialAsync(t *testing.T) {
 				if got, want := s.Len(), len(m.keys); got != want {
 					t.Fatalf("round %d: Len = %d, model says %d", round, got, want)
 				}
-				if round%8 == 7 || round == 39 {
+				if round%8 == 7 || round == 79 {
 					got := s.Keys()
 					if len(got) != len(m.keys) {
 						t.Fatalf("round %d: Keys length %d, model says %d", round, len(got), len(m.keys))
@@ -408,7 +440,12 @@ func TestDifferentialAsync(t *testing.T) {
 					auditSnapshot(t, fmt.Sprintf("round %d", round), set, m)
 				}
 			}
+			dm, dg := rebalances(set)
+			multi, grows = multi+dm, grows+dg
 		})
+	}
+	if multi == 0 || grows == 0 {
+		t.Errorf("walks ran %d multi-leaf redistributions and %d growths; they must reach both", multi, grows)
 	}
 }
 

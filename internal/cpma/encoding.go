@@ -55,7 +55,10 @@ const (
 	// Sanity bounds the decoder enforces before allocating anything, so a
 	// corrupted header cannot demand an absurd allocation. Leaves are at
 	// most 1<<maxLeafLog2 bytes, the bound every CPMA is built within; the
-	// leaf count then fits the 4-byte entry field.
+	// leaf count then fits the 4-byte entry field. The lower bound admits
+	// images written while the compressed floor was 256 bytes
+	// (TestReadOldLeafImage); their leaves grow to the floor at the next
+	// rebuild.
 	minSlabLeafLog2 = 4
 	maxSlabBytes    = 1 << 36
 	// A fresh load allocates the whole data array, so its capacity must

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"os"
 	"slices"
 	"testing"
 
@@ -209,6 +210,51 @@ func TestUncompressedHasNoEncoding(t *testing.T) {
 	}
 }
 
+// TestReadOldLeafImage loads testdata/base-256.cpma, a base image written
+// while the compressed leaf floor was 256 bytes: the 3000 keys of
+// workload.Uniform(NewRNG(20), 3000, 32), the first 2000 batch-inserted
+// into an empty set and the rest point-inserted. The decoder still admits
+// its 256-byte leaves, the set validates and takes point updates in that
+// geometry, and a batch large enough to rebuild moves it to 512-byte
+// leaves.
+func TestReadOldLeafImage(t *testing.T) {
+	img, err := os.ReadFile("testdata/base-256.cpma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadFrom(bytes.NewReader(img), nil)
+	if err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	if c.LeafBytes() != 256 {
+		t.Fatalf("image loads with %d-byte leaves, want 256", c.LeafBytes())
+	}
+	keys := workload.Uniform(workload.NewRNG(20), 3000, 32)
+	want := sortedUnion(keys, nil)
+	checkAgainst(t, c, want)
+
+	// Point updates keep the old geometry.
+	extra := workload.Uniform(workload.NewRNG(22), 1000, 32)
+	for _, k := range extra[:50] {
+		c.Insert(k)
+	}
+	c.Remove(want[0])
+	want = sortedUnion(want[1:], extra[:50])
+	checkAgainst(t, c, want)
+	if c.LeafBytes() != 256 {
+		t.Fatalf("point updates moved the leaves to %d bytes", c.LeafBytes())
+	}
+
+	// A batch of at least n/10 keys rebuilds at the new floor.
+	c.InsertBatch(extra[50:], false)
+	want = sortedUnion(want, extra[50:])
+	checkAgainst(t, c, want)
+	if c.LeafBytes() != compressed.minLeafBytes {
+		t.Fatalf("rebuild kept %d-byte leaves, want %d", c.LeafBytes(), compressed.minLeafBytes)
+	}
+	assertEqualSets(t, c, roundTrip(t, c, nil))
+}
+
 // TestDecodeFullLeafPastUsed is the crafted input that used to crash a
 // follower: a leaf with used == leafBytes whose bytes all carry continue
 // bits, under a valid CRC. The decoder must refuse it.
@@ -252,7 +298,7 @@ func withCRC(b []byte) []byte {
 // a set whose Validate runs to completion.
 func FuzzDecode(f *testing.F) {
 	r := workload.NewRNG(3)
-	opts := &Options{LeafBytes: 256, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512, PointThreshold: 10}
 	c := New(opts)
 	c.InsertBatch(workload.Uniform(r, 60, 30), false)
 	base := c.Clone()

@@ -1,6 +1,9 @@
 package cpma
 
-import "repro/internal/pmatree"
+import (
+	"repro/internal/codec"
+	"repro/internal/pmatree"
+)
 
 // leafForIn returns the last non-empty leaf in [lo, hi] whose head is <= x,
 // or -1. The binary search probes uncompressed leaf heads (§5: "the
@@ -11,17 +14,18 @@ func (c *CPMA) leafForIn(x uint64, lo, hi int) int {
 	for lo <= hi {
 		mid := int(uint(lo+hi) >> 1)
 		j := mid
-		for j >= lo && c.leafSt(j).used == 0 {
+		st := c.leafSt(j)
+		for st.used == 0 && j > lo {
 			j--
+			st = c.leafSt(j)
 		}
-		if j < lo {
+		switch {
+		case st.used == 0:
 			lo = mid + 1
-			continue
-		}
-		if c.head(j) <= x {
+		case codec.Head(st.data) <= x:
 			res = j
 			lo = mid + 1
-		} else {
+		default:
 			hi = j - 1
 		}
 	}
@@ -73,17 +77,8 @@ func (c *CPMA) Next(x uint64) (uint64, bool) {
 		return 0, false
 	}
 	leaf := c.findLeaf(x)
-	var res uint64
-	found := false
-	c.leafIter(leaf, func(v uint64) bool {
-		if v >= x {
-			res, found = v, true
-			return false
-		}
-		return true
-	})
-	if found {
-		return res, true
+	if v, _, _, ok := c.leafSeek(leaf, x); ok {
+		return v, true
 	}
 	for j := leaf + 1; j < c.leaves; j++ {
 		if c.leafSt(j).used != 0 {

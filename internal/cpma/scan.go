@@ -1,6 +1,11 @@
 package cpma
 
-import "repro/internal/parallel"
+import (
+	"encoding/binary"
+
+	"repro/internal/codec"
+	"repro/internal/parallel"
+)
 
 // Map applies f to every key in ascending order, stopping early when f
 // returns false; reports whether the scan completed.
@@ -28,23 +33,21 @@ func (c *CPMA) MapRange(start, end uint64, f func(uint64) bool) bool {
 	if c.n == 0 || start >= end {
 		return true
 	}
-	leaf := c.findLeaf(start)
-	for ; leaf < c.leaves; leaf++ {
-		done := false
-		if !c.leafIter(leaf, func(v uint64) bool {
-			if v < start {
-				return true
-			}
-			if v >= end {
-				done = true
-				return false
-			}
-			return f(v)
-		}) && !done {
+	done := false
+	g := func(v uint64) bool {
+		if v >= end {
+			done = true
 			return false
 		}
-		if done {
-			return true
+		return f(v)
+	}
+	leaf := c.findLeaf(start)
+	if _, off, prev, ok := c.leafSeek(leaf, start); ok && !c.leafIterFrom(leaf, off, prev, g) {
+		return done
+	}
+	for leaf++; leaf < c.leaves; leaf++ {
+		if !c.leafIter(leaf, g) {
+			return done
 		}
 	}
 	return true
@@ -57,20 +60,21 @@ func (c *CPMA) MapRangeLength(start uint64, length int, f func(uint64) bool) int
 		return 0
 	}
 	visited := 0
-	stop := false
+	g := func(v uint64) bool {
+		if !f(v) {
+			return false
+		}
+		visited++
+		return visited < length
+	}
 	leaf := c.findLeaf(start)
-	for ; leaf < c.leaves && !stop; leaf++ {
-		c.leafIter(leaf, func(v uint64) bool {
-			if v < start {
-				return true
-			}
-			if visited == length || !f(v) {
-				stop = true
-				return false
-			}
-			visited++
-			return true
-		})
+	if _, off, prev, ok := c.leafSeek(leaf, start); ok && !c.leafIterFrom(leaf, off, prev, g) {
+		return visited
+	}
+	for leaf++; leaf < c.leaves; leaf++ {
+		if !c.leafIter(leaf, g) {
+			break
+		}
 	}
 	return visited
 }
@@ -81,6 +85,52 @@ func (c *CPMA) MapRangeLength(start uint64, length int, f func(uint64) bool) int
 // leaf-granular parallel access to the flat layout.
 func (c *CPMA) LeafMap(leaf int, f func(uint64) bool) bool {
 	return c.leafIter(leaf, f)
+}
+
+// LeafMapPos is LeafMap that also passes f the byte offset at which each
+// key is stored, where LeafMapFrom can resume the walk.
+func (c *CPMA) LeafMapPos(leaf int, f func(k uint64, off int) bool) bool {
+	st := c.leafSt(leaf)
+	ld, u := st.data, int(st.used)
+	if c.f.raw {
+		for off := 0; off < u; off += 8 {
+			if !f(binary.LittleEndian.Uint64(ld[off:]), off) {
+				return false
+			}
+		}
+		return true
+	}
+	if u == 0 {
+		return true
+	}
+	v := codec.Head(ld)
+	if !f(v, 0) {
+		return false
+	}
+	for off := codec.HeadBytes; off < u; {
+		d, n := uint64(0), 0
+		if off+8 <= len(ld) {
+			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
+		}
+		if n == 0 {
+			d, n = codec.Get(ld[off:u])
+		}
+		v += d
+		if !f(v, off) {
+			return false
+		}
+		off += n
+	}
+	return true
+}
+
+// LeafMapFrom resumes LeafMap at a byte offset from LeafMapPos: it applies
+// f to the leaf's keys stored from off on, where prev is the key stored
+// before them, until f returns false. Keys are prev plus their deltas, mod
+// 2^64, so a caller that knows only the low bits of prev gets the same
+// low bits of every key (F-Graph's neighbor cursors keep 32).
+func (c *CPMA) LeafMapFrom(leaf, off int, prev uint64, f func(uint64) bool) bool {
+	return c.leafIterFrom(leaf, off, prev, f)
 }
 
 // LeafLen returns the number of keys stored in one leaf.

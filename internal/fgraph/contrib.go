@@ -164,58 +164,71 @@ func accumulateContrib(ls leafSpan, ci *contribIndex, w, acc []float64) {
 	})
 }
 
-// buildIndex reconstructs per-vertex cursors and degrees over a leaf span
-// with one parallel pass — the §6 index rebuild, shared by the single-CPMA
-// graph and the sharded view (where the pass covers every frozen shard's
-// leaves under one global numbering, so the per-shard builds run in
-// parallel for free). Cursors pack globalLeaf<<32 | index-within-leaf;
-// noCursor marks degree-0 vertices.
-func buildIndex(ls leafSpan, nv int) (deg []int32, cursors []uint64) {
-	deg = make([]int32, nv)
-	cursors = make([]uint64, nv)
-	for i := range cursors {
-		cursors[i] = noCursor
+// vertexIndex is the per-vertex index of §6: each vertex's degree and a
+// cursor to its first edge key. A cursor packs globalLeaf<<32 | the byte
+// offset of the key in its leaf (noCursor marks degree-0 vertices), and
+// prev holds the low 32 bits of the key stored before it, so a neighbor
+// scan resumes the leaf's walk there (cpma.LeafMapFrom) instead of
+// decoding the leaf from its head. Destinations are the low 32 bits of a
+// key, so they come out exact.
+type vertexIndex struct {
+	deg     []int32
+	cursors []uint64
+	prev    []uint32
+}
+
+// buildIndex reconstructs the vertex index over a leaf span with one
+// parallel pass — the §6 index rebuild, shared by the single-CPMA graph
+// and the sharded view (where the pass covers every frozen shard's leaves
+// under one global numbering, so the per-shard builds run in parallel for
+// free).
+func buildIndex(ls leafSpan, nv int) vertexIndex {
+	ix := vertexIndex{deg: make([]int32, nv), cursors: make([]uint64, nv), prev: make([]uint32, nv)}
+	for i := range ix.cursors {
+		ix.cursors[i] = noCursor
 	}
 	parallel.For(ls.n, 4, func(leaf int) {
-		idx := 0
+		var prev uint64
 		runSrc := uint32(0)
 		runCount := int32(0)
-		ls.leafMap(leaf, func(k uint64) bool {
+		i, l := ls.locate(leaf)
+		ls.sets[i].LeafMapPos(l, func(k uint64, off int) bool {
 			src := uint32(k >> 32)
-			if idx == 0 || src != runSrc {
+			if off == 0 || src != runSrc {
 				if runCount > 0 {
-					atomicAddInt32(&deg[runSrc], runCount)
+					atomicAddInt32(&ix.deg[runSrc], runCount)
 				}
 				runSrc, runCount = src, 0
-				cursorMin(&cursors[src], uint64(leaf)<<32|uint64(idx))
+				cursorMin(&ix.cursors[src], uint64(leaf)<<32|uint64(off))
+				if off > 0 {
+					// Only the leaf where src's run starts sees it past
+					// offset 0, so this write has no rival.
+					ix.prev[src] = uint32(prev)
+				}
 			}
 			runCount++
-			idx++
+			prev = k
 			return true
 		})
 		if runCount > 0 {
-			atomicAddInt32(&deg[runSrc], runCount)
+			atomicAddInt32(&ix.deg[runSrc], runCount)
 		}
 	})
-	return deg, cursors
+	return ix
 }
 
 // neighbors streams the destinations of v's stored edges in ascending
 // order until f returns false, walking the leaf span from v's cursor.
-func neighbors(ls leafSpan, deg []int32, cursors []uint64, v uint32, f func(u uint32) bool) {
-	cur := cursors[v]
+func (ix *vertexIndex) neighbors(ls leafSpan, v uint32, f func(u uint32) bool) {
+	cur := ix.cursors[v]
 	if cur == noCursor {
 		return
 	}
-	leaf := int(cur >> 32)
-	skip := int(uint32(cur))
-	remaining := int(deg[v])
-	for l := leaf; remaining > 0 && l < ls.n; l++ {
-		ls.leafMap(l, func(k uint64) bool {
-			if skip > 0 {
-				skip--
-				return true
-			}
+	leaf, off := int(cur>>32), int(uint32(cur))
+	remaining := int(ix.deg[v])
+	for l := leaf; remaining > 0 && l < ls.n; l, off = l+1, 0 {
+		i, ll := ls.locate(l)
+		ls.sets[i].LeafMapFrom(ll, off, uint64(ix.prev[v]), func(k uint64) bool {
 			remaining--
 			if !f(uint32(k)) {
 				remaining = 0

@@ -54,8 +54,7 @@ type Graph struct {
 	set     *cpma.CPMA
 	nv      int
 	indexed bool
-	deg     []int32
-	cursors []uint64 // leaf<<32 | index-within-leaf; noCursor when degree 0
+	vertexIndex
 	contrib *contribIndex
 }
 
@@ -122,7 +121,7 @@ func (g *Graph) Indexed() bool { return g.indexed }
 // access must run it after any mutation; the paper includes this cost in
 // every algorithm's measured time except PR's flat scans.
 func (g *Graph) BuildIndex() {
-	g.deg, g.cursors = buildIndex(g.span(), g.nv)
+	g.vertexIndex = buildIndex(g.span(), g.nv)
 	g.indexed = true
 }
 
@@ -158,7 +157,7 @@ func (g *Graph) Degree(v uint32) int {
 // order until f returns false. The index must be current.
 func (g *Graph) Neighbors(v uint32, f func(u uint32) bool) {
 	g.mustIndex()
-	neighbors(g.span(), g.deg, g.cursors, v, f)
+	g.neighbors(g.span(), v, f)
 }
 
 // AccumulateContrib implements graph.ContribScanner with the deterministic

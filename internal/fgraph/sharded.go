@@ -202,7 +202,7 @@ func (g *Sharded) View() *View {
 	t0 := time.Now()
 	snap := g.set.Snapshot()
 	ls := newLeafSpan(snap.ShardSets())
-	deg, cursors := buildIndex(ls, g.nv)
+	ix := buildIndex(ls, g.nv)
 	edges := int64(0)
 	for _, set := range ls.sets {
 		edges += int64(set.Len())
@@ -214,14 +214,13 @@ func (g *Sharded) View() *View {
 	g.lastViewEdges.Store(edges)
 	g.set.Trace().Record(-1, obs.EvIndex, 0, 0, uint64(edges), uint64(d))
 	return &View{
-		snap:       snap,
-		ls:         ls,
-		nv:         g.nv,
-		edges:      edges,
-		deg:        deg,
-		cursors:    cursors,
-		capturedAt: t0,
-		lagKeys:    lag,
+		snap:        snap,
+		ls:          ls,
+		nv:          g.nv,
+		edges:       edges,
+		vertexIndex: ix,
+		capturedAt:  t0,
+		lagKeys:     lag,
 	}
 }
 

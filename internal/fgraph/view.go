@@ -39,12 +39,11 @@ import (
 //
 // Views are safe for concurrent use by multiple goroutines.
 type View struct {
-	snap    *shard.Snapshot
-	ls      leafSpan
-	nv      int
-	edges   int64
-	deg     []int32
-	cursors []uint64
+	snap  *shard.Snapshot
+	ls    leafSpan
+	nv    int
+	edges int64
+	vertexIndex
 
 	capturedAt time.Time
 	lagKeys    uint64
@@ -69,7 +68,7 @@ func (v *View) Degrees() []int32 { return v.deg }
 // order until f returns false, streaming across shard boundaries when u's
 // key range straddles one.
 func (v *View) Neighbors(u uint32, f func(w uint32) bool) {
-	neighbors(v.ls, v.deg, v.cursors, u, f)
+	v.neighbors(v.ls, u, f)
 }
 
 // AccumulateContrib implements graph.ContribScanner over the frozen shard

@@ -74,6 +74,68 @@ func TestDurableReopenEquality(t *testing.T) {
 	}
 }
 
+// TestReopenOldLeafStore reopens testdata/store-256, a two-shard hash
+// store written while the compressed leaf floor was 256 bytes: the keys
+// of workload.Uniform(NewRNG(21), 4000, 32), 3000 inserted and
+// checkpointed, then 50 more inserted and the first 20 removed in the WAL
+// tail. Recovery loads the old checkpoints and replays the tail onto
+// their 256-byte leaves; a batch large enough to rebuild moves every
+// shard to 512-byte leaves, and a checkpoint of those reopens too.
+func TestReopenOldLeafStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/store-256")); err != nil {
+		t.Fatal(err)
+	}
+	opt := shard.Options{SyncEvery: 1}
+	keys := workload.Uniform(workload.NewRNG(21), 4000, 32)
+	want := slices.Clone(keys[20:3050])
+	slices.Sort(want)
+
+	leafBytes := func(s *shard.Sharded) []int {
+		var out []int
+		for _, set := range s.Snapshot().ShardSets() {
+			out = append(out, set.LeafBytes())
+		}
+		return out
+	}
+	s, _ := openSet(t, dir, 2, opt)
+	if !slices.Equal(s.Keys(), want) {
+		t.Fatalf("recovered %d keys, want %d", s.Len(), len(want))
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.PersistStats(); st.ReplayedBatches == 0 {
+		t.Fatal("the WAL tail was not replayed")
+	}
+	if lb := leafBytes(s); !slices.Equal(lb, []int{256, 256}) {
+		t.Fatalf("recovered shards have %v-byte leaves, want 256", lb)
+	}
+
+	s.InsertBatch(keys[3050:3600], false)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want = slices.Clone(keys[20:3600])
+	slices.Sort(want)
+	if lb := leafBytes(s); !slices.Equal(lb, []int{512, 512}) {
+		t.Fatalf("rebuilt shards have %v-byte leaves, want 512", lb)
+	}
+	s.Close()
+
+	s2, _ := openSet(t, dir, 2, opt)
+	defer s2.Close()
+	if !slices.Equal(s2.Keys(), want) {
+		t.Fatalf("reopened %d keys, want %d", s2.Len(), len(want))
+	}
+	if lb := leafBytes(s2); !slices.Equal(lb, []int{512, 512}) {
+		t.Fatalf("reopened shards have %v-byte leaves, want 512", lb)
+	}
+	if err := s2.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointTruncatesWAL(t *testing.T) {
 	for _, tc := range []struct {
 		name string

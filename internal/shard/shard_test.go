@@ -412,8 +412,9 @@ func panics(f func()) (did bool) {
 
 // --- Snapshot tests ---
 
-// smallSet shrinks shard CPMAs so snapshot walks cross many leaf rebuilds.
-var smallSet = &cpma.Options{LeafBytes: 256, PointThreshold: 10}
+// smallSet pins shard CPMAs to the compressed format's minimum leaf, 512
+// bytes, so snapshot walks cross many leaf rebuilds.
+var smallSet = &cpma.Options{LeafBytes: 512, PointThreshold: 10}
 
 // TestSnapshotPrefixCutDifferential is the snapshot-consistency
 // differential harness: a writer streams a scripted history of
@@ -474,6 +475,15 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 			for j := range hist {
 				remove := j%4 == 3
 				keys := workload.Uniform(r, 1+r.Intn(250), 16)
+				if j%4 == 1 || j%4 == 2 {
+					// A clustered run: it crowds a few leaves while the
+					// rest of the shard has room, so it is redistributed
+					// across neighboring leaves rather than grown.
+					lo := 1 + r.Uint64()%(1<<16-uint64(len(keys)))
+					for i := range keys {
+						keys[i] = lo + uint64(i)
+					}
+				}
 				if tc.hot {
 					for i := 0; i < 150; i++ {
 						keys = append(keys, 1+uint64(r.Intn(4)))
@@ -553,6 +563,16 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 
 			// After the final Flush, a fresh snapshot sits at the full history.
 			sn := s.Snapshot()
+			// The walk must cross both kinds of rebalance smallSet exists
+			// for: redistributions of more than one leaf, and growths.
+			multi, grows := 0, 0
+			for _, set := range sn.ShardSets() {
+				dm, dg := set.Rebalances()
+				multi, grows = multi+dm, grows+dg
+			}
+			if multi == 0 || grows == 0 {
+				t.Fatalf("walk ran %d multi-leaf redistributions and %d growths; it must reach both", multi, grows)
+			}
 			for p := 0; p < P; p++ {
 				if !slices.Equal(snapshotShardKeys(sn, p), states[p][rounds]) {
 					t.Fatalf("post-flush snapshot shard %d does not hold the full history", p)
