@@ -43,6 +43,48 @@ func seqMerge(a, b, out []uint64) {
 	copy(out[k:], b[j:])
 }
 
+// MergeRuns merges the k sorted runs into one sorted slice with
+// level-by-level pairwise rounds (O(total log k) element moves),
+// ping-ponging between two reusable arenas. Every round writes all of its
+// output — including a copied odd leftover — into that round's arena, so
+// no round ever reads the arena it is writing. Duplicates across runs are
+// preserved. runs is clobbered; the result aliases one of the arenas (or
+// runs[0] itself when k is 1) and is only valid until the next call.
+func MergeRuns(runs [][]uint64, bufs *[2][]uint64) []uint64 {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	which := 0
+	for len(runs) > 1 {
+		dst := bufs[which]
+		if cap(dst) < total {
+			dst = make([]uint64, total)
+		}
+		dst = dst[:total]
+		bufs[which] = dst
+		which ^= 1
+		off, n := 0, 0
+		for i := 0; i+1 < len(runs); i += 2 {
+			a, b := runs[i], runs[i+1]
+			out := dst[off : off+len(a)+len(b)]
+			Merge(a, b, out)
+			runs[n] = out
+			n++
+			off += len(out)
+		}
+		if len(runs)%2 == 1 {
+			last := runs[len(runs)-1]
+			out := dst[off : off+len(last)]
+			copy(out, last)
+			runs[n] = out
+			n++
+		}
+		runs = runs[:n]
+	}
+	return runs[0]
+}
+
 // MergeDedup merges sorted, individually duplicate-free slices a and b into a
 // new slice, dropping keys present in both. It returns the merged slice and
 // the number of elements of b that were not already in a.

@@ -94,6 +94,26 @@ func TestMergeMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMergeRuns merges k runs for k = 1..9, reusing one pair of arenas
+// across calls, against a sort of the concatenation.
+func TestMergeRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var bufs [2][]uint64
+	for k := 1; k <= 9; k++ {
+		var runs [][]uint64
+		var want []uint64
+		for i := 0; i < k; i++ {
+			run := randSorted(r, r.Intn(200), 1<<10)
+			runs = append(runs, run)
+			want = append(want, run...)
+		}
+		slices.Sort(want)
+		if got := MergeRuns(runs, &bufs); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: MergeRuns mismatch", k)
+		}
+	}
+}
+
 func TestMergeDedup(t *testing.T) {
 	a := []uint64{1, 3, 5, 7}
 	b := []uint64{2, 3, 6, 7, 9}

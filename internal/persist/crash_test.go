@@ -190,7 +190,7 @@ func TestKillPointDifferential(t *testing.T) {
 			// disk must already match the projected sub-batches.
 			type shardPlan struct {
 				segPath string
-				recs    []walRecord
+				recs    []Rec
 				states  [][]uint64
 				size    int64
 			}
@@ -209,7 +209,7 @@ func TestKillPointDifferential(t *testing.T) {
 					t.Fatalf("shard %d: %d WAL records, model projects %d sub-batches", p, len(recs), len(subs))
 				}
 				for i, rec := range recs {
-					if rec.remove() != subs[i].remove || !slices.Equal(rec.keys, subs[i].keys) {
+					if rec.Remove != subs[i].remove || !slices.Equal(rec.Keys, subs[i].keys) {
 						t.Fatalf("shard %d record %d does not match projected sub-batch", p, i)
 					}
 				}

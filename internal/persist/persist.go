@@ -29,7 +29,8 @@
 // Every WAL record frames one applied batch: a little-endian length and
 // CRC32C header, then kind (insert/remove/moveIn/moveOut), the record's
 // per-shard sequence number, the router generation (barrier kinds only),
-// and the sorted keys varint-delta encoded. Bases and deltas are one file
+// and the nonzero sorted keys minimal-varint-delta encoded; replication
+// ships the same frames (Rec). Bases and deltas are one file
 // type: a header naming the shard, the covered sequence, the checkpoint
 // it patches (prevSeq, 0 for a base) and the base anchoring its chain
 // (baseSeq, its own sequence for a base), then a cpma leaf-list encoding
@@ -96,7 +97,8 @@
 // each delta that verifies (whole-file CRC, chain linkage, structural
 // checks, and the strict semantic validator, each applied onto a COW
 // clone so a late failure leaves the previous link intact). The chain
-// ends at the first failure; then replay the WAL tail in sequence order,
+// ends at the first failure; then replay the WAL tail in sequence order
+// (Replay, merging runs of same-kind records into one batch each),
 // skipping records the chain already covers, and stop at the first torn
 // or corrupt record, truncating the log there (later segments,
 // unreachable past the gap, are deleted). The recovered state is always

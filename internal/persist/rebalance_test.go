@@ -130,7 +130,7 @@ func TestRebalanceKillPoints(t *testing.T) {
 
 	// Locate the barrier records. The move went 0 -> 1: shard 1's log is
 	// its moveIn record alone, shard 0's log ends with its moveOut record.
-	findBarrier := func(p int, kind byte) walRecord {
+	findBarrier := func(p int, remove bool) Rec {
 		t.Helper()
 		segs, err := listSeqFiles(filepath.Join(base, shardDirName(p)), "wal-", ".log")
 		if err != nil || len(segs) == 0 {
@@ -142,18 +142,18 @@ func TestRebalanceKillPoints(t *testing.T) {
 				t.Fatalf("shard %d: scan failed: %v", p, err)
 			}
 			for _, rec := range recs {
-				if rec.kind == kind {
+				if rec.Gen != 0 && rec.Remove == remove {
 					return rec
 				}
 			}
 		}
-		t.Fatalf("shard %d: no record of kind %d", p, kind)
-		return walRecord{}
+		t.Fatalf("shard %d: no barrier record (remove %v)", p, remove)
+		return Rec{}
 	}
-	moveIn := findBarrier(1, recMoveIn)
-	moveOut := findBarrier(0, recMoveOut)
-	if moveIn.gen != 1 || moveOut.gen != 1 || !slices.Equal(moveIn.keys, moveOut.keys) {
-		t.Fatalf("barrier records inconsistent: in gen %d out gen %d", moveIn.gen, moveOut.gen)
+	moveIn := findBarrier(1, false)
+	moveOut := findBarrier(0, true)
+	if moveIn.Gen != 1 || moveOut.Gen != 1 || !slices.Equal(moveIn.Keys, moveOut.Keys) {
+		t.Fatalf("barrier records inconsistent: in gen %d out gen %d", moveIn.Gen, moveOut.Gen)
 	}
 
 	// recoverAndCheck opens the damaged copy and verifies: exact global

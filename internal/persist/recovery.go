@@ -12,11 +12,13 @@ package persist
 // The first WAL record that fails — torn frame, CRC mismatch, sequence
 // gap — ends the log: the segment is truncated at that boundary and any
 // later segments (unreachable past the gap) are deleted, so the log on
-// disk again equals exactly the state that was recovered. Replay is
-// idempotent by construction (InsertBatch/RemoveBatch are set-semantic
-// and replay preserves the original order), which is why the checkpoint
-// chain only needs to cover a *prefix* of the log: re-applying covered
-// records converges to the same state.
+// disk again equals exactly the state that was recovered. The tail
+// replays through Replay, shared with followers: each run of adjacent
+// same-kind records applies as one merged batch (the paper's Fig. 1
+// amortization). Replay stays idempotent: InsertBatch/RemoveBatch are
+// set-semantic, a run's records all move keys one way, and runs keep every
+// insert ordered against every removal. So the checkpoint chain only needs
+// to cover a *prefix* of the log: re-applying covered records converges.
 
 import (
 	"bytes"
@@ -25,6 +27,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/cpma"
+	"repro/internal/parallel"
+	"repro/internal/shard"
 )
 
 // recoverShard rebuilds one shard's CPMA from its directory, repairs the
@@ -80,9 +84,7 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	// which legitimately starts before the recovered chain tip (segments
 	// are only deleted whole, and the deletion floor trails a full base
 	// behind the tip); records with seq <= tip are chain-validated but
-	// not re-applied... they could be, identically — replay converges
-	// from any starting point at or before the chain's coverage —
-	// skipping them just saves the work.
+	// not re-applied.
 	chain := tip
 	if len(segSeqs) > 0 {
 		if segSeqs[0] > tip+1 {
@@ -107,15 +109,12 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 			st.truncSegs.Add(1)
 			continue
 		}
-		recs, validEnd, headerOK, err := scanSegment(path, sh.id)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		size := info.Size()
+		recs, validEnd, headerOK := scanSegmentBytes(data, sh.id)
+		size := int64(len(data))
 		if !headerOK || fs != chain+1 {
 			// A segment whose header never made it to disk, or one that
 			// does not continue the sequence chain: the log ends before it.
@@ -128,26 +127,27 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 			continue
 		}
 		end := validEnd
-		for _, rec := range recs {
-			if rec.seq != chain+1 {
+		for i, rec := range recs {
+			if rec.Seq != chain+1 {
 				end = rec.start // sequence gap: reject from here on
+				recs = recs[:i]
 				break
 			}
-			chain = rec.seq
-			if rec.seq > tip && len(rec.keys) > 0 {
-				// Rebalance barriers replay like the batches they encode: a
-				// recMoveIn inserts the keys the move carried in, a
-				// recMoveOut removes the keys it carried out. Cross-shard
-				// agreement (the other half of the pair, possibly cut off by
-				// the crash) is restored by Open's span enforcement.
-				if rec.remove() {
-					set.RemoveBatch(rec.keys, true)
-				} else {
-					set.InsertBatch(rec.keys, true)
-				}
-				st.replayedBatches++
-				st.replayedKeys += uint64(len(rec.keys))
+			chain = rec.Seq
+		}
+		// Barriers replay as the batches they encode; cross-shard agreement
+		// (the pair's other half, possibly cut off by the crash) is Open's
+		// span enforcement. Records the chain covers are skipped.
+		if _, err := Replay(max(tip, fs-1), recs, func(remove bool, keys []uint64, records int) {
+			if remove {
+				set.RemoveBatch(keys, true)
+			} else {
+				set.InsertBatch(keys, true)
 			}
+			st.replayedBatches += uint64(records)
+			st.replayedKeys += uint64(len(keys))
+		}); err != nil {
+			return nil, err // unreachable: the walk above checked continuity
 		}
 		if end < size {
 			st.tornBytes += uint64(size - end)
@@ -191,6 +191,50 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 		return nil, err
 	}
 	return set, nil
+}
+
+// Replay applies recs to a state reflecting every record at or below
+// after and returns the last sequence consumed. It skips records at or
+// below after and empty ones, and stops with an error at the first hole.
+// Each maximal run of adjacent records moving keys one way (a barrier as
+// the batch it encodes), capped once it holds shard.MaxCoalesceKeys keys,
+// is merged into one sorted batch and passed to apply with its record
+// count. apply must not retain keys: merged runs reuse scratch.
+func Replay(after uint64, recs []Rec, apply func(remove bool, keys []uint64, records int)) (uint64, error) {
+	last := after
+	var (
+		run    [][]uint64
+		bufs   [2][]uint64
+		remove bool
+		n      int
+	)
+	flush := func() {
+		if len(run) > 0 {
+			apply(remove, parallel.MergeRuns(run, &bufs), len(run))
+		}
+		run, n = run[:0], 0
+	}
+	for _, r := range recs {
+		if r.Seq <= last {
+			continue
+		}
+		if r.Seq != last+1 {
+			flush()
+			return last, fmt.Errorf("persist: sequence gap: applied %d, next record %d", last, r.Seq)
+		}
+		last = r.Seq
+		if len(r.Keys) == 0 {
+			continue
+		}
+		if len(run) > 0 && (r.Remove != remove || n >= shard.MaxCoalesceKeys) {
+			flush()
+		}
+		remove = r.Remove
+		run = append(run, r.Keys)
+		n += len(r.Keys)
+	}
+	flush()
+	return last, nil
 }
 
 // loadChain loads the newest verifiable checkpoint chain in a shard

@@ -40,16 +40,6 @@ type Position struct {
 // (BootState) and resume from its tip.
 var ErrPositionGone = errors.New("persist: replication position below the WAL retention floor")
 
-// Rec is one replicated WAL record: a sorted key batch applied as an
-// insert or a removal. Rebalance barrier records ship as the insert or
-// removal they replay as — a follower needs no barrier protocol, because
-// per shard the log is already a total order.
-type Rec struct {
-	Seq    uint64
-	Remove bool
-	Keys   []uint64
-}
-
 // ShippableUpTo returns shard p's seal boundary: the sequence of the last
 // record covered by an fsync. Records at or below it are immutable on
 // disk and safe to ship; records above it are still owned by the writer
@@ -121,47 +111,38 @@ func (st *Store) ReadShippable(p int, afterSeq uint64, maxKeys int) ([]Rec, erro
 		if fs > seal {
 			break // sorted: every later file starts above the seal too
 		}
-		var recs []walRecord
 		path := filepath.Join(sh.dir, segmentName(fs))
+		n := int64(-1) // a sealed segment: the whole file
 		if path == activePath {
 			if activeSynced < segHeaderSize {
 				continue // freshly created active segment, nothing sealed yet
 			}
-			data, rerr := readPrefix(path, activeSynced)
-			if rerr != nil {
-				if os.IsNotExist(rerr) {
-					return nil, ErrPositionGone
-				}
-				return nil, rerr
-			}
-			recs, _, _ = scanSegmentBytes(data, sh.id)
-		} else {
-			var headerOK bool
-			recs, _, headerOK, err = scanSegment(path, sh.id)
-			if err != nil {
-				if os.IsNotExist(err) {
-					// Deleted between listing and reading: the retention
-					// floor passed it, and with it our position.
-					return nil, ErrPositionGone
-				}
-				return nil, err
-			}
-			if !headerOK {
-				// A tail file a crash cut before its header reached disk:
-				// the log ends before it (recovery deletes these on reopen;
-				// a live reader just stops).
-				break
-			}
+			n = activeSynced
+		}
+		data, err := readPrefix(path, n)
+		if os.IsNotExist(err) {
+			// Deleted between listing and reading: the retention floor
+			// passed it, and with it our position.
+			return nil, ErrPositionGone
+		} else if err != nil {
+			return nil, err
+		}
+		recs, _, headerOK := scanSegmentBytes(data, sh.id)
+		if !headerOK {
+			// A tail file a crash cut before its header reached disk: the
+			// log ends before it (recovery deletes these on reopen; a live
+			// reader just stops).
+			break
 		}
 		for _, r := range recs {
-			if r.seq <= afterSeq {
+			if r.Seq <= afterSeq {
 				continue
 			}
-			if r.seq > seal {
+			if r.Seq > seal {
 				break
 			}
-			out = append(out, Rec{Seq: r.seq, Remove: r.remove(), Keys: r.keys})
-			keys += len(r.keys)
+			out = append(out, r)
+			keys += len(r.Keys)
 		}
 		if maxKeys > 0 && keys >= maxKeys {
 			break
@@ -188,10 +169,13 @@ func (st *Store) BootState(p int) (*cpma.CPMA, uint64, error) {
 	return set, tip, nil
 }
 
-// readPrefix reads exactly the first n bytes of path. The caller only
-// asks for byte ranges an fsync has covered, so a short read is a real
-// error, not a race.
+// readPrefix reads exactly the first n bytes of path, or all of it when n
+// is negative. The caller only asks for byte ranges an fsync has covered,
+// so a short read is a real error, not a race.
 func readPrefix(path string, n int64) ([]byte, error) {
+	if n < 0 {
+		return os.ReadFile(path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

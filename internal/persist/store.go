@@ -208,7 +208,7 @@ func Open(opts Options) (*Store, []*cpma.CPMA, error) {
 			// exactly these keys, and a follower bootstrapping from the
 			// chain would resurrect them with no later record to remove
 			// them. With it, chain ⊕ WAL is always the acknowledged state.
-			if _, err := st.appendKind(p, recRemove, 0, stale); err != nil {
+			if _, err := st.appendRec(p, Rec{Remove: true, Keys: stale}); err != nil {
 				return nil, nil, err
 			}
 			if err := st.Synced(p); err != nil {
@@ -331,10 +331,10 @@ func (st *Store) Err() error {
 	return st.firstErr
 }
 
-// appendKind frames and appends one record of the given kind to shard p's
-// log, honoring the group-commit knobs. Returns the record's sequence
-// number.
-func (st *Store) appendKind(p int, kind byte, gen uint64, keys []uint64) (uint64, error) {
+// appendRec frames r under shard p's next sequence number and appends it
+// to the shard's log, honoring the group-commit knobs. Returns the
+// record's sequence number.
+func (st *Store) appendRec(p int, r Rec) (uint64, error) {
 	if st.closed.Load() {
 		return 0, st.fail(fmt.Errorf("persist: append on closed store"))
 	}
@@ -342,7 +342,8 @@ func (st *Store) appendKind(p int, kind byte, gen uint64, keys []uint64) (uint64
 	sh := st.shards[p]
 	sh.mu.Lock()
 	seq := sh.seq.Load() + 1
-	sh.encBuf = appendRecord(sh.encBuf[:0], seq, kind, gen, keys)
+	r.Seq = seq
+	sh.encBuf = AppendRecord(sh.encBuf[:0], r)
 	frameLen := len(sh.encBuf)
 	if err := sh.seg.append(sh.encBuf); err != nil {
 		sh.mu.Unlock()
@@ -369,11 +370,7 @@ func (st *Store) appendKind(p int, kind byte, gen uint64, keys []uint64) (uint64
 // immediately and the file is fsynced once SyncEvery records or SyncBytes
 // bytes accumulate.
 func (st *Store) Append(p int, remove bool, keys []uint64) error {
-	kind := byte(recInsert)
-	if remove {
-		kind = recRemove
-	}
-	seq, err := st.appendKind(p, kind, 0, keys)
+	seq, err := st.appendRec(p, Rec{Remove: remove, Keys: keys})
 	if err != nil {
 		return err
 	}
@@ -408,7 +405,7 @@ func (st *Store) Append(p int, remove bool, keys []uint64) error {
 // Called by the rebalancer with both shards' writers quiesced, so the
 // appends cannot interleave with writer-side Appends on these logs.
 func (st *Store) Rebalanced(src, dst int, keys []uint64, gen uint64, bounds []uint64) error {
-	if _, err := st.appendKind(dst, recMoveIn, gen, keys); err != nil {
+	if _, err := st.appendRec(dst, Rec{Gen: gen, Keys: keys}); err != nil {
 		return err
 	}
 	if err := st.Synced(dst); err != nil {
@@ -417,7 +414,7 @@ func (st *Store) Rebalanced(src, dst int, keys []uint64, gen uint64, bounds []ui
 	if err := writeBounds(st.dir, gen, bounds); err != nil {
 		return st.fail(err)
 	}
-	if _, err := st.appendKind(src, recMoveOut, gen, keys); err != nil {
+	if _, err := st.appendRec(src, Rec{Remove: true, Gen: gen, Keys: keys}); err != nil {
 		return err
 	}
 	if err := st.Synced(src); err != nil {

@@ -45,36 +45,49 @@ const (
 	recMoveOut = 4
 )
 
-// recKindValid reports whether kind is a known record kind.
-func recKindValid(kind byte) bool {
-	return kind >= recInsert && kind <= recMoveOut
-}
-
-// recRemoves reports whether a record kind replays as a removal.
-func recRemoves(kind byte) bool { return kind == recRemove || kind == recMoveOut }
-
-// recHasGen reports whether the record layout carries a router generation
-// between the sequence number and the key count.
-func recHasGen(kind byte) bool { return kind == recMoveIn || kind == recMoveOut }
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends one framed WAL record to dst and returns the
-// extended slice. Keys must be sorted ascending (duplicates allowed, as in
-// a coalesced merge); they are delta encoded with stdlib uvarints, the
-// first delta taken from zero. gen is written only for barrier kinds
-// (recHasGen).
-func appendRecord(dst []byte, seq uint64, kind byte, gen uint64, keys []uint64) []byte {
+// Rec is one WAL record, as logged, recovered and replicated: a sorted
+// key batch (duplicates allowed, as in a coalesced merge) inserted or
+// removed at a per-shard sequence number. A nonzero Gen (always >= 1)
+// marks a rebalance barrier stamped with its move's router generation;
+// Replay applies it as the insert or removal it encodes, so a follower
+// needs no barrier protocol. AppendRecord is the one encoder and
+// walkRecords the one decoder, for segments and for socket recs frames.
+type Rec struct {
+	Seq    uint64
+	Remove bool
+	Gen    uint64
+	Keys   []uint64
+	// start/end are the frame's byte offsets within the decoded buffer
+	// (the segment file, in recovery). Recovery truncates at start
+	// when a record must be rejected for reasons the CRC cannot see, like
+	// a sequence gap.
+	start, end int64
+}
+
+// AppendRecord appends r as one framed WAL record to dst and returns the
+// extended slice. Keys must be nonzero and ascending; they are delta
+// encoded with stdlib uvarints, the first delta taken from zero. The
+// generation is written only for barrier kinds.
+func AppendRecord(dst []byte, r Rec) []byte {
 	start := len(dst)
+	kind := byte(recInsert)
+	if r.Remove {
+		kind = recRemove
+	}
+	if r.Gen != 0 {
+		kind += recMoveIn - recInsert
+	}
 	dst = append(dst, make([]byte, recHeaderSize)...)
 	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, seq)
-	if recHasGen(kind) {
-		dst = binary.AppendUvarint(dst, gen)
+	dst = binary.AppendUvarint(dst, r.Seq)
+	if r.Gen != 0 {
+		dst = binary.AppendUvarint(dst, r.Gen)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
 	prev := uint64(0)
-	for _, k := range keys {
+	for _, k := range r.Keys {
 		dst = binary.AppendUvarint(dst, k-prev)
 		prev = k
 	}
@@ -84,47 +97,45 @@ func appendRecord(dst []byte, seq uint64, kind byte, gen uint64, keys []uint64) 
 	return dst
 }
 
-// walRecord is one decoded log record. start/end are its frame's byte
-// offsets within its segment file (filled by scanSegment, zero from
-// decodeRecord alone) — recovery truncates at start when a record must be
-// rejected for reasons the CRC cannot see, like a sequence gap.
-type walRecord struct {
-	seq   uint64
-	kind  byte
-	gen   uint64 // router generation (barrier records only)
-	keys  []uint64
-	start int64
-	end   int64
+// uvarint is binary.Uvarint refusing non-minimal encodings, so a payload
+// decodes only if it is exactly what AppendRecord writes.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
 }
 
-func (r walRecord) remove() bool { return recRemoves(r.kind) }
-
 // decodeRecord parses a CRC-verified payload. Strict: trailing bytes,
-// short varints, or a count that cannot fit are errors.
-func decodeRecord(payload []byte) (walRecord, error) {
-	var r walRecord
+// short or non-minimal varints, a count that cannot fit, a barrier
+// without a generation, a zero key, and keys that wrap past 2^64 are all
+// errors. Repeated keys (delta 0 after the first) are legal.
+func decodeRecord(payload []byte) (Rec, error) {
+	var r Rec
 	if len(payload) < 1 {
 		return r, fmt.Errorf("persist: empty record payload")
 	}
-	if !recKindValid(payload[0]) {
-		return r, fmt.Errorf("persist: bad record kind %d", payload[0])
+	kind := payload[0]
+	if kind < recInsert || kind > recMoveOut {
+		return r, fmt.Errorf("persist: bad record kind %d", kind)
 	}
-	r.kind = payload[0]
+	r.Remove = kind == recRemove || kind == recMoveOut
 	b := payload[1:]
-	seq, n := binary.Uvarint(b)
+	seq, n := uvarint(b)
 	if n <= 0 {
 		return r, fmt.Errorf("persist: bad record seq varint")
 	}
 	b = b[n:]
-	if recHasGen(r.kind) {
-		gen, n := binary.Uvarint(b)
-		if n <= 0 {
-			return r, fmt.Errorf("persist: bad record gen varint")
+	if kind >= recMoveIn {
+		gen, n := uvarint(b)
+		if n <= 0 || gen == 0 {
+			return r, fmt.Errorf("persist: bad barrier generation")
 		}
-		r.gen = gen
+		r.Gen = gen
 		b = b[n:]
 	}
-	count, n := binary.Uvarint(b)
+	count, n := uvarint(b)
 	if n <= 0 {
 		return r, fmt.Errorf("persist: bad record count varint")
 	}
@@ -132,22 +143,65 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	if count > uint64(len(b)) { // every delta takes >= 1 byte
 		return r, fmt.Errorf("persist: record claims %d keys in %d bytes", count, len(b))
 	}
-	r.seq = seq
-	r.keys = make([]uint64, 0, count)
+	r.Seq = seq
+	r.Keys = make([]uint64, 0, count)
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(b)
+		d, n := uvarint(b)
 		if n <= 0 {
 			return r, fmt.Errorf("persist: bad key delta varint at key %d", i)
 		}
 		b = b[n:]
+		if (i == 0 && d == 0) || prev+d < prev {
+			return r, fmt.Errorf("persist: key %d is zero or wraps past 2^64", i)
+		}
 		prev += d
-		r.keys = append(r.keys, prev)
+		r.Keys = append(r.Keys, prev)
 	}
 	if len(b) != 0 {
 		return r, fmt.Errorf("persist: %d trailing bytes after record", len(b))
 	}
 	return r, nil
+}
+
+// walkRecords decodes the back-to-back record frames in data from byte off
+// on, stopping at the first frame that is short, oversized, fails its CRC
+// or does not decode. It returns the records before it, the offset where
+// they end, and what stopped it (nil when the frames fill data exactly).
+func walkRecords(data []byte, off int64) (recs []Rec, end int64, err error) {
+	for off < int64(len(data)) {
+		rest := data[off:]
+		if len(rest) < recHeaderSize {
+			return recs, off, fmt.Errorf("persist: torn record header at byte %d", off)
+		}
+		plen := binary.LittleEndian.Uint32(rest)
+		if plen == 0 || plen > maxRecordBytes || int(plen) > len(rest)-recHeaderSize {
+			return recs, off, fmt.Errorf("persist: record at byte %d claims %d payload bytes of %d", off, plen, len(rest)-recHeaderSize)
+		}
+		payload := rest[recHeaderSize : recHeaderSize+int(plen)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+			return recs, off, fmt.Errorf("persist: record at byte %d fails its CRC", off)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return recs, off, err
+		}
+		rec.start = off
+		rec.end = off + recHeaderSize + int64(plen)
+		recs = append(recs, rec)
+		off = rec.end
+	}
+	return recs, off, nil
+}
+
+// DecodeRecs decodes a buffer of record frames strictly: any damage is an
+// error and returns no records, so the caller applies none of them.
+func DecodeRecs(data []byte) ([]Rec, error) {
+	recs, _, err := walkRecords(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // segment is one open WAL segment file being appended to.
@@ -224,58 +278,24 @@ func (sg *segment) close() error {
 	return sg.f.Close()
 }
 
-// scanSegment reads a segment file and returns its valid records plus the
-// byte offset where validity ends. headerOK is false when the segment
-// header itself is missing or wrong — the whole file is then unusable.
+// scanSegmentBytes returns the valid records of a segment file's bytes
+// (or of a prefix of them) plus the byte offset where validity ends.
 // Record-level damage (short frame, CRC mismatch, undecodable payload)
-// just ends the valid prefix: records before it are good, validEnd points
-// at the boundary.
-func scanSegment(path string, shardID int) (recs []walRecord, validEnd int64, headerOK bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	recs, validEnd, headerOK = scanSegmentBytes(data, shardID)
-	return recs, validEnd, headerOK, nil
-}
-
-// scanSegmentBytes is scanSegment over an in-memory prefix of a segment
-// file. The shippable reader uses it to scan exactly the sealed prefix of
-// the active segment: data is the file's first synced bytes, so a torn
-// frame the writer's bufio buffer half-flushed past the seal can never be
-// observed. A short or missing header (headerOK false) is not an error —
-// it is the normal state of a freshly created segment before its first
-// sync, and of a tail file a crash cut between creation and the header
-// reaching disk.
-func scanSegmentBytes(data []byte, shardID int) (recs []walRecord, validEnd int64, headerOK bool) {
+// just ends the valid prefix. headerOK is false when the segment header
+// is missing or wrong, and the whole file is then unusable. That is not
+// an error: it is the normal state of a freshly created segment before
+// its first sync, and of a tail file a crash cut between creation and the
+// header reaching disk. The shippable reader scans exactly the sealed
+// prefix of the active segment, so a torn frame the writer's bufio buffer
+// half-flushed past the seal can never be observed.
+func scanSegmentBytes(data []byte, shardID int) (recs []Rec, validEnd int64, headerOK bool) {
 	if len(data) < segHeaderSize || string(data[:8]) != segMagic ||
 		binary.LittleEndian.Uint32(data[8:]) != walVersion ||
 		binary.LittleEndian.Uint32(data[12:]) != uint32(shardID) {
 		return nil, 0, false
 	}
-	off := int64(segHeaderSize)
-	for {
-		rest := data[off:]
-		if len(rest) < recHeaderSize {
-			return recs, off, true
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		if plen == 0 || plen > maxRecordBytes || int(plen) > len(rest)-recHeaderSize {
-			return recs, off, true
-		}
-		payload := rest[recHeaderSize : recHeaderSize+int(plen)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			return recs, off, true
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return recs, off, true
-		}
-		rec.start = off
-		rec.end = off + recHeaderSize + int64(plen)
-		recs = append(recs, rec)
-		off = rec.end
-	}
+	recs, validEnd, _ = walkRecords(data, segHeaderSize)
+	return recs, validEnd, true
 }
 
 // listSeqFiles returns the sequence numbers parsed from files in dir that

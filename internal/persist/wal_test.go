@@ -1,45 +1,63 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/cpma"
+	"repro/internal/shard"
 )
 
-func TestRecordRoundTrip(t *testing.T) {
-	cases := [][]uint64{
-		{1},
-		{1, 2, 3, 1 << 40, 1<<64 - 1},
-		{7, 7, 7, 9}, // coalesced merges may carry duplicates
-		{},
+// recordCases are TestRecordRoundTrip's key batches; they also seed
+// FuzzDecodeRecs.
+var recordCases = [][]uint64{
+	{1},
+	{1, 2, 3, 1 << 40, 1<<64 - 1},
+	{7, 7, 7, 9}, // coalesced merges may carry duplicates
+	{},
+}
+
+// recordKinds frames keys as each record kind, in kind-byte order:
+// insert, removal, and the two rebalance barriers.
+func recordKinds(seq uint64, keys []uint64) []Rec {
+	return []Rec{
+		{Seq: seq, Keys: keys},
+		{Seq: seq, Remove: true, Keys: keys},
+		{Seq: seq, Gen: 3, Keys: keys},
+		{Seq: seq, Remove: true, Gen: 3, Keys: keys},
 	}
-	for i, keys := range cases {
-		for _, remove := range []bool{false, true} {
-			kind := byte(recInsert)
-			if remove {
-				kind = recRemove
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	for i, keys := range recordCases {
+		for k, want := range recordKinds(uint64(100+i), keys) {
+			frame := AppendRecord(nil, want)
+			if frame[recHeaderSize] != byte(recInsert+k) {
+				t.Fatalf("case %d: kind byte %d, want %d", i, frame[recHeaderSize], recInsert+k)
 			}
-			frame := appendRecord(nil, uint64(100+i), kind, 0, keys)
-			plen := binary.LittleEndian.Uint32(frame)
-			rec, err := decodeRecord(frame[recHeaderSize : recHeaderSize+int(plen)])
-			if err != nil {
-				t.Fatalf("case %d: decode: %v", i, err)
+			recs, err := DecodeRecs(frame)
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("case %d: decode: %d records, %v", i, len(recs), err)
 			}
-			if rec.seq != uint64(100+i) || rec.remove() != remove {
-				t.Fatalf("case %d: got seq=%d remove=%v", i, rec.seq, rec.remove())
+			got := recs[0]
+			if got.Seq != want.Seq || got.Remove != want.Remove || got.Gen != want.Gen {
+				t.Fatalf("case %d: got seq=%d remove=%v gen=%d", i, got.Seq, got.Remove, got.Gen)
 			}
-			if !slices.Equal(rec.keys, keys) && !(len(keys) == 0 && len(rec.keys) == 0) {
-				t.Fatalf("case %d: keys %v != %v", i, rec.keys, keys)
+			if !slices.Equal(got.Keys, keys) {
+				t.Fatalf("case %d: keys %v != %v", i, got.Keys, keys)
 			}
 		}
 	}
 }
 
 func TestDecodeRecordRejectsMalformed(t *testing.T) {
-	frame := appendRecord(nil, 5, recInsert, 0, []uint64{10, 20})
-	payload := frame[recHeaderSize:]
+	frame := AppendRecord(nil, Rec{Seq: 5, Keys: []uint64{10, 20}})
+	payload := frame[recHeaderSize:] // kind, seq 5, count 2, deltas 10 10
 	cases := map[string][]byte{
 		"empty":          {},
 		"bad-kind":       append([]byte{9}, payload[1:]...),
@@ -49,12 +67,164 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 			b := slices.Clone(payload[:2])
 			return binary.AppendUvarint(b, 1<<40)
 		}(),
+		"zero-key":            AppendRecord(nil, Rec{Seq: 5, Keys: []uint64{0, 4}})[recHeaderSize:],
+		"wrapping-delta":      AppendRecord(nil, Rec{Seq: 5, Keys: []uint64{9, 3}})[recHeaderSize:],
+		"non-minimal-varint":  append([]byte{recInsert, 0x85, 0x00}, payload[2:]...),
+		"barrier-without-gen": append([]byte{recMoveIn, 5, 0}, payload[2:]...),
 	}
 	for name, p := range cases {
 		if _, err := decodeRecord(p); err == nil {
 			t.Errorf("%s: decodeRecord accepted malformed payload", name)
 		}
 	}
+}
+
+// FuzzDecodeRecs: whatever the bytes — as given, or with every whole
+// frame's CRC re-sealed so the payload checks are what must catch the
+// damage — DecodeRecs returns an error, or records whose keys are nonzero
+// and non-decreasing and which re-encode byte for byte to the input.
+func FuzzDecodeRecs(f *testing.F) {
+	for i, keys := range recordCases {
+		var all []byte
+		for _, r := range recordKinds(uint64(100+i), keys) {
+			f.Add(AppendRecord(nil, r))
+			all = AppendRecord(all, r)
+		}
+		f.Add(all)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, resealRecords(slices.Clone(data))} {
+			recs, err := DecodeRecs(in)
+			if err != nil {
+				continue
+			}
+			var out []byte
+			for _, r := range recs {
+				for j, k := range r.Keys {
+					if k == 0 || (j > 0 && k < r.Keys[j-1]) {
+						t.Fatalf("record %d: key %d at %d is zero or out of order", r.Seq, k, j)
+					}
+				}
+				out = AppendRecord(out, r)
+			}
+			if !bytes.Equal(out, in) {
+				t.Fatalf("%d records re-encode to %x, not %x", len(recs), out, in)
+			}
+		}
+	})
+}
+
+// resealRecords rewrites the CRC of every whole frame in data, in place.
+func resealRecords(data []byte) []byte {
+	for off := 0; len(data)-off >= recHeaderSize; {
+		plen := int(binary.LittleEndian.Uint32(data[off:]))
+		if plen > len(data)-off-recHeaderSize {
+			break
+		}
+		end := off + recHeaderSize + plen
+		binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(data[off+recHeaderSize:end], castagnoli))
+		off = end
+	}
+	return data
+}
+
+// TestReplay checks the one replay path against record-at-a-time
+// application on a sorted-slice model: skipping at or below after,
+// stopping at a hole, run boundaries at kind changes and at the key cap,
+// empty records, and barriers replayed as the batches they encode. Each
+// case replays onto a CPMA, so merged runs carry real duplicates.
+func TestReplay(t *testing.T) {
+	ins := func(seq uint64, keys ...uint64) Rec { return Rec{Seq: seq, Keys: keys} }
+	rem := func(seq uint64, keys ...uint64) Rec { return Rec{Seq: seq, Remove: true, Keys: keys} }
+	half := func(seq, first uint64) Rec { // just over half the key cap
+		keys := make([]uint64, shard.MaxCoalesceKeys/2+1)
+		for i := range keys {
+			keys[i] = first + uint64(i)
+		}
+		return ins(seq, keys...)
+	}
+	for _, tc := range []struct {
+		name  string
+		after uint64
+		recs  []Rec
+		last  uint64
+		gap   bool
+		runs  []int // records merged by each apply call
+	}{
+		{"nothing", 4, nil, 4, false, nil},
+		{"skips at or below after", 2, []Rec{ins(1, 5), ins(2, 6), ins(3, 7, 9), rem(4, 7)}, 4, false, []int{1, 1}},
+		{"one run", 0, []Rec{ins(1, 5, 9), ins(2, 3, 9), ins(3, 1)}, 3, false, []int{3}},
+		{"kind changes", 0, []Rec{ins(1, 5, 6), rem(2, 5), ins(3, 5, 7), ins(4, 8), rem(5, 6, 7), rem(6, 8)}, 6, false, []int{1, 1, 2, 2}},
+		{"hole in the middle", 0, []Rec{ins(1, 5), ins(2, 6), ins(4, 7), ins(5, 8)}, 2, true, []int{2}},
+		{"hole first", 3, []Rec{ins(5, 1)}, 3, true, nil},
+		{"repeated sequence", 0, []Rec{ins(1, 5), ins(1, 6), ins(2, 7)}, 2, false, []int{2}},
+		{"empty records", 0, []Rec{ins(1, 5), ins(2), rem(3), ins(4, 6), rem(5)}, 5, false, []int{2}},
+		{"barriers", 0, []Rec{ins(1, 5), {Seq: 2, Gen: 1, Keys: []uint64{7}}, rem(3, 5),
+			{Seq: 4, Remove: true, Gen: 2, Keys: []uint64{7}}, rem(5, 9)}, 5, false, []int{2, 3}},
+		{"runs cross the key cap", 0, []Rec{half(1, 1), half(2, 1<<40), half(3, 1<<41), half(4, 1<<42), rem(5, 1)}, 5, false, []int{2, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var model []uint64
+			seq := tc.after
+			for _, r := range tc.recs {
+				if r.Seq <= seq {
+					continue
+				}
+				if r.Seq != seq+1 {
+					break
+				}
+				seq = r.Seq
+				model = applyModel(model, r)
+			}
+
+			set := cpma.New(nil)
+			var runs []int
+			last, err := Replay(tc.after, tc.recs, func(remove bool, keys []uint64, records int) {
+				if !slices.IsSorted(keys) {
+					t.Fatal("apply got an unsorted run")
+				}
+				runs = append(runs, records)
+				if remove {
+					set.RemoveBatch(keys, true)
+				} else {
+					set.InsertBatch(keys, true)
+				}
+			})
+			if last != tc.last || (err != nil) != tc.gap {
+				t.Fatalf("Replay = %d, %v; want %d, gap %v", last, err, tc.last, tc.gap)
+			}
+			if !slices.Equal(runs, tc.runs) {
+				t.Fatalf("runs merged %v records, want %v", runs, tc.runs)
+			}
+			if got := set.Keys(); !slices.Equal(got, model) {
+				t.Fatalf("replay holds %d keys, record-at-a-time model %d", len(got), len(model))
+			}
+		})
+	}
+}
+
+// applyModel applies one record to a sorted, duplicate-free key slice.
+func applyModel(model []uint64, r Rec) []uint64 {
+	if !r.Remove {
+		model = append(model, r.Keys...)
+		slices.Sort(model)
+		return slices.Compact(model)
+	}
+	return slices.DeleteFunc(model, func(k uint64) bool {
+		_, found := slices.BinarySearch(r.Keys, k)
+		return found
+	})
+}
+
+// scanSegment reads a segment file and scans it with scanSegmentBytes, as
+// recovery does.
+func scanSegment(path string, shardID int) (recs []Rec, validEnd int64, headerOK bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	recs, validEnd, headerOK = scanSegmentBytes(data, shardID)
+	return recs, validEnd, headerOK, nil
 }
 
 // writeTestSegment creates a segment holding the given records and
@@ -67,7 +237,7 @@ func writeTestSegment(t *testing.T, dir string, shardID int, firstSeq uint64, ba
 		t.Fatal(err)
 	}
 	for i, keys := range batches {
-		if err := sg.append(appendRecord(nil, firstSeq+uint64(i), recInsert, 0, keys)); err != nil {
+		if err := sg.append(AppendRecord(nil, Rec{Seq: firstSeq + uint64(i), Keys: keys})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,9 @@
 //
 // A Primary wraps a live durable set (shard.Sharded + its persist.Store).
 // Followers replay the primary's per-shard WAL records — already a total
-// order per shard — into replica sets (shard.NewReplica) and serve the
-// same handle-based snapshot and live read API off them, scaling read
+// order per shard — into replica sets (shard.NewReplica) through
+// persist.Replay, the run-merging replay crash recovery uses, and serve
+// the same handle-based snapshot and live read API off them, scaling read
 // traffic horizontally. The applier is the replica's only publisher: each
 // replayed batch of records, bootstrap state, and boundary table becomes
 // visible to readers as soon as it is applied. Two transports share one
@@ -323,11 +324,9 @@ type Follower struct {
 	mu  sync.Mutex
 	pos []persist.Position
 
-	inUse       atomic.Bool
-	attaches    atomic.Uint64
-	appliedRecs atomic.Uint64
-	appliedKeys atomic.Uint64
-	bootstraps  atomic.Uint64
+	inUse      atomic.Bool
+	attaches   atomic.Uint64
+	bootstraps atomic.Uint64
 
 	// applyDur times one applyRecs replay batch (records actually applied).
 	applyDur obs.Histogram
@@ -344,15 +343,8 @@ func NewFollower(shards int, opts *shard.Options) *Follower {
 	return &Follower{
 		set:     shard.NewReplica(shards, opts),
 		setOpts: so,
-		pos:     make([]persist.Position, maxInt(shards, 1)),
+		pos:     make([]persist.Position, max(shards, 1)),
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Set returns the follower's replica set: the full live read API, with
@@ -393,11 +385,14 @@ func (f *Follower) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"_attaches", "links", "links attached over the follower's lifetime", func() uint64 { return f.Stats().Attaches })
 }
 
-// Stats returns the follower's replay counters.
+// Stats returns the follower's replay counters. The record and key counts
+// are the replica's ingest counters, which count replicated records as
+// enqueued batches.
 func (f *Follower) Stats() FollowerStats {
+	in := f.set.IngestStats()
 	return FollowerStats{
-		AppliedRecords: f.appliedRecs.Load(),
-		AppliedKeys:    f.appliedKeys.Load(),
+		AppliedRecords: in.EnqueuedBatches,
+		AppliedKeys:    in.EnqueuedKeys,
 		Bootstraps:     f.bootstraps.Load(),
 		Attaches:       f.attaches.Load(),
 	}
@@ -424,40 +419,33 @@ func (f *Follower) applyBoot(p int, tip uint64, set *cpma.CPMA) {
 	f.bootstraps.Add(1)
 }
 
-// applyRecs replays records for shard p, enforcing gap-free sequence
-// continuity: already-applied records are skipped, a hole is a hard error
-// (the prefix invariant would silently break). Everything applied is
-// published in one step at the end — also when a hole stops the replay —
-// so the position and the readable state always agree.
+// applyRecs replays records for shard p through persist.Replay, the
+// run-merging replay recovery uses: already-applied records are skipped,
+// a hole is a hard error (the prefix invariant would silently break), and
+// each run of same-kind records applies as one merged batch. Everything
+// applied is published in one step at the end — also when a hole stops
+// the replay — so the position and the readable state always agree.
 func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	t0 := time.Now()
 	f.mu.Lock()
 	cur := f.pos[p].Seq
 	f.mu.Unlock()
 	var applied, keys uint64
-	var err error
-	for _, r := range recs {
-		if r.Seq <= cur {
-			continue
-		}
-		if r.Seq != cur+1 {
-			err = fmt.Errorf("repl: shard %d sequence gap: applied %d, next record %d", p, cur, r.Seq)
-			break
-		}
-		f.set.ReplicaApply(p, r.Remove, r.Keys)
-		cur = r.Seq
-		applied++
-		keys += uint64(len(r.Keys))
+	last, err := persist.Replay(cur, recs, func(remove bool, ks []uint64, records int) {
+		f.set.ReplicaApply(p, remove, ks, records)
+		applied += uint64(records)
+		keys += uint64(len(ks))
+	})
+	if err != nil {
+		err = fmt.Errorf("repl: shard %d: %w", p, err)
 	}
 	if applied > 0 {
 		f.set.ReplicaPublish(p)
 	}
 	f.mu.Lock()
-	f.pos[p].Seq = cur
+	f.pos[p].Seq = last
 	f.mu.Unlock()
 	if applied > 0 {
-		f.appliedRecs.Add(applied)
-		f.appliedKeys.Add(keys)
 		f.applyDur.Since(t0)
 		f.set.Trace().Record(p, obs.EvApply, 0, 0, applied, keys)
 	}

@@ -536,3 +536,33 @@ func TestLinkExclusivityAndGeometry(t *testing.T) {
 		t.Fatal("rejected follower received state")
 	}
 }
+
+// TestFollowerMergesRuns: a shipment applies each run of adjacent records
+// that move keys the same way — barriers included — as one merged batch.
+// The replica's ingest counters then read as on the primary
+// (EnqueuedBatches counts records, AppliedBatches merged applies), while
+// FollowerStats counts records and keys.
+func TestFollowerMergesRuns(t *testing.T) {
+	f := NewFollower(1, nil)
+	if err := f.applyRecs(0, []persist.Rec{
+		{Seq: 1, Keys: []uint64{5, 9}},
+		{Seq: 2, Keys: []uint64{3, 9}},
+		{Seq: 3, Gen: 1, Keys: []uint64{12}},
+		{Seq: 4, Remove: true, Keys: []uint64{9}},
+		{Seq: 5, Remove: true, Gen: 2, Keys: []uint64{3}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Snapshot().ShardSets()[0].Keys(); !slices.Equal(got, []uint64{5, 12}) {
+		t.Fatalf("follower holds %v", got)
+	}
+	if pos := f.Positions()[0].Seq; pos != 5 {
+		t.Fatalf("position %d, want 5", pos)
+	}
+	if st := f.Set().IngestStats(); st != (shard.IngestStats{EnqueuedBatches: 5, EnqueuedKeys: 7, AppliedBatches: 2, AppliedKeys: 7}) {
+		t.Fatalf("ingest stats %+v", st)
+	}
+	if st := f.Stats(); st.AppliedRecords != 5 || st.AppliedKeys != 7 {
+		t.Fatalf("follower stats %+v", st)
+	}
+}

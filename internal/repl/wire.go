@@ -11,7 +11,11 @@ package repl
 // Frames: u32 payload length, u8 type, payload. All integers little
 // endian. Boot payloads carry the shard's state in the cpma leaf-list
 // encoding (cpma.WriteTo/ReadFrom), the same bytes a base checkpoint
-// holds — the pointer-free layout shipping as flat bytes.
+// holds — the pointer-free layout shipping as flat bytes. Recs payloads
+// are a u32 shard id followed by WAL record frames exactly as the log
+// stores them (persist.AppendRecord: length, CRC32C, kind, sequence,
+// varint-delta keys), decoded by the log's own walker in strict mode
+// (persist.DecodeRecs), so one codec guards the disk and the socket.
 
 import (
 	"bufio"
@@ -32,9 +36,9 @@ import (
 const (
 	// wireMagic opens a follower's hello. Version 2 shipped hash shards'
 	// stored quotients (see shard.HashPartition); version 3 ships boot
-	// state in the cpma leaf-list encoding. Older peers are refused at
-	// hello instead of misread.
-	wireMagic    = "CPMARPL3"
+	// state in the cpma leaf-list encoding; version 4 ships records as WAL
+	// record frames. Older peers are refused at hello instead of misread.
+	wireMagic    = "CPMARPL4"
 	maxFrameLen  = 1 << 30
 	pingAfterMax = 250 * time.Millisecond
 
@@ -167,24 +171,9 @@ func (s *connSink) sendBoot(p int, tip uint64, set *cpma.CPMA) error {
 }
 
 func (s *connSink) sendRecs(p int, recs []persist.Rec) error {
-	size := 8
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
 	for _, r := range recs {
-		size += recHeader + 8*len(r.Keys)
-	}
-	buf := make([]byte, 8, size)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(p))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(recs)))
-	for _, r := range recs {
-		var rh [recHeader]byte
-		binary.LittleEndian.PutUint64(rh[:8], r.Seq)
-		if r.Remove {
-			rh[8] = 1
-		}
-		binary.LittleEndian.PutUint32(rh[9:], uint32(len(r.Keys)))
-		buf = append(buf, rh[:]...)
-		for _, k := range r.Keys {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-		}
+		buf = persist.AppendRecord(buf, r)
 	}
 	return writeFrame(s.w, frRecs, buf)
 }
@@ -302,52 +291,21 @@ func (c *Conn) applyBootFrame(payload []byte) error {
 	return nil
 }
 
-// recHeader is the fixed per-record prefix of a recs frame: seq, remove
-// flag, key count.
-const recHeader = 13
-
 // applyRecsFrame decodes and applies a recs frame. The peer is not
-// trusted: the record count is checked against the payload before it
-// sizes anything, and every record's keys must be nonzero and ascending
-// (the replica applies them as a pre-sorted batch), so a malformed frame
-// is rejected whole before any record is applied.
+// trusted: the log's strict decoder rejects the whole frame — before any
+// record is applied — on a torn or oversized frame, a CRC mismatch, or a
+// record whose keys are zero, out of order, or not minimally encoded.
 func (c *Conn) applyRecsFrame(payload []byte) error {
-	if len(payload) < 8 {
+	if len(payload) < 4 {
 		return errors.New("repl: short recs frame")
 	}
-	p := int(binary.LittleEndian.Uint32(payload[:4]))
-	count := int(binary.LittleEndian.Uint32(payload[4:8]))
-	if p < 0 || p >= c.f.set.Shards() {
+	p := int(binary.LittleEndian.Uint32(payload))
+	if p >= c.f.set.Shards() {
 		return fmt.Errorf("repl: recs frame for shard %d", p)
 	}
-	b := payload[8:]
-	if count > len(b)/recHeader {
-		return fmt.Errorf("repl: recs frame claims %d records in %d bytes", count, len(b))
-	}
-	recs := make([]persist.Rec, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < recHeader {
-			return errors.New("repl: truncated record")
-		}
-		seq := binary.LittleEndian.Uint64(b[:8])
-		remove := b[8] == 1
-		n := int(binary.LittleEndian.Uint32(b[9:recHeader]))
-		b = b[recHeader:]
-		if len(b)/8 < n {
-			return errors.New("repl: truncated record keys")
-		}
-		keys := make([]uint64, n)
-		for j := range keys {
-			keys[j] = binary.LittleEndian.Uint64(b[8*j:])
-			if keys[j] == 0 || (j > 0 && keys[j] < keys[j-1]) {
-				return fmt.Errorf("repl: record %d: key %d at position %d is zero or out of order", seq, keys[j], j)
-			}
-		}
-		b = b[8*n:]
-		recs = append(recs, persist.Rec{Seq: seq, Remove: remove, Keys: keys})
-	}
-	if len(b) != 0 {
-		return errors.New("repl: trailing bytes in recs frame")
+	recs, err := persist.DecodeRecs(payload[4:])
+	if err != nil {
+		return err
 	}
 	return c.f.applyRecs(p, recs)
 }

@@ -94,12 +94,19 @@ func TestMalformedFrames(t *testing.T) {
 		return len(enc) - 4 - used
 	}
 
-	hugeCount := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hugeCount[4:], ^uint32(0))
-	hugeKeys := make([]byte, 8+recHeader)
-	binary.LittleEndian.PutUint32(hugeKeys[4:], 1)
-	binary.LittleEndian.PutUint64(hugeKeys[8:], 3)
-	binary.LittleEndian.PutUint32(hugeKeys[8+9:], 1<<30)
+	// Recs frames: a u32 shard id, then WAL record frames {payload length,
+	// CRC32C, payload}. hugeCount's one frame claims 64 MiB of payload in a
+	// few bytes; hugeKeys' record is correctly sealed but claims 2^30 keys
+	// in one byte of deltas (payload: kind insert, seq 3, count, delta 5).
+	hugeCount := make([]byte, 4, 16)
+	hugeCount = binary.LittleEndian.AppendUint32(hugeCount, 1<<26)
+	hugeCount = append(hugeCount, 0, 0, 0, 0, 1, 3, 1, 5)
+	keysPayload := binary.AppendUvarint([]byte{1, 3}, 1<<30)
+	keysPayload = append(keysPayload, 5)
+	hugeKeys := make([]byte, 4, 16+len(keysPayload))
+	hugeKeys = binary.LittleEndian.AppendUint32(hugeKeys, uint32(len(keysPayload)))
+	hugeKeys = binary.LittleEndian.AppendUint32(hugeKeys, crc32.Checksum(keysPayload, crc32.MakeTable(crc32.Castagnoli)))
+	hugeKeys = append(hugeKeys, keysPayload...)
 
 	for _, tc := range []struct {
 		name  string
@@ -124,6 +131,15 @@ func TestMalformedFrames(t *testing.T) {
 		{"recs bad shard", func() error {
 			return c.applyRecsFrame(recs(7, persist.Rec{Seq: 3, Keys: []uint64{20}}))
 		}},
+		{"recs bad CRC", func() error {
+			b := recs(0, persist.Rec{Seq: 3, Keys: []uint64{20}})
+			b[8] ^= 1 // the frame's CRC follows the shard id and its length
+			return c.applyRecsFrame(b)
+		}},
+		{"recs torn frame", func() error {
+			b := recs(0, persist.Rec{Seq: 3, Keys: []uint64{20}}, persist.Rec{Seq: 4, Keys: []uint64{30}})
+			return c.applyRecsFrame(b[:len(b)-1])
+		}},
 		{"boot code runs past used", func() error {
 			return c.applyBootFrame(forge(boot(0, 5, 1000), func(enc []byte) { enc[len(enc)-5] |= 0x80 }))
 		}},
@@ -136,6 +152,12 @@ func TestMalformedFrames(t *testing.T) {
 		{"boot truncated payload", func() error {
 			b := boot(0, 5, 1000)
 			return c.applyBootFrame(b[:len(b)-6])
+		}},
+		{"hello with the fixed-width-recs magic", func() error {
+			h := helloPayload(f)
+			copy(h, "CPMARPL3")
+			_, err := pr.parseHello(h)
+			return err
 		}},
 		{"hello with the quotient-era magic", func() error {
 			h := helloPayload(f)

@@ -155,7 +155,7 @@ func (ws *writerScratch) ackAll() {
 }
 
 // maxRetainedArena caps the merge-arena capacity (in keys) a writer keeps
-// between drains; a one-off burst near maxCoalesceKeys must not pin
+// between drains; a one-off burst near MaxCoalesceKeys must not pin
 // megabytes of scratch for the rest of the set's lifetime.
 const maxRetainedArena = 1 << 16
 
@@ -173,7 +173,7 @@ func (ws *writerScratch) release() {
 }
 
 // writer is shard p's single mutator: it blocks for the next op, greedily
-// drains whatever else is already buffered (up to maxCoalesceKeys keys), and
+// drains whatever else is already buffered (up to MaxCoalesceKeys keys), and
 // applies the drained prefix in order. It exits when the mailbox is closed
 // and fully drained, so Close doubles as a final flush.
 func (s *Sharded) writer(p int) {
@@ -189,7 +189,7 @@ func (s *Sharded) writer(p int) {
 		n := len(op.keys)
 		closed := false
 	drain:
-		for n < maxCoalesceKeys {
+		for n < MaxCoalesceKeys {
 			select {
 			case op2, ok2 := <-c.mbox:
 				if !ok2 {
@@ -299,15 +299,11 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			for j < len(pending) && pending[j].kind == op.kind && pending[j].tk == nil {
 				j++
 			}
-			keys := op.keys
-			if j > i+1 {
-				ws.runs = ws.runs[:0]
-				for k := i; k < j; k++ {
-					ws.runs = append(ws.runs, pending[k].keys)
-				}
-				keys = mergeRuns(ws.runs, &ws.bufs)
+			ws.runs = ws.runs[:0]
+			for k := i; k < j; k++ {
+				ws.runs = append(ws.runs, pending[k].keys)
 			}
-			s.applyOne(p, c, op.kind, keys)
+			s.applyOne(p, c, op.kind, parallel.MergeRuns(ws.runs, &ws.bufs))
 			i = j
 		}
 	}
@@ -338,47 +334,4 @@ func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64) int {
 		c.epoch.Add(1)
 	}
 	return n
-}
-
-// mergeRuns merges the k sorted runs into one sorted slice with
-// level-by-level pairwise rounds (O(total log k) element moves),
-// ping-ponging between two reusable arenas. Every round writes all of its
-// output — including a copied odd leftover — into that round's arena, so
-// no round ever reads the arena it is writing. Duplicates across runs are
-// preserved — the CPMA's batch preparation dedups sorted input — so a
-// plain merge suffices. runs is clobbered; the result aliases one of the
-// arenas and is only valid until the next call.
-func mergeRuns(runs [][]uint64, bufs *[2][]uint64) []uint64 {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	which := 0
-	for len(runs) > 1 {
-		dst := bufs[which]
-		if cap(dst) < total {
-			dst = make([]uint64, total)
-		}
-		dst = dst[:total]
-		bufs[which] = dst
-		which ^= 1
-		off, n := 0, 0
-		for i := 0; i+1 < len(runs); i += 2 {
-			a, b := runs[i], runs[i+1]
-			out := dst[off : off+len(a)+len(b)]
-			parallel.Merge(a, b, out)
-			runs[n] = out
-			n++
-			off += len(out)
-		}
-		if len(runs)%2 == 1 {
-			last := runs[len(runs)-1]
-			out := dst[off : off+len(last)]
-			copy(out, last)
-			runs[n] = out
-			n++
-		}
-		runs = runs[:n]
-	}
-	return runs[0]
 }

@@ -354,7 +354,7 @@ func TestHashTopKeys(t *testing.T) {
 func TestValidateAuditsRouting(t *testing.T) {
 	plant := func(P, p int, v uint64) error {
 		f := NewReplica(P, &Options{Partition: HashPartition})
-		f.ReplicaApply(p, false, []uint64{v})
+		f.ReplicaApply(p, false, []uint64{v}, 1)
 		f.ReplicaPublish(p)
 		return f.Validate()
 	}

@@ -3,15 +3,16 @@ package shard
 // Replica mode: a read-only Sharded set driven by a replication applier
 // (repro/internal/repl) instead of clients. A replica has no mailboxes, no
 // writers, no journal, and no rebalancer — its mutation history arrives
-// pre-serialized as per-shard WAL records, already sorted and already
-// routed, so the only writes it needs are the applier's ReplicaApply /
-// ReplicaReset / ReplicaSetBounds below. The applier is the replica's sole
-// mutator, and so its only publisher: it publishes after each batch of
-// records, after a reset, and after a bounds update. Everything on the
-// read side — live reads, Snapshot, SnapshotStats — is the same
-// handle-based path the primary serves, which is the point: a follower
-// serves the exact read API the primary does, off state that is always a
-// per-shard prefix of the primary's acknowledged history.
+// pre-serialized as per-shard WAL records, already sorted and routed. The
+// applier merges them into runs with persist.Replay, as recovery does, and
+// writes only through ReplicaApply (the writers' applyOne) / ReplicaReset /
+// ReplicaSetBounds below. It is the replica's sole mutator, and so its only
+// publisher: it publishes after each batch of records, after a reset, and
+// after a bounds update. Everything on the read side — live reads,
+// Snapshot, SnapshotStats — is the same handle-based path the primary
+// serves, which is the point: a follower serves the exact read API the
+// primary does, off state that is always a per-shard prefix of the
+// primary's acknowledged history.
 //
 // Client mutations (Insert, InsertBatch, ...) panic on a replica: the
 // replica's state must be a pure function of the replicated log, and a
@@ -58,28 +59,21 @@ func (s *Sharded) checkReplica(op string) {
 	}
 }
 
-// ReplicaApply applies one replicated record to shard p: a sorted key
-// batch, inserted or removed exactly as the primary's writer applied it.
-// Returns the number of keys whose membership changed. Reads do not see
-// the record until ReplicaPublish(p). Caller is the single applier
-// goroutine.
-func (s *Sharded) ReplicaApply(p int, remove bool, keys []uint64) int {
+// ReplicaApply applies to shard p one sorted run that merges the given
+// number of replicated records, through applyOne as a writer applies a
+// drain: EnqueuedBatches counts records, AppliedBatches runs. Returns the
+// number of keys whose membership changed; reads see the run after
+// ReplicaPublish(p). Caller is the single applier goroutine.
+func (s *Sharded) ReplicaApply(p int, remove bool, keys []uint64, records int) int {
 	s.checkReplica("ReplicaApply")
 	c := &s.cells[p]
-	c.enqBatches.Add(1)
+	c.enqBatches.Add(uint64(records))
 	c.enqKeys.Add(uint64(len(keys)))
-	c.appBatches.Add(1)
-	c.appKeys.Add(uint64(len(keys)))
-	var n int
+	kind := opInsert
 	if remove {
-		n = c.set.RemoveBatch(keys, true)
-	} else {
-		n = c.set.InsertBatch(keys, true)
+		kind = opRemove
 	}
-	if n > 0 {
-		c.epoch.Add(1)
-	}
-	return n
+	return s.applyOne(p, c, kind, keys)
 }
 
 // ReplicaPublish publishes shard p's handle, making every record applied

@@ -170,12 +170,13 @@ const (
 )
 
 // Pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
-// sub-batches (Options.MailboxDepth overrides it), and one drain coalesces
-// at most maxCoalesceKeys keys into a single apply (a single larger batch
-// is still applied whole).
+// sub-batches (Options.MailboxDepth overrides it), and one drain stops
+// coalescing once it holds MaxCoalesceKeys keys (a single larger batch is
+// still applied whole). Log replay (persist.Replay) caps its merged runs
+// the same way.
 const (
 	DefaultMailboxDepth = 64
-	maxCoalesceKeys     = 1 << 20
+	MaxCoalesceKeys     = 1 << 20
 )
 
 // repeatBits sizes the enqueue-side repeat filter: a direct-mapped table

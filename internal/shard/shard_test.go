@@ -799,9 +799,15 @@ func TestReadYourWrites(t *testing.T) {
 		f := NewReplica(3, &Options{Partition: RangePartition, KeyBits: 16})
 		for p := 0; p < 3; p++ {
 			lo := uint64(p)<<14 + 1
-			f.ReplicaApply(p, false, []uint64{lo, lo + 1, lo + 2})
-			f.ReplicaApply(p, true, []uint64{lo + 1})
+			// A run merging two insert records, then a one-record removal.
+			f.ReplicaApply(p, false, []uint64{lo, lo + 1, lo + 2}, 2)
+			f.ReplicaApply(p, true, []uint64{lo + 1}, 1)
 			f.ReplicaPublish(p)
+		}
+		// The ingest counters mean on a follower what they mean on the
+		// primary: records enqueued, merged runs applied.
+		if st := f.IngestStats(); st != (IngestStats{EnqueuedBatches: 9, EnqueuedKeys: 12, AppliedBatches: 6, AppliedKeys: 12}) {
+			t.Fatalf("follower ingest stats %+v", st)
 		}
 		if err := f.ReplicaSetBounds(1, []uint64{1 << 14, 2 << 14}); err != nil {
 			t.Fatal(err)
