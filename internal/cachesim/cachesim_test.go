@@ -1,6 +1,12 @@
 package cachesim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/cpma"
+	"repro/internal/workload"
+)
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(1024, 2, 64) // 16 lines, 8 sets, 2-way
@@ -95,5 +101,17 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 	}
 	if cpma.L3Misses >= cpac.L3Misses {
 		t.Fatalf("CPMA L3 %d should be below C-PaC %d", cpma.L3Misses, cpac.L3Misses)
+	}
+}
+
+// TestTable1LeafMatchesEngine: the CPMA replay's leaf size is the one the
+// engine picks for the replay's structure.
+func TestTable1LeafMatchesEngine(t *testing.T) {
+	cfg := DefaultConfig()
+	keys := workload.Uniform(workload.NewRNG(cfg.Seed), cfg.N, workload.UniformBits)
+	slices.Sort(keys)
+	c := cpma.FromSorted(slices.Compact(keys), nil)
+	if got := c.LeafBytes(); got != cpmaLeafBytes {
+		t.Fatalf("the engine builds %d-byte leaves for %d keys, the model replays %d-byte ones", got, c.Len(), cpmaLeafBytes)
 	}
 }

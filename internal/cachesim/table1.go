@@ -3,6 +3,7 @@ package cachesim
 import (
 	"slices"
 
+	"repro/internal/cpma"
 	"repro/internal/workload"
 )
 
@@ -34,11 +35,14 @@ const (
 	pmaCellBytes   = 8
 	pmaLeafCells   = 32
 	cpmaBytesPerEl = 3 // 40-bit uniform keys at this density (paper Table 6)
-	cpmaLeafBytes  = 256
 	pacBlockElems  = 256
 	nodeBytes      = 48
 	density        = 0.65
 )
+
+// cpmaLeafBytes is the engine's compressed leaf size at the replay scale:
+// the format's floor, which is also the largest size it picks on its own.
+var cpmaLeafBytes = cpma.New(nil).LeafBytes()
 
 // mix is the splitmix64 finalizer, used to scatter tree nodes in the arena.
 func mix(v uint64) uint64 {

@@ -63,12 +63,12 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 		}
 		return removed
 	}
-	dirty := parallel.NewBitset(c.leaves)
+	touched := parallel.NewBitset(c.leaves)
 	var removed atomic.Int64
-	c.removeRange(batch, 0, c.leaves-1, dirty, &removed)
+	c.removeRange(batch, 0, c.leaves-1, touched, &removed)
 	c.n -= int(removed.Load())
 	if c.Capacity() > c.f.minCapacity() {
-		plan := c.tree.Count(c.usedOf, dirty.Indices(), false, true)
+		plan := c.tree.Count(c.usedOf, touched.Indices(), false, true)
 		c.applyPlan(plan)
 	}
 	return int(removed.Load())
@@ -96,17 +96,17 @@ func (c *CPMA) batchMerge(batch []uint64) int {
 	if c.overflow == nil {
 		c.overflow = make([][]uint64, c.leaves)
 	}
-	dirty := parallel.NewBitset(c.leaves)
+	touched := parallel.NewBitset(c.leaves)
 	var added atomic.Int64
 
 	// Phase 1: recursive parallel batch merge.
-	c.mergeRange(batch, 0, c.leaves-1, dirty, &added)
+	c.mergeRange(batch, 0, c.leaves-1, touched, &added)
 	c.n += int(added.Load())
 
 	// Phase 2: work-efficient parallel counting. An overflowed leaf always
 	// violates its bound, so the plan covers it with a redistribution
 	// region or a rebuild, and gatherElems drains its buffer.
-	plan := c.tree.Count(c.usedOf, dirty.Indices(), true, false)
+	plan := c.tree.Count(c.usedOf, touched.Indices(), true, false)
 
 	// Phase 3: parallel redistribution (or growth).
 	c.applyPlan(plan)
@@ -132,7 +132,7 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 // The leaf-range bounds guarantee that no search performed by this call
 // probes a leaf owned by a concurrently forked merge, so the phase is safe
 // without locks.
-func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, added *atomic.Int64) {
+func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, touched *parallel.Bitset, added *atomic.Int64) {
 	if len(batch) == 0 {
 		return
 	}
@@ -149,7 +149,7 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 			// The whole range is empty: the parent guaranteed every batch
 			// element sorts between the surrounding leaves, so park the run
 			// in the middle leaf; redistribution will spread it.
-			c.mergeLeaf((loLeaf+hiLeaf)/2, batch, dirty, added)
+			c.mergeLeaf((loLeaf+hiLeaf)/2, batch, touched, added)
 			return
 		}
 		// Elements preceding the first head merge into that leaf.
@@ -168,15 +168,15 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		c.mergeLeaf(leaf, sub, dirty, added)
-		c.mergeRange(left, loLeaf, leaf-1, dirty, added)
-		c.mergeRange(right, leaf+1, hiLeaf, dirty, added)
+		c.mergeLeaf(leaf, sub, touched, added)
+		c.mergeRange(left, loLeaf, leaf-1, touched, added)
+		c.mergeRange(right, leaf+1, hiLeaf, touched, added)
 		return
 	}
 	parallel.Do3(
-		func() { c.mergeLeaf(leaf, sub, dirty, added) },
-		func() { c.mergeRange(left, loLeaf, leaf-1, dirty, added) },
-		func() { c.mergeRange(right, leaf+1, hiLeaf, dirty, added) },
+		func() { c.mergeLeaf(leaf, sub, touched, added) },
+		func() { c.mergeRange(left, loLeaf, leaf-1, touched, added) },
+		func() { c.mergeRange(right, leaf+1, hiLeaf, touched, added) },
 	)
 }
 
@@ -189,11 +189,11 @@ const inPlaceMerge = 2
 // Otherwise: decode, merge, re-encode if the bytes fit, or else keep the
 // merged run out-of-place in the overflow buffer with its encoded size
 // recorded for the counting phase (Figure 4).
-func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *atomic.Int64) {
+func (c *CPMA) mergeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, added *atomic.Int64) {
 	if len(sub) == 0 {
 		return
 	}
-	dirty.Set(leaf)
+	touched.Set(leaf)
 	if len(sub) <= inPlaceMerge && c.usedOf(leaf)+len(sub)*c.f.slack <= c.LeafBytes() {
 		fresh := 0
 		for _, x := range sub {
@@ -214,24 +214,25 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *
 		merged, fresh = parallel.MergeDedup(cur, sub)
 	}
 	size := c.f.runSize(merged)
+	st := c.leafW(leaf)
 	if size <= c.LeafBytes() {
-		ld := c.leafDataW(leaf)
-		w := c.f.encode(ld, merged)
-		clearBytes(ld[w:])
+		w := c.f.encode(st.data, merged)
+		clearBytes(st.data[w:])
 	} else {
-		// Overflow: the slab is untouched (the counting phase redistributes
-		// it later), so only the metadata changes — no unshare needed.
+		// Overflow: the bytes stay put until the counting phase
+		// redistributes the leaf, which writes this slab anyway, so
+		// unsharing it here copies nothing extra.
 		if ec == 0 {
 			merged = append([]uint64(nil), sub...)
 		}
 		c.overflow[leaf] = merged
 	}
-	c.setLeafMeta(leaf, int32(size), int32(len(merged)))
+	st.used, st.ecnt = int32(size), int32(len(merged))
 	added.Add(int64(fresh))
 }
 
 // removeRange is the delete-side analogue of mergeRange.
-func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, removed *atomic.Int64) {
+func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, touched *parallel.Bitset, removed *atomic.Int64) {
 	if len(batch) == 0 || loLeaf > hiLeaf {
 		return
 	}
@@ -256,15 +257,15 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		c.removeLeaf(leaf, sub, dirty, removed)
-		c.removeRange(left, loLeaf, leaf-1, dirty, removed)
-		c.removeRange(right, leaf+1, hiLeaf, dirty, removed)
+		c.removeLeaf(leaf, sub, touched, removed)
+		c.removeRange(left, loLeaf, leaf-1, touched, removed)
+		c.removeRange(right, leaf+1, hiLeaf, touched, removed)
 		return
 	}
 	parallel.Do3(
-		func() { c.removeLeaf(leaf, sub, dirty, removed) },
-		func() { c.removeRange(left, loLeaf, leaf-1, dirty, removed) },
-		func() { c.removeRange(right, leaf+1, hiLeaf, dirty, removed) },
+		func() { c.removeLeaf(leaf, sub, touched, removed) },
+		func() { c.removeRange(left, loLeaf, leaf-1, touched, removed) },
+		func() { c.removeRange(right, leaf+1, hiLeaf, touched, removed) },
 	)
 }
 
@@ -273,7 +274,7 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 // "deletes do not have to allocate temporary space as they will never
 // overflow the PMA leaves"): deletion never grows the encoding, so the
 // result always re-encodes in place.
-func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, removed *atomic.Int64) {
+func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, removed *atomic.Int64) {
 	if len(sub) == 0 || c.usedOf(leaf) == 0 {
 		return
 	}
@@ -295,15 +296,13 @@ func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, remove
 	if dropped == 0 {
 		return
 	}
-	dirty.Set(leaf)
+	touched.Set(leaf)
 	removed.Add(int64(dropped))
-	ld := c.leafDataW(leaf)
-	if w == 0 {
-		clearBytes(ld[:c.usedOf(leaf)])
-		c.setLeafMeta(leaf, 0, 0)
-		return
+	st := c.leafW(leaf)
+	size := 0
+	if w > 0 {
+		size = c.f.encode(st.data, cur[:w])
 	}
-	size := c.f.encode(ld, cur[:w])
-	clearBytes(ld[size:c.usedOf(leaf)])
-	c.setLeafMeta(leaf, int32(size), int32(w))
+	clearBytes(st.data[size:st.used])
+	st.used, st.ecnt = int32(size), int32(w)
 }

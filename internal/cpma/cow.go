@@ -2,74 +2,66 @@ package cpma
 
 // Leaf-granular copy-on-write. Clone used to memcpy the whole data array,
 // making every published snapshot cost O(n) even when a drain touched a
-// handful of leaves — the scalability cliff ROADMAP calls out. The fix
-// keeps the paper's pointer-free layout but slices it per leaf: each leaf
-// owns a leafState holding its byte slab and used/ecnt metadata, and the
-// first mutation of a shared leaf unshares it — copies the one leaf — so
-// total copy cost is O(dirty leaves), not O(n).
+// handful of leaves. The fix keeps the paper's pointer-free layout but
+// slices it per leaf: each leaf owns a leafState holding its byte slab and
+// used/ecnt metadata, and the first write to a shared leaf copies that one
+// leaf, so the total copy cost is O(written leaves), not O(n).
 //
-// The leafState spine itself is also shared, at chunk granularity: the
-// spine is an array of pointers to fixed-size chunks of chunkLeaves
-// leafStates, and Clone copies only that pointer table (8 bytes per 64
-// leaves) plus fresh ownership bitsets. A per-CPMA ownChunk bitset says
-// which chunks hold spine metadata private to this CPMA; the first
-// metadata write into a shared chunk copies the one chunk. Without this
-// second level, the eager spine memcpy (≈40 bytes/leaf) put an O(n) floor
-// under every publication — about 1/7 of a full copy at the minimum leaf
-// size, which is exactly the cliff the leaf-granular design exists to
-// remove.
+// The leafState spine is shared too, at chunk granularity: the spine is an
+// array of pointers to chunks of chunkLeaves leafStates, and Clone copies
+// only that pointer table (8 bytes per 64 leaves). The first write into a
+// shared chunk copies the one chunk.
+//
+// One generation stamp answers every copy-on-write question. A process-wide
+// counter issues generations in increasing order. Every CPMA writes in its
+// own generation, gen; a chunk records the generation that copied it, and a
+// leaf the generation that last wrote it:
+//
+//   - Ownership: a chunk is private iff chunk.gen == c.gen, and a leaf's
+//     slab is private iff leaf.gen == c.gen. Clone gives the clone and then
+//     the parent fresh generations, so right after it every chunk and slab
+//     is shared on both sides.
+//   - Change: a leaf changed since handle H iff leaf.gen > H.Gen(), since
+//     every later write to H's parent stamps a newer generation. A chunk
+//     with chunk.gen <= H.Gen() holds no such leaf. A rebuild or load
+//     stamps geomGen, and ChangedSince then reports the whole geometry.
 //
 // COW contract:
 //
 //   - Clone may only be called at rest (no batch in flight) and never
 //     concurrently with any mutation of the receiver; the shard layer
 //     guarantees this by publishing only from a shard's sole mutator.
-//   - After Clone, BOTH sides may be mutated independently; whichever side
+//   - After Clone, both sides may be mutated independently; whichever side
 //     writes a shared leaf first pays the one-leaf copy (plus the one-chunk
-//     spine copy if the chunk is still shared). Within one CPMA, the batch
-//     recursion partitions leaves disjointly across goroutines (see
-//     mergeRange), but two goroutines' leaves can share a chunk, so chunk
-//     unsharing is arbitrated with a lock-free claim bitset: exactly one
-//     claimant copies and installs the chunk, the rest spin until the
-//     ownership bit publishes it.
-//   - A leaf's owned flag is meaningful only inside a chunk this CPMA owns
-//     (ownChunk bit set): unsharing a chunk clears every owned flag in the
-//     copy, because after a Clone all slabs are shared regardless of what
-//     the flags said in the previous window.
-//   - Shared slabs are never written in place: leafDataW is the single
-//     gateway to a writable slab and unshares (chunk, then slab) first.
-//     Read accessors (leafData et al.) must not be used to mutate.
-//
-// Dirty tracking rides on the same write gateway. c.dirty records the
-// leaves mutated since the last Clone (c.dirtyAll marks whole-geometry
-// rebuilds). Clone hands the accumulated window to the clone — retrievable
-// via DirtySince — and resets the parent's window, so the shard's journal
-// can checkpoint exactly the leaves that changed between two published
-// handles (see internal/persist's delta checkpoints).
+//     spine copy if the chunk is still shared).
+//   - leafW is the only way to a writable leaf. It unshares the chunk, then
+//     the slab, and so stamps the leaf. Read accessors (leafSt, leafData
+//     and the rest) must not be used to mutate.
+//   - Within one CPMA, the batch recursion partitions leaves disjointly
+//     across goroutines (see mergeRange), but two goroutines' leaves can
+//     share a chunk. The goroutine that unshares it installs its copy with
+//     CompareAndSwap; one that loses the race reloads the winner's copy.
+//     A shared chunk is never written, so copying it races with nothing.
 
 import (
-	"runtime"
 	"sync/atomic"
-
-	"repro/internal/parallel"
+	"unsafe"
 )
 
-// leafState is one leaf's storage: its byte slab plus the used/ecnt
-// metadata that used to live in parallel flat slices. owned reports
-// whether data is exclusive to this CPMA — but only inside a chunk whose
-// ownChunk bit this CPMA holds; in a shared chunk the flags are void and
-// every slab must be treated as shared.
-type leafState struct {
-	data  []byte
-	used  int32 // encoded bytes (0 = empty leaf); transiently > cap during overflow
-	ecnt  int32 // elements in the leaf (or its overflow buffer)
-	owned bool
-}
+// genCounter issues generations. It is global so that stamps from any two
+// CPMAs compare: a set built after a checkpoint always looks newer.
+var genCounter atomic.Uint64
 
-// leafSpineBytes approximates the in-memory cost of one leafState (slice
-// header 24 + 2×int32 + bool, padded). Unsharing a chunk charges it per
-// leaf of the chunk copy.
-const leafSpineBytes = 40
+func newGen() uint64 { return genCounter.Add(1) }
+
+// leafState is one leaf's storage: its byte slab, its used/ecnt metadata,
+// and the generation of the window that last wrote it.
+type leafState struct {
+	data []byte
+	used int32 // encoded bytes (0 = empty leaf); transiently > cap during overflow
+	ecnt int32 // elements in the leaf (or its overflow buffer)
+	gen  uint64
+}
 
 // Spine chunking: chunkLeaves leafStates per chunk, so Clone's eager copy
 // is one pointer per chunk instead of one leafState per leaf.
@@ -79,139 +71,108 @@ const (
 	chunkMask   = chunkLeaves - 1
 )
 
-type leafChunk [chunkLeaves]leafState
+// leafChunk is one unit of spine sharing. gen is the generation that
+// copied or built it.
+type leafChunk struct {
+	gen    uint64
+	leaves [chunkLeaves]leafState
+}
+
+// chunkBytes is what unsharing one chunk copies.
+const chunkBytes = uint64(unsafe.Sizeof(leafChunk{}))
 
 func chunksFor(leaves int) int { return (leaves + chunkMask) >> chunkLog }
 
 // newLeafSpine allocates a spine of leaves equally sized slabs carved from
 // one contiguous backing array, preserving the paper's cache-friendly flat
-// layout for freshly rebuilt arrays. All leaves start owned; the caller
-// (rebuildFrom / ReadFrom) must install matching all-owned chunk bitsets
-// via ownAllChunks.
-func newLeafSpine(leaves, leafBytes int) []atomic.Pointer[leafChunk] {
-	return leafSpineOver(make([]byte, leaves*leafBytes), leaves, leafBytes)
-}
-
-// leafSpineOver builds the chunked spine over an existing flat data array
-// (leaf i owning backing[i*leafBytes : (i+1)*leafBytes]).
-func leafSpineOver(backing []byte, leaves, leafBytes int) []atomic.Pointer[leafChunk] {
+// layout for freshly rebuilt arrays. Every chunk and leaf is stamped gen:
+// private to the CPMA writing in gen.
+func newLeafSpine(leaves, leafBytes int, gen uint64) []atomic.Pointer[leafChunk] {
+	backing := make([]byte, leaves*leafBytes)
 	lf := make([]atomic.Pointer[leafChunk], chunksFor(leaves))
 	for ch := range lf {
-		nc := new(leafChunk)
-		for j := 0; j < chunkLeaves; j++ {
+		nc := &leafChunk{gen: gen}
+		for j := range nc.leaves {
 			i := ch<<chunkLog + j
 			if i >= leaves {
 				break
 			}
 			off := i * leafBytes
-			nc[j].data = backing[off : off+leafBytes : off+leafBytes]
-			nc[j].owned = true
+			nc.leaves[j] = leafState{data: backing[off : off+leafBytes : off+leafBytes], gen: gen}
 		}
 		lf[ch].Store(nc)
 	}
 	return lf
 }
 
-// ownAllChunks resets the receiver's chunk ownership to fully private —
-// the state after a rebuild or a slab load, when no other CPMA can
-// reference any chunk.
-func (c *CPMA) ownAllChunks() {
-	nch := len(c.lf)
-	c.ownChunk = parallel.NewBitset(nch)
-	c.claimChunk = parallel.NewBitset(nch)
-	for ch := 0; ch < nch; ch++ {
-		c.ownChunk.Set(ch)
-	}
-}
-
 // leafSt returns the leaf's state for reading only.
 func (c *CPMA) leafSt(leaf int) *leafState {
-	return &c.lf[leaf>>chunkLog].Load()[leaf&chunkMask]
+	return &c.lf[leaf>>chunkLog].Load().leaves[leaf&chunkMask]
 }
 
-// leafStW returns the leaf's state for writing, unsharing its spine chunk
-// first if a clone may still reference it.
-func (c *CPMA) leafStW(leaf int) *leafState {
-	ch := leaf >> chunkLog
-	if !c.ownChunk.Get(ch) {
-		c.unshareChunk(ch)
+// leafW returns the leaf's state for writing: the single write gateway. It
+// unshares the leaf's chunk and then its slab if either is still shared,
+// which stamps the leaf with the receiver's generation. Concurrent callers
+// must hold distinct leaves; those sharing a chunk race to install its copy
+// and the losers adopt the winner's.
+func (c *CPMA) leafW(leaf int) *leafState {
+	slot := &c.lf[leaf>>chunkLog]
+	ch := slot.Load()
+	for ch.gen != c.gen {
+		nc := *ch
+		nc.gen = c.gen
+		if slot.CompareAndSwap(ch, &nc) {
+			atomic.AddUint64(&c.spineBytes, chunkBytes)
+		}
+		ch = slot.Load()
 	}
-	return &c.lf[ch].Load()[leaf&chunkMask]
+	st := &ch.leaves[leaf&chunkMask]
+	if st.gen != c.gen {
+		st.data = append(make([]byte, 0, len(st.data)), st.data...)
+		st.gen = c.gen
+		atomic.AddUint64(&c.slabBytes, uint64(len(st.data)))
+	}
+	return st
 }
 
-// unshareChunk gives this CPMA a private copy of chunk ch. Concurrent
-// callers (parallel batch goroutines whose disjoint leaves share a chunk)
-// are arbitrated by claimChunk: the goroutine that wins the claim copies
-// the chunk, installs it, and publishes ownership; losers spin on the
-// ownership bit, whose atomic set/get orders the pointer store before
-// their reload.
-func (c *CPMA) unshareChunk(ch int) {
-	for !c.ownChunk.Get(ch) {
-		if !c.claimChunk.TrySet(ch) {
-			runtime.Gosched()
+// Gen returns the receiver's generation. Every leaf it holds is stamped at
+// or below it; on a Clone handle, every later write to the parent is
+// stamped above it.
+func (c *CPMA) Gen() uint64 { return c.gen }
+
+// ChangedSince reports which of the receiver's leaves were written after
+// generation gen, typically the Gen of an earlier handle of the same set:
+// all means a rebuild or load replaced the whole geometry since, and
+// otherwise leaves lists the written leaves in ascending order (possibly
+// none). The list covers every leaf whose bytes or metadata changed, and
+// only leaves that passed the write gateway. The receiver must not be
+// mutated concurrently; frozen Clone handles never are.
+func (c *CPMA) ChangedSince(gen uint64) (all bool, leaves []int) {
+	if c.geomGen > gen {
+		return true, nil
+	}
+	for i := range c.lf {
+		ch := c.lf[i].Load()
+		if ch.gen <= gen {
 			continue
 		}
-		nc := *c.lf[ch].Load()
-		// The copy's slabs are shared with whoever else references the old
-		// chunk; stale flags from a pre-Clone window must not claim them.
-		for j := range nc {
-			nc[j].owned = false
+		for j := range ch.leaves {
+			if leaf := i<<chunkLog + j; leaf < c.leaves && ch.leaves[j].gen > gen {
+				leaves = append(leaves, leaf)
+			}
 		}
-		c.lf[ch].Store(&nc)
-		atomic.AddUint64(&c.cowBytes, chunkLeaves*leafSpineBytes)
-		c.ownChunk.Set(ch)
 	}
+	return false, leaves
 }
 
-// leafDataW returns the leaf's byte slab for writing, unsharing it first if
-// a clone may still reference the current array. Callers that bail out
-// without writing leave an unshared-but-unchanged leaf behind, which is
-// correctness-neutral (unshared ≠ dirty; the contents are identical).
-func (c *CPMA) leafDataW(leaf int) []byte {
-	st := c.leafStW(leaf)
-	if !st.owned {
-		st.data = append(make([]byte, 0, len(st.data)), st.data...)
-		st.owned = true
-		// Parallel batch goroutines unshare distinct leaves concurrently;
-		// only the counter needs synchronizing.
-		atomic.AddUint64(&c.cowBytes, uint64(len(st.data)))
-	}
-	return st.data
-}
+// CloneBytes is what producing one Clone handle copied: its chunk-pointer
+// table, plus the spine chunks and leaf slabs its parent unshared since
+// the parent's previous Clone.
+type CloneBytes struct{ Table, Spine, Slab uint64 }
 
-// setLeafMeta records the leaf's new used/ecnt and marks it dirty. Every
-// leaf mutation funnels through here (or rebuildFrom), which is what makes
-// the dirty window a sound superset of the bytes that changed.
-func (c *CPMA) setLeafMeta(leaf int, used, ecnt int32) {
-	st := c.leafStW(leaf)
-	st.used = used
-	st.ecnt = ecnt
-	c.dirty.Set(leaf)
-}
+// Total is the handle's whole copy cost, as opposed to SizeBytes, the
+// full-copy baseline.
+func (b CloneBytes) Total() uint64 { return b.Table + b.Spine + b.Slab }
 
-// resetDirty clears the mutation window (fresh bitset, dirtyAll off).
-func (c *CPMA) resetDirty() {
-	c.dirty = parallel.NewBitset(c.leaves)
-	c.dirtyAll = false
-}
-
-// DirtySince describes which of the receiver's leaves changed between the
-// parent's previous Clone and the Clone that produced this handle: all
-// means the geometry itself changed (a rebuild — every leaf differs), and
-// otherwise dirty holds the changed leaf indices (possibly none). It is
-// meaningful only on handles produced by Clone; the bitset must be treated
-// as immutable. Handles not produced by Clone report (false, nil), which
-// consumers must treat as unknown.
-func (c *CPMA) DirtySince() (all bool, dirty *parallel.Bitset) {
-	return c.pubAll, c.pubDirty
-}
-
-// CloneCost returns the bytes materialized to produce this handle: the
-// chunk pointer table and ownership bitsets, plus every spine chunk and
-// leaf slab the parent (or this handle) unshared since the parent's
-// previous Clone. It is the actual copy cost of the snapshot, as opposed
-// to SizeBytes — the full-copy baseline.
-func (c *CPMA) CloneCost() uint64 { return c.cloneBytes }
-
-// Clones returns how many times Clone has been called on this CPMA.
-func (c *CPMA) Clones() uint64 { return atomic.LoadUint64(&c.clones) }
+// CloneCost returns the bytes materialized to produce this handle.
+func (c *CPMA) CloneCost() CloneBytes { return c.cost }

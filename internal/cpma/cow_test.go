@@ -1,16 +1,18 @@
 package cpma
 
-// COW-specific behavior: dirty-window handoff across clones, delta
-// round-trips against those windows, and delta rejection on corrupt
-// input. The structural isolation of clones (mutate either side through
-// growth/shrink rebuilds, nothing leaks) lives in the TestClone* tests;
-// here we pin down the bookkeeping the persist layer builds on.
+// COW-specific behavior: the generation stamps behind ChangedSince across
+// clone windows, what a Clone and its first writes copy, parallel
+// unsharing of one chunk, delta round-trips against ChangedSince, and
+// delta rejection on corrupt input. The structural isolation of clones
+// (mutate either side through growth/shrink rebuilds, nothing leaks)
+// lives in the TestClone* tests of cpma_test.go.
 
 import (
 	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // cloneEqualState asserts a and b hold identical key sets and both pass
@@ -33,46 +35,223 @@ func cloneEqualState(t *testing.T, a, b *CPMA, what string) {
 	}
 }
 
-// TestDirtyWindowHandoff: a clone's DirtySince window is exactly the
-// parent's accumulated dirt since the previous clone, and Clone resets
-// the parent's window.
-func TestDirtyWindowHandoff(t *testing.T) {
+// checkWindow checks h.ChangedSince(prev.Gen()) for a window in which
+// only h's parent was written: it reports all exactly when wantAll, and
+// otherwise lists, in ascending order, exactly the leaves whose slab the
+// window copied. The write gateway copies a shared slab on a leaf's first
+// write after a Clone, so a new slab marks a leaf that went through it.
+// Every leaf whose bytes or metadata differ must be listed. It returns
+// the listed leaves.
+func checkWindow(t *testing.T, what string, prev, h *CPMA, wantAll bool) []int {
+	t.Helper()
+	all, leaves := h.ChangedSince(prev.Gen())
+	if all != wantAll {
+		t.Fatalf("%s: ChangedSince all = %v, want %v", what, all, wantAll)
+	}
+	if all {
+		return nil
+	}
+	if !slices.IsSorted(leaves) {
+		t.Fatalf("%s: leaves not ascending: %v", what, leaves)
+	}
+	listed := make(map[int]bool, len(leaves))
+	for _, leaf := range leaves {
+		listed[leaf] = true
+	}
+	for i := 0; i < h.Leaves(); i++ {
+		a, b := prev.leafSt(i), h.leafSt(i)
+		if copied := &a.data[0] != &b.data[0]; copied != listed[i] {
+			t.Fatalf("%s: leaf %d listed %v but its slab copied %v", what, i, listed[i], copied)
+		}
+		if !listed[i] && (a.used != b.used || a.ecnt != b.ecnt || !bytes.Equal(a.data, b.data)) {
+			t.Fatalf("%s: leaf %d changed but is not listed", what, i)
+		}
+	}
+	return leaves
+}
+
+// TestChangedSince walks a set through one kind of write per Clone
+// window and checks each handle against its predecessor, then checks one
+// handle against a handle several windows older: its list must be the
+// union of the windows'. A rebuild reports all, and the window after it
+// lists leaves again.
+func TestChangedSince(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(41))
 		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
-
-		// A handle that never went through Clone reports unknown.
-		if all, bits := c.DirtySince(); all || bits != nil {
-			t.Fatalf("non-clone handle reported a window: all=%v bits=%v", all, bits)
-		}
-
 		c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
 		first := c.Clone()
-		if all, _ := first.DirtySince(); !all {
-			// The initial build is a rebuild: everything is dirty.
-			t.Fatal("first clone after build should report all")
+		prev := first
+		union := map[int]bool{}
+		window := func(what string, wantAll bool, write func()) []int {
+			t.Helper()
+			write()
+			for _, s := range []*CPMA{c, prev} {
+				if err := s.Validate(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			h := c.Clone()
+			leaves := checkWindow(t, what, prev, h, wantAll)
+			for _, leaf := range leaves {
+				union[leaf] = true
+			}
+			prev = h
+			return leaves
 		}
 
-		// No mutations between clones: the window must be empty, not all.
-		second := c.Clone()
-		if all, bits := second.DirtySince(); all || bits == nil || bits.Count() != 0 {
-			t.Fatalf("idle window not empty: all=%v count=%v", all, bits)
+		if got := window("idle", false, func() {}); len(got) != 0 {
+			t.Fatalf("idle window lists %v", got)
 		}
-
-		// A small point mutation dirties at least the touched leaf, and far
-		// fewer than all leaves at this size.
 		k, _ := c.Min()
-		c.Remove(k)
-		c.Insert(k)
-		third := c.Clone()
-		all, bits := third.DirtySince()
-		if all || bits == nil {
-			t.Fatalf("point-mutation window reported all")
+		if got := window("point insert", false, func() { c.Insert(k + 1) }); len(got) == 0 {
+			t.Fatal("point insert lists no leaf")
 		}
-		if n := bits.Count(); n == 0 || n >= c.Leaves() {
-			t.Fatalf("point-mutation window covers %d of %d leaves", n, c.Leaves())
+		if got := window("point remove", false, func() { c.Remove(k + 1) }); len(got) == 0 {
+			t.Fatal("point remove lists no leaf")
+		}
+		if got := window("duplicate insert and missing remove", false, func() {
+			c.Insert(k)
+			c.Remove(k + 1)
+		}); len(got) != 0 {
+			t.Fatalf("writes that changed nothing list %v", got)
+		}
+		window("batch merge", false, func() { c.InsertBatch(uniqueRandom(r, 200, 1<<28), false) })
+		// A dense run into one leaf's span outgrows the leaf: the merge
+		// parks it in the overflow buffer and a redistribution spreads it.
+		multi, _ := c.Rebalances()
+		window("overflowing leaf", false, func() {
+			lo := c.head(c.Leaves() / 2)
+			run := make([]uint64, 300)
+			for i := range run {
+				run[i] = lo + 1 + uint64(i)
+			}
+			c.InsertBatch(run, true)
+		})
+		if m, _ := c.Rebalances(); m == multi {
+			t.Fatal("the dense run did not redistribute")
+		}
+		window("removal to empty", false, func() {
+			leaf := c.Leaves() / 3
+			var keys []uint64
+			c.leafIter(leaf, func(v uint64) bool { keys = append(keys, v); return true })
+			c.RemoveBatch(keys, true)
+		})
+
+		all, leaves := prev.ChangedSince(first.Gen())
+		if all || len(leaves) != len(union) {
+			t.Fatalf("across windows: all=%v, %d leaves, the windows listed %d", all, len(leaves), len(union))
+		}
+		for _, leaf := range leaves {
+			if !union[leaf] {
+				t.Fatalf("across windows: leaf %d listed but in no window", leaf)
+			}
+		}
+
+		window("rebuild", true, func() { c.InsertBatch(uniqueRandom(r, c.Len(), 1<<28), false) })
+		if got := window("point insert after rebuild", false, func() { c.Insert(k + 1) }); len(got) == 0 {
+			t.Fatal("point insert after rebuild lists no leaf")
 		}
 	})
+}
+
+// TestCloneCostPointInsert: one point insert after a Clone copies exactly
+// one spine chunk, which is its chunkLeaves leafStates plus the chunk's
+// 8-byte generation, and one leaf slab; the next Clone charges that plus
+// its pointer table.
+func TestCloneCostPointInsert(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		r := rand.New(rand.NewSource(44))
+		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+		c.InsertBatch(uniqueRandom(r, 20000, 1<<40), false)
+		_ = c.Clone()
+		// The emptiest leaf takes one more key without a rebalance.
+		leaf := 0
+		for i := 1; i < c.Leaves(); i++ {
+			if c.usedOf(i) < c.usedOf(leaf) {
+				leaf = i
+			}
+		}
+		multi, grows := c.Rebalances()
+		if !c.Insert(c.head(leaf) + 1) {
+			t.Fatal("insert found its key present")
+		}
+		if m, g := c.Rebalances(); m != multi || g != grows {
+			t.Fatal("the insert rebalanced")
+		}
+		want := CloneBytes{
+			Table: 8 * uint64(chunksFor(c.Leaves())),
+			Spine: 8 + chunkLeaves*uint64(unsafe.Sizeof(leafState{})),
+			Slab:  uint64(c.LeafBytes()),
+		}
+		if got := c.Clone().CloneCost(); got != want {
+			t.Fatalf("CloneCost after one point insert = %+v, want %+v", got, want)
+		}
+	})
+}
+
+var cloneSink *CPMA
+
+// TestCloneAllocs: Clone allocates the handle and its chunk-pointer table
+// and nothing else, even when the parent's overflow spine is allocated.
+func TestCloneAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	c := New(&Options{PointThreshold: 10})
+	c.InsertBatch(uniqueRandom(r, 50000, 1<<40), false)
+	c.InsertBatch(uniqueRandom(r, 1000, 1<<40), false)
+	if c.overflow == nil {
+		t.Fatal("the batch merge left no overflow spine")
+	}
+	if a := testing.AllocsPerRun(50, func() { cloneSink = c.Clone() }); a != 2 {
+		t.Fatalf("Clone made %v allocations, want 2", a)
+	}
+}
+
+// TestCloneSharedChunkRace: right after a Clone, one parallel batch sends
+// goroutines into disjoint leaves of the same shared chunks, where they
+// race to install the chunk copies. The clone must stay bytewise
+// unchanged and the parent must hold the model's keys. CI runs it under
+// the race detector.
+func TestCloneSharedChunkRace(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	c := New(&Options{LeafBytes: 512, PointThreshold: 10})
+	want := uniqueRandom(r, 60000, 1<<40)
+	c.InsertBatch(want, false)
+	slices.Sort(want)
+	for round := 0; round < 4; round++ {
+		h := c.Clone()
+		type leafImage struct {
+			data       []byte
+			used, ecnt int32
+		}
+		img := make([]leafImage, h.Leaves())
+		for i := range img {
+			st := h.leafSt(i)
+			img[i] = leafImage{bytes.Clone(st.data), st.used, st.ecnt}
+		}
+		// Above mergeForkGrain keys, so the batch merge forks, spread over
+		// the key span of chunk 1's leaves.
+		lo, hi := c.head(c.firstNonEmptyIn(chunkLeaves, c.Leaves()-1)), c.head(c.firstNonEmptyIn(2*chunkLeaves, c.Leaves()-1))
+		batch := make([]uint64, 3000)
+		for i := range batch {
+			batch[i] = lo + r.Uint64()%(hi-lo)
+		}
+		c.InsertBatch(batch, false)
+		want = sortedUnion(want, batch)
+
+		for i := range img {
+			st := h.leafSt(i)
+			if st.used != img[i].used || st.ecnt != img[i].ecnt || !bytes.Equal(st.data, img[i].data) {
+				t.Fatalf("round %d: the clone's leaf %d changed", round, i)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !slices.Equal(c.Keys(), want) {
+			t.Fatalf("round %d: parent keys differ from the model", round)
+		}
+	}
 }
 
 // TestDeltaRoundTripDifferential walks a mutation history, maintaining a
@@ -86,7 +265,7 @@ func TestDeltaRoundTripDifferential(t *testing.T) {
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 8000, 1<<26), false)
 
-	_ = c.Clone() // open the first window
+	prev := c.Clone() // open the first window
 	shadow := fullSlabCopy(t, c, opts)
 	fulls, deltas := 0, 0
 
@@ -114,14 +293,15 @@ func TestDeltaRoundTripDifferential(t *testing.T) {
 		}
 
 		handle := c.Clone()
-		all, bits := handle.DirtySince()
-		if all || bits == nil {
+		all, leaves := handle.ChangedSince(prev.Gen())
+		prev = handle
+		if all {
 			shadow = fullSlabCopy(t, handle, opts)
 			fulls++
 		} else {
 			var buf bytes.Buffer
-			want := handle.EncodedSize(bits.Indices())
-			n, err := handle.WriteDeltaTo(&buf, bits.Indices())
+			want := handle.EncodedSize(leaves)
+			n, err := handle.WriteDeltaTo(&buf, leaves)
 			if err != nil {
 				t.Fatalf("round %d: WriteDeltaTo: %v", round, err)
 			}
@@ -161,18 +341,18 @@ func TestDeltaCorruptionRejected(t *testing.T) {
 	opts := &Options{LeafBytes: 512, PointThreshold: 10}
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 6000, 1<<26), false)
-	_ = c.Clone()
+	prev := c.Clone()
 	base := fullSlabCopy(t, c, opts)
 	baseKeys := base.Keys()
 
 	c.InsertBatch(uniqueRandom(r, 200, 1<<26), false)
 	handle := c.Clone()
-	all, bits := handle.DirtySince()
+	all, leaves := handle.ChangedSince(prev.Gen())
 	if all {
 		t.Fatal("small batch unexpectedly rebuilt")
 	}
 	var buf bytes.Buffer
-	if _, err := handle.WriteDeltaTo(&buf, bits.Indices()); err != nil {
+	if _, err := handle.WriteDeltaTo(&buf, leaves); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

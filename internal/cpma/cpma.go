@@ -77,30 +77,25 @@ const maxLeafLog2 = 20
 // operations parallelize internally (batch-parallel, not concurrent —
 // paper §2).
 type CPMA struct {
-	lf         []atomic.Pointer[leafChunk] // chunked per-leaf slab + metadata spine (see cow.go)
-	ownChunk   *parallel.Bitset            // spine chunks private to this CPMA
-	claimChunk *parallel.Bitset            // unshare claim tickets (see unshareChunk)
-	overflow   [][]uint64
-	tree       *pmatree.Tree
-	leafLog2   uint
-	leaves     int
-	n          int
-	opt        Options
-	f          *format
+	lf       []atomic.Pointer[leafChunk] // chunked per-leaf slab + metadata spine (see cow.go)
+	overflow [][]uint64
+	tree     *pmatree.Tree
+	leafLog2 uint
+	leaves   int
+	n        int
+	opt      Options
+	f        *format
 
-	// Copy-on-write bookkeeping (cow.go). dirty/dirtyAll accumulate the
-	// leaves mutated since the last Clone; pubAll/pubDirty hold the window
-	// a Clone captured from its parent (DirtySince). cowBytes counts
-	// unshare copies since the last Clone (atomic: parallel batch phases
-	// unshare concurrently); cloneBytes is the materialization cost of
-	// this handle; clones counts Clone calls taken of this CPMA.
-	dirty      *parallel.Bitset
-	dirtyAll   bool
-	pubAll     bool
-	pubDirty   *parallel.Bitset
-	cowBytes   uint64
-	cloneBytes uint64
-	clones     uint64
+	// Copy-on-write generations (cow.go). gen stamps this CPMA's writes;
+	// geomGen is the generation of its last rebuild or load. spineBytes and
+	// slabBytes count the unshare copies since the last Clone (atomic:
+	// parallel batch phases unshare concurrently); cost is what producing
+	// this handle copied.
+	gen        uint64
+	geomGen    uint64
+	spineBytes uint64
+	slabBytes  uint64
+	cost       CloneBytes
 
 	// Rebalances run (applyPlan): redistributions of regions wider than
 	// one leaf, and growths. A Clone inherits its parent's counts.
@@ -120,7 +115,7 @@ func newFormat(f *format, opts *Options) *CPMA {
 	if opts != nil {
 		o = *opts
 	}
-	c := &CPMA{opt: o.withDefaults(), f: f}
+	c := &CPMA{opt: o.withDefaults(), f: f, gen: newGen()}
 	c.rebuildFrom(nil)
 	return c
 }
@@ -131,47 +126,30 @@ func newFormat(f *format, opts *Options) *CPMA {
 // Physically the copy is leaf-granular copy-on-write: only the chunk
 // pointer table (8 bytes per 64 leaves) is copied eagerly; spine chunks
 // and every leaf's byte slab are shared and unshared lazily on first
-// write by either side, so a clone costs O(dirty leaves) — CloneCost
+// write by either side, so a clone costs O(written leaves) — CloneCost
 // reports the exact bytes — instead of O(n). The implicit pmatree is
-// immutable and shared. Clone also hands the parent's accumulated dirty
-// window to the clone (see DirtySince) and starts a fresh window on both
-// sides. Must be called at rest and never concurrently with mutations of
-// c; see the COW contract in cow.go.
+// immutable and shared. Must be called at rest and never concurrently
+// with mutations of c; see the COW contract in cow.go.
 func (c *CPMA) Clone() *CPMA {
 	d := *c
 	d.lf = make([]atomic.Pointer[leafChunk], len(c.lf))
 	for i := range c.lf {
 		d.lf[i].Store(c.lf[i].Load())
 	}
-	// Every chunk (and therefore every slab) is now shared: both sides
-	// restart with empty ownership, and stale owned flags inside the
-	// chunks are void until a chunk is re-unshared (which clears them).
-	nch := len(c.lf)
-	c.ownChunk, c.claimChunk = parallel.NewBitset(nch), parallel.NewBitset(nch)
-	d.ownChunk, d.claimChunk = parallel.NewBitset(nch), parallel.NewBitset(nch)
-	if c.overflow != nil {
-		// At rest overflow entries are nil (CheckInvariants enforces it), so
-		// this copies only the spine; entries are cloned defensively in case
-		// a caller clones mid-batch.
-		d.overflow = make([][]uint64, len(c.overflow))
-		for i, ov := range c.overflow {
-			if ov != nil {
-				d.overflow[i] = append([]uint64(nil), ov...)
-			}
-		}
+	// At rest every overflow entry is nil (CheckInvariants enforces it);
+	// the clone allocates its own spine at its first batch merge.
+	d.overflow = nil
+	// Fresh generations share every chunk and slab on both sides. The
+	// clone's is the older one, so the parent's later writes are newer than
+	// anything the handle holds (ChangedSince).
+	d.gen = newGen()
+	c.gen = newGen()
+	d.cost = CloneBytes{
+		Table: uint64(len(c.lf)) * 8,
+		Spine: atomic.SwapUint64(&c.spineBytes, 0),
+		Slab:  atomic.SwapUint64(&c.slabBytes, 0),
 	}
-	// Window handoff: the clone carries what changed since the parent's
-	// previous Clone; the parent starts accumulating a fresh window.
-	d.pubAll, d.pubDirty = c.dirtyAll, c.dirty
-	c.resetDirty()
-	d.resetDirty()
-	// Eager cost: the pointer table plus the four fresh ownership bitsets
-	// (8 bytes per chunk pointer, 2 bits per chunk per side).
-	spineOverhead := uint64(nch)*8 + 4*uint64(8*((nch+63)/64))
-	d.cloneBytes = atomic.SwapUint64(&c.cowBytes, 0) + spineOverhead
-	d.cowBytes = 0
-	d.clones = 0
-	atomic.AddUint64(&c.clones, 1)
+	d.spineBytes, d.slabBytes = 0, 0
 	return &d
 }
 
@@ -229,8 +207,7 @@ func (c *CPMA) SizeBytes() uint64 {
 	return uint64(c.Capacity() + 8*c.leaves)
 }
 
-// Read-side accessors; mutations must go through leafDataW/setLeafMeta
-// (cow.go) instead.
+// Read-side accessors; mutations must go through leafW (cow.go) instead.
 func (c *CPMA) leafData(leaf int) []byte { return c.leafSt(leaf).data }
 func (c *CPMA) head(leaf int) uint64     { return codec.Head(c.leafSt(leaf).data) }
 func (c *CPMA) usedOf(leaf int) int      { return int(c.leafSt(leaf).used) }
@@ -276,22 +253,24 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 	prefix := c.f.prefix(all)
 	capacity := c.capacityFor(c.f.runBytes(prefix, 0, len(all)))
 	lb := c.leafBytesFor(capacity)
-	leaves := bitutil.Max(1, capacity/lb)
-	c.leafLog2 = uint(bitutil.Log2Ceil(uint64(lb)))
-	c.leaves = leaves
-	c.lf = newLeafSpine(leaves, lb)
-	c.ownAllChunks()
-	c.overflow = nil
-	c.tree = pmatree.New(leaves, lb, c.f.bounds(lb))
+	c.setGeometry(bitutil.Max(1, capacity/lb), lb)
 	c.n = len(all)
-	// A rebuild replaces every leaf: the whole geometry is dirty relative
-	// to any prior Clone, and no prior slab is shared anymore.
-	c.dirty = parallel.NewBitset(leaves)
-	c.dirtyAll = true
-	if err := c.scatterElems(all, prefix, 0, leaves); err != nil {
+	if err := c.scatterElems(all, prefix, 0, c.leaves); err != nil {
 		// capacityFor guarantees fit; reaching here is a bug.
 		panic(err)
 	}
+}
+
+// setGeometry installs a fresh, zeroed array of leaves slabs of lb bytes.
+// Every leaf differs from any earlier handle's, so the geometry is stamped
+// as changed in the current generation, and no slab is shared.
+func (c *CPMA) setGeometry(leaves, lb int) {
+	c.leafLog2 = uint(bitutil.Log2Ceil(uint64(lb)))
+	c.leaves = leaves
+	c.lf = newLeafSpine(leaves, lb, c.gen)
+	c.geomGen = c.gen
+	c.overflow = nil
+	c.tree = pmatree.New(leaves, lb, c.f.bounds(lb))
 }
 
 // scatterElems splits a sorted run across leaves [loLeaf, hiLeaf) so every
@@ -338,10 +317,10 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 			c.clearLeaf(leaf)
 			return
 		}
-		ld := c.leafDataW(leaf)
-		w := c.f.encode(ld, elems[s:e])
-		clearBytes(ld[w:])
-		c.setLeafMeta(leaf, int32(w), int32(e-s))
+		st := c.leafW(leaf)
+		w := c.f.encode(st.data, elems[s:e])
+		clearBytes(st.data[w:])
+		st.used, st.ecnt = int32(w), int32(e-s)
 		if c.overflow != nil {
 			c.overflow[leaf] = nil
 		}
@@ -353,18 +332,14 @@ func (c *CPMA) clearLeaf(leaf int) {
 	hasOverflow := c.overflow != nil && c.overflow[leaf] != nil
 	if c.usedOf(leaf) == 0 && !hasOverflow {
 		// Already empty: nothing to clear, and redistribution over empty
-		// leaves must not dirty (or unshare) them.
+		// leaves must not stamp (or unshare) them.
 		return
 	}
-	ld := c.leafDataW(leaf)
+	st := c.leafW(leaf)
 	// used transiently exceeds the slab length on overflow leaves; the slab
 	// itself never holds more than its capacity of stale bytes.
-	u := c.usedOf(leaf)
-	if u > len(ld) {
-		u = len(ld)
-	}
-	clearBytes(ld[:u])
-	c.setLeafMeta(leaf, 0, 0)
+	clearBytes(st.data[:min(int(st.used), len(st.data))])
+	st.used, st.ecnt = 0, 0
 	if hasOverflow {
 		c.overflow[leaf] = nil
 	}
@@ -441,8 +416,16 @@ func (c *CPMA) CheckInvariants() error {
 	if chunksFor(c.leaves) != len(c.lf) {
 		return fmt.Errorf("cpma: geometry mismatch (%d leaves, %d spine chunks)", c.leaves, len(c.lf))
 	}
-	if c.dirty == nil || c.dirty.Len() != c.leaves {
-		return fmt.Errorf("cpma: dirty bitmap missized for %d leaves", c.leaves)
+	for i := range c.lf {
+		ch := c.lf[i].Load()
+		if ch.gen > c.gen {
+			return fmt.Errorf("cpma: chunk %d stamped %d, after the set's generation %d", i, ch.gen, c.gen)
+		}
+		for j := range ch.leaves {
+			if ch.leaves[j].gen > ch.gen {
+				return fmt.Errorf("cpma: leaf %d stamped %d, after its chunk's %d", i<<chunkLog+j, ch.leaves[j].gen, ch.gen)
+			}
+		}
 	}
 	total := 0
 	var prev uint64

@@ -373,15 +373,12 @@ func TestDifferential(t *testing.T) {
 // with one Flush per burst; the "flushreads" variants flush before every
 // read instead (flushReads). The "hotkey" variants add two occurrences of a
 // four-key hot set per key to every batch, so bursts of inserts and removes
-// of the same hot keys race through the enqueue-side repeat filter.
+// of the same hot keys race through the enqueue-side repeat filter. The
+// "narrow" variant reaches a multi-leaf redistribution and a growth
+// however the writers coalesce its bursts (see asyncNarrow).
 func TestDifferentialAsync(t *testing.T) {
 	hashOpt := &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4}
 	rangeOpt := &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf, MailboxDepth: 2}
-	// The variants together must reach a redistribution of more than one
-	// leaf and a growth. How often a drain redistributes rather than
-	// grows depends on how the writers coalesce bursts, so a variant may
-	// see none on its own.
-	multi, grows := 0, 0
 	for _, tc := range []struct {
 		name       string
 		opt        *shard.Options
@@ -440,12 +437,86 @@ func TestDifferentialAsync(t *testing.T) {
 					auditSnapshot(t, fmt.Sprintf("round %d", round), set, m)
 				}
 			}
-			dm, dg := rebalances(set)
-			multi, grows = multi+dm, grows+dg
 		})
 	}
-	if multi == 0 || grows == 0 {
-		t.Errorf("walks ran %d multi-leaf redistributions and %d growths; they must reach both", multi, grows)
+	t.Run("narrow", func(t *testing.T) { asyncNarrow(t, rangeOpt) })
+}
+
+// asyncNarrow reaches both rebalances through the mailbox pipeline by
+// construction rather than by how the writers happen to coalesce bursts.
+// After the preload every burst stays under a tenth of a shard, so no
+// drain takes the rebuild-merge path, and a flush ends each phase:
+//
+//   - preload: about 25k keys per shard, built just under the root's
+//     density bound, then a third of them removed, so the arrays keep
+//     room to spare at every level of the tree;
+//   - narrow: dense keys confined to a short span of one shard, about 1.2
+//     KB of one-byte deltas over a span whose one or two leaves held about
+//     300 bytes. Those leaves cannot hold them and the array can, so some
+//     drain must redistribute more than one leaf and none may grow;
+//   - growth: uniform keys that more than double the bytes in each shard,
+//     past what its leaves can hold, so each array must grow, and only a
+//     counted growth can grow it.
+func asyncNarrow(t *testing.T, opt *shard.Options) {
+	set := shard.New(3, opt)
+	t.Cleanup(set.Close)
+	m := &model{}
+	r := workload.NewRNG(7)
+	bursts := func(phase string, rounds int, remove bool, keys func() []uint64) {
+		t.Helper()
+		for round := 0; round < rounds; round++ {
+			for b := 0; b < 3; b++ {
+				k := keys()
+				if remove {
+					set.RemoveBatchAsync(k, false)
+					m.RemoveBatch(k)
+				} else {
+					set.InsertBatchAsync(k, false)
+					m.InsertBatch(k)
+				}
+			}
+			set.Flush()
+		}
+		if got, want := set.Len(), len(m.keys); got != want {
+			t.Fatalf("%s: Len = %d, model says %d", phase, got, want)
+		}
+		if err := set.Validate(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		auditSnapshot(t, phase, set, m)
+	}
+
+	bursts("preload", 1, false, func() []uint64 { return workload.Uniform(r, 30000, 18) })
+	var third []uint64
+	for i := 0; i < len(m.keys); i += 3 {
+		third = append(third, m.keys[i])
+	}
+	bursts("preload removals", (len(third)+2399)/2400, true, func() []uint64 {
+		n := min(800, len(third))
+		k := third[:n]
+		third = third[n:]
+		return k
+	})
+
+	multi0, _ := rebalances(set)
+	next := uint64(1<<17 + 1000) // inside the middle shard's span
+	bursts("narrow", 2, false, func() []uint64 {
+		run := make([]uint64, 250)
+		for i := range run {
+			run[i] = next
+			next++
+		}
+		return run
+	})
+	if multi, grows := rebalances(set); multi == multi0 || grows != 0 {
+		t.Fatalf("narrow: %d multi-leaf redistributions and %d growths, want some and none", multi-multi0, grows)
+	}
+
+	bursts("growth", 40, false, func() []uint64 { return workload.Uniform(r, 800, 18) })
+	for p, c := range set.Snapshot().ShardSets() {
+		if _, grows := c.Rebalances(); grows == 0 {
+			t.Fatalf("growth: shard %d never grew", p)
+		}
 	}
 }
 

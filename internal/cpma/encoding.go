@@ -8,12 +8,12 @@ package cpma
 //
 // There is one encoding, a list of leaves. A full image (WriteTo) lists
 // every non-empty leaf; a delta (WriteDeltaTo) lists a caller-chosen
-// subset — in practice the dirty window DirtySince reported for a
-// published handle — so an incremental checkpoint costs O(dirty leaves),
-// just as a Clone does in memory. ReadFrom loads a full image into a
+// subset — in practice the leaves ChangedSince reports for a published
+// handle — so an incremental checkpoint costs O(written leaves), just as a
+// Clone does in memory. ReadFrom loads a full image into a
 // fresh CPMA; ApplyDeltaFrom patches a receiver of the same geometry.
-// Geometry changes cannot be expressed as a delta: a rebuild reports
-// DirtySince all, and the caller writes a full image instead. The format
+// Geometry changes cannot be expressed as a delta: after a rebuild
+// ChangedSince reports all, and the caller writes a full image instead. The format
 // holds compressed leaves only: WriteTo and WriteDeltaTo refuse an
 // uncompressed set.
 //
@@ -42,7 +42,6 @@ import (
 	"io"
 
 	"repro/internal/codec"
-	"repro/internal/pmatree"
 )
 
 const (
@@ -270,15 +269,14 @@ func (c *CPMA) patch(e *encoded) {
 	off := 0
 	for i := 0; i < len(e.entries)/encEntrySize; i++ {
 		leaf, used, ecnt := e.entry(i)
-		old := max(c.usedOf(leaf), used)
-		ld := c.leafDataW(leaf)
-		copy(ld, e.payload[off:off+used])
-		clearBytes(ld[used:old])
-		c.setLeafMeta(leaf, int32(used), int32(ecnt))
+		st := c.leafW(leaf)
+		old := max(int(st.used), used)
+		copy(st.data, e.payload[off:off+used])
+		clearBytes(st.data[used:old])
+		st.used, st.ecnt = int32(used), int32(ecnt)
 		off += used
 	}
 	c.n = e.n
-	c.resetDirty()
 }
 
 // ReadFrom deserializes a full image written by WriteTo into a fresh CPMA
@@ -296,19 +294,8 @@ func ReadFrom(r io.Reader, opts *Options) (*CPMA, error) {
 	if opts != nil {
 		o = *opts
 	}
-	leafBytes := 1 << e.leafLog2
-	c := &CPMA{
-		lf:       newLeafSpine(e.leaves, leafBytes),
-		leafLog2: e.leafLog2,
-		leaves:   e.leaves,
-		opt:      o.withDefaults(),
-		f:        compressed,
-	}
-	c.tree = pmatree.New(c.leaves, leafBytes, c.f.bounds(leafBytes))
-	c.ownAllChunks()
-	c.resetDirty()
-	// patch leaves the image clean: mutations applied on top (e.g. WAL
-	// replay during recovery) accumulate into the dirty window naturally.
+	c := &CPMA{opt: o.withDefaults(), f: compressed, gen: newGen()}
+	c.setGeometry(e.leaves, 1<<e.leafLog2)
 	c.patch(e)
 	return c, nil
 }
@@ -317,10 +304,9 @@ func ReadFrom(r io.Reader, opts *Options) (*CPMA, error) {
 // against the receiver's current geometry. The whole stream is read and
 // verified before any leaf is touched, so a failed apply leaves the
 // receiver exactly as it was (recovery relies on this to stop cleanly at
-// the first corrupt delta in a chain). On success the receiver's dirty
-// window is reset: applying a delta is a load operation, and mutations
-// layered on top start a fresh window. leafDataW keeps COW sharing intact
-// — applying a delta onto a cloned base only unshares the patched leaves.
+// the first corrupt delta in a chain). The patched leaves go through the
+// write gateway like any other write: applying a delta onto a cloned base
+// unshares and stamps only those leaves.
 func (c *CPMA) ApplyDeltaFrom(r io.Reader) error {
 	e, err := decode(r, c)
 	if err != nil {

@@ -304,10 +304,10 @@ func FuzzDecode(f *testing.F) {
 	base := c.Clone()
 	c.InsertBatch(workload.Uniform(r, 3, 30), false)
 	handle := c.Clone()
-	_, dirty := handle.DirtySince()
+	_, changed := handle.ChangedSince(base.Gen())
 
 	var delta bytes.Buffer
-	if _, err := handle.WriteDeltaTo(&delta, dirty.Indices()); err != nil {
+	if _, err := handle.WriteDeltaTo(&delta, changed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(delta.Bytes())

@@ -362,39 +362,44 @@ func (c *CPMA) leafHas(leaf int, x uint64) bool {
 
 // leafInsert inserts x into a leaf with at least the format's slack bytes
 // free, so the shifted keys or codes always fit. Returns false if x was
-// already present.
+// already present. The search reads the leaf as it is, and only an actual
+// insert takes the write gateway: the copy it may make holds the same
+// bytes, so the offsets found still apply.
 func (c *CPMA) leafInsert(leaf int, x uint64) bool {
-	// Unshare up front: duplicate hits leave an unshared-but-unchanged
-	// leaf, which the COW contract allows (contents identical).
-	ld := c.leafDataW(leaf)
-	u := c.usedOf(leaf)
-	e := int32(c.ecntOf(leaf))
+	st := c.leafSt(leaf)
+	u := int(st.used)
 	if c.f.raw {
-		off, found := rawSearch(ld, u, x)
+		off, found := rawSearch(st.data, u, x)
 		if found {
 			return false
 		}
+		st = c.leafW(leaf)
+		ld := st.data
 		copy(ld[off+8:u+8], ld[off:u])
 		binary.LittleEndian.PutUint64(ld[off:], x)
-		c.setLeafMeta(leaf, int32(u+8), e+1)
+		st.used, st.ecnt = int32(u+8), st.ecnt+1
 		return true
 	}
 	if u == 0 {
-		codec.PutHead(ld, x)
-		c.setLeafMeta(leaf, codec.HeadBytes, 1)
+		st = c.leafW(leaf)
+		codec.PutHead(st.data, x)
+		st.used, st.ecnt = codec.HeadBytes, 1
 		return true
 	}
-	prev, v, start, end := seek(ld, u, x)
+	prev, v, start, end := seek(st.data, u, x)
+	if start < end && v == x {
+		return false
+	}
+	st = c.leafW(leaf)
+	ld := st.data
 	var code [2 * codec.MaxLen]byte
 	var w int
 	switch {
 	case start == end:
 		// x is the new maximum: append one delta.
 		w = codec.Put(ld[u:], x-prev)
-		c.setLeafMeta(leaf, int32(u+w), e+1)
+		st.used, st.ecnt = int32(u+w), st.ecnt+1
 		return true
-	case v == x:
-		return false
 	case start == 0:
 		// New head; the old head becomes the first delta.
 		w = codec.Put(code[:], v-x)
@@ -408,39 +413,41 @@ func (c *CPMA) leafInsert(leaf int, x uint64) bool {
 	grow := w - (end - start)
 	copy(ld[start+w:u+grow], ld[end:u])
 	copy(ld[start:], code[:w])
-	c.setLeafMeta(leaf, int32(u+grow), e+1)
+	st.used, st.ecnt = int32(u+grow), st.ecnt+1
 	return true
 }
 
 // leafRemove removes x from the leaf if present. Removal never grows a
-// leaf: compressed neighbors' deltas merge into one.
+// leaf: compressed neighbors' deltas merge into one. Like leafInsert, it
+// takes the write gateway only on a hit.
 func (c *CPMA) leafRemove(leaf int, x uint64) bool {
-	u := c.usedOf(leaf)
+	st := c.leafSt(leaf)
+	u := int(st.used)
 	if u == 0 {
 		return false
 	}
-	// Unshare before the walk (misses leave an unchanged unshared leaf;
-	// see leafInsert).
-	ld := c.leafDataW(leaf)
-	e := int32(c.ecntOf(leaf))
 	if c.f.raw {
-		off, found := rawSearch(ld, u, x)
+		off, found := rawSearch(st.data, u, x)
 		if !found {
 			return false
 		}
+		st = c.leafW(leaf)
+		ld := st.data
 		copy(ld[off:], ld[off+8:u])
 		clearBytes(ld[u-8 : u])
-		c.setLeafMeta(leaf, int32(u-8), e-1)
+		st.used, st.ecnt = int32(u-8), st.ecnt-1
 		return true
 	}
-	prev, v, start, end := seek(ld, u, x)
+	prev, v, start, end := seek(st.data, u, x)
 	if start == end || v != x {
 		return false
 	}
+	st = c.leafW(leaf)
+	ld := st.data
 	if end == u {
 		// x is the last key: drop its bytes (the whole leaf if the head).
 		clearBytes(ld[start:u])
-		c.setLeafMeta(leaf, int32(start), e-1)
+		st.used, st.ecnt = int32(start), st.ecnt-1
 		return true
 	}
 	// The next key takes x's place: it becomes the head, or its delta
@@ -458,7 +465,7 @@ func (c *CPMA) leafRemove(leaf int, x uint64) bool {
 	copy(ld[start:], code[:w])
 	copy(ld[start+w:u-shrink], ld[end+k:u])
 	clearBytes(ld[u-shrink : u])
-	c.setLeafMeta(leaf, int32(u-shrink), e-1)
+	st.used, st.ecnt = int32(u-shrink), st.ecnt-1
 	return true
 }
 

@@ -17,8 +17,8 @@ import (
 func leafSet(keys []uint64) *CPMA {
 	c := New(&Options{LeafBytes: compressed.minLeafBytes})
 	if len(keys) > 0 {
-		ld := c.leafDataW(0)
-		c.setLeafMeta(0, int32(codec.EncodeRun(ld, keys)), int32(len(keys)))
+		st := c.leafW(0)
+		st.used, st.ecnt = int32(codec.EncodeRun(st.data, keys)), int32(len(keys))
 		c.n = len(keys)
 	}
 	c.overflow = make([][]uint64, c.leaves)
@@ -253,14 +253,15 @@ func TestMergeLeafInPlace(t *testing.T) {
 	lb, slack := compressed.minLeafBytes, compressed.slack
 	allocs := func(keys, sub []uint64) float64 {
 		c := leafSet(keys)
-		dirty := parallel.NewBitset(c.leaves)
+		touched := parallel.NewBitset(c.leaves)
 		var added atomic.Int64
 		orig, used, ecnt := slices.Clone(c.leafData(0)), int32(c.usedOf(0)), int32(c.ecntOf(0))
 		return testing.AllocsPerRun(5, func() {
-			copy(c.leafDataW(0), orig)
-			c.setLeafMeta(0, used, ecnt)
+			st := c.leafW(0)
+			copy(st.data, orig)
+			st.used, st.ecnt = used, ecnt
 			c.overflow[0] = nil
-			c.mergeLeaf(0, sub, dirty, &added)
+			c.mergeLeaf(0, sub, touched, &added)
 		})
 	}
 	two := []uint64{1<<20 + 1<<40, 1<<20 + 1<<41}

@@ -65,7 +65,8 @@
 //	                 enqueued/applied keys (keys), enqueued counted after
 //	                 the enqueue-side repeat filter
 //	{p}_snapshot_*   SnapshotStats: epochs (epochs), publishes (handles),
-//	                 clone and full-copy bytes (bytes), captures (captures)
+//	                 clone bytes, their spine and slab parts and full-copy
+//	                 bytes (bytes), captures (captures)
 //	{p}_rebalance_*  RebalanceStats: checks (checks), moves (moves), moved
 //	                 keys (keys), router gen (generation)
 //	{p}_persist_*    PersistStats, durable sets only: appended, replayed

@@ -30,24 +30,6 @@ func (b *Bitset) Set(i int) {
 	}
 }
 
-// TrySet atomically sets bit i, reporting whether this call changed it
-// from clear to set. Exactly one of any set of concurrent TrySet(i)
-// callers observes true, which makes the bitset usable as a claim table
-// (see cpma's chunk unsharing).
-func (b *Bitset) TrySet(i int) bool {
-	w := &b.words[i>>6]
-	mask := uint64(1) << uint(i&63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
-}
-
 // Get reports whether bit i is set. It is only guaranteed to observe Sets
 // that happened-before it (callers read after joining all writers).
 func (b *Bitset) Get(i int) bool {
@@ -64,25 +46,6 @@ func (b *Bitset) Count() int {
 		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-// Clone returns an independent copy of the bitset. Not safe against
-// concurrent Sets; callers snapshot after joining all writers.
-func (b *Bitset) Clone() *Bitset {
-	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
-}
-
-// Or merges other into b (b |= other), reporting whether the merge was
-// possible — false when the two bitsets have different capacities, in
-// which case b is left unchanged. Not safe against concurrent Sets.
-func (b *Bitset) Or(other *Bitset) bool {
-	if b.n != other.n {
-		return false
-	}
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-	return true
 }
 
 // Indices returns the positions of all set bits in increasing order.

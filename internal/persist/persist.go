@@ -22,7 +22,7 @@
 //	dir/shard-NNNN/ckpt-<seq20>.ckpt base checkpoints: every non-empty
 //	                                 leaf; <seq20> is the last record
 //	                                 sequence the state reflects
-//	dir/shard-NNNN/delta-<seq20>.dckpt delta checkpoints: the dirty leaves
+//	dir/shard-NNNN/delta-<seq20>.dckpt delta checkpoints: the changed leaves
 //	                                 since the previous checkpoint in the
 //	                                 chain, patched onto a named base
 //
@@ -80,16 +80,17 @@
 //
 // # Delta checkpoints
 //
-// The CPMA's copy-on-write clones report which leaves changed between
-// published handles (cpma.DirtySince), and checkpoints exploit it: once
-// a shard has a base checkpoint on disk, subsequent checkpoints write
-// only the dirty leaves as a delta file (cpma.WriteDeltaTo) chained to
-// that base — each delta's header names the base it anchors to and the
-// checkpoint it patches on top of. Checkpoint I/O then scales with how
-// much changed, not with shard size, exactly as a published clone's
-// memory cost does. A chain is compacted back into a fresh base every
-// Options.CompactEveryDeltas deltas, and whenever the dirty window is
-// unknown or a geometry rebuild dirtied everything.
+// The CPMA stamps every leaf write with a generation, so a published
+// handle reports which leaves changed since an earlier handle's
+// generation (cpma.ChangedSince), and checkpoints exploit it: a shard
+// keeps the generation of its newest checkpoint, and once it has a base
+// on disk, subsequent checkpoints write only the leaves changed since as
+// a delta file (cpma.WriteDeltaTo) chained to that base — each delta's
+// header names the base it anchors to and the checkpoint it patches on
+// top of. Checkpoint I/O then scales with how much changed, not with
+// shard size, exactly as a published clone's memory cost does. A chain is
+// compacted back into a fresh base every Options.CompactEveryDeltas
+// deltas, and whenever a geometry rebuild changed every leaf.
 //
 // Recovery (Open) processes each shard independently: load the newest
 // base checkpoint that passes its CRC and cpma Validate — falling back

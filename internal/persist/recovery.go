@@ -75,6 +75,10 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	sh.baseSeq = base
 	sh.prevBaseSeq = base
 	sh.deltasSinceBase = applied
+	// Stand for the chain's tip with a handle of it: the replay below and
+	// every later write are stamped after its generation, so the next
+	// delta holds exactly what changed since the tip.
+	sh.ckptGen = set.Clone().Gen()
 
 	segSeqs, err := listSeqFiles(sh.dir, "wal-", ".log")
 	if err != nil {

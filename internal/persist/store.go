@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cpma"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/shard"
 )
 
@@ -97,29 +96,25 @@ type storeShard struct {
 
 	// pub is the latest published frozen handle and the sequence it
 	// covers; the shard writer stores it, the checkpointer loads it.
-	// pendingAll/pendingDirty accumulate the dirty-leaf windows of every
-	// handle published since the checkpointer's last capture: each handle
-	// carries the leaves mutated since the previous publish
-	// (cpma.DirtySince), and their union is exactly the leaf set the next
-	// delta checkpoint must include. pendingAll means the window is
-	// unknown or spans a rebuild — the next checkpoint must be a base.
-	pubMu        sync.Mutex
-	pubSet       *cpma.CPMA
-	pubSeq       uint64
-	pendingAll   bool
-	pendingDirty *parallel.Bitset
+	pubMu  sync.Mutex
+	pubSet *cpma.CPMA
+	pubSeq uint64
 
 	// ckptSeq is the sequence covered by the newest durable checkpoint —
 	// base or delta, the tip of the chain (Append's trigger reads it).
 	// The rest is the checkpointer's chain state, touched only under
 	// ckptMu: baseSeq is the base the live delta chain patches (0 =
 	// none yet), prevBaseSeq the previous chain's base — the file/WAL
-	// deletion floor, see the retention note in the package doc — and
-	// deltasSinceBase the chain length, bounded by CompactEveryDeltas.
+	// deletion floor, see the retention note in the package doc —
+	// deltasSinceBase the chain length, bounded by CompactEveryDeltas,
+	// and ckptGen the cpma generation of the chain's tip: the next delta
+	// holds the leaves the published handle changed since it
+	// (cpma.ChangedSince).
 	ckptSeq         atomic.Uint64
 	baseSeq         uint64
 	prevBaseSeq     uint64
 	deltasSinceBase int
+	ckptGen         uint64
 }
 
 func shardDirName(p int) string { return fmt.Sprintf("shard-%04d", p) }
@@ -456,51 +451,13 @@ func (st *Store) Synced(p int) error {
 
 // Published records shard p's latest frozen handle (shard.Journal). The
 // caller is the shard's writer goroutine, so every record it appended is
-// covered by this handle and sh.seq is stable for the read. A handle not
-// seen before carries a dirty window — the leaves mutated since the
-// previous clone — which is folded into the shard's pending accumulator
-// for the next delta checkpoint. Re-reports of the same handle (flush
-// tokens on an idle shard re-publish without new mutations) carry no new
-// dirt and are deduplicated by pointer.
+// covered by this handle and sh.seq is stable for the read.
 func (st *Store) Published(p int, set *cpma.CPMA) {
 	sh := st.shards[p]
 	seq := sh.seq.Load()
 	sh.pubMu.Lock()
-	if set != sh.pubSet {
-		all, bits := set.DirtySince()
-		sh.noteDirtyLocked(all, bits)
-		sh.pubSet = set
-	}
-	sh.pubSeq = seq
+	sh.pubSet, sh.pubSeq = set, seq
 	sh.pubMu.Unlock()
-}
-
-// noteDirtyLocked folds one published dirty window into the pending
-// accumulator. Caller holds pubMu. A nil bitset or an explicit all means
-// the window is unknown (a handle that never went through Clone) or
-// spans a geometry rebuild; either way every leaf is suspect and the
-// next checkpoint must be a full base.
-func (sh *storeShard) noteDirtyLocked(all bool, bits *parallel.Bitset) {
-	if sh.pendingAll {
-		return
-	}
-	if all || bits == nil {
-		sh.pendingAll = true
-		sh.pendingDirty = nil
-		return
-	}
-	if sh.pendingDirty == nil {
-		// The handle's bitset is frozen at Clone and may still be read by
-		// others; the accumulator mutates, so it takes its own copy.
-		sh.pendingDirty = bits.Clone()
-		return
-	}
-	if !sh.pendingDirty.Or(bits) {
-		// Length mismatch: a rebuild changed the leaf count between
-		// windows without reporting all (defensive — it should have).
-		sh.pendingAll = true
-		sh.pendingDirty = nil
-	}
 }
 
 // Stats returns the store's counters (shard.Journal).
@@ -568,12 +525,13 @@ func (st *Store) Checkpoint() error {
 // checkpointShard checkpoints one shard if its published state covers at
 // least minAdvance records past the last checkpoint. Caller holds ckptMu.
 //
-// The checkpoint is a delta against the current base when the pending
-// dirty window is known and the chain is shorter than the compaction
-// cadence, otherwise a fresh base. Only a base moves the retention
-// floor: the delta path deletes nothing, so any single corrupt file in
-// the live chain still leaves the previous base — and the WAL tail above
-// it — available for fallback.
+// The checkpoint is a delta against the current base when the published
+// handle's geometry is the tip's and the chain is shorter than the
+// compaction cadence, otherwise a fresh base. A skipped or failed pass
+// leaves the chain state, ckptGen included, as it was. Only a base moves
+// the retention floor: the delta path deletes nothing, so any single
+// corrupt file in the live chain still leaves the previous base — and the
+// WAL tail above it — available for fallback.
 func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	// Time the pass, but only record it when a checkpoint file was
 	// actually written — skipped passes (nothing published, no advance)
@@ -585,43 +543,24 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 			st.ckptDur.Since(t0)
 		}
 	}()
-	// Capture-and-swap the published handle and its accumulated dirty
-	// window under one lock acquisition: dirt reported after this point
-	// belongs to the next checkpoint, dirt captured here is consumed by
-	// this one (or re-merged by restore if it skips or fails).
 	sh.pubMu.Lock()
 	set, seq := sh.pubSet, sh.pubSeq
-	all, dirtyBits := sh.pendingAll, sh.pendingDirty
-	sh.pendingAll, sh.pendingDirty = false, nil
 	sh.pubMu.Unlock()
-	restore := func() {
-		sh.pubMu.Lock()
-		sh.noteDirtyLocked(all, dirtyBits)
-		sh.pubMu.Unlock()
-	}
 	cur := sh.ckptSeq.Load()
 	if set == nil || seq < cur+minAdvance {
-		restore()
 		return nil
 	}
 
-	writeDelta := sh.baseSeq != 0 && !all && dirtyBits != nil &&
-		st.opt.CompactEveryDeltas > 0 && sh.deltasSinceBase < st.opt.CompactEveryDeltas
-	if writeDelta && dirtyBits.Len() != set.Leaves() {
-		// The window's geometry does not match the handle (a rebuild
-		// should have reported all; defensive): write a base.
-		writeDelta = false
-	}
-
-	if writeDelta {
-		payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, cur, sh.baseSeq, set, dirtyBits.Indices())
+	all, changed := set.ChangedSince(sh.ckptGen)
+	if sh.baseSeq != 0 && !all && st.opt.CompactEveryDeltas > 0 && sh.deltasSinceBase < st.opt.CompactEveryDeltas {
+		payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, cur, sh.baseSeq, set, changed)
 		if err != nil {
-			restore()
 			return err
 		}
 		st.deltaCkpts.Add(1)
 		st.deltaBytes.Add(payloadBytes)
 		sh.deltasSinceBase++
+		sh.ckptGen = set.Gen()
 		sh.ckptSeq.Store(seq)
 		// Rotate so the covered prefix lives in closed segments, but
 		// delete nothing: deltas never advance the retention floor.
@@ -630,7 +569,6 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 
 	payloadBytes, err := writeCheckpoint(sh.dir, sh.id, seq, 0, seq, set, set.NonEmptyLeaves())
 	if err != nil {
-		restore()
 		return err
 	}
 	st.ckpts.Add(1)
@@ -639,6 +577,7 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	sh.prevBaseSeq = sh.baseSeq
 	sh.baseSeq = seq
 	sh.deltasSinceBase = 0
+	sh.ckptGen = set.Gen()
 	sh.ckptSeq.Store(seq)
 	if err := st.rotateSegment(sh); err != nil {
 		return err

@@ -66,6 +66,8 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"_snapshot_epochs", "epochs", "state-changing applies across all shards", func() uint64 { return s.SnapshotStats().Epochs })
 	r.CounterFunc(prefix+"_snapshot_publishes", "handles", "frozen handles published (cpma.Clone calls)", func() uint64 { return s.SnapshotStats().Publishes })
 	r.CounterFunc(prefix+"_snapshot_clone_bytes", "bytes", "bytes materialized by copy-on-write clones", func() uint64 { return s.SnapshotStats().CloneBytes })
+	r.CounterFunc(prefix+"_snapshot_clone_spine_bytes", "bytes", "spine chunks copy-on-write clones copied on first write", func() uint64 { return s.SnapshotStats().CloneSpineBytes })
+	r.CounterFunc(prefix+"_snapshot_clone_slab_bytes", "bytes", "leaf slabs copy-on-write clones copied on first write", func() uint64 { return s.SnapshotStats().CloneSlabBytes })
 	r.CounterFunc(prefix+"_snapshot_full_copy_bytes", "bytes", "SizeBytes of the published handles (full-copy baseline)", func() uint64 { return s.SnapshotStats().FullCopyBytes })
 	r.CounterFunc(prefix+"_snapshot_captures", "captures", "Snapshot() calls", func() uint64 { return s.SnapshotStats().Captures })
 

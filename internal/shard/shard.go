@@ -286,11 +286,10 @@ type Journal interface {
 	// Append logs one sorted batch bound for shard p before it is applied.
 	Append(p int, remove bool, keys []uint64) error
 	// Published reports that set — an immutable handle — reflects every
-	// batch appended to shard p so far. The handle carries the dirty-leaf
-	// window since the previous published handle (cpma.DirtySince), which
-	// the journal accumulates to write delta checkpoints; the same handle
-	// may be reported repeatedly (flush tokens republish), and only the
-	// first report of a handle carries a new window. Also called once per
+	// batch appended to shard p so far. A journal writing delta
+	// checkpoints asks the handle which leaves changed since the one it
+	// last checkpointed (cpma.ChangedSince); the same handle may be
+	// reported repeatedly (flush tokens republish). Also called once per
 	// shard during construction (before any writer starts) to hand over
 	// the seed handle.
 	Published(p int, set *cpma.CPMA)
@@ -407,6 +406,8 @@ type Sharded struct {
 	snapCaptures   atomic.Uint64
 	snapPublishes  atomic.Uint64
 	snapCloneBytes atomic.Uint64
+	snapSpineBytes atomic.Uint64
+	snapSlabBytes  atomic.Uint64
 	snapFullBytes  atomic.Uint64
 
 	// Pipeline observability (metrics.go): always-on aggregate stage
@@ -496,10 +497,9 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 		sn := s.publish(i, &s.cells[i])
 		if o.Journal != nil {
 			// The journal must learn the seed handle too: on a durable
-			// reopen the seed Clone consumes the recovery replay's dirty
-			// window, and skipping this handoff would lose that window for
-			// the first delta checkpoint. No writers are running yet, so
-			// the call is race-free.
+			// reopen it covers the recovery replay, which the first
+			// checkpoint must capture even if no drain follows. No writers
+			// are running yet, so the call is race-free.
 			o.Journal.Published(i, sn.set)
 		}
 	}

@@ -95,9 +95,9 @@ func fullSpan(rt *router) (int, int) { return 0, rt.shards - 1 }
 // since the last publication (or the shard's span changed generation), and
 // returns the current handle. Only the shard's sole mutator calls it —
 // the writer between applies, the rebalancer with the writer parked, the
-// constructor, or a replica's applier — because cpma.Clone hands over the
-// dirty window and flips copy-on-write ownership on the live set, which is
-// single-caller by contract.
+// constructor, or a replica's applier — because cpma.Clone moves the live
+// set to a fresh copy-on-write generation, which is single-caller by
+// contract.
 func (s *Sharded) publish(p int, c *cell) *shardSnap {
 	e := c.epoch.Load()
 	g := s.router().spanGen[p]
@@ -113,11 +113,14 @@ func (s *Sharded) publish(p int, c *cell) *shardSnap {
 	t0 := time.Now()
 	sn := &shardSnap{epoch: e, gen: g, set: c.set.Clone()}
 	c.snap.Store(sn)
+	cost := sn.set.CloneCost()
 	s.snapPublishes.Add(1)
-	s.snapCloneBytes.Add(sn.set.CloneCost())
+	s.snapCloneBytes.Add(cost.Total())
+	s.snapSpineBytes.Add(cost.Spine)
+	s.snapSlabBytes.Add(cost.Slab)
 	s.snapFullBytes.Add(sn.set.SizeBytes())
 	s.pm.publish.Since(t0)
-	s.trace.Record(p, obs.EvPublish, e, g, sn.set.CloneCost(), 0)
+	s.trace.Record(p, obs.EvPublish, e, g, cost.Total(), 0)
 	return sn
 }
 
@@ -479,25 +482,30 @@ func (v cut) gatherRange(first, last uint64) []uint64 {
 // 0 when the set is built): the gap is the publication amortization
 // (drains coalesce many applies into one clone, unchanged shards
 // republish nothing). CloneBytes/FullCopyBytes is the copy-on-write win:
-// clones materialize only the per-leaf spine plus the leaves dirtied since
-// the previous publication, while FullCopyBytes accumulates what eager
-// deep copies of the same handles would have cost.
+// clones materialize only their chunk-pointer tables plus the spine
+// chunks and leaf slabs written since the previous publication, while
+// FullCopyBytes accumulates what eager deep copies of the same handles
+// would have cost.
 type SnapshotStats struct {
-	Epochs        uint64 // state-changing applies across all shards
-	Publishes     uint64 // frozen handles published (cpma.Clone calls)
-	CloneBytes    uint64 // bytes materialized across those clones (COW)
-	FullCopyBytes uint64 // SizeBytes of the same handles (full-copy baseline)
-	Captures      uint64 // Snapshot() calls
+	Epochs          uint64 // state-changing applies across all shards
+	Publishes       uint64 // frozen handles published (cpma.Clone calls)
+	CloneBytes      uint64 // bytes materialized across those clones (COW): spine + slab + pointer tables
+	CloneSpineBytes uint64 // of which spine chunks copied on first write
+	CloneSlabBytes  uint64 // of which leaf slabs copied on first write
+	FullCopyBytes   uint64 // SizeBytes of the same handles (full-copy baseline)
+	Captures        uint64 // Snapshot() calls
 }
 
 // SnapshotStats returns the snapshot counters. Counters are monotone;
 // RegisterMetrics exports each field under {prefix}_snapshot_*.
 func (s *Sharded) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
-		Publishes:     s.snapPublishes.Load(),
-		CloneBytes:    s.snapCloneBytes.Load(),
-		FullCopyBytes: s.snapFullBytes.Load(),
-		Captures:      s.snapCaptures.Load(),
+		Publishes:       s.snapPublishes.Load(),
+		CloneBytes:      s.snapCloneBytes.Load(),
+		CloneSpineBytes: s.snapSpineBytes.Load(),
+		CloneSlabBytes:  s.snapSlabBytes.Load(),
+		FullCopyBytes:   s.snapFullBytes.Load(),
+		Captures:        s.snapCaptures.Load(),
 	}
 	for p := range s.cells {
 		st.Epochs += s.cells[p].epoch.Load()

@@ -56,7 +56,7 @@ func TestMetricCatalog(t *testing.T) {
 	}
 }
 
-// metricCatalog is one "kind name unit" line per exported metric: 54
+// metricCatalog is one "kind name unit" line per exported metric: 58
 // counters and gauges and 24 histograms.
 const metricCatalog = `
 histogram cpma_checkpoint_ns                  ns
@@ -93,6 +93,8 @@ counter   cpma_rebalance_moves                moves
 histogram cpma_snapshot_capture_ns            ns
 counter   cpma_snapshot_captures              captures
 counter   cpma_snapshot_clone_bytes           bytes
+counter   cpma_snapshot_clone_slab_bytes      bytes
+counter   cpma_snapshot_clone_spine_bytes     bytes
 counter   cpma_snapshot_epochs                epochs
 counter   cpma_snapshot_full_copy_bytes       bytes
 counter   cpma_snapshot_publishes             handles
@@ -118,6 +120,8 @@ counter   fgraph_set_rebalance_moves          moves
 histogram fgraph_set_snapshot_capture_ns      ns
 counter   fgraph_set_snapshot_captures        captures
 counter   fgraph_set_snapshot_clone_bytes     bytes
+counter   fgraph_set_snapshot_clone_slab_bytes bytes
+counter   fgraph_set_snapshot_clone_spine_bytes bytes
 counter   fgraph_set_snapshot_epochs          epochs
 counter   fgraph_set_snapshot_full_copy_bytes bytes
 counter   fgraph_set_snapshot_publishes       handles
