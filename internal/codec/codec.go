@@ -9,6 +9,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 )
@@ -111,18 +112,49 @@ func DecodeRun(dst []uint64, src []byte, used int) []uint64 {
 	return dst
 }
 
-// CountRun returns the number of keys in an encoded run of used bytes.
+// CountRun returns the number of keys in an encoded run of used bytes: 1
+// plus the code-final bytes (high bit clear) past the head. It takes 32
+// bytes a step: each byte lane of w counts the final bytes at that lane in
+// four words, and one multiply sums the lanes. That took half the time of
+// a popcount per word on a 450-byte run (2-vCPU Xeon, go1.24).
 func CountRun(src []byte, used int) int {
 	if used == 0 {
 		return 0
 	}
-	cnt := 1
-	for n := HeadBytes; n < used; n++ {
-		if src[n] < 0x80 {
-			cnt++
-		}
+	const high = 0x8080808080808080
+	n, b := 1, src[HeadBytes:used]
+	for ; len(b) >= 32; b = b[32:] {
+		w := (^binary.LittleEndian.Uint64(b)&high)>>7 + (^binary.LittleEndian.Uint64(b[8:])&high)>>7 +
+			(^binary.LittleEndian.Uint64(b[16:])&high)>>7 + (^binary.LittleEndian.Uint64(b[24:])&high)>>7
+		n += int(w * 0x0101010101010101 >> 56)
 	}
-	return cnt
+	for _, x := range b {
+		n += int(^x >> 7)
+	}
+	return n
+}
+
+// RunUsed returns the encoded bytes of the run at the start of src, whose
+// bytes past the run are zero: 0 when the head is 0, else the offset of
+// the first zero byte past the head (no code byte is zero), or len(src).
+// The scan is bytes.IndexByte's vectorized one: on cold 512-byte leaves it
+// took half the time of a binary search for the same byte (which the
+// trailing zeros would allow), and as long on cached ones (2-vCPU Xeon,
+// go1.24).
+func RunUsed(src []byte) int {
+	if head(src) == 0 {
+		return 0
+	}
+	return RunEnd(src, HeadBytes)
+}
+
+// RunEnd is RunUsed for a non-empty run that is known to extend to at
+// least from, a code boundary past the head: it scans only src[from:].
+func RunEnd(src []byte, from int) int {
+	if i := bytes.IndexByte(src[from:], 0); i >= 0 {
+		return from + i
+	}
+	return len(src)
 }
 
 // The head is one little-endian uint64; binary.LittleEndian compiles to a

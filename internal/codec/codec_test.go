@@ -85,6 +85,12 @@ func TestEncodeDecodeRun(t *testing.T) {
 		if got := CountRun(buf, size); got != n {
 			t.Fatalf("CountRun = %d, want %d", got, n)
 		}
+		// The run's size is derived from the zero bytes after it, or is
+		// the whole buffer when none follow.
+		padded := append(slices.Clone(buf), make([]byte, 9)...)
+		if RunUsed(buf) != size || RunUsed(padded) != size {
+			t.Fatalf("RunUsed = %d, %d padded, want %d", RunUsed(buf), RunUsed(padded), size)
+		}
 		if Head(buf) != run[0] {
 			t.Fatalf("Head = %d, want %d", Head(buf), run[0])
 		}

@@ -63,14 +63,12 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 		}
 		return removed
 	}
+	c.batchRecords()
 	touched := parallel.NewBitset(c.leaves)
 	var removed atomic.Int64
-	c.removeRange(batch, 0, c.leaves-1, touched, &removed)
+	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) { c.removeLeaf(leaf, sub, touched, &removed) })
 	c.n -= int(removed.Load())
-	if c.Capacity() > c.f.minCapacity() {
-		plan := c.tree.Count(c.usedOf, touched.Indices(), false, true)
-		c.applyPlan(plan)
-	}
+	c.rebalanceTouched(touched, false)
 	return int(removed.Load())
 }
 
@@ -93,24 +91,36 @@ func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
 
 // batchMerge runs the three phases of the parallel batch insert.
 func (c *CPMA) batchMerge(batch []uint64) int {
-	if c.overflow == nil {
-		c.overflow = make([][]uint64, c.leaves)
-	}
+	c.batchRecords()
 	touched := parallel.NewBitset(c.leaves)
 	var added atomic.Int64
 
 	// Phase 1: recursive parallel batch merge.
-	c.mergeRange(batch, 0, c.leaves-1, touched, &added)
+	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) { c.mergeLeaf(leaf, sub, touched, &added) })
 	c.n += int(added.Load())
 
-	// Phase 2: work-efficient parallel counting. An overflowed leaf always
-	// violates its bound, so the plan covers it with a redistribution
-	// region or a rebuild, and gatherElems drains its buffer.
-	plan := c.tree.Count(c.usedOf, touched.Indices(), true, false)
-
-	// Phase 3: parallel redistribution (or growth).
-	c.applyPlan(plan)
+	// Phases 2 and 3: counting, then redistribution (or growth). An
+	// overflowed leaf always violates its bound, so the plan covers it with
+	// a redistribution region or a rebuild, and gatherElems drains its
+	// buffer.
+	c.rebalanceTouched(touched, true)
 	return int(added.Load())
+}
+
+// rebalanceTouched runs the work-efficient parallel counting over the
+// leaves a batch touched, on the sizes the batch recorded for them in
+// c.sizes, checking upper bounds after inserts and lower ones after
+// removes, and executes the plan in parallel. Redistribution drops the
+// records of the leaves it rewrites; this drops the rest.
+func (c *CPMA) rebalanceTouched(touched *parallel.Bitset, insert bool) {
+	dirty := touched.Indices()
+	// A minimum-capacity array accepts sparseness.
+	if insert || c.Capacity() > c.f.minCapacity() {
+		c.applyPlan(c.tree.Count(c.usedOf, dirty, insert, !insert))
+	}
+	for _, leaf := range dirty {
+		c.dropRecord(leaf) // a no-op after a rebuild, which dropped them all
+	}
 }
 
 // rebuildMerge handles batches of size Ω(n): gather everything, two-finger
@@ -124,59 +134,57 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 	return fresh
 }
 
-// mergeRange implements the recursive batch-merge phase (paper §4): search
-// for the batch median's target leaf within [loLeaf, hiLeaf], find the
-// extent of the batch destined for that leaf, then in parallel merge that
-// extent into the leaf and recurse on the left and right remainders.
+// batchRange implements the recursive phase of both batch updates (paper
+// §4): search for the batch median's target leaf within [loLeaf, hiLeaf],
+// find the extent of the batch destined for that leaf, then in parallel
+// apply that extent to the leaf and recurse on the left and right
+// remainders.
 //
 // The leaf-range bounds guarantee that no search performed by this call
-// probes a leaf owned by a concurrently forked merge, so the phase is safe
+// probes a leaf owned by a concurrently forked apply, so the phase is safe
 // without locks.
-func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, touched *parallel.Bitset, added *atomic.Int64) {
+func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, apply func(leaf int, sub []uint64)) {
 	if len(batch) == 0 {
 		return
 	}
 	if loLeaf > hiLeaf {
 		panic("cpma: batch elements with no target leaf range")
 	}
-	mid := batch[len(batch)/2]
-	leaf := c.leafForIn(mid, loLeaf, hiLeaf)
-	var lo, hi int
-	if leaf == -1 {
-		// No non-empty leaf with head <= mid in range.
-		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
-		if first == -1 {
-			// The whole range is empty: the parent guaranteed every batch
-			// element sorts between the surrounding leaves, so park the run
-			// in the middle leaf; redistribution will spread it.
-			c.mergeLeaf((loLeaf+hiLeaf)/2, batch, touched, added)
+	leaf := c.leafForIn(batch[len(batch)/2], loLeaf, hiLeaf)
+	lo := 0
+	switch {
+	case leaf == -1:
+		// No non-empty leaf with head <= the median in range: elements
+		// preceding the first head go to that leaf. If the whole range is
+		// empty, the parent guaranteed every element sorts between the
+		// surrounding leaves, so the run goes to the middle leaf (an insert
+		// parks it there; redistribution will spread it).
+		if leaf = c.firstNonEmptyIn(loLeaf, hiLeaf); leaf == -1 {
+			apply((loLeaf+hiLeaf)/2, batch)
 			return
 		}
-		// Elements preceding the first head merge into that leaf.
-		leaf = first
-		lo = 0
-	} else if leaf == loLeaf {
-		// No room to recurse left: elements below this head belong at the
-		// front of the range's first leaf.
-		lo = 0
-	} else {
+	case leaf > loLeaf:
+		// Elements below this head recurse left; at loLeaf there is no
+		// room to, and they belong at the front of the range's first leaf.
 		h := c.head(leaf)
 		lo = sort.Search(len(batch), func(i int) bool { return batch[i] >= h })
 	}
-	upper := c.nextHeadIn(leaf, hiLeaf)
-	hi = lo + sort.Search(len(batch)-lo, func(i int) bool { return batch[lo+i] >= upper })
+	hi := len(batch)
+	if upper, ok := c.nextHeadIn(leaf, hiLeaf); ok {
+		hi = lo + sort.Search(len(batch)-lo, func(i int) bool { return batch[lo+i] >= upper })
+	}
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		c.mergeLeaf(leaf, sub, touched, added)
-		c.mergeRange(left, loLeaf, leaf-1, touched, added)
-		c.mergeRange(right, leaf+1, hiLeaf, touched, added)
+		apply(leaf, sub)
+		c.batchRange(left, loLeaf, leaf-1, apply)
+		c.batchRange(right, leaf+1, hiLeaf, apply)
 		return
 	}
 	parallel.Do3(
-		func() { c.mergeLeaf(leaf, sub, touched, added) },
-		func() { c.mergeRange(left, loLeaf, leaf-1, touched, added) },
-		func() { c.mergeRange(right, leaf+1, hiLeaf, touched, added) },
+		func() { apply(leaf, sub) },
+		func() { c.batchRange(left, loLeaf, leaf-1, apply) },
+		func() { c.batchRange(right, leaf+1, hiLeaf, apply) },
 	)
 }
 
@@ -187,86 +195,55 @@ const inPlaceMerge = 2
 // mergeLeaf merges a sorted batch run into a leaf. A run of at most
 // inPlaceMerge keys that the leaf has slack for is spliced in place.
 // Otherwise: decode, merge, re-encode if the bytes fit, or else keep the
-// merged run out-of-place in the overflow buffer with its encoded size
-// recorded for the counting phase (Figure 4).
+// merged run out-of-place in the overflow buffer (Figure 4). Either way the
+// leaf's new encoded size is recorded in c.sizes for the counting phase.
 func (c *CPMA) mergeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, added *atomic.Int64) {
 	if len(sub) == 0 {
 		return
 	}
 	touched.Set(leaf)
-	if len(sub) <= inPlaceMerge && c.usedOf(leaf)+len(sub)*c.f.slack <= c.LeafBytes() {
-		fresh := 0
-		for _, x := range sub {
-			if c.leafInsert(leaf, x) {
-				fresh++
-			}
+	fresh := 0
+	// The room asked for the first key covers them all: an insert grows a
+	// leaf by at most the slack.
+	for len(sub) <= inPlaceMerge && len(sub) > 0 {
+		u, ok := c.leafInsert(leaf, sub[0], len(sub)*c.f.slack)
+		if u == noRoom {
+			break
 		}
+		if c.sizes[leaf] = int32(u); ok {
+			fresh++
+		}
+		sub = sub[1:]
+	}
+	if len(sub) == 0 {
 		added.Add(int64(fresh))
 		return
 	}
-	ec := c.ecntOf(leaf)
+	ld := c.leafData(leaf)
+	u := c.f.used(ld)
 	var merged []uint64
-	fresh := 0
-	if ec == 0 {
-		merged, fresh = sub, len(sub)
+	if u == 0 {
+		merged = sub
+		fresh += len(sub)
 	} else {
-		cur := c.f.decode(make([]uint64, 0, ec), c.leafData(leaf), c.usedOf(leaf))
-		merged, fresh = parallel.MergeDedup(cur, sub)
+		cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)
+		var n int
+		merged, n = parallel.MergeDedup(cur, sub)
+		fresh += n
 	}
 	size := c.f.runSize(merged)
-	st := c.leafW(leaf)
+	// On overflow the bytes stay put until the counting phase redistributes
+	// the leaf, which writes this slab anyway, so unsharing it here copies
+	// nothing extra.
+	ld = c.leafW(leaf)
 	if size <= c.LeafBytes() {
-		w := c.f.encode(st.data, merged)
-		clearBytes(st.data[w:])
-	} else {
-		// Overflow: the bytes stay put until the counting phase
-		// redistributes the leaf, which writes this slab anyway, so
-		// unsharing it here copies nothing extra.
-		if ec == 0 {
-			merged = append([]uint64(nil), sub...)
-		}
-		c.overflow[leaf] = merged
+		clearBytes(ld[c.f.encode(ld, merged):])
+		merged = nil
+	} else if u == 0 {
+		merged = append([]uint64(nil), sub...)
 	}
-	st.used, st.ecnt = int32(size), int32(len(merged))
+	c.sizes[leaf], c.overflow[leaf] = int32(size), merged
 	added.Add(int64(fresh))
-}
-
-// removeRange is the delete-side analogue of mergeRange.
-func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, touched *parallel.Bitset, removed *atomic.Int64) {
-	if len(batch) == 0 || loLeaf > hiLeaf {
-		return
-	}
-	mid := batch[len(batch)/2]
-	leaf := c.leafForIn(mid, loLeaf, hiLeaf)
-	var lo, hi int
-	if leaf == -1 {
-		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
-		if first == -1 {
-			return // nothing stored in this range, nothing to delete
-		}
-		leaf = first
-		lo = 0
-	} else if leaf == loLeaf {
-		lo = 0
-	} else {
-		h := c.head(leaf)
-		lo = sort.Search(len(batch), func(i int) bool { return batch[i] >= h })
-	}
-	upper := c.nextHeadIn(leaf, hiLeaf)
-	hi = lo + sort.Search(len(batch)-lo, func(i int) bool { return batch[lo+i] >= upper })
-
-	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
-	if len(batch) <= mergeForkGrain {
-		c.removeLeaf(leaf, sub, touched, removed)
-		c.removeRange(left, loLeaf, leaf-1, touched, removed)
-		c.removeRange(right, leaf+1, hiLeaf, touched, removed)
-		return
-	}
-	parallel.Do3(
-		func() { c.removeLeaf(leaf, sub, touched, removed) },
-		func() { c.removeRange(left, loLeaf, leaf-1, touched, removed) },
-		func() { c.removeRange(right, leaf+1, hiLeaf, touched, removed) },
-	)
 }
 
 // removeLeaf deletes keys of sub present in the leaf with a two-finger
@@ -275,10 +252,12 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, touched *parallel
 // overflow the PMA leaves"): deletion never grows the encoding, so the
 // result always re-encodes in place.
 func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, removed *atomic.Int64) {
-	if len(sub) == 0 || c.usedOf(leaf) == 0 {
+	ld := c.leafData(leaf)
+	u := c.f.used(ld)
+	if len(sub) == 0 || u == 0 {
 		return
 	}
-	cur := c.f.decode(make([]uint64, 0, c.ecntOf(leaf)), c.leafData(leaf), c.usedOf(leaf))
+	cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)
 	w := 0
 	j := 0
 	dropped := 0
@@ -298,11 +277,11 @@ func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, remo
 	}
 	touched.Set(leaf)
 	removed.Add(int64(dropped))
-	st := c.leafW(leaf)
+	ld = c.leafW(leaf)
 	size := 0
 	if w > 0 {
-		size = c.f.encode(st.data, cur[:w])
+		size = c.f.encode(ld, cur[:w])
 	}
-	clearBytes(st.data[size:st.used])
-	st.used, st.ecnt = int32(size), int32(w)
+	clearBytes(ld[size:u])
+	c.sizes[leaf] = int32(size) // 0, no record, if the leaf emptied
 }

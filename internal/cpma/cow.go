@@ -3,9 +3,10 @@ package cpma
 // Leaf-granular copy-on-write. Clone used to memcpy the whole data array,
 // making every published snapshot cost O(n) even when a drain touched a
 // handful of leaves. The fix keeps the paper's pointer-free layout but
-// slices it per leaf: each leaf owns a leafState holding its byte slab and
-// used/ecnt metadata, and the first write to a shared leaf copies that one
-// leaf, so the total copy cost is O(written leaves), not O(n).
+// slices it per leaf: each leaf's leafState points at its byte slab, and
+// the first write to a shared leaf copies that one leaf, so the total copy
+// cost is O(written leaves), not O(n). A leaf is only its bytes (leaf.go),
+// so a leafState is one pointer and one stamp, 16 bytes.
 //
 // The leafState spine is shared too, at chunk granularity: the spine is an
 // array of pointers to chunks of chunkLeaves leafStates, and Clone copies
@@ -38,7 +39,7 @@ package cpma
 //     the slab, and so stamps the leaf. Read accessors (leafSt, leafData
 //     and the rest) must not be used to mutate.
 //   - Within one CPMA, the batch recursion partitions leaves disjointly
-//     across goroutines (see mergeRange), but two goroutines' leaves can
+//     across goroutines (see batchRange), but two goroutines' leaves can
 //     share a chunk. The goroutine that unshares it installs its copy with
 //     CompareAndSwap; one that loses the race reloads the winner's copy.
 //     A shared chunk is never written, so copying it races with nothing.
@@ -54,12 +55,10 @@ var genCounter atomic.Uint64
 
 func newGen() uint64 { return genCounter.Add(1) }
 
-// leafState is one leaf's storage: its byte slab, its used/ecnt metadata,
-// and the generation of the window that last wrote it.
+// leafState is one leaf's storage: the first byte of its slab, which is
+// LeafBytes long, and the generation of the window that last wrote it.
 type leafState struct {
-	data []byte
-	used int32 // encoded bytes (0 = empty leaf); transiently > cap during overflow
-	ecnt int32 // elements in the leaf (or its overflow buffer)
+	data *byte
 	gen  uint64
 }
 
@@ -97,8 +96,7 @@ func newLeafSpine(leaves, leafBytes int, gen uint64) []atomic.Pointer[leafChunk]
 			if i >= leaves {
 				break
 			}
-			off := i * leafBytes
-			nc.leaves[j] = leafState{data: backing[off : off+leafBytes : off+leafBytes], gen: gen}
+			nc.leaves[j] = leafState{data: &backing[i*leafBytes], gen: gen}
 		}
 		lf[ch].Store(nc)
 	}
@@ -110,12 +108,17 @@ func (c *CPMA) leafSt(leaf int) *leafState {
 	return &c.lf[leaf>>chunkLog].Load().leaves[leaf&chunkMask]
 }
 
-// leafW returns the leaf's state for writing: the single write gateway. It
+// leafData returns the leaf's slab for reading only.
+func (c *CPMA) leafData(leaf int) []byte {
+	return unsafe.Slice(c.leafSt(leaf).data, c.LeafBytes())
+}
+
+// leafW returns the leaf's slab for writing: the single write gateway. It
 // unshares the leaf's chunk and then its slab if either is still shared,
 // which stamps the leaf with the receiver's generation. Concurrent callers
 // must hold distinct leaves; those sharing a chunk race to install its copy
 // and the losers adopt the winner's.
-func (c *CPMA) leafW(leaf int) *leafState {
+func (c *CPMA) leafW(leaf int) []byte {
 	slot := &c.lf[leaf>>chunkLog]
 	ch := slot.Load()
 	for ch.gen != c.gen {
@@ -127,12 +130,13 @@ func (c *CPMA) leafW(leaf int) *leafState {
 		ch = slot.Load()
 	}
 	st := &ch.leaves[leaf&chunkMask]
+	ld := unsafe.Slice(st.data, c.LeafBytes())
 	if st.gen != c.gen {
-		st.data = append(make([]byte, 0, len(st.data)), st.data...)
-		st.gen = c.gen
-		atomic.AddUint64(&c.slabBytes, uint64(len(st.data)))
+		ld = append(make([]byte, 0, len(ld)), ld...)
+		st.data, st.gen = &ld[0], c.gen
+		atomic.AddUint64(&c.slabBytes, uint64(len(ld)))
 	}
-	return st
+	return ld
 }
 
 // Gen returns the receiver's generation. Every leaf it holds is stamped at
@@ -144,7 +148,7 @@ func (c *CPMA) Gen() uint64 { return c.gen }
 // generation gen, typically the Gen of an earlier handle of the same set:
 // all means a rebuild or load replaced the whole geometry since, and
 // otherwise leaves lists the written leaves in ascending order (possibly
-// none). The list covers every leaf whose bytes or metadata changed, and
+// none). The list covers every leaf whose bytes changed, and
 // only leaves that passed the write gateway. The receiver must not be
 // mutated concurrently; frozen Clone handles never are.
 func (c *CPMA) ChangedSince(gen uint64) (all bool, leaves []int) {

@@ -59,11 +59,10 @@ func checkWindow(t *testing.T, what string, prev, h *CPMA, wantAll bool) []int {
 		listed[leaf] = true
 	}
 	for i := 0; i < h.Leaves(); i++ {
-		a, b := prev.leafSt(i), h.leafSt(i)
-		if copied := &a.data[0] != &b.data[0]; copied != listed[i] {
+		if copied := prev.leafSt(i).data != h.leafSt(i).data; copied != listed[i] {
 			t.Fatalf("%s: leaf %d listed %v but its slab copied %v", what, i, listed[i], copied)
 		}
-		if !listed[i] && (a.used != b.used || a.ecnt != b.ecnt || !bytes.Equal(a.data, b.data)) {
+		if !listed[i] && !bytes.Equal(prev.leafData(i), h.leafData(i)) {
 			t.Fatalf("%s: leaf %d changed but is not listed", what, i)
 		}
 	}
@@ -155,10 +154,21 @@ func TestChangedSince(t *testing.T) {
 	})
 }
 
+// TestLeafStateSize pins the spine's layout: a leaf is only its bytes, so
+// its leafState is a slab pointer and a generation stamp, and a chunk copy
+// is those for chunkLeaves leaves plus the chunk's 8-byte generation.
+func TestLeafStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(leafState{}); got != 16 {
+		t.Fatalf("leafState is %d bytes, want 16", got)
+	}
+	if chunkBytes != 1032 {
+		t.Fatalf("chunkBytes = %d, want 1032", chunkBytes)
+	}
+}
+
 // TestCloneCostPointInsert: one point insert after a Clone copies exactly
-// one spine chunk, which is its chunkLeaves leafStates plus the chunk's
-// 8-byte generation, and one leaf slab; the next Clone charges that plus
-// its pointer table.
+// one spine chunk (chunkBytes) and one leaf slab; the next Clone charges
+// that plus its pointer table.
 func TestCloneCostPointInsert(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(44))
@@ -181,7 +191,7 @@ func TestCloneCostPointInsert(t *testing.T) {
 		}
 		want := CloneBytes{
 			Table: 8 * uint64(chunksFor(c.Leaves())),
-			Spine: 8 + chunkLeaves*uint64(unsafe.Sizeof(leafState{})),
+			Spine: chunkBytes,
 			Slab:  uint64(c.LeafBytes()),
 		}
 		if got := c.Clone().CloneCost(); got != want {
@@ -220,14 +230,9 @@ func TestCloneSharedChunkRace(t *testing.T) {
 	slices.Sort(want)
 	for round := 0; round < 4; round++ {
 		h := c.Clone()
-		type leafImage struct {
-			data       []byte
-			used, ecnt int32
-		}
-		img := make([]leafImage, h.Leaves())
+		img := make([][]byte, h.Leaves())
 		for i := range img {
-			st := h.leafSt(i)
-			img[i] = leafImage{bytes.Clone(st.data), st.used, st.ecnt}
+			img[i] = bytes.Clone(h.leafData(i))
 		}
 		// Above mergeForkGrain keys, so the batch merge forks, spread over
 		// the key span of chunk 1's leaves.
@@ -240,8 +245,7 @@ func TestCloneSharedChunkRace(t *testing.T) {
 		want = sortedUnion(want, batch)
 
 		for i := range img {
-			st := h.leafSt(i)
-			if st.used != img[i].used || st.ecnt != img[i].ecnt || !bytes.Equal(st.data, img[i].data) {
+			if !bytes.Equal(h.leafData(i), img[i]) {
 				t.Fatalf("round %d: the clone's leaf %d changed", round, i)
 			}
 		}

@@ -19,7 +19,8 @@
 // (encoding.go) is defined for compressed sets only.
 //
 // Keys are uint64; key 0 is reserved (an all-zero head marks an empty leaf,
-// and no delta byte code contains a zero byte).
+// and no delta byte code contains a zero byte). A leaf is only its bytes:
+// its used size and key count are derived from its zero terminator.
 package cpma
 
 import (
@@ -77,14 +78,18 @@ const maxLeafLog2 = 20
 // operations parallelize internally (batch-parallel, not concurrent —
 // paper §2).
 type CPMA struct {
-	lf       []atomic.Pointer[leafChunk] // chunked per-leaf slab + metadata spine (see cow.go)
-	overflow [][]uint64
+	lf       []atomic.Pointer[leafChunk] // chunked spine of per-leaf slabs (see cow.go)
 	tree     *pmatree.Tree
 	leafLog2 uint
 	leaves   int
 	n        int
 	opt      Options
 	f        *format
+
+	// Mid-batch only (batchRecords): the encoded size of each leaf the
+	// batch wrote (0: none), and the merged runs that outgrew their leaf.
+	sizes    []int32
+	overflow [][]uint64
 
 	// Copy-on-write generations (cow.go). gen stamps this CPMA's writes;
 	// geomGen is the generation of its last rebuild or load. spineBytes and
@@ -136,9 +141,9 @@ func (c *CPMA) Clone() *CPMA {
 	for i := range c.lf {
 		d.lf[i].Store(c.lf[i].Load())
 	}
-	// At rest every overflow entry is nil (CheckInvariants enforces it);
-	// the clone allocates its own spine at its first batch merge.
-	d.overflow = nil
+	// At rest every batch record is zero (CheckInvariants enforces it); the
+	// clone allocates its own at its first batch.
+	d.sizes, d.overflow = nil, nil
 	// Fresh generations share every chunk and slab on both sides. The
 	// clone's is the older one, so the parent's later writes are newer than
 	// anything the handle holds (ChangedSince).
@@ -191,27 +196,41 @@ func (c *CPMA) LeafBytes() int { return 1 << c.leafLog2 }
 // Leaves returns the number of leaves.
 func (c *CPMA) Leaves() int { return c.leaves }
 
-// UsedBytes returns the total encoded payload bytes across leaves.
-func (c *CPMA) UsedBytes() int {
-	total := 0
-	for i := 0; i < c.leaves; i++ {
-		total += c.usedOf(i)
+// SizeBytes returns the logical memory footprint, Capacity (the quantity
+// the paper's get_size reports, and the baseline a non-COW full copy would
+// cost). It excludes the copy-on-write spine, 16 bytes per leaf (cow.go).
+func (c *CPMA) SizeBytes() uint64 { return uint64(c.Capacity()) }
+
+// head returns the leaf's smallest key, 0 when it is empty.
+func (c *CPMA) head(leaf int) uint64 { return codec.Head(c.leafData(leaf)) }
+
+// usedOf returns the leaf's encoded bytes: the size a batch recorded, else
+// what its slab derives.
+func (c *CPMA) usedOf(leaf int) int {
+	if c.sizes != nil && c.sizes[leaf] != 0 {
+		return int(c.sizes[leaf])
 	}
-	return total
+	return c.f.used(c.leafData(leaf))
 }
 
-// SizeBytes returns the logical memory footprint: data capacity plus
-// per-leaf used/ecnt metadata (the quantity the paper's get_size reports,
-// and the baseline a non-COW full copy of this CPMA would cost).
-func (c *CPMA) SizeBytes() uint64 {
-	return uint64(c.Capacity() + 8*c.leaves)
+// overflowed reports whether the leaf's merged run outgrew its slab, which
+// then still holds its old bytes.
+func (c *CPMA) overflowed(leaf int) bool { return c.overflow != nil && c.overflow[leaf] != nil }
+
+// batchRecords allocates the per-leaf batch records on a batch's first use.
+func (c *CPMA) batchRecords() {
+	if c.sizes == nil {
+		c.sizes, c.overflow = make([]int32, c.leaves), make([][]uint64, c.leaves)
+	}
 }
 
-// Read-side accessors; mutations must go through leafW (cow.go) instead.
-func (c *CPMA) leafData(leaf int) []byte { return c.leafSt(leaf).data }
-func (c *CPMA) head(leaf int) uint64     { return codec.Head(c.leafSt(leaf).data) }
-func (c *CPMA) usedOf(leaf int) int      { return int(c.leafSt(leaf).used) }
-func (c *CPMA) ecntOf(leaf int) int      { return int(c.leafSt(leaf).ecnt) }
+// dropRecord clears a leaf's batch records. Every write after the batch's
+// own must: the records describe the bytes the batch left.
+func (c *CPMA) dropRecord(leaf int) {
+	if c.sizes != nil {
+		c.sizes[leaf], c.overflow[leaf] = 0, nil
+	}
+}
 
 // capacityFor sizes the array for a run of payload encoded bytes by
 // applying the growing factor, in the format's units, until it fits under
@@ -269,7 +288,7 @@ func (c *CPMA) setGeometry(leaves, lb int) {
 	c.leaves = leaves
 	c.lf = newLeafSpine(leaves, lb, c.gen)
 	c.geomGen = c.gen
-	c.overflow = nil
+	c.sizes, c.overflow = nil, nil
 	c.tree = pmatree.New(leaves, lb, c.f.bounds(lb))
 }
 
@@ -317,32 +336,23 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 			c.clearLeaf(leaf)
 			return
 		}
-		st := c.leafW(leaf)
-		w := c.f.encode(st.data, elems[s:e])
-		clearBytes(st.data[w:])
-		st.used, st.ecnt = int32(w), int32(e-s)
-		if c.overflow != nil {
-			c.overflow[leaf] = nil
-		}
+		ld := c.leafW(leaf)
+		clearBytes(ld[c.f.encode(ld, elems[s:e]):])
+		c.dropRecord(leaf)
 	})
 	return nil
 }
 
 func (c *CPMA) clearLeaf(leaf int) {
-	hasOverflow := c.overflow != nil && c.overflow[leaf] != nil
-	if c.usedOf(leaf) == 0 && !hasOverflow {
+	if c.head(leaf) == 0 && !c.overflowed(leaf) {
 		// Already empty: nothing to clear, and redistribution over empty
 		// leaves must not stamp (or unshare) them.
 		return
 	}
-	st := c.leafW(leaf)
-	// used transiently exceeds the slab length on overflow leaves; the slab
-	// itself never holds more than its capacity of stale bytes.
-	clearBytes(st.data[:min(int(st.used), len(st.data))])
-	st.used, st.ecnt = 0, 0
-	if hasOverflow {
-		c.overflow[leaf] = nil
-	}
+	// An overflowed leaf's slab still holds its old, zero-terminated bytes.
+	ld := c.leafW(leaf)
+	clearBytes(ld[:c.f.used(ld)])
+	c.dropRecord(leaf)
 }
 
 func clearBytes(b []byte) {
@@ -356,24 +366,33 @@ func forLeaves(n int, f func(i int)) {
 }
 
 // gatherElems decodes leaves [loLeaf, hiLeaf) — draining overflow buffers —
-// into a sorted slice, in parallel via element-count prefix sums.
+// into a sorted slice, in parallel via prefix sums of the key counts a
+// first parallel pass derives.
 func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 	nl := hiLeaf - loLeaf
-	offsets := make([]int, nl+1)
+	used, offsets := make([]int, nl), make([]int, nl+1)
+	forLeaves(nl, func(i int) {
+		if leaf := loLeaf + i; c.overflowed(leaf) {
+			offsets[i+1] = len(c.overflow[leaf])
+		} else {
+			used[i] = c.usedOf(leaf)
+			offsets[i+1] = c.f.count(c.leafData(leaf), used[i])
+		}
+	})
 	for i := 0; i < nl; i++ {
-		offsets[i+1] = offsets[i] + c.ecntOf(loLeaf+i)
+		offsets[i+1] += offsets[i]
 	}
 	buf := make([]uint64, offsets[nl])
 	forLeaves(nl, func(i int) {
 		leaf := loLeaf + i
 		lo, hi := offsets[i], offsets[i+1]
-		if c.overflow != nil && c.overflow[leaf] != nil {
+		if c.overflowed(leaf) {
 			copy(buf[lo:hi], c.overflow[leaf])
 			return
 		}
 		// Append in place: capacity is exactly the leaf's element count, so
 		// decode fills buf[lo:hi] without reallocating.
-		c.f.decode(buf[lo:lo:hi], c.leafData(leaf), c.usedOf(leaf))
+		c.f.decode(buf[lo:lo:hi], c.leafData(leaf), used[i])
 	})
 	return buf
 }
@@ -430,34 +449,14 @@ func (c *CPMA) CheckInvariants() error {
 	total := 0
 	var prev uint64
 	for leaf := 0; leaf < c.leaves; leaf++ {
-		u := c.usedOf(leaf)
-		if u < 0 || u > c.LeafBytes() {
-			return fmt.Errorf("cpma: leaf %d used %d out of range", leaf, u)
-		}
-		if c.overflow != nil && c.overflow[leaf] != nil {
-			return fmt.Errorf("cpma: leaf %d has undrained overflow", leaf)
+		if c.sizes != nil && (c.sizes[leaf] != 0 || c.overflow[leaf] != nil) {
+			return fmt.Errorf("cpma: leaf %d has an undrained batch record", leaf)
 		}
 		ld := c.leafData(leaf)
-		if len(ld) != c.LeafBytes() {
-			return fmt.Errorf("cpma: leaf %d slab is %d bytes, want %d", leaf, len(ld), c.LeafBytes())
-		}
-		if u == 0 {
-			if c.ecntOf(leaf) != 0 {
-				return fmt.Errorf("cpma: empty leaf %d has ecnt %d", leaf, c.ecntOf(leaf))
-			}
-			for i, b := range ld {
-				if b != 0 {
-					return fmt.Errorf("cpma: empty leaf %d has nonzero byte at %d", leaf, i)
-				}
-			}
-			continue
-		}
-		if u < codec.HeadBytes {
-			return fmt.Errorf("cpma: leaf %d used %d < head size", leaf, u)
-		}
+		u := c.f.used(ld)
 		elems := c.f.decode(nil, ld, u)
-		if len(elems) != c.ecntOf(leaf) {
-			return fmt.Errorf("cpma: leaf %d decodes to %d elements, ecnt says %d", leaf, len(elems), c.ecntOf(leaf))
+		if got := c.f.count(ld, u); got != len(elems) {
+			return fmt.Errorf("cpma: leaf %d decodes to %d elements, its count is %d", leaf, len(elems), got)
 		}
 		if got := c.f.runSize(elems); got != u {
 			return fmt.Errorf("cpma: leaf %d used %d but re-encode is %d", leaf, u, got)
@@ -471,7 +470,7 @@ func (c *CPMA) CheckInvariants() error {
 			}
 			prev = v
 		}
-		for i := u; i < c.LeafBytes(); i++ {
+		for i := u; i < len(ld); i++ {
 			if ld[i] != 0 {
 				return fmt.Errorf("cpma: leaf %d byte %d nonzero past used", leaf, i)
 			}

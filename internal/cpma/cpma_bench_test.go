@@ -52,7 +52,11 @@ func BenchmarkBatchInsert10k(b *testing.B) {
 
 func BenchmarkSum(b *testing.B) {
 	benchFormats(b, 200_000, func(b *testing.B, c *CPMA) {
-		b.SetBytes(int64(c.UsedBytes()))
+		used := 0
+		for leaf := 0; leaf < c.Leaves(); leaf++ {
+			used += c.usedOf(leaf)
+		}
+		b.SetBytes(int64(used))
 		for i := 0; i < b.N; i++ {
 			c.Sum()
 		}

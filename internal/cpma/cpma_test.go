@@ -321,6 +321,31 @@ func TestMapRange(t *testing.T) {
 	}
 }
 
+// TestBatchLargestKey: the largest key, 2^64-1, takes the batch merge and
+// the batch remove into the last non-empty leaf like any other key. Both
+// once split the batch at a "no next leaf" sentinel equal to that key: the
+// insert panicked and the remove skipped it.
+func TestBatchLargestKey(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		c := newSet(&Options{PointThreshold: 10})
+		var base []uint64
+		for k := uint64(1000); k <= 20_000_000; k += 1000 {
+			base = append(base, k)
+		}
+		c.InsertBatch(base, true)
+		batch := []uint64{^uint64(0)}
+		for k := uint64(5); len(batch) < 200; k += 100_000 {
+			batch = append(batch, k)
+		}
+		c.InsertBatch(batch, false)
+		checkAgainst(t, c, sortedUnion(base, batch))
+		if removed := c.RemoveBatch(batch, false); removed != len(batch) {
+			t.Fatalf("RemoveBatch removed %d of %d keys", removed, len(batch))
+		}
+		checkAgainst(t, c, base)
+	})
+}
+
 func TestMapRangeLength(t *testing.T) {
 	for _, f := range formats {
 		t.Run(f.name, func(t *testing.T) {

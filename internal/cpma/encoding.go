@@ -76,7 +76,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func (c *CPMA) NonEmptyLeaves() []int {
 	var out []int
 	for i := 0; i < c.leaves; i++ {
-		if c.usedOf(i) > 0 {
+		if c.head(i) != 0 {
 			out = append(out, i)
 		}
 	}
@@ -123,23 +123,24 @@ func (c *CPMA) WriteDeltaTo(w io.Writer, leaves []int) (int64, error) {
 			return 0, fmt.Errorf("cpma: leaf %d out of order or range", leaf)
 		}
 		prev = leaf
-		st := c.leafSt(leaf)
+		ld := c.leafData(leaf)
+		u := c.f.used(ld)
 		e := buf[encHeaderSize+encEntrySize*i:]
 		binary.LittleEndian.PutUint32(e, uint32(leaf))
-		binary.LittleEndian.PutUint32(e[4:], uint32(st.used))
-		binary.LittleEndian.PutUint32(e[8:], uint32(st.ecnt))
+		binary.LittleEndian.PutUint32(e[4:], uint32(u))
+		binary.LittleEndian.PutUint32(e[8:], uint32(c.f.count(ld, u)))
 	}
 
 	crc := crc32.New(castagnoli)
 	mw := io.MultiWriter(w, crc)
 	written, err := mw.Write(buf)
-	for _, leaf := range leaves {
+	for i, leaf := range leaves {
 		if err != nil {
 			return int64(written), err
 		}
-		st := c.leafSt(leaf)
+		u := binary.LittleEndian.Uint32(buf[encHeaderSize+encEntrySize*i+4:])
 		var n int
-		n, err = mw.Write(st.data[:st.used])
+		n, err = mw.Write(c.leafData(leaf)[:u])
 		written += n
 	}
 	if err != nil {
@@ -168,9 +169,10 @@ func (e *encoded) entry(i int) (leaf, used, ecnt int) {
 
 // decode reads and verifies a whole stream before anyone mutates
 // anything: CRC, magic and version, geometry bounds, entries ascending
-// and in range, used <= leafBytes with used == 0 exactly when ecnt == 0,
-// every non-empty leaf at least a head long and ending on a final code
-// byte (so no decode can run past used), and the payload length. base,
+// and in range, used <= leafBytes, every non-empty leaf at least a head
+// long with a nonzero head, no zero byte among its codes (the byte that
+// ends a leaf) and ending on a final code byte (so no decode can run past
+// used), ecnt equal to the leaf's code count, and the payload length. base,
 // when non-nil, is the receiver of a delta: the stream must match its
 // geometry, and its key count with the patched leaves' counts swapped for
 // the entries' must equal the header's n. A fresh load (base nil) must
@@ -234,17 +236,19 @@ func decode(r io.Reader, base *CPMA) (*encoded, error) {
 			return nil, fmt.Errorf("cpma: entry leaf %d out of order or range", leaf)
 		}
 		prev = leaf
-		if used > leafBytes || (used == 0) != (ecnt == 0) {
-			return nil, fmt.Errorf("cpma: leaf %d used %d but ecnt %d", leaf, used, ecnt)
+		if used > leafBytes || used > len(e.payload)-off {
+			return nil, fmt.Errorf("cpma: leaf %d used %d runs past the leaf or the payload", leaf, used)
 		}
-		if used > len(e.payload)-off {
-			return nil, fmt.Errorf("cpma: leaf %d runs past the payload", leaf)
-		}
-		if used > 0 && (used < codec.HeadBytes || (used > codec.HeadBytes && e.payload[off+used-1] >= 0x80)) {
+		p := e.payload[off : off+used]
+		if used > 0 && (used < codec.HeadBytes || (used > codec.HeadBytes && p[used-1] >= 0x80)) {
 			return nil, fmt.Errorf("cpma: leaf %d: %d bytes do not end a code", leaf, used)
 		}
+		if used > 0 && (codec.Head(p) == 0 || bytes.IndexByte(p[codec.HeadBytes:], 0) >= 0) || compressed.count(p, used) != ecnt {
+			return nil, fmt.Errorf("cpma: leaf %d: a zero head, a zero code, or not %d keys", leaf, ecnt)
+		}
 		if base != nil {
-			total -= uint64(base.ecntOf(leaf))
+			ld := base.leafData(leaf)
+			total -= uint64(base.f.count(ld, base.f.used(ld)))
 		}
 		total += uint64(ecnt)
 		off += used
@@ -262,18 +266,14 @@ func decode(r io.Reader, base *CPMA) (*encoded, error) {
 	return e, nil
 }
 
-// patch copies every entry's bytes into the receiver's leaves. Bytes past
-// a leaf's used are zero at rest, so only the old encoding's tail beyond
-// the new one needs clearing.
+// patch copies every entry's bytes into the receiver's leaves and zeroes
+// the rest of each, which ends the leaf.
 func (c *CPMA) patch(e *encoded) {
 	off := 0
 	for i := 0; i < len(e.entries)/encEntrySize; i++ {
-		leaf, used, ecnt := e.entry(i)
-		st := c.leafW(leaf)
-		old := max(int(st.used), used)
-		copy(st.data, e.payload[off:off+used])
-		clearBytes(st.data[used:old])
-		st.used, st.ecnt = int32(used), int32(ecnt)
+		leaf, used, _ := e.entry(i)
+		ld := c.leafW(leaf)
+		clearBytes(ld[copy(ld, e.payload[off:off+used]):])
 		off += used
 	}
 	c.n = e.n

@@ -174,6 +174,9 @@ func TestSlabRejectsCorruption(t *testing.T) {
 		// The last code byte carries a continue bit: a decode would run
 		// past used.
 		"code-runs-past-used": forge(func(b []byte) { b[data+used-1] |= 0x80 }),
+		"zero-head":           forge(func(b []byte) { clear(b[data : data+codec.HeadBytes]) }),
+		"zero-in-codes":       forge(zeroFirstCode),
+		"ecnt-and-n-bumped":   forge(bumpFirstEcnt),
 		"flipped-data":        corrupt(func(b []byte) { b[len(b)-10] ^= 0x01 }),
 		"flipped-crc":         corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }),
 		"truncated":           good[:len(good)-7],
@@ -281,6 +284,21 @@ func TestDecodeFullLeafPastUsed(t *testing.T) {
 	}
 }
 
+// bumpFirstEcnt raises an image's first entry's ecnt and its header's n
+// by one, a pair the decoder once accepted: the set loaded with one key
+// more than it held.
+func bumpFirstEcnt(b []byte) {
+	e := b[encHeaderSize+8:]
+	binary.LittleEndian.PutUint32(e, binary.LittleEndian.Uint32(e)+1)
+	binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
+}
+
+// zeroFirstCode zeroes the first code of an image's first leaf, which the
+// decoder once accepted: a zero byte ends a leaf.
+func zeroFirstCode(b []byte) {
+	b[encHeaderSize+encEntrySize*int(binary.LittleEndian.Uint64(b[32:]))+codec.HeadBytes] = 0
+}
+
 // withCRC replaces the last four bytes of b with the CRC32C of the rest.
 func withCRC(b []byte) []byte {
 	if len(b) < encCRCSize {
@@ -317,6 +335,15 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(img.Bytes())
+	}
+	// The crafted images behind the ecnt and zero-code checks.
+	for _, mutate := range []func([]byte){bumpFirstEcnt, zeroFirstCode} {
+		var img bytes.Buffer
+		if _, err := base.WriteTo(&img); err != nil {
+			f.Fatal(err)
+		}
+		mutate(img.Bytes())
+		f.Add(withCRC(img.Bytes()))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, withCRC(append([]byte(nil), in...))} {

@@ -59,10 +59,10 @@ func (c *CPMA) Validate() error {
 // region in hex, and the decoded keys.
 func (c *CPMA) DumpLeaf(leaf int) string {
 	var b strings.Builder
-	u := c.usedOf(leaf)
-	fmt.Fprintf(&b, "leaf %d/%d: used=%d ecnt=%d cap=%d", leaf, c.leaves, u, c.ecntOf(leaf), c.LeafBytes())
-	if u >= codec.HeadBytes {
-		ld := c.leafData(leaf)
+	ld := c.leafData(leaf)
+	u := c.f.used(ld)
+	fmt.Fprintf(&b, "leaf %d/%d: used=%d count=%d cap=%d", leaf, c.leaves, u, c.f.count(ld, u), c.LeafBytes())
+	if u > 0 {
 		fmt.Fprintf(&b, "\n  head=%d bytes=% x", codec.Head(ld), ld[:u])
 		fmt.Fprintf(&b, "\n  keys=%v", c.f.decode(nil, ld, u))
 	}

@@ -50,8 +50,8 @@ type format struct {
 
 var (
 	compressed = &format{
-		// A leaf's 8-byte head and 8 bytes of used/ecnt are spread over
-		// twice the keys of a 256-byte leaf.
+		// A leaf's 8-byte head is spread over twice the keys of a
+		// 256-byte leaf.
 		minLeafBytes: 512,
 		unit:         1,
 		slack:        codec.MaxGrowth,
@@ -165,6 +165,29 @@ func (f *format) encode(dst []byte, elems []uint64) int {
 	return 8 * len(elems)
 }
 
+// used derives a leaf slab's encoded bytes, which end at its zero
+// terminator (codec.RunUsed), or uncompressed at its first zero word: the
+// first word rawSearch stops at for the largest key, unless that key, which
+// can only be last, is stored.
+func (f *format) used(ld []byte) int {
+	if !f.raw {
+		return codec.RunUsed(ld)
+	}
+	off, last := rawSearch(ld, ^uint64(0))
+	if last {
+		off += 8
+	}
+	return off
+}
+
+// count returns the number of keys in a leaf of used bytes.
+func (f *format) count(ld []byte, used int) int {
+	if f.raw {
+		return used / 8
+	}
+	return codec.CountRun(ld, used)
+}
+
 // decode appends the keys of a leaf of used bytes to dst.
 func (f *format) decode(dst []uint64, src []byte, used int) []uint64 {
 	if !f.raw {
@@ -176,26 +199,27 @@ func (f *format) decode(dst []uint64, src []byte, used int) []uint64 {
 	return dst
 }
 
-// rawSearch binary-searches an uncompressed leaf of used bytes for the
-// first key >= x, returning its byte offset and whether it equals x.
-func rawSearch(src []byte, used int, x uint64) (int, bool) {
-	lo, hi := 0, used/8
+// rawSearch binary-searches the keys of an uncompressed leaf (or of a
+// prefix of it) for the first key >= x, returning its byte offset, or
+// where the keys end, and whether it equals x. x must be nonzero.
+func rawSearch(ld []byte, x uint64) (int, bool) {
+	lo, hi := 0, len(ld)/8
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if binary.LittleEndian.Uint64(src[8*mid:]) < x {
+		if k := binary.LittleEndian.Uint64(ld[8*mid:]); k != 0 && k < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	off := 8 * lo
-	return off, off < used && binary.LittleEndian.Uint64(src[off:]) == x
+	return off, off < len(ld) && binary.LittleEndian.Uint64(ld[off:]) == x
 }
 
 // The compressed-leaf kernels: every in-leaf walk is seek or walk (or the
 // loops of leafSum and LeafMapPos), each with the decode in its own loop,
-// so no walk pays a call per key. ld is a leaf slab and used its encoded
-// bytes; used > 0 unless stated.
+// so no walk pays a call per key. ld is a non-empty leaf slab unless
+// stated; a walk ends at a zero code (the leaf's end) or the slab's end.
 //
 // The loops decode from 8-byte loads: a code ends at its first byte
 // without a continue bit, which bits.TrailingZeros64 finds, and groups
@@ -206,19 +230,19 @@ func rawSearch(src []byte, used int, x uint64) (int, bool) {
 // took ~1.3x as long on graph edge keys and ~1.2x on uniform 40-bit keys
 // (2.1 GHz Xeon, go1.24). The slab's last seven bytes and codes of more
 // than eight bytes (deltas of 2^56 or more) go through codec.Get. A load
-// may reach past used into the slab's free bytes; those lie past the last
-// code and are masked off or never decoded.
+// may reach past the leaf's end into its free bytes; those lie past the
+// zero code ending the leaf and are masked off or never decoded.
 
 // seek finds a leaf's first key >= x. It returns that key v, the key
 // before it (prev, 0 for the head) and the bytes [start, end) holding v:
 // [0, HeadBytes) for the head, else v's delta code. When every key is
 // below x it returns start == end == used and prev == v == the last key.
-func seek(ld []byte, used int, x uint64) (prev, v uint64, start, end int) {
+func seek(ld []byte, x uint64) (prev, v uint64, start, end int) {
 	v = codec.Head(ld)
 	if v >= x {
 		return 0, v, 0, codec.HeadBytes
 	}
-	for off := codec.HeadBytes; off < used; {
+	for off := codec.HeadBytes; off < len(ld); {
 		if off+8 <= len(ld) {
 			w := binary.LittleEndian.Uint64(ld[off:])
 			if stop := ^w & 0x8080808080808080; stop != 0 {
@@ -227,14 +251,17 @@ func seek(ld []byte, used int, x uint64) (prev, v uint64, start, end int) {
 				if v+d1 >= x {
 					return v, v + d1, off, off + n1
 				}
+				if d1 == 0 {
+					return v, v, off, off
+				}
 				v += d1
-				// The next code, if it ends in this word and starts before
-				// used; else keep zeroes it and v stays below x.
+				// The next code, if it ends in this word and is not the
+				// zero one; else keep zeroes it and v stays below x.
 				rest := stop & (stop - 1)
 				t2 := uint(bits.TrailingZeros64(rest)) // 64 if none
 				var keep uint64
 				n := n1
-				if rest != 0 && off+n1 < used {
+				if rest != 0 && w>>(t1+1)&0xff != 0 {
 					keep, n = ^uint64(0), int(t2+1)>>3
 				}
 				d2 := groups(w>>(t1+1)&lowBits((t2-t1-1)&63)) & keep
@@ -246,27 +273,33 @@ func seek(ld []byte, used int, x uint64) (prev, v uint64, start, end int) {
 				continue
 			}
 		}
-		d, n := codec.Get(ld[off:used])
+		d, n := codec.Get(ld[off:])
 		if v+d >= x {
 			return v, v + d, off, off + n
+		}
+		if d == 0 {
+			return v, v, off, off
 		}
 		v += d
 		off += n
 	}
-	return v, v, used, used
+	return v, v, len(ld), len(ld)
 }
 
 // walk applies f to the keys whose codes start at or after off, where v
 // is the key before off, until f returns false. It reports whether it
-// reached the end of the leaf. used may be 0.
-func walk(ld []byte, off, used int, v uint64, f func(uint64) bool) bool {
-	for off < used {
+// reached the end of the leaf. The leaf may be empty.
+func walk(ld []byte, off int, v uint64, f func(uint64) bool) bool {
+	for off < len(ld) {
 		d, n := uint64(0), 0
 		if off+8 <= len(ld) {
 			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
 		}
 		if n == 0 {
-			d, n = codec.Get(ld[off:used])
+			d, n = codec.Get(ld[off:])
+		}
+		if d == 0 {
+			break
 		}
 		v += d
 		off += n
@@ -304,19 +337,18 @@ func groups(w uint64) uint64 {
 // start and the key stored before it (0 for the first key); ok is false
 // when the leaf holds no such key.
 func (c *CPMA) leafSeek(leaf int, x uint64) (v uint64, off int, prev uint64, ok bool) {
-	st := c.leafSt(leaf)
-	ld, u := st.data, int(st.used)
-	if u == 0 {
+	ld := c.leafData(leaf)
+	if codec.Head(ld) == 0 {
 		return 0, 0, 0, false
 	}
 	if c.f.raw {
-		off, _ := rawSearch(ld, u, x)
-		if off == u {
+		off, _ := rawSearch(ld, x)
+		if off == len(ld) || binary.LittleEndian.Uint64(ld[off:]) == 0 {
 			return 0, 0, 0, false
 		}
 		return binary.LittleEndian.Uint64(ld[off:]), off, 0, true
 	}
-	prev, v, start, end := seek(ld, u, x)
+	prev, v, start, end := seek(ld, x)
 	return v, start, prev, start < end
 }
 
@@ -325,27 +357,25 @@ func (c *CPMA) leafSeek(leaf int, x uint64) (v uint64, off int, prev uint64, ok 
 // them (unused at offset 0 and in the uncompressed format). It reports
 // whether the rest of the leaf was visited.
 func (c *CPMA) leafIterFrom(leaf, off int, prev uint64, f func(uint64) bool) bool {
-	st := c.leafSt(leaf)
-	ld, u := st.data, int(st.used)
+	ld := c.leafData(leaf)
 	if c.f.raw {
-		for ; off < u; off += 8 {
-			if !f(binary.LittleEndian.Uint64(ld[off:])) {
-				return false
+		for ; off < len(ld); off += 8 {
+			if k := binary.LittleEndian.Uint64(ld[off:]); k == 0 || !f(k) {
+				return k == 0
 			}
 		}
 		return true
 	}
 	if off == 0 {
-		if u == 0 {
+		if prev = codec.Head(ld); prev == 0 {
 			return true
 		}
-		prev = codec.Head(ld)
 		if !f(prev) {
 			return false
 		}
 		off = codec.HeadBytes
 	}
-	return walk(ld, off, u, prev, f)
+	return walk(ld, off, prev, f)
 }
 
 // leafIter applies f to the leaf's keys in order until f returns false.
@@ -360,46 +390,52 @@ func (c *CPMA) leafHas(leaf int, x uint64) bool {
 	return ok && v == x
 }
 
-// leafInsert inserts x into a leaf with at least the format's slack bytes
-// free, so the shifted keys or codes always fit. Returns false if x was
-// already present. The search reads the leaf as it is, and only an actual
-// insert takes the write gateway: the copy it may make holds the same
-// bytes, so the offsets found still apply.
-func (c *CPMA) leafInsert(leaf int, x uint64) bool {
-	st := c.leafSt(leaf)
-	u := int(st.used)
+// noRoom is the size leafInsert reports for a leaf short of the room asked.
+const noRoom = -1
+
+// leafInsert inserts x into the leaf unless x is present or the leaf has
+// fewer than room bytes free; room is at least the format's slack, so the
+// shifted keys or codes always fit. It returns the leaf's used bytes
+// afterwards and whether x was inserted, or noRoom. The search reads the
+// leaf as it is, and only an actual insert takes the write gateway: the
+// copy it may make holds the same bytes, so the offsets found still apply.
+// A compressed leaf's end is found past the search, where the shift reads
+// anyway, so no byte before it is read twice.
+func (c *CPMA) leafInsert(leaf int, x uint64, room int) (int, bool) {
+	ld := c.leafData(leaf)
 	if c.f.raw {
-		off, found := rawSearch(st.data, u, x)
-		if found {
-			return false
+		u := c.f.used(ld)
+		off, found := rawSearch(ld[:u], x)
+		switch {
+		case found:
+			return u, false
+		case u+room > len(ld):
+			return noRoom, false
 		}
-		st = c.leafW(leaf)
-		ld := st.data
+		ld = c.leafW(leaf)
 		copy(ld[off+8:u+8], ld[off:u])
 		binary.LittleEndian.PutUint64(ld[off:], x)
-		st.used, st.ecnt = int32(u+8), st.ecnt+1
-		return true
+		return u + 8, true
 	}
-	if u == 0 {
-		st = c.leafW(leaf)
-		codec.PutHead(st.data, x)
-		st.used, st.ecnt = codec.HeadBytes, 1
-		return true
+	if codec.Head(ld) == 0 {
+		codec.PutHead(c.leafW(leaf), x)
+		return codec.HeadBytes, true
 	}
-	prev, v, start, end := seek(st.data, u, x)
-	if start < end && v == x {
-		return false
+	prev, v, start, end := seek(ld, x)
+	u := codec.RunEnd(ld, end)
+	switch {
+	case start < end && v == x:
+		return u, false
+	case u+room > len(ld):
+		return noRoom, false
 	}
-	st = c.leafW(leaf)
-	ld := st.data
+	ld = c.leafW(leaf)
 	var code [2 * codec.MaxLen]byte
 	var w int
 	switch {
 	case start == end:
 		// x is the new maximum: append one delta.
-		w = codec.Put(ld[u:], x-prev)
-		st.used, st.ecnt = int32(u+w), st.ecnt+1
-		return true
+		return u + codec.Put(ld[u:], x-prev), true
 	case start == 0:
 		// New head; the old head becomes the first delta.
 		w = codec.Put(code[:], v-x)
@@ -413,42 +449,39 @@ func (c *CPMA) leafInsert(leaf int, x uint64) bool {
 	grow := w - (end - start)
 	copy(ld[start+w:u+grow], ld[end:u])
 	copy(ld[start:], code[:w])
-	st.used, st.ecnt = int32(u+grow), st.ecnt+1
-	return true
+	return u + grow, true
 }
 
-// leafRemove removes x from the leaf if present. Removal never grows a
-// leaf: compressed neighbors' deltas merge into one. Like leafInsert, it
-// takes the write gateway only on a hit.
-func (c *CPMA) leafRemove(leaf int, x uint64) bool {
-	st := c.leafSt(leaf)
-	u := int(st.used)
-	if u == 0 {
-		return false
+// leafRemove removes x from the leaf if present, returning the leaf's new
+// used bytes, or -1 if x was absent. Removal never grows a leaf:
+// compressed neighbors' deltas merge into one. Like leafInsert, it takes
+// the write gateway only on a hit.
+func (c *CPMA) leafRemove(leaf int, x uint64) int {
+	ld := c.leafData(leaf)
+	if codec.Head(ld) == 0 {
+		return -1
 	}
 	if c.f.raw {
-		off, found := rawSearch(st.data, u, x)
+		u := c.f.used(ld)
+		off, found := rawSearch(ld[:u], x)
 		if !found {
-			return false
+			return -1
 		}
-		st = c.leafW(leaf)
-		ld := st.data
+		ld = c.leafW(leaf)
 		copy(ld[off:], ld[off+8:u])
 		clearBytes(ld[u-8 : u])
-		st.used, st.ecnt = int32(u-8), st.ecnt-1
-		return true
+		return u - 8
 	}
-	prev, v, start, end := seek(st.data, u, x)
+	prev, v, start, end := seek(ld, x)
 	if start == end || v != x {
-		return false
+		return -1
 	}
-	st = c.leafW(leaf)
-	ld := st.data
+	u := codec.RunEnd(ld, end)
+	ld = c.leafW(leaf)
 	if end == u {
 		// x is the last key: drop its bytes (the whole leaf if the head).
 		clearBytes(ld[start:u])
-		st.used, st.ecnt = int32(start), st.ecnt-1
-		return true
+		return start
 	}
 	// The next key takes x's place: it becomes the head, or its delta
 	// grows to reach back from prev. One code, so one codec.Get.
@@ -465,33 +498,32 @@ func (c *CPMA) leafRemove(leaf int, x uint64) bool {
 	copy(ld[start:], code[:w])
 	copy(ld[start+w:u-shrink], ld[end+k:u])
 	clearBytes(ld[u-shrink : u])
-	st.used, st.ecnt = int32(u-shrink), st.ecnt-1
-	return true
+	return u - shrink
 }
 
-// leafSum returns the sum of the leaf's keys.
+// leafSum returns the sum of the leaf's keys. The free words of an
+// uncompressed leaf are zero and add nothing.
 func (c *CPMA) leafSum(leaf int) uint64 {
 	ld := c.leafData(leaf)
-	u := c.usedOf(leaf)
+	var s uint64
 	if c.f.raw {
-		var s uint64
-		for off := 0; off < u; off += 8 {
+		for off := 0; off < len(ld); off += 8 {
 			s += binary.LittleEndian.Uint64(ld[off:])
 		}
 		return s
 	}
-	if u == 0 {
-		return 0
-	}
 	v := codec.Head(ld)
-	s := v
-	for off := codec.HeadBytes; off < u; {
+	s = v
+	for off := codec.HeadBytes; off < len(ld) && v != 0; {
 		d, n := uint64(0), 0
 		if off+8 <= len(ld) {
 			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
 		}
 		if n == 0 {
-			d, n = codec.Get(ld[off:u])
+			d, n = codec.Get(ld[off:])
+		}
+		if d == 0 {
+			break
 		}
 		v += d
 		s += v

@@ -17,11 +17,10 @@ import (
 func leafSet(keys []uint64) *CPMA {
 	c := New(&Options{LeafBytes: compressed.minLeafBytes})
 	if len(keys) > 0 {
-		st := c.leafW(0)
-		st.used, st.ecnt = int32(codec.EncodeRun(st.data, keys)), int32(len(keys))
+		codec.EncodeRun(c.leafW(0), keys)
 		c.n = len(keys)
 	}
-	c.overflow = make([][]uint64, c.leaves)
+	c.batchRecords()
 	return c
 }
 
@@ -41,8 +40,8 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 	t.Helper()
 	c := leafSet(keys)
 	ld, used := c.leafData(0), c.usedOf(0)
-	if got := codec.DecodeRun(nil, ld, used); !slices.Equal(got, keys) {
-		t.Fatalf("fixture decodes to %v, want %v", got, keys)
+	if got := codec.DecodeRun(nil, ld, used); !slices.Equal(got, keys) || used != codec.SizeOfRun(keys) {
+		t.Fatalf("fixture of %d bytes decodes to %v, want %d bytes of %v", used, got, codec.SizeOfRun(keys), keys)
 	}
 	// end[i] is the offset just past key i's bytes.
 	end := make([]int, len(keys))
@@ -86,7 +85,7 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 	}
 	for _, x := range xs {
 		j := sort.Search(len(keys), func(i int) bool { return keys[i] >= x })
-		prev, v, start, e := seek(ld, used, x)
+		prev, v, start, e := seek(ld, x)
 		switch {
 		case j == len(keys):
 			last := keys[len(keys)-1]
@@ -104,7 +103,7 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 					x, prev, v, start, e, wantPrev, keys[j], wantStart, end[j])
 			}
 			var rest []uint64
-			walk(ld, e, used, v, func(k uint64) bool { rest = append(rest, k); return true })
+			walk(ld, e, v, func(k uint64) bool { rest = append(rest, k); return true })
 			if !slices.Equal(rest, keys[j+1:]) {
 				t.Fatalf("walk after %d visits %v, want %v", v, rest, keys[j+1:])
 			}
@@ -119,15 +118,15 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 		if used+c.f.slack <= c.LeafBytes() {
 			d := leafSet(keys)
 			want, fresh := parallel.MergeDedup(keys, []uint64{x})
-			if got := d.leafInsert(0, x); got != (fresh == 1) {
-				t.Fatalf("leafInsert(%d) = %v, want %v", x, got, fresh == 1)
+			if u, ok := d.leafInsert(0, x, c.f.slack); ok != (fresh == 1) || u != codec.SizeOfRun(want) {
+				t.Fatalf("leafInsert(%d) = %d, %v; want %d bytes, %v", x, u, ok, codec.SizeOfRun(want), fresh == 1)
 			}
 			checkLeaf(t, d, want, "leafInsert")
 		}
 		d := leafSet(keys)
 		want := slices.DeleteFunc(slices.Clone(keys), func(k uint64) bool { return k == x })
-		if got := d.leafRemove(0, x); got != (len(want) < len(keys)) {
-			t.Fatalf("leafRemove(%d) = %v", x, got)
+		if got := d.leafRemove(0, x); (got >= 0) != (len(want) < len(keys)) || got >= 0 && got != codec.SizeOfRun(want) {
+			t.Fatalf("leafRemove(%d) = %d", x, got)
 		}
 		checkLeaf(t, d, want, "leafRemove")
 		// Batch merges of one and two keys, in place or not.
@@ -145,24 +144,23 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 			if got := leafKeys(d); !slices.Equal(got, want) {
 				t.Fatalf("mergeLeaf(%v) leaves %v, want %v", sub, got, want)
 			}
-			if d.ecntOf(0) != len(want) || d.usedOf(0) != codec.SizeOfRun(want) {
-				t.Fatalf("mergeLeaf(%v): used %d ecnt %d, want %d %d", sub, d.usedOf(0), d.ecntOf(0),
-					codec.SizeOfRun(want), len(want))
+			if d.usedOf(0) != codec.SizeOfRun(want) {
+				t.Fatalf("mergeLeaf(%v): used %d, want %d", sub, d.usedOf(0), codec.SizeOfRun(want))
 			}
 		}
 	}
 }
 
-// checkLeaf asserts leaf 0 of c holds exactly want, with matching
-// metadata and zero bytes past its used bytes.
+// checkLeaf asserts leaf 0 of c holds exactly want, with matching derived
+// size and count and zero bytes past its used bytes.
 func checkLeaf(t *testing.T, c *CPMA, want []uint64, op string) {
 	t.Helper()
 	u := c.usedOf(0)
 	if got := codec.DecodeRun(nil, c.leafData(0), u); !slices.Equal(got, want) {
 		t.Fatalf("%s leaves %v, want %v", op, got, want)
 	}
-	if c.ecntOf(0) != len(want) || u != codec.SizeOfRun(want) {
-		t.Fatalf("%s: used %d ecnt %d, want %d %d", op, u, c.ecntOf(0), codec.SizeOfRun(want), len(want))
+	if n := c.f.count(c.leafData(0), u); n != len(want) || u != codec.SizeOfRun(want) {
+		t.Fatalf("%s: used %d count %d, want %d %d", op, u, n, codec.SizeOfRun(want), len(want))
 	}
 	for i, b := range c.leafData(0)[u:] {
 		if b != 0 {
@@ -245,6 +243,51 @@ func TestLeafKernels(t *testing.T) {
 	}
 }
 
+// TestDerivedLeafSize: in both formats, the used size and key count
+// derived from a leaf's bytes equal the encoded size and length of the run
+// it holds, on the shapes where the end is easy to misplace: zero bytes in
+// the head, no terminator at all, a 10-byte code ending on the slab's last
+// byte, and runs of every code length, in 256-byte, 512-byte and 1 MiB
+// leaves.
+func TestDerivedLeafSize(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, f := range []*format{compressed, uncompressed} {
+		for _, lb := range []int{256, 512, 1 << 20} {
+			runs := map[string][]uint64{
+				"empty":      nil,
+				"one-key":    {42},
+				"head-1":     {1, 2},
+				"head-1<<8":  {1 << 8},
+				"head-1<<48": {1 << 48, 1<<48 + 1<<8},
+				"mixed-codes": runOfSize(1, 20, func() uint64 {
+					return 1 + uint64(1)<<r.Intn(63) // codes of 1 to 9 bytes
+				}),
+			}
+			if f.raw {
+				runs["full"] = runOfSize(1<<8, lb/8, func() uint64 { return 1 << 40 })
+			} else {
+				runs["full"] = fillTo(lb, 1)
+				runs["full-10-byte-code-at-end"] = fillTo(lb, 10)
+				runs["one-short-10-byte-code"] = fillTo(lb-1, 10)
+			}
+			for name, keys := range runs {
+				want := f.runSize(keys)
+				if want > lb {
+					t.Fatalf("%s: fixture is %d bytes, over the %d-byte leaf", name, want, lb)
+				}
+				ld := make([]byte, lb)
+				if len(keys) > 0 {
+					f.encode(ld, keys)
+				}
+				if u, n := f.used(ld), f.count(ld, f.used(ld)); u != want || n != len(keys) {
+					t.Fatalf("raw=%v %d-byte leaf %s: derived used %d, count %d; want %d, %d",
+						f.raw, lb, name, u, n, want, len(keys))
+				}
+			}
+		}
+	}
+}
+
 // TestMergeLeafInPlace pins which path mergeLeaf takes: a run of at most
 // inPlaceMerge keys that the leaf has slack for is spliced without
 // allocating; without the slack it goes through the decode-merge path,
@@ -255,12 +298,10 @@ func TestMergeLeafInPlace(t *testing.T) {
 		c := leafSet(keys)
 		touched := parallel.NewBitset(c.leaves)
 		var added atomic.Int64
-		orig, used, ecnt := slices.Clone(c.leafData(0)), int32(c.usedOf(0)), int32(c.ecntOf(0))
+		orig := slices.Clone(c.leafData(0))
 		return testing.AllocsPerRun(5, func() {
-			st := c.leafW(0)
-			copy(st.data, orig)
-			st.used, st.ecnt = used, ecnt
-			c.overflow[0] = nil
+			copy(c.leafW(0), orig)
+			c.dropRecord(0)
 			c.mergeLeaf(0, sub, touched, &added)
 		})
 	}
@@ -281,8 +322,8 @@ func TestMergeLeafInPlace(t *testing.T) {
 	var added atomic.Int64
 	c.mergeLeaf(0, sub, parallel.NewBitset(c.leaves), &added)
 	want, _ := parallel.MergeDedup(keys, sub)
-	if c.overflow[0] == nil || !slices.Equal(c.overflow[0], want) || added.Load() != 1 {
-		t.Fatalf("overflowing merge: overflow %d keys, added %d", len(c.overflow[0]), added.Load())
+	if ov := c.overflow[0]; !slices.Equal(ov, want) || added.Load() != 1 {
+		t.Fatalf("overflowing merge: overflow %d keys, added %d", len(ov), added.Load())
 	}
 	if c.usedOf(0) != codec.SizeOfRun(want) || c.usedOf(0) <= lb {
 		t.Fatalf("overflowing merge records used %d, want %d > %d", c.usedOf(0), codec.SizeOfRun(want), lb)

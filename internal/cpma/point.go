@@ -1,7 +1,6 @@
 package cpma
 
 import (
-	"repro/internal/codec"
 	"repro/internal/pmatree"
 )
 
@@ -14,15 +13,15 @@ func (c *CPMA) leafForIn(x uint64, lo, hi int) int {
 	for lo <= hi {
 		mid := int(uint(lo+hi) >> 1)
 		j := mid
-		st := c.leafSt(j)
-		for st.used == 0 && j > lo {
+		h := c.head(j)
+		for h == 0 && j > lo {
 			j--
-			st = c.leafSt(j)
+			h = c.head(j)
 		}
 		switch {
-		case st.used == 0:
+		case h == 0:
 			lo = mid + 1
-		case codec.Head(st.data) <= x:
+		case h <= x:
 			res = j
 			lo = mid + 1
 		default:
@@ -35,22 +34,22 @@ func (c *CPMA) leafForIn(x uint64, lo, hi int) int {
 // firstNonEmptyIn returns the first non-empty leaf in [lo, hi], or -1.
 func (c *CPMA) firstNonEmptyIn(lo, hi int) int {
 	for j := lo; j <= hi; j++ {
-		if c.leafSt(j).used != 0 {
+		if c.head(j) != 0 {
 			return j
 		}
 	}
 	return -1
 }
 
-// nextHeadIn returns the head of the first non-empty leaf in (leaf, hi], or
-// MaxUint64 when the rest of the range is empty.
-func (c *CPMA) nextHeadIn(leaf, hi int) uint64 {
+// nextHeadIn returns the head of the first non-empty leaf in (leaf, hi];
+// ok is false when the rest of the range is empty.
+func (c *CPMA) nextHeadIn(leaf, hi int) (h uint64, ok bool) {
 	for j := leaf + 1; j <= hi; j++ {
-		if c.leafSt(j).used != 0 {
-			return c.head(j)
+		if h := c.head(j); h != 0 {
+			return h, true
 		}
 	}
-	return ^uint64(0)
+	return 0, false
 }
 
 // findLeaf locates the leaf a key belongs to for point operations.
@@ -81,8 +80,8 @@ func (c *CPMA) Next(x uint64) (uint64, bool) {
 		return v, true
 	}
 	for j := leaf + 1; j < c.leaves; j++ {
-		if c.leafSt(j).used != 0 {
-			return c.head(j), true
+		if h := c.head(j); h != 0 {
+			return h, true
 		}
 	}
 	return 0, false
@@ -102,7 +101,7 @@ func (c *CPMA) Max() (uint64, bool) {
 		return 0, false
 	}
 	for j := c.leaves - 1; j >= 0; j-- {
-		if c.leafSt(j).used == 0 {
+		if c.head(j) == 0 {
 			continue
 		}
 		var last uint64
@@ -125,17 +124,18 @@ func (c *CPMA) Insert(x uint64) bool {
 		if leaf == -1 {
 			leaf = 0
 		}
-		if c.usedOf(leaf)+c.f.slack > c.LeafBytes() {
+		u, fresh := c.leafInsert(leaf, x, c.f.slack)
+		if u == noRoom {
 			// Not enough slack for the worst-case growth: rebalance first
 			// (such a leaf always violates its byte-density bound).
 			c.rebalanceLeaf(leaf, true, false)
 			continue
 		}
-		if !c.leafInsert(leaf, x) {
+		if !fresh {
 			return false
 		}
 		c.n++
-		if c.usedOf(leaf) > c.tree.UpperUnits(pmatree.Node{Level: 0, Index: leaf}) {
+		if u > c.tree.UpperUnits(pmatree.Node{Level: 0, Index: leaf}) {
 			c.rebalanceLeaf(leaf, true, false)
 		}
 		return true
@@ -148,11 +148,12 @@ func (c *CPMA) Remove(x uint64) bool {
 		return false
 	}
 	leaf := c.findLeaf(x)
-	if !c.leafRemove(leaf, x) {
+	u := c.leafRemove(leaf, x)
+	if u < 0 {
 		return false
 	}
 	c.n--
-	if c.usedOf(leaf) < c.tree.LowerUnits(pmatree.Node{Level: 0, Index: leaf}) {
+	if u < c.tree.LowerUnits(pmatree.Node{Level: 0, Index: leaf}) {
 		c.rebalanceLeaf(leaf, false, true)
 	}
 	return true

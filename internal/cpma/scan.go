@@ -28,29 +28,20 @@ func (c *CPMA) ParallelMap(f func(uint64)) {
 
 // MapRange applies f to keys in [start, end) in ascending order — one
 // search, then a contiguous decode (paper's range_map). Stops early when f
-// returns false.
+// returns false, and reports whether it did not.
 func (c *CPMA) MapRange(start, end uint64, f func(uint64) bool) bool {
 	if c.n == 0 || start >= end {
 		return true
 	}
-	done := false
-	g := func(v uint64) bool {
+	done := true
+	c.mapFrom(start, func(v uint64) bool {
 		if v >= end {
-			done = true
 			return false
 		}
-		return f(v)
-	}
-	leaf := c.findLeaf(start)
-	if _, off, prev, ok := c.leafSeek(leaf, start); ok && !c.leafIterFrom(leaf, off, prev, g) {
+		done = f(v)
 		return done
-	}
-	for leaf++; leaf < c.leaves; leaf++ {
-		if !c.leafIter(leaf, g) {
-			return done
-		}
-	}
-	return true
+	})
+	return done
 }
 
 // MapRangeLength applies f to at most length keys starting from the first
@@ -60,23 +51,25 @@ func (c *CPMA) MapRangeLength(start uint64, length int, f func(uint64) bool) int
 		return 0
 	}
 	visited := 0
-	g := func(v uint64) bool {
+	c.mapFrom(start, func(v uint64) bool {
 		if !f(v) {
 			return false
 		}
 		visited++
 		return visited < length
-	}
+	})
+	return visited
+}
+
+// mapFrom applies g to the keys >= start in ascending order until g
+// returns false. The set must not be empty.
+func (c *CPMA) mapFrom(start uint64, g func(uint64) bool) {
 	leaf := c.findLeaf(start)
 	if _, off, prev, ok := c.leafSeek(leaf, start); ok && !c.leafIterFrom(leaf, off, prev, g) {
-		return visited
+		return
 	}
-	for leaf++; leaf < c.leaves; leaf++ {
-		if !c.leafIter(leaf, g) {
-			break
-		}
+	for leaf++; leaf < c.leaves && c.leafIter(leaf, g); leaf++ {
 	}
-	return visited
 }
 
 // LeafMap applies f to the keys of one leaf in ascending order until f
@@ -90,30 +83,28 @@ func (c *CPMA) LeafMap(leaf int, f func(uint64) bool) bool {
 // LeafMapPos is LeafMap that also passes f the byte offset at which each
 // key is stored, where LeafMapFrom can resume the walk.
 func (c *CPMA) LeafMapPos(leaf int, f func(k uint64, off int) bool) bool {
-	st := c.leafSt(leaf)
-	ld, u := st.data, int(st.used)
 	if c.f.raw {
-		for off := 0; off < u; off += 8 {
-			if !f(binary.LittleEndian.Uint64(ld[off:]), off) {
-				return false
-			}
-		}
-		return true
+		off := -8
+		return c.leafIter(leaf, func(k uint64) bool { off += 8; return f(k, off) })
 	}
-	if u == 0 {
-		return true
-	}
+	ld := c.leafData(leaf)
 	v := codec.Head(ld)
+	if v == 0 {
+		return true
+	}
 	if !f(v, 0) {
 		return false
 	}
-	for off := codec.HeadBytes; off < u; {
+	for off := codec.HeadBytes; off < len(ld); {
 		d, n := uint64(0), 0
 		if off+8 <= len(ld) {
 			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
 		}
 		if n == 0 {
-			d, n = codec.Get(ld[off:u])
+			d, n = codec.Get(ld[off:])
+		}
+		if d == 0 {
+			break
 		}
 		v += d
 		if !f(v, off) {
@@ -132,9 +123,6 @@ func (c *CPMA) LeafMapPos(leaf int, f func(k uint64, off int) bool) bool {
 func (c *CPMA) LeafMapFrom(leaf, off int, prev uint64, f func(uint64) bool) bool {
 	return c.leafIterFrom(leaf, off, prev, f)
 }
-
-// LeafLen returns the number of keys stored in one leaf.
-func (c *CPMA) LeafLen(leaf int) int { return c.ecntOf(leaf) }
 
 // Sum returns the sum (mod 2^64) of all keys with leaf-level parallelism.
 func (c *CPMA) Sum() uint64 {

@@ -153,12 +153,18 @@ type Plan struct {
 // root. Exposed for the PMA/CPMA point-update paths.
 func (t *Tree) WalkUp(used func(leaf int) int, leaf int, checkUpper, checkLower bool) Plan {
 	n := Node{Level: 0, Index: leaf}
+	// [clo, chi) are the leaves counted so far: each level adds only the
+	// leaves its child did not cover, so used runs once per leaf.
+	clo, chi, total := leaf, leaf, 0
 	for {
 		lo, hi := t.LeafRange(n)
-		total := 0
-		for i := lo; i < hi; i++ {
+		for i := lo; i < clo; i++ {
 			total += used(i)
 		}
+		for i := chi; i < hi; i++ {
+			total += used(i)
+		}
+		clo, chi = lo, hi
 		over := checkUpper && total > t.UpperUnits(n)
 		under := checkLower && total < t.LowerUnits(n)
 		if !over && !under {

@@ -231,3 +231,20 @@ func TestWalkUpShrink(t *testing.T) {
 		t.Fatalf("expected shrink, got %+v", plan)
 	}
 }
+
+// TestWalkUpCountsEachLeafOnce: a walk that climbs to the root on a
+// non-power-of-two tree asks for each leaf's units once, and still sums
+// them all.
+func TestWalkUpCountsEachLeafOnce(t *testing.T) {
+	tr := New(11, 10, DefaultBounds())
+	calls := make([]int, 11)
+	plan := tr.WalkUp(func(i int) int { calls[i]++; return 10 }, 6, true, false)
+	if !plan.Grow || plan.RootUsed != 110 {
+		t.Fatalf("expected grow with RootUsed 110, got %+v", plan)
+	}
+	for i, n := range calls {
+		if n != 1 {
+			t.Fatalf("leaf %d counted %d times", i, n)
+		}
+	}
+}
