@@ -106,6 +106,7 @@ func main() {
 	if all || run["table4"] {
 		rows := experiments.Table4RMA(cfg)
 		fmt.Fprintln(out, "Table 4: serial batch inserts, RMA baseline vs this paper's PMA (inserts/s)")
+		fmt.Fprintln(out, "RMA: the PMA's segment-at-a-time insert (cpma.InsertBatchRMA); the RMA's OS-level memory rewiring is out of scope in pure Go")
 		t := stats.NewTable("batch", "RMA", "PMA", "PMA/RMA")
 		for _, r := range rows {
 			t.Row(stats.Sci(float64(r.BatchSize)), stats.Sci(r.RMATP), stats.Sci(r.PMATP),

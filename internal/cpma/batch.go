@@ -66,9 +66,14 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 	c.batchRecords()
 	touched := parallel.NewBitset(c.leaves)
 	var removed atomic.Int64
-	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) { c.removeLeaf(leaf, sub, touched, &removed) })
+	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) {
+		if n := c.removeLeaf(leaf, sub); n > 0 {
+			touched.Set(leaf)
+			removed.Add(int64(n))
+		}
+	})
 	c.n -= int(removed.Load())
-	c.rebalanceTouched(touched, false)
+	c.rebalanceLeaves(touched.Indices(), false)
 	return int(removed.Load())
 }
 
@@ -96,24 +101,65 @@ func (c *CPMA) batchMerge(batch []uint64) int {
 	var added atomic.Int64
 
 	// Phase 1: recursive parallel batch merge.
-	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) { c.mergeLeaf(leaf, sub, touched, &added) })
+	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) {
+		if len(sub) > 0 {
+			touched.Set(leaf)
+			added.Add(int64(c.mergeLeaf(leaf, sub)))
+		}
+	})
 	c.n += int(added.Load())
 
 	// Phases 2 and 3: counting, then redistribution (or growth). An
 	// overflowed leaf always violates its bound, so the plan covers it with
 	// a redistribution region or a rebuild, and gatherElems drains its
 	// buffer.
-	c.rebalanceTouched(touched, true)
+	c.rebalanceLeaves(touched.Indices(), true)
 	return int(added.Load())
 }
 
-// rebalanceTouched runs the work-efficient parallel counting over the
-// leaves a batch touched, on the sizes the batch recorded for them in
-// c.sizes, checking upper bounds after inserts and lower ones after
-// removes, and executes the plan in parallel. Redistribution drops the
-// records of the leaves it rewrites; this drops the rest.
-func (c *CPMA) rebalanceTouched(touched *parallel.Bitset, insert bool) {
-	dirty := touched.Indices()
+// InsertBatchRMA inserts a batch the way the Rewired Memory Array of De
+// Leo & Boncz (paper [31]) does, the serial comparator of paper Table 4.
+// It applies the sorted batch one leaf segment at a time: a fresh search
+// for the segment's first key, a merge into that leaf, and at once the
+// counting and redistribution for that one leaf, so no search or counting
+// work is shared between segments. It returns how many keys were new, and
+// leaves the same keys as InsertBatch.
+func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
+	batch := c.prepareBatch(keys, sorted)
+	if len(batch) == 0 {
+		return 0
+	}
+	if c.n == 0 {
+		c.rebuildFrom(batch)
+		return len(batch)
+	}
+	added := 0
+	dirty := []int{0}
+	for len(batch) > 0 {
+		// The set is not empty, so findLeaf finds a leaf, and the next
+		// head is above batch[0]: every segment takes at least one key.
+		leaf := c.findLeaf(batch[0])
+		end := len(batch)
+		if upper, ok := c.nextHeadIn(leaf, c.leaves-1); ok {
+			end = sort.Search(len(batch), func(i int) bool { return batch[i] >= upper })
+		}
+		c.batchRecords()
+		fresh := c.mergeLeaf(leaf, batch[:end])
+		c.n += fresh
+		added += fresh
+		dirty[0] = leaf
+		c.rebalanceLeaves(dirty, true)
+		batch = batch[end:]
+	}
+	return added
+}
+
+// rebalanceLeaves runs the work-efficient parallel counting over the
+// leaves a batch wrote (dirty, ascending), on the sizes the batch recorded
+// for them in c.sizes, checking upper bounds after inserts and lower ones
+// after removes, and executes the plan in parallel. Redistribution drops
+// the records of the leaves it rewrites; this drops the rest.
+func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 	// A minimum-capacity array accepts sparseness.
 	if insert || c.Capacity() > c.f.minCapacity() {
 		c.applyPlan(c.tree.Count(c.usedOf, dirty, insert, !insert))
@@ -197,11 +243,8 @@ const inPlaceMerge = 2
 // Otherwise: decode, merge, re-encode if the bytes fit, or else keep the
 // merged run out-of-place in the overflow buffer (Figure 4). Either way the
 // leaf's new encoded size is recorded in c.sizes for the counting phase.
-func (c *CPMA) mergeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, added *atomic.Int64) {
-	if len(sub) == 0 {
-		return
-	}
-	touched.Set(leaf)
+// It returns how many keys of sub were new.
+func (c *CPMA) mergeLeaf(leaf int, sub []uint64) int {
 	fresh := 0
 	// The room asked for the first key covers them all: an insert grows a
 	// leaf by at most the slack.
@@ -216,8 +259,7 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, added
 		sub = sub[1:]
 	}
 	if len(sub) == 0 {
-		added.Add(int64(fresh))
-		return
+		return fresh
 	}
 	ld := c.leafData(leaf)
 	u := c.f.used(ld)
@@ -243,19 +285,20 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, added
 		merged = append([]uint64(nil), sub...)
 	}
 	c.sizes[leaf], c.overflow[leaf] = int32(size), merged
-	added.Add(int64(fresh))
+	return fresh
 }
 
 // removeLeaf deletes keys of sub present in the leaf with a two-finger
 // difference over the decoded run. Deletes never overflow (paper §6:
 // "deletes do not have to allocate temporary space as they will never
 // overflow the PMA leaves"): deletion never grows the encoding, so the
-// result always re-encodes in place.
-func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, removed *atomic.Int64) {
+// result always re-encodes in place. It returns how many keys it removed;
+// it writes the leaf and records its size only if that is not zero.
+func (c *CPMA) removeLeaf(leaf int, sub []uint64) int {
 	ld := c.leafData(leaf)
 	u := c.f.used(ld)
 	if len(sub) == 0 || u == 0 {
-		return
+		return 0
 	}
 	cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)
 	w := 0
@@ -273,10 +316,8 @@ func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, remo
 		w++
 	}
 	if dropped == 0 {
-		return
+		return 0
 	}
-	touched.Set(leaf)
-	removed.Add(int64(dropped))
 	ld = c.leafW(leaf)
 	size := 0
 	if w > 0 {
@@ -284,4 +325,5 @@ func (c *CPMA) removeLeaf(leaf int, sub []uint64, touched *parallel.Bitset, remo
 	}
 	clearBytes(ld[size:u])
 	c.sizes[leaf] = int32(size) // 0, no record, if the leaf emptied
+	return dropped
 }

@@ -346,6 +346,112 @@ func TestBatchLargestKey(t *testing.T) {
 	})
 }
 
+// TestInsertBatchRMA checks the segment-at-a-time comparator of Table 4
+// after every batch against a sorted model and against InsertBatch on a
+// twin set: into an empty set, below the first head, at the largest key,
+// with repeats within and across batches, and with segments that overflow
+// a leaf, so that both a multi-leaf redistribution and a growth run.
+func TestInsertBatchRMA(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		c, twin := newSet(nil), newSet(nil)
+		var model []uint64
+		step := func(name string, batch []uint64) {
+			t.Helper()
+			want := sortedUnion(model, batch)
+			fresh := len(want) - len(model)
+			if got := c.InsertBatchRMA(batch, false); got != fresh {
+				t.Fatalf("%s: InsertBatchRMA added %d, want %d", name, got, fresh)
+			}
+			if got := twin.InsertBatch(batch, false); got != fresh {
+				t.Fatalf("%s: InsertBatch added %d, want %d", name, got, fresh)
+			}
+			model = want
+			checkAgainst(t, c, model)
+			checkAgainst(t, twin, model)
+		}
+		step("nothing", nil)
+		var base []uint64
+		for i := uint64(1); i <= 1000; i++ {
+			base = append(base, i<<32, i<<32) // repeats within the batch
+		}
+		step("empty set", base)
+		step("below the first head", []uint64{1, 2, 3, 1<<32 - 1})
+		step("largest key", []uint64{^uint64(0), 7 << 32, 1<<32 + 1})
+		step("repeats across batches", append(slices.Clone(base[:300]), ^uint64(0), 5))
+		var run []uint64
+		for i := uint64(1); i <= 4000; i++ {
+			run = append(run, 500<<32+i)
+		}
+		step("one overflowing segment", run)
+		r := rand.New(rand.NewSource(1))
+		for round := 0; round < 20; round++ {
+			batch := make([]uint64, 100+r.Intn(2000))
+			for i := range batch {
+				batch[i] = 1 + r.Uint64()%(1<<42)
+			}
+			step(fmt.Sprintf("random %d", round), batch)
+		}
+		if multi, grows := c.Rebalances(); multi == 0 || grows == 0 {
+			t.Fatalf("Rebalances() = %d multi-leaf, %d growths; want both", multi, grows)
+		}
+	})
+}
+
+// TestInsertBatchRMASkewedSegments sends a presorted run of 4000 keys into
+// the one leaf that holds one key of a sparse base, so a single segment
+// overflows its leaf and the comparator must grow or redistribute at once.
+func TestInsertBatchRMASkewedSegments(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		var base []uint64
+		for i := uint64(1); i <= 1000; i++ {
+			base = append(base, i<<32)
+		}
+		c := newSet(nil)
+		if added := c.InsertBatchRMA(base, true); added != len(base) {
+			t.Fatalf("base added = %d, want %d", added, len(base))
+		}
+		var run []uint64
+		for i := uint64(1); i <= 4000; i++ {
+			run = append(run, base[500]+i)
+		}
+		if added := c.InsertBatchRMA(run, true); added != len(run) {
+			t.Fatalf("run added = %d, want %d", added, len(run))
+		}
+		checkAgainst(t, c, sortedUnion(base, run))
+	})
+}
+
+// TestInsertBatchRMAPropertyAgainstModel applies random batches drawn from a
+// small key space, so most batches repeat keys within themselves and across
+// earlier batches, and checks the set against a model after every batch.
+func TestInsertBatchRMAPropertyAgainstModel(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			c := newSet(nil)
+			var model []uint64
+			for round := 0; round < 5; round++ {
+				batch := make([]uint64, 100+r.Intn(2000))
+				for i := range batch {
+					batch[i] = 1 + r.Uint64()%(1<<20)
+				}
+				want := sortedUnion(model, batch)
+				if c.InsertBatchRMA(batch, false) != len(want)-len(model) {
+					return false
+				}
+				model = want
+				if c.Validate() != nil || !slices.Equal(c.Keys(), model) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 func TestMapRangeLength(t *testing.T) {
 	for _, f := range formats {
 		t.Run(f.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -136,10 +135,8 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 			}
 			d := leafSet(keys)
 			want, fresh := parallel.MergeDedup(keys, sub)
-			var added atomic.Int64
-			d.mergeLeaf(0, sub, parallel.NewBitset(d.leaves), &added)
-			if added.Load() != int64(fresh) {
-				t.Fatalf("mergeLeaf(%v) added %d, want %d", sub, added.Load(), fresh)
+			if added := d.mergeLeaf(0, sub); added != fresh {
+				t.Fatalf("mergeLeaf(%v) added %d, want %d", sub, added, fresh)
 			}
 			if got := leafKeys(d); !slices.Equal(got, want) {
 				t.Fatalf("mergeLeaf(%v) leaves %v, want %v", sub, got, want)
@@ -296,13 +293,11 @@ func TestMergeLeafInPlace(t *testing.T) {
 	lb, slack := compressed.minLeafBytes, compressed.slack
 	allocs := func(keys, sub []uint64) float64 {
 		c := leafSet(keys)
-		touched := parallel.NewBitset(c.leaves)
-		var added atomic.Int64
 		orig := slices.Clone(c.leafData(0))
 		return testing.AllocsPerRun(5, func() {
 			copy(c.leafW(0), orig)
 			c.dropRecord(0)
-			c.mergeLeaf(0, sub, touched, &added)
+			c.mergeLeaf(0, sub)
 		})
 	}
 	two := []uint64{1<<20 + 1<<40, 1<<20 + 1<<41}
@@ -319,11 +314,10 @@ func TestMergeLeafInPlace(t *testing.T) {
 	keys := fillTo(lb, 1)
 	c := leafSet(keys)
 	sub := []uint64{^uint64(0)}
-	var added atomic.Int64
-	c.mergeLeaf(0, sub, parallel.NewBitset(c.leaves), &added)
+	added := c.mergeLeaf(0, sub)
 	want, _ := parallel.MergeDedup(keys, sub)
-	if ov := c.overflow[0]; !slices.Equal(ov, want) || added.Load() != 1 {
-		t.Fatalf("overflowing merge: overflow %d keys, added %d", len(ov), added.Load())
+	if ov := c.overflow[0]; !slices.Equal(ov, want) || added != 1 {
+		t.Fatalf("overflowing merge: overflow %d keys, added %d", len(ov), added)
 	}
 	if c.usedOf(0) != codec.SizeOfRun(want) || c.usedOf(0) <= lb {
 		t.Fatalf("overflowing merge records used %d, want %d > %d", c.usedOf(0), codec.SizeOfRun(want), lb)

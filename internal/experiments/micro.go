@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cpma"
 	"repro/internal/parallel"
-	"repro/internal/rma"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -53,22 +52,37 @@ func Fig1BatchInsert(makers []SetMaker, cfg MicroConfig, zipf bool) []InsertRow 
 	for _, bs := range BatchSizes(cfg.TotalK) {
 		row := InsertRow{BatchSize: bs, Throughput: map[string]float64{}}
 		for _, mk := range makers {
-			r := workload.NewRNG(cfg.Seed)
-			base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
 			s := mk.New()
-			s.InsertBatch(base, false)
-			batches := makeBatches(r, cfg.TotalK, bs, zipf)
-			d := stats.Time(func() {
-				for _, b := range batches {
-					s.InsertBatch(b, false)
-				}
-			})
+			row.Throughput[mk.Name], _ = timedInserts(cfg, bs, zipf, 0, s, s.InsertBatch)
 			closeSet(s)
-			row.Throughput[mk.Name] = stats.Throughput(cfg.TotalK, d)
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// timedInserts preloads s with cfg.BaseN uniform keys, draws cfg.TotalK
+// more in batches of bs (zipfian if zipf), and times applying them with
+// insert (s's InsertBatch, or a comparator on s) at procs workers (0
+// keeps the current setting). It returns inserts per second and the
+// batches.
+func timedInserts(cfg MicroConfig, bs int, zipf bool, procs int, s Set, insert func([]uint64, bool) int) (float64, [][]uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	r := workload.NewRNG(cfg.Seed)
+	s.InsertBatch(workload.Uniform(r, cfg.BaseN, workload.UniformBits), false)
+	batches := makeBatches(r, cfg.TotalK, bs, zipf)
+	return timeBatches(batches, cfg.TotalK, insert), batches
+}
+
+// timeBatches applies op to every batch, keys total in all, and returns
+// keys per second.
+func timeBatches(batches [][]uint64, keys int, op func([]uint64, bool) int) float64 {
+	d := stats.Time(func() {
+		for _, b := range batches {
+			op(b, false)
+		}
+	})
+	return stats.Throughput(keys, d)
 }
 
 func makeBatches(r *workload.RNG, total, bs int, zipf bool) [][]uint64 {
@@ -164,26 +178,17 @@ type Table3Row struct {
 func Table3SerialVsParallel(cfg MicroConfig) []Table3Row {
 	var rows []Table3Row
 	for _, bs := range BatchSizes(cfg.TotalK) {
-		serial := runPMAInsertWithProcs(cfg, bs, 1)
-		par := runPMAInsertWithProcs(cfg, bs, runtime.NumCPU())
+		serial := insertsAt(cfg, bs, 1, cpma.NewUncompressed(nil))
+		par := insertsAt(cfg, bs, runtime.NumCPU(), cpma.NewUncompressed(nil))
 		rows = append(rows, Table3Row{BatchSize: bs, SerialTP: serial, ParallelTP: par})
 	}
 	return rows
 }
 
-func runPMAInsertWithProcs(cfg MicroConfig, bs, procs int) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	r := workload.NewRNG(cfg.Seed)
-	base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-	p := cpma.NewUncompressed(nil)
-	p.InsertBatch(base, false)
-	batches := makeBatches(r, cfg.TotalK, bs, false)
-	d := stats.Time(func() {
-		for _, b := range batches {
-			p.InsertBatch(b, false)
-		}
-	})
-	return stats.Throughput(cfg.TotalK, d)
+// insertsAt is c's uniform batch-insert throughput at procs workers.
+func insertsAt(cfg MicroConfig, bs, procs int, c *cpma.CPMA) float64 {
+	tp, _ := timedInserts(cfg, bs, false, procs, c, c.InsertBatch)
+	return tp
 }
 
 // Table4Row compares serial batch inserts: this paper's algorithm vs the
@@ -194,37 +199,16 @@ type Table4Row struct {
 	PMATP     float64
 }
 
-// Table4RMA runs both serial batch-insert algorithms on one core (Table 4).
+// Table4RMA runs both serial batch-insert algorithms on one core (Table 4),
+// on the same engine in the PMA's leaf format: the RMA column is its
+// segment-at-a-time InsertBatchRMA, the PMA column its InsertBatch.
 func Table4RMA(cfg MicroConfig) []Table4Row {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var rows []Table4Row
 	for _, bs := range BatchSizes(cfg.TotalK) {
-		r := workload.NewRNG(cfg.Seed)
-		base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-		m := rma.New(0)
-		m.InsertBatch(base, false)
-		batches := makeBatches(r, cfg.TotalK, bs, false)
-		dRMA := stats.Time(func() {
-			for _, b := range batches {
-				m.InsertBatch(b, false)
-			}
-		})
-
-		r = workload.NewRNG(cfg.Seed)
-		base = workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-		p := cpma.NewUncompressed(nil)
-		p.InsertBatch(base, false)
-		batches = makeBatches(r, cfg.TotalK, bs, false)
-		dPMA := stats.Time(func() {
-			for _, b := range batches {
-				p.InsertBatch(b, false)
-			}
-		})
-		rows = append(rows, Table4Row{
-			BatchSize: bs,
-			RMATP:     stats.Throughput(cfg.TotalK, dRMA),
-			PMATP:     stats.Throughput(cfg.TotalK, dPMA),
-		})
+		m, p := cpma.NewUncompressed(nil), cpma.NewUncompressed(nil)
+		rmaTP, _ := timedInserts(cfg, bs, false, 1, m, m.InsertBatchRMA)
+		pmaTP, _ := timedInserts(cfg, bs, false, 1, p, p.InsertBatch)
+		rows = append(rows, Table4Row{BatchSize: bs, RMATP: rmaTP, PMATP: pmaTP})
 	}
 	return rows
 }
@@ -243,28 +227,14 @@ func Table5InsertDelete(cfg MicroConfig, zipf bool) []Table5Row {
 	for _, bs := range BatchSizes(cfg.TotalK) {
 		row := Table5Row{BatchSize: bs}
 		for _, which := range []string{"PMA", "CPMA"} {
-			r := workload.NewRNG(cfg.Seed)
-			base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
 			var s Set
 			if which == "PMA" {
 				s = cpma.NewUncompressed(nil)
 			} else {
 				s = cpma.New(nil)
 			}
-			s.InsertBatch(base, false)
-			batches := makeBatches(r, cfg.TotalK, bs, zipf)
-			dIns := stats.Time(func() {
-				for _, b := range batches {
-					s.InsertBatch(b, false)
-				}
-			})
-			dDel := stats.Time(func() {
-				for _, b := range batches {
-					s.RemoveBatch(b, false)
-				}
-			})
-			ins := stats.Throughput(cfg.TotalK, dIns)
-			del := stats.Throughput(cfg.TotalK, dDel)
+			ins, batches := timedInserts(cfg, bs, zipf, 0, s, s.InsertBatch)
+			del := timeBatches(batches, cfg.TotalK, s.RemoveBatch)
 			if which == "PMA" {
 				row.PMAInsert, row.PMADelete = ins, del
 			} else {
@@ -330,26 +300,11 @@ func Fig7InsertScaling(cfg MicroConfig) []ScalingRow {
 	var rows []ScalingRow
 	for _, procs := range CoreCounts() {
 		row := ScalingRow{Procs: procs}
-		row.PMATP = runPMAInsertWithProcs(cfg, bs, procs)
-		row.CPMATP = runCPMAInsertWithProcs(cfg, bs, procs)
+		row.PMATP = insertsAt(cfg, bs, procs, cpma.NewUncompressed(nil))
+		row.CPMATP = insertsAt(cfg, bs, procs, cpma.New(nil))
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func runCPMAInsertWithProcs(cfg MicroConfig, bs, procs int) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	r := workload.NewRNG(cfg.Seed)
-	base := workload.Uniform(r, cfg.BaseN, workload.UniformBits)
-	c := cpma.New(nil)
-	c.InsertBatch(base, false)
-	batches := makeBatches(r, cfg.TotalK, bs, false)
-	d := stats.Time(func() {
-		for _, b := range batches {
-			c.InsertBatch(b, false)
-		}
-	})
-	return stats.Throughput(cfg.TotalK, d)
 }
 
 // Fig8RangeScaling measures range-query strong scaling (Figure 8/Table 12).

@@ -2,7 +2,9 @@
 // of the paper's evaluation (§1, §4, §5, §6, Appendices B–C). The
 // cmd/cpma-bench and cmd/fgraph-bench binaries and the root bench_test.go
 // all call into this package, so the scaled-down benchmark defaults and the
-// full-scale command-line runs share one code path.
+// full-scale command-line runs share one code path. The PMA and CPMA
+// columns, and the RMA comparator of Table 4 (cpma.InsertBatchRMA), all run
+// on the one engine in internal/cpma.
 package experiments
 
 import (
@@ -11,7 +13,6 @@ import (
 	"repro/internal/cpma"
 	"repro/internal/pactree"
 	"repro/internal/ptree"
-	"repro/internal/rma"
 	"repro/internal/shard"
 )
 
@@ -94,9 +95,3 @@ func closeSet(s Set) {
 type ptreeSet struct{ *ptree.Tree }
 
 func (p ptreeSet) RangeSum(start, end uint64) (uint64, int) { return p.Tree.RangeSum(start, end) }
-
-// RMASet adapts the serial RMA baseline (insert-only; Table 4).
-type RMASet struct{ *rma.RMA }
-
-// NewRMASet returns a fresh RMA.
-func NewRMASet() RMASet { return RMASet{rma.New(0)} }

@@ -49,8 +49,12 @@ func seqMerge(a, b, out []uint64) {
 // output — including a copied odd leftover — into that round's arena, so
 // no round ever reads the arena it is writing. Duplicates across runs are
 // preserved. runs is clobbered; the result aliases one of the arenas (or
-// runs[0] itself when k is 1) and is only valid until the next call.
+// runs[0] itself when k is 1, or is nil when k is 0) and is only valid
+// until the next call.
 func MergeRuns(runs [][]uint64, bufs *[2][]uint64) []uint64 {
+	if len(runs) == 0 {
+		return nil
+	}
 	total := 0
 	for _, r := range runs {
 		total += len(r)

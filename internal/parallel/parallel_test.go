@@ -94,12 +94,12 @@ func TestMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeRuns merges k runs for k = 1..9, reusing one pair of arenas
+// TestMergeRuns merges k runs for k = 0..9, reusing one pair of arenas
 // across calls, against a sort of the concatenation.
 func TestMergeRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var bufs [2][]uint64
-	for k := 1; k <= 9; k++ {
+	for k := 0; k <= 9; k++ {
 		var runs [][]uint64
 		var want []uint64
 		for i := 0; i < k; i++ {

@@ -142,10 +142,11 @@ func (st *Store) ReadShippable(p int, afterSeq uint64, maxKeys int) ([]Rec, erro
 				break
 			}
 			out = append(out, r)
-			keys += len(r.Keys)
-		}
-		if maxKeys > 0 && keys >= maxKeys {
-			break
+			// The record that reaches the bound is kept, so every read
+			// makes progress.
+			if keys += len(r.Keys); maxKeys > 0 && keys >= maxKeys {
+				return out, nil
+			}
 		}
 	}
 	return out, nil

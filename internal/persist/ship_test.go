@@ -270,8 +270,9 @@ func TestReadShippableRetentionAndBootstrap(t *testing.T) {
 	}
 }
 
-// TestReadShippableChunking: maxKeys bounds one read, and chained reads
-// walk the full sealed sequence without gaps or duplicates.
+// TestReadShippableChunking: maxKeys bounds one read, even inside one
+// segment (a read stops at the record that reaches the bound), and chained
+// reads walk the full sealed sequence without gaps or duplicates.
 func TestReadShippableChunking(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := Open(Options{Dir: dir, Shards: 1, SyncEvery: 1, Set: &cpma.Options{}})
@@ -296,6 +297,10 @@ func TestReadShippableChunking(t *testing.T) {
 		}
 		if len(recs) == 0 {
 			break
+		}
+		// Three-key records against a bound of 5: the second one reaches it.
+		if len(recs) > 2 {
+			t.Fatalf("read after seq %d returned %d records, want at most 2", pos, len(recs))
 		}
 		for _, r := range recs {
 			if r.Seq != pos+1 {

@@ -4,9 +4,10 @@
 //
 // The tree is purely arithmetic: a node is a (level, index) pair whose region
 // is a contiguous range of leaves. The planner in this package decides which
-// regions must be redistributed after a batch merge; internal/cpma owns the
-// actual data movement. Occupancy is measured in abstract "units" (bytes for
-// both of cpma's leaf formats), so the planner knows nothing of leaf layout.
+// regions must be redistributed after a batch merge; internal/cpma, its only
+// client, owns the actual data movement. Occupancy is measured in abstract
+// "units" (bytes for both of cpma's leaf formats), so the planner knows
+// nothing of leaf layout.
 package pmatree
 
 import (

@@ -894,35 +894,6 @@ func (s *Sharded) Keys() []uint64 {
 	return out
 }
 
-// mergeLists merges disjoint sorted runs pairwise (log P rounds of the
-// load-balanced parallel merge).
-func mergeLists(lists [][]uint64) []uint64 {
-	for len(lists) > 1 {
-		next := make([][]uint64, 0, (len(lists)+1)/2)
-		for i := 0; i+1 < len(lists); i += 2 {
-			a, b := lists[i], lists[i+1]
-			switch {
-			case len(a) == 0:
-				next = append(next, b)
-			case len(b) == 0:
-				next = append(next, a)
-			default:
-				out := make([]uint64, len(a)+len(b))
-				parallel.Merge(a, b, out)
-				next = append(next, out)
-			}
-		}
-		if len(lists)%2 == 1 {
-			next = append(next, lists[len(lists)-1])
-		}
-		lists = next
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-	return lists[0]
-}
-
 // Validate flushes, then checks every shard's published CPMA invariants
 // and audits its routing: every stored value must be one the router sends
 // to that shard (a test helper); callers must still quiesce their own

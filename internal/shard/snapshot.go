@@ -471,7 +471,8 @@ func (v cut) gatherRange(first, last uint64) []uint64 {
 		})
 		lists[i] = keys
 	})
-	return mergeLists(lists)
+	var bufs [2][]uint64
+	return parallel.MergeRuns(lists, &bufs)
 }
 
 // SnapshotStats counts the snapshot machinery's work: epoch advances
