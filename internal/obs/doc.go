@@ -1,8 +1,10 @@
-// Package obs is the zero-dependency observability layer: atomic
-// counters and gauges, lock-free log-bucketed latency histograms, a
-// fixed-size event-trace ring, and an opt-in HTTP server that exposes
-// all of it as Prometheus text (/metrics), JSON (/statz), a trace dump
-// (/tracez), and net/http/pprof.
+// Package obs is the zero-dependency observability layer: a registry of
+// scrape-time counters and gauges over each component's typed stats
+// accessor, lock-free log-bucketed latency histograms owned by the
+// structs that record them, a fixed-size event-trace ring, and an opt-in
+// HTTP server that exposes all of it as Prometheus text (/metrics), JSON
+// (/statz), a trace dump (/tracez), and net/http/pprof. Every metric has
+// one source: the registry owns no values of its own.
 //
 // Everything is built on sync/atomic: recording a histogram sample is
 // three atomic adds, scraping never takes a lock and never blocks a
@@ -47,13 +49,24 @@
 //	                           base or delta (skipped passes not recorded)
 //
 // Replication histograms, registered by repl.Primary (default prefix
-// "repl") and repl.Follower (default "follower"):
+// "repl") and repl.Follower (default "follower"). Every link, in process
+// (repl.Pair, over an in-memory pipe) or over a socket (repl.Dial), runs
+// the same protocol, so each means the same for both:
 //
-//	{p}_ship_ns       ns  one record shipment; for in-process links the
-//	                      send delivers through apply synchronously
-//	{p}_bootstrap_ns  ns  one full bootstrap state transfer
+//	{p}_ship_ns       ns  one recs frame encoded and written to the link,
+//	                      including any wait for the link to take it (an
+//	                      in-memory pipe holds no frame, so there a write
+//	                      waits out the follower's previous apply); the
+//	                      follower's apply of this frame is not in it
+//	{p}_bootstrap_ns  ns  one boot frame encoded and written to the link
 //	{p}_apply_ns      ns  one replay batch applied to the replica set
 //	                      (batches that applied zero records not recorded)
+//
+// Followers acknowledge each boot and recs frame once it is applied and
+// published, so the primary sees every follower's applied position:
+// repl_lag_records is the largest count, across live links, of sealed
+// records the follower has not acknowledged. It reads 0 exactly when
+// every linked follower has applied everything the primary made durable.
 //
 // Counters and gauges are registered one by one with CounterFunc and
 // GaugeFunc, each reading a field of the component's typed stats
@@ -74,8 +87,9 @@
 //	                 delta and torn bytes (bytes); fsyncs (fsyncs); base
 //	                 and delta checkpoints and truncated segments (files)
 //	repl_*           ReplStats: links (gauge, links), lag_records (gauge,
-//	                 records), shipped records (records) and keys (keys),
-//	                 bootstraps (transfers), bounds updates (tables)
+//	                 records not yet acknowledged), shipped records
+//	                 (records) and keys (keys), bootstraps (transfers),
+//	                 bounds updates (tables)
 //	follower_*       FollowerStats: applied records (records) and keys
 //	                 (keys), bootstraps (transfers), attaches (links)
 //	fgraph_*         views built (views), view_edges (gauge, edges); the

@@ -148,14 +148,13 @@ func checkMonotone(t *testing.T, sn HistSnap) {
 
 func TestRegistryScrape(t *testing.T) {
 	r := NewRegistry("test")
-	c := r.Counter("test_ops", "ops", "operations")
-	g := r.Gauge("test_links", "links", "live links")
-	h := r.Histogram("test_lat_ns", "ns", "latency")
+	var h Histogram
+	r.CounterFunc("test_ops", "ops", "operations", func() uint64 { return 5 })
+	r.GaugeFunc("test_links", "links", "live links", func() int64 { return -2 })
+	r.RegisterHistogram("test_lat_ns", "ns", "latency", &h)
 	r.CounterFunc("test_fn", "calls", "computed", func() uint64 { return 7 })
 	r.GaugeFunc("test_lag", "records", "computed lag", func() int64 { return 3 })
 
-	c.Add(5)
-	g.Set(-2)
 	for i := uint64(1); i <= 100; i++ {
 		h.Record(i)
 	}
@@ -225,7 +224,8 @@ func TestTraceRing(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry("srv")
-	h := r.Histogram("srv_lat_ns", "ns", "latency")
+	var h Histogram
+	r.RegisterHistogram("srv_lat_ns", "ns", "latency", &h)
 	h.Record(100)
 	s := NewServer(r)
 	s.AddTrace("pipeline", NewTrace(1, 8))

@@ -6,29 +6,12 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Uint64 }
-
-func (c *Counter) Inc()          { c.v.Add(1) }
-func (c *Counter) Add(n uint64)  { c.v.Add(n) }
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous atomic value that may go up or down.
-type Gauge struct{ v atomic.Int64 }
-
-func (g *Gauge) Set(n int64)  { g.v.Store(n) }
-func (g *Gauge) Add(n int64)  { g.v.Add(n) }
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindHistogram metricKind = iota
 	kindCounterFunc
 	kindGaugeFunc
 )
@@ -36,18 +19,18 @@ const (
 type entry struct {
 	name, unit, help string
 	kind             metricKind
-	c                *Counter
-	g                *Gauge
 	h                *Histogram
 	cfn              func() uint64
 	gfn              func() int64
 }
 
-// Registry is a named set of metrics. Registration takes a lock;
-// recording on the returned Counter/Gauge/Histogram is lock-free.
-// Scraping (Gather/WriteProm/WriteStatz) walks the entries and reads
-// every value atomically at that instant. CounterFunc/GaugeFunc callbacks
-// run at scrape time only, so the hot path pays nothing for them.
+// Registry is a named set of metrics, each read from its one source: a
+// histogram the recording struct owns (RegisterHistogram), or a
+// CounterFunc/GaugeFunc over a typed stats accessor. Registration takes
+// a lock; recording into a histogram is lock-free. Scraping
+// (Gather/WriteProm/WriteStatz) walks the entries and reads every value
+// at that instant; the callbacks run at scrape time only, so the hot
+// path pays nothing for them.
 type Registry struct {
 	name string
 
@@ -73,27 +56,6 @@ func (r *Registry) register(e *entry) {
 	}
 	r.names[e.name] = true
 	r.ents = append(r.ents, e)
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, unit, help string) *Counter {
-	c := &Counter{}
-	r.register(&entry{name: name, unit: unit, help: help, kind: kindCounter, c: c})
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, unit, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, unit: unit, help: help, kind: kindGauge, g: g})
-	return g
-}
-
-// Histogram registers and returns a new histogram.
-func (r *Registry) Histogram(name, unit, help string) *Histogram {
-	h := &Histogram{}
-	r.RegisterHistogram(name, unit, help, h)
-	return h
 }
 
 // RegisterHistogram registers an externally owned histogram (one that
@@ -134,10 +96,6 @@ func (r *Registry) Gather() []Sample {
 	var out []Sample
 	for _, e := range ents {
 		switch e.kind {
-		case kindCounter:
-			out = append(out, Sample{Name: e.name, Unit: e.unit, Help: e.help, Kind: "counter", Value: float64(e.c.Value())})
-		case kindGauge:
-			out = append(out, Sample{Name: e.name, Unit: e.unit, Help: e.help, Kind: "gauge", Value: float64(e.g.Value())})
 		case kindCounterFunc:
 			out = append(out, Sample{Name: e.name, Unit: e.unit, Help: e.help, Kind: "counter", Value: float64(e.cfn())})
 		case kindGaugeFunc:

@@ -53,6 +53,12 @@ func (st *Store) ShippableUpTo(p int) uint64 {
 	return seal
 }
 
+// CkptSeq returns the sequence shard p's newest durable checkpoint
+// covers (0 when it has none). Unlike Positions it takes no appender
+// lock, so a shipper can poll it per shard without waiting out a group
+// commit's fsync.
+func (st *Store) CkptSeq(p int) uint64 { return st.shards[p].ckptSeq.Load() }
+
 // Positions returns every shard's current durable position: checkpoint
 // chain tip and shippable seal.
 func (st *Store) Positions() []Position {

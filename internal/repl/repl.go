@@ -8,10 +8,15 @@
 // the same handle-based snapshot and live read API off them, scaling read
 // traffic horizontally. The applier is the replica's only publisher: each
 // replayed batch of records, bootstrap state, and boundary table becomes
-// visible to readers as soon as it is applied. Two transports share one
-// shipping engine: Pair wires a follower in process (catch-up, then
-// tailing), Serve/Dial put a length-prefixed socket protocol in the
-// middle with resume-from-position on reconnect.
+// visible to readers as soon as it is applied.
+//
+// There is one link protocol (wire.go) and two ways to connect it:
+// Serve/Dial run it over a socket, and Pair runs it in process over an
+// in-memory pipe (net.Pipe). Either way the follower announces its
+// positions in a hello, the primary's per-connection shipper streams
+// frames from there (so reconnecting is resume-from-position), and the
+// follower acknowledges each applied frame. The primary's ReplStats count
+// lag from those acknowledgements, so they mean the same for every link.
 //
 // # Replication contract
 //
@@ -23,7 +28,7 @@
 //     are checkpoint-chain states — exact at their covering sequence (the
 //     recovery path's own invariant, inherited wholesale). There is no
 //     weaker mode: a follower that cannot maintain the invariant stops
-//     with an error instead of approximating.
+//     with an error, and closes its link, instead of approximating.
 //   - Cross-shard: eventually consistent. Shards ship independently, so a
 //     follower's cut across shards can sit at different prefixes, and a
 //     boundary-table update can reach the follower slightly before or
@@ -33,10 +38,10 @@
 //     spans shard states. When the follower is caught up and the primary
 //     quiescent, follower state equals primary state, bounds included.
 //   - Staleness: a follower lags the primary by (a) unsynced records the
-//     group commit has not sealed, plus (b) sealed records not yet
-//     shipped/applied. ReplStats reports (b) for live links; followers
-//     report their own positions. Followers never serve anything the
-//     primary could not have served at some recent instant.
+//     group commit has not sealed, plus (b) sealed records it has not yet
+//     acknowledged applying. ReplStats reports (b) for live links;
+//     followers report their own positions. Followers never serve
+//     anything the primary could not have served at some recent instant.
 //   - Bootstrap: a fresh or too-far-behind follower (its position deleted
 //     behind a base checkpoint: persist.ErrPositionGone) receives the
 //     newest verifiable checkpoint chain state — the pointer-free leaf
@@ -52,8 +57,10 @@
 package repl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,7 +103,7 @@ func (o *Options) withDefaults() Options {
 }
 
 // Primary is the shipping side of replication: a live durable set and its
-// store, plus counters over every link served (in-process and socket).
+// store, plus counters over every link served.
 type Primary struct {
 	set *shard.Sharded
 	st  *persist.Store
@@ -106,9 +113,9 @@ type Primary struct {
 	bootstraps  atomic.Uint64
 	boundsShips atomic.Uint64
 
-	// shipDur times one record shipment end to end — for in-process links
-	// that includes the follower's apply, for socket links the frame write.
-	// bootDur times bootstrap state transfers.
+	// shipDur times one recs frame, encoded and written to the link
+	// (backpressure from a busy follower included, its apply of the frame
+	// not); bootDur one boot frame the same way.
 	shipDur obs.Histogram
 	bootDur obs.Histogram
 
@@ -139,11 +146,10 @@ func NewPrimary(set *shard.Sharded, st *persist.Store) (*Primary, error) {
 func (pr *Primary) Set() *shard.Sharded { return pr.set }
 
 // ReplStats is the primary's replication counters. LagRecords is the
-// largest sealed-but-unshipped record count across live links: for
-// in-process links shipping and applying are one synchronous step, so it
-// is the true follower apply lag; for socket links it measures up to the
-// send (the follower's own FollowerStats positions give the apply side).
-// Links and LagRecords are gauges; the other fields are monotone counters.
+// largest count, across live links, of sealed records the follower has
+// not acknowledged applying: 0 means every linked follower has applied
+// and published everything the primary has made durable. Links and
+// LagRecords are gauges; the other fields are monotone counters.
 type ReplStats struct {
 	Links          int
 	ShippedRecords uint64
@@ -160,14 +166,14 @@ func (pr *Primary) RegisterMetrics(r *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "repl"
 	}
-	r.RegisterHistogram(prefix+"_ship_ns", "ns", "one record shipment, send through apply for in-process links", &pr.shipDur)
+	r.RegisterHistogram(prefix+"_ship_ns", "ns", "one recs frame encoded and written to a link, waiting while the link is full", &pr.shipDur)
 	r.RegisterHistogram(prefix+"_bootstrap_ns", "ns", "one bootstrap state transfer", &pr.bootDur)
 	r.GaugeFunc(prefix+"_links", "links", "live replication links", func() int64 { return int64(pr.ReplStats().Links) })
 	r.CounterFunc(prefix+"_shipped_records", "records", "WAL records shipped to followers", func() uint64 { return pr.ReplStats().ShippedRecords })
 	r.CounterFunc(prefix+"_shipped_keys", "keys", "keys across shipped records", func() uint64 { return pr.ReplStats().ShippedKeys })
 	r.CounterFunc(prefix+"_bootstraps", "transfers", "checkpoint-chain bootstraps sent", func() uint64 { return pr.ReplStats().Bootstraps })
 	r.CounterFunc(prefix+"_bounds_updates", "tables", "boundary tables shipped", func() uint64 { return pr.ReplStats().BoundsUpdates })
-	r.GaugeFunc(prefix+"_lag_records", "records", "largest sealed-but-unshipped record count across live links", func() int64 { return int64(pr.ReplStats().LagRecords) })
+	r.GaugeFunc(prefix+"_lag_records", "records", "largest count of sealed records a live link's follower has not acknowledged applying", func() int64 { return int64(pr.ReplStats().LagRecords) })
 }
 
 // ReplStats returns the primary's replication counters.
@@ -187,7 +193,7 @@ func (pr *Primary) ReplStats() ReplStats {
 	for cur := range pr.links {
 		var lag uint64
 		cur.mu.Lock()
-		for p, pos := range cur.pos {
+		for p, pos := range cur.acked {
 			if seal[p] > pos {
 				lag += seal[p] - pos
 			}
@@ -213,43 +219,54 @@ func (pr *Primary) dropLink(cur *cursor) {
 	pr.mu.Unlock()
 }
 
-// cursor is one link's shipping position: the last record sequence sent
-// per shard and the last boundary generation sent. The link goroutine
-// owns it; ReplStats reads it under mu.
+// cursor is one link's position on the primary: per shard, the last
+// record sequence sent and the last one the follower acknowledged, plus
+// the last boundary generation sent. The shipper owns sent and boundsGen:
+// it reads sent freely and writes it under mu, since the ack reader checks
+// acks against it. The ack reader writes acked and ReplStats reads it,
+// both under mu.
 type cursor struct {
 	mu        sync.Mutex
-	pos       []uint64
+	sent      []uint64
+	acked     []uint64
 	boundsGen uint64
-}
-
-func (c *cursor) get(p int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pos[p]
 }
 
 func (c *cursor) set(p int, seq uint64) {
 	c.mu.Lock()
-	c.pos[p] = seq
+	c.sent[p] = seq
 	c.mu.Unlock()
 }
 
-// sink is where a link delivers: the in-process sink applies straight to
-// the follower, the socket sink writes frames.
-type sink interface {
-	sendBoot(p int, tip uint64, set *cpma.CPMA) error
-	sendRecs(p int, recs []persist.Rec) error
-	sendBounds(gen uint64, bounds []uint64) error
+// ack records an ack frame's payload. The follower is not trusted: an ack
+// for a shard the primary does not have, or past what it was sent, is an
+// error and ends the link.
+func (c *cursor) ack(payload []byte) error {
+	if len(payload) != ackLen {
+		return errors.New("repl: bad ack frame")
+	}
+	p := int(binary.LittleEndian.Uint32(payload))
+	seq := binary.LittleEndian.Uint64(payload[4:])
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p >= len(c.sent) {
+		return fmt.Errorf("repl: ack for shard %d", p)
+	}
+	if seq > c.sent[p] {
+		return fmt.Errorf("repl: shard %d acked %d, sent only %d", p, seq, c.sent[p])
+	}
+	c.acked[p] = seq
+	return nil
 }
 
-// shipOnce runs one shipping sweep: bounds first (cheap, keeps follower
-// routing close to follower contents), then every shard — bootstrap if
-// the position is gone (or fresh with a chain available), else the
-// sealed records past the cursor. Reports whether anything moved.
-func (pr *Primary) shipOnce(cur *cursor, sk sink, maxKeys int) (bool, error) {
+// shipOnce runs one shipping sweep over w: bounds first (cheap, keeps
+// follower routing close to follower contents), then every shard —
+// bootstrap if the position is gone (or fresh with a chain available),
+// else the sealed records past the cursor. Reports whether anything moved.
+func (pr *Primary) shipOnce(cur *cursor, w io.Writer, maxKeys int) (bool, error) {
 	progress := false
 	if gen, bounds := pr.set.RouterBounds(); bounds != nil && gen > cur.boundsGen {
-		if err := sk.sendBounds(gen, bounds); err != nil {
+		if err := writeFrame(w, boundsFrame(gen, bounds)); err != nil {
 			return progress, err
 		}
 		cur.boundsGen = gen
@@ -257,7 +274,7 @@ func (pr *Primary) shipOnce(cur *cursor, sk sink, maxKeys int) (bool, error) {
 		progress = true
 	}
 	for p := 0; p < pr.set.Shards(); p++ {
-		moved, err := pr.shipShard(cur, sk, p, maxKeys)
+		moved, err := pr.shipShard(cur, w, p, maxKeys)
 		if err != nil {
 			return progress, err
 		}
@@ -266,9 +283,12 @@ func (pr *Primary) shipOnce(cur *cursor, sk sink, maxKeys int) (bool, error) {
 	return progress, nil
 }
 
-func (pr *Primary) shipShard(cur *cursor, sk sink, p, maxKeys int) (bool, error) {
-	pos := cur.get(p)
-	boot := pos == 0 && pr.st.Positions()[p].CkptSeq > 0
+// shipShard ships shard p's next boot or recs frame, if any. The cursor
+// moves before the write, since the follower's ack for the frame may
+// reach the ack reader before the write returns.
+func (pr *Primary) shipShard(cur *cursor, w io.Writer, p, maxKeys int) (bool, error) {
+	pos := cur.sent[p]
+	boot := pos == 0 && pr.st.CkptSeq(p) > 0
 	var recs []persist.Rec
 	if !boot {
 		var err error
@@ -285,11 +305,15 @@ func (pr *Primary) shipShard(cur *cursor, sk sink, p, maxKeys int) (bool, error)
 			return false, err
 		}
 		t0 := time.Now()
-		if err := sk.sendBoot(p, tip, set); err != nil {
+		fr, err := bootFrame(p, tip, set)
+		if err != nil {
+			return false, err
+		}
+		cur.set(p, tip)
+		if err := writeFrame(w, fr); err != nil {
 			return false, err
 		}
 		pr.bootDur.Since(t0)
-		cur.set(p, tip)
 		pr.bootstraps.Add(1)
 		pr.set.Trace().Record(p, obs.EvBootstrap, 0, 0, tip, 0)
 		return true, nil
@@ -298,11 +322,12 @@ func (pr *Primary) shipShard(cur *cursor, sk sink, p, maxKeys int) (bool, error)
 		return false, nil
 	}
 	t0 := time.Now()
-	if err := sk.sendRecs(p, recs); err != nil {
+	fr := recsFrame(p, recs)
+	cur.set(p, recs[len(recs)-1].Seq)
+	if err := writeFrame(w, fr); err != nil {
 		return false, err
 	}
 	pr.shipDur.Since(t0)
-	cur.set(p, recs[len(recs)-1].Seq)
 	nk := 0
 	for _, r := range recs {
 		nk += len(r.Keys)
@@ -363,6 +388,13 @@ func (f *Follower) Positions() []persist.Position {
 	return append([]persist.Position(nil), f.pos...)
 }
 
+// applied returns the last record sequence applied to shard p.
+func (f *Follower) applied(p int) uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.pos[p].Seq
+}
+
 // FollowerStats counts a follower's replay work.
 type FollowerStats struct {
 	AppliedRecords uint64
@@ -409,16 +441,6 @@ func (f *Follower) attach() error {
 
 func (f *Follower) detach() { f.inUse.Store(false) }
 
-// applyBoot installs a bootstrap state for shard p, covering records up
-// to tip. Ownership of set transfers to the replica.
-func (f *Follower) applyBoot(p int, tip uint64, set *cpma.CPMA) {
-	f.set.ReplicaReset(p, set)
-	f.mu.Lock()
-	f.pos[p] = persist.Position{CkptSeq: tip, Seq: tip}
-	f.mu.Unlock()
-	f.bootstraps.Add(1)
-}
-
 // applyRecs replays records for shard p through persist.Replay, the
 // run-merging replay recovery uses: already-applied records are skipped,
 // a hole is a hard error (the prefix invariant would silently break), and
@@ -427,9 +449,7 @@ func (f *Follower) applyBoot(p int, tip uint64, set *cpma.CPMA) {
 // the replay — so the position and the readable state always agree.
 func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	t0 := time.Now()
-	f.mu.Lock()
-	cur := f.pos[p].Seq
-	f.mu.Unlock()
+	cur := f.applied(p)
 	var applied, keys uint64
 	last, err := persist.Replay(cur, recs, func(remove bool, ks []uint64, records int) {
 		f.set.ReplicaApply(p, remove, ks, records)
@@ -452,68 +472,6 @@ func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	return err
 }
 
-// applyBounds installs a replicated boundary table; a malformed table is
-// an error and changes nothing.
-func (f *Follower) applyBounds(gen uint64, bounds []uint64) error {
-	return f.set.ReplicaSetBounds(gen, bounds)
-}
-
-// localSink applies shipped state directly to an in-process follower.
-type localSink struct{ f *Follower }
-
-func (s localSink) sendBoot(p int, tip uint64, set *cpma.CPMA) error {
-	s.f.applyBoot(p, tip, set)
-	return nil
-}
-func (s localSink) sendRecs(p int, recs []persist.Rec) error { return s.f.applyRecs(p, recs) }
-func (s localSink) sendBounds(gen uint64, bounds []uint64) error {
-	return s.f.applyBounds(gen, bounds)
-}
-
-// Link is a running in-process replication link. Close stops it; a
-// stopped link can be re-Paired (the follower keeps its positions, so
-// the new link resumes where this one stopped — the reconnect
-// primitive the differential harness kills and revives).
-type Link struct {
-	pr       *Primary
-	f        *Follower
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
-	errMu sync.Mutex
-	err   error
-}
-
-// Pair attaches a follower to a primary in process and starts shipping:
-// catch-up (bootstrap if needed) and then tailing until Close. The
-// follower resumes from its current positions.
-func Pair(pr *Primary, f *Follower, opts *Options) (*Link, error) {
-	o := opts.withDefaults()
-	if err := checkGeometry(pr.set, f.set); err != nil {
-		return nil, err
-	}
-	if err := f.attach(); err != nil {
-		return nil, err
-	}
-	cur := newCursor(f)
-	l := &Link{pr: pr, f: f, stop: make(chan struct{}), done: make(chan struct{})}
-	pr.addLink(cur)
-	go l.run(cur, o)
-	return l, nil
-}
-
-// newCursor seeds a link cursor from the follower's own positions, so a
-// re-attached link continues exactly where the previous one stopped.
-func newCursor(f *Follower) *cursor {
-	positions := f.Positions()
-	pos := make([]uint64, len(positions))
-	for p, q := range positions {
-		pos[p] = q.Seq
-	}
-	return &cursor{pos: pos, boundsGen: f.set.RebalanceStats().Gen}
-}
-
 func checkGeometry(p, f *shard.Sharded) error {
 	if p.Shards() != f.Shards() {
 		return fmt.Errorf("repl: primary has %d shards, follower %d", p.Shards(), f.Shards())
@@ -525,55 +483,4 @@ func checkGeometry(p, f *shard.Sharded) error {
 		return fmt.Errorf("repl: primary KeyBits %d, follower %d", p.KeyBits(), f.KeyBits())
 	}
 	return nil
-}
-
-func (l *Link) run(cur *cursor, o Options) {
-	defer close(l.done)
-	defer l.f.detach()
-	defer l.pr.dropLink(cur)
-	sk := localSink{f: l.f}
-	for {
-		progress, err := l.pr.shipOnce(cur, sk, o.MaxKeysPerRead)
-		if err != nil {
-			l.setErr(err)
-			return
-		}
-		if progress {
-			select {
-			case <-l.stop:
-				return
-			default:
-			}
-			continue
-		}
-		select {
-		case <-l.stop:
-			return
-		case <-time.After(o.TailInterval):
-		}
-	}
-}
-
-func (l *Link) setErr(err error) {
-	l.errMu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	l.errMu.Unlock()
-}
-
-// Err returns the link's first hard error (nil while healthy).
-func (l *Link) Err() error {
-	l.errMu.Lock()
-	defer l.errMu.Unlock()
-	return l.err
-}
-
-// Close stops the link and waits for its shipper to exit, returning the
-// link's first error. The follower stays valid (and re-attachable) with
-// everything applied so far.
-func (l *Link) Close() error {
-	l.stopOnce.Do(func() { close(l.stop) })
-	<-l.done
-	return l.Err()
 }

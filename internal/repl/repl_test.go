@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -564,5 +565,100 @@ func TestFollowerMergesRuns(t *testing.T) {
 	}
 	if st := f.Stats(); st.AppliedRecords != 5 || st.AppliedKeys != 7 {
 		t.Fatalf("follower stats %+v", st)
+	}
+}
+
+// TestZeroLagMeansApplied: for both ways of linking, repl_lag_records
+// counts sealed records the follower has not acknowledged applying, so
+// once it reads 0 every follower shard already equals the primary's —
+// the catch-up condition the durable-ingest benchmark waits on. The
+// primary has a checkpoint before the follower links, so the follower
+// bootstraps and then replays the records past it. A clean Close returns
+// nil and leaves Err nil, and the primary stops counting the link.
+func TestZeroLagMeansApplied(t *testing.T) {
+	for _, transport := range []string{"pair", "dial"} {
+		t.Run(transport, func(t *testing.T) {
+			const shards = 4
+			opt := shard.Options{Dir: t.TempDir(), SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: -1}
+			s, st, err := persist.OpenSharded(shards, &opt)
+			if err != nil {
+				t.Fatalf("OpenSharded: %v", err)
+			}
+			defer s.Close()
+			pr, err := NewPrimary(s, st)
+			if err != nil {
+				t.Fatalf("NewPrimary: %v", err)
+			}
+			reg := obs.NewRegistry("lag")
+			pr.RegisterMetrics(reg, "repl")
+			gauge := func(name string) float64 {
+				for _, sm := range reg.Gather() {
+					if sm.Name == name {
+						return sm.Value
+					}
+				}
+				t.Fatalf("metric %s not registered", name)
+				return 0
+			}
+
+			r := workload.NewRNG(5)
+			for i := 0; i < 4; i++ {
+				s.InsertBatchAsync(workload.Uniform(r, 3000, 24), false)
+			}
+			s.Flush()
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			for i := 0; i < 4; i++ {
+				keys := workload.Uniform(r, 3000, 24)
+				s.InsertBatchAsync(keys, false)
+				s.RemoveBatchAsync(keys[:500], false)
+			}
+			s.Flush()
+
+			f := NewFollower(shards, nil)
+			var l *Link
+			if transport == "pair" {
+				l, err = Pair(pr, f, nil)
+			} else {
+				ln, lerr := net.Listen("tcp", "127.0.0.1:0")
+				if lerr != nil {
+					t.Fatalf("Listen: %v", lerr)
+				}
+				defer ln.Close()
+				go Serve(ln, pr, nil)
+				l, err = Dial(ln.Addr().String(), f)
+			}
+			if err != nil {
+				t.Fatalf("link: %v", err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for gauge("repl_links") != 1 || gauge("repl_lag_records") != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("links %v, lag %v records", gauge("repl_links"), gauge("repl_lag_records"))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for p := 0; p < shards; p++ {
+				if !slices.Equal(s.ShardKeys(p), f.Set().ShardKeys(p)) {
+					t.Fatalf("lag reads 0 but follower shard %d differs from the primary", p)
+				}
+			}
+			if f.Stats().Bootstraps == 0 {
+				t.Fatal("follower linked after a checkpoint did not bootstrap")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := l.Err(); err != nil {
+				t.Fatalf("Err after a clean Close: %v", err)
+			}
+			for gauge("repl_links") != 0 {
+				if transport == "pair" || time.Now().After(deadline) {
+					t.Fatalf("primary still counts %v links after Close", gauge("repl_links"))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -1,12 +1,16 @@
 package repl
 
-// The socket transport: the same shipping engine as Pair, with a
-// length-prefixed binary protocol in the middle. A follower Dials,
-// announces its geometry and per-shard positions in a hello frame, and
-// the primary streams boot/recs/bounds frames from there — so reconnect
-// is resume-from-position by construction: whatever the follower durably
-// holds in memory is where the next hello starts. The primary sends ping
-// frames while idle so a dead peer is detected even with nothing to ship.
+// The link protocol, the only one: Serve/Dial run it over a socket, Pair
+// over an in-memory pipe. A follower announces its geometry and per-shard
+// positions in a hello frame, and the primary's per-connection shipper
+// streams boot/recs/bounds frames from there — so reconnect is
+// resume-from-position by construction: whatever the follower holds in
+// memory is where the next hello starts. The follower answers each boot
+// or recs frame, once applied and published, with an ack frame {shard,
+// seq}, and the primary's per-connection ack reader records it on the
+// link's cursor. That reader also sees a closed or reset peer at once and
+// ends the link; a peer that vanishes silently is left to TCP keep-alive,
+// which Go enables on dialed and accepted connections by default.
 //
 // Frames: u32 payload length, u8 type, payload. All integers little
 // endian. Boot payloads carry the shard's state in the cpma leaf-list
@@ -15,7 +19,7 @@ package repl
 // are a u32 shard id followed by WAL record frames exactly as the log
 // stores them (persist.AppendRecord: length, CRC32C, kind, sequence,
 // varint-delta keys), decoded by the log's own walker in strict mode
-// (persist.DecodeRecs), so one codec guards the disk and the socket.
+// (persist.DecodeRecs), so one codec guards the disk and the wire.
 
 import (
 	"bufio"
@@ -26,6 +30,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cpma"
@@ -37,39 +42,44 @@ const (
 	// wireMagic opens a follower's hello. Version 2 shipped hash shards'
 	// stored quotients (see shard.HashPartition); version 3 ships boot
 	// state in the cpma leaf-list encoding; version 4 ships records as WAL
-	// record frames. Older peers are refused at hello instead of misread.
-	wireMagic    = "CPMARPL4"
-	maxFrameLen  = 1 << 30
-	pingAfterMax = 250 * time.Millisecond
+	// record frames; version 5 adds the follower's ack frames (a version 4
+	// primary never reads after the hello, so acks sent to it would stall).
+	// Older peers are refused at hello instead of misread.
+	wireMagic   = "CPMARPL5"
+	maxFrameLen = 1 << 30
+	ackLen      = 12
 
 	frHello  = 1
 	frBoot   = 2
 	frRecs   = 3
 	frBounds = 4
-	frPing   = 5
+	frAck    = 5
 )
 
-func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// newFrame starts a frame of type typ with room for n payload bytes; the
+// caller appends the payload and writeFrame fills in its length.
+func newFrame(typ byte, n int) []byte {
+	b := make([]byte, 5, 5+n)
+	b[4] = typ
+	return b
 }
 
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
+// writeFrame stamps b's payload length and writes the frame in one call.
+func writeFrame(w io.Writer, b []byte) error {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-5))
+	_, err := w.Write(b)
+	return err
+}
+
+// readFrame reads one frame whose payload is at most limit bytes.
+func readFrame(r *bufio.Reader, limit int) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxFrameLen {
-		return 0, nil, fmt.Errorf("repl: frame of %d bytes exceeds limit", n)
+	if uint64(n) > uint64(limit) {
+		return 0, nil, fmt.Errorf("repl: frame of %d bytes exceeds limit %d", n, limit)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -78,10 +88,39 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
+func bootFrame(p int, tip uint64, set *cpma.CPMA) ([]byte, error) {
+	b := binary.LittleEndian.AppendUint32(newFrame(frBoot, 12), uint32(p))
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint64(b, tip))
+	_, err := set.WriteTo(buf)
+	return buf.Bytes(), err
+}
+
+func recsFrame(p int, recs []persist.Rec) []byte {
+	b := binary.LittleEndian.AppendUint32(newFrame(frRecs, 4), uint32(p))
+	for _, r := range recs {
+		b = persist.AppendRecord(b, r)
+	}
+	return b
+}
+
+func boundsFrame(gen uint64, bounds []uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(newFrame(frBounds, 12+8*len(bounds)), gen)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(bounds)))
+	for _, x := range bounds {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+func ackFrame(p int, seq uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(newFrame(frAck, ackLen), uint32(p))
+	return binary.LittleEndian.AppendUint64(b, seq)
+}
+
 // Serve accepts follower connections on ln and ships to each until its
 // connection breaks or ln closes. Blocks; run it in a goroutine and close
 // the listener to stop accepting (live connections drain on their own
-// errors — closing a follower's Conn is what ends its stream).
+// errors — closing a follower's Link is what ends its stream).
 func Serve(ln net.Listener, pr *Primary, opts *Options) error {
 	o := opts.withDefaults()
 	for {
@@ -89,14 +128,18 @@ func Serve(ln net.Listener, pr *Primary, opts *Options) error {
 		if err != nil {
 			return err
 		}
-		go pr.serveConn(conn, o)
+		go pr.serveConn(conn, o, nil)
 	}
 }
 
-func (pr *Primary) serveConn(conn net.Conn, o Options) {
+// serveConn runs the primary's end of one link: it checks the hello,
+// registers the link (closing registered, when given, once it counts in
+// ReplStats), reads acks in one goroutine and ships in this one until
+// either side fails, then drops the link.
+func (pr *Primary) serveConn(conn net.Conn, o Options, registered chan<- struct{}) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	typ, payload, err := readFrame(r)
+	typ, payload, err := readFrame(r, helloLen(pr.set.Shards()))
 	if err != nil || typ != frHello {
 		return
 	}
@@ -106,36 +149,44 @@ func (pr *Primary) serveConn(conn net.Conn, o Options) {
 	}
 	pr.addLink(cur)
 	defer pr.dropLink(cur)
-	sk := &connSink{w: bufio.NewWriter(conn)}
-	idle := time.Duration(0)
-	for {
-		progress, err := pr.shipOnce(cur, sk, o.MaxKeysPerRead)
-		if err != nil {
-			return
-		}
-		if progress {
-			idle = 0
-			continue
-		}
-		time.Sleep(o.TailInterval)
-		idle += o.TailInterval
-		if idle >= pingAfterMax {
-			// Probe the connection: a follower that went away while we were
-			// caught up would otherwise pin this goroutine forever.
-			if err := writeFrame(sk.w, frPing, nil); err != nil {
+	if registered != nil {
+		close(registered)
+	}
+	gone := make(chan struct{})
+	go func() {
+		// Closing conn also fails a write the shipper is blocked in.
+		defer close(gone)
+		defer conn.Close()
+		for {
+			typ, payload, err := readFrame(r, ackLen)
+			if err != nil || typ != frAck || cur.ack(payload) != nil {
 				return
 			}
-			idle = 0
+		}
+	}()
+	defer func() { <-gone }()
+	for {
+		progress, err := pr.shipOnce(cur, conn, o.MaxKeysPerRead)
+		if err != nil {
+			conn.Close()
+			return
+		}
+		if !progress {
+			select {
+			case <-gone:
+				return
+			case <-time.After(o.TailInterval):
+			}
 		}
 	}
 }
 
 // parseHello validates a follower hello against the primary's geometry
-// and returns a cursor seeded from the announced positions.
+// and returns a cursor seeded from the announced positions: the follower
+// holds them applied, so they count as both sent and acknowledged.
 func (pr *Primary) parseHello(payload []byte) (*cursor, error) {
 	shards := pr.set.Shards()
-	want := len(wireMagic) + 4 + 1 + 1 + 8 + shards*16
-	if len(payload) != want || string(payload[:8]) != wireMagic {
+	if len(payload) != helloLen(shards) || string(payload[:8]) != wireMagic {
 		return nil, errors.New("repl: bad hello")
 	}
 	b := payload[8:]
@@ -145,88 +196,26 @@ func (pr *Primary) parseHello(payload []byte) (*cursor, error) {
 	if shard.Partition(b[4]) != pr.set.Partition() || int(b[5]) != pr.set.KeyBits() {
 		return nil, errors.New("repl: geometry mismatch")
 	}
-	cur := &cursor{pos: make([]uint64, shards), boundsGen: binary.LittleEndian.Uint64(b[6:])}
+	cur := &cursor{sent: make([]uint64, shards), boundsGen: binary.LittleEndian.Uint64(b[6:])}
 	b = b[14:]
 	for p := 0; p < shards; p++ {
 		// The ckpt half of each position travels for observability; the
 		// cursor only needs the applied sequence.
-		cur.pos[p] = binary.LittleEndian.Uint64(b[p*16+8:])
+		cur.sent[p] = binary.LittleEndian.Uint64(b[p*16+8:])
 	}
+	cur.acked = append([]uint64(nil), cur.sent...)
 	return cur, nil
 }
 
-// connSink encodes shipped state as frames.
-type connSink struct{ w *bufio.Writer }
-
-func (s *connSink) sendBoot(p int, tip uint64, set *cpma.CPMA) error {
-	var buf bytes.Buffer
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(p))
-	binary.LittleEndian.PutUint64(hdr[4:], tip)
-	buf.Write(hdr[:])
-	if _, err := set.WriteTo(&buf); err != nil {
-		return err
-	}
-	return writeFrame(s.w, frBoot, buf.Bytes())
-}
-
-func (s *connSink) sendRecs(p int, recs []persist.Rec) error {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
-	for _, r := range recs {
-		buf = persist.AppendRecord(buf, r)
-	}
-	return writeFrame(s.w, frRecs, buf)
-}
-
-func (s *connSink) sendBounds(gen uint64, bounds []uint64) error {
-	buf := make([]byte, 12, 12+8*len(bounds))
-	binary.LittleEndian.PutUint64(buf[:8], gen)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(bounds)))
-	for _, b := range bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, b)
-	}
-	return writeFrame(s.w, frBounds, buf)
-}
-
-// Conn is a follower's live socket link. Close tears it down; the
-// follower keeps its state and positions, and a new Dial resumes from
-// them.
-type Conn struct {
-	f    *Follower
-	c    net.Conn
-	done chan struct{}
-
-	errMu sync.Mutex
-	err   error
-}
-
-// Dial connects a follower to a serving primary at addr and starts the
-// receive loop: hello with current positions, then apply frames until
-// Close (or a connection error — check Err after Done closes).
-func Dial(addr string, f *Follower) (*Conn, error) {
-	if err := f.attach(); err != nil {
-		return nil, err
-	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		f.detach()
-		return nil, err
-	}
-	w := bufio.NewWriter(nc)
-	if err := writeFrame(w, frHello, helloPayload(f)); err != nil {
-		nc.Close()
-		f.detach()
-		return nil, err
-	}
-	c := &Conn{f: f, c: nc, done: make(chan struct{})}
-	go c.recv()
-	return c, nil
-}
+// helloLen is the size of a hello payload: the magic, the geometry (u32
+// shards, u8 partition, u8 key bits, u64 bounds generation) and a
+// {ckpt, seq} position per shard.
+func helloLen(shards int) int { return len(wireMagic) + 14 + 16*shards }
 
 func helloPayload(f *Follower) []byte {
 	set := f.set
 	positions := f.Positions()
-	buf := make([]byte, 0, len(wireMagic)+14+16*len(positions))
+	buf := make([]byte, 0, helloLen(len(positions)))
 	buf = append(buf, wireMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(set.Shards()))
 	buf = append(buf, byte(set.Partition()), byte(set.KeyBits()))
@@ -238,56 +227,139 @@ func helloPayload(f *Follower) []byte {
 	return buf
 }
 
-func (c *Conn) recv() {
-	defer close(c.done)
-	r := bufio.NewReader(c.c)
-	for {
-		typ, payload, err := readFrame(r)
-		if err != nil {
-			c.setErr(err)
-			return
+// Link is a follower's live replication link, from Pair or Dial. Close
+// tears it down; the follower keeps its state and positions, and a new
+// link resumes from them (the reconnect primitive the differential
+// harness kills and revives).
+type Link struct {
+	f      *Follower
+	c      net.Conn
+	done   chan struct{}
+	served chan struct{} // Pair only: closed once the primary's end is gone
+	closed atomic.Bool
+
+	errMu sync.Mutex
+	err   error
+}
+
+// Pair attaches a follower to a primary in process: the primary's
+// per-connection shipper serves one end of an in-memory pipe and the
+// follower dials the other, so the link runs the same protocol as Dial.
+// It returns once the primary counts the link; shipping (catch-up, with
+// a bootstrap if needed, then tailing) runs until Close.
+func Pair(pr *Primary, f *Follower, opts *Options) (*Link, error) {
+	if err := checkGeometry(pr.set, f.set); err != nil {
+		return nil, err
+	}
+	o := opts.withDefaults()
+	registered, served := make(chan struct{}), make(chan struct{})
+	l, err := connect(f, func() (net.Conn, error) {
+		srv, cli := net.Pipe()
+		go func() {
+			defer close(served)
+			pr.serveConn(srv, o, registered)
+		}()
+		return cli, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.served = served
+	select {
+	case <-registered:
+	case <-served:
+	}
+	return l, nil
+}
+
+// Dial connects a follower to a serving primary at addr and starts the
+// receive loop: hello with current positions, then apply and acknowledge
+// frames until Close or an error (check Err once Done closes).
+func Dial(addr string, f *Follower) (*Link, error) {
+	return connect(f, func() (net.Conn, error) { return net.Dial("tcp", addr) })
+}
+
+// connect claims f, opens a connection with dial, sends the hello and
+// starts the receive loop.
+func connect(f *Follower, dial func() (net.Conn, error)) (*Link, error) {
+	if err := f.attach(); err != nil {
+		return nil, err
+	}
+	c, err := dial()
+	if err == nil {
+		hello := helloPayload(f)
+		if err = writeFrame(c, append(newFrame(frHello, len(hello)), hello...)); err != nil {
+			c.Close()
 		}
-		switch typ {
-		case frPing:
-		case frBoot:
-			if err := c.applyBootFrame(payload); err != nil {
-				c.setErr(err)
-				return
+	}
+	if err != nil {
+		f.detach()
+		return nil, err
+	}
+	l := &Link{f: f, c: c, done: make(chan struct{})}
+	go l.recv()
+	return l, nil
+}
+
+// recv applies frames until the link fails or closes. Boot and recs
+// frames are acknowledged once applied and published; both open with the
+// shard id their apply checked. On any exit the connection closes, so
+// the primary stops counting the link at once.
+func (l *Link) recv() {
+	defer close(l.done)
+	defer l.f.detach()
+	defer l.c.Close()
+	r := bufio.NewReader(l.c)
+	for {
+		typ, payload, err := readFrame(r, maxFrameLen)
+		if err == nil {
+			switch typ {
+			case frBoot:
+				err = l.f.applyBootFrame(payload)
+			case frRecs:
+				err = l.f.applyRecsFrame(payload)
+			case frBounds:
+				err = l.f.applyBoundsFrame(payload)
+			default:
+				err = fmt.Errorf("repl: unknown frame type %d", typ)
 			}
-		case frRecs:
-			if err := c.applyRecsFrame(payload); err != nil {
-				c.setErr(err)
-				return
+		}
+		if err == nil && typ != frBounds {
+			p := int(binary.LittleEndian.Uint32(payload))
+			err = writeFrame(l.c, ackFrame(p, l.f.applied(p)))
+		}
+		if err != nil {
+			if !l.closed.Load() {
+				l.errMu.Lock()
+				l.err = err
+				l.errMu.Unlock()
 			}
-		case frBounds:
-			if err := c.applyBoundsFrame(payload); err != nil {
-				c.setErr(err)
-				return
-			}
-		default:
-			c.setErr(fmt.Errorf("repl: unknown frame type %d", typ))
 			return
 		}
 	}
 }
 
-func (c *Conn) applyBootFrame(payload []byte) error {
+func (f *Follower) applyBootFrame(payload []byte) error {
 	if len(payload) < 12 {
 		return errors.New("repl: short boot frame")
 	}
 	p := int(binary.LittleEndian.Uint32(payload[:4]))
 	tip := binary.LittleEndian.Uint64(payload[4:])
-	if p < 0 || p >= c.f.set.Shards() {
+	if p >= f.set.Shards() {
 		return fmt.Errorf("repl: boot frame for shard %d", p)
 	}
-	set, err := cpma.ReadFrom(bytes.NewReader(payload[12:]), c.f.setOpts)
+	set, err := cpma.ReadFrom(bytes.NewReader(payload[12:]), f.setOpts)
 	if err != nil {
 		return err
 	}
 	if err := set.Validate(); err != nil {
 		return err
 	}
-	c.f.applyBoot(p, tip, set)
+	f.set.ReplicaReset(p, set)
+	f.mu.Lock()
+	f.pos[p] = persist.Position{CkptSeq: tip, Seq: tip}
+	f.mu.Unlock()
+	f.bootstraps.Add(1)
 	return nil
 }
 
@@ -295,22 +367,24 @@ func (c *Conn) applyBootFrame(payload []byte) error {
 // trusted: the log's strict decoder rejects the whole frame — before any
 // record is applied — on a torn or oversized frame, a CRC mismatch, or a
 // record whose keys are zero, out of order, or not minimally encoded.
-func (c *Conn) applyRecsFrame(payload []byte) error {
+func (f *Follower) applyRecsFrame(payload []byte) error {
 	if len(payload) < 4 {
 		return errors.New("repl: short recs frame")
 	}
 	p := int(binary.LittleEndian.Uint32(payload))
-	if p >= c.f.set.Shards() {
+	if p >= f.set.Shards() {
 		return fmt.Errorf("repl: recs frame for shard %d", p)
 	}
 	recs, err := persist.DecodeRecs(payload[4:])
 	if err != nil {
 		return err
 	}
-	return c.f.applyRecs(p, recs)
+	return f.applyRecs(p, recs)
 }
 
-func (c *Conn) applyBoundsFrame(payload []byte) error {
+// applyBoundsFrame installs a replicated boundary table; a malformed
+// table is an error and changes nothing.
+func (f *Follower) applyBoundsFrame(payload []byte) error {
 	if len(payload) < 12 {
 		return errors.New("repl: short bounds frame")
 	}
@@ -323,34 +397,30 @@ func (c *Conn) applyBoundsFrame(payload []byte) error {
 	for i := range bounds {
 		bounds[i] = binary.LittleEndian.Uint64(payload[12+8*i:])
 	}
-	return c.f.applyBounds(gen, bounds)
+	return f.set.ReplicaSetBounds(gen, bounds)
 }
 
-func (c *Conn) setErr(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.errMu.Unlock()
-}
-
-// Err returns the connection's first error. net.ErrClosed after a Close
-// is the normal shutdown path.
-func (c *Conn) Err() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.err
+// Err returns the link's first hard error: nil while healthy and after a
+// clean local Close.
+func (l *Link) Err() error {
+	l.errMu.Lock()
+	defer l.errMu.Unlock()
+	return l.err
 }
 
 // Done is closed when the receive loop has exited.
-func (c *Conn) Done() <-chan struct{} { return c.done }
+func (l *Link) Done() <-chan struct{} { return l.done }
 
-// Close tears the connection down and waits for the receive loop; the
-// follower detaches with everything applied so far and can Dial again to
+// Close tears the link down and waits for its receive loop (and, for
+// Pair, the primary's end), returning the link's first hard error. The
+// follower detaches with everything applied so far and can link again to
 // resume.
-func (c *Conn) Close() error {
-	err := c.c.Close()
-	<-c.done
-	c.f.detach()
-	return err
+func (l *Link) Close() error {
+	l.closed.Store(true)
+	l.c.Close()
+	<-l.done
+	if l.served != nil {
+		<-l.served
+	}
+	return l.Err()
 }

@@ -5,22 +5,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
+	"net"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cpma"
 	"repro/internal/persist"
 	"repro/internal/shard"
 )
 
-// frame encodes one frame through the real sender and returns its payload.
-func frame(t *testing.T, send func(sk *connSink) error) []byte {
+// frame writes an encoded frame through the real frame writer, reads it
+// back through the real reader and returns its payload.
+func frame(t *testing.T, fr []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := send(&connSink{w: bufio.NewWriter(&buf)}); err != nil {
+	if err := writeFrame(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := readFrame(bufio.NewReader(&buf))
+	_, payload, err := readFrame(bufio.NewReader(&buf), maxFrameLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +39,15 @@ func frame(t *testing.T, send func(sk *connSink) error) []byte {
 // and no allocation sized by an unchecked record count.
 func TestMalformedFrames(t *testing.T) {
 	f := NewFollower(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 16})
-	c := &Conn{f: f}
-	recs := func(p int, rs ...persist.Rec) []byte {
-		return frame(t, func(sk *connSink) error { return sk.sendRecs(p, rs) })
-	}
-	bounds := func(gen uint64, b ...uint64) []byte {
-		return frame(t, func(sk *connSink) error { return sk.sendBounds(gen, b) })
-	}
+	recs := func(p int, rs ...persist.Rec) []byte { return frame(t, recsFrame(p, rs)) }
+	bounds := func(gen uint64, b ...uint64) []byte { return frame(t, boundsFrame(gen, b)) }
 
-	if err := c.applyRecsFrame(recs(0,
+	if err := f.applyRecsFrame(recs(0,
 		persist.Rec{Seq: 1, Keys: []uint64{5, 9, 9, 12}},
 		persist.Rec{Seq: 2, Remove: true, Keys: []uint64{9}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.applyBoundsFrame(bounds(1, 100, 200)); err != nil {
+	if err := f.applyBoundsFrame(bounds(1, 100, 200)); err != nil {
 		t.Fatal(err)
 	}
 	sn := f.Snapshot()
@@ -76,8 +75,11 @@ func TestMalformedFrames(t *testing.T) {
 		dense[i] = uint64(i + 1)
 	}
 	boot := func(p int, keys ...uint64) []byte {
-		set := cpma.FromSorted(keys, nil)
-		return frame(t, func(sk *connSink) error { return sk.sendBoot(p, 9, set) })
+		fr, err := bootFrame(p, 9, cpma.FromSorted(keys, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame(t, fr)
 	}
 	forge := func(b []byte, edit func(enc []byte)) []byte {
 		enc := b[12:]
@@ -112,46 +114,52 @@ func TestMalformedFrames(t *testing.T) {
 		name  string
 		apply func() error
 	}{
-		{"bounds too short", func() error { return c.applyBoundsFrame(bounds(2, 100)) }},
-		{"bounds too long", func() error { return c.applyBoundsFrame(bounds(2, 100, 200, 300)) }},
-		{"bounds unsorted", func() error { return c.applyBoundsFrame(bounds(2, 300, 200)) }},
+		{"bounds too short", func() error { return f.applyBoundsFrame(bounds(2, 100)) }},
+		{"bounds too long", func() error { return f.applyBoundsFrame(bounds(2, 100, 200, 300)) }},
+		{"bounds unsorted", func() error { return f.applyBoundsFrame(bounds(2, 300, 200)) }},
 		{"recs unsorted keys", func() error {
-			return c.applyRecsFrame(recs(0, persist.Rec{Seq: 3, Keys: []uint64{9, 3}}))
+			return f.applyRecsFrame(recs(0, persist.Rec{Seq: 3, Keys: []uint64{9, 3}}))
 		}},
 		{"recs zero key", func() error {
-			return c.applyRecsFrame(recs(0, persist.Rec{Seq: 3, Keys: []uint64{0, 4}}))
+			return f.applyRecsFrame(recs(0, persist.Rec{Seq: 3, Keys: []uint64{0, 4}}))
 		}},
 		{"recs bad second record", func() error {
-			return c.applyRecsFrame(recs(0,
+			return f.applyRecsFrame(recs(0,
 				persist.Rec{Seq: 3, Keys: []uint64{20}},
 				persist.Rec{Seq: 4, Keys: []uint64{30, 25}}))
 		}},
-		{"recs count beyond payload", func() error { return c.applyRecsFrame(hugeCount) }},
-		{"recs key count beyond payload", func() error { return c.applyRecsFrame(hugeKeys) }},
+		{"recs count beyond payload", func() error { return f.applyRecsFrame(hugeCount) }},
+		{"recs key count beyond payload", func() error { return f.applyRecsFrame(hugeKeys) }},
 		{"recs bad shard", func() error {
-			return c.applyRecsFrame(recs(7, persist.Rec{Seq: 3, Keys: []uint64{20}}))
+			return f.applyRecsFrame(recs(7, persist.Rec{Seq: 3, Keys: []uint64{20}}))
 		}},
 		{"recs bad CRC", func() error {
 			b := recs(0, persist.Rec{Seq: 3, Keys: []uint64{20}})
 			b[8] ^= 1 // the frame's CRC follows the shard id and its length
-			return c.applyRecsFrame(b)
+			return f.applyRecsFrame(b)
 		}},
 		{"recs torn frame", func() error {
 			b := recs(0, persist.Rec{Seq: 3, Keys: []uint64{20}}, persist.Rec{Seq: 4, Keys: []uint64{30}})
-			return c.applyRecsFrame(b[:len(b)-1])
+			return f.applyRecsFrame(b[:len(b)-1])
 		}},
 		{"boot code runs past used", func() error {
-			return c.applyBootFrame(forge(boot(0, 5, 1000), func(enc []byte) { enc[len(enc)-5] |= 0x80 }))
+			return f.applyBootFrame(forge(boot(0, 5, 1000), func(enc []byte) { enc[len(enc)-5] |= 0x80 }))
 		}},
 		{"boot keys out of order", func() error {
-			return c.applyBootFrame(forge(boot(0, dense...), func(enc []byte) {
+			return f.applyBootFrame(forge(boot(0, dense...), func(enc []byte) {
 				binary.LittleEndian.PutUint64(enc[lastLeaf(enc):], 1)
 			}))
 		}},
-		{"boot bad shard", func() error { return c.applyBootFrame(boot(7, 5, 1000)) }},
+		{"boot bad shard", func() error { return f.applyBootFrame(boot(7, 5, 1000)) }},
 		{"boot truncated payload", func() error {
 			b := boot(0, 5, 1000)
-			return c.applyBootFrame(b[:len(b)-6])
+			return f.applyBootFrame(b[:len(b)-6])
+		}},
+		{"hello with the ack-less magic", func() error {
+			h := helloPayload(f)
+			copy(h, "CPMARPL4")
+			_, err := pr.parseHello(h)
+			return err
 		}},
 		{"hello with the fixed-width-recs magic", func() error {
 			h := helloPayload(f)
@@ -187,6 +195,114 @@ func TestMalformedFrames(t *testing.T) {
 			}
 			if pos := f.Positions()[0].Seq; pos != 2 {
 				t.Fatalf("shard 0 position moved to %d", pos)
+			}
+		})
+	}
+}
+
+// TestFollowerErrorClosesConn: a follower that stops on an error closes
+// its connection, so the primary sees EOF and stops counting and shipping
+// to the link. A fake primary reads the hello and sends a frame of
+// unknown type.
+func TestFollowerErrorClosesConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	f := NewFollower(2, nil)
+	l, err := Dial(ln.Addr().String(), f)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer l.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("Accept: %v", err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	if typ, _, err := readFrame(r, maxFrameLen); err != nil || typ != frHello {
+		t.Fatalf("hello: type %d, %v", typ, err)
+	}
+	if err := writeFrame(conn, newFrame(99, 0)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("follower kept its connection open after a bad frame: %v", err)
+	}
+	<-l.Done()
+	if l.Err() == nil {
+		t.Fatal("follower stopped without an error")
+	}
+}
+
+// TestPrimaryRejectsBadAcks: acks are untrusted input. An ack for a shard
+// the primary does not have, or past what it sent, a malformed one, or a
+// frame header claiming more bytes than an ack ends the connection before
+// the primary allocates for it, and the primary stops counting the link.
+func TestPrimaryRejectsBadAcks(t *testing.T) {
+	s, st, err := persist.OpenSharded(2, &shard.Options{Dir: t.TempDir(), SyncEvery: 1})
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	defer s.Close()
+	pr, err := NewPrimary(s, st)
+	if err != nil {
+		t.Fatalf("NewPrimary: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	go Serve(ln, pr, nil)
+
+	send := func(fr []byte) func(net.Conn) error {
+		return func(conn net.Conn) error { return writeFrame(conn, fr) }
+	}
+	for _, tc := range []struct {
+		name string
+		send func(net.Conn) error
+	}{
+		{"unknown shard", send(ackFrame(7, 0))},
+		{"past what was sent", send(ackFrame(1, 1))},
+		{"short", send(binary.LittleEndian.AppendUint32(newFrame(frAck, 4), 0))},
+		{"oversized", func(conn net.Conn) error {
+			_, err := conn.Write([]byte{0, 0, 0, 0x20, frAck}) // claims 512 MiB
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer conn.Close()
+			hello := helloPayload(NewFollower(2, nil))
+			if err := writeFrame(conn, append(newFrame(frHello, len(hello)), hello...)); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for pr.ReplStats().Links != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("primary never registered the link")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := tc.send(conn); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(deadline)
+			if _, err := io.Copy(io.Discard, conn); err != nil {
+				t.Fatalf("primary kept the connection open: %v", err)
+			}
+			for pr.ReplStats().Links != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("primary still counts the link")
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}

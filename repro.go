@@ -136,9 +136,12 @@
 // records (and, for fresh or lagging followers, whole checkpoint-chain
 // states, shipped in the same leaf-list encoding a base checkpoint holds
 // and verified before install) to read-only followers that replay them and serve the full
-// snapshot and live read API. PairReplica wires a follower in process;
-// ServeReplication/DialPrimary do the same over a length-prefixed socket
-// protocol with resume-from-position on reconnect.
+// snapshot and live read API. There is one link protocol, length-prefixed
+// frames with resume-from-position on reconnect, and two ways to connect
+// it: ServeReplication/DialPrimary over a socket, PairReplica in process
+// over an in-memory pipe. Followers acknowledge every applied frame, so
+// the primary's lag gauge is the records its followers have not yet
+// applied, whichever way they are linked.
 //
 // The contract (repro/internal/repl has the fine print): each follower
 // shard is always an exact prefix of the primary's acknowledged, fsynced
@@ -297,8 +300,8 @@ func OpenDurableShardedSet(dir string, shards int, opts *ShardedSetOptions) (*Sh
 
 // ReplPrimary is the shipping side of WAL replication: it wraps a durable
 // ShardedSet and streams sealed records, bootstrap states, and boundary
-// tables to followers over in-process links (PairReplica) and socket
-// connections (ServeReplication). ReplStats reports its counters.
+// tables to followers linked in process (PairReplica) or over sockets
+// (ServeReplication). ReplStats reports its counters.
 type ReplPrimary = repl.Primary
 
 // ReplFollower is the replay side: a read-only replica ShardedSet plus
@@ -307,12 +310,11 @@ type ReplPrimary = repl.Primary
 // a follower at a time; across links it resumes from its positions.
 type ReplFollower = repl.Follower
 
-// ReplLink is a running in-process replication link (PairReplica).
+// ReplLink is a follower's running replication link, from PairReplica
+// or DialPrimary. Close returns the link's first hard error, so a clean
+// close returns nil; Err reports that error while the link runs, and
+// Done closes when it stops.
 type ReplLink = repl.Link
-
-// ReplConn is a follower's live socket connection to a serving primary
-// (DialPrimary).
-type ReplConn = repl.Conn
 
 // ReplOptions tunes a replication link's tail poll interval and read
 // batch size; nil selects the defaults.
@@ -320,7 +322,8 @@ type ReplOptions = repl.Options
 
 // ReplStats reports a primary's shipping counters (live links, records
 // and keys shipped, bootstraps, boundary-table ships, and the largest
-// sealed-but-unshipped lag across links).
+// count of sealed records a linked follower has not acknowledged
+// applying).
 type ReplStats = repl.ReplStats
 
 // ReplFollowerStats reports a follower's replay counters.
@@ -359,9 +362,10 @@ func OpenFollower(shards int, opts *ShardedSetOptions) *ReplFollower {
 	return repl.NewFollower(shards, opts)
 }
 
-// PairReplica attaches a follower to a primary in the same process and
-// starts shipping: catch-up (bootstrapping from the checkpoint chain when
-// needed), then tailing until Close.
+// PairReplica attaches a follower to a primary in the same process, over
+// an in-memory pipe running the socket protocol, and starts shipping:
+// catch-up (bootstrapping from the checkpoint chain when needed), then
+// tailing until Close. It returns once the primary counts the link.
 func PairReplica(pr *ReplPrimary, f *ReplFollower, opts *ReplOptions) (*ReplLink, error) {
 	return repl.Pair(pr, f, opts)
 }
@@ -373,9 +377,9 @@ func ServeReplication(ln net.Listener, pr *ReplPrimary, opts *ReplOptions) error
 }
 
 // DialPrimary connects a follower to a serving primary and replays its
-// stream until the connection closes or fails; reconnecting resumes from
-// the follower's positions.
-func DialPrimary(addr string, f *ReplFollower) (*ReplConn, error) {
+// stream until the link closes or fails; reconnecting resumes from the
+// follower's positions.
+func DialPrimary(addr string, f *ReplFollower) (*ReplLink, error) {
 	return repl.Dial(addr, f)
 }
 
