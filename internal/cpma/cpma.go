@@ -428,57 +428,3 @@ func (c *CPMA) applyPlan(plan pmatree.Plan) {
 		c.rebuildFrom(c.gatherElems(0, c.leaves))
 	}
 }
-
-// CheckInvariants verifies structural invariants; tests call it after every
-// mutation batch.
-func (c *CPMA) CheckInvariants() error {
-	if chunksFor(c.leaves) != len(c.lf) {
-		return fmt.Errorf("cpma: geometry mismatch (%d leaves, %d spine chunks)", c.leaves, len(c.lf))
-	}
-	for i := range c.lf {
-		ch := c.lf[i].Load()
-		if ch.gen > c.gen {
-			return fmt.Errorf("cpma: chunk %d stamped %d, after the set's generation %d", i, ch.gen, c.gen)
-		}
-		for j := range ch.leaves {
-			if ch.leaves[j].gen > ch.gen {
-				return fmt.Errorf("cpma: leaf %d stamped %d, after its chunk's %d", i<<chunkLog+j, ch.leaves[j].gen, ch.gen)
-			}
-		}
-	}
-	total := 0
-	var prev uint64
-	for leaf := 0; leaf < c.leaves; leaf++ {
-		if c.sizes != nil && (c.sizes[leaf] != 0 || c.overflow[leaf] != nil) {
-			return fmt.Errorf("cpma: leaf %d has an undrained batch record", leaf)
-		}
-		ld := c.leafData(leaf)
-		u := c.f.used(ld)
-		elems := c.f.decode(nil, ld, u)
-		if got := c.f.count(ld, u); got != len(elems) {
-			return fmt.Errorf("cpma: leaf %d decodes to %d elements, its count is %d", leaf, len(elems), got)
-		}
-		if got := c.f.runSize(elems); got != u {
-			return fmt.Errorf("cpma: leaf %d used %d but re-encode is %d", leaf, u, got)
-		}
-		for i, v := range elems {
-			if v == 0 {
-				return fmt.Errorf("cpma: zero key in leaf %d", leaf)
-			}
-			if v <= prev {
-				return fmt.Errorf("cpma: order violation in leaf %d pos %d (%d <= %d)", leaf, i, v, prev)
-			}
-			prev = v
-		}
-		for i := u; i < len(ld); i++ {
-			if ld[i] != 0 {
-				return fmt.Errorf("cpma: leaf %d byte %d nonzero past used", leaf, i)
-			}
-		}
-		total += len(elems)
-	}
-	if total != c.n {
-		return fmt.Errorf("cpma: n=%d but leaves hold %d", c.n, total)
-	}
-	return nil
-}

@@ -169,10 +169,10 @@ func (e *encoded) entry(i int) (leaf, used, ecnt int) {
 
 // decode reads and verifies a whole stream before anyone mutates
 // anything: CRC, magic and version, geometry bounds, entries ascending
-// and in range, used <= leafBytes, every non-empty leaf at least a head
-// long with a nonzero head, no zero byte among its codes (the byte that
-// ends a leaf) and ending on a final code byte (so no decode can run past
-// used), ecnt equal to the leaf's code count, and the payload length. base,
+// and in range, used <= leafBytes, every leaf's bytes a run the codec's
+// validating pass accepts (codec.CheckRun: a nonzero head, no zero code
+// byte, which would end the leaf early, and minimal codes that end by used
+// and do not wrap) of ecnt keys, and the payload length. base,
 // when non-nil, is the receiver of a delta: the stream must match its
 // geometry, and its key count with the patched leaves' counts swapped for
 // the entries' must equal the header's n. A fresh load (base nil) must
@@ -239,12 +239,11 @@ func decode(r io.Reader, base *CPMA) (*encoded, error) {
 		if used > leafBytes || used > len(e.payload)-off {
 			return nil, fmt.Errorf("cpma: leaf %d used %d runs past the leaf or the payload", leaf, used)
 		}
-		p := e.payload[off : off+used]
-		if used > 0 && (used < codec.HeadBytes || (used > codec.HeadBytes && p[used-1] >= 0x80)) {
-			return nil, fmt.Errorf("cpma: leaf %d: %d bytes do not end a code", leaf, used)
-		}
-		if used > 0 && (codec.Head(p) == 0 || bytes.IndexByte(p[codec.HeadBytes:], 0) >= 0) || compressed.count(p, used) != ecnt {
-			return nil, fmt.Errorf("cpma: leaf %d: a zero head, a zero code, or not %d keys", leaf, ecnt)
+		switch keys, _, err := codec.CheckRun(e.payload[off:], used); {
+		case err != nil:
+			return nil, fmt.Errorf("cpma: leaf %d: %w", leaf, err)
+		case keys != ecnt:
+			return nil, fmt.Errorf("cpma: leaf %d holds %d keys, its entry says %d", leaf, keys, ecnt)
 		}
 		if base != nil {
 			ld := base.leafData(leaf)

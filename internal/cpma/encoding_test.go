@@ -3,6 +3,7 @@ package cpma
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -177,6 +178,8 @@ func TestSlabRejectsCorruption(t *testing.T) {
 		"zero-head":           forge(func(b []byte) { clear(b[data : data+codec.HeadBytes]) }),
 		"zero-in-codes":       forge(zeroFirstCode),
 		"ecnt-and-n-bumped":   forge(bumpFirstEcnt),
+		"overlong-code":       oneCodeImage(overlongCode...),
+		"overflowing-code":    oneCodeImage(overflowingCode...),
 		"flipped-data":        corrupt(func(b []byte) { b[len(b)-10] ^= 0x01 }),
 		"flipped-crc":         corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }),
 		"truncated":           good[:len(good)-7],
@@ -299,6 +302,29 @@ func zeroFirstCode(b []byte) {
 	b[encHeaderSize+encEntrySize*int(binary.LittleEndian.Uint64(b[32:]))+codec.HeadBytes] = 0
 }
 
+// overlongCode is 11 bytes long, and overflowingCode is worth more than
+// 2^64; both end in a final byte, so only a decoder that checks each
+// code's length and value refuses them.
+var (
+	overlongCode    = []byte{0x84, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	overflowingCode = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
+)
+
+// oneCodeImage returns a CRC-valid image whose one non-empty leaf holds a
+// head and code as its one delta, with that leaf's size to match.
+func oneCodeImage(code ...byte) []byte {
+	c := New(nil)
+	c.InsertBatch([]uint64{5, 9}, true)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil || len(c.NonEmptyLeaves()) != 1 {
+		panic(fmt.Sprintf("oneCodeImage fixture: %v, %d non-empty leaves", err, len(c.NonEmptyLeaves())))
+	}
+	head := encHeaderSize + encEntrySize
+	b := append(buf.Bytes()[:head+codec.HeadBytes], code...)
+	binary.LittleEndian.PutUint32(b[encHeaderSize+4:], uint32(codec.HeadBytes+len(code)))
+	return withCRC(append(b, 0, 0, 0, 0))
+}
+
 // withCRC replaces the last four bytes of b with the CRC32C of the rest.
 func withCRC(b []byte) []byte {
 	if len(b) < encCRCSize {
@@ -336,7 +362,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(img.Bytes())
 	}
-	// The crafted images behind the ecnt and zero-code checks.
+	// The crafted images behind the ecnt, zero-code and code checks.
 	for _, mutate := range []func([]byte){bumpFirstEcnt, zeroFirstCode} {
 		var img bytes.Buffer
 		if _, err := base.WriteTo(&img); err != nil {
@@ -345,6 +371,8 @@ func FuzzDecode(f *testing.F) {
 		mutate(img.Bytes())
 		f.Add(withCRC(img.Bytes()))
 	}
+	f.Add(oneCodeImage(overlongCode...))
+	f.Add(oneCodeImage(overflowingCode...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, withCRC(append([]byte(nil), in...))} {
 			if s, err := ReadFrom(bytes.NewReader(b), opts); err == nil {

@@ -1,58 +1,109 @@
 package cpma
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/codec"
 )
 
-// Validate is the strict invariant check the differential tests run after
-// every mutation. On top of CheckInvariants' structural checks it verifies
-// the three leaf-level properties the paper's design rests on, and reports
-// the offending leaf's dump on failure:
-//
-//   - byte-density bounds: every non-empty leaf keeps at least the format's
-//     insertion slack free (used <= LeafBytes - slack, where slack is
-//     codec.MaxGrowth compressed and one key uncompressed). Both the
-//     redistribution byte budget and the effective upper density bound
-//     guarantee this at rest, so the next point insert into any leaf can
-//     never overflow its capacity;
-//   - strictly increasing decoded keys across the whole array;
-//   - in the compressed format, zero-free byte codes: no delta code byte is
-//     zero, preserving the all-zero empty-cell sentinel (the head, an
-//     uncompressed uint64, is exempt).
-func (c *CPMA) Validate() error {
-	if err := c.CheckInvariants(); err != nil {
-		return err
+// CheckInvariants verifies the structural invariants; tests call it after
+// every mutation batch. The spine's generation stamps are ordered, no leaf
+// holds an undrained batch record, and every leaf is one pass of checkLeaf:
+// its used bytes are a run as its format writes it (compressed, a run the
+// codec's validating pass accepts, codec.CheckRun, so minimal codes and no
+// zero code byte), of the count the format's counter reports, with zero
+// bytes past it. Keys increase strictly across the whole array and add up
+// to the set's size.
+func (c *CPMA) CheckInvariants() error { return c.check(false) }
+
+// Validate is the strict invariant check the differential tests, recovery
+// and follower boots run. On top of CheckInvariants it checks the byte-
+// density bound: every non-empty leaf keeps at least the format's
+// insertion slack free (used <= LeafBytes - slack, where slack is
+// codec.MaxGrowth compressed and one key uncompressed). Both the
+// redistribution byte budget and the effective upper density bound
+// guarantee this at rest, so the next point insert into any leaf can never
+// overflow its capacity. A leaf's failure is reported with its dump.
+func (c *CPMA) Validate() error { return c.check(true) }
+
+func (c *CPMA) check(strict bool) error {
+	if chunksFor(c.leaves) != len(c.lf) {
+		return fmt.Errorf("cpma: geometry mismatch (%d leaves, %d spine chunks)", c.leaves, len(c.lf))
 	}
-	slackLimit := c.LeafBytes() - c.f.slack
+	for i := range c.lf {
+		ch := c.lf[i].Load()
+		if ch.gen > c.gen {
+			return fmt.Errorf("cpma: chunk %d stamped %d, after the set's generation %d", i, ch.gen, c.gen)
+		}
+		for j := range ch.leaves {
+			if ch.leaves[j].gen > ch.gen {
+				return fmt.Errorf("cpma: leaf %d stamped %d, after its chunk's %d", i<<chunkLog+j, ch.leaves[j].gen, ch.gen)
+			}
+		}
+	}
+	total := 0
 	var prev uint64
 	for leaf := 0; leaf < c.leaves; leaf++ {
-		u := c.usedOf(leaf)
-		if u == 0 {
-			continue
+		n, last, err := c.checkLeaf(leaf, prev, strict)
+		if err != nil {
+			return fmt.Errorf("cpma: leaf %d: %w\n%s", leaf, err, c.DumpLeaf(leaf))
 		}
-		if u > slackLimit {
-			return fmt.Errorf("cpma: leaf %d holds %d bytes, above the at-rest density bound %d (leaf %d bytes - %d slack)\n%s",
-				leaf, u, slackLimit, c.LeafBytes(), c.f.slack, c.DumpLeaf(leaf))
+		if n > 0 {
+			prev = last
 		}
-		ld := c.leafData(leaf)
-		for i := codec.HeadBytes; i < u && !c.f.raw; i++ {
-			if ld[i] == 0 {
-				return fmt.Errorf("cpma: leaf %d has a zero byte inside its code region at offset %d\n%s",
-					leaf, i, c.DumpLeaf(leaf))
-			}
-		}
-		for i, v := range c.f.decode(nil, ld, u) {
-			if v <= prev {
-				return fmt.Errorf("cpma: leaf %d key %d at position %d does not exceed predecessor %d\n%s",
-					leaf, v, i, prev, c.DumpLeaf(leaf))
-			}
-			prev = v
-		}
+		total += n
+	}
+	if total != c.n {
+		return fmt.Errorf("cpma: n=%d but leaves hold %d", c.n, total)
 	}
 	return nil
+}
+
+// checkLeaf decodes one leaf once, checking it as check describes with
+// prev the last key before it, and returns its key count and last key.
+func (c *CPMA) checkLeaf(leaf int, prev uint64, strict bool) (n int, last uint64, err error) {
+	if c.sizes != nil && (c.sizes[leaf] != 0 || c.overflow[leaf] != nil) {
+		return 0, 0, errors.New("undrained batch record")
+	}
+	ld := c.leafData(leaf)
+	u := c.f.used(ld)
+	if c.f.raw {
+		n, last, err = rawCheck(ld, u)
+	} else {
+		n, last, err = codec.CheckRun(ld, u)
+	}
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case n != c.f.count(ld, u):
+		return 0, 0, fmt.Errorf("decodes to %d keys, its count is %d", n, c.f.count(ld, u))
+	case n > 0 && codec.Head(ld) <= prev:
+		return 0, 0, fmt.Errorf("first key %d does not exceed the last key %d before it", codec.Head(ld), prev)
+	case strict && u > c.LeafBytes()-c.f.slack:
+		return 0, 0, fmt.Errorf("holds %d bytes, above the at-rest density bound %d (leaf %d bytes - %d slack)",
+			u, c.LeafBytes()-c.f.slack, c.LeafBytes(), c.f.slack)
+	}
+	if rest := bytes.TrimLeft(ld[u:], "\x00"); len(rest) > 0 {
+		return 0, 0, fmt.Errorf("byte %d nonzero past used %d", len(ld)-len(rest), u)
+	}
+	return n, last, nil
+}
+
+// rawCheck is codec.CheckRun for the used bytes of an uncompressed leaf:
+// its keys must be nonzero and strictly increasing.
+func rawCheck(ld []byte, used int) (n int, last uint64, err error) {
+	for off := 0; off < used; off += 8 {
+		k := binary.LittleEndian.Uint64(ld[off:])
+		if k <= last {
+			return 0, 0, fmt.Errorf("key %d at byte %d is zero or does not exceed %d", k, off, last)
+		}
+		last = k
+	}
+	return used / 8, last, nil
 }
 
 // DumpLeaf formats one leaf for failure messages: geometry, the used byte

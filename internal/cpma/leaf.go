@@ -2,7 +2,6 @@ package cpma
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"repro/internal/codec"
 	"repro/internal/parallel"
@@ -216,123 +215,6 @@ func rawSearch(ld []byte, x uint64) (int, bool) {
 	return off, off < len(ld) && binary.LittleEndian.Uint64(ld[off:]) == x
 }
 
-// The compressed-leaf kernels: every in-leaf walk is seek or walk (or the
-// loops of leafSum and LeafMapPos), each with the decode in its own loop,
-// so no walk pays a call per key. ld is a non-empty leaf slab unless
-// stated; a walk ends at a zero code (the leaf's end) or the slab's end.
-//
-// The loops decode from 8-byte loads: a code ends at its first byte
-// without a continue bit, which bits.TrailingZeros64 finds, and groups
-// packs its 7-bit groups, so no loop branches on a code's length (that
-// branch mispredicts on leaves mixing code lengths). seek also takes the
-// second code of a load when it ends inside the same eight bytes, which
-// halves the loads its carried offset waits on. A byte-at-a-time seek
-// took ~1.3x as long on graph edge keys and ~1.2x on uniform 40-bit keys
-// (2.1 GHz Xeon, go1.24). The slab's last seven bytes and codes of more
-// than eight bytes (deltas of 2^56 or more) go through codec.Get. A load
-// may reach past the leaf's end into its free bytes; those lie past the
-// zero code ending the leaf and are masked off or never decoded.
-
-// seek finds a leaf's first key >= x. It returns that key v, the key
-// before it (prev, 0 for the head) and the bytes [start, end) holding v:
-// [0, HeadBytes) for the head, else v's delta code. When every key is
-// below x it returns start == end == used and prev == v == the last key.
-func seek(ld []byte, x uint64) (prev, v uint64, start, end int) {
-	v = codec.Head(ld)
-	if v >= x {
-		return 0, v, 0, codec.HeadBytes
-	}
-	for off := codec.HeadBytes; off < len(ld); {
-		if off+8 <= len(ld) {
-			w := binary.LittleEndian.Uint64(ld[off:])
-			if stop := ^w & 0x8080808080808080; stop != 0 {
-				t1 := uint(bits.TrailingZeros64(stop)) // bit 7 of the code's last byte
-				d1, n1 := groups(w&lowBits(t1)), int(t1+1)>>3
-				if v+d1 >= x {
-					return v, v + d1, off, off + n1
-				}
-				if d1 == 0 {
-					return v, v, off, off
-				}
-				v += d1
-				// The next code, if it ends in this word and is not the
-				// zero one; else keep zeroes it and v stays below x.
-				rest := stop & (stop - 1)
-				t2 := uint(bits.TrailingZeros64(rest)) // 64 if none
-				var keep uint64
-				n := n1
-				if rest != 0 && w>>(t1+1)&0xff != 0 {
-					keep, n = ^uint64(0), int(t2+1)>>3
-				}
-				d2 := groups(w>>(t1+1)&lowBits((t2-t1-1)&63)) & keep
-				if v+d2 >= x {
-					return v, v + d2, off + n1, off + n
-				}
-				v += d2
-				off += n
-				continue
-			}
-		}
-		d, n := codec.Get(ld[off:])
-		if v+d >= x {
-			return v, v + d, off, off + n
-		}
-		if d == 0 {
-			return v, v, off, off
-		}
-		v += d
-		off += n
-	}
-	return v, v, len(ld), len(ld)
-}
-
-// walk applies f to the keys whose codes start at or after off, where v
-// is the key before off, until f returns false. It reports whether it
-// reached the end of the leaf. The leaf may be empty.
-func walk(ld []byte, off int, v uint64, f func(uint64) bool) bool {
-	for off < len(ld) {
-		d, n := uint64(0), 0
-		if off+8 <= len(ld) {
-			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
-		}
-		if n == 0 {
-			d, n = codec.Get(ld[off:])
-		}
-		if d == 0 {
-			break
-		}
-		v += d
-		off += n
-		if !f(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// wordCode decodes the code at the start of w, eight leaf bytes loaded
-// little-endian. It returns n == 0 when all eight carry continue bits.
-func wordCode(w uint64) (d uint64, n int) {
-	stop := ^w & 0x8080808080808080
-	if stop == 0 {
-		return 0, 0
-	}
-	t := uint(bits.TrailingZeros64(stop))
-	return groups(w & lowBits(t)), int(t+1) >> 3
-}
-
-// lowBits masks bits 0 through t.
-func lowBits(t uint) uint64 { return ^uint64(0) >> (63 - t) }
-
-// groups packs the 7-bit groups of up to eight code bytes, least
-// significant first, into the value they encode.
-func groups(w uint64) uint64 {
-	w &= 0x7f7f7f7f7f7f7f7f
-	w = w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
-	w = w&0x00003fff00003fff | w>>2&0x0fffc0000fffc000
-	return w&0x000000000fffffff | w>>4&0x00fffffff0000000
-}
-
 // leafSeek returns the leaf's first key >= x, the offset where its bytes
 // start and the key stored before it (0 for the first key); ok is false
 // when the leaf holds no such key.
@@ -348,7 +230,7 @@ func (c *CPMA) leafSeek(leaf int, x uint64) (v uint64, off int, prev uint64, ok 
 		}
 		return binary.LittleEndian.Uint64(ld[off:]), off, 0, true
 	}
-	prev, v, start, end := seek(ld, x)
+	prev, v, start, end := codec.Seek(ld, x)
 	return v, start, prev, start < end
 }
 
@@ -375,7 +257,7 @@ func (c *CPMA) leafIterFrom(leaf, off int, prev uint64, f func(uint64) bool) boo
 		}
 		off = codec.HeadBytes
 	}
-	return walk(ld, off, prev, f)
+	return codec.Walk(ld, off, prev, f)
 }
 
 // leafIter applies f to the leaf's keys in order until f returns false.
@@ -421,7 +303,7 @@ func (c *CPMA) leafInsert(leaf int, x uint64, room int) (int, bool) {
 		codec.PutHead(c.leafW(leaf), x)
 		return codec.HeadBytes, true
 	}
-	prev, v, start, end := seek(ld, x)
+	prev, v, start, end := codec.Seek(ld, x)
 	u := codec.RunEnd(ld, end)
 	switch {
 	case start < end && v == x:
@@ -472,7 +354,7 @@ func (c *CPMA) leafRemove(leaf int, x uint64) int {
 		clearBytes(ld[u-8 : u])
 		return u - 8
 	}
-	prev, v, start, end := seek(ld, x)
+	prev, v, start, end := codec.Seek(ld, x)
 	if start == end || v != x {
 		return -1
 	}
@@ -484,8 +366,8 @@ func (c *CPMA) leafRemove(leaf int, x uint64) int {
 		return start
 	}
 	// The next key takes x's place: it becomes the head, or its delta
-	// grows to reach back from prev. One code, so one codec.Get.
-	d, k := codec.Get(ld[end:])
+	// grows to reach back from prev.
+	d, k := codec.Step(ld, end)
 	var code [codec.MaxLen]byte
 	w := 0
 	if start == 0 {
@@ -504,30 +386,15 @@ func (c *CPMA) leafRemove(leaf int, x uint64) int {
 // leafSum returns the sum of the leaf's keys. The free words of an
 // uncompressed leaf are zero and add nothing.
 func (c *CPMA) leafSum(leaf int) uint64 {
-	ld := c.leafData(leaf)
-	var s uint64
-	if c.f.raw {
-		for off := 0; off < len(ld); off += 8 {
-			s += binary.LittleEndian.Uint64(ld[off:])
-		}
+	if !c.f.raw {
+		var s uint64
+		c.leafIter(leaf, func(k uint64) bool { s += k; return true })
 		return s
 	}
-	v := codec.Head(ld)
-	s = v
-	for off := codec.HeadBytes; off < len(ld) && v != 0; {
-		d, n := uint64(0), 0
-		if off+8 <= len(ld) {
-			d, n = wordCode(binary.LittleEndian.Uint64(ld[off:]))
-		}
-		if n == 0 {
-			d, n = codec.Get(ld[off:])
-		}
-		if d == 0 {
-			break
-		}
-		v += d
-		s += v
-		off += n
+	var s uint64
+	ld := c.leafData(leaf)
+	for off := 0; off < len(ld); off += 8 {
+		s += binary.LittleEndian.Uint64(ld[off:])
 	}
 	return s
 }

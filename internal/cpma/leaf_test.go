@@ -84,7 +84,7 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 	}
 	for _, x := range xs {
 		j := sort.Search(len(keys), func(i int) bool { return keys[i] >= x })
-		prev, v, start, e := seek(ld, x)
+		prev, v, start, e := codec.Seek(ld, x)
 		switch {
 		case j == len(keys):
 			last := keys[len(keys)-1]
@@ -102,7 +102,7 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 					x, prev, v, start, e, wantPrev, keys[j], wantStart, end[j])
 			}
 			var rest []uint64
-			walk(ld, e, v, func(k uint64) bool { rest = append(rest, k); return true })
+			codec.Walk(ld, e, v, func(k uint64) bool { rest = append(rest, k); return true })
 			if !slices.Equal(rest, keys[j+1:]) {
 				t.Fatalf("walk after %d visits %v, want %v", v, rest, keys[j+1:])
 			}

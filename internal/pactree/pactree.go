@@ -342,18 +342,7 @@ func (t *Tree) iterBlock(n *node, f func(uint64) bool) bool {
 			return true
 		}
 		v := codec.Head(blob)
-		if !f(v) {
-			return false
-		}
-		for off := codec.HeadBytes; off < len(blob); {
-			d, k := codec.Get(blob[off:])
-			v += d
-			if !f(v) {
-				return false
-			}
-			off += k
-		}
-		return true
+		return f(v) && codec.Walk(blob, codec.HeadBytes, v, f)
 	}
 	for _, v := range n.elems {
 		if !f(v) {

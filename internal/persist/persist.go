@@ -29,8 +29,10 @@
 // Every WAL record frames one applied batch: a little-endian length and
 // CRC32C header, then kind (insert/remove/moveIn/moveOut), the record's
 // per-shard sequence number, the router generation (barrier kinds only),
-// and the nonzero sorted keys minimal-varint-delta encoded; replication
-// ships the same frames (Rec). Bases and deltas are one file
+// and the nonzero sorted keys delta encoded in internal/codec's byte code
+// (the minimal LEB128 varint binary.AppendUvarint writes; the bytes are
+// those of every earlier version 2 segment) and read back with the
+// codec's strict reader; replication ships the same frames (Rec). Bases and deltas are one file
 // type: a header naming the shard, the covered sequence, the checkpoint
 // it patches (prevSeq, 0 for a base) and the base anchoring its chain
 // (baseSeq, its own sequence for a base), then a cpma leaf-list encoding

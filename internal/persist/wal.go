@@ -5,7 +5,9 @@ package persist
 // log and stop exactly at the first torn or corrupt byte. Sequence numbers
 // are per shard, start at 1, and never reset — a segment file is named by
 // the sequence of its first record, which is all recovery needs to order
-// segments and detect gaps.
+// segments and detect gaps. A record's varints are internal/codec's byte
+// code, read with its strict reader; the bytes are those version-2
+// segments have always held.
 
 import (
 	"bufio"
@@ -13,6 +15,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"repro/internal/codec"
 )
 
 // SegmentHeaderBytes is the size of a WAL segment file's header (magic,
@@ -68,8 +72,9 @@ type Rec struct {
 
 // AppendRecord appends r as one framed WAL record to dst and returns the
 // extended slice. Keys must be nonzero and ascending; they are delta
-// encoded with stdlib uvarints, the first delta taken from zero. The
-// generation is written only for barrier kinds.
+// encoded with binary.AppendUvarint, whose LEB128 varint is the codec's
+// byte code, the first delta taken from zero. The generation is written
+// only for barrier kinds.
 func AppendRecord(dst []byte, r Rec) []byte {
 	start := len(dst)
 	kind := byte(recInsert)
@@ -97,20 +102,12 @@ func AppendRecord(dst []byte, r Rec) []byte {
 	return dst
 }
 
-// uvarint is binary.Uvarint refusing non-minimal encodings, so a payload
-// decodes only if it is exactly what AppendRecord writes.
-func uvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -1
-	}
-	return v, n
-}
-
 // decodeRecord parses a CRC-verified payload. Strict: trailing bytes,
-// short or non-minimal varints, a count that cannot fit, a barrier
-// without a generation, a zero key, and keys that wrap past 2^64 are all
-// errors. Repeated keys (delta 0 after the first) are legal.
+// codes codec.Read refuses (short, over-long, past 2^64 or non-minimal), a
+// count that cannot fit, a barrier without a generation, a zero key, and
+// keys that wrap past 2^64 are all errors. Repeated keys (delta 0 after
+// the first) are legal, so the deltas are read a code at a time and not
+// as a codec run.
 func decodeRecord(payload []byte) (Rec, error) {
 	var r Rec
 	if len(payload) < 1 {
@@ -122,20 +119,20 @@ func decodeRecord(payload []byte) (Rec, error) {
 	}
 	r.Remove = kind == recRemove || kind == recMoveOut
 	b := payload[1:]
-	seq, n := uvarint(b)
+	seq, n := codec.Read(b)
 	if n <= 0 {
 		return r, fmt.Errorf("persist: bad record seq varint")
 	}
 	b = b[n:]
 	if kind >= recMoveIn {
-		gen, n := uvarint(b)
+		gen, n := codec.Read(b)
 		if n <= 0 || gen == 0 {
 			return r, fmt.Errorf("persist: bad barrier generation")
 		}
 		r.Gen = gen
 		b = b[n:]
 	}
-	count, n := uvarint(b)
+	count, n := codec.Read(b)
 	if n <= 0 {
 		return r, fmt.Errorf("persist: bad record count varint")
 	}
@@ -147,7 +144,7 @@ func decodeRecord(payload []byte) (Rec, error) {
 	r.Keys = make([]uint64, 0, count)
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
-		d, n := uvarint(b)
+		d, n := codec.Read(b)
 		if n <= 0 {
 			return r, fmt.Errorf("persist: bad key delta varint at key %d", i)
 		}
