@@ -143,8 +143,7 @@ func TestGateFollowerFleet(t *testing.T) {
 		seed      = 42
 		minGain   = 2.0
 	)
-	s, st, err := persist.OpenSharded(shards, &shard.Options{
-		Dir:                    t.TempDir(),
+	s, st, err := persist.OpenSharded(t.TempDir(), shards, &shard.Options{
 		SyncEvery:              64,
 		CheckpointEveryBatches: -1,
 		CompactEveryDeltas:     -1,
@@ -247,8 +246,7 @@ func TestGateCloneCost(t *testing.T) {
 		seed     = 42
 		minRatio = 2.0
 	)
-	s, _, err := persist.OpenSharded(1, &shard.Options{
-		Dir:                    t.TempDir(),
+	s, _, err := persist.OpenSharded(t.TempDir(), 1, &shard.Options{
 		CheckpointEveryBatches: -1, // one explicit checkpoint per drain
 		CompactEveryDeltas:     64, // no compaction inside the window
 	})

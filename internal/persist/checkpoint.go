@@ -188,11 +188,11 @@ func partitionString(p shard.Partition) string {
 	return "hash"
 }
 
-// ensureManifest validates dir's manifest against opts, writing a fresh
-// one (atomically) if none exists yet.
-func ensureManifest(o Options) error {
-	path := filepath.Join(o.Dir, manifestName)
-	want := manifest{Version: manifestVersion, Shards: o.Shards, Partition: partitionString(o.Partition), KeyBits: o.KeyBits}
+// ensureManifest validates dir's manifest against the shard count and
+// o's routing, writing a fresh one (atomically) if none exists yet.
+func ensureManifest(dir string, shards int, o shard.Options) error {
+	path := filepath.Join(dir, manifestName)
+	want := manifest{Version: manifestVersion, Shards: shards, Partition: partitionString(o.Partition), KeyBits: o.KeyBits}
 	data, err := os.ReadFile(path)
 	if err == nil {
 		var got manifest
@@ -201,11 +201,11 @@ func ensureManifest(o Options) error {
 		}
 		if got.Version != manifestVersion {
 			return fmt.Errorf("persist: store at %s has manifest version %d; this build reads version %d only",
-				o.Dir, got.Version, manifestVersion)
+				dir, got.Version, manifestVersion)
 		}
 		if got != want {
 			return fmt.Errorf("persist: store at %s holds a %d-shard %s/%d-bit set; asked to open it as %d-shard %s/%d-bit",
-				o.Dir, got.Shards, got.Partition, got.KeyBits, want.Shards, want.Partition, want.KeyBits)
+				dir, got.Shards, got.Partition, got.KeyBits, want.Shards, want.Partition, want.KeyBits)
 		}
 		return nil
 	}
@@ -224,7 +224,7 @@ func ensureManifest(o Options) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(o.Dir)
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames and removals within it are

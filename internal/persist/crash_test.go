@@ -161,8 +161,7 @@ func TestKillPointDifferential(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			script := buildScript(batches, batchSize, keyBits)
-			popt := Options{
-				Shards:                 shards,
+			popt := shard.Options{
 				SyncEvery:              1, // every acknowledged record is durable
 				CheckpointEveryBatches: -1,
 				Partition:              cfg.part,
@@ -173,10 +172,7 @@ func TestKillPointDifferential(t *testing.T) {
 			// batch calls, so the WAL holds one record per sub-batch in
 			// enqueue order.
 			base := t.TempDir()
-			s, _ := openSet(t, base, shards, shard.Options{
-				Partition: cfg.part, KeyBits: keyBits,
-				SyncEvery: popt.SyncEvery, CheckpointEveryBatches: popt.CheckpointEveryBatches,
-			})
+			s, _ := openSet(t, base, shards, popt)
 			for _, op := range script {
 				if op.remove {
 					s.RemoveBatch(op.keys, true)
@@ -224,7 +220,6 @@ func TestKillPointDifferential(t *testing.T) {
 			// The sweep: for every kill shard and (strided off the primary
 			// shard to bound runtime) every byte offset N, crash-copy,
 			// truncate, recover, compare every shard against its model.
-			popt2 := popt
 			for p := 0; p < shards; p++ {
 				stride := int64(1)
 				if p > 0 {
@@ -241,8 +236,7 @@ func TestKillPointDifferential(t *testing.T) {
 					if err := os.Truncate(filepath.Join(killDir, shardDirName(p), segmentName(1)), n); err != nil {
 						t.Fatal(err)
 					}
-					popt2.Dir = killDir
-					st, sets, err := Open(popt2)
+					st, sets, err := Open(killDir, shards, popt)
 					if err != nil {
 						t.Fatalf("shard %d kill@%d: recovery failed: %v", p, n, err)
 					}

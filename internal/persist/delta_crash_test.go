@@ -30,10 +30,7 @@ import (
 func buildDeltaStore(t *testing.T, dir string, part shard.Partition) []uint64 {
 	t.Helper()
 	const shards = 2
-	s, st := openSet(t, dir, shards, shard.Options{
-		Partition: part, KeyBits: 20,
-		SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: 2,
-	})
+	s, st := openSet(t, dir, shards, deltaStoreOptions(part))
 	r := workload.NewRNG(11)
 	s.InsertBatch(workload.Uniform(r, 30_000, 20), false)
 	s.Flush()
@@ -59,9 +56,9 @@ func buildDeltaStore(t *testing.T, dir string, part shard.Partition) []uint64 {
 	return want
 }
 
-func deltaStoreOptions(dir string, part shard.Partition) Options {
-	return Options{
-		Dir: dir, Shards: 2, Partition: part, KeyBits: 20,
+func deltaStoreOptions(part shard.Partition) shard.Options {
+	return shard.Options{
+		Partition: part, KeyBits: 20,
 		SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: 2,
 	}
 }
@@ -71,7 +68,7 @@ func deltaStoreOptions(dir string, part shard.Partition) Options {
 // equal want.
 func recoverAndCheck(t *testing.T, dir string, part shard.Partition, want []uint64, what string) {
 	t.Helper()
-	st, sets, err := Open(deltaStoreOptions(dir, part))
+	st, sets, err := Open(dir, 2, deltaStoreOptions(part))
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", what, err)
 	}

@@ -12,6 +12,13 @@
 // applying it (write-ahead), with no extra synchronization on the hot
 // path.
 //
+// A store takes its directory and shard count as arguments (Open,
+// OpenSharded) and every other setting from the set's own shard.Options:
+// the routing fields (Partition, KeyBits, Bounds, BoundsGen) and Set,
+// which must match the live set's, and the durability cadence
+// (SyncEvery, SyncBytes, CheckpointEveryBatches, CompactEveryDeltas),
+// whose zero values select the Default* constants.
+//
 // # On-disk layout
 //
 //	dir/MANIFEST                     set geometry (shards, partition, ...)
@@ -71,7 +78,7 @@
 //
 //   - An acknowledged mutation (a returned InsertBatch/Insert/...) has been
 //     appended to its shard's WAL, but is fsynced only per the group-commit
-//     knobs (Options.SyncEvery records / Options.SyncBytes bytes). A crash
+//     knobs (shard.Options.SyncEvery records / SyncBytes bytes). A crash
 //     may lose the unsynced suffix.
 //   - After Flush returns, every previously enqueued mutation is applied
 //     AND its shard's WAL is fsynced: Flush is the durability barrier.
@@ -91,7 +98,7 @@
 // header names the base it anchors to and the checkpoint it patches on
 // top of. Checkpoint I/O then scales with how much changed, not with
 // shard size, exactly as a published clone's memory cost does. A chain is
-// compacted back into a fresh base every Options.CompactEveryDeltas
+// compacted back into a fresh base every shard.Options.CompactEveryDeltas
 // deltas, and whenever a geometry rebuild changed every leaf.
 //
 // Recovery (Open) processes each shard independently: load the newest
@@ -124,7 +131,6 @@ package persist
 import (
 	"fmt"
 
-	"repro/internal/cpma"
 	"repro/internal/shard"
 )
 
@@ -136,53 +142,18 @@ const (
 	DefaultCompactEveryDeltas     = 8
 )
 
-// Options configures a Store. The zero value of every field selects a
-// default; negative SyncEvery/SyncBytes disable that group-commit trigger
-// and a negative CheckpointEveryBatches disables the background
-// checkpointer (explicit Checkpoint calls still work).
-type Options struct {
-	// Dir roots the store's files. Required.
-	Dir string
-	// Shards is the shard count; it is fixed at creation and validated
-	// against the manifest on reopen. Required (>= 1).
-	Shards int
-	// SyncEvery fsyncs a shard's WAL after this many appended records.
-	SyncEvery int
-	// SyncBytes fsyncs a shard's WAL once this many bytes accumulate.
-	SyncBytes int
-	// CheckpointEveryBatches checkpoints a shard once this many records
-	// accumulate past its last checkpoint.
-	CheckpointEveryBatches int
-	// CompactEveryDeltas bounds a shard's delta-checkpoint chain: after
-	// this many deltas against one base, the next checkpoint is a fresh
-	// base checkpoint (which also lets retention reap the older chain). A
-	// negative value disables delta checkpoints entirely — every
-	// checkpoint is a base, restoring the pre-delta behavior.
-	CompactEveryDeltas int
-	// Set configures the recovered CPMAs (nil for the paper's defaults);
-	// it must match the options the live set runs with.
-	Set *cpma.Options
-	// Partition and KeyBits describe the key routing of the set this store
-	// backs; they are recorded in the manifest and validated on reopen,
-	// because replaying a hash-partitioned log into a range-partitioned
-	// set would scatter keys to the wrong shards.
-	Partition shard.Partition
-	KeyBits   int
-	// Bounds seeds the RangePartition boundary table of a fresh store (nil
-	// = default equal-width spans). Once the store exists, the journaled
-	// BOUNDS sidecar is authoritative — rebalancing rewrites it — and an
-	// explicit seed that contradicts it is rejected like any other
-	// geometry mismatch. BoundsGen seeds the router generation.
-	Bounds    []uint64
-	BoundsGen uint64
-}
-
-func (o Options) withDefaults() (Options, error) {
-	if o.Dir == "" {
-		return o, fmt.Errorf("persist: Options.Dir is required")
+// withDefaults validates a store's arguments and fills the durability
+// cadence fields of o: the zero value of each selects its Default*;
+// negative SyncEvery/SyncBytes disable that group-commit trigger and a
+// negative CheckpointEveryBatches disables the background checkpointer
+// (explicit Checkpoint calls still work). KeyBits outside [1, 64] means
+// the full 64-bit space, as in shard.
+func withDefaults(dir string, shards int, o shard.Options) (shard.Options, error) {
+	if dir == "" {
+		return o, fmt.Errorf("persist: a store directory is required")
 	}
-	if o.Shards < 1 {
-		return o, fmt.Errorf("persist: Options.Shards must be >= 1 (got %d)", o.Shards)
+	if shards < 1 {
+		return o, fmt.Errorf("persist: shards must be >= 1 (got %d)", shards)
 	}
 	if o.SyncEvery == 0 {
 		o.SyncEvery = DefaultSyncEvery

@@ -88,9 +88,8 @@ func TestRebalanceDurableReopen(t *testing.T) {
 
 	// A contradictory explicit seed table is a geometry error.
 	bad := opt
-	bad.Dir = dir
 	bad.Bounds = shard.DefaultBounds(keyBits, shards)
-	if _, _, err := OpenSharded(shards, &bad); err == nil {
+	if _, _, err := OpenSharded(dir, shards, &bad); err == nil {
 		t.Fatal("open with a contradicting Options.Bounds must fail")
 	}
 }
@@ -111,10 +110,6 @@ func TestRebalanceKillPoints(t *testing.T) {
 	opt := shard.Options{
 		Partition: shard.RangePartition, KeyBits: keyBits,
 		SyncEvery: 1, CheckpointEveryBatches: -1,
-	}
-	popt := Options{
-		Shards: shards, SyncEvery: 1, CheckpointEveryBatches: -1,
-		Partition: shard.RangePartition, KeyBits: keyBits,
 	}
 	model := seqKeys(n) // all inside shard 0's default span [0, 8192)
 	s, _ := openSet(t, base, shards, opt)
@@ -161,9 +156,7 @@ func TestRebalanceKillPoints(t *testing.T) {
 	// health.
 	recoverAndCheck := func(killDir, label string, wantBounds []uint64) {
 		t.Helper()
-		p2 := popt
-		p2.Dir = killDir
-		st, sets, err := Open(p2)
+		st, sets, err := Open(killDir, shards, opt)
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", label, err)
 		}

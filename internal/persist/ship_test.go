@@ -23,7 +23,7 @@ import (
 // the prefix, then expose exactly the acked records.
 func TestShippableSealRegression(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := Open(Options{Dir: dir, Shards: 1, SyncEvery: -1, SyncBytes: -1})
+	st, _, err := Open(dir, 1, shard.Options{SyncEvery: -1, SyncBytes: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestOpenFdLeakOnPartialOpen(t *testing.T) {
 
 	before := countFds()
 	for i := 0; i < 3; i++ {
-		if _, _, err := Open(Options{Dir: dir, Shards: 2, SyncEvery: 1}); err == nil {
+		if _, _, err := Open(dir, 2, shard.Options{SyncEvery: 1}); err == nil {
 			t.Fatal("Open succeeded with shard 1's directory replaced by a file")
 		}
 	}
@@ -275,7 +275,7 @@ func TestReadShippableRetentionAndBootstrap(t *testing.T) {
 // reads walk the full sealed sequence without gaps or duplicates.
 func TestReadShippableChunking(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := Open(Options{Dir: dir, Shards: 1, SyncEvery: 1, Set: &cpma.Options{}})
+	st, _, err := Open(dir, 1, shard.Options{SyncEvery: 1, Set: &cpma.Options{}})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -21,7 +21,7 @@ import (
 // shard's writer goroutine, everything else may be called from anywhere.
 type Store struct {
 	dir    string
-	opt    Options
+	opt    shard.Options
 	shards []*storeShard
 
 	// ckptMu serializes checkpoint passes (manual Checkpoint calls versus
@@ -119,23 +119,24 @@ type storeShard struct {
 
 func shardDirName(p int) string { return fmt.Sprintf("shard-%04d", p) }
 
-// Open opens (creating as needed) the store rooted at opts.Dir and
+// Open opens (creating as needed) the shards-shard store rooted at dir,
+// configured by opts (see the package doc; its Journal is ignored), and
 // recovers every shard: newest valid checkpoint plus WAL tail replay. It
 // returns the recovered per-shard CPMAs, ready to seed shard.NewFrom; the
 // caller owns wiring the Store into the set as its Journal (or use
 // OpenSharded, which does both).
-func Open(opts Options) (*Store, []*cpma.CPMA, error) {
-	o, err := opts.withDefaults()
+func Open(dir string, shards int, opts shard.Options) (*Store, []*cpma.CPMA, error) {
+	o, err := withDefaults(dir, shards, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
 	st := &Store{
-		dir:     o.Dir,
+		dir:     dir,
 		opt:     o,
-		shards:  make([]*storeShard, o.Shards),
+		shards:  make([]*storeShard, shards),
 		ckptReq: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -161,15 +162,15 @@ func Open(opts Options) (*Store, []*cpma.CPMA, error) {
 			st.releaseLock()
 		}
 	}()
-	if err := ensureManifest(o); err != nil {
+	if err := ensureManifest(dir, shards, o); err != nil {
 		return nil, nil, err
 	}
-	if err := st.recoverBounds(o); err != nil {
+	if err := st.recoverBounds(); err != nil {
 		return nil, nil, err
 	}
-	sets := make([]*cpma.CPMA, o.Shards)
+	sets := make([]*cpma.CPMA, shards)
 	for p := range st.shards {
-		sh := &storeShard{id: p, dir: filepath.Join(o.Dir, shardDirName(p))}
+		sh := &storeShard{id: p, dir: filepath.Join(dir, shardDirName(p))}
 		if err := os.MkdirAll(sh.dir, 0o755); err != nil {
 			return nil, nil, err
 		}
@@ -186,13 +187,13 @@ func Open(opts Options) (*Store, []*cpma.CPMA, error) {
 	// twice). The authoritative boundary table decides ownership — drop
 	// every key from shards that no longer own it, restoring exactly the
 	// pre- or post-move state.
-	if o.Partition == shard.RangePartition && o.Shards > 1 {
+	if o.Partition == shard.RangePartition && shards > 1 {
 		bounds := st.bounds
 		if bounds == nil {
-			bounds = shard.DefaultBounds(o.KeyBits, o.Shards)
+			bounds = shard.DefaultBounds(o.KeyBits, shards)
 		}
 		for p, set := range sets {
-			stale := dropOutOfSpan(set, p, o.Shards, bounds)
+			stale := dropOutOfSpan(set, p, shards, bounds)
 			if len(stale) == 0 {
 				continue
 			}
@@ -226,20 +227,21 @@ func Open(opts Options) (*Store, []*cpma.CPMA, error) {
 // that contradicts it is a geometry error, like a manifest mismatch. A
 // fresh store with an explicit seed persists it immediately, so a crash
 // before the first rebalance still recovers against the right spans.
-func (st *Store) recoverBounds(o Options) error {
-	stored, gen, ok, err := loadBounds(o.Dir, o.Shards)
+func (st *Store) recoverBounds() error {
+	o := st.opt
+	stored, gen, ok, err := loadBounds(st.dir, len(st.shards))
 	if err != nil {
 		return err
 	}
 	if ok {
 		if o.Bounds != nil && !slices.Equal(o.Bounds, stored) {
-			return fmt.Errorf("persist: store at %s has a journaled boundary table (gen %d) that differs from Options.Bounds", o.Dir, gen)
+			return fmt.Errorf("persist: store at %s has a journaled boundary table (gen %d) that differs from Options.Bounds", st.dir, gen)
 		}
 		st.bounds, st.boundsGen = stored, gen
 		return nil
 	}
 	if o.Bounds != nil && o.Partition == shard.RangePartition {
-		if err := writeBounds(o.Dir, o.BoundsGen, o.Bounds); err != nil {
+		if err := writeBounds(st.dir, o.BoundsGen, o.Bounds); err != nil {
 			return err
 		}
 		st.bounds, st.boundsGen = o.Bounds, o.BoundsGen
@@ -273,31 +275,19 @@ func (st *Store) releaseLock() {
 	}
 }
 
-// OpenSharded opens (or creates) the durable store described by opts.Dir
-// and returns a running Sharded set recovered from it, wired to the store
-// as its journal (durability rides the mailbox writer goroutines). Closing
-// the set closes the store.
-func OpenSharded(shards int, sopts *shard.Options) (*shard.Sharded, *Store, error) {
+// OpenSharded opens (or creates) the durable store rooted at dir and
+// returns a running Sharded set recovered from it, wired to the store as
+// its journal (durability rides the mailbox writer goroutines). opts may
+// be nil; shards < 1 means 1. Closing the set closes the store.
+func OpenSharded(dir string, shards int, opts *shard.Options) (*shard.Sharded, *Store, error) {
 	var so shard.Options
-	if sopts != nil {
-		so = *sopts
+	if opts != nil {
+		so = *opts
 	}
 	if shards < 1 {
 		shards = 1
 	}
-	st, sets, err := Open(Options{
-		Dir:                    so.Dir,
-		Shards:                 shards,
-		SyncEvery:              so.SyncEvery,
-		SyncBytes:              so.SyncBytes,
-		CheckpointEveryBatches: so.CheckpointEveryBatches,
-		CompactEveryDeltas:     so.CompactEveryDeltas,
-		Set:                    so.Set,
-		Partition:              so.Partition,
-		KeyBits:                so.KeyBits,
-		Bounds:                 so.Bounds,
-		BoundsGen:              so.BoundsGen,
-	})
+	st, sets, err := Open(dir, shards, so)
 	if err != nil {
 		return nil, nil, err
 	}

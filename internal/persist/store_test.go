@@ -18,8 +18,7 @@ import (
 // and returns the recovered set (callers close both).
 func openSet(t *testing.T, dir string, shards int, opt shard.Options) (*shard.Sharded, *Store) {
 	t.Helper()
-	opt.Dir = dir
-	s, st, err := OpenSharded(shards, &opt)
+	s, st, err := OpenSharded(dir, shards, &opt)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
@@ -228,10 +227,10 @@ func TestManifestMismatchRejected(t *testing.T) {
 	s.Insert(7)
 	s.Close()
 
-	if _, _, err := OpenSharded(8, &shard.Options{Dir: dir}); err == nil {
+	if _, _, err := OpenSharded(dir, 8, &shard.Options{}); err == nil {
 		t.Fatal("reopen with a different shard count succeeded")
 	}
-	if _, _, err := OpenSharded(4, &shard.Options{Dir: dir, Partition: shard.RangePartition}); err == nil {
+	if _, _, err := OpenSharded(dir, 4, &shard.Options{Partition: shard.RangePartition}); err == nil {
 		t.Fatal("reopen with a different partition succeeded")
 	}
 	s2, _ := openSet(t, dir, 4, shard.Options{})
@@ -253,7 +252,7 @@ func refuseManifest(t *testing.T, version, shards int, part shard.Partition) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(Options{Dir: dir, Shards: shards, Partition: part, KeyBits: 16})
+	_, _, err := Open(dir, shards, shard.Options{Partition: part, KeyBits: 16})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("manifest version %d;", version)) {
 		t.Fatalf("%s: got %v, want a refusal naming version %d", body, err, version)
 	}
@@ -273,7 +272,7 @@ func TestManifestVersionCompat(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	st, _, err := Open(Options{Dir: dir, Shards: 4, Partition: shard.HashPartition, KeyBits: 64})
+	st, _, err := Open(dir, 4, shard.Options{Partition: shard.HashPartition, KeyBits: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestStoreCloseIdempotentAndSticky(t *testing.T) {
 func TestDirectoryLock(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openSet(t, dir, 1, shard.Options{})
-	if _, _, err := OpenSharded(1, &shard.Options{Dir: dir}); err == nil {
+	if _, _, err := OpenSharded(dir, 1, &shard.Options{}); err == nil {
 		t.Fatal("second concurrent open of the same store succeeded — WALs would interleave")
 	}
 	s.Insert(5)
@@ -346,15 +345,6 @@ func TestNonDurableSetPersistAPI(t *testing.T) {
 	if st := s.PersistStats(); st != (shard.PersistStats{}) {
 		t.Fatalf("non-durable set reports persist stats: %+v", st)
 	}
-}
-
-func TestDirWithoutJournalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Options.Dir without Journal did not panic")
-		}
-	}()
-	shard.New(2, &shard.Options{Dir: t.TempDir()})
 }
 
 // TestTornCheckpointTempIgnored simulates a crash mid-checkpoint: the temp

@@ -28,10 +28,9 @@ func TestStatsScrapeRace(t *testing.T) {
 		// Manual checkpoints only: the hammer drives its own cadence.
 		CheckpointEveryBatches: -1,
 		CompactEveryDeltas:     -1,
-		Dir:                    t.TempDir(),
 	}
 	const shards = 4
-	s, st, err := persist.OpenSharded(shards, &opt)
+	s, st, err := persist.OpenSharded(t.TempDir(), shards, &opt)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}

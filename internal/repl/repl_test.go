@@ -131,8 +131,7 @@ func TestReplDifferential(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			const shards = 4
 			opt := cfg.opt
-			opt.Dir = t.TempDir()
-			s, st, err := persist.OpenSharded(shards, &opt)
+			s, st, err := persist.OpenSharded(t.TempDir(), shards, &opt)
 			if err != nil {
 				t.Fatalf("OpenSharded: %v", err)
 			}
@@ -288,8 +287,8 @@ func TestReplDifferential(t *testing.T) {
 // state exactly.
 func TestReplRaceHammer(t *testing.T) {
 	const shards = 2
-	opt := shard.Options{Dir: t.TempDir(), SyncEvery: 1, CheckpointEveryBatches: -1}
-	s, st, err := persist.OpenSharded(shards, &opt)
+	opt := shard.Options{SyncEvery: 1, CheckpointEveryBatches: -1}
+	s, st, err := persist.OpenSharded(t.TempDir(), shards, &opt)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
@@ -395,11 +394,10 @@ func TestReplRaceHammer(t *testing.T) {
 func TestSocketReplication(t *testing.T) {
 	const shards = 4
 	opt := shard.Options{
-		Dir:       t.TempDir(),
 		Partition: shard.RangePartition, KeyBits: 24,
 		SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: -1,
 	}
-	s, st, err := persist.OpenSharded(shards, &opt)
+	s, st, err := persist.OpenSharded(t.TempDir(), shards, &opt)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
@@ -484,8 +482,8 @@ func TestSocketReplication(t *testing.T) {
 // mismatches are rejected at attach time (Pair) or by the primary's hello
 // check (Dial).
 func TestLinkExclusivityAndGeometry(t *testing.T) {
-	opt := shard.Options{Dir: t.TempDir(), SyncEvery: 1}
-	s, st, err := persist.OpenSharded(2, &opt)
+	opt := shard.Options{SyncEvery: 1}
+	s, st, err := persist.OpenSharded(t.TempDir(), 2, &opt)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
@@ -579,8 +577,8 @@ func TestZeroLagMeansApplied(t *testing.T) {
 	for _, transport := range []string{"pair", "dial"} {
 		t.Run(transport, func(t *testing.T) {
 			const shards = 4
-			opt := shard.Options{Dir: t.TempDir(), SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: -1}
-			s, st, err := persist.OpenSharded(shards, &opt)
+			opt := shard.Options{SyncEvery: 1, CheckpointEveryBatches: -1, CompactEveryDeltas: -1}
+			s, st, err := persist.OpenSharded(t.TempDir(), shards, &opt)
 			if err != nil {
 				t.Fatalf("OpenSharded: %v", err)
 			}

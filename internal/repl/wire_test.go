@@ -243,7 +243,7 @@ func TestFollowerErrorClosesConn(t *testing.T) {
 // frame header claiming more bytes than an ack ends the connection before
 // the primary allocates for it, and the primary stops counting the link.
 func TestPrimaryRejectsBadAcks(t *testing.T) {
-	s, st, err := persist.OpenSharded(2, &shard.Options{Dir: t.TempDir(), SyncEvery: 1})
+	s, st, err := persist.OpenSharded(t.TempDir(), 2, &shard.Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}

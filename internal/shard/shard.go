@@ -238,14 +238,13 @@ type Options struct {
 	// DefaultRebalanceEvery.
 	RebalanceEvery time.Duration
 
-	// Dir, when non-empty, asks for crash durability: a per-shard
-	// write-ahead log plus checkpoints rooted at this directory. The
-	// shard package itself only carries these fields — the persist layer
-	// reads them, recovers the on-disk state, and hands New a Journal; use
-	// repro.OpenDurableShardedSet (or persist.OpenSharded) to build a
-	// durable set. New panics if Dir is set without a Journal, so a
-	// silently non-durable set cannot be constructed by accident.
-	Dir string
+	// The durability fields below configure the store of a durable set,
+	// a per-shard write-ahead log plus checkpoints; they take effect only
+	// when the set is opened from a store directory with
+	// repro.OpenDurableShardedSet (or persist.OpenSharded), which reads
+	// them and hands the set its Journal. The shard package only carries
+	// them.
+	//
 	// SyncEvery is the WAL group-commit record threshold: each shard's log
 	// is fsynced after this many appended batch records (1 = every record,
 	// 0 = the persist layer's default, negative = no count-based fsync).
@@ -440,9 +439,6 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 	var o Options
 	if opts != nil {
 		o = *opts
-	}
-	if o.Dir != "" && o.Journal == nil {
-		panic("shard: Options.Dir set without a Journal; build durable sets with repro.OpenDurableShardedSet")
 	}
 	if shards < 1 {
 		shards = 1

@@ -168,8 +168,11 @@ func TestRMATCutIsExact(t *testing.T) {
 	}
 }
 
+// The 40,000-edge batches fill the reservoir mid-batch in the second
+// round of sizes and then run it full, so inserts past the first
+// reservoirCap take the Uint64() % seen draw for several batches.
 func TestEdgeStreamMatchesSequential(t *testing.T) {
-	sizes := []int{1, 3, 17, 255, 1001, rmatGrain + 1, 7919}
+	sizes := []int{1, 3, 17, 255, 1001, rmatGrain + 1, 7919, 40_000}
 	for _, scale := range []int{1, 2, 3, 10, 17, 20} {
 		for seed := uint64(0); seed < 3; seed++ {
 			for _, frac := range []float64{0, 0.2} {
@@ -184,6 +187,9 @@ func TestEdgeStreamMatchesSequential(t *testing.T) {
 					if *got.r != *want.r {
 						t.Fatalf("scale %d seed %d frac %g round %d: RNG at %x, want %x", scale, seed, frac, round, got.r.state, want.r.state)
 					}
+				}
+				if len(got.reservoir) != reservoirCap || got.seen < 2*reservoirCap {
+					t.Fatalf("scale %d seed %d frac %g: reservoir holds %d after %d inserts, want it full well before the end", scale, seed, frac, len(got.reservoir), got.seen)
 				}
 			}
 		}

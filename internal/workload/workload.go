@@ -346,6 +346,14 @@ func rmatCut(t float64) uint64 {
 }
 
 // fill writes the R-MAT edges drawn from g into out.
+//
+// m minus a cut has its sign bit set exactly when m is below the cut, as
+// both are at most 2^53. Quadrant A is [0, a), B is [a, ab), C is
+// [ab, abc) and D is [abc, 2^53). The loop accumulates the complements of
+// the bits: src's is m < ab, and since the cuts ascend, the three below-cut
+// signs read 111 in A, 011 in B, 001 in C and 000 in D, so dst's is their
+// XOR. Each draw's bits enter at the top and shift down, so the first draw
+// ends as bit 0.
 func (c rmatCuts) fill(g RNG, out []Edge, scale int) {
 	const sign = 1 << 63
 	s := g.state
@@ -354,16 +362,11 @@ func (c rmatCuts) fill(g RNG, out []Edge, scale int) {
 		for range scale {
 			s += gamma
 			m := mix(s) >> 11
-			// m minus a cut has its sign bit set exactly when m is below
-			// the cut, as both are at most 2^53. Quadrant A is [0, a), B
-			// is [a, ab), C is [ab, abc) and D is [abc, 2^53). Each draw's
-			// bits enter at the top and shift down, so the first draw
-			// ends as bit 0.
-			a, ab, abc := m-c.a, m-c.ab, m-c.abc
-			src = src>>1 | ^ab&sign
-			dst = dst>>1 | (ab&^a|^abc)&sign
+			ab := m - c.ab
+			src = src>>1 | ab&sign
+			dst = dst>>1 | ((m-c.a)^ab^(m-c.abc))&sign
 		}
-		out[i] = Edge{Src: uint32(src >> (64 - scale)), Dst: uint32(dst >> (64 - scale))}
+		out[i] = Edge{Src: uint32(^src >> (64 - scale)), Dst: uint32(^dst >> (64 - scale))}
 	}
 }
 

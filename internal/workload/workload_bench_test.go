@@ -22,3 +22,15 @@ func BenchmarkRMAT(b *testing.B) {
 		RMAT(r, 100_000, 17, DefaultRMAT())
 	}
 }
+
+// BenchmarkEdgeStreamSetup generates the graph-stream benchmark's whole
+// input from a fresh stream: seed 1, scale 17, 20% deletes, 32 batches of
+// 25,000 edges, which is that workload's timed set-up.
+func BenchmarkEdgeStreamSetup(b *testing.B) {
+	for b.Loop() {
+		s := NewEdgeStream(1, 17, 0.2)
+		for range 32 {
+			s.Next(25_000)
+		}
+	}
+}

@@ -262,8 +262,9 @@ func NewShardedSet(shards int, opts *SetOptions) *ShardedSet {
 
 // NewShardedSetWith returns a ShardedSet with full control over
 // partitioning and the pipeline; opts may be nil. It builds
-// in-memory sets only: opts.Dir must be empty (use OpenDurableShardedSet
-// for a durable set — this constructor cannot report recovery errors).
+// in-memory sets only, ignoring the durability fields (use
+// OpenDurableShardedSet for a durable set — this constructor cannot
+// report recovery errors).
 func NewShardedSetWith(shards int, opts *ShardedSetOptions) *ShardedSet {
 	return shard.New(shards, opts)
 }
@@ -279,22 +280,17 @@ type ShardPersistStats = shard.PersistStats
 // set stored under dir and returns it recovered and running: a
 // ShardedSet whose mailbox writers append every batch to a per-shard
 // write-ahead log before applying it, with checkpoints written off
-// the hot path. opts may be nil; its Dir field is overridden by dir, and
-// SyncEvery/SyncBytes/CheckpointEveryBatches tune
-// the group-commit and checkpoint cadence (see the package documentation
-// for the durability contract). The set's Checkpoint method is the
+// the hot path. opts may be nil; its SyncEvery, SyncBytes,
+// CheckpointEveryBatches and CompactEveryDeltas tune the group-commit
+// and checkpoint cadence (see the package documentation for the
+// durability contract). The set's Checkpoint method is the
 // durability barrier, PersistStats reports the journal counters, and
 // Close fsyncs and closes the store; Close cannot return an error, so
 // check PersistErr after it — a non-nil result means a late fsync failed
 // and the unsynced tail may not have landed. Reopening a directory with
 // a different shard count, partition, or key width is an error.
 func OpenDurableShardedSet(dir string, shards int, opts *ShardedSetOptions) (*ShardedSet, error) {
-	var o ShardedSetOptions
-	if opts != nil {
-		o = *opts
-	}
-	o.Dir = dir
-	s, _, err := persist.OpenSharded(shards, &o)
+	s, _, err := persist.OpenSharded(dir, shards, opts)
 	return s, err
 }
 
@@ -335,12 +331,7 @@ type ReplFollowerStats = repl.FollowerStats
 // (closing it ends replication); the primary hands its WAL to followers
 // wired up with PairReplica or ServeReplication.
 func OpenPrimary(dir string, shards int, opts *ShardedSetOptions) (*ShardedSet, *ReplPrimary, error) {
-	var o ShardedSetOptions
-	if opts != nil {
-		o = *opts
-	}
-	o.Dir = dir
-	s, st, err := persist.OpenSharded(shards, &o)
+	s, st, err := persist.OpenSharded(dir, shards, opts)
 	if err != nil {
 		return nil, nil, err
 	}
