@@ -2,7 +2,6 @@ package cpma
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -42,7 +41,7 @@ func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 	case float64(len(batch)) >= rebuildFraction*float64(c.n):
 		return c.rebuildMerge(batch)
 	default:
-		return c.batchMerge(batch)
+		return c.batchUpdate(batch, true)
 	}
 }
 
@@ -63,18 +62,7 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 		}
 		return removed
 	}
-	c.batchRecords()
-	touched := parallel.NewBitset(c.leaves)
-	var removed atomic.Int64
-	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) {
-		if n := c.removeLeaf(leaf, sub); n > 0 {
-			touched.Set(leaf)
-			removed.Add(int64(n))
-		}
-	})
-	c.n -= int(removed.Load())
-	c.rebalanceLeaves(touched.Indices(), false)
-	return int(removed.Load())
+	return c.batchUpdate(batch, false)
 }
 
 // prepareBatch normalizes a batch: sorted, duplicate-free, nonzero keys.
@@ -94,27 +82,28 @@ func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
 	return batch
 }
 
-// batchMerge runs the three phases of the parallel batch insert.
-func (c *CPMA) batchMerge(batch []uint64) int {
+// batchUpdate runs the three phases of the parallel batch insert, or of
+// the batch remove if insert is false, and returns how many keys it added
+// or removed.
+func (c *CPMA) batchUpdate(batch []uint64, insert bool) int {
 	c.batchRecords()
-	touched := parallel.NewBitset(c.leaves)
-	var added atomic.Int64
 
-	// Phase 1: recursive parallel batch merge.
-	c.batchRange(batch, 0, c.leaves-1, func(leaf int, sub []uint64) {
-		if len(sub) > 0 {
-			touched.Set(leaf)
-			added.Add(int64(c.mergeLeaf(leaf, sub)))
-		}
-	})
-	c.n += int(added.Load())
+	// Phase 1: recursive parallel batch merge (or remove). It lists the
+	// leaves it wrote in order, in place of the paper's thread-safe set of
+	// modified leaves; each of them took at least one key.
+	dirty, changed := c.batchRange(batch, 0, c.leaves-1, insert, make([]int, 0, min(len(batch), c.leaves)))
+	if insert {
+		c.n += changed
+	} else {
+		c.n -= changed
+	}
 
 	// Phases 2 and 3: counting, then redistribution (or growth). An
 	// overflowed leaf always violates its bound, so the plan covers it with
 	// a redistribution region or a rebuild, and gatherElems drains its
 	// buffer.
-	c.rebalanceLeaves(touched.Indices(), true)
-	return int(added.Load())
+	c.rebalanceLeaves(dirty, insert)
+	return changed
 }
 
 // InsertBatchRMA inserts a batch the way the Rewired Memory Array of De
@@ -155,10 +144,12 @@ func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
 }
 
 // rebalanceLeaves runs the work-efficient parallel counting over the
-// leaves a batch wrote (dirty, ascending), on the sizes the batch recorded
-// for them in c.sizes, checking upper bounds after inserts and lower ones
-// after removes, and executes the plan in parallel. Redistribution drops
-// the records of the leaves it rewrites; this drops the rest.
+// leaves an update wrote (dirty, ascending), on the sizes a batch recorded
+// for them in c.sizes or, after a point update, on their bytes, checking
+// upper bounds after inserts and lower ones after removes, and executes
+// the plan in parallel. It is the only way either update redistributes.
+// Redistribution drops the records of the leaves it rewrites; this drops
+// the rest.
 func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 	// A minimum-capacity array accepts sparseness.
 	if insert || c.Capacity() > c.f.minCapacity() {
@@ -183,15 +174,22 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 // batchRange implements the recursive phase of both batch updates (paper
 // §4): search for the batch median's target leaf within [loLeaf, hiLeaf],
 // find the extent of the batch destined for that leaf, then in parallel
-// apply that extent to the leaf and recurse on the left and right
-// remainders.
+// apply that extent to the leaf (mergeLeaf, or removeLeaf if insert is
+// false) and recurse on the left and right remainders. It appends the
+// leaves it wrote to dirty and returns it with how many keys it added or
+// removed.
+//
+// The dirty list is deterministic: it is ascending and the same at every
+// GOMAXPROCS, as a forked call joins its branches' lists as left, self,
+// right. Each leaf is applied once, from bytes no other branch writes, so
+// the leaves end the same however the branches are scheduled.
 //
 // The leaf-range bounds guarantee that no search performed by this call
 // probes a leaf owned by a concurrently forked apply, so the phase is safe
 // without locks.
-func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, apply func(leaf int, sub []uint64)) {
+func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty []int) ([]int, int) {
 	if len(batch) == 0 {
-		return
+		return dirty, 0
 	}
 	if loLeaf > hiLeaf {
 		panic("cpma: batch elements with no target leaf range")
@@ -206,8 +204,7 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, apply func(leaf in
 		// surrounding leaves, so the run goes to the middle leaf (an insert
 		// parks it there; redistribution will spread it).
 		if leaf = c.firstNonEmptyIn(loLeaf, hiLeaf); leaf == -1 {
-			apply((loLeaf+hiLeaf)/2, batch)
-			return
+			return c.editLeaf((loLeaf+hiLeaf)/2, batch, insert, dirty)
 		}
 	case leaf > loLeaf:
 		// Elements below this head recurse left; at loLeaf there is no
@@ -222,20 +219,43 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, apply func(leaf in
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		apply(leaf, sub)
-		c.batchRange(left, loLeaf, leaf-1, apply)
-		c.batchRange(right, leaf+1, hiLeaf, apply)
-		return
+		var nl, n, nr int
+		dirty, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty)
+		dirty, n = c.editLeaf(leaf, sub, insert, dirty)
+		dirty, nr = c.batchRange(right, leaf+1, hiLeaf, insert, dirty)
+		return dirty, nl + n + nr
 	}
+	var l, self, r []int
+	var nl, n, nr int
 	parallel.Do3(
-		func() { apply(leaf, sub) },
-		func() { c.batchRange(left, loLeaf, leaf-1, apply) },
-		func() { c.batchRange(right, leaf+1, hiLeaf, apply) },
+		func() { l, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty) },
+		func() { self, n = c.editLeaf(leaf, sub, insert, nil) },
+		func() { r, nr = c.batchRange(right, leaf+1, hiLeaf, insert, nil) },
 	)
+	return append(append(l, self...), r...), nl + n + nr
 }
 
-// inPlaceMerge is the largest run mergeLeaf splices into a leaf key by
-// key, as point inserts do, instead of decoding and re-encoding the leaf.
+// editLeaf applies a batch run to a leaf and appends the leaf to dirty if
+// that left a batch record: a merge of any keys records the leaf's size,
+// a remove only if it removed one. It returns dirty and how many keys
+// the run added or removed.
+func (c *CPMA) editLeaf(leaf int, sub []uint64, insert bool, dirty []int) ([]int, int) {
+	if len(sub) == 0 {
+		return dirty, 0
+	}
+	if insert {
+		return append(dirty, leaf), c.mergeLeaf(leaf, sub)
+	}
+	n := c.removeLeaf(leaf, sub)
+	if n > 0 {
+		dirty = append(dirty, leaf)
+	}
+	return dirty, n
+}
+
+// inPlaceMerge is the largest run mergeLeaf and removeLeaf splice into or
+// out of a leaf key by key, as point updates do, instead of decoding and
+// re-encoding the leaf.
 const inPlaceMerge = 2
 
 // mergeLeaf merges a sorted batch run into a leaf. A run of at most
@@ -288,16 +308,28 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64) int {
 	return fresh
 }
 
-// removeLeaf deletes keys of sub present in the leaf with a two-finger
-// difference over the decoded run. Deletes never overflow (paper §6:
-// "deletes do not have to allocate temporary space as they will never
-// overflow the PMA leaves"): deletion never grows the encoding, so the
-// result always re-encodes in place. It returns how many keys it removed;
-// it writes the leaf and records its size only if that is not zero.
+// removeLeaf deletes the keys of sub present in the leaf. Deletes never
+// overflow (paper §6: "deletes do not have to allocate temporary space as
+// they will never overflow the PMA leaves"), so, by mergeLeaf's rule, a
+// run of at most inPlaceMerge keys is spliced out key by key, as point
+// removes do, and a longer one is a two-finger difference over the
+// decoded run, which always re-encodes in place. It returns how many keys
+// it removed; it writes the leaf and records its size only if that is not
+// zero.
 func (c *CPMA) removeLeaf(leaf int, sub []uint64) int {
+	if len(sub) <= inPlaceMerge {
+		dropped := 0
+		for _, x := range sub {
+			if u := c.leafRemove(leaf, x); u >= 0 {
+				c.sizes[leaf] = int32(u) // 0, no record, if the leaf emptied
+				dropped++
+			}
+		}
+		return dropped
+	}
 	ld := c.leafData(leaf)
 	u := c.f.used(ld)
-	if len(sub) == 0 || u == 0 {
+	if u == 0 {
 		return 0
 	}
 	cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)

@@ -406,11 +406,14 @@ func (c *CPMA) redistribute(r pmatree.Region) error {
 // applyPlan executes a rebalance plan; a failed regional scatter (possible
 // only in pathological byte-skew cases) escalates to a full rebuild.
 func (c *CPMA) applyPlan(plan pmatree.Plan) {
-	if plan.Grow || plan.Shrink {
+	switch {
+	case plan.Grow || plan.Shrink:
 		if plan.Grow {
 			c.grows++
 		}
 		c.rebuildFrom(c.gatherElems(0, c.leaves))
+		return
+	case len(plan.Redistribute) == 0:
 		return
 	}
 	for _, r := range plan.Redistribute {

@@ -1,6 +1,7 @@
 package cpma
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/workload"
@@ -48,6 +49,69 @@ func BenchmarkBatchInsert10k(b *testing.B) {
 			c.InsertBatch(batches[i%len(batches)], false)
 		}
 	})
+}
+
+// BenchmarkBatchRemove removes sorted batches of present keys, evenly
+// spaced over a set of 1M uniform 40-bit keys, and puts each batch back
+// untimed: 250 keys is the size snapshot-reads' writer removes per shard.
+func BenchmarkBatchRemove(b *testing.B) {
+	for _, k := range []int{250, 10_000} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			benchFormats(b, 1_000_000, func(b *testing.B, c *CPMA) {
+				keys := c.Keys()
+				step := len(keys) / k
+				batches := make([][]uint64, min(32, step))
+				for i := range batches {
+					for j := i; j < len(keys); j += step {
+						batches[i] = append(batches[i], keys[j])
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch := batches[i%len(batches)]
+					c.RemoveBatch(batch, true)
+					b.StopTimer()
+					c.InsertBatch(batch, true)
+					b.StartTimer()
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkPointBatchCrossover inserts and then removes sorted batches of
+// k uniform 40-bit keys on a compressed set of 1M such keys, through the
+// point loop (PointThreshold k) and through the batch path (PointThreshold
+// 1). PointThreshold, one threshold for both updates, belongs where the
+// batch path's round trip starts to win.
+func BenchmarkPointBatchCrossover(b *testing.B) {
+	keys := workload.Uniform(workload.NewRNG(1), 1_000_000, 40)
+	for _, k := range []int{1, 2, 10, 30, 100, 300, 1000, 3000, 10_000} {
+		for _, path := range []struct {
+			name      string
+			threshold int
+		}{{"point", k}, {"batch", 1}} {
+			if k == 1 && path.name == "batch" {
+				continue // a 1-key batch always takes the point loop
+			}
+			b.Run(fmt.Sprintf("%d/%s", k, path.name), func(b *testing.B) {
+				c := New(&Options{PointThreshold: path.threshold})
+				c.InsertBatch(keys, false)
+				r := workload.NewRNG(8)
+				batches := make([][]uint64, 64)
+				for i := range batches {
+					batches[i] = c.prepareBatch(workload.Uniform(r, k, 40), false)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch := batches[i%len(batches)]
+					c.InsertBatch(batch, true)
+					c.RemoveBatch(batch, true)
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkSum(b *testing.B) {

@@ -3,6 +3,7 @@ package cpma
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -761,6 +762,65 @@ func TestAlternatingBatchInsertDelete(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+	})
+}
+
+// TestBatchForkDeterminism pins batchRange's determinism contract: the
+// dirty list, and so the plan and every leaf, does not depend on how the
+// forked branches are scheduled. Twin sets get the same inserts and
+// removes, batches below and above mergeForkGrain, clustered and spread,
+// one twin at GOMAXPROCS 1 (no forks) and the other at 4. They must stay
+// leaf-for-leaf identical, with equal rebalance counts.
+func TestBatchForkDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		r := rand.New(rand.NewSource(21))
+		base := uniqueRandom(r, 100_000, 1<<40)
+		serial, forked := newSet(nil), newSet(nil)
+		apply := func(op func(c *CPMA) int) {
+			runtime.GOMAXPROCS(1)
+			a := op(serial)
+			runtime.GOMAXPROCS(4)
+			if b := op(forked); a != b {
+				t.Fatalf("the twins changed %d and %d keys", a, b)
+			}
+		}
+		apply(func(c *CPMA) int { return c.InsertBatch(base, false) })
+		for round := 0; round < 6; round++ {
+			for _, k := range []int{300, mergeForkGrain + 1000, 8000} {
+				ins := uniqueRandom(r, k, 1<<40)
+				apply(func(c *CPMA) int { return c.InsertBatch(ins, false) })
+				// Remove k present keys: a contiguous run, which empties
+				// leaves, or every (n/k)th key, plus as many absent ones.
+				keys := serial.Keys()
+				var del []uint64
+				if round%2 == 0 {
+					at := r.Intn(len(keys) - k)
+					del = slices.Clone(keys[at : at+k])
+				} else {
+					for i := r.Intn(len(keys) / k); i < len(keys); i += len(keys) / k {
+						del = append(del, keys[i])
+					}
+				}
+				del = append(del, uniqueRandom(r, k, 1<<40)...)
+				apply(func(c *CPMA) int { return c.RemoveBatch(del, false) })
+				for leaf := 0; leaf < max(serial.Leaves(), forked.Leaves()); leaf++ {
+					if serial.Leaves() != forked.Leaves() || !slices.Equal(serial.leafData(leaf), forked.leafData(leaf)) {
+						t.Fatalf("round %d, %d-key batches: the twins differ at leaf %d of %d/%d",
+							round, k, leaf, serial.Leaves(), forked.Leaves())
+					}
+				}
+				sm, sg := serial.Rebalances()
+				fm, fg := forked.Rebalances()
+				if sm != fm || sg != fg {
+					t.Fatalf("round %d, %d-key batches: rebalances %d/%d serial, %d/%d forked", round, k, sm, sg, fm, fg)
+				}
+			}
+		}
+		if m, _ := serial.Rebalances(); m == 0 {
+			t.Fatal("no multi-leaf redistribution ran")
+		}
+		checkAgainst(t, forked, serial.Keys())
 	})
 }
 

@@ -102,7 +102,7 @@ func (c *CPMA) WriteTo(w io.Writer) (int64, error) {
 }
 
 // WriteDeltaTo serializes the given leaves (ascending, in range,
-// duplicate-free — Bitset.Indices output qualifies) and returns the bytes
+// duplicate-free, as ChangedSince returns them) and returns the bytes
 // written, always EncodedSize(leaves) on success. The receiver must be at
 // rest, like WriteTo, and compressed: an uncompressed set writes nothing
 // and returns an error.

@@ -145,6 +145,27 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 				t.Fatalf("mergeLeaf(%v): used %d, want %d", sub, d.usedOf(0), codec.SizeOfRun(want))
 			}
 		}
+		// Batch removes of one, two and three keys: the runs up to
+		// inPlaceMerge splice, the longer one decodes and filters.
+		subs := [][]uint64{{x}, {x, x + 1}, {x, x + 1, x + 2}}
+		if j+2 < len(keys) {
+			subs = append(subs, []uint64{x, keys[j+1]}, []uint64{x, keys[j+1], keys[j+2]})
+		}
+		for _, sub := range subs {
+			if !slices.IsSorted(sub) || slices.Contains(sub[1:], x) {
+				continue // x + 1 or x + 2 wrapped
+			}
+			d := leafSet(keys)
+			want := slices.DeleteFunc(slices.Clone(keys), func(k uint64) bool { return slices.Contains(sub, k) })
+			removed := d.removeLeaf(0, sub)
+			if removed != len(keys)-len(want) {
+				t.Fatalf("removeLeaf(%v) removed %d, want %d", sub, removed, len(keys)-len(want))
+			}
+			checkLeaf(t, d, want, "removeLeaf")
+			if rec, size := d.sizes[0], codec.SizeOfRun(want); removed > 0 && int(rec) != size || removed == 0 && rec != 0 {
+				t.Fatalf("removeLeaf(%v) recorded size %d, want %d", sub, rec, size)
+			}
+		}
 	}
 }
 
@@ -285,10 +306,12 @@ func TestDerivedLeafSize(t *testing.T) {
 	}
 }
 
-// TestMergeLeafInPlace pins which path mergeLeaf takes: a run of at most
-// inPlaceMerge keys that the leaf has slack for is spliced without
-// allocating; without the slack it goes through the decode-merge path,
-// and a merge that outgrows the leaf lands in the overflow buffer.
+// TestMergeLeafInPlace pins which path mergeLeaf and removeLeaf take: a
+// run of at most inPlaceMerge keys that the leaf has slack for is spliced
+// without allocating; without the slack it goes through the decode-merge
+// path, and a merge that outgrows the leaf lands in the overflow buffer. A
+// remove needs no slack: a run of at most inPlaceMerge keys never
+// allocates, and a longer one decodes.
 func TestMergeLeafInPlace(t *testing.T) {
 	lb, slack := compressed.minLeafBytes, compressed.slack
 	allocs := func(keys, sub []uint64) float64 {
@@ -309,6 +332,33 @@ func TestMergeLeafInPlace(t *testing.T) {
 	}
 	if a := allocs(fillTo(lb-slack, 2), two[:1]); a != 0 {
 		t.Fatalf("one key into a leaf with exactly its slack: %v allocations, want 0", a)
+	}
+	removeAllocs := func(keys, sub []uint64) float64 {
+		c := leafSet(keys)
+		orig := slices.Clone(c.leafData(0))
+		return testing.AllocsPerRun(5, func() {
+			copy(c.leafW(0), orig)
+			c.dropRecord(0)
+			if c.removeLeaf(0, sub) == 0 {
+				t.Fatalf("removeLeaf(%v) removed nothing", sub)
+			}
+		})
+	}
+	full := fillTo(lb, 10)
+	last := len(full) - 1
+	for _, sub := range [][]uint64{
+		{full[0]},                  // the head
+		{full[last]},               // the 10-byte code on the slab's last byte
+		{full[0], full[1]},         // the head and its successor
+		{full[1], full[last] + 1},  // a present key and an absent one
+		{full[last-1], full[last]}, // the last two codes
+	} {
+		if a := removeAllocs(full, sub); a != 0 {
+			t.Fatalf("removing %v from a full leaf: %v allocations, want 0", sub, a)
+		}
+	}
+	if a := removeAllocs(full, full[1:inPlaceMerge+2]); a == 0 {
+		t.Fatalf("removing %d keys took the in-place path", inPlaceMerge+1)
 	}
 	// The overflow fallback: a full slab cannot take a 10-byte delta.
 	keys := fillTo(lb, 1)

@@ -114,7 +114,8 @@ func (c *CPMA) Max() (uint64, bool) {
 // Insert adds x, returning false if already present. Point inserts follow
 // the paper's four steps: search, place, count, redistribute (§3, Figure
 // 3); in the compressed format the place step is a single pass over the
-// leaf's codes (§5, Figure 6).
+// leaf's codes (§5, Figure 6). The count step is the batch counting on the
+// one dirty leaf, run only when that leaf breaks its bound.
 func (c *CPMA) Insert(x uint64) bool {
 	if x == 0 {
 		panic("cpma: key 0 is reserved")
@@ -128,7 +129,7 @@ func (c *CPMA) Insert(x uint64) bool {
 		if u == noRoom {
 			// Not enough slack for the worst-case growth: rebalance first
 			// (such a leaf always violates its byte-density bound).
-			c.rebalanceLeaf(leaf, true, false)
+			c.rebalanceLeaves([]int{leaf}, true)
 			continue
 		}
 		if !fresh {
@@ -136,13 +137,14 @@ func (c *CPMA) Insert(x uint64) bool {
 		}
 		c.n++
 		if u > c.tree.UpperUnits(pmatree.Node{Level: 0, Index: leaf}) {
-			c.rebalanceLeaf(leaf, true, false)
+			c.rebalanceLeaves([]int{leaf}, true)
 		}
 		return true
 	}
 }
 
-// Remove deletes x, returning false if absent.
+// Remove deletes x, returning false if absent. Like Insert, it counts and
+// redistributes only when the leaf falls below its bound.
 func (c *CPMA) Remove(x uint64) bool {
 	if x == 0 || c.n == 0 {
 		return false
@@ -154,18 +156,7 @@ func (c *CPMA) Remove(x uint64) bool {
 	}
 	c.n--
 	if u < c.tree.LowerUnits(pmatree.Node{Level: 0, Index: leaf}) {
-		c.rebalanceLeaf(leaf, false, true)
+		c.rebalanceLeaves([]int{leaf}, false)
 	}
 	return true
-}
-
-// rebalanceLeaf performs the point-update rebalance: walk up from the leaf
-// to the lowest ancestor within its density bounds and redistribute it, or
-// resize the array if the violation reaches the root.
-func (c *CPMA) rebalanceLeaf(leaf int, checkUpper, checkLower bool) {
-	if checkLower && c.Capacity() <= c.f.minCapacity() {
-		return // already at minimum capacity; sparseness is acceptable
-	}
-	plan := c.tree.WalkUp(c.usedOf, leaf, checkUpper, checkLower)
-	c.applyPlan(plan)
 }

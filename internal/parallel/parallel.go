@@ -1,7 +1,7 @@
 // Package parallel implements the fork-join primitives the batch-parallel
 // PMA/CPMA and the tree baselines are built on: binary forking (Do), grained
 // parallel loops (For, ForRange), load-balanced parallel merge and merge
-// sort, parallel reductions, and an atomic bitset.
+// sort, and parallel reductions.
 //
 // It plays the role Parlaylib plays for the paper's C++ implementation. All
 // primitives degrade to plain serial loops when GOMAXPROCS is 1, so serial

@@ -207,42 +207,3 @@ func TestSortedCopyLeavesInputUnchanged(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
-
-func TestBitsetConcurrent(t *testing.T) {
-	n := 10_000
-	b := NewBitset(n)
-	For(n, 7, func(i int) {
-		if i%3 == 0 {
-			b.Set(i)
-		}
-	})
-	idx := b.Indices()
-	want := 0
-	for i := 0; i < n; i += 3 {
-		want++
-	}
-	if len(idx) != want {
-		t.Fatalf("got %d indices, want %d", len(idx), want)
-	}
-	for k := 1; k < len(idx); k++ {
-		if idx[k] <= idx[k-1] {
-			t.Fatal("indices not strictly increasing")
-		}
-	}
-	for _, i := range idx {
-		if i%3 != 0 || !b.Get(i) {
-			t.Fatalf("unexpected index %d", i)
-		}
-	}
-	if b.Get(1) {
-		t.Fatal("bit 1 should be clear")
-	}
-}
-
-func TestBitsetSetIdempotent(t *testing.T) {
-	b := NewBitset(128)
-	For(64, 1, func(int) { b.Set(77) })
-	if got := b.Indices(); len(got) != 1 || got[0] != 77 {
-		t.Fatalf("Indices = %v", got)
-	}
-}

@@ -50,24 +50,6 @@ func TestRaceNestedForkJoin(t *testing.T) {
 	}
 }
 
-func TestRaceBitsetSharedWriters(t *testing.T) {
-	bs := NewBitset(100000)
-	For(100000, 32, func(i int) {
-		if i%3 == 0 {
-			bs.Set(i)
-		}
-	})
-	idx := bs.Indices()
-	if len(idx) != (100000+2)/3 {
-		t.Fatalf("bitset holds %d indices, want %d", len(idx), (100000+2)/3)
-	}
-	for _, i := range idx {
-		if i%3 != 0 {
-			t.Fatalf("unexpected index %d set", i)
-		}
-	}
-}
-
 func TestRaceConcurrentSortAndMerge(t *testing.T) {
 	var wg sync.WaitGroup
 	for c := 0; c < 3; c++ {

@@ -3,15 +3,18 @@
 // parallel counting algorithm for batch updates (paper §4, Figure 5).
 //
 // The tree is purely arithmetic: a node is a (level, index) pair whose region
-// is a contiguous range of leaves. The planner in this package decides which
-// regions must be redistributed after a batch merge; internal/cpma, its only
-// client, owns the actual data movement. Occupancy is measured in abstract
-// "units" (bytes for both of cpma's leaf formats), so the planner knows
-// nothing of leaf layout.
+// is a contiguous range of leaves. Count, the one planner in this package,
+// decides which regions must be redistributed after an update: a batch
+// merge, or a point update, whose climb up the tree (§3) is the counting
+// algorithm on a single dirty leaf. internal/cpma, its only client, owns
+// the actual data movement. Occupancy is measured in abstract "units"
+// (bytes for both of cpma's leaf formats), so the planner knows nothing of
+// leaf layout.
 package pmatree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bitutil"
 	"repro/internal/parallel"
@@ -148,161 +151,107 @@ type Plan struct {
 	RootUsed int
 }
 
-// walkUp implements the point-update rebalance walk: starting from a leaf,
-// climb until a node within its bounds is found. used must report occupied
-// units per leaf. Returns the region to redistribute, or grow/shrink at the
-// root. Exposed for the PMA/CPMA point-update paths.
-func (t *Tree) WalkUp(used func(leaf int) int, leaf int, checkUpper, checkLower bool) Plan {
-	n := Node{Level: 0, Index: leaf}
-	// [clo, chi) are the leaves counted so far: each level adds only the
-	// leaves its child did not cover, so used runs once per leaf.
-	clo, chi, total := leaf, leaf, 0
-	for {
-		lo, hi := t.LeafRange(n)
-		for i := lo; i < clo; i++ {
-			total += used(i)
-		}
-		for i := chi; i < hi; i++ {
-			total += used(i)
-		}
-		clo, chi = lo, hi
-		over := checkUpper && total > t.UpperUnits(n)
-		under := checkLower && total < t.LowerUnits(n)
-		if !over && !under {
-			if n.Level == 0 {
-				// The touched leaf is already within bounds: nothing to do.
-				return Plan{}
-			}
-			return Plan{Redistribute: []Region{{Node: n, LoLeaf: lo, HiLeaf: hi, Used: total}}}
-		}
-		if n.Level == t.height {
-			return Plan{Grow: over, Shrink: under && !over, RootUsed: total}
-		}
-		n = t.Parent(n)
-	}
-}
-
 // Count runs the work-efficient parallel counting algorithm (paper §4).
 //
-// dirty lists the leaves modified by the batch-merge phase. used reports the
-// occupied units of a leaf and may exceed LeafCap for overflowed leaves.
-// checkUpper/checkLower select which bound violations escalate (inserts use
-// upper, deletes lower; both may be set).
+// dirty lists, ascending, the leaves modified by the batch-merge phase, or
+// the one leaf a point update wrote. used reports the occupied units of a
+// leaf and may exceed LeafCap for overflowed leaves. checkUpper/checkLower
+// select which bound violations escalate (inserts use upper, deletes
+// lower; both may be set). When no dirty leaf violates, Count returns an
+// empty plan without allocating.
 //
-// Levels are processed serially from the leaves to the root; all nodes of a
-// level are counted in parallel, and every count is cached so no region is
-// counted twice (Lemma 2). A node within its bounds that was reached because
-// a child violated becomes a redistribution root; nested roots are filtered
-// so the returned regions are maximal and disjoint.
+// Levels are processed serially from the leaves to the root. The dirty
+// leaves are counted serially, as the update knows their sizes; the nodes
+// of every level above are counted in parallel, and each level's counts
+// are kept for the next, so no region is counted twice (Lemma 2). A node
+// within its bounds that was reached because a child violated becomes a
+// redistribution root; nested roots are filtered so the returned regions
+// are maximal and disjoint.
 func (t *Tree) Count(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) Plan {
-	if len(dirty) == 0 {
+	// Most batches leave every dirty leaf in bounds: find that out before
+	// allocating anything.
+	first, firstUsed := t.firstViolator(used, dirty, checkUpper, checkLower)
+	if first < 0 {
 		return Plan{}
 	}
-	var plan Plan
-	candidates := make(map[Node]Region)
-
-	// cache[l] maps node index -> occupied units for counted nodes at level l.
-	cache := make([]map[int]int, t.height+1)
-	cache[0] = make(map[int]int, len(dirty))
-
-	// Level 0: count the dirty leaves (in parallel) and find violators.
-	leafUsed := make([]int, len(dirty))
-	parallel.For(len(dirty), 64, func(i int) {
-		leafUsed[i] = used(dirty[i])
-	})
-	next := make(map[int]bool)
-	for i, leaf := range dirty {
-		cache[0][leaf] = leafUsed[i]
-		over := checkUpper && leafUsed[i] > t.UpperUnits(Node{0, leaf})
-		under := checkLower && leafUsed[i] < t.LowerUnits(Node{0, leaf})
-		if over || under {
-			if t.height == 0 {
-				return Plan{Grow: over, Shrink: under && !over, RootUsed: leafUsed[i]}
-			}
-			next[leaf>>1] = true
-		}
+	// Level 0: the dirty leaves from the first violator on. The leaves
+	// before it are in bounds, and a parent that needs them counts them.
+	cur := make([]counted, 1, len(dirty)-first)
+	cur[0] = counted{dirty[first], firstUsed}
+	for _, leaf := range dirty[first+1:] {
+		cur = append(cur, counted{leaf, used(leaf)})
 	}
-
-	// countRegion sums the units of an uncounted region by scanning its
-	// leaves; used exactly once per region thanks to the caches.
-	countRegion := func(n Node) int {
-		lo, hi := t.LeafRange(n)
-		total := 0
-		for i := lo; i < hi; i++ {
-			total += used(i)
-		}
-		return total
-	}
-
-	for level := 1; level <= t.height && len(next) > 0; level++ {
-		nodes := make([]int, 0, len(next))
-		for idx := range next {
-			nodes = append(nodes, idx)
-		}
-		sort.Ints(nodes)
-		next = make(map[int]bool)
-		counts := make([]int, len(nodes))
-		prev := cache[level-1]
-		parallel.For(len(nodes), 8, func(i int) {
-			idx := nodes[i]
-			total := 0
-			for _, c := range []int{2 * idx, 2*idx + 1} {
-				child := Node{level - 1, c}
-				clo, chi := t.LeafRange(child)
-				if clo >= chi {
-					continue // right edge: child has no leaves
-				}
-				if v, ok := prev[c]; ok {
-					total += v
-				} else {
-					total += countRegion(child)
-				}
-			}
-			counts[i] = total
-		})
-		cache[level] = make(map[int]int, len(nodes))
-		for i, idx := range nodes {
-			cache[level][idx] = counts[i]
-			n := Node{level, idx}
-			over := checkUpper && counts[i] > t.UpperUnits(n)
-			under := checkLower && counts[i] < t.LowerUnits(n)
+	var candidates []Region
+	var next []counted
+	for level := 0; len(cur) > 0; level++ {
+		// The parents of this level's violators, ascending and distinct,
+		// are the next level's nodes. A node above the leaves that is
+		// within its bounds is a candidate region.
+		next = next[:0]
+		for _, c := range cur {
+			n := Node{level, c.index}
+			over := checkUpper && c.units > t.UpperUnits(n)
+			under := checkLower && c.units < t.LowerUnits(n)
 			switch {
 			case !over && !under:
-				lo, hi := t.LeafRange(n)
-				candidates[n] = Region{Node: n, LoLeaf: lo, HiLeaf: hi, Used: counts[i]}
+				if level > 0 {
+					lo, hi := t.LeafRange(n)
+					candidates = append(candidates, Region{Node: n, LoLeaf: lo, HiLeaf: hi, Used: c.units})
+				}
 			case level == t.height:
-				plan.Grow = over
-				plan.Shrink = under && !over
-				plan.RootUsed = counts[i]
-			default:
-				next[idx>>1] = true
+				// A rebuild supersedes every regional redistribution.
+				return Plan{Grow: over, Shrink: under && !over, RootUsed: c.units}
+			case len(next) == 0 || next[len(next)-1].index != c.index>>1:
+				next = append(next, counted{index: c.index >> 1})
 			}
 		}
+		// Count them: a child counted at this level is cached, and the
+		// other is summed leaf by leaf, so no region is counted twice.
+		parallel.For(len(next), 8, func(i int) {
+			for child := 2 * next[i].index; child <= 2*next[i].index+1; child++ {
+				if j, ok := slices.BinarySearchFunc(cur, child, byIndex); ok {
+					next[i].units += cur[j].units
+					continue
+				}
+				lo, hi := t.LeafRange(Node{level, child}) // empty past the right edge
+				for leaf := lo; leaf < hi; leaf++ {
+					next[i].units += used(leaf)
+				}
+			}
+		})
+		cur, next = next, cur
 	}
 
-	if plan.Grow || plan.Shrink {
-		// A rebuild supersedes every regional redistribution.
-		return Plan{Grow: plan.Grow, Shrink: plan.Shrink, RootUsed: plan.RootUsed}
-	}
-
-	// Keep only maximal candidates: drop any whose ancestor is also chosen.
-	for n, r := range candidates {
-		covered := false
-		for a := t.Parent(n); a.Level <= t.height; a = t.Parent(a) {
-			if _, ok := candidates[a]; ok {
-				covered = true
-				break
-			}
-			if a.Level == t.height {
-				break
-			}
-		}
-		if !covered {
-			plan.Redistribute = append(plan.Redistribute, r)
-		}
-	}
-	sort.Slice(plan.Redistribute, func(i, j int) bool {
-		return plan.Redistribute[i].LoLeaf < plan.Redistribute[j].LoLeaf
+	// Keep the maximal candidates. Regions of the tree nest or are
+	// disjoint, so in order of first leaf, ancestors first, each one lies
+	// inside the last one kept or starts past its end.
+	slices.SortFunc(candidates, func(a, b Region) int {
+		return cmp.Or(cmp.Compare(a.LoLeaf, b.LoLeaf), cmp.Compare(b.Level, a.Level))
 	})
+	var plan Plan
+	end := 0
+	for _, r := range candidates {
+		if r.LoLeaf >= end {
+			plan.Redistribute = append(plan.Redistribute, r)
+			end = r.HiLeaf
+		}
+	}
 	return plan
+}
+
+// counted is a node of one level of the count and its occupied units.
+type counted struct{ index, units int }
+
+func byIndex(c counted, index int) int { return cmp.Compare(c.index, index) }
+
+// firstViolator returns the index in dirty of the first leaf that breaks
+// the bound selected, and its units, or -1.
+func (t *Tree) firstViolator(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) (int, int) {
+	for i, leaf := range dirty {
+		u := used(leaf)
+		if checkUpper && u > t.UpperUnits(Node{0, leaf}) || checkLower && u < t.LowerUnits(Node{0, leaf}) {
+			return i, u
+		}
+	}
+	return -1, 0
 }

@@ -196,10 +196,13 @@ func TestCountRegionsDisjointProperty(t *testing.T) {
 	}
 }
 
+// The TestWalkUp tests pin the point update's climb up the tree (§3): Count
+// on a one-leaf dirty list.
+
 func TestWalkUpMatchesPointSemantics(t *testing.T) {
 	tr := New(8, 10, DefaultBounds())
 	occ := []int{5, 5, 5, 10, 5, 5, 5, 5}
-	plan := tr.WalkUp(func(i int) int { return occ[i] }, 3, true, false)
+	plan := tr.Count(func(i int) int { return occ[i] }, []int{3}, true, false)
 	if len(plan.Redistribute) != 1 {
 		t.Fatalf("want one region, got %+v", plan)
 	}
@@ -208,8 +211,8 @@ func TestWalkUpMatchesPointSemantics(t *testing.T) {
 		t.Fatalf("bad region %+v", r)
 	}
 	// An in-bounds leaf yields an empty plan.
-	plan = tr.WalkUp(func(i int) int { return occ[i] }, 0, true, false)
-	if len(plan.Redistribute) != 0 && !plan.Grow {
+	plan = tr.Count(func(i int) int { return occ[i] }, []int{0}, true, false)
+	if len(plan.Redistribute) != 0 || plan.Grow || plan.Shrink {
 		t.Fatalf("expected empty plan, got %+v", plan)
 	}
 }
@@ -217,7 +220,7 @@ func TestWalkUpMatchesPointSemantics(t *testing.T) {
 func TestWalkUpGrowAtRoot(t *testing.T) {
 	tr := New(4, 10, DefaultBounds())
 	occ := []int{10, 10, 10, 10}
-	plan := tr.WalkUp(func(i int) int { return occ[i] }, 1, true, false)
+	plan := tr.Count(func(i int) int { return occ[i] }, []int{1}, true, false)
 	if !plan.Grow || plan.RootUsed != 40 {
 		t.Fatalf("expected grow with RootUsed 40, got %+v", plan)
 	}
@@ -226,19 +229,19 @@ func TestWalkUpGrowAtRoot(t *testing.T) {
 func TestWalkUpShrink(t *testing.T) {
 	tr := New(4, 10, DefaultBounds())
 	occ := []int{0, 1, 0, 0}
-	plan := tr.WalkUp(func(i int) int { return occ[i] }, 0, false, true)
+	plan := tr.Count(func(i int) int { return occ[i] }, []int{0}, false, true)
 	if !plan.Shrink {
 		t.Fatalf("expected shrink, got %+v", plan)
 	}
 }
 
-// TestWalkUpCountsEachLeafOnce: a walk that climbs to the root on a
+// TestWalkUpCountsEachLeafOnce: a climb that reaches the root on a
 // non-power-of-two tree asks for each leaf's units once, and still sums
 // them all.
 func TestWalkUpCountsEachLeafOnce(t *testing.T) {
 	tr := New(11, 10, DefaultBounds())
 	calls := make([]int, 11)
-	plan := tr.WalkUp(func(i int) int { calls[i]++; return 10 }, 6, true, false)
+	plan := tr.Count(func(i int) int { calls[i]++; return 10 }, []int{6}, true, false)
 	if !plan.Grow || plan.RootUsed != 110 {
 		t.Fatalf("expected grow with RootUsed 110, got %+v", plan)
 	}
