@@ -53,12 +53,16 @@
 // (repl.Pair, over an in-memory pipe) or over a socket (repl.Dial), runs
 // the same protocol, so each means the same for both:
 //
-//	{p}_ship_ns       ns  one recs frame encoded and written to the link,
+//	{p}_ship_ns       ns  one recs frame read from the sealed log
+//	                      (persist.ReadShippable) and written to the link,
 //	                      including any wait for the link to take it (an
 //	                      in-memory pipe holds no frame, so there a write
 //	                      waits out the follower's previous apply); the
-//	                      follower's apply of this frame is not in it
-//	{p}_bootstrap_ns  ns  one boot frame encoded and written to the link
+//	                      follower's apply of this frame is not in it, and
+//	                      polls that find nothing to ship are not recorded
+//	{p}_bootstrap_ns  ns  one boot frame: the checkpoint chain loaded
+//	                      (persist.BootState), encoded and written to the
+//	                      link
 //	{p}_apply_ns      ns  one replay batch applied to the replica set
 //	                      (batches that applied zero records not recorded)
 //

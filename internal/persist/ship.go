@@ -3,11 +3,12 @@ package persist
 // The read side of WAL shipping. A replication shipper follows a shard's
 // log by (position, seal): the position is the last record sequence the
 // follower has applied, the seal (ShippableUpTo) is the last sequence the
-// primary knows is fsynced. ReadShippable returns the records strictly
-// between them, never reading a byte the writer has not both flushed and
-// fsynced — the active segment's file can trail the acknowledged log by a
-// whole bufio buffer, or lead the durable prefix with a torn frame the
-// buffer half-flushed, and neither state may ever be shipped.
+// primary knows is fsynced. ReadShippable returns the record frames
+// strictly between them, as the log holds them, never reading a byte the
+// writer has not both flushed and fsynced — the active segment's file
+// can trail the acknowledged log by a whole bufio buffer, or lead the
+// durable prefix with a torn frame the buffer half-flushed, and neither
+// state may ever be shipped.
 //
 // Bootstrap reuses the checkpoint chain: BootState loads the newest
 // verifiable base + delta chain exactly as recovery would and returns the
@@ -18,7 +19,7 @@ package persist
 
 import (
 	"errors"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 
@@ -72,19 +73,29 @@ func (st *Store) Positions() []Position {
 	return out
 }
 
-// ReadShippable returns shard p's sealed records with sequence in
-// (afterSeq, ShippableUpTo(p)], in order, stopping early once maxKeys
-// keys have been collected (0 = unbounded). A nil, nil return means the
-// follower is caught up to the seal. ErrPositionGone means retention has
-// deleted records the position still needs.
+// ReadShippable appends shard p's sealed record frames with sequence in
+// (afterSeq, ShippableUpTo(p)] to dst, in order and byte for byte as the
+// log holds them, stopping early once the frames carry maxKeys keys (0 =
+// unbounded; the frame that reaches the bound is kept, so every read
+// makes progress). It returns the extended slice, the sequence of the
+// last frame appended (afterSeq when none: the follower is caught up to
+// the seal) and the keys those frames carry. ErrPositionGone means
+// retention has deleted records the position still needs.
+//
+// Each frame passes the walker's length and CRC32C checks, and only its
+// head is parsed, for the sequence and key count; the keys stay encoded
+// (the follower's DecodeRecs is the strict gate for them). Damage ends a
+// segment's frames, as it ends the log in recovery.
 //
 // Safe against the live appender without holding its lock during I/O:
 // the seal and the active segment's synced byte length are captured
 // together under the lock, every record at or below the captured seal
 // lies within those bytes (sync covers the whole segment prefix), and
 // any file or byte that appears afterwards can only carry records above
-// the seal, which are filtered out.
-func (st *Store) ReadShippable(p int, afterSeq uint64, maxKeys int) ([]Rec, error) {
+// the seal, which are filtered out. The active segment is read only up to
+// its synced length, so a torn frame the writer's bufio buffer
+// half-flushed past the seal is never seen.
+func (st *Store) ReadShippable(dst []byte, p int, afterSeq uint64, maxKeys int) (frames []byte, last uint64, keys int, err error) {
 	sh := st.shards[p]
 	sh.mu.Lock()
 	seal := sh.syncedSeq
@@ -92,11 +103,11 @@ func (st *Store) ReadShippable(p int, afterSeq uint64, maxKeys int) ([]Rec, erro
 	activeSynced := sh.seg.synced
 	sh.mu.Unlock()
 	if afterSeq >= seal {
-		return nil, nil
+		return dst, afterSeq, 0, nil
 	}
 	segSeqs, err := listSeqFiles(sh.dir, "wal-", ".log")
 	if err != nil {
-		return nil, err
+		return nil, afterSeq, 0, err
 	}
 	// Record afterSeq+1 lives in the segment with the largest first-seq at
 	// or below it (segments cover the sequence space contiguously). If no
@@ -108,54 +119,64 @@ func (st *Store) ReadShippable(p int, afterSeq uint64, maxKeys int) ([]Rec, erro
 		}
 	}
 	if start < 0 {
-		return nil, ErrPositionGone
+		return nil, afterSeq, 0, ErrPositionGone
 	}
-	var out []Rec
-	keys := 0
-	for i := start; i < len(segSeqs); i++ {
-		fs := segSeqs[i]
+	last = afterSeq
+	for _, fs := range segSeqs[start:] {
 		if fs > seal {
 			break // sorted: every later file starts above the seal too
 		}
 		path := filepath.Join(sh.dir, segmentName(fs))
-		n := int64(-1) // a sealed segment: the whole file
-		if path == activePath {
-			if activeSynced < segHeaderSize {
-				continue // freshly created active segment, nothing sealed yet
-			}
-			n = activeSynced
-		}
-		data, err := readPrefix(path, n)
+		data, err := os.ReadFile(path)
 		if os.IsNotExist(err) {
 			// Deleted between listing and reading: the retention floor
 			// passed it, and with it our position.
-			return nil, ErrPositionGone
+			return nil, afterSeq, 0, ErrPositionGone
 		} else if err != nil {
-			return nil, err
+			return nil, afterSeq, 0, err
 		}
-		recs, _, headerOK := scanSegmentBytes(data, sh.id)
-		if !headerOK {
-			// A tail file a crash cut before its header reached disk: the
-			// log ends before it (recovery deletes these on reopen; a live
-			// reader just stops).
+		if path == activePath {
+			// An fsync covered these bytes, so a shorter file is a real
+			// error, not a race.
+			if int64(len(data)) < activeSynced {
+				return nil, afterSeq, 0, fmt.Errorf("persist: %s holds %d bytes, %d synced", path, len(data), activeSynced)
+			}
+			data = data[:activeSynced]
+		}
+		if !segHeaderOK(data, sh.id) {
+			// The active segment before its first sync, or a tail file a
+			// crash cut before its header reached disk: the log ends
+			// before it (recovery deletes these on reopen; a live reader
+			// just stops).
 			break
 		}
-		for _, r := range recs {
-			if r.Seq <= afterSeq {
-				continue
-			}
-			if r.Seq > seal {
+		// Sequences rise through the segment, so the frames to ship form
+		// one run, data[from:off].
+		from, off, full := int64(segHeaderSize), int64(segHeaderSize), false
+		for off < int64(len(data)) && !full {
+			payload, end, err := frameAt(data, off)
+			if err != nil {
 				break
 			}
-			out = append(out, r)
-			// The record that reaches the bound is kept, so every read
-			// makes progress.
-			if keys += len(r.Keys); maxKeys > 0 && keys >= maxKeys {
-				return out, nil
+			_, seq, _, count, _, err := recordHead(payload)
+			if err != nil || seq > seal {
+				break
 			}
+			if seq <= afterSeq {
+				from = end
+			} else {
+				last = seq
+				keys += int(count)
+				full = maxKeys > 0 && keys >= maxKeys
+			}
+			off = end
+		}
+		dst = append(dst, data[from:off]...)
+		if full {
+			break
 		}
 	}
-	return out, nil
+	return dst, last, keys, nil
 }
 
 // BootState loads shard p's newest verifiable checkpoint chain — the same
@@ -174,23 +195,4 @@ func (st *Store) BootState(p int) (*cpma.CPMA, uint64, error) {
 		return nil, 0, err
 	}
 	return set, tip, nil
-}
-
-// readPrefix reads exactly the first n bytes of path, or all of it when n
-// is negative. The caller only asks for byte ranges an fsync has covered,
-// so a short read is a real error, not a race.
-func readPrefix(path string, n int64) ([]byte, error) {
-	if n < 0 {
-		return os.ReadFile(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -5,6 +5,7 @@ package persist
 // bufio buffer, torn-header tail segments, and fd leaks on partial Open.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/cpma"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 // TestShippableSealRegression reproduces the live-segment short-read: a
@@ -66,9 +68,9 @@ func TestShippableSealRegression(t *testing.T) {
 	if seal := st.ShippableUpTo(0); seal != 0 {
 		t.Fatalf("seal %d before any fsync", seal)
 	}
-	recs, err := st.ReadShippable(0, 0, 0)
-	if err != nil || recs != nil {
-		t.Fatalf("ReadShippable before seal = %d recs, err %v; want none", len(recs), err)
+	frames, last, _, err := st.ReadShippable(nil, 0, 0, 0)
+	if err != nil || frames != nil || last != 0 {
+		t.Fatalf("ReadShippable before seal = %d bytes up to seq %d, err %v; want none", len(frames), last, err)
 	}
 	// ...and exactly the acked records after it.
 	if err := st.Synced(0); err != nil {
@@ -77,10 +79,7 @@ func TestShippableSealRegression(t *testing.T) {
 	if seal := st.ShippableUpTo(0); seal != 2 {
 		t.Fatalf("seal %d after fsync, want 2", seal)
 	}
-	recs, err = st.ReadShippable(0, 0, 0)
-	if err != nil {
-		t.Fatalf("ReadShippable: %v", err)
-	}
+	recs := shippedRecs(t, st, 0, 0, 0)
 	if len(recs) != 2 || recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Fatalf("got %d recs, want the 2 acked", len(recs))
 	}
@@ -141,11 +140,7 @@ func TestTornHeaderTailSegment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BootState: %v", err)
 			}
-			recs, err := st2.ReadShippable(0, tip, 0)
-			if err != nil {
-				t.Fatalf("ReadShippable: %v", err)
-			}
-			for _, r := range recs {
+			for _, r := range shippedRecs(t, st2, 0, tip, 0) {
 				if r.Remove {
 					set.RemoveBatch(r.Keys, true)
 				} else {
@@ -227,7 +222,7 @@ func TestReadShippableRetentionAndBootstrap(t *testing.T) {
 
 	gone := false
 	for p := 0; p < 2; p++ {
-		if _, err := st.ReadShippable(p, 0, 0); errors.Is(err, ErrPositionGone) {
+		if _, _, _, err := st.ReadShippable(nil, p, 0, 0); errors.Is(err, ErrPositionGone) {
 			gone = true
 		}
 	}
@@ -248,12 +243,8 @@ func TestReadShippableRetentionAndBootstrap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BootState(%d): %v", p, err)
 		}
-		recs, err := st.ReadShippable(p, tip, 0)
-		if err != nil {
-			t.Fatalf("ReadShippable(%d, %d): %v", p, tip, err)
-		}
 		next := tip
-		for _, r := range recs {
+		for _, r := range shippedRecs(t, st, p, tip, 0) {
 			if r.Seq != next+1 {
 				t.Fatalf("shard %d: record gap after %d: got %d", p, next, r.Seq)
 			}
@@ -291,10 +282,7 @@ func TestReadShippableChunking(t *testing.T) {
 	var pos uint64
 	seen := 0
 	for {
-		recs, err := st.ReadShippable(0, pos, 5)
-		if err != nil {
-			t.Fatalf("ReadShippable: %v", err)
-		}
+		recs := shippedRecs(t, st, 0, pos, 5)
 		if len(recs) == 0 {
 			break
 		}
@@ -312,5 +300,213 @@ func TestReadShippableChunking(t *testing.T) {
 	}
 	if pos != 20 || seen != total {
 		t.Fatalf("walked to seq %d with %d keys, want 20 and %d", pos, seen, total)
+	}
+}
+
+// shippedRecs reads shard p's shippable frames after afterSeq and decodes
+// them, checking that the last sequence and key count ReadShippable
+// reports describe the frames it returned.
+func shippedRecs(t *testing.T, st *Store, p int, afterSeq uint64, maxKeys int) []Rec {
+	t.Helper()
+	frames, last, keys, err := st.ReadShippable(nil, p, afterSeq, maxKeys)
+	if err != nil {
+		t.Fatalf("ReadShippable(%d, %d): %v", p, afterSeq, err)
+	}
+	recs, err := DecodeRecs(frames)
+	if err != nil {
+		t.Fatalf("shipped frames do not decode: %v", err)
+	}
+	wantLast, n := afterSeq, 0
+	for _, r := range recs {
+		wantLast = r.Seq
+		n += len(r.Keys)
+	}
+	if last != wantLast || keys != n {
+		t.Fatalf("ReadShippable reports seq %d and %d keys, frames end at %d with %d", last, keys, wantLast, n)
+	}
+	return recs
+}
+
+// TestShipFramesAreTheLog: the frames ReadShippable returns are the log's
+// own bytes. Over appends, group commits, segment rotations (checkpoints),
+// rebalance barrier records, maxKeys chunking and unsynced bytes past the
+// seal, chained reads return exactly the segment bytes between each
+// sealed record's start and end as walkRecords reports them. DecodeRecs
+// of those frames gives the records recovery reads, and AppendRecord of
+// the records (what the primary used to put on the wire) gives the same
+// bytes. A tail poll's allocations do not grow with the records before it.
+func TestShipFramesAreTheLog(t *testing.T) {
+	const shards, chunk = 3, 500
+	s, st := openSet(t, t.TempDir(), shards, shard.Options{
+		Partition: shard.RangePartition, KeyBits: workload.UniformBits,
+		SyncEvery: 4, SyncBytes: -1, CheckpointEveryBatches: -1,
+	})
+	defer s.Close()
+	r := workload.NewRNG(17)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 6; i++ {
+			keys := workload.Uniform(r, 300, workload.UniformBits)
+			s.InsertBatch(keys, false)
+			if i%3 == 0 {
+				s.RemoveBatch(keys[:50], false)
+			}
+		}
+		// Dense keys land in one shard's span: a move for the rebalancer.
+		dense := seqKeys(2000)
+		for i := range dense {
+			dense[i] += uint64(round) * 2000
+		}
+		s.InsertBatch(dense, true)
+		s.Flush()
+		s.RebalanceOnce()
+		if round == 1 {
+			// A first checkpoint rotates the segments and retires none.
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		}
+	}
+	// Unsynced records past the seal, in the segment that holds the last
+	// sealed ones: a small record, then one large enough that the
+	// writer's buffer flushes the small one whole, and part of the large
+	// one, into the file.
+	s.InsertBatch(workload.Uniform(r, 300, workload.UniformBits), false)
+	s.InsertBatch(workload.Uniform(r, 60_000, workload.UniformBits), false)
+
+	var tail, rotated, chunked bool
+	barriers := 0
+	for p := 0; p < shards; p++ {
+		sh := st.shards[p]
+		sh.mu.Lock()
+		seal, active, synced := sh.syncedSeq, sh.seg.path, sh.seg.synced
+		sh.mu.Unlock()
+		segs, err := listSeqFiles(sh.dir, "wal-", ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotated = rotated || (len(segs) > 1 && segs[0] == 1)
+		var want []byte
+		var wantRecs []Rec
+		for _, fs := range segs {
+			path := filepath.Join(sh.dir, segmentName(fs))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail = tail || (path == active && int64(len(data)) > synced)
+			recs, _, _ := scanSegmentBytes(data, p)
+			for _, rec := range recs {
+				if rec.Seq <= seal {
+					want = append(want, data[rec.start:rec.end]...)
+					wantRecs = append(wantRecs, rec)
+				}
+			}
+		}
+		if len(wantRecs) == 0 || wantRecs[len(wantRecs)-1].Seq != seal {
+			t.Fatalf("shard %d: the segments hold %d sealed records, the seal is %d", p, len(wantRecs), seal)
+		}
+		after := wantRecs[0].Seq - 1 // the oldest retained record's predecessor
+
+		var got []byte
+		for pos := after; ; {
+			frames, last, keys, err := st.ReadShippable(nil, p, pos, chunk)
+			if err != nil {
+				t.Fatalf("shard %d: ReadShippable(%d): %v", p, pos, err)
+			}
+			if last == pos {
+				break
+			}
+			if keys < chunk && last != seal {
+				t.Fatalf("shard %d: a read after %d stopped at %d with %d keys", p, pos, last, keys)
+			}
+			chunked = chunked || last != seal || pos != after
+			got, pos = append(got, frames...), last
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shard %d: chained reads shipped %d bytes, the log holds %d sealed", p, len(got), len(want))
+		}
+		full, last, _, err := st.ReadShippable([]byte("dst"), p, after, 0)
+		if err != nil || last != seal || string(full[:3]) != "dst" || !bytes.Equal(full[3:], want) {
+			t.Fatalf("shard %d: one read after dst: seq %d, %d bytes, err %v", p, last, len(full), err)
+		}
+
+		decoded, err := DecodeRecs(got)
+		if err != nil || len(decoded) != len(wantRecs) {
+			t.Fatalf("shard %d: %d frames decode to %d records, err %v", p, len(wantRecs), len(decoded), err)
+		}
+		var reenc []byte
+		for i, rec := range decoded {
+			w := wantRecs[i]
+			if rec.Seq != w.Seq || rec.Remove != w.Remove || rec.Gen != w.Gen || !slices.Equal(rec.Keys, w.Keys) {
+				t.Fatalf("shard %d: shipped record %d differs from the one recovery reads", p, w.Seq)
+			}
+			if rec.Gen != 0 {
+				barriers++
+			}
+			reenc = AppendRecord(reenc, rec)
+		}
+		if !bytes.Equal(reenc, got) {
+			t.Fatalf("shard %d: re-encoded records differ from the shipped frames", p)
+		}
+	}
+	if !tail || !rotated || !chunked || barriers == 0 {
+		t.Fatalf("coverage: unsynced tail %v, rotation %v, chunking %v, %d barriers", tail, rotated, chunked, barriers)
+	}
+
+	allocs := func(records int) float64 {
+		st := sealedLog(t, records, 100)
+		return testing.AllocsPerRun(20, func() {
+			if _, _, _, err := st.ReadShippable(nil, 0, uint64(records-3), 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// AllocsPerRun counts the whole process's allocations, and the
+	// runtime (more so under -race) adds a few per run at random; a
+	// decoded record would add one per record, about 380 here.
+	if short, long := allocs(20), allocs(400); long > short+10 {
+		t.Fatalf("a 3-record tail poll allocates %v times after 400 records, %v after 20", long, short)
+	}
+}
+
+// sealedLog opens a one-shard store whose only segment holds the given
+// number of sealed records, each of keys uniform 40-bit keys.
+func sealedLog(tb testing.TB, records, keys int) *Store {
+	st, _, err := Open(tb.TempDir(), 1, shard.Options{SyncEvery: -1, SyncBytes: -1, CheckpointEveryBatches: -1})
+	if err != nil {
+		tb.Fatalf("Open: %v", err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	r := workload.NewRNG(29)
+	for i := 0; i < records; i++ {
+		ks := workload.Uniform(r, keys, workload.UniformBits)
+		slices.Sort(ks)
+		if err := st.Append(0, false, ks); err != nil {
+			tb.Fatalf("Append: %v", err)
+		}
+	}
+	if err := st.Synced(0); err != nil {
+		tb.Fatalf("Synced: %v", err)
+	}
+	return st
+}
+
+// BenchmarkReadShippable times a shipper's read of one shard whose only
+// segment holds 400 sealed records of 1000 uniform 40-bit keys: a tail
+// poll for the last 3 records, and a read of all of them.
+func BenchmarkReadShippable(b *testing.B) {
+	st := sealedLog(b, 400, 1000)
+	for _, bc := range []struct {
+		name  string
+		after uint64
+	}{{"tail", 397}, {"full", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, _, err := st.ReadShippable(nil, 0, bc.after, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -56,8 +56,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // removed at a per-shard sequence number. A nonzero Gen (always >= 1)
 // marks a rebalance barrier stamped with its move's router generation;
 // Replay applies it as the insert or removal it encodes, so a follower
-// needs no barrier protocol. AppendRecord is the one encoder and
-// walkRecords the one decoder, for segments and for socket recs frames.
+// needs no barrier protocol. AppendRecord is the one encoder, called only
+// by the appender. frameAt is the one frame walker and recordHead the one
+// header parser: recovery and DecodeRecs (which reads the follower's recs
+// frames) decode whole records through them, and the shipper
+// (ReadShippable) reads only heads and forwards the frames unchanged.
 type Rec struct {
 	Seq    uint64
 	Remove bool
@@ -102,46 +105,54 @@ func AppendRecord(dst []byte, r Rec) []byte {
 	return dst
 }
 
-// decodeRecord parses a CRC-verified payload. Strict: trailing bytes,
-// codes codec.Read refuses (short, over-long, past 2^64 or non-minimal), a
-// count that cannot fit, a barrier without a generation, a zero key, and
-// keys that wrap past 2^64 are all errors. Repeated keys (delta 0 after
-// the first) are legal, so the deltas are read a code at a time and not
-// as a codec run.
-func decodeRecord(payload []byte) (Rec, error) {
-	var r Rec
+// recordHead parses the head of a CRC-verified payload: its kind (as
+// Remove), sequence, barrier generation and key count. It returns the key
+// deltas that follow undecoded, so a reader that only routes records by
+// sequence, like the shipper, never touches them. Strict: codes
+// codec.Read refuses (short, over-long, past 2^64 or non-minimal), a
+// barrier without a generation, and a count that cannot fit are errors.
+func recordHead(payload []byte) (remove bool, seq, gen, count uint64, deltas []byte, err error) {
 	if len(payload) < 1 {
-		return r, fmt.Errorf("persist: empty record payload")
+		return false, 0, 0, 0, nil, fmt.Errorf("persist: empty record payload")
 	}
 	kind := payload[0]
 	if kind < recInsert || kind > recMoveOut {
-		return r, fmt.Errorf("persist: bad record kind %d", kind)
+		return false, 0, 0, 0, nil, fmt.Errorf("persist: bad record kind %d", kind)
 	}
-	r.Remove = kind == recRemove || kind == recMoveOut
 	b := payload[1:]
 	seq, n := codec.Read(b)
 	if n <= 0 {
-		return r, fmt.Errorf("persist: bad record seq varint")
+		return false, 0, 0, 0, nil, fmt.Errorf("persist: bad record seq varint")
 	}
 	b = b[n:]
 	if kind >= recMoveIn {
-		gen, n := codec.Read(b)
-		if n <= 0 || gen == 0 {
-			return r, fmt.Errorf("persist: bad barrier generation")
+		if gen, n = codec.Read(b); n <= 0 || gen == 0 {
+			return false, 0, 0, 0, nil, fmt.Errorf("persist: bad barrier generation")
 		}
-		r.Gen = gen
 		b = b[n:]
 	}
-	count, n := codec.Read(b)
+	count, n = codec.Read(b)
 	if n <= 0 {
-		return r, fmt.Errorf("persist: bad record count varint")
+		return false, 0, 0, 0, nil, fmt.Errorf("persist: bad record count varint")
 	}
 	b = b[n:]
 	if count > uint64(len(b)) { // every delta takes >= 1 byte
-		return r, fmt.Errorf("persist: record claims %d keys in %d bytes", count, len(b))
+		return false, 0, 0, 0, nil, fmt.Errorf("persist: record claims %d keys in %d bytes", count, len(b))
 	}
-	r.Seq = seq
-	r.Keys = make([]uint64, 0, count)
+	return kind == recRemove || kind == recMoveOut, seq, gen, count, b, nil
+}
+
+// decodeRecord parses a CRC-verified payload: its head, then the keys.
+// Strict: besides recordHead's checks, trailing bytes, a delta
+// codec.Read refuses, a zero key, and keys that wrap past 2^64 are all
+// errors. Repeated keys (delta 0 after the first) are legal, so the
+// deltas are read a code at a time and not as a codec run.
+func decodeRecord(payload []byte) (Rec, error) {
+	remove, seq, gen, count, b, err := recordHead(payload)
+	if err != nil {
+		return Rec{}, err
+	}
+	r := Rec{Seq: seq, Remove: remove, Gen: gen, Keys: make([]uint64, 0, count)}
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		d, n := codec.Read(b)
@@ -161,32 +172,43 @@ func decodeRecord(payload []byte) (Rec, error) {
 	return r, nil
 }
 
+// frameAt checks the record frame at data[off:], the one frame walker:
+// its payload length must be nonzero, within maxRecordBytes and within
+// data, and the payload must match its CRC32C. It returns the payload and
+// the offset where the frame ends.
+func frameAt(data []byte, off int64) (payload []byte, end int64, err error) {
+	rest := data[off:]
+	if len(rest) < recHeaderSize {
+		return nil, off, fmt.Errorf("persist: torn record header at byte %d", off)
+	}
+	plen := binary.LittleEndian.Uint32(rest)
+	if plen == 0 || plen > maxRecordBytes || int(plen) > len(rest)-recHeaderSize {
+		return nil, off, fmt.Errorf("persist: record at byte %d claims %d payload bytes of %d", off, plen, len(rest)-recHeaderSize)
+	}
+	payload = rest[recHeaderSize : recHeaderSize+int(plen)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+		return nil, off, fmt.Errorf("persist: record at byte %d fails its CRC", off)
+	}
+	return payload, off + recHeaderSize + int64(plen), nil
+}
+
 // walkRecords decodes the back-to-back record frames in data from byte off
-// on, stopping at the first frame that is short, oversized, fails its CRC
-// or does not decode. It returns the records before it, the offset where
-// they end, and what stopped it (nil when the frames fill data exactly).
+// on, stopping at the first frame that frameAt refuses or that does not
+// decode. It returns the records before it, the offset where they end,
+// and what stopped it (nil when the frames fill data exactly).
 func walkRecords(data []byte, off int64) (recs []Rec, end int64, err error) {
 	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < recHeaderSize {
-			return recs, off, fmt.Errorf("persist: torn record header at byte %d", off)
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		if plen == 0 || plen > maxRecordBytes || int(plen) > len(rest)-recHeaderSize {
-			return recs, off, fmt.Errorf("persist: record at byte %d claims %d payload bytes of %d", off, plen, len(rest)-recHeaderSize)
-		}
-		payload := rest[recHeaderSize : recHeaderSize+int(plen)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			return recs, off, fmt.Errorf("persist: record at byte %d fails its CRC", off)
+		payload, end, err := frameAt(data, off)
+		if err != nil {
+			return recs, off, err
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return recs, off, err
 		}
-		rec.start = off
-		rec.end = off + recHeaderSize + int64(plen)
+		rec.start, rec.end = off, end
 		recs = append(recs, rec)
-		off = rec.end
+		off = end
 	}
 	return recs, off, nil
 }
@@ -282,17 +304,21 @@ func (sg *segment) close() error {
 // is missing or wrong, and the whole file is then unusable. That is not
 // an error: it is the normal state of a freshly created segment before
 // its first sync, and of a tail file a crash cut between creation and the
-// header reaching disk. The shippable reader scans exactly the sealed
-// prefix of the active segment, so a torn frame the writer's bufio buffer
-// half-flushed past the seal can never be observed.
+// header reaching disk.
 func scanSegmentBytes(data []byte, shardID int) (recs []Rec, validEnd int64, headerOK bool) {
-	if len(data) < segHeaderSize || string(data[:8]) != segMagic ||
-		binary.LittleEndian.Uint32(data[8:]) != walVersion ||
-		binary.LittleEndian.Uint32(data[12:]) != uint32(shardID) {
+	if !segHeaderOK(data, shardID) {
 		return nil, 0, false
 	}
 	recs, validEnd, _ = walkRecords(data, segHeaderSize)
 	return recs, validEnd, true
+}
+
+// segHeaderOK reports whether data opens with shard shardID's segment
+// header at the current version.
+func segHeaderOK(data []byte, shardID int) bool {
+	return len(data) >= segHeaderSize && string(data[:8]) == segMagic &&
+		binary.LittleEndian.Uint32(data[8:]) == walVersion &&
+		binary.LittleEndian.Uint32(data[12:]) == uint32(shardID)
 }
 
 // listSeqFiles returns the sequence numbers parsed from files in dir that

@@ -82,7 +82,9 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 // FuzzDecodeRecs: whatever the bytes — as given, or with every whole
 // frame's CRC re-sealed so the payload checks are what must catch the
 // damage — DecodeRecs returns an error, or records whose keys are nonzero
-// and non-decreasing and which re-encode byte for byte to the input.
+// and non-decreasing and which re-encode byte for byte to the input. It
+// also covers frameAt and recordHead, the frame walker and head parser
+// the shipper (ReadShippable) reads sealed frames with.
 func FuzzDecodeRecs(f *testing.F) {
 	for i, keys := range recordCases {
 		var all []byte

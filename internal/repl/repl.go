@@ -54,6 +54,15 @@
 // count, partition policy, key width, and for range partitions the same
 // seed Bounds/BoundsGen); later boundary moves replicate automatically.
 // One link (Pair or Dial) may drive a Follower at a time.
+//
+// A follower follows one primary's history. The primary refuses a hello
+// whose position on any shard lies past its seal, since no follower of
+// its own history can be there (a follower receives only sealed records,
+// and recovery never lowers the seal). The check cannot catch another
+// primary whose seal is already past the follower's positions: that
+// primary would ship its records on top of a foreign prefix, so linking
+// a follower to a different primary's history is up to the caller to
+// avoid.
 package repl
 
 import (
@@ -113,9 +122,10 @@ type Primary struct {
 	bootstraps  atomic.Uint64
 	boundsShips atomic.Uint64
 
-	// shipDur times one recs frame, encoded and written to the link
-	// (backpressure from a busy follower included, its apply of the frame
-	// not); bootDur one boot frame the same way.
+	// shipDur times one recs frame, read from the sealed log and written
+	// to the link (backpressure from a busy follower included, its apply
+	// of the frame not); bootDur one boot frame the same way, from the
+	// checkpoint chain load on. Polls that write no frame are not timed.
 	shipDur obs.Histogram
 	bootDur obs.Histogram
 
@@ -166,8 +176,8 @@ func (pr *Primary) RegisterMetrics(r *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "repl"
 	}
-	r.RegisterHistogram(prefix+"_ship_ns", "ns", "one recs frame encoded and written to a link, waiting while the link is full", &pr.shipDur)
-	r.RegisterHistogram(prefix+"_bootstrap_ns", "ns", "one bootstrap state transfer", &pr.bootDur)
+	r.RegisterHistogram(prefix+"_ship_ns", "ns", "one recs frame read from the sealed log and written to a link, waiting while the link is full", &pr.shipDur)
+	r.RegisterHistogram(prefix+"_bootstrap_ns", "ns", "one bootstrap state transfer: checkpoint chain loaded, encoded and written to a link", &pr.bootDur)
 	r.GaugeFunc(prefix+"_links", "links", "live replication links", func() int64 { return int64(pr.ReplStats().Links) })
 	r.CounterFunc(prefix+"_shipped_records", "records", "WAL records shipped to followers", func() uint64 { return pr.ReplStats().ShippedRecords })
 	r.CounterFunc(prefix+"_shipped_keys", "keys", "keys across shipped records", func() uint64 { return pr.ReplStats().ShippedKeys })
@@ -285,14 +295,18 @@ func (pr *Primary) shipOnce(cur *cursor, w io.Writer, maxKeys int) (bool, error)
 
 // shipShard ships shard p's next boot or recs frame, if any. The cursor
 // moves before the write, since the follower's ack for the frame may
-// reach the ack reader before the write returns.
+// reach the ack reader before the write returns. A recs frame is the
+// shard id followed by the log's own record frames, copied by
+// ReadShippable; the primary decodes and encodes no record.
 func (pr *Primary) shipShard(cur *cursor, w io.Writer, p, maxKeys int) (bool, error) {
 	pos := cur.sent[p]
+	t0 := time.Now()
 	boot := pos == 0 && pr.st.CkptSeq(p) > 0
-	var recs []persist.Rec
+	var fr []byte
+	last, nk := pos, 0
 	if !boot {
 		var err error
-		recs, err = pr.st.ReadShippable(p, pos, maxKeys)
+		fr, last, nk, err = pr.st.ReadShippable(recsFrame(p), p, pos, maxKeys)
 		if errors.Is(err, persist.ErrPositionGone) {
 			boot = true
 		} else if err != nil {
@@ -300,13 +314,12 @@ func (pr *Primary) shipShard(cur *cursor, w io.Writer, p, maxKeys int) (bool, er
 		}
 	}
 	if boot {
+		t0 = time.Now()
 		set, tip, err := pr.st.BootState(p)
 		if err != nil {
 			return false, err
 		}
-		t0 := time.Now()
-		fr, err := bootFrame(p, tip, set)
-		if err != nil {
+		if fr, err = bootFrame(p, tip, set); err != nil {
 			return false, err
 		}
 		cur.set(p, tip)
@@ -318,23 +331,17 @@ func (pr *Primary) shipShard(cur *cursor, w io.Writer, p, maxKeys int) (bool, er
 		pr.set.Trace().Record(p, obs.EvBootstrap, 0, 0, tip, 0)
 		return true, nil
 	}
-	if len(recs) == 0 {
+	if last == pos {
 		return false, nil
 	}
-	t0 := time.Now()
-	fr := recsFrame(p, recs)
-	cur.set(p, recs[len(recs)-1].Seq)
+	cur.set(p, last)
 	if err := writeFrame(w, fr); err != nil {
 		return false, err
 	}
 	pr.shipDur.Since(t0)
-	nk := 0
-	for _, r := range recs {
-		nk += len(r.Keys)
-	}
-	pr.shippedRecs.Add(uint64(len(recs)))
+	pr.shippedRecs.Add(last - pos)
 	pr.shippedKeys.Add(uint64(nk))
-	pr.set.Trace().Record(p, obs.EvShip, 0, 0, uint64(len(recs)), uint64(nk))
+	pr.set.Trace().Record(p, obs.EvShip, 0, 0, last-pos, uint64(nk))
 	return true, nil
 }
 

@@ -30,9 +30,13 @@ func drainHist(t *testing.T, st *persist.Store, p int, hist []persist.Rec) []per
 	if len(hist) > 0 {
 		last = hist[len(hist)-1].Seq
 	}
-	recs, err := st.ReadShippable(p, last, 0)
+	frames, _, _, err := st.ReadShippable(nil, p, last, 0)
 	if err != nil {
 		t.Fatalf("harness drain shard %d after %d: %v", p, last, err)
+	}
+	recs, err := persist.DecodeRecs(frames)
+	if err != nil {
+		t.Fatalf("harness drain shard %d: %v", p, err)
 	}
 	for _, r := range recs {
 		if r.Seq != last+1 {

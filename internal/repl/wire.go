@@ -16,10 +16,11 @@ package repl
 // endian. Boot payloads carry the shard's state in the cpma leaf-list
 // encoding (cpma.WriteTo/ReadFrom), the same bytes a base checkpoint
 // holds — the pointer-free layout shipping as flat bytes. Recs payloads
-// are a u32 shard id followed by WAL record frames exactly as the log
-// stores them (persist.AppendRecord: length, CRC32C, kind, sequence,
-// varint-delta keys), decoded by the log's own walker in strict mode
-// (persist.DecodeRecs), so one codec guards the disk and the wire.
+// are a u32 shard id followed by WAL record frames (length, CRC32C, kind,
+// sequence, varint-delta keys): persist.ReadShippable copies them byte
+// for byte out of the sealed log, and the follower decodes them with the
+// log's own walker in strict mode (persist.DecodeRecs), so one codec, in
+// persist alone, guards the disk and the wire.
 
 import (
 	"bufio"
@@ -95,12 +96,10 @@ func bootFrame(p int, tip uint64, set *cpma.CPMA) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-func recsFrame(p int, recs []persist.Rec) []byte {
-	b := binary.LittleEndian.AppendUint32(newFrame(frRecs, 4), uint32(p))
-	for _, r := range recs {
-		b = persist.AppendRecord(b, r)
-	}
-	return b
+// recsFrame starts shard p's recs frame; persist.ReadShippable appends
+// the record frames.
+func recsFrame(p int) []byte {
+	return binary.LittleEndian.AppendUint32(newFrame(frRecs, 4), uint32(p))
 }
 
 func boundsFrame(gen uint64, bounds []uint64) []byte {
@@ -133,24 +132,29 @@ func Serve(ln net.Listener, pr *Primary, opts *Options) error {
 }
 
 // serveConn runs the primary's end of one link: it checks the hello,
-// registers the link (closing registered, when given, once it counts in
-// ReplStats), reads acks in one goroutine and ships in this one until
-// either side fails, then drops the link.
-func (pr *Primary) serveConn(conn net.Conn, o Options, registered chan<- struct{}) {
+// registers the link and, when hello is given, sends it the hello's
+// verdict (nil once the link counts in ReplStats), then reads acks in one
+// goroutine and ships in this one until either side fails, and drops the
+// link.
+func (pr *Primary) serveConn(conn net.Conn, o Options, hello chan<- error) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	typ, payload, err := readFrame(r, helloLen(pr.set.Shards()))
-	if err != nil || typ != frHello {
-		return
+	var cur *cursor
+	if err == nil && typ != frHello {
+		err = fmt.Errorf("repl: frame type %d before the hello", typ)
+	} else if err == nil {
+		cur, err = pr.parseHello(payload)
 	}
-	cur, err := pr.parseHello(payload)
+	if err == nil {
+		pr.addLink(cur)
+		defer pr.dropLink(cur)
+	}
+	if hello != nil {
+		hello <- err
+	}
 	if err != nil {
 		return
-	}
-	pr.addLink(cur)
-	defer pr.dropLink(cur)
-	if registered != nil {
-		close(registered)
 	}
 	gone := make(chan struct{})
 	go func() {
@@ -182,8 +186,11 @@ func (pr *Primary) serveConn(conn net.Conn, o Options, registered chan<- struct{
 }
 
 // parseHello validates a follower hello against the primary's geometry
-// and returns a cursor seeded from the announced positions: the follower
-// holds them applied, so they count as both sent and acknowledged.
+// and seal and returns a cursor seeded from the announced positions: the
+// follower holds them applied, so they count as both sent and
+// acknowledged. A position past the seal cannot come from this primary's
+// history (a follower only receives sealed records, and recovery never
+// lowers the seal), so it is refused.
 func (pr *Primary) parseHello(payload []byte) (*cursor, error) {
 	shards := pr.set.Shards()
 	if len(payload) != helloLen(shards) || string(payload[:8]) != wireMagic {
@@ -202,6 +209,9 @@ func (pr *Primary) parseHello(payload []byte) (*cursor, error) {
 		// The ckpt half of each position travels for observability; the
 		// cursor only needs the applied sequence.
 		cur.sent[p] = binary.LittleEndian.Uint64(b[p*16+8:])
+		if seal := pr.st.ShippableUpTo(p); cur.sent[p] > seal {
+			return nil, fmt.Errorf("repl: follower shard %d is at seq %d, past the primary's seal %d", p, cur.sent[p], seal)
+		}
 	}
 	cur.acked = append([]uint64(nil), cur.sent...)
 	return cur, nil
@@ -245,19 +255,20 @@ type Link struct {
 // Pair attaches a follower to a primary in process: the primary's
 // per-connection shipper serves one end of an in-memory pipe and the
 // follower dials the other, so the link runs the same protocol as Dial.
-// It returns once the primary counts the link; shipping (catch-up, with
-// a bootstrap if needed, then tailing) runs until Close.
+// It returns once the primary counts the link, or with the primary's
+// reason for refusing the hello; shipping (catch-up, with a bootstrap if
+// needed, then tailing) runs until Close.
 func Pair(pr *Primary, f *Follower, opts *Options) (*Link, error) {
 	if err := checkGeometry(pr.set, f.set); err != nil {
 		return nil, err
 	}
 	o := opts.withDefaults()
-	registered, served := make(chan struct{}), make(chan struct{})
+	hello, served := make(chan error, 1), make(chan struct{})
 	l, err := connect(f, func() (net.Conn, error) {
 		srv, cli := net.Pipe()
 		go func() {
 			defer close(served)
-			pr.serveConn(srv, o, registered)
+			pr.serveConn(srv, o, hello)
 		}()
 		return cli, nil
 	})
@@ -265,9 +276,9 @@ func Pair(pr *Primary, f *Follower, opts *Options) (*Link, error) {
 		return nil, err
 	}
 	l.served = served
-	select {
-	case <-registered:
-	case <-served:
+	if err := <-hello; err != nil {
+		l.Close()
+		return nil, err
 	}
 	return l, nil
 }

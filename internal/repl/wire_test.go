@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpma"
 	"repro/internal/persist"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 // frame writes an encoded frame through the real frame writer, reads it
@@ -39,7 +40,13 @@ func frame(t *testing.T, fr []byte) []byte {
 // and no allocation sized by an unchecked record count.
 func TestMalformedFrames(t *testing.T) {
 	f := NewFollower(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 16})
-	recs := func(p int, rs ...persist.Rec) []byte { return frame(t, recsFrame(p, rs)) }
+	recs := func(p int, rs ...persist.Rec) []byte {
+		b := recsFrame(p)
+		for _, r := range rs {
+			b = persist.AppendRecord(b, r)
+		}
+		return frame(t, b)
+	}
 	bounds := func(gen uint64, b ...uint64) []byte { return frame(t, boundsFrame(gen, b)) }
 
 	if err := f.applyRecsFrame(recs(0,
@@ -61,8 +68,20 @@ func TestMalformedFrames(t *testing.T) {
 	}
 
 	// A hello in the current format parses, so the old-magic case below
-	// fails on its magic alone.
-	pr := &Primary{set: f.Set()}
+	// fails on its magic alone. The primary's store holds two sealed
+	// records on shard 0, where the follower stands at seq 2.
+	ps, st, err := persist.OpenSharded(t.TempDir(), 3, &shard.Options{Partition: shard.RangePartition, KeyBits: 16, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	ps.InsertBatch([]uint64{5, 9}, true)
+	ps.InsertBatch([]uint64{12}, true)
+	ps.Flush()
+	pr, err := NewPrimary(ps, st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := pr.parseHello(helloPayload(f)); err != nil {
 		t.Fatalf("current hello refused: %v", err)
 	}
@@ -306,4 +325,91 @@ func TestPrimaryRejectsBadAcks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHelloPastSealRefused: a follower whose position lies past a
+// primary's seal holds records that primary never sealed, so it followed
+// another primary's history. Its hello is refused over Pair (an error,
+// not a dead link) and over a socket alike: the link never counts, and
+// the follower keeps its keys and positions while the new primary writes
+// on.
+func TestHelloPastSealRefused(t *testing.T) {
+	r := workload.NewRNG(11)
+	open := func(batches int) (*shard.Sharded, *Primary) {
+		s, st, err := persist.OpenSharded(t.TempDir(), 2, &shard.Options{SyncEvery: 1, CheckpointEveryBatches: -1})
+		if err != nil {
+			t.Fatalf("OpenSharded: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		for i := 0; i < batches; i++ {
+			s.InsertBatch(workload.Uniform(r, 16, 24), false)
+		}
+		s.Flush()
+		pr, err := NewPrimary(s, st)
+		if err != nil {
+			t.Fatalf("NewPrimary: %v", err)
+		}
+		return s, pr
+	}
+	sa, a := open(12)
+	f := NewFollower(2, nil)
+	l, err := Pair(a, f, nil)
+	if err != nil {
+		t.Fatalf("Pair with primary A: %v", err)
+	}
+	waitCaughtUp(t, f, seqTargets(a.st))
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	keys, pos := sa.Keys(), f.Positions()
+	if !slices.Equal(f.Set().Keys(), keys) {
+		t.Fatal("follower differs from primary A")
+	}
+
+	sb, b := open(2)
+	for p, q := range b.st.Positions() {
+		if q.Seq >= pos[p].Seq {
+			t.Fatalf("shard %d: primary B sealed %d, follower at %d; the test needs B behind", p, q.Seq, pos[p].Seq)
+		}
+	}
+	unchanged := func(how string) {
+		t.Helper()
+		if n := b.ReplStats().Links; n != 0 {
+			t.Fatalf("%s: primary B counts %d links", how, n)
+		}
+		if !slices.Equal(f.Set().Keys(), keys) || !slices.Equal(f.Positions(), pos) {
+			t.Fatalf("%s: follower moved to %d keys at %v, from %d at %v", how, f.Set().Len(), f.Positions(), len(keys), pos)
+		}
+	}
+
+	if l, err := Pair(b, f, nil); err == nil {
+		l.Close()
+		t.Fatal("Pair linked a follower past primary B's seal")
+	}
+	unchanged("Pair")
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	go Serve(ln, b, nil)
+	l, err = Dial(ln.Addr().String(), f)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	select {
+	case <-l.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("primary B kept a connection from past its seal open")
+	}
+	if l.Err() == nil {
+		t.Fatal("refused connection ended without an error")
+	}
+	l.Close()
+	for i := 0; i < 30; i++ {
+		sb.InsertBatch(workload.Uniform(r, 16, 24), false)
+	}
+	sb.Flush()
+	unchanged("Dial")
 }
