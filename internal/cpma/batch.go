@@ -18,26 +18,18 @@ const mergeForkGrain = 2048
 
 // InsertBatch inserts a batch of keys, returning how many were new. If
 // sorted is false the batch is sorted in a copy first; duplicates within
-// the batch are removed either way. Tiny batches become point inserts,
-// batches of Ω(n) a full two-finger rebuild merge, and the rest run the
-// three-phase merge/count/redistribute algorithm.
+// the batch are removed either way. A batch into an empty set builds it,
+// a batch of Ω(n) keys runs a full two-finger rebuild merge, and every
+// other batch, however small, runs the three-phase
+// merge/count/redistribute algorithm.
 func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 	batch := c.prepareBatch(keys, sorted)
-	if len(batch) == 0 {
-		return 0
-	}
 	switch {
+	case len(batch) == 0:
+		return 0
 	case c.n == 0:
 		c.rebuildFrom(batch)
 		return len(batch)
-	case len(batch) <= c.opt.PointThreshold:
-		added := 0
-		for _, x := range batch {
-			if c.Insert(x) {
-				added++
-			}
-		}
-		return added
 	case float64(len(batch)) >= rebuildFraction*float64(c.n):
 		return c.rebuildMerge(batch)
 	default:
@@ -53,33 +45,34 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 	if len(batch) == 0 || c.n == 0 {
 		return 0
 	}
-	if len(batch) <= c.opt.PointThreshold {
-		removed := 0
-		for _, x := range batch {
-			if c.Remove(x) {
-				removed++
-			}
-		}
-		return removed
-	}
 	return c.batchUpdate(batch, false)
 }
 
 // prepareBatch normalizes a batch: sorted, duplicate-free, nonzero keys.
+// A batch that already is one comes back as it is, uncopied: no update
+// keeps a batch slice past the call (mergeLeaf copies a run it parks).
 func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
-	if len(keys) == 0 {
-		return nil
+	batch := keys
+	if !sorted {
+		batch = parallel.SortedCopy(keys)
 	}
-	var batch []uint64
-	if sorted {
-		batch = parallel.DedupSorted(keys)
-	} else {
-		batch = parallel.DedupSorted(parallel.SortedCopy(keys))
+	if !increasing(batch) {
+		batch = parallel.DedupSorted(batch)
 	}
 	if len(batch) > 0 && batch[0] == 0 {
 		panic("cpma: key 0 is reserved")
 	}
 	return batch
+}
+
+// increasing reports whether a is strictly increasing.
+func increasing(a []uint64) bool {
+	for i := 1; i < len(a); i++ {
+		if a[i] <= a[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // batchUpdate runs the three phases of the parallel batch insert, or of
@@ -91,7 +84,8 @@ func (c *CPMA) batchUpdate(batch []uint64, insert bool) int {
 	// Phase 1: recursive parallel batch merge (or remove). It lists the
 	// leaves it wrote in order, in place of the paper's thread-safe set of
 	// modified leaves; each of them took at least one key.
-	dirty, changed := c.batchRange(batch, 0, c.leaves-1, insert, make([]int, 0, min(len(batch), c.leaves)))
+	dirty, changed := c.batchRange(batch, 0, c.leaves-1, insert, c.dirty[:0])
+	c.dirty = dirty
 	if insert {
 		c.n += changed
 	} else {
@@ -153,7 +147,11 @@ func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
 func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 	// A minimum-capacity array accepts sparseness.
 	if insert || c.Capacity() > c.f.minCapacity() {
-		c.applyPlan(c.tree.Count(c.usedOf, dirty, insert, !insert))
+		// Count's callback escapes to its parallel loop: build it only for
+		// a violation, so an update that breaks no bound allocates nothing.
+		if i, _ := c.tree.FirstViolator(c.usedOf, dirty, insert, !insert); i >= 0 {
+			c.applyPlan(c.tree.Count(c.usedOf, dirty[i:], insert, !insert))
+		}
 	}
 	for _, leaf := range dirty {
 		c.dropRecord(leaf) // a no-op after a rebuild, which dropped them all

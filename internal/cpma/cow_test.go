@@ -77,7 +77,7 @@ func checkWindow(t *testing.T, what string, prev, h *CPMA, wantAll bool) []int {
 func TestChangedSince(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(41))
-		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512})
 		c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
 		first := c.Clone()
 		prev := first
@@ -172,7 +172,7 @@ func TestLeafStateSize(t *testing.T) {
 func TestCloneCostPointInsert(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(44))
-		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512})
 		c.InsertBatch(uniqueRandom(r, 20000, 1<<40), false)
 		_ = c.Clone()
 		// The emptiest leaf takes one more key without a rebalance.
@@ -206,7 +206,7 @@ var cloneSink *CPMA
 // and nothing else, even when the parent's overflow spine is allocated.
 func TestCloneAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
-	c := New(&Options{PointThreshold: 10})
+	c := New(nil)
 	c.InsertBatch(uniqueRandom(r, 50000, 1<<40), false)
 	c.InsertBatch(uniqueRandom(r, 1000, 1<<40), false)
 	if c.overflow == nil {
@@ -224,7 +224,7 @@ func TestCloneAllocs(t *testing.T) {
 // the race detector.
 func TestCloneSharedChunkRace(t *testing.T) {
 	r := rand.New(rand.NewSource(46))
-	c := New(&Options{LeafBytes: 512, PointThreshold: 10})
+	c := New(&Options{LeafBytes: 512})
 	want := uniqueRandom(r, 60000, 1<<40)
 	c.InsertBatch(want, false)
 	slices.Sort(want)
@@ -265,7 +265,7 @@ func TestCloneSharedChunkRace(t *testing.T) {
 // exact contract persist's delta checkpoints recover by.
 func TestDeltaRoundTripDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	opts := &Options{LeafBytes: 512, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512}
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 8000, 1<<26), false)
 
@@ -342,7 +342,7 @@ func fullSlabCopy(t *testing.T, c *CPMA, opts *Options) *CPMA {
 // exactly as it was.
 func TestDeltaCorruptionRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	opts := &Options{LeafBytes: 512, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512}
 	c := New(opts)
 	c.InsertBatch(uniqueRandom(r, 6000, 1<<26), false)
 	prev := c.Clone()

@@ -18,6 +18,14 @@
 // differ by format. Copy-on-write clones work on both; serialization
 // (encoding.go) is defined for compressed sets only.
 //
+// Insert and Remove are the point updates of §3. InsertBatch and
+// RemoveBatch run every batch, however small, through the batch algorithm
+// of §4, whose per-leaf step splices a run of one or two keys in place as
+// a point update would; a batch into an empty set, or of at least n/10
+// keys, rebuilds the array instead. The paper hands small batches to point
+// updates; here the batch path allocates nothing for them and costs little
+// more than a loop of point updates (BenchmarkSmallBatch).
+//
 // Keys are uint64; key 0 is reserved (an all-zero head marks an empty leaf,
 // and no delta byte code contains a zero byte). A leaf is only its bytes:
 // its used size and key count are derived from its zero terminator.
@@ -35,8 +43,8 @@ import (
 )
 
 // Options configures a CPMA of either format. The zero value selects the
-// defaults of the paper's evaluation (growing factor 1.2, point updates
-// below batch size 100, full rebuild for batches of at least n/10).
+// defaults of the paper's evaluation (growing factor 1.2); a batch of at
+// least n/10 keys always rebuilds the array.
 type Options struct {
 	// GrowthFactor is the growing factor applied on root violations
 	// (Appendix C studies 1.1–2.0; the paper's benchmarks use 1.2).
@@ -48,18 +56,11 @@ type Options struct {
 	// format's units, which never exceeds 512 bytes, so compressed leaves
 	// are 512 bytes unless LeafBytes asks for more.
 	LeafBytes int
-	// PointThreshold is the batch size below which batch ops degrade to
-	// point updates (paper §4: "if k is small, point updates are more
-	// efficient").
-	PointThreshold int
 }
 
 func (o Options) withDefaults() Options {
 	if o.GrowthFactor <= 1 {
 		o.GrowthFactor = 1.2
-	}
-	if o.PointThreshold <= 0 {
-		o.PointThreshold = 100
 	}
 	return o
 }
@@ -88,8 +89,10 @@ type CPMA struct {
 
 	// Mid-batch only (batchRecords): the encoded size of each leaf the
 	// batch wrote (0: none), and the merged runs that outgrew their leaf.
+	// dirty is the writer's scratch for the list of leaves a batch wrote.
 	sizes    []int32
 	overflow [][]uint64
+	dirty    []int
 
 	// Copy-on-write generations (cow.go). gen stamps this CPMA's writes;
 	// geomGen is the generation of its last rebuild or load. spineBytes and
@@ -142,8 +145,8 @@ func (c *CPMA) Clone() *CPMA {
 		d.lf[i].Store(c.lf[i].Load())
 	}
 	// At rest every batch record is zero (CheckInvariants enforces it); the
-	// clone allocates its own at its first batch.
-	d.sizes, d.overflow = nil, nil
+	// clone allocates its own records and scratch at its first batch.
+	d.sizes, d.overflow, d.dirty = nil, nil, nil
 	// Fresh generations share every chunk and slab on both sides. The
 	// clone's is the older one, so the parent's later writes are newer than
 	// anything the handle holds (ChangedSince).

@@ -80,34 +80,38 @@ func BenchmarkBatchRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkPointBatchCrossover inserts and then removes sorted batches of
-// k uniform 40-bit keys on a compressed set of 1M such keys, through the
-// point loop (PointThreshold k) and through the batch path (PointThreshold
-// 1). PointThreshold, one threshold for both updates, belongs where the
-// batch path's round trip starts to win.
-func BenchmarkPointBatchCrossover(b *testing.B) {
+// BenchmarkSmallBatch inserts and then removes sorted batches of k
+// uniform 40-bit keys on a compressed set of 1M such keys, through a loop
+// of point updates and through InsertBatch/RemoveBatch, which take every
+// batch down the batch path: what the one batch path costs a small batch
+// against Insert/Remove.
+func BenchmarkSmallBatch(b *testing.B) {
 	keys := workload.Uniform(workload.NewRNG(1), 1_000_000, 40)
-	for _, k := range []int{1, 2, 10, 30, 100, 300, 1000, 3000, 10_000} {
-		for _, path := range []struct {
-			name      string
-			threshold int
-		}{{"point", k}, {"batch", 1}} {
-			if k == 1 && path.name == "batch" {
-				continue // a 1-key batch always takes the point loop
-			}
-			b.Run(fmt.Sprintf("%d/%s", k, path.name), func(b *testing.B) {
-				c := New(&Options{PointThreshold: path.threshold})
+	for _, k := range []int{1, 2, 10, 30, 100, 1000} {
+		for _, path := range []string{"point", "batch"} {
+			b.Run(fmt.Sprintf("%d/%s", k, path), func(b *testing.B) {
+				c := New(nil)
 				c.InsertBatch(keys, false)
 				r := workload.NewRNG(8)
 				batches := make([][]uint64, 64)
 				for i := range batches {
 					batches[i] = c.prepareBatch(workload.Uniform(r, k, 40), false)
 				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					batch := batches[i%len(batches)]
-					c.InsertBatch(batch, true)
-					c.RemoveBatch(batch, true)
+					if path == "batch" {
+						c.InsertBatch(batch, true)
+						c.RemoveBatch(batch, true)
+						continue
+					}
+					for _, x := range batch {
+						c.Insert(x)
+					}
+					for _, x := range batch {
+						c.Remove(x)
+					}
 				}
 			})
 		}

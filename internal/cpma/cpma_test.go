@@ -328,7 +328,7 @@ func TestMapRange(t *testing.T) {
 // insert panicked and the remove skipped it.
 func TestBatchLargestKey(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
-		c := newSet(&Options{PointThreshold: 10})
+		c := newSet(nil)
 		var base []uint64
 		for k := uint64(1000); k <= 20_000_000; k += 1000 {
 			base = append(base, k)
@@ -570,8 +570,8 @@ func TestInsertBatchSizesAgainstModel(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(11))
 		base := uniqueRandom(r, 40_000, 1<<40)
-		// 1 and 7 take the point path, 101..1000 the three-phase merge, and
-		// 5000 and up (k >= n/10) the rebuild merge.
+		// 1..1000 take the three-phase merge, and 5000 and up (k >= n/10)
+		// the rebuild merge.
 		for _, bs := range []int{1, 7, 100, 101, 1000, 5000, 39_999} {
 			t.Run(fmt.Sprintf("bs%d", bs), func(t *testing.T) {
 				c := newSet(nil)
@@ -730,6 +730,43 @@ func TestRemoveBatchEverything(t *testing.T) {
 			t.Fatalf("removed %d, want %d", got, len(base))
 		}
 		checkAgainst(t, c, nil)
+	})
+}
+
+// TestSmallBatchAllocs pins the batch path's cost for a small batch: a
+// sorted, distinct 2-key InsertBatch and the RemoveBatch that takes it
+// back, into a leaf that stays within its density bounds, allocate
+// nothing. The batch is used uncopied, the dirty list is the set's
+// scratch, and the planner's callback is built only for a violation.
+func TestSmallBatchAllocs(t *testing.T) {
+	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
+		r := rand.New(rand.NewSource(18))
+		c := newSet(nil)
+		c.InsertBatch(uniqueRandom(r, 20_000, 1<<40), false)
+		// A leaf at least a quarter full, with slack for two keys below
+		// three quarters, takes two keys right after its head and gives
+		// them back without breaking a bound.
+		leaf := 0
+		for u := c.usedOf(leaf); u < c.LeafBytes()/4 || u+2*c.f.slack > c.LeafBytes()*3/4; u = c.usedOf(leaf) {
+			if leaf++; leaf == c.Leaves() {
+				t.Fatal("no leaf has room for two keys")
+			}
+		}
+		h := c.head(leaf)
+		batch := []uint64{h + 1, h + 2}
+		want := c.Keys()
+		multi, grows := c.Rebalances()
+		if a := testing.AllocsPerRun(100, func() {
+			if c.InsertBatch(batch, true) != 2 || c.RemoveBatch(batch, true) != 2 {
+				t.Fatal("the round trip did not add and remove both keys")
+			}
+		}); a != 0 {
+			t.Fatalf("2-key InsertBatch+RemoveBatch round trip: %v allocations, want 0", a)
+		}
+		if m, g := c.Rebalances(); m != multi || g != grows {
+			t.Fatalf("the round trip rebalanced: multi-leaf %d -> %d, grows %d -> %d", multi, m, grows, g)
+		}
+		checkAgainst(t, c, want)
 	})
 }
 
@@ -1060,7 +1097,7 @@ func TestCloneEquality(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(31))
 		for _, n := range []int{0, 1, 100, 20000} {
-			c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+			c := newSet(&Options{LeafBytes: 512})
 			keys := uniqueRandom(r, n, 1<<30)
 			c.InsertBatch(keys, false)
 			d := c.Clone()
@@ -1080,7 +1117,7 @@ func TestCloneEquality(t *testing.T) {
 func TestCloneIsolation(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(32))
-		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512})
 		c.InsertBatch(uniqueRandom(r, 5000, 1<<28), false)
 		frozen := c.Clone()
 		want := frozen.Keys()
@@ -1127,7 +1164,7 @@ func TestCloneIsolation(t *testing.T) {
 func TestCloneChain(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(33))
-		c := newSet(&Options{LeafBytes: 512, PointThreshold: 10})
+		c := newSet(&Options{LeafBytes: 512})
 		var snaps []*CPMA
 		var wants [][]uint64
 		for round := 0; round < 8; round++ {

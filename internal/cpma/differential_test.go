@@ -132,9 +132,9 @@ func (m *model) Range(start, end uint64) []uint64 {
 }
 
 // smallLeaf pins the CPMA leaves to the compressed format's minimum, 512
-// bytes, and makes small batches point updates, so the random walks cross
-// many leaf boundaries, splits and rebuilds.
-var smallLeaf = &cpma.Options{LeafBytes: 512, PointThreshold: 10}
+// bytes, so the random walks cross many leaf boundaries, splits and
+// rebuilds.
+var smallLeaf = &cpma.Options{LeafBytes: 512}
 
 func systems() map[string]func() sut {
 	return map[string]func() sut{
@@ -240,8 +240,14 @@ func closeSut(t *testing.T, s sut) {
 func step(t *testing.T, r *workload.RNG, bits int, m *model, s sut) string {
 	t.Helper()
 	keyOf := func() uint64 { return 1 + r.Uint64()%(1<<uint(bits)) }
+	// One batch in four has 1-3 keys: tiny batches run the same batch
+	// path as large ones, down to the in-place splice of mergeLeaf and
+	// removeLeaf.
 	batchOf := func() []uint64 {
 		n := 1 + r.Intn(300)
+		if r.Intn(4) == 0 {
+			n = 1 + r.Intn(3)
+		}
 		return workload.Uniform(r, n, bits)
 	}
 	switch op := r.Intn(7); op {

@@ -342,7 +342,7 @@ func withCRC(b []byte) []byte {
 // a set whose Validate runs to completion.
 func FuzzDecode(f *testing.F) {
 	r := workload.NewRNG(3)
-	opts := &Options{LeafBytes: 512, PointThreshold: 10}
+	opts := &Options{LeafBytes: 512}
 	c := New(opts)
 	c.InsertBatch(workload.Uniform(r, 60, 30), false)
 	base := c.Clone()

@@ -170,7 +170,7 @@ type Plan struct {
 func (t *Tree) Count(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) Plan {
 	// Most batches leave every dirty leaf in bounds: find that out before
 	// allocating anything.
-	first, firstUsed := t.firstViolator(used, dirty, checkUpper, checkLower)
+	first, firstUsed := t.FirstViolator(used, dirty, checkUpper, checkLower)
 	if first < 0 {
 		return Plan{}
 	}
@@ -244,9 +244,12 @@ type counted struct{ index, units int }
 
 func byIndex(c counted, index int) int { return cmp.Compare(c.index, index) }
 
-// firstViolator returns the index in dirty of the first leaf that breaks
-// the bound selected, and its units, or -1.
-func (t *Tree) firstViolator(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) (int, int) {
+// FirstViolator returns the index in dirty of the first leaf that breaks
+// the bound selected, and its units, or -1. It keeps no reference to
+// used, so a caller can check a dirty list with a method value for free,
+// and build Count's callback, which escapes, only when there is something
+// to plan.
+func (t *Tree) FirstViolator(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) (int, int) {
 	for i, leaf := range dirty {
 		u := used(leaf)
 		if checkUpper && u > t.UpperUnits(Node{0, leaf}) || checkLower && u < t.LowerUnits(Node{0, leaf}) {

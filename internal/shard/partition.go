@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -212,93 +213,79 @@ func (rt *router) shardSpan(start, end uint64) (lo, hi int) {
 	return 0, rt.shards - 1
 }
 
-// split partitions a batch into per-shard sub-batches of stored values
-// (see route), preserving input order within each sub-batch (so sorted
-// inputs yield sorted sub-batches).
-// Sorted range-partitioned batches split into subslices of the input with
-// no copying — the per-shard search bound is the same boundary table
-// shardOf routes with, so the two can never disagree; everything else goes
-// through a blocked two-pass parallel counting scatter. aliased reports
-// whether the sub-batches share memory with keys — the ownership fact
-// asyncSplit's copy decision depends on, returned here so it cannot drift
-// from the implementation.
-func (rt *router) split(keys []uint64, sorted bool) (subs [][]uint64, aliased bool) {
+// split partitions a sorted batch into per-shard sorted sub-batches of
+// stored values (see route). Range-partitioned batches split into
+// subslices of the input with no copying — the per-shard search bound is
+// the same boundary table shardOf routes with, so the two can never
+// disagree; hash-partitioned ones go through a blocked two-pass parallel
+// counting scatter. aliased reports whether the sub-batches share memory
+// with keys — the ownership fact asyncSplit's copy decision depends on,
+// returned here so it cannot drift from the implementation.
+func (rt *router) split(keys []uint64) (subs [][]uint64, aliased bool) {
 	P := rt.shards
 	if P == 1 {
 		return [][]uint64{keys}, true
 	}
-	if rt.part == RangePartition && sorted {
-		subs = make([][]uint64, P)
-		lo := 0
-		for p := 0; p < P; p++ {
-			hi := len(keys)
-			if p+1 < P {
-				bound := rt.bounds[p] // first key owned by shard p+1 (or later)
-				hi = lo + sort.Search(len(keys)-lo, func(i int) bool { return keys[lo+i] >= bound })
-			}
-			subs[p] = keys[lo:hi]
-			lo = hi
-		}
-		return subs, true
+	if rt.part != RangePartition {
+		return rt.scatter(keys), false
 	}
-	return rt.scatter(keys), false
+	subs = make([][]uint64, P)
+	lo := 0
+	for p := 0; p < P; p++ {
+		hi := len(keys)
+		if p+1 < P {
+			bound := rt.bounds[p] // first key owned by shard p+1 (or later)
+			hi = lo + sort.Search(len(keys)-lo, func(i int) bool { return keys[lo+i] >= bound })
+		}
+		subs[p] = keys[lo:hi]
+		lo = hi
+	}
+	return subs, true
 }
 
-// scatter buckets keys' stored values by shard with a two-pass counting
-// scatter: blocks count in parallel, a shard-major prefix sum assigns every
-// block a private window in each bucket, and blocks then fill their windows
-// in parallel without synchronization. Input order is preserved within
-// each bucket.
+// scatter buckets the quotients a multi-shard hash router stores by shard
+// with a two-pass counting scatter: blocks count in parallel, a
+// shard-major prefix sum turns the counts into each block's private write
+// window in each bucket, and blocks then fill their windows in parallel
+// without synchronization. The buckets are capacity-capped windows of one
+// buffer. Input order is preserved within each bucket.
 func (rt *router) scatter(keys []uint64) [][]uint64 {
 	P := rt.shards
 	n := len(keys)
 	nb := (n + scatterGrain - 1) / scatterGrain
 	ids := make([]int32, n)
-	counts := make([]int, nb*P)
+	pos := make([]int, nb*P) // block b's count, then write position, for shard p at b*P+p
 	parallel.For(nb, 1, func(b int) {
-		lo, hi := b*scatterGrain, (b+1)*scatterGrain
-		if hi > n {
-			hi = n
-		}
-		row := counts[b*P : (b+1)*P]
-		for i := lo; i < hi; i++ {
+		row := pos[b*P : (b+1)*P]
+		for i := b * scatterGrain; i < min((b+1)*scatterGrain, n); i++ {
 			id := int32(rt.shardOf(keys[i]))
 			ids[i] = id
 			row[id]++
 		}
 	})
-	offsets := make([]int, nb*P)
-	totals := make([]int, P)
-	for p := 0; p < P; p++ {
-		run := 0
-		for b := 0; b < nb; b++ {
-			offsets[b*P+p] = run
-			run += counts[b*P+p]
-		}
-		totals[p] = run
-	}
+	out := make([]uint64, n)
 	subs := make([][]uint64, P)
-	quot, qb := !rt.ordered(), rt.qbits()
+	run := 0
 	for p := range subs {
-		if totals[p] > 0 {
-			subs[p] = make([]uint64, totals[p])
+		start := run
+		for b := 0; b < nb; b++ {
+			count := pos[b*P+p]
+			pos[b*P+p] = run
+			run += count
+		}
+		if run > start {
+			subs[p] = out[start:run:run]
 		}
 	}
+	qb := rt.qbits()
 	parallel.For(nb, 1, func(b int) {
-		lo, hi := b*scatterGrain, (b+1)*scatterGrain
-		if hi > n {
-			hi = n
-		}
-		pos := make([]int, P)
-		copy(pos, offsets[b*P:(b+1)*P])
-		for i := lo; i < hi; i++ {
+		// A private copy: blocks filling in parallel would share the
+		// cache lines of neighbouring rows.
+		row := slices.Clone(pos[b*P : (b+1)*P])
+		for i := b * scatterGrain; i < min((b+1)*scatterGrain, n); i++ {
 			id := ids[i]
-			v := keys[i]
-			if quot {
-				v = v>>qb + 1 // the stored value route returns
-			}
-			subs[id][pos[id]] = v
-			pos[id]++
+			out[row[id]] = keys[i]>>qb + 1 // the stored value route returns
+			row[id]++
 		}
 	})
 	return subs
@@ -323,7 +310,7 @@ func asyncSplit(rt *router, keys []uint64, private bool) [][]uint64 {
 	if len(keys) == 0 {
 		return nil
 	}
-	subs, aliased := rt.split(keys, true)
+	subs, aliased := rt.split(keys)
 	if aliased && !private {
 		for p, sub := range subs {
 			if len(sub) > 0 {

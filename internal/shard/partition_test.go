@@ -99,9 +99,9 @@ func routerGeometries(r *workload.RNG) []*router {
 // split's per-shard search bounds and shardOf's routing must derive from
 // the same boundary table, so every stored value of every sub-batch must
 // decode to a key that routes to the sub-batch's shard as that value —
-// across default and randomized (rebalanced) tables, a hash table, sorted
-// and unsorted inputs — and the decoded sub-batches must reassemble the
-// input. The old fixed-width recomputation
+// across default and randomized (rebalanced) range tables fed sorted
+// input, and a hash table fed sorted and unsorted input — and the decoded
+// sub-batches must reassemble the input. The old fixed-width recomputation
 // (uint64(p+1) * width) drifted from shardOf's clamp on exactly the
 // rounded-up geometries this sweep includes.
 func TestSplitMatchesShardOf(t *testing.T) {
@@ -129,11 +129,14 @@ func TestSplitMatchesShardOf(t *testing.T) {
 				}
 			}
 			for _, sorted := range []bool{false, true} {
+				if !sorted && rt.part == RangePartition {
+					continue // a range split takes sorted input only
+				}
 				in := slices.Clone(keys)
 				if sorted {
 					slices.Sort(in)
 				}
-				subs, _ := rt.split(in, sorted)
+				subs, _ := rt.split(in)
 				if len(subs) != rt.shards {
 					t.Fatalf("split returned %d sub-batches for %d shards", len(subs), rt.shards)
 				}
@@ -154,9 +157,9 @@ func TestSplitMatchesShardOf(t *testing.T) {
 				if len(cat) != len(in) {
 					t.Fatalf("split dropped keys: %d of %d", len(cat), len(in))
 				}
-				if !sorted || rt.part != RangePartition {
-					// Only a sorted range split keeps input order across
-					// sub-batches; the rest reassemble as a multiset.
+				if rt.part != RangePartition {
+					// Only a range split keeps input order across
+					// sub-batches; a hash split reassembles as a multiset.
 					slices.Sort(cat)
 					in = slices.Sorted(slices.Values(in))
 				}

@@ -564,20 +564,18 @@ func distinctSorted(keys []uint64) []uint64 {
 	return slices.Compact(out)
 }
 
-// Insert adds x, returning false if already present. It routes through the
-// owning shard's mailbox (behind any batches already enqueued) and waits
-// until the apply is published.
+// Insert adds x, returning false if already present. It is a one-key
+// InsertBatch: mailed to the owning shard (behind any batches already
+// enqueued) with a ticket, it returns once the apply is published.
 func (s *Sharded) Insert(x uint64) bool {
 	s.checkNotReplica()
-	checkKey(x)
-	return s.enqueueOne(opInsert, x)
+	return s.enqueue(opInsert, []uint64{x}, true, true) == 1
 }
 
-// Remove deletes x, returning false if absent; the same path as Insert.
+// Remove deletes x, returning false if absent; a one-key RemoveBatch.
 func (s *Sharded) Remove(x uint64) bool {
 	s.checkNotReplica()
-	checkKey(x)
-	return s.enqueueOne(opRemove, x)
+	return s.enqueue(opRemove, []uint64{x}, true, true) == 1
 }
 
 // Has reports whether x is in the set, read off x's shard's published
@@ -625,29 +623,6 @@ func (s *Sharded) InsertBatchAsync(keys []uint64, sorted bool) {
 func (s *Sharded) RemoveBatchAsync(keys []uint64, sorted bool) {
 	s.checkNotReplica()
 	s.enqueue(opRemove, keys, sorted, false)
-}
-
-// enqueueOne mails a single-key ticketed op straight to its owning shard —
-// the point-op path, skipping the scatter machinery entirely — and waits
-// for the apply, reporting whether the key was fresh (insert) or present
-// (remove). The fresh slice keeps the mailbox from aliasing caller memory.
-// Routing happens under life.RLock so a concurrent rebalance (which holds
-// life.Lock for the router swap) cannot strand the key in a shard that no
-// longer owns it.
-func (s *Sharded) enqueueOne(kind opKind, x uint64) bool {
-	tk := newTicket(1)
-	s.life.RLock()
-	if s.closed {
-		s.life.RUnlock()
-		panic("shard: mutation on closed Sharded")
-	}
-	p, v := s.router().route(x)
-	c := &s.cells[p]
-	c.enqBatches.Add(1)
-	c.enqKeys.Add(1)
-	c.mbox <- shardOp{kind: kind, keys: []uint64{v}, tk: tk, enq: time.Now()}
-	s.life.RUnlock()
-	return tk.wait() == 1
 }
 
 // enqueue splits keys into sorted sub-batches and mails each to its shard.

@@ -414,7 +414,7 @@ func panics(f func()) (did bool) {
 
 // smallSet pins shard CPMAs to the compressed format's minimum leaf, 512
 // bytes, so snapshot walks cross many leaf rebuilds.
-var smallSet = &cpma.Options{LeafBytes: 512, PointThreshold: 10}
+var smallSet = &cpma.Options{LeafBytes: 512}
 
 // TestSnapshotPrefixCutDifferential is the snapshot-consistency
 // differential harness: a writer streams a scripted history of

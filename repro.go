@@ -203,8 +203,7 @@ import (
 // Set is the batch-parallel Compressed Packed Memory Array (CPMA).
 type Set = cpma.CPMA
 
-// SetOptions configures a Set (growing factor, leaf size, batch
-// thresholds, density bounds).
+// SetOptions configures a Set: its growing factor and leaf size.
 type SetOptions = cpma.Options
 
 // NewSet returns an empty CPMA; opts may be nil for the paper's defaults
