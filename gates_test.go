@@ -1,7 +1,8 @@
 // Acceptance gates: ratios the sharded, durable and replicated pipeline
 // must keep, each measured at a small fixed shape and held to the threshold
-// it was accepted at. The two timing ratios need real clocks, so run them
-// without the race detector:
+// it was accepted at. The race run of the whole suite runs them too, but
+// the two timing ratios need real clocks, so their thresholds are held by a
+// run without the race detector:
 //
 //	go test -count=1 -run '^TestGate' .
 package repro_test

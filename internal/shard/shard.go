@@ -581,15 +581,11 @@ func (s *Sharded) Remove(x uint64) bool {
 // Has reports whether x is in the set, read off x's shard's published
 // handle. It allocates nothing.
 func (s *Sharded) Has(x uint64) bool {
-	if x == 0 {
-		return false
-	}
 	var buf [1]*shardSnap
-	v := s.capture(func(rt *router) (int, int) {
+	return s.capture(func(rt *router) (int, int) {
 		p := rt.shardOf(x)
 		return p, p
-	}, buf[:])
-	return v.has(x)
+	}, buf[:]).Has(x)
 }
 
 // InsertBatch inserts a batch of keys, returning how many were new. The
@@ -800,20 +796,20 @@ func spanOf(start, end uint64) func(rt *router) (int, int) {
 }
 
 // Len returns the number of keys stored.
-func (s *Sharded) Len() int { return s.capture(fullSpan, nil).length() }
+func (s *Sharded) Len() int { return s.capture(fullSpan, nil).Len() }
 
 // SizeBytes returns the summed memory footprint of the shards.
-func (s *Sharded) SizeBytes() uint64 { return s.capture(fullSpan, nil).sizeBytes() }
+func (s *Sharded) SizeBytes() uint64 { return s.capture(fullSpan, nil).SizeBytes() }
 
 // Sum returns the sum (mod 2^64) of all keys, shards processed in
 // parallel.
-func (s *Sharded) Sum() uint64 { return s.capture(fullSpan, nil).sum() }
+func (s *Sharded) Sum() uint64 { return s.capture(fullSpan, nil).Sum() }
 
 // RangeSum sums keys in [start, end). Under RangePartition only the span's
 // shards are read; under HashPartition every shard is, in parallel.
 // Degenerate ranges (end <= start) are empty.
 func (s *Sharded) RangeSum(start, end uint64) (sum uint64, count int) {
-	return s.capture(spanOf(start, end), nil).rangeSum(start, end)
+	return s.capture(spanOf(start, end), nil).RangeSum(start, end)
 }
 
 // Next returns the smallest key >= x across all shards.
@@ -823,7 +819,7 @@ func (s *Sharded) Next(x uint64) (uint64, bool) {
 			return rt.shardOf(x), rt.shards - 1
 		}
 		return 0, rt.shards - 1
-	}, nil).next(x)
+	}, nil).Next(x)
 }
 
 // Min returns the smallest key in the set.
@@ -832,7 +828,7 @@ func (s *Sharded) Min() (uint64, bool) {
 }
 
 // Max returns the largest key in the set.
-func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).max() }
+func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).Max() }
 
 // MapRange applies f to keys in [start, end) in ascending order, stopping
 // early when f returns false; reports whether the scan completed.
@@ -842,28 +838,18 @@ func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).max() }
 // and merged first (so early exits still pay the full gather). f runs on
 // frozen handles and may call back into the set.
 func (s *Sharded) MapRange(start, end uint64, f func(uint64) bool) bool {
-	if start >= end {
-		return true
-	}
-	return s.capture(spanOf(start, end), nil).mapRange(start, end, f)
+	return s.capture(spanOf(start, end), nil).MapRange(start, end, f)
 }
 
 // Map applies f to every key in ascending order, stopping early when f
 // returns false; reports whether the scan completed. The same contract as
 // MapRange.
 func (s *Sharded) Map(f func(uint64) bool) bool {
-	return s.capture(fullSpan, nil).mapAll(f)
+	return s.capture(fullSpan, nil).Map(f)
 }
 
 // Keys returns all keys in ascending order; primarily for tests.
-func (s *Sharded) Keys() []uint64 {
-	var out []uint64
-	s.Map(func(v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}
+func (s *Sharded) Keys() []uint64 { return s.capture(fullSpan, nil).Keys() }
 
 // Validate flushes, then checks every shard's published CPMA invariants
 // and audits its routing: every stored value must be one the router sends
@@ -871,5 +857,5 @@ func (s *Sharded) Keys() []uint64 {
 // writers.
 func (s *Sharded) Validate() error {
 	s.Flush()
-	return s.capture(fullSpan, nil).validate()
+	return s.capture(fullSpan, nil).Validate()
 }
