@@ -218,23 +218,16 @@ func (rt *router) shardSpan(start, end uint64) (lo, hi int) {
 // subslices of the input with no copying — the per-shard search bound is
 // the same boundary table shardOf routes with, so the two can never
 // disagree; hash-partitioned ones go through a blocked two-pass parallel
-// counting scatter, except a single key (a sharded point update), which
-// route places without one. aliased reports whether the sub-batches share
-// memory with keys — the ownership fact asyncSplit's copy decision depends
-// on, returned here so it cannot drift from the implementation.
+// counting scatter. aliased reports whether the sub-batches share memory
+// with keys — the ownership fact asyncSplit's copy decision depends on,
+// returned here so it cannot drift from the implementation.
 func (rt *router) split(keys []uint64) (subs [][]uint64, aliased bool) {
 	P := rt.shards
 	if P == 1 {
 		return [][]uint64{keys}, true
 	}
 	if rt.part != RangePartition {
-		if len(keys) != 1 {
-			return rt.scatter(keys), false
-		}
-		p, stored := rt.route(keys[0])
-		subs = make([][]uint64, P)
-		subs[p] = []uint64{stored}
-		return subs, false
+		return rt.scatter(keys), false
 	}
 	subs = make([][]uint64, P)
 	lo := 0

@@ -100,19 +100,15 @@ func routerGeometries(r *workload.RNG) []*router {
 // the same boundary table, so every stored value of every sub-batch must
 // decode to a key that routes to the sub-batch's shard as that value —
 // across default and randomized (rebalanced) range tables fed sorted
-// input, and a hash table fed sorted and unsorted input, one-key batches
-// included (they skip the scatter) — and the decoded sub-batches must
-// reassemble the input. The old fixed-width recomputation (uint64(p+1) *
-// width) drifted from shardOf's clamp on exactly the rounded-up geometries
-// this sweep includes.
+// input, and a hash table fed sorted and unsorted input — and the decoded
+// sub-batches must reassemble the input. The old fixed-width recomputation
+// (uint64(p+1) * width) drifted from shardOf's clamp on exactly the
+// rounded-up geometries this sweep includes.
 func TestSplitMatchesShardOf(t *testing.T) {
 	r := workload.NewRNG(17)
 	for _, rt := range routerGeometries(r) {
-		for trial := 0; trial < 5; trial++ {
+		for trial := 0; trial < 4; trial++ {
 			n := 1 + r.Intn(3000)
-			if trial == 4 {
-				n = 1 // a sharded point update's batch
-			}
 			keys := make([]uint64, n)
 			for i := range keys {
 				switch r.Intn(4) {

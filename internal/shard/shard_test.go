@@ -867,32 +867,3 @@ func TestHasDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Has allocates %.1f times per call", n)
 	}
 }
-
-// TestPointUpdateAllocs pins a sharded point update's routing: a one-key
-// batch on a multi-shard hash set is placed by route, not by the parallel
-// scatter, so a one-key Insert+Remove round trip allocates about what it
-// does on a range set, whose split never copies. Through the scatter the
-// hash set's round trip made 34 allocations against the range set's 18.
-func TestPointUpdateAllocs(t *testing.T) {
-	keys := workload.Uniform(workload.NewRNG(5), 100000, 40)
-	roundTrip := func(part Partition) float64 {
-		s := New(4, &Options{Partition: part, KeyBits: 40})
-		defer s.Close()
-		s.InsertBatch(keys, false)
-		x := uint64(1)<<40 - 1
-		for s.Has(x) {
-			x--
-		}
-		if !s.Insert(x) || !s.Remove(x) || s.Has(x) {
-			t.Fatalf("partition %v: round trip of key %d failed", part, x)
-		}
-		return testing.AllocsPerRun(100, func() {
-			s.Insert(x)
-			s.Remove(x)
-		})
-	}
-	hash, rng := roundTrip(HashPartition), roundTrip(RangePartition)
-	if hash > rng+2 {
-		t.Fatalf("a one-key round trip allocates %.0f times on a hash set, %.0f on a range set", hash, rng)
-	}
-}
