@@ -16,14 +16,17 @@ import (
 // forks its three-way work (leaf merge, left recursion, right recursion).
 const mergeForkGrain = 2048
 
-// InsertBatch inserts a batch of keys, returning how many were new. If
-// sorted is false the batch is sorted in a copy first; duplicates within
-// the batch are removed either way. A batch into an empty set builds it,
+// InsertBatch inserts a batch of keys, returning how many were new. The
+// batch goes through parallel.SortedSet: an unsorted one becomes a sorted,
+// duplicate-free copy (its repeat filter drops repeats before the sort),
+// a sorted one with repeats a deduplicated copy, and a strictly increasing
+// one is used as it is, uncopied — no update keeps a batch slice past the
+// call (mergeLeaf copies a run it parks). A batch into an empty set builds it,
 // a batch of Ω(n) keys runs a full two-finger rebuild merge, and every
 // other batch, however small, runs the three-phase
 // merge/count/redistribute algorithm.
 func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
-	batch := c.prepareBatch(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	switch {
 	case len(batch) == 0:
 		return 0
@@ -38,41 +41,15 @@ func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 }
 
 // RemoveBatch removes a batch of keys, returning how many were present.
-// Batch deletes are symmetric to inserts (§4) but never overflow leaves,
-// and the counting phase checks lower density bounds.
+// The batch is normalized as InsertBatch's is. Batch deletes are symmetric
+// to inserts (§4) but never overflow leaves, and the counting phase checks
+// lower density bounds.
 func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
-	batch := c.prepareBatch(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 || c.n == 0 {
 		return 0
 	}
 	return c.batchUpdate(batch, false)
-}
-
-// prepareBatch normalizes a batch: sorted, duplicate-free, nonzero keys.
-// A batch that already is one comes back as it is, uncopied: no update
-// keeps a batch slice past the call (mergeLeaf copies a run it parks).
-func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
-	batch := keys
-	if !sorted {
-		batch = parallel.SortedCopy(keys)
-	}
-	if !increasing(batch) {
-		batch = parallel.DedupSorted(batch)
-	}
-	if len(batch) > 0 && batch[0] == 0 {
-		panic("cpma: key 0 is reserved")
-	}
-	return batch
-}
-
-// increasing reports whether a is strictly increasing.
-func increasing(a []uint64) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i] <= a[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // batchUpdate runs the three phases of the parallel batch insert, or of
@@ -108,7 +85,7 @@ func (c *CPMA) batchUpdate(batch []uint64, insert bool) int {
 // work is shared between segments. It returns how many keys were new, and
 // leaves the same keys as InsertBatch.
 func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
-	batch := c.prepareBatch(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -95,7 +96,7 @@ func BenchmarkSmallBatch(b *testing.B) {
 				r := workload.NewRNG(8)
 				batches := make([][]uint64, 64)
 				for i := range batches {
-					batches[i] = c.prepareBatch(workload.Uniform(r, k, 40), false)
+					batches[i] = parallel.SortedSet(workload.Uniform(r, k, 40), false)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

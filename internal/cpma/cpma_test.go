@@ -737,7 +737,9 @@ func TestRemoveBatchEverything(t *testing.T) {
 // sorted, distinct 2-key InsertBatch and the RemoveBatch that takes it
 // back, into a leaf that stays within its density bounds, allocate
 // nothing. The batch is used uncopied, the dirty list is the set's
-// scratch, and the planner's callback is built only for a violation.
+// scratch, and the planner's callback is built only for a violation. The
+// same keys unsorted cost one allocation per call: parallel.SortedSet's
+// private copy, sorted in place below the radix sort's crossover.
 func TestSmallBatchAllocs(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(18))
@@ -762,6 +764,14 @@ func TestSmallBatchAllocs(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Fatalf("2-key InsertBatch+RemoveBatch round trip: %v allocations, want 0", a)
+		}
+		unsorted := []uint64{h + 2, h + 1}
+		if a := testing.AllocsPerRun(100, func() {
+			if c.InsertBatch(unsorted, false) != 2 || c.RemoveBatch(unsorted, false) != 2 {
+				t.Fatal("the unsorted round trip did not add and remove both keys")
+			}
+		}); a != 2 {
+			t.Fatalf("unsorted 2-key InsertBatch+RemoveBatch round trip: %v allocations, want 2", a)
 		}
 		if m, g := c.Rebalances(); m != multi || g != grows {
 			t.Fatalf("the round trip rebalanced: multi-leaf %d -> %d, grows %d -> %d", multi, m, grows, g)

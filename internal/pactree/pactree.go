@@ -239,7 +239,7 @@ func lowerBound(a []uint64, x uint64) int {
 
 // InsertBatch adds a batch, returning how many keys were new.
 func (t *Tree) InsertBatch(keys []uint64, sorted bool) int {
-	batch := prepare(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -250,7 +250,7 @@ func (t *Tree) InsertBatch(keys []uint64, sorted bool) int {
 
 // RemoveBatch deletes a batch, returning how many keys were present.
 func (t *Tree) RemoveBatch(keys []uint64, sorted bool) int {
-	batch := prepare(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -278,22 +278,6 @@ func (t *Tree) Remove(x uint64) bool {
 	}
 	t.root = t.multiDelete(t.root, []uint64{x})
 	return true
-}
-
-func prepare(keys []uint64, sorted bool) []uint64 {
-	if len(keys) == 0 {
-		return nil
-	}
-	var batch []uint64
-	if sorted {
-		batch = parallel.DedupSorted(keys)
-	} else {
-		batch = parallel.DedupSorted(parallel.SortedCopy(keys))
-	}
-	if len(batch) > 0 && batch[0] == 0 {
-		panic("pactree: key 0 is reserved")
-	}
-	return batch
 }
 
 // Has reports membership: a root-to-block descent plus a block scan.

@@ -1,11 +1,19 @@
 // Package parallel implements the fork-join primitives the batch-parallel
 // PMA/CPMA and the tree baselines are built on: binary forking (Do), grained
-// parallel loops (For, ForRange), load-balanced parallel merge and merge
-// sort, and parallel reductions.
+// parallel loops (For, ForRange), load-balanced parallel merge, parallel
+// reductions, and SortedSet, the one place a caller's batch becomes sorted,
+// duplicate-free keys.
 //
 // It plays the role Parlaylib plays for the paper's C++ implementation. All
 // primitives degrade to plain serial loops when GOMAXPROCS is 1, so serial
 // baselines measured with runtime.GOMAXPROCS(1) incur no scheduling overhead.
+//
+// Determinism: SortedSet's repeat filter, LSD radix sort and compaction
+// are serial, and the keys it returns are a pure function of its input at
+// every GOMAXPROCS (TestSortedSet runs at each -cpu value). Merge,
+// MergeRuns, MergeDedup and DedupSorted, which SortedSet calls for a
+// sorted batch with repeats, fork, but their output does not depend on how
+// the work was split.
 package parallel
 
 import (

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -16,22 +17,11 @@ func benchKeys(n int) []uint64 {
 	return out
 }
 
-func BenchmarkSort1M(b *testing.B) {
-	src := benchKeys(1 << 20)
-	buf := make([]uint64, len(src))
-	b.SetBytes(int64(8 * len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		Sort(buf)
-	}
-}
-
 func BenchmarkMerge1M(b *testing.B) {
 	a := benchKeys(1 << 19)
 	c := benchKeys(1 << 19)
-	Sort(a)
-	Sort(c)
+	slices.Sort(a)
+	slices.Sort(c)
 	out := make([]uint64, len(a)+len(c))
 	b.SetBytes(int64(8 * len(out)))
 	b.ResetTimer()
@@ -45,7 +35,7 @@ func BenchmarkDedupSorted(b *testing.B) {
 	for i := range a {
 		a[i] %= 1 << 18 // heavy duplication
 	}
-	Sort(a)
+	slices.Sort(a)
 	b.SetBytes(int64(8 * len(a)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -180,30 +180,3 @@ func TestDedupSortedLargeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSortMatchesStdlib(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 1000, 200_000} {
-		a := make([]uint64, n)
-		for i := range a {
-			a[i] = r.Uint64()
-		}
-		want := slices.Clone(a)
-		slices.Sort(want)
-		Sort(a)
-		if !slices.Equal(a, want) {
-			t.Fatalf("Sort(n=%d) mismatch", n)
-		}
-	}
-}
-
-func TestSortedCopyLeavesInputUnchanged(t *testing.T) {
-	a := []uint64{3, 1, 2}
-	got := SortedCopy(a)
-	if !slices.Equal(a, []uint64{3, 1, 2}) {
-		t.Fatal("input mutated")
-	}
-	if !slices.Equal(got, []uint64{1, 2, 3}) {
-		t.Fatalf("got %v", got)
-	}
-}

@@ -56,18 +56,18 @@ func TestRaceConcurrentSortAndMerge(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			a := make([]uint64, 50000)
-			for i := range a {
-				a[i] = uint64((i*2654435761 + c) % 1000003)
+			keys := make([]uint64, 50000)
+			for i := range keys {
+				keys[i] = 1 + uint64((i*2654435761+c)%1000003)
 			}
-			Sort(a)
+			a := SortedSet(keys, false)
 			for i := 1; i < len(a); i++ {
-				if a[i-1] > a[i] {
-					t.Errorf("client %d: sort order violated at %d", c, i)
+				if a[i-1] >= a[i] {
+					t.Errorf("client %d: sorted-set order violated at %d", c, i)
 					return
 				}
 			}
-			merged, _ := MergeDedup(a[:25000], a[25000:])
+			merged, _ := MergeDedup(a[:len(a)/2], a[len(a)/2:])
 			for i := 1; i < len(merged); i++ {
 				if merged[i-1] >= merged[i] {
 					t.Errorf("client %d: merge-dedup order violated at %d", c, i)

@@ -216,7 +216,7 @@ func difference(a, b *node) *node {
 // InsertBatch adds a batch of keys, returning how many were new. The batch
 // is built into a tree in O(k) and unioned in parallel — PAM's multi-insert.
 func (t *Tree) InsertBatch(keys []uint64, sorted bool) int {
-	batch := prepare(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -227,29 +227,13 @@ func (t *Tree) InsertBatch(keys []uint64, sorted bool) int {
 
 // RemoveBatch deletes a batch of keys, returning how many were present.
 func (t *Tree) RemoveBatch(keys []uint64, sorted bool) int {
-	batch := prepare(keys, sorted)
+	batch := parallel.SortedSet(keys, sorted)
 	if len(batch) == 0 {
 		return 0
 	}
 	before := t.Len()
 	t.root = difference(t.root, fromSorted(batch))
 	return before - t.Len()
-}
-
-func prepare(keys []uint64, sorted bool) []uint64 {
-	if len(keys) == 0 {
-		return nil
-	}
-	var batch []uint64
-	if sorted {
-		batch = parallel.DedupSorted(keys)
-	} else {
-		batch = parallel.DedupSorted(parallel.SortedCopy(keys))
-	}
-	if len(batch) > 0 && batch[0] == 0 {
-		panic("ptree: key 0 is reserved")
-	}
-	return batch
 }
 
 // FromSorted builds a tree from sorted, duplicate-free nonzero keys.

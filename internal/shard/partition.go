@@ -302,9 +302,9 @@ func (s *Sharded) shardOf(key uint64) int { return s.router().shardOf(key) }
 // outlives the call, so its sub-batches must never alias the caller's
 // slice (which the caller is free to reuse the moment the enqueue
 // returns). They may alias keys only when private reports that keys is
-// safe to hold: the pipeline's own copy (distinctSorted's output), or the
-// caller's slice under a ticketed enqueue, which blocks until the writers
-// have consumed the keys. The caller must hold life.RLock so the router
+// safe to hold: the pipeline's own copy (parallel.SortedSet's output), or
+// the caller's slice under a ticketed enqueue, which blocks until the
+// writers have consumed the keys. The caller must hold life.RLock so the router
 // cannot be swapped between the split and the enqueue.
 func asyncSplit(rt *router, keys []uint64, private bool) [][]uint64 {
 	if len(keys) == 0 {

@@ -186,33 +186,3 @@ func TestHotKeyExactTicketedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDistinctSorted pins the repeat filter against sort+dedup, including
-// batches whose keys collide in the filter's table (so evicted keys come
-// back and only the final Compact removes them), and checks that the input
-// is left untouched.
-func TestDistinctSorted(t *testing.T) {
-	r := workload.NewRNG(5)
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(5000)
-		keys := make([]uint64, n)
-		for i := range keys {
-			switch r.Intn(3) {
-			case 0: // a small hot set
-				keys[i] = 1 + uint64(r.Intn(8))
-			case 1: // many more distinct keys than table slots
-				keys[i] = 1 + uint64(r.Intn(1<<14))
-			default:
-				keys[i] = 1 + r.Uint64()>>1
-			}
-		}
-		in := slices.Clone(keys)
-		want := slices.Compact(slices.Sorted(slices.Values(keys)))
-		if got := distinctSorted(keys); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: %d distinct keys, want %d", trial, len(got), len(want))
-		}
-		if !slices.Equal(keys, in) {
-			t.Fatalf("trial %d: input mutated", trial)
-		}
-	}
-}

@@ -126,17 +126,17 @@
 // within one batch carries no information — and skewed streams repeat a
 // few hot keys constantly, which rebalancing cannot help (it cannot
 // subdivide one key). Every unsorted enqueue therefore drops repeats
-// before anything else touches the batch: one pass over the caller's keys
-// probes a small direct-mapped table of last-seen keys and copies only
-// first sightings (distinctSorted), then sorts and compacts that private
-// copy, so every sub-batch reaches its mailbox sorted and distinct and a
-// hot key costs one table probe per occurrence instead of a trip through
-// the sort, the scatter, the mailbox, the coalescing merge and the CPMA.
-// Caller-sorted batches skip the filter: the CPMA dedups sorted input.
+// before anything else touches the batch: parallel.SortedSet makes one
+// pass over the caller's keys that probes a small direct-mapped table of
+// last-seen keys and copies only first sightings, then sorts and compacts
+// that private copy, so every sub-batch reaches its mailbox sorted and
+// distinct and a hot key costs one table probe per occurrence instead of a
+// trip through the sort, the scatter, the mailbox, the coalescing merge
+// and the CPMA. Caller-sorted batches skip the filter: the CPMA dedups
+// sorted input.
 package shard
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,11 +178,6 @@ const (
 	DefaultMailboxDepth = 64
 	MaxCoalesceKeys     = 1 << 20
 )
-
-// repeatBits sizes the enqueue-side repeat filter: a direct-mapped table
-// of 1<<repeatBits last-seen keys (8 KiB on the stack), enough to hold a
-// skewed stream's hot set while staying in L1.
-const repeatBits = 10
 
 // Default rebalancer tuning: the monitor samples per-shard key counts
 // every DefaultRebalanceEvery and moves boundaries while the max/mean
@@ -535,35 +530,6 @@ func checkKey(x uint64) {
 	}
 }
 
-// distinctSorted returns a sorted, duplicate-free private copy of an
-// unsorted batch. One pass drops repeats before the sort: each key probes
-// a direct-mapped table of last-seen keys (slot = the top repeatBits bits
-// of a Fibonacci hash) and only keys not found there are copied out. The
-// table is a filter, not a set — a key evicted by a colliding one is
-// copied again — so slices.Compact finishes the job after the sort; on a
-// skewed stream the hot keys stay resident and almost all their
-// occurrences are gone before the O(n log n) sort sees them. The pass is
-// also the batch's reserved-key check, made before the probe: the zeroed
-// table already "holds" key 0, so a check after it would drop the key
-// silently instead of panicking.
-func distinctSorted(keys []uint64) []uint64 {
-	var seen [1 << repeatBits]uint64
-	out := make([]uint64, len(keys))
-	n := 0
-	for _, k := range keys {
-		checkKey(k)
-		h := (k * fibMul) >> (64 - repeatBits)
-		if seen[h] != k {
-			seen[h] = k
-			out[n] = k
-			n++
-		}
-	}
-	out = out[:n]
-	parallel.Sort(out)
-	return slices.Compact(out)
-}
-
 // Insert adds x, returning false if already present. It is a one-key
 // InsertBatch: mailed to the owning shard (behind any batches already
 // enqueued) with a ticket, it returns once the apply is published.
@@ -593,7 +559,8 @@ func (s *Sharded) Has(x uint64) bool {
 // ticket; the call returns once every shard has applied and published its
 // part, so the count is exact and every later read observes the batch. If
 // sorted is true the keys must be in ascending order; an unsorted batch may
-// repeat keys freely (repeats are dropped before the enqueue).
+// repeat keys freely (parallel.SortedSet's repeat filter drops them before
+// the enqueue).
 func (s *Sharded) InsertBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
 	return s.enqueue(opInsert, keys, sorted, true)
@@ -623,18 +590,18 @@ func (s *Sharded) RemoveBatchAsync(keys []uint64, sorted bool) {
 
 // enqueue splits keys into sorted sub-batches and mails each to its shard.
 // An unsorted batch first becomes a private sorted, distinct copy
-// (distinctSorted, which also rejects key 0), outside the lock; a sorted
-// one only needs its first key checked. The split and the sends run under
-// life.RLock — the split must use the same boundary table the mailboxes
-// are routed by, and a rebalance excludes itself via life.Lock. With wait
-// set it attaches a completion ticket, blocks until every shard has
-// applied and published its part, and returns the summed exact count;
-// otherwise it returns 0 as soon as everything is enqueued (see asyncSplit
-// for when sub-batches may alias the caller's slice).
+// (parallel.SortedSet, whose repeat filter also rejects key 0), outside
+// the lock; a sorted one only needs its first key checked. The split and
+// the sends run under life.RLock — the split must use the same boundary
+// table the mailboxes are routed by, and a rebalance excludes itself via
+// life.Lock. With wait set it attaches a completion ticket, blocks until
+// every shard has applied and published its part, and returns the summed
+// exact count; otherwise it returns 0 as soon as everything is enqueued
+// (see asyncSplit for when sub-batches may alias the caller's slice).
 func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) int {
 	private := wait
 	if !sorted {
-		keys, private = distinctSorted(keys), true
+		keys, private = parallel.SortedSet(keys, false), true
 	} else if len(keys) > 0 {
 		checkKey(keys[0])
 	}

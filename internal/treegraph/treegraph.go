@@ -81,8 +81,7 @@ func (g *Graph) update(edges []workload.Edge, apply func(t *pactree.Tree, dsts [
 	if len(edges) == 0 {
 		return 0
 	}
-	keys := parallel.SortedCopy(workload.EdgeKeys(edges))
-	keys = parallel.DedupSorted(keys)
+	keys := parallel.SortedSet(workload.EdgeKeys(edges), false)
 	// Partition into per-source runs.
 	type run struct{ lo, hi int }
 	var runs []run
