@@ -180,3 +180,31 @@ func TestDedupSortedLargeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSortMatchesStdlib(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 1000, 200_000} {
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = r.Uint64() | 1 // key 0 is reserved
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(a)))
+		if got := SortedSet(a, false); !slices.Equal(got, want) {
+			t.Fatalf("SortedSet(n=%d) mismatch", n)
+		}
+		if got := SortedSet(want, true); !slices.Equal(got, want) {
+			t.Fatalf("SortedSet(n=%d, sorted) mismatch", n)
+		}
+	}
+}
+
+func TestSortedCopyLeavesInputUnchanged(t *testing.T) {
+	a := []uint64{3, 1, 2}
+	got := SortedSet(a, false)
+	if !slices.Equal(a, []uint64{3, 1, 2}) {
+		t.Fatal("input mutated")
+	}
+	if !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("got %v", got)
+	}
+}
