@@ -4,14 +4,6 @@ package bitutil
 
 import "math/bits"
 
-// Log2Floor returns floor(log2(v)). Log2Floor(0) == 0.
-func Log2Floor(v uint64) int {
-	if v == 0 {
-		return 0
-	}
-	return bits.Len64(v) - 1
-}
-
 // Log2Ceil returns ceil(log2(v)). Log2Ceil(0) == 0 and Log2Ceil(1) == 0.
 func Log2Ceil(v uint64) int {
 	if v <= 1 {
@@ -31,20 +23,4 @@ func CeilPow2(v uint64) uint64 {
 // CeilDiv returns ceil(a/b) for b > 0.
 func CeilDiv(a, b int) int {
 	return (a + b - 1) / b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,21 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLog2Floor(t *testing.T) {
-	cases := []struct {
-		in   uint64
-		want int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3},
-		{1 << 40, 40}, {(1 << 40) + 1, 40}, {^uint64(0), 63},
-	}
-	for _, c := range cases {
-		if got := Log2Floor(c.in); got != c.want {
-			t.Errorf("Log2Floor(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestLog2Ceil(t *testing.T) {
 	cases := []struct {
 		in   uint64
@@ -68,8 +53,5 @@ func TestCeilPow2Property(t *testing.T) {
 func TestCeilDivMinMax(t *testing.T) {
 	if CeilDiv(10, 3) != 4 || CeilDiv(9, 3) != 3 || CeilDiv(0, 5) != 0 || CeilDiv(1, 1) != 1 {
 		t.Error("CeilDiv wrong")
-	}
-	if Min(2, 3) != 2 || Min(3, 2) != 2 || Max(2, 3) != 3 || Max(3, 2) != 3 {
-		t.Error("Min/Max wrong")
 	}
 }

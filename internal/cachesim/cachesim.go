@@ -101,9 +101,8 @@ type Hierarchy struct {
 	L3 *Cache
 	// streams holds the next expected line of each tracked sequential
 	// stream (round-robin replacement, as in simple hardware prefetchers).
-	streams    [32]uint64
-	rr         int
-	prefetched uint64
+	streams [32]uint64
+	rr      int
 }
 
 // NewHierarchy builds the scaled hierarchy: a 48 KB 12-way L1 (one core of
@@ -120,9 +119,6 @@ func NewHierarchy(l3Bytes int) *Hierarchy {
 	return h
 }
 
-// Prefetched returns the number of L1 misses served by the prefetcher.
-func (h *Hierarchy) Prefetched() uint64 { return h.prefetched }
-
 // Access touches addr in L1; L1 misses either match a prefetch stream (no
 // demand L3 miss) or fall through to L3 and start a new stream.
 func (h *Hierarchy) Access(addr uint64) {
@@ -133,7 +129,6 @@ func (h *Hierarchy) Access(addr uint64) {
 	for i, next := range h.streams {
 		if line == next {
 			h.streams[i] = line + 1
-			h.prefetched++
 			// Prefetched lines still occupy (and evict) L3 capacity.
 			h.L3.Install(addr)
 			return

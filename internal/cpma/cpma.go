@@ -243,7 +243,7 @@ func (c *CPMA) capacityFor(payload int) int {
 	for {
 		cap := units * c.f.unit
 		lb := c.leafBytesFor(cap)
-		leaves := bitutil.Max(1, cap/lb)
+		leaves := max(1, cap/lb)
 		// Every extra leaf may re-spend a head; budget for the worst case.
 		need := payload + (leaves-1)*c.f.headCost
 		if float64(need) <= c.f.bounds(lb).UpperRoot*float64(leaves*lb) {
@@ -266,7 +266,7 @@ func (c *CPMA) leafBytesFor(capacity int) int {
 		lb = 8 * bitutil.Log2Ceil(uint64(capacity/c.f.unit)+1)
 	}
 	lb = int(bitutil.CeilPow2(uint64(lb)))
-	return bitutil.Min(bitutil.Max(lb, c.f.minLeafBytes), 1<<maxLeafLog2)
+	return min(max(lb, c.f.minLeafBytes), 1<<maxLeafLog2)
 }
 
 // rebuildFrom replaces the structure with a fresh array holding the sorted,
@@ -275,7 +275,7 @@ func (c *CPMA) rebuildFrom(all []uint64) {
 	prefix := c.f.prefix(all)
 	capacity := c.capacityFor(c.f.runBytes(prefix, 0, len(all)))
 	lb := c.leafBytesFor(capacity)
-	c.setGeometry(bitutil.Max(1, capacity/lb), lb)
+	c.setGeometry(max(1, capacity/lb), lb)
 	c.n = len(all)
 	if err := c.scatterElems(all, prefix, 0, c.leaves); err != nil {
 		// capacityFor guarantees fit; reaching here is a bug.
@@ -321,7 +321,7 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 		}
 		remLeaves := nl - t
 		remBytes := (remLeaves-1)*c.f.headCost + c.f.runBytes(prefix, start, n)
-		budget := bitutil.Min(bitutil.CeilDiv(remBytes, remLeaves)+c.f.slop, maxBudget)
+		budget := min(bitutil.CeilDiv(remBytes, remLeaves)+c.f.slop, maxBudget)
 		// Largest e with runBytes(start, e) <= budget; e >= start+1.
 		k := sort.Search(n-(start+1), func(k int) bool {
 			return c.f.runBytes(prefix, start, start+2+k) > budget

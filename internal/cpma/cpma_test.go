@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -453,25 +452,6 @@ func TestInsertBatchRMAPropertyAgainstModel(t *testing.T) {
 	})
 }
 
-func TestMapRangeLength(t *testing.T) {
-	for _, f := range formats {
-		t.Run(f.name, func(t *testing.T) {
-			c := f.fromSorted([]uint64{2, 4, 6, 8, 10, 12}, nil)
-			var got []uint64
-			n := c.MapRangeLength(5, 3, func(v uint64) bool {
-				got = append(got, v)
-				return true
-			})
-			if n != 3 || !slices.Equal(got, []uint64{6, 8, 10}) {
-				t.Fatalf("MapRangeLength = %d %v", n, got)
-			}
-			if n := c.MapRangeLength(100, 3, func(uint64) bool { return true }); n != 0 {
-				t.Fatalf("past-the-end visit count %d", n)
-			}
-		})
-	}
-}
-
 func TestSum(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(5))
@@ -489,24 +469,6 @@ func TestSum(t *testing.T) {
 		small.InsertBatch([]uint64{1, 2, 3, 4, 5, 100, 200}, true)
 		if sum, count := small.RangeSum(2, 100); sum != 2+3+4+5 || count != 4 {
 			t.Fatalf("RangeSum = %d/%d", sum, count)
-		}
-	})
-}
-
-func TestParallelMapVisitsAll(t *testing.T) {
-	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
-		r := rand.New(rand.NewSource(4))
-		c := newSet(nil)
-		c.InsertBatch(uniqueRandom(r, 50_000, 1<<40), false)
-		var total atomic.Uint64
-		var visited atomic.Int64
-		c.ParallelMap(func(v uint64) {
-			total.Add(v)
-			visited.Add(1)
-		})
-		if total.Load() != c.Sum() || int(visited.Load()) != c.Len() {
-			t.Fatalf("ParallelMap visited %d keys summing to %d; Len %d, Sum %d",
-				visited.Load(), total.Load(), c.Len(), c.Sum())
 		}
 	})
 }

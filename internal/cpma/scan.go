@@ -16,14 +16,6 @@ func (c *CPMA) Map(f func(uint64) bool) bool {
 	return true
 }
 
-// ParallelMap applies f to every key with leaf-level parallelism; ordering
-// is guaranteed only within a leaf. f must be safe for concurrent calls.
-func (c *CPMA) ParallelMap(f func(uint64)) {
-	forLeaves(c.leaves, func(leaf int) {
-		c.leafIter(leaf, func(v uint64) bool { f(v); return true })
-	})
-}
-
 // MapRange applies f to keys in [start, end) in ascending order — one
 // search, then a contiguous decode (paper's range_map). Stops early when f
 // returns false, and reports whether it did not.
@@ -40,23 +32,6 @@ func (c *CPMA) MapRange(start, end uint64, f func(uint64) bool) bool {
 		return done
 	})
 	return done
-}
-
-// MapRangeLength applies f to at most length keys starting from the first
-// key >= start; returns the number visited.
-func (c *CPMA) MapRangeLength(start uint64, length int, f func(uint64) bool) int {
-	if c.n == 0 || length <= 0 {
-		return 0
-	}
-	visited := 0
-	c.mapFrom(start, func(v uint64) bool {
-		if !f(v) {
-			return false
-		}
-		visited++
-		return visited < length
-	})
-	return visited
 }
 
 // mapFrom applies g to the keys >= start in ascending order until g

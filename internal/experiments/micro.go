@@ -13,18 +13,13 @@ import (
 )
 
 // MicroConfig scales the set microbenchmarks. The paper starts every
-// structure at 100M elements and inserts/deletes another 100M; the default
-// here is 100x smaller so a run takes seconds.
+// structure at 100M elements and inserts/deletes another 100M;
+// cmd/cpma-bench defaults to 100x smaller so a run takes seconds.
 type MicroConfig struct {
 	BaseN  int    // elements preloaded before measurement
 	TotalK int    // elements inserted/deleted during measurement
 	Seed   uint64 // workload seed
 	Trials int    // timed trials (after one warmup) for query benches
-}
-
-// DefaultMicro returns the scaled defaults.
-func DefaultMicro() MicroConfig {
-	return MicroConfig{BaseN: 1_000_000, TotalK: 1_000_000, Seed: 42, Trials: 3}
 }
 
 // BatchSizes are the paper's x-axis for Figures 1/10/11 (capped by config).
@@ -152,7 +147,7 @@ func Fig2RangeQuery(makers []SetMaker, cfg MicroConfig, queries int) []RangeRow 
 				var total int64
 				parallel.For(len(starts), 4, func(q int) {
 					_, cnt := s.RangeSum(starts[q], starts[q]+span)
-					atomicAdd64(&total, int64(cnt))
+					atomic.AddInt64(&total, int64(cnt))
 				})
 				elems = total
 			})
@@ -329,7 +324,7 @@ func Fig8RangeScaling(cfg MicroConfig, queries, avgLen int) []ScalingRow {
 			var total int64
 			parallel.For(len(starts), 4, func(q int) {
 				_, cnt := s.RangeSum(starts[q], starts[q]+span)
-				atomicAdd64(&total, int64(cnt))
+				atomic.AddInt64(&total, int64(cnt))
 			})
 			elems = total
 		})
@@ -410,5 +405,3 @@ func WriteRangeRows(w io.Writer, title string, makers []SetMaker, rows []RangeRo
 	}
 	t.Write(w)
 }
-
-func atomicAdd64(addr *int64, v int64) { atomic.AddInt64(addr, v) }

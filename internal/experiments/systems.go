@@ -44,7 +44,7 @@ func CPMAMaker() SetMaker {
 
 // PTreeMaker returns the P-tree (PAM) baseline.
 func PTreeMaker() SetMaker {
-	return SetMaker{Name: "P-tree", New: func() Set { return ptreeSet{ptree.New()} }}
+	return SetMaker{Name: "P-tree", New: func() Set { return ptree.New() }}
 }
 
 // UPaCMaker returns the uncompressed PaC-tree baseline.
@@ -90,8 +90,3 @@ func closeSet(s Set) {
 		c.Close()
 	}
 }
-
-// ptreeSet adapts ptree.Tree, which lacks RangeSum's exact signature set.
-type ptreeSet struct{ *ptree.Tree }
-
-func (p ptreeSet) RangeSum(start, end uint64) (uint64, int) { return p.Tree.RangeSum(start, end) }

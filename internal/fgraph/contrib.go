@@ -26,8 +26,6 @@ import (
 	"repro/internal/parallel"
 )
 
-func atomicAddInt32(addr *int32, delta int32) { atomic.AddInt32(addr, delta) }
-
 // leafSpan presents an ordered sequence of CPMAs as one flat, globally
 // numbered leaf array. For the single-CPMA graph the sequence has one
 // element; for a view over a range-partitioned snapshot it is the frozen
@@ -196,7 +194,7 @@ func buildIndex(ls leafSpan, nv int) vertexIndex {
 			src := uint32(k >> 32)
 			if off == 0 || src != runSrc {
 				if runCount > 0 {
-					atomicAddInt32(&ix.deg[runSrc], runCount)
+					atomic.AddInt32(&ix.deg[runSrc], runCount)
 				}
 				runSrc, runCount = src, 0
 				cursorMin(&ix.cursors[src], uint64(leaf)<<32|uint64(off))
@@ -211,7 +209,7 @@ func buildIndex(ls leafSpan, nv int) vertexIndex {
 			return true
 		})
 		if runCount > 0 {
-			atomicAddInt32(&ix.deg[runSrc], runCount)
+			atomic.AddInt32(&ix.deg[runSrc], runCount)
 		}
 	})
 	return ix

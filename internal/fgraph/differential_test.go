@@ -129,8 +129,11 @@ func streamingDifferential(t *testing.T, shards int) {
 		// (b) Kernel results must be byte-identical to the phased
 		// single-CPMA graph holding exactly the captured edge set.
 		union := v.Snapshot().Keys()
-		ref := New(nv, nil)
-		ref.InsertEdgeKeys(union, true)
+		unionEdges := make([]workload.Edge, len(union))
+		for i, k := range union {
+			unionEdges[i] = workload.Edge{Src: uint32(k >> 32), Dst: uint32(k)}
+		}
+		ref := FromEdges(nv, unionEdges, nil)
 		ref.EnsureIndex()
 		if ref.NumEdges() != v.NumEdges() {
 			t.Fatalf("round %d: reference holds %d edges, view %d", round, ref.NumEdges(), v.NumEdges())

@@ -88,13 +88,6 @@ func (g *Graph) DeleteEdges(edges []workload.Edge) int {
 	return g.set.RemoveBatch(workload.EdgeKeys(edges), false)
 }
 
-// InsertEdgeKeys inserts pre-packed src<<32|dst keys (the benchmark hot
-// path, avoiding the Edge struct round trip).
-func (g *Graph) InsertEdgeKeys(keys []uint64, sorted bool) int {
-	g.invalidate()
-	return g.set.InsertBatch(keys, sorted)
-}
-
 func (g *Graph) invalidate() {
 	g.indexed = false
 	g.contrib = nil
@@ -112,9 +105,6 @@ func (g *Graph) SizeBytes() uint64 { return g.set.SizeBytes() }
 
 // Set exposes the underlying CPMA (read-only use).
 func (g *Graph) Set() *cpma.CPMA { return g.set }
-
-// Indexed reports whether the vertex index is current.
-func (g *Graph) Indexed() bool { return g.indexed }
 
 // BuildIndex reconstructs the per-vertex cursors and degrees with one
 // parallel pass over the CPMA leaves. Algorithms that need per-vertex

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cpma"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -16,10 +15,6 @@ import (
 // Partitioning is not configurable: the graph requires RangePartition (the
 // vertex striping) and the async pipeline (concurrent ingest).
 type ShardedOptions struct {
-	// Set configures each shard's CPMA; nil selects the paper's defaults.
-	Set *cpma.Options
-	// MailboxDepth bounds each shard's mailbox (0 = the default).
-	MailboxDepth int
 	// Rebalance starts the live vertex-range rebalancer: skewed degree
 	// distributions (a power-law graph's hub vertices) load shards
 	// unevenly, and the boundary monitor moves vertex-range boundaries
@@ -49,12 +44,12 @@ type Sharded struct {
 	set *shard.Sharded
 	nv  int
 
-	// View metrics: index-build latency, capture-time ingest backlog
-	// (snapshot staleness), and view counters, registered by
-	// RegisterMetrics next to the underlying pipeline's surface.
+	// View metrics: index-build latency (its count is the views built),
+	// capture-time ingest backlog (snapshot staleness), and the last
+	// view's size, registered by RegisterMetrics next to the underlying
+	// pipeline's surface.
 	indexBuild    obs.Histogram
 	viewLag       obs.Histogram
-	views         atomic.Uint64
 	lastViewEdges atomic.Int64
 }
 
@@ -75,8 +70,6 @@ func NewSharded(numVertices, shards int, opts *ShardedOptions) *Sharded {
 	so := &shard.Options{
 		Partition:      shard.RangePartition,
 		KeyBits:        32 + bits.Len(uint(numVertices-1)),
-		Set:            o.Set,
-		MailboxDepth:   o.MailboxDepth,
 		Rebalance:      o.Rebalance,
 		MaxSkew:        o.MaxSkew,
 		RebalanceEvery: o.RebalanceEvery,
@@ -122,45 +115,6 @@ func (g *Sharded) DeleteEdges(edges []workload.Edge) error {
 		return err
 	}
 	g.set.RemoveBatchAsync(keys, false)
-	return nil
-}
-
-// InsertEdgeKeys enqueues pre-packed src<<32|dst keys (the benchmark hot
-// path). Key 0 is rejected with ErrEdgeZeroZero before anything is
-// enqueued; a sorted batch only needs its first key checked.
-func (g *Sharded) InsertEdgeKeys(keys []uint64, sorted bool) error {
-	if err := checkEdgeKeys(keys, sorted); err != nil {
-		return err
-	}
-	g.set.InsertBatchAsync(keys, sorted)
-	return nil
-}
-
-// RemoveEdgeKeys enqueues pre-packed keys for removal; the same contract
-// as InsertEdgeKeys.
-func (g *Sharded) RemoveEdgeKeys(keys []uint64, sorted bool) error {
-	if err := checkEdgeKeys(keys, sorted); err != nil {
-		return err
-	}
-	g.set.RemoveBatchAsync(keys, sorted)
-	return nil
-}
-
-func checkEdgeKeys(keys []uint64, sorted bool) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if sorted {
-		if keys[0] == 0 {
-			return ErrEdgeZeroZero
-		}
-		return nil
-	}
-	for _, k := range keys {
-		if k == 0 {
-			return ErrEdgeZeroZero
-		}
-	}
 	return nil
 }
 
@@ -210,7 +164,6 @@ func (g *Sharded) View() *View {
 	d := time.Since(t0)
 	g.indexBuild.Observe(d)
 	g.viewLag.Record(lag)
-	g.views.Add(1)
 	g.lastViewEdges.Store(edges)
 	g.set.Trace().Record(-1, obs.EvIndex, 0, 0, uint64(edges), uint64(d))
 	return &View{
@@ -234,7 +187,7 @@ func (g *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	}
 	r.RegisterHistogram(prefix+"_index_build_ns", "ns", "one View capture: snapshot grab plus per-shard parallel index build", &g.indexBuild)
 	r.RegisterHistogram(prefix+"_view_lag_keys", "keys", "ingest backlog (enqueued-unapplied keys) at View capture — snapshot staleness", &g.viewLag)
-	r.CounterFunc(prefix+"_views_built", "views", "Views captured", g.views.Load)
+	r.CounterFunc(prefix+"_views_built", "views", "Views captured", g.indexBuild.Count)
 	r.GaugeFunc(prefix+"_view_edges", "edges", "directed edges in the most recent View", g.lastViewEdges.Load)
 	g.set.RegisterMetrics(r, prefix+"_set")
 }

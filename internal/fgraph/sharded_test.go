@@ -51,12 +51,6 @@ func TestVertexZeroEdges(t *testing.T) {
 		if !errors.Is(err, ErrEdgeZeroZero) {
 			t.Fatalf("InsertEdges with (0,0): err = %v, want ErrEdgeZeroZero", err)
 		}
-		if err := g.InsertEdgeKeys([]uint64{0, 7}, false); !errors.Is(err, ErrEdgeZeroZero) {
-			t.Fatalf("InsertEdgeKeys unsorted with key 0: err = %v", err)
-		}
-		if err := g.InsertEdgeKeys([]uint64{0, 7}, true); !errors.Is(err, ErrEdgeZeroZero) {
-			t.Fatalf("InsertEdgeKeys sorted with key 0: err = %v", err)
-		}
 		if err := g.DeleteEdges([]workload.Edge{{Src: 0, Dst: 0}}); !errors.Is(err, ErrEdgeZeroZero) {
 			t.Fatalf("DeleteEdges with (0,0): err = %v", err)
 		}

@@ -61,9 +61,6 @@ func (v *View) NumEdges() int64 { return v.edges }
 // Degree returns the out-degree of vertex u in the view.
 func (v *View) Degree(u uint32) int { return int(v.deg[u]) }
 
-// Degrees returns the view's degree array; callers must not mutate it.
-func (v *View) Degrees() []int32 { return v.deg }
-
 // Neighbors applies f to the destinations of u's stored edges in ascending
 // order until f returns false, streaming across shard boundaries when u's
 // key range straddles one.
@@ -88,9 +85,6 @@ func (v *View) Snapshot() *shard.Snapshot { return v.snap }
 // Epochs returns the per-shard epochs the view was cut at (monotone per
 // shard across successive Views).
 func (v *View) Epochs() []uint64 { return v.snap.Epochs() }
-
-// CapturedAt returns when the view was captured.
-func (v *View) CapturedAt() time.Time { return v.capturedAt }
 
 // Age returns how long ago the view was captured — the coarse
 // snapshot-staleness measure alongside LagKeys.

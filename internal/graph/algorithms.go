@@ -177,11 +177,3 @@ func BFS(g Graph, src uint32) []int32 {
 	}
 	return depth
 }
-
-// Degrees returns the degree array; shared helper for harnesses.
-func Degrees(g Graph) []int32 {
-	n := g.NumVertices()
-	deg := make([]int32, n)
-	parallel.For(n, 256, func(i int) { deg[i] = int32(g.Degree(uint32(i))) })
-	return deg
-}

@@ -349,14 +349,6 @@ func TestBCPath(t *testing.T) {
 	}
 }
 
-func TestDegrees(t *testing.T) {
-	g := pathGraph(4)
-	deg := Degrees(g)
-	if !slices.Equal(deg, []int32{1, 2, 2, 1}) {
-		t.Fatalf("Degrees = %v", deg)
-	}
-}
-
 func TestBFSMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := randomGraph(r, 300, 900)

@@ -66,6 +66,9 @@ func (h *Histogram) Observe(d time.Duration) {
 // Since records the nanoseconds elapsed since start.
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
+// Count returns the number of observations recorded so far.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
 // Snapshot captures a point-in-time copy. Under concurrent Record the
 // capture is approximate but internally consistent: Count is derived
 // from the bucket sum, so quantile ranks can never exceed the bucket

@@ -7,7 +7,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Server exposes a registry (and any attached traces) over HTTP:
@@ -21,7 +20,7 @@ import (
 // Scrapes never block the pipeline — every read is an atomic load or a
 // scrape-time stats snapshot.
 type Server struct {
-	reg atomic.Pointer[Registry]
+	reg *Registry
 
 	mu     sync.Mutex
 	traces map[string]*Trace
@@ -31,23 +30,12 @@ type Server struct {
 }
 
 // NewServer returns a server (handler only; not listening) for r. A nil
-// r serves an empty registry until SetRegistry installs a real one.
+// r serves an empty registry.
 func NewServer(r *Registry) *Server {
 	if r == nil {
 		r = NewRegistry("obs")
 	}
-	s := &Server{traces: make(map[string]*Trace)}
-	s.reg.Store(r)
-	return s
-}
-
-// SetRegistry swaps the served registry. Benches that build one set per
-// sweep point swap the live set's registry in as runs start. Nil is
-// ignored.
-func (s *Server) SetRegistry(r *Registry) {
-	if r != nil {
-		s.reg.Store(r)
-	}
+	return &Server{reg: r, traces: make(map[string]*Trace)}
 }
 
 // AddTrace attaches a named trace ring set to /tracez.
@@ -62,11 +50,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.Load().WriteProm(w)
+		_ = s.reg.WriteProm(w)
 	})
 	mux.HandleFunc("/statz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = s.reg.Load().WriteStatz(w)
+		_ = s.reg.WriteStatz(w)
 	})
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -101,7 +89,7 @@ func (s *Server) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintf(w, "obs: %s\n/metrics /statz /tracez /debug/pprof/\n", s.reg.Load().Name())
+		fmt.Fprintf(w, "obs: %s\n/metrics /statz /tracez /debug/pprof/\n", s.reg.Name())
 	})
 	return mux
 }

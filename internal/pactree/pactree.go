@@ -9,6 +9,11 @@
 // the expected logarithmic depth and, importantly for the paper's
 // comparison, the identical memory layout: pointer-linked internal nodes
 // over contiguous (possibly compressed) blocks.
+//
+// The tree offers what the evaluation measures of it (internal/experiments'
+// set tables and the treegraph comparator): batch updates, ordered maps,
+// range and whole-set sums, and the modeled space. It has no point updates
+// or probes.
 package pactree
 
 import (
@@ -64,16 +69,6 @@ func New(opts *Options) *Tree {
 		o.BlockMax = DefaultBlockMax
 	}
 	return &Tree{blockMax: o.BlockMax, compressed: o.Compressed}
-}
-
-// FromSorted builds a tree from sorted, duplicate-free nonzero keys.
-func FromSorted(keys []uint64, opts *Options) *Tree {
-	t := New(opts)
-	if len(keys) > 0 && keys[0] == 0 {
-		panic("pactree: key 0 is reserved")
-	}
-	t.root = t.build(keys)
-	return t
 }
 
 // Len returns the number of keys.
@@ -259,65 +254,6 @@ func (t *Tree) RemoveBatch(keys []uint64, sorted bool) int {
 	return before - t.Len()
 }
 
-// Insert adds one key, reporting whether it was new.
-func (t *Tree) Insert(x uint64) bool {
-	if x == 0 {
-		panic("pactree: key 0 is reserved")
-	}
-	if t.Has(x) {
-		return false
-	}
-	t.root = t.multiInsert(t.root, []uint64{x})
-	return true
-}
-
-// Remove deletes one key, reporting whether it was present.
-func (t *Tree) Remove(x uint64) bool {
-	if !t.Has(x) {
-		return false
-	}
-	t.root = t.multiDelete(t.root, []uint64{x})
-	return true
-}
-
-// Has reports membership: a root-to-block descent plus a block scan.
-func (t *Tree) Has(x uint64) bool {
-	n := t.root
-	for n != nil && !n.leaf() {
-		if x < n.pivot {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n == nil {
-		return false
-	}
-	found := false
-	t.iterBlock(n, func(v uint64) bool {
-		if v == x {
-			found = true
-			return false
-		}
-		return v < x
-	})
-	return found
-}
-
-// Next returns the smallest key >= x.
-func (t *Tree) Next(x uint64) (uint64, bool) {
-	var res uint64
-	ok := false
-	t.MapRange(x, ^uint64(0), func(v uint64) bool {
-		res, ok = v, true
-		return false
-	})
-	if !ok && x == ^uint64(0) && t.Has(x) {
-		return x, true
-	}
-	return res, ok
-}
-
 // iterBlock walks a leaf block in order until f returns false.
 func (t *Tree) iterBlock(n *node, f func(uint64) bool) bool {
 	if t.compressed {
@@ -410,9 +346,6 @@ func (t *Tree) RangeSum(start, end uint64) (sum uint64, count int) {
 	})
 	return sum, count
 }
-
-// Keys returns all keys in ascending order.
-func (t *Tree) Keys() []uint64 { return t.flatten(t.root) }
 
 // internalNodeBytes models a CPAM internal node (pivot, two pointers, size/
 // refcount word) and blockHeaderBytes a block header, matching the C++

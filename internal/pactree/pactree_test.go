@@ -19,6 +19,24 @@ func uniqueRandom(r *rand.Rand, n int, max uint64) []uint64 {
 	return out
 }
 
+// keys collects the tree's keys in ascending order.
+func keys(tr *Tree) []uint64 {
+	var out []uint64
+	tr.Map(func(v uint64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out
+}
+
+// fromSorted builds a tree over sorted, duplicate-free keys with one
+// balanced build, the path a batch into an empty tree takes.
+func fromSorted(keys []uint64, opts *Options) *Tree {
+	tr := New(opts)
+	tr.root = tr.build(keys)
+	return tr
+}
+
 func bothVariants(t *testing.T, f func(t *testing.T, opts *Options)) {
 	t.Run("U-PaC", func(t *testing.T) { f(t, &Options{Compressed: false}) })
 	t.Run("C-PaC", func(t *testing.T) { f(t, &Options{Compressed: true}) })
@@ -27,7 +45,7 @@ func bothVariants(t *testing.T, f func(t *testing.T, opts *Options)) {
 func TestEmpty(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts *Options) {
 		tr := New(opts)
-		if tr.Len() != 0 || tr.Has(1) {
+		if tr.Len() != 0 || len(keys(tr)) != 0 || tr.Sum() != 0 {
 			t.Fatal("empty tree misbehaves")
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -40,13 +58,13 @@ func TestFromSortedRoundTrip(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts *Options) {
 		r := rand.New(rand.NewSource(1))
 		for _, n := range []int{1, 2, 255, 256, 257, 10_000} {
-			keys := uniqueRandom(r, n, 1<<40)
-			slices.Sort(keys)
-			tr := FromSorted(keys, opts)
+			want := uniqueRandom(r, n, 1<<40)
+			slices.Sort(want)
+			tr := fromSorted(want, opts)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
-			if !slices.Equal(tr.Keys(), keys) {
+			if !slices.Equal(keys(tr), want) {
 				t.Fatalf("n=%d: round trip mismatch", n)
 			}
 		}
@@ -84,7 +102,7 @@ func TestInsertBatchAgainstModel(t *testing.T) {
 			want = append(want, k)
 		}
 		slices.Sort(want)
-		if !slices.Equal(tr.Keys(), want) {
+		if !slices.Equal(keys(tr), want) {
 			t.Fatal("contents mismatch")
 		}
 	})
@@ -135,31 +153,13 @@ func TestRemoveEverything(t *testing.T) {
 	})
 }
 
-func TestPointOps(t *testing.T) {
-	bothVariants(t, func(t *testing.T, opts *Options) {
-		tr := New(opts)
-		if !tr.Insert(5) || tr.Insert(5) || !tr.Insert(3) {
-			t.Fatal("Insert wrong")
-		}
-		if !tr.Has(5) || tr.Has(4) {
-			t.Fatal("Has wrong")
-		}
-		if !tr.Remove(5) || tr.Remove(5) {
-			t.Fatal("Remove wrong")
-		}
-		if !slices.Equal(tr.Keys(), []uint64{3}) {
-			t.Fatalf("Keys = %v", tr.Keys())
-		}
-	})
-}
-
 func TestMapRangeAndNext(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts *Options) {
-		var keys []uint64
+		var want []uint64
 		for i := 1; i <= 3000; i++ {
-			keys = append(keys, uint64(i*5))
+			want = append(want, uint64(i*5))
 		}
-		tr := FromSorted(keys, opts)
+		tr := fromSorted(want, opts)
 		var got []uint64
 		tr.MapRange(21, 51, func(v uint64) bool {
 			got = append(got, v)
@@ -168,14 +168,28 @@ func TestMapRangeAndNext(t *testing.T) {
 		if !slices.Equal(got, []uint64{25, 30, 35, 40, 45, 50}) {
 			t.Fatalf("MapRange = %v", got)
 		}
-		if v, ok := tr.Next(22); !ok || v != 25 {
-			t.Fatalf("Next(22) = %d,%v", v, ok)
+		// next is the successor query as a MapRange that stops at its
+		// first key: the early exit must end the walk across blocks.
+		next := func(x uint64) (res uint64, ok bool) {
+			calls := 0
+			tr.MapRange(x, ^uint64(0), func(v uint64) bool {
+				calls++
+				res, ok = v, true
+				return false
+			})
+			if calls > 1 {
+				t.Fatalf("MapRange from %d went on after f returned false", x)
+			}
+			return res, ok
 		}
-		if v, ok := tr.Next(15000); !ok || v != 15000 {
-			t.Fatalf("Next(15000) = %d,%v", v, ok)
+		if v, ok := next(22); !ok || v != 25 {
+			t.Fatalf("next(22) = %d,%v", v, ok)
 		}
-		if _, ok := tr.Next(15001); ok {
-			t.Fatal("Next past max should fail")
+		if v, ok := next(15000); !ok || v != 15000 {
+			t.Fatalf("next(15000) = %d,%v", v, ok)
+		}
+		if _, ok := next(15001); ok {
+			t.Fatal("next past max should fail")
 		}
 	})
 }
@@ -245,7 +259,7 @@ func TestBatchPropertyAgainstModel(t *testing.T) {
 			want = append(want, k)
 		}
 		slices.Sort(want)
-		return slices.Equal(tr.Keys(), want)
+		return slices.Equal(keys(tr), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

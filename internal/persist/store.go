@@ -47,7 +47,6 @@ type Store struct {
 	appBatches atomic.Uint64
 	appKeys    atomic.Uint64
 	appBytes   atomic.Uint64
-	fsyncs     atomic.Uint64
 	ckpts      atomic.Uint64
 	ckptBytes  atomic.Uint64
 	deltaCkpts atomic.Uint64
@@ -59,7 +58,8 @@ type Store struct {
 	// Latency histograms, aggregated across shards. walAppend times the
 	// whole append call — lock wait included, so it reads as the stall a
 	// shard writer sees, not just the file write. walFsync times seg.sync
-	// alone; ckptDur one shard's checkpoint pass when it wrote something.
+	// alone (its count is Stats().Fsyncs); ckptDur one shard's checkpoint
+	// pass when it wrote something.
 	walAppend obs.Histogram
 	walFsync  obs.Histogram
 	ckptDur   obs.Histogram
@@ -422,7 +422,6 @@ func (st *Store) syncLocked(sh *storeShard) error {
 	sh.pendingRecs = 0
 	sh.pendingBytes = 0
 	sh.syncedSeq = sh.seq.Load()
-	st.fsyncs.Add(1)
 	return nil
 }
 
@@ -456,7 +455,7 @@ func (st *Store) Stats() shard.PersistStats {
 		AppendedBatches:   st.appBatches.Load(),
 		AppendedKeys:      st.appKeys.Load(),
 		AppendedBytes:     st.appBytes.Load(),
-		Fsyncs:            st.fsyncs.Load(),
+		Fsyncs:            st.walFsync.Count(),
 		Checkpoints:       st.ckpts.Load(),
 		CheckpointBytes:   st.ckptBytes.Load(),
 		DeltaCheckpoints:  st.deltaCkpts.Load(),

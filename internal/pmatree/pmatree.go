@@ -66,9 +66,6 @@ func New(leaves, leafCap int, b Bounds) *Tree {
 // Leaves returns the number of leaves.
 func (t *Tree) Leaves() int { return t.leaves }
 
-// LeafCap returns the per-leaf capacity in units.
-func (t *Tree) LeafCap() int { return t.leafCap }
-
 // Height returns the height of the implicit tree (0 for a single leaf).
 func (t *Tree) Height() int { return t.height }
 
@@ -155,9 +152,9 @@ type Plan struct {
 //
 // dirty lists, ascending, the leaves modified by the batch-merge phase, or
 // the one leaf a point update wrote. used reports the occupied units of a
-// leaf and may exceed LeafCap for overflowed leaves. checkUpper/checkLower
-// select which bound violations escalate (inserts use upper, deletes
-// lower; both may be set). When no dirty leaf violates, Count returns an
+// leaf and may exceed the leaf capacity for overflowed leaves.
+// checkUpper/checkLower select which bound violations escalate (inserts
+// use upper, deletes lower; both may be set). When no dirty leaf violates, Count returns an
 // empty plan without allocating.
 //
 // Levels are processed serially from the leaves to the root. The dirty

@@ -7,6 +7,10 @@
 // algorithmic structure with the same expected O(log n) bounds, and, like
 // PAM's in-place set mode, 32 bytes per element (key + two children + size;
 // priorities are recomputed from the key, never stored).
+//
+// The tree offers what the evaluation measures of it (internal/experiments'
+// set tables): batch updates, range maps, range and whole-set sums, and
+// the space. It has no point updates or probes.
 package ptree
 
 import (
@@ -90,59 +94,6 @@ func split(t *node, k uint64) (l *node, mid bool, r *node) {
 	default:
 		return t.left, true, t.right
 	}
-}
-
-// Has reports membership of x.
-func (t *Tree) Has(x uint64) bool {
-	cur := t.root
-	for cur != nil {
-		switch {
-		case x < cur.key:
-			cur = cur.left
-		case x > cur.key:
-			cur = cur.right
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// Next returns the smallest key >= x.
-func (t *Tree) Next(x uint64) (uint64, bool) {
-	var best uint64
-	found := false
-	cur := t.root
-	for cur != nil {
-		if cur.key >= x {
-			best, found = cur.key, true
-			cur = cur.left
-		} else {
-			cur = cur.right
-		}
-	}
-	return best, found
-}
-
-// Insert adds x, reporting whether it was new.
-func (t *Tree) Insert(x uint64) bool {
-	if x == 0 {
-		panic("ptree: key 0 is reserved")
-	}
-	if t.Has(x) {
-		return false
-	}
-	l, _, r := split(t.root, x)
-	n := &node{key: x}
-	t.root = join(join(l, n.update()), r)
-	return true
-}
-
-// Remove deletes x, reporting whether it was present.
-func (t *Tree) Remove(x uint64) bool {
-	l, mid, r := split(t.root, x)
-	t.root = join(l, r)
-	return mid
 }
 
 // fromSorted builds a treap from sorted distinct keys in O(n) with a
@@ -236,23 +187,6 @@ func (t *Tree) RemoveBatch(keys []uint64, sorted bool) int {
 	return before - t.Len()
 }
 
-// FromSorted builds a tree from sorted, duplicate-free nonzero keys.
-func FromSorted(keys []uint64) *Tree {
-	return &Tree{root: fromSorted(keys)}
-}
-
-// Map applies f in ascending key order until f returns false.
-func (t *Tree) Map(f func(uint64) bool) bool {
-	return mapNode(t.root, f)
-}
-
-func mapNode(n *node, f func(uint64) bool) bool {
-	if n == nil {
-		return true
-	}
-	return mapNode(n.left, f) && f(n.key) && mapNode(n.right, f)
-}
-
 // MapRange applies f to keys in [start, end) in ascending order.
 func (t *Tree) MapRange(start, end uint64, f func(uint64) bool) bool {
 	return mapRange(t.root, start, end, f)
@@ -305,16 +239,6 @@ func (t *Tree) RangeSum(start, end uint64) (sum uint64, count int) {
 		return true
 	})
 	return sum, count
-}
-
-// Keys returns all keys in ascending order.
-func (t *Tree) Keys() []uint64 {
-	out := make([]uint64, 0, t.Len())
-	t.Map(func(v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
 }
 
 // SizeBytes reports the P-tree's memory footprint: 32 bytes per element

@@ -19,32 +19,23 @@ func uniqueRandom(r *rand.Rand, n int, max uint64) []uint64 {
 	return out
 }
 
-func TestEmpty(t *testing.T) {
-	tr := New()
-	if tr.Len() != 0 || tr.Has(1) {
-		t.Fatal("empty tree misbehaves")
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+// keys collects the tree's keys (all below 2^64-1) in ascending order.
+func keys(tr *Tree) []uint64 {
+	var out []uint64
+	tr.MapRange(0, ^uint64(0), func(v uint64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out
 }
 
-func TestPointOps(t *testing.T) {
+// fromSortedTree wraps the O(n) treap build the batch updates use.
+func fromSortedTree(keys []uint64) *Tree { return &Tree{root: fromSorted(keys)} }
+
+func TestEmpty(t *testing.T) {
 	tr := New()
-	if !tr.Insert(5) || !tr.Insert(3) || !tr.Insert(9) {
-		t.Fatal("insert failed")
-	}
-	if tr.Insert(5) {
-		t.Fatal("duplicate insert succeeded")
-	}
-	if !tr.Has(3) || tr.Has(4) {
-		t.Fatal("Has wrong")
-	}
-	if !tr.Remove(3) || tr.Remove(3) {
-		t.Fatal("Remove wrong")
-	}
-	if !slices.Equal(tr.Keys(), []uint64{5, 9}) {
-		t.Fatalf("Keys = %v", tr.Keys())
+	if tr.Len() != 0 || len(keys(tr)) != 0 || tr.Sum() != 0 {
+		t.Fatal("empty tree misbehaves")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -54,13 +45,13 @@ func TestPointOps(t *testing.T) {
 func TestFromSortedBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 100, 10_000} {
-		keys := uniqueRandom(r, n, 1<<40)
-		slices.Sort(keys)
-		tr := FromSorted(keys)
+		want := uniqueRandom(r, n, 1<<40)
+		slices.Sort(want)
+		tr := fromSortedTree(want)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !slices.Equal(tr.Keys(), keys) {
+		if !slices.Equal(keys(tr), want) {
 			t.Fatalf("n=%d: contents mismatch", n)
 		}
 		if tr.Len() != n {
@@ -99,7 +90,7 @@ func TestInsertBatch(t *testing.T) {
 		want = append(want, k)
 	}
 	slices.Sort(want)
-	if !slices.Equal(tr.Keys(), want) {
+	if !slices.Equal(keys(tr), want) {
 		t.Fatal("contents mismatch after batch insert")
 	}
 }
@@ -137,7 +128,7 @@ func TestMapRangeAndSums(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		keys = append(keys, uint64(i*3))
 	}
-	tr := FromSorted(keys)
+	tr := fromSortedTree(keys)
 	var got []uint64
 	tr.MapRange(10, 31, func(v uint64) bool {
 		got = append(got, v)
@@ -159,22 +150,8 @@ func TestMapRangeAndSums(t *testing.T) {
 	}
 }
 
-func TestNext(t *testing.T) {
-	tr := FromSorted([]uint64{10, 20, 30})
-	cases := []struct {
-		x, want uint64
-		ok      bool
-	}{{5, 10, true}, {10, 10, true}, {15, 20, true}, {30, 30, true}, {31, 0, false}}
-	for _, c := range cases {
-		got, ok := tr.Next(c.x)
-		if got != c.want || ok != c.ok {
-			t.Errorf("Next(%d) = (%d,%v)", c.x, got, ok)
-		}
-	}
-}
-
 func TestSizeBytes(t *testing.T) {
-	tr := FromSorted([]uint64{1, 2, 3, 4})
+	tr := fromSortedTree([]uint64{1, 2, 3, 4})
 	if tr.SizeBytes() != 128 {
 		t.Fatalf("SizeBytes = %d, want 128", tr.SizeBytes())
 	}
@@ -213,7 +190,7 @@ func TestBatchPropertyAgainstModel(t *testing.T) {
 			want = append(want, k)
 		}
 		slices.Sort(want)
-		return slices.Equal(tr.Keys(), want)
+		return slices.Equal(keys(tr), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -227,7 +204,7 @@ func TestTreeHeightIsLogarithmic(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
-	tr := FromSorted(keys)
+	tr := fromSortedTree(keys)
 	h := height(tr.root)
 	if h > 4*17 { // ~ 4 log2(n) is a generous expected-case bound
 		t.Fatalf("height %d too large for n=%d", h, len(keys))

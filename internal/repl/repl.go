@@ -119,13 +119,13 @@ type Primary struct {
 
 	shippedRecs atomic.Uint64
 	shippedKeys atomic.Uint64
-	bootstraps  atomic.Uint64
 	boundsShips atomic.Uint64
 
 	// shipDur times one recs frame, read from the sealed log and written
 	// to the link (backpressure from a busy follower included, its apply
 	// of the frame not); bootDur one boot frame the same way, from the
-	// checkpoint chain load on. Polls that write no frame are not timed.
+	// checkpoint chain load on (its count is ReplStats().Bootstraps). Polls
+	// that write no frame are not timed.
 	shipDur obs.Histogram
 	bootDur obs.Histogram
 
@@ -191,7 +191,7 @@ func (pr *Primary) ReplStats() ReplStats {
 	s := ReplStats{
 		ShippedRecords: pr.shippedRecs.Load(),
 		ShippedKeys:    pr.shippedKeys.Load(),
-		Bootstraps:     pr.bootstraps.Load(),
+		Bootstraps:     pr.bootDur.Count(),
 		BoundsUpdates:  pr.boundsShips.Load(),
 	}
 	seal := make([]uint64, pr.set.Shards())
@@ -327,7 +327,6 @@ func (pr *Primary) shipShard(cur *cursor, w io.Writer, p, maxKeys int) (bool, er
 			return false, err
 		}
 		pr.bootDur.Since(t0)
-		pr.bootstraps.Add(1)
 		pr.set.Trace().Record(p, obs.EvBootstrap, 0, 0, tip, 0)
 		return true, nil
 	}

@@ -18,7 +18,8 @@ import (
 )
 
 // pipeMetrics aggregates the pipeline histograms across all shards. All
-// durations are nanoseconds.
+// durations are nanoseconds. The publish, move and capture counts are also
+// SnapshotStats.Publishes, RebalanceStats.Moves and SnapshotStats.Captures.
 type pipeMetrics struct {
 	residency  obs.Histogram // enqueue -> applied mailbox residency per sub-batch
 	drain      obs.Histogram // one writer drain: WAL append + apply + publish

@@ -54,7 +54,7 @@ type RebalanceStats struct {
 func (s *Sharded) RebalanceStats() RebalanceStats {
 	return RebalanceStats{
 		Checks:    s.rebalChecks.Load(),
-		Moves:     s.rebalMoves.Load(),
+		Moves:     s.pm.move.Count(),
 		MovedKeys: s.rebalMovedKeys.Load(),
 		Gen:       s.router().gen,
 	}
@@ -309,7 +309,6 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 		j.Published(b, sb.set)
 	}
 
-	s.rebalMoves.Add(1)
 	s.rebalMovedKeys.Add(uint64(len(moved)))
 	s.pm.move.Since(tMove)
 	s.trace.Record(src, obs.EvMove, 0, nrt.gen, uint64(dst), uint64(len(moved)))

@@ -393,12 +393,9 @@ type Sharded struct {
 	rebalStop      chan struct{}
 	rebalWG        sync.WaitGroup
 	rebalChecks    atomic.Uint64
-	rebalMoves     atomic.Uint64
 	rebalMovedKeys atomic.Uint64
 
 	// Snapshot counters (SnapshotStats).
-	snapCaptures   atomic.Uint64
-	snapPublishes  atomic.Uint64
 	snapCloneBytes atomic.Uint64
 	snapSpineBytes atomic.Uint64
 	snapSlabBytes  atomic.Uint64

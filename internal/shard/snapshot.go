@@ -136,7 +136,6 @@ func (s *Sharded) publish(p int, c *cell) *shardSnap {
 	sn := &shardSnap{epoch: e, gen: g, set: c.set.Clone()}
 	c.snap.Store(sn)
 	cost := sn.set.CloneCost()
-	s.snapPublishes.Add(1)
 	s.snapCloneBytes.Add(cost.Total())
 	s.snapSpineBytes.Add(cost.Spine)
 	s.snapSlabBytes.Add(cost.Slab)
@@ -154,7 +153,6 @@ func (s *Sharded) publish(p int, c *cell) *shardSnap {
 func (s *Sharded) Snapshot() *Snapshot {
 	t0 := time.Now()
 	defer s.pm.capture.Since(t0)
-	s.snapCaptures.Add(1)
 	sn := s.capture(fullSpan, nil)
 	return &sn
 }
@@ -470,12 +468,12 @@ type SnapshotStats struct {
 // RegisterMetrics exports each field under {prefix}_snapshot_*.
 func (s *Sharded) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
-		Publishes:       s.snapPublishes.Load(),
+		Publishes:       s.pm.publish.Count(),
 		CloneBytes:      s.snapCloneBytes.Load(),
 		CloneSpineBytes: s.snapSpineBytes.Load(),
 		CloneSlabBytes:  s.snapSlabBytes.Load(),
 		FullCopyBytes:   s.snapFullBytes.Load(),
-		Captures:        s.snapCaptures.Load(),
+		Captures:        s.pm.capture.Count(),
 	}
 	for p := range s.cells {
 		st.Epochs += s.cells[p].epoch.Load()

@@ -449,8 +449,8 @@ func FGraphFromEdges(numVertices int, edges []Edge) *FGraph {
 // graph-streaming contract).
 type ShardedFGraph = fgraph.Sharded
 
-// ShardedFGraphOptions tunes a ShardedFGraph (per-shard Set options,
-// mailbox depth, live vertex-range rebalancing).
+// ShardedFGraphOptions tunes a ShardedFGraph: live vertex-range
+// rebalancing.
 type ShardedFGraphOptions = fgraph.ShardedOptions
 
 // FGraphView is an immutable graph over one epoch-snapshot cut of a
