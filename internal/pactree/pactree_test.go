@@ -29,11 +29,11 @@ func keys(tr *Tree) []uint64 {
 	return out
 }
 
-// fromSorted builds a tree over sorted, duplicate-free keys with one
-// balanced build, the path a batch into an empty tree takes.
+// fromSorted builds a tree over sorted, duplicate-free keys: a sorted
+// batch into an empty tree is one balanced build.
 func fromSorted(keys []uint64, opts *Options) *Tree {
 	tr := New(opts)
-	tr.root = tr.build(keys)
+	tr.InsertBatch(keys, true)
 	return tr
 }
 

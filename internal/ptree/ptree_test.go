@@ -29,8 +29,13 @@ func keys(tr *Tree) []uint64 {
 	return out
 }
 
-// fromSortedTree wraps the O(n) treap build the batch updates use.
-func fromSortedTree(keys []uint64) *Tree { return &Tree{root: fromSorted(keys)} }
+// fromSortedTree builds a tree over sorted, duplicate-free keys: a
+// sorted batch into an empty tree is one O(n) treap build.
+func fromSortedTree(keys []uint64) *Tree {
+	tr := New()
+	tr.InsertBatch(keys, true)
+	return tr
+}
 
 func TestEmpty(t *testing.T) {
 	tr := New()
