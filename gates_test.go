@@ -2,8 +2,9 @@
 // must keep, each measured at a small fixed shape and held to the threshold
 // it was accepted at. Every run of the suite holds them, at each -cpu
 // value and under the race detector, where the two timing ratios keep a
-// wide margin (on 2 vCPUs: skewed ingest 27-46x against 5x, follower fleet
-// 3.0-4.5x against 2x). To run only the gates:
+// wide margin (on 2 vCPUs: skewed ingest 14-27x at -cpu 1,2,4 and 31-35x
+// under -race against 5x, follower fleet 3.0-4.5x against 2x). To run only
+// the gates:
 //
 //	go test -count=1 -run '^TestGate' .
 package repro_test

@@ -16,6 +16,27 @@ import (
 // forks its three-way work (leaf merge, left recursion, right recursion).
 const mergeForkGrain = 2048
 
+// Insert adds x, returning false if already present. A point update is a
+// one-key batch: the batch path's per-leaf step runs the paper's point
+// insert (§3: search, place, count, redistribute), splicing the key in
+// with the single pass of Figure 6 when the leaf has the slack for it. The
+// key goes in the set's one-key scratch, so Insert allocates nothing that
+// the batch path does not.
+func (c *CPMA) Insert(x uint64) bool {
+	c.key[0] = x
+	return c.InsertBatch(c.key[:], true) == 1
+}
+
+// Remove deletes x, returning false if absent. Like Insert, it is a
+// one-key batch.
+func (c *CPMA) Remove(x uint64) bool {
+	if x == 0 {
+		return false // never present, and a batch holding it panics
+	}
+	c.key[0] = x
+	return c.RemoveBatch(c.key[:], true) == 1
+}
+
 // InsertBatch inserts a batch of keys, returning how many were new. The
 // batch goes through parallel.SortedSet: an unsorted one becomes a sorted,
 // duplicate-free copy (its repeat filter drops repeats before the sort),
@@ -115,12 +136,13 @@ func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
 }
 
 // rebalanceLeaves runs the work-efficient parallel counting over the
-// leaves an update wrote (dirty, ascending), on the sizes a batch recorded
-// for them in c.sizes or, after a point update, on their bytes, checking
+// leaves a batch wrote (dirty, ascending), on the sizes it recorded for
+// them in c.sizes (or the bytes of a leaf a remove emptied), checking
 // upper bounds after inserts and lower ones after removes, and executes
-// the plan in parallel. It is the only way either update redistributes.
+// the plan in parallel. It is the only way an update redistributes.
 // Redistribution drops the records of the leaves it rewrites; this drops
-// the rest.
+// the sizes of the rest. None of those overflowed: an overflowed leaf
+// breaks its bound, so the plan rewrote it.
 func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 	// A minimum-capacity array accepts sparseness.
 	if insert || c.Capacity() > c.f.minCapacity() {
@@ -130,8 +152,10 @@ func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 			c.applyPlan(c.tree.Count(c.usedOf, dirty[i:], insert, !insert))
 		}
 	}
-	for _, leaf := range dirty {
-		c.dropRecord(leaf) // a no-op after a rebuild, which dropped them all
+	if c.sizes != nil { // nil after a rebuild, which dropped them all
+		for _, leaf := range dirty {
+			c.sizes[leaf] = 0
+		}
 	}
 }
 
@@ -169,8 +193,9 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty
 	if loLeaf > hiLeaf {
 		panic("cpma: batch elements with no target leaf range")
 	}
-	leaf := c.leafForIn(batch[len(batch)/2], loLeaf, hiLeaf)
-	lo := 0
+	mid := len(batch) / 2
+	leaf := c.leafForIn(batch[mid], loLeaf, hiLeaf)
+	lo, hi := 0, len(batch)
 	switch {
 	case leaf == -1:
 		// No non-empty leaf with head <= the median in range: elements
@@ -184,12 +209,16 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty
 	case leaf > loLeaf:
 		// Elements below this head recurse left; at loLeaf there is no
 		// room to, and they belong at the front of the range's first leaf.
+		// The median is at or above the head.
 		h := c.head(leaf)
-		lo = sort.Search(len(batch), func(i int) bool { return batch[i] >= h })
+		lo = sort.Search(mid, func(i int) bool { return batch[i] >= h })
 	}
-	hi := len(batch)
-	if upper, ok := c.nextHeadIn(leaf, hiLeaf); ok {
-		hi = lo + sort.Search(len(batch)-lo, func(i int) bool { return batch[lo+i] >= upper })
+	// The median is below the next head, so only the elements after it can
+	// reach it; a run of one or two keys never reads the next leaf.
+	if mid+1 < len(batch) {
+		if upper, ok := c.nextHeadIn(leaf, hiLeaf); ok {
+			hi = mid + 1 + sort.Search(len(batch)-mid-1, func(i int) bool { return batch[mid+1+i] >= upper })
+		}
 	}
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
@@ -229,8 +258,9 @@ func (c *CPMA) editLeaf(leaf int, sub []uint64, insert bool, dirty []int) ([]int
 }
 
 // inPlaceMerge is the largest run mergeLeaf and removeLeaf splice into or
-// out of a leaf key by key, as point updates do, instead of decoding and
-// re-encoding the leaf.
+// out of a leaf key by key with leafInsert and leafRemove, the point
+// update's place step (and all of a one-key batch's), instead of decoding
+// and re-encoding the leaf.
 const inPlaceMerge = 2
 
 // mergeLeaf merges a sorted batch run into a leaf. A run of at most
@@ -286,8 +316,8 @@ func (c *CPMA) mergeLeaf(leaf int, sub []uint64) int {
 // removeLeaf deletes the keys of sub present in the leaf. Deletes never
 // overflow (paper §6: "deletes do not have to allocate temporary space as
 // they will never overflow the PMA leaves"), so, by mergeLeaf's rule, a
-// run of at most inPlaceMerge keys is spliced out key by key, as point
-// removes do, and a longer one is a two-finger difference over the
+// run of at most inPlaceMerge keys is spliced out key by key with
+// leafRemove, and a longer one is a two-finger difference over the
 // decoded run, which always re-encodes in place. It returns how many keys
 // it removed; it writes the leaf and records its size only if that is not
 // zero.

@@ -11,20 +11,22 @@
 //
 // Both formats start a non-empty leaf with its smallest key as an 8-byte
 // little-endian head and live in the same byte slabs, so the leaf search,
-// the point updates, the range maps and the three-phase parallel batch
-// updates are one engine (§5: "the batch-update algorithm in the CPMA is
-// identical to the batch-update algorithm for PMAs described in Section
-// 4"). Only the per-leaf operations in leaf.go and a few geometry constants
-// differ by format. Copy-on-write clones work on both; serialization
+// the range maps and the three-phase parallel batch updates are one engine
+// (§5: "the batch-update algorithm in the CPMA is identical to the
+// batch-update algorithm for PMAs described in Section 4"). Only the
+// per-leaf operations in leaf.go and a few geometry constants differ by
+// format. Copy-on-write clones work on both; serialization
 // (encoding.go) is defined for compressed sets only.
 //
-// Insert and Remove are the point updates of §3. InsertBatch and
-// RemoveBatch run every batch, however small, through the batch algorithm
-// of §4, whose per-leaf step splices a run of one or two keys in place as
-// a point update would; a batch into an empty set, or of at least n/10
-// keys, rebuilds the array instead. The paper hands small batches to point
-// updates; here the batch path allocates nothing for them and costs little
-// more than a loop of point updates (BenchmarkSmallBatch).
+// There is one update algorithm. InsertBatch and RemoveBatch run every
+// batch, however small, through the batch algorithm of §4, whose per-leaf
+// step splices a run of one or two keys in place: that splice is the
+// point update of §3, with the single pass of Figure 6 as its place step.
+// A batch into an empty set, or of at least n/10 keys, rebuilds the array
+// instead. Insert and Remove are one-key batches, so an Insert into a set
+// of fewer than 10 keys rebuilds it too. The paper hands small batches to
+// point updates; here a small batch allocates nothing, and
+// BenchmarkSmallBatch times k one-key batches against one k-key batch.
 //
 // Keys are uint64; key 0 is reserved (an all-zero head marks an empty leaf,
 // and no delta byte code contains a zero byte). A leaf is only its bytes:
@@ -89,10 +91,12 @@ type CPMA struct {
 
 	// Mid-batch only (batchRecords): the encoded size of each leaf the
 	// batch wrote (0: none), and the merged runs that outgrew their leaf.
-	// dirty is the writer's scratch for the list of leaves a batch wrote.
+	// dirty is the writer's scratch for the list of leaves a batch wrote,
+	// and key for the one-key batch of a point update.
 	sizes    []int32
 	overflow [][]uint64
 	dirty    []int
+	key      [1]uint64
 
 	// Copy-on-write generations (cow.go). gen stamps this CPMA's writes;
 	// geomGen is the generation of its last rebuild or load. spineBytes and

@@ -82,10 +82,11 @@ func BenchmarkBatchRemove(b *testing.B) {
 }
 
 // BenchmarkSmallBatch inserts and then removes sorted batches of k
-// uniform 40-bit keys on a compressed set of 1M such keys, through a loop
-// of point updates and through InsertBatch/RemoveBatch, which take every
-// batch down the batch path: what the one batch path costs a small batch
-// against Insert/Remove.
+// uniform 40-bit keys on a compressed set of 1M such keys, as k one-key
+// batches (the point arm, a loop of Insert/Remove) and as one k-key
+// InsertBatch/RemoveBatch: the amortization of batch updates over point
+// updates that the paper's Figure 1 plots, with both arms on the one
+// batch path.
 func BenchmarkSmallBatch(b *testing.B) {
 	keys := workload.Uniform(workload.NewRNG(1), 1_000_000, 40)
 	for _, k := range []int{1, 2, 10, 30, 100, 1000} {

@@ -701,7 +701,9 @@ func TestRemoveBatchEverything(t *testing.T) {
 // nothing. The batch is used uncopied, the dirty list is the set's
 // scratch, and the planner's callback is built only for a violation. The
 // same keys unsorted cost one allocation per call: parallel.SortedSet's
-// private copy, sorted in place below the radix sort's crossover.
+// private copy, sorted in place below the radix sort's crossover. A point
+// Insert+Remove round trip is a one-key batch in the set's own scratch and
+// allocates nothing either.
 func TestSmallBatchAllocs(t *testing.T) {
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
 		r := rand.New(rand.NewSource(18))
@@ -734,6 +736,13 @@ func TestSmallBatchAllocs(t *testing.T) {
 			}
 		}); a != 2 {
 			t.Fatalf("unsorted 2-key InsertBatch+RemoveBatch round trip: %v allocations, want 2", a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if !c.Insert(h+1) || !c.Remove(h+1) {
+				t.Fatal("the point round trip did not add and remove the key")
+			}
+		}); a != 0 {
+			t.Fatalf("one-key Insert+Remove round trip: %v allocations, want 0", a)
 		}
 		if m, g := c.Rebalances(); m != multi || g != grows {
 			t.Fatalf("the round trip rebalanced: multi-leaf %d -> %d, grows %d -> %d", multi, m, grows, g)

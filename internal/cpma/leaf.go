@@ -32,9 +32,10 @@ type format struct {
 	// sizes leaves automatically (Θ(log n) units per leaf): a byte when
 	// compressed, an 8-byte key (the PMA's cell) when not.
 	unit int
-	// slack is the most bytes one point insert can add to a leaf. Insert
-	// rebalances a leaf with less free space first, and redistribution
-	// leaves at least this much free in every leaf.
+	// slack is the most bytes one inserted key can add to a leaf.
+	// mergeLeaf splices a short run in place only into a leaf with this
+	// much free space per key, and merges or overflows it otherwise;
+	// redistribution leaves at least this much free in every leaf.
 	slack int
 	// reserve is the headroom the leaf's upper density bound keeps free
 	// (see bounds).

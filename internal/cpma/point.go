@@ -1,9 +1,5 @@
 package cpma
 
-import (
-	"repro/internal/pmatree"
-)
-
 // leafForIn returns the last non-empty leaf in [lo, hi] whose head is <= x,
 // or -1. The binary search probes uncompressed leaf heads (§5: "the
 // uncompressed head allows for efficient searching"), walking left over
@@ -52,8 +48,8 @@ func (c *CPMA) nextHeadIn(leaf, hi int) (h uint64, ok bool) {
 	return 0, false
 }
 
-// findLeaf locates the leaf a key belongs to for point operations.
-// Returns -1 iff the CPMA is empty.
+// findLeaf locates the leaf a key belongs to, for probes, scans and
+// InsertBatchRMA's segments. Returns -1 iff the CPMA is empty.
 func (c *CPMA) findLeaf(x uint64) int {
 	leaf := c.leafForIn(x, 0, c.leaves-1)
 	if leaf == -1 {
@@ -109,54 +105,4 @@ func (c *CPMA) Max() (uint64, bool) {
 		return last, true
 	}
 	return 0, false
-}
-
-// Insert adds x, returning false if already present. Point inserts follow
-// the paper's four steps: search, place, count, redistribute (§3, Figure
-// 3); in the compressed format the place step is a single pass over the
-// leaf's codes (§5, Figure 6). The count step is the batch counting on the
-// one dirty leaf, run only when that leaf breaks its bound.
-func (c *CPMA) Insert(x uint64) bool {
-	if x == 0 {
-		panic("cpma: key 0 is reserved")
-	}
-	for {
-		leaf := c.findLeaf(x)
-		if leaf == -1 {
-			leaf = 0
-		}
-		u, fresh := c.leafInsert(leaf, x, c.f.slack)
-		if u == noRoom {
-			// Not enough slack for the worst-case growth: rebalance first
-			// (such a leaf always violates its byte-density bound).
-			c.rebalanceLeaves([]int{leaf}, true)
-			continue
-		}
-		if !fresh {
-			return false
-		}
-		c.n++
-		if u > c.tree.UpperUnits(pmatree.Node{Level: 0, Index: leaf}) {
-			c.rebalanceLeaves([]int{leaf}, true)
-		}
-		return true
-	}
-}
-
-// Remove deletes x, returning false if absent. Like Insert, it counts and
-// redistributes only when the leaf falls below its bound.
-func (c *CPMA) Remove(x uint64) bool {
-	if x == 0 || c.n == 0 {
-		return false
-	}
-	leaf := c.findLeaf(x)
-	u := c.leafRemove(leaf, x)
-	if u < 0 {
-		return false
-	}
-	c.n--
-	if u < c.tree.LowerUnits(pmatree.Node{Level: 0, Index: leaf}) {
-		c.rebalanceLeaves([]int{leaf}, false)
-	}
-	return true
 }

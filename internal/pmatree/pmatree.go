@@ -4,12 +4,12 @@
 //
 // The tree is purely arithmetic: a node is a (level, index) pair whose region
 // is a contiguous range of leaves. Count, the one planner in this package,
-// decides which regions must be redistributed after an update: a batch
-// merge, or a point update, whose climb up the tree (§3) is the counting
-// algorithm on a single dirty leaf. internal/cpma, its only client, owns
-// the actual data movement. Occupancy is measured in abstract "units"
-// (bytes for both of cpma's leaf formats), so the planner knows nothing of
-// leaf layout.
+// decides which regions must be redistributed after a batch update; a
+// point update is a one-key batch there, so its climb up the tree (§3) is
+// the counting algorithm on a single dirty leaf. internal/cpma, its only
+// client, owns the actual data movement. Occupancy is measured in abstract
+// "units" (bytes for both of cpma's leaf formats), so the planner knows
+// nothing of leaf layout.
 package pmatree
 
 import (
@@ -150,8 +150,8 @@ type Plan struct {
 
 // Count runs the work-efficient parallel counting algorithm (paper §4).
 //
-// dirty lists, ascending, the leaves modified by the batch-merge phase, or
-// the one leaf a point update wrote. used reports the occupied units of a
+// dirty lists, ascending, the leaves modified by the batch-merge phase
+// (one leaf for a point update). used reports the occupied units of a
 // leaf and may exceed the leaf capacity for overflowed leaves.
 // checkUpper/checkLower select which bound violations escalate (inserts
 // use upper, deletes lower; both may be set). When no dirty leaf violates, Count returns an
