@@ -1,7 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at a scale that finishes in seconds (one Benchmark per experiment; the
-// cmd/cpma-bench and cmd/fgraph-bench harnesses run the same drivers at
-// configurable scale and print the papers' row format).
+// at a scale that finishes in seconds, one Benchmark per experiment. The
+// cmd/cpma-bench and cmd/fgraph-bench harnesses run the experiment drivers
+// of internal/experiments and internal/cachesim at configurable scale and
+// print the papers' row format. Of the Benchmarks here only
+// BenchmarkTable1CacheModel calls such a driver (cachesim.Table1); the
+// others re-implement their measured loops over the set and graph makers
+// of internal/experiments.
 //
 //	go test -bench=. -benchmem
 package repro_test

@@ -11,8 +11,8 @@
 // proportionally scaled caches.
 package cachesim
 
-// Cache is one set-associative LRU cache level.
-type Cache struct {
+// cache is one set-associative LRU cache level.
+type cache struct {
 	sets     int
 	ways     int
 	lineLog2 uint
@@ -21,15 +21,15 @@ type Cache struct {
 	misses   uint64
 }
 
-// NewCache builds a cache of the given total size, associativity, and line
+// newCache builds a cache of the given total size, associativity, and line
 // size (all powers of two).
-func NewCache(sizeBytes, ways, lineBytes int) *Cache {
+func newCache(sizeBytes, ways, lineBytes int) *cache {
 	lines := sizeBytes / lineBytes
 	sets := lines / ways
 	if sets < 1 {
 		sets = 1
 	}
-	c := &Cache{sets: sets, ways: ways, tags: make([][]uint64, sets)}
+	c := &cache{sets: sets, ways: ways, tags: make([][]uint64, sets)}
 	for lineBytes > 1 {
 		lineBytes >>= 1
 		c.lineLog2++
@@ -39,7 +39,7 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 
 // Access touches the line containing addr, returns whether it hit, and
 // updates LRU state.
-func (c *Cache) Access(addr uint64) bool {
+func (c *cache) Access(addr uint64) bool {
 	line := addr >> c.lineLog2
 	set := int(line % uint64(c.sets))
 	tags := c.tags[set]
@@ -65,7 +65,7 @@ func (c *Cache) Access(addr uint64) bool {
 // Install fills the line containing addr without counting a hit or miss —
 // how prefetched lines enter a cache. Prefetch fills compete for capacity
 // exactly like demand fills (they evict the LRU way).
-func (c *Cache) Install(addr uint64) {
+func (c *cache) Install(addr uint64) {
 	line := addr >> c.lineLog2
 	set := int(line % uint64(c.sets))
 	tags := c.tags[set]
@@ -84,34 +84,31 @@ func (c *Cache) Install(addr uint64) {
 	c.tags[set] = tags
 }
 
-// Hits returns the hit count.
-func (c *Cache) Hits() uint64 { return c.hits }
-
 // Misses returns the miss count.
-func (c *Cache) Misses() uint64 { return c.misses }
+func (c *cache) Misses() uint64 { return c.misses }
 
-// Hierarchy is a two-level inclusive hierarchy standing in for the paper
+// hierarchy is a two-level inclusive hierarchy standing in for the paper
 // machine's L1 and L3 (we skip L2; Table 1 reports L1 and L3 only), plus a
 // hardware-style stream prefetcher: sequential line streams are detected
 // and their next lines served without a demand L3 miss. The prefetcher is
 // what gives contiguous layouts (PMA/CPMA) their dramatic L3 advantage over
 // pointer-chased blocks in the paper's Table 1.
-type Hierarchy struct {
-	L1 *Cache
-	L3 *Cache
+type hierarchy struct {
+	L1 *cache
+	L3 *cache
 	// streams holds the next expected line of each tracked sequential
 	// stream (round-robin replacement, as in simple hardware prefetchers).
 	streams [32]uint64
 	rr      int
 }
 
-// NewHierarchy builds the scaled hierarchy: a 48 KB 12-way L1 (one core of
+// newHierarchy builds the scaled hierarchy: a 48 KB 12-way L1 (one core of
 // the paper's Xeon) and an L3 scaled to keep the same structure:L3 size
 // ratio as the paper's 108 MB against 100M-element structures.
-func NewHierarchy(l3Bytes int) *Hierarchy {
-	h := &Hierarchy{
-		L1: NewCache(48<<10, 12, 64),
-		L3: NewCache(l3Bytes, 16, 64),
+func newHierarchy(l3Bytes int) *hierarchy {
+	h := &hierarchy{
+		L1: newCache(48<<10, 12, 64),
+		L3: newCache(l3Bytes, 16, 64),
 	}
 	for i := range h.streams {
 		h.streams[i] = ^uint64(0) // no stream expects line 0 initially
@@ -121,7 +118,7 @@ func NewHierarchy(l3Bytes int) *Hierarchy {
 
 // Access touches addr in L1; L1 misses either match a prefetch stream (no
 // demand L3 miss) or fall through to L3 and start a new stream.
-func (h *Hierarchy) Access(addr uint64) {
+func (h *hierarchy) Access(addr uint64) {
 	if h.L1.Access(addr) {
 		return
 	}
@@ -140,7 +137,7 @@ func (h *Hierarchy) Access(addr uint64) {
 }
 
 // Range touches every line in [addr, addr+bytes) — a sequential scan.
-func (h *Hierarchy) Range(addr uint64, bytes int) {
+func (h *hierarchy) Range(addr uint64, bytes int) {
 	for b := 0; b < bytes; b += 64 {
 		h.Access(addr + uint64(b))
 	}

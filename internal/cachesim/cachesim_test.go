@@ -9,7 +9,7 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	c := NewCache(1024, 2, 64) // 16 lines, 8 sets, 2-way
+	c := newCache(1024, 2, 64) // 16 lines, 8 sets, 2-way
 	if c.Access(0) {
 		t.Fatal("cold access hit")
 	}
@@ -19,13 +19,13 @@ func TestCacheBasics(t *testing.T) {
 	if c.Access(64) {
 		t.Fatal("different line hit")
 	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
+	if c.hits != 2 || c.Misses() != 2 {
+		t.Fatalf("hits=%d misses=%d", c.hits, c.Misses())
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(128, 2, 64) // 1 set, 2 ways
+	c := newCache(128, 2, 64) // 1 set, 2 ways
 	c.Access(0)
 	c.Access(64)
 	c.Access(0)   // 0 is MRU, 64 is LRU
@@ -39,7 +39,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSetIndexing(t *testing.T) {
-	c := NewCache(8192, 1, 64) // direct-mapped, 128 sets
+	c := newCache(8192, 1, 64) // direct-mapped, 128 sets
 	// Two addresses in different sets must not evict each other.
 	c.Access(0)
 	c.Access(64)
@@ -55,7 +55,7 @@ func TestCacheSetIndexing(t *testing.T) {
 }
 
 func TestHierarchyFallthrough(t *testing.T) {
-	h := NewHierarchy(1 << 20)
+	h := newHierarchy(1 << 20)
 	h.Access(0)
 	if h.L1.Misses() != 1 || h.L3.Misses() != 1 {
 		t.Fatal("cold miss should reach L3")
@@ -67,7 +67,7 @@ func TestHierarchyFallthrough(t *testing.T) {
 }
 
 func TestRangeTouchesEveryLine(t *testing.T) {
-	h := NewHierarchy(1 << 20)
+	h := newHierarchy(1 << 20)
 	h.Range(0, 640)
 	if h.L1.Misses() != 10 {
 		t.Fatalf("Range touched %d lines, want 10", h.L1.Misses())

@@ -68,11 +68,11 @@ func batchLeafPositions(r *workload.RNG, k, leaves int) []int {
 	return out
 }
 
-// TracePMA replays the PMA (compressed=false) or CPMA (compressed=true)
+// tracePMA replays the PMA (compressed=false) or CPMA (compressed=true)
 // batch insert: per touched leaf a binary search over leaf heads, a
 // sequential leaf merge, the counting pass over the per-leaf metadata, and
 // an amortized redistribution copy over sibling regions.
-func TracePMA(h *Hierarchy, cfg Config, compressed bool) {
+func tracePMA(h *hierarchy, cfg Config, compressed bool) {
 	leafBytes := pmaLeafCells * pmaCellBytes
 	bytesPerEl := float64(pmaCellBytes)
 	if compressed {
@@ -123,11 +123,11 @@ func TracePMA(h *Hierarchy, cfg Config, compressed bool) {
 	}
 }
 
-// TracePaC replays the U-PaC (compressed=false) or C-PaC (compressed=true)
+// tracePaC replays the U-PaC (compressed=false) or C-PaC (compressed=true)
 // batch insert: per touched block a pointer-chased root-to-block descent
 // through scattered internal nodes, a block read, and a block rewrite at a
 // freshly allocated address.
-func TracePaC(h *Hierarchy, cfg Config, compressed bool) {
+func tracePaC(h *hierarchy, cfg Config, compressed bool) {
 	blockBytes := pacBlockElems * 8
 	if compressed {
 		blockBytes = int(float64(pacBlockElems) * cpmaBytesPerEl)
@@ -177,15 +177,15 @@ func TracePaC(h *Hierarchy, cfg Config, compressed bool) {
 // Table1 runs the four replays of paper Table 1 and returns their misses in
 // the paper's row order: U-PaC, C-PaC, PMA, CPMA.
 func Table1(cfg Config) []Result {
-	run := func(name string, f func(h *Hierarchy)) Result {
-		h := NewHierarchy(cfg.L3Bytes)
+	run := func(name string, f func(h *hierarchy)) Result {
+		h := newHierarchy(cfg.L3Bytes)
 		f(h)
 		return Result{Name: name, L1Misses: h.L1.Misses(), L3Misses: h.L3.Misses()}
 	}
 	return []Result{
-		run("U-PaC", func(h *Hierarchy) { TracePaC(h, cfg, false) }),
-		run("C-PaC", func(h *Hierarchy) { TracePaC(h, cfg, true) }),
-		run("PMA", func(h *Hierarchy) { TracePMA(h, cfg, false) }),
-		run("CPMA", func(h *Hierarchy) { TracePMA(h, cfg, true) }),
+		run("U-PaC", func(h *hierarchy) { tracePaC(h, cfg, false) }),
+		run("C-PaC", func(h *hierarchy) { tracePaC(h, cfg, true) }),
+		run("PMA", func(h *hierarchy) { tracePMA(h, cfg, false) }),
+		run("CPMA", func(h *hierarchy) { tracePMA(h, cfg, true) }),
 	}
 }

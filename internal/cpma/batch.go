@@ -145,7 +145,7 @@ func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
 // breaks its bound, so the plan rewrote it.
 func (c *CPMA) rebalanceLeaves(dirty []int, insert bool) {
 	// A minimum-capacity array accepts sparseness.
-	if insert || c.Capacity() > c.f.minCapacity() {
+	if insert || c.capacity() > c.f.minCapacity() {
 		// Count's callback escapes to its parallel loop: build it only for
 		// a violation, so an update that breaks no bound allocates nothing.
 		if i, _ := c.tree.FirstViolator(c.usedOf, dirty, insert, !insert); i >= 0 {

@@ -194,8 +194,8 @@ func (c *CPMA) Rebalances() (multiLeaf, grows int) { return c.multiLeaf, c.grows
 // Len returns the number of keys stored.
 func (c *CPMA) Len() int { return c.n }
 
-// Capacity returns the total byte capacity.
-func (c *CPMA) Capacity() int { return c.leaves << c.leafLog2 }
+// capacity returns the total byte capacity.
+func (c *CPMA) capacity() int { return c.leaves << c.leafLog2 }
 
 // LeafBytes returns the byte capacity of one leaf.
 func (c *CPMA) LeafBytes() int { return 1 << c.leafLog2 }
@@ -203,10 +203,11 @@ func (c *CPMA) LeafBytes() int { return 1 << c.leafLog2 }
 // Leaves returns the number of leaves.
 func (c *CPMA) Leaves() int { return c.leaves }
 
-// SizeBytes returns the logical memory footprint, Capacity (the quantity
-// the paper's get_size reports, and the baseline a non-COW full copy would
-// cost). It excludes the copy-on-write spine, 16 bytes per leaf (cow.go).
-func (c *CPMA) SizeBytes() uint64 { return uint64(c.Capacity()) }
+// SizeBytes returns the logical memory footprint, the total byte capacity
+// of the leaves (the quantity the paper's get_size reports, and the
+// baseline a non-COW full copy would cost). It excludes the copy-on-write
+// spine, 16 bytes per leaf (cow.go).
+func (c *CPMA) SizeBytes() uint64 { return uint64(c.capacity()) }
 
 // head returns the leaf's smallest key, 0 when it is empty.
 func (c *CPMA) head(leaf int) uint64 { return codec.Head(c.leafData(leaf)) }

@@ -233,7 +233,7 @@ func TestRemoveAllShrinks(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			c.Insert(uint64(i) * 1000)
 		}
-		grown := c.Capacity()
+		grown := c.capacity()
 		for i := 1; i <= n; i++ {
 			if !c.Remove(uint64(i) * 1000) {
 				t.Fatalf("Remove failed at %d", i)
@@ -242,8 +242,8 @@ func TestRemoveAllShrinks(t *testing.T) {
 		if c.Len() != 0 {
 			t.Fatalf("Len = %d", c.Len())
 		}
-		if c.Capacity() >= grown {
-			t.Fatalf("capacity did not shrink: %d -> %d", grown, c.Capacity())
+		if c.capacity() >= grown {
+			t.Fatalf("capacity did not shrink: %d -> %d", grown, c.capacity())
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
@@ -787,8 +787,9 @@ func TestAlternatingBatchInsertDelete(t *testing.T) {
 // dirty list, and so the plan and every leaf, does not depend on how the
 // forked branches are scheduled. Twin sets get the same inserts and
 // removes, batches below and above mergeForkGrain, clustered and spread,
-// one twin at GOMAXPROCS 1 (no forks) and the other at 4. They must stay
-// leaf-for-leaf identical, with equal rebalance counts.
+// then one batch for each rebuild path, one twin at GOMAXPROCS 1 (no
+// forks) and the other at 4. They must stay leaf-for-leaf identical, with
+// equal rebalance counts.
 func TestBatchForkDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	eachFormat(t, func(t *testing.T, newSet func(*Options) *CPMA) {
@@ -801,6 +802,22 @@ func TestBatchForkDeterminism(t *testing.T) {
 			runtime.GOMAXPROCS(4)
 			if b := op(forked); a != b {
 				t.Fatalf("the twins changed %d and %d keys", a, b)
+			}
+		}
+		// same fails unless the twins hold byte-identical leaves and ran
+		// the same rebalances.
+		same := func(after string) {
+			t.Helper()
+			for leaf := 0; leaf < max(serial.Leaves(), forked.Leaves()); leaf++ {
+				if serial.Leaves() != forked.Leaves() || !slices.Equal(serial.leafData(leaf), forked.leafData(leaf)) {
+					t.Fatalf("after the %s: the twins differ at leaf %d of %d/%d",
+						after, leaf, serial.Leaves(), forked.Leaves())
+				}
+			}
+			sm, sg := serial.Rebalances()
+			fm, fg := forked.Rebalances()
+			if sm != fm || sg != fg {
+				t.Fatalf("after the %s: rebalances %d/%d serial, %d/%d forked", after, sm, sg, fm, fg)
 			}
 		}
 		apply(func(c *CPMA) int { return c.InsertBatch(base, false) })
@@ -822,21 +839,27 @@ func TestBatchForkDeterminism(t *testing.T) {
 				}
 				del = append(del, uniqueRandom(r, k, 1<<40)...)
 				apply(func(c *CPMA) int { return c.RemoveBatch(del, false) })
-				for leaf := 0; leaf < max(serial.Leaves(), forked.Leaves()); leaf++ {
-					if serial.Leaves() != forked.Leaves() || !slices.Equal(serial.leafData(leaf), forked.leafData(leaf)) {
-						t.Fatalf("round %d, %d-key batches: the twins differ at leaf %d of %d/%d",
-							round, k, leaf, serial.Leaves(), forked.Leaves())
-					}
-				}
-				sm, sg := serial.Rebalances()
-				fm, fg := forked.Rebalances()
-				if sm != fm || sg != fg {
-					t.Fatalf("round %d, %d-key batches: rebalances %d/%d serial, %d/%d forked", round, k, sm, sg, fm, fg)
-				}
+				same(fmt.Sprintf("round %d, %d-key batches", round, k))
 			}
 		}
 		if m, _ := serial.Rebalances(); m == 0 {
 			t.Fatal("no multi-leaf redistribution ran")
+		}
+
+		// The rebuild paths: n/4 fresh keys take the k >= n/10
+		// rebuildMerge, and removing the lowest three quarters of the keys,
+		// which empties those leaves, takes the Shrink rebuild, the only
+		// way the capacity falls.
+		ins := uniqueRandom(r, serial.Len()/4, 1<<40)
+		apply(func(c *CPMA) int { return c.InsertBatch(ins, false) })
+		same("n/4-key insert")
+		grown := serial.capacity()
+		keys := serial.Keys()
+		del := keys[:3*len(keys)/4]
+		apply(func(c *CPMA) int { return c.RemoveBatch(del, true) })
+		same("3n/4-key remove")
+		if serial.capacity() >= grown {
+			t.Fatalf("the 3n/4-key remove did not shrink the array: %d -> %d bytes", grown, serial.capacity())
 		}
 		checkAgainst(t, forked, serial.Keys())
 	})
@@ -949,8 +972,8 @@ func TestGrowingFactorAffectsCapacity(t *testing.T) {
 		big := newSet(&Options{GrowthFactor: 2.0})
 		small.InsertBatch(keys, true)
 		big.InsertBatch(keys, true)
-		if small.Capacity() > big.Capacity() {
-			t.Fatalf("growth 1.1 capacity %d > growth 2.0 capacity %d", small.Capacity(), big.Capacity())
+		if small.capacity() > big.capacity() {
+			t.Fatalf("growth 1.1 capacity %d > growth 2.0 capacity %d", small.capacity(), big.capacity())
 		}
 		for _, c := range []*CPMA{small, big} {
 			if err := c.Validate(); err != nil {

@@ -50,7 +50,7 @@ func (c *CPMA) check(strict bool) error {
 	for leaf := 0; leaf < c.leaves; leaf++ {
 		n, last, err := c.checkLeaf(leaf, prev, strict)
 		if err != nil {
-			return fmt.Errorf("cpma: leaf %d: %w\n%s", leaf, err, c.DumpLeaf(leaf))
+			return fmt.Errorf("cpma: leaf %d: %w\n%s", leaf, err, c.dumpLeaf(leaf))
 		}
 		if n > 0 {
 			prev = last
@@ -106,9 +106,9 @@ func rawCheck(ld []byte, used int) (n int, last uint64, err error) {
 	return used / 8, last, nil
 }
 
-// DumpLeaf formats one leaf for failure messages: geometry, the used byte
+// dumpLeaf formats one leaf for failure messages: geometry, the used byte
 // region in hex, and the decoded keys.
-func (c *CPMA) DumpLeaf(leaf int) string {
+func (c *CPMA) dumpLeaf(leaf int) string {
 	var b strings.Builder
 	ld := c.leafData(leaf)
 	u := c.f.used(ld)

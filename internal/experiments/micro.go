@@ -106,9 +106,9 @@ type RangeRow struct {
 	Throughput map[string]float64 // elements processed / second
 }
 
-// RangeLens mirrors Figure 2 / Table 10's x-axis: expected elements
+// rangeLens mirrors Figure 2 / Table 10's x-axis: expected elements
 // returned per query, from ~6 to ~2M (capped at n/4).
-func RangeLens(n int) []int {
+func rangeLens(n int) []int {
 	all := []int{6, 50, 400, 3_000, 20_000, 200_000, 2_000_000}
 	var out []int
 	for _, l := range all {
@@ -132,7 +132,7 @@ func Fig2RangeQuery(makers []SetMaker, cfg MicroConfig, queries int) []RangeRow 
 	}
 	keySpace := uint64(1) << workload.UniformBits
 	var rows []RangeRow
-	for _, avgLen := range RangeLens(cfg.BaseN) {
+	for _, avgLen := range rangeLens(cfg.BaseN) {
 		span := uint64(float64(keySpace) * float64(avgLen) / float64(cfg.BaseN))
 		starts := make([]uint64, queries)
 		qr := workload.NewRNG(cfg.Seed + 1)

@@ -42,13 +42,13 @@ func CPMAMaker() SetMaker {
 	return SetMaker{Name: "CPMA", New: func() Set { return cpma.New(nil) }}
 }
 
-// PTreeMaker returns the P-tree (PAM) baseline.
-func PTreeMaker() SetMaker {
+// ptreeMaker returns the P-tree (PAM) baseline.
+func ptreeMaker() SetMaker {
 	return SetMaker{Name: "P-tree", New: func() Set { return ptree.New() }}
 }
 
-// UPaCMaker returns the uncompressed PaC-tree baseline.
-func UPaCMaker() SetMaker {
+// upacMaker returns the uncompressed PaC-tree baseline.
+func upacMaker() SetMaker {
 	return SetMaker{Name: "U-PaC", New: func() Set { return pactree.New(&pactree.Options{Compressed: false}) }}
 }
 
@@ -73,7 +73,7 @@ func ShardedMaker(shards int) SetMaker {
 
 // AllSetMakers returns the five systems in the paper's column order.
 func AllSetMakers() []SetMaker {
-	return []SetMaker{PMAMaker(), CPMAMaker(), UPaCMaker(), CPaCMaker(), PTreeMaker()}
+	return []SetMaker{PMAMaker(), CPMAMaker(), upacMaker(), CPaCMaker(), ptreeMaker()}
 }
 
 // ComparisonSetMakers is AllSetMakers plus the sharded front-end at the

@@ -80,8 +80,8 @@ func ConnectedComponents(g Graph) []uint32 {
 	for i := range labels {
 		labels[i] = uint32(i)
 	}
-	frontier := All(n)
-	for !frontier.Empty() {
+	frontier := all(n)
+	for !frontier.empty() {
 		frontier = edgeMapPush(g, frontier, func(s, d uint32) bool {
 			return writeMinUint32(&labels[d], atomic.LoadUint32(&labels[s]))
 		})
@@ -103,13 +103,13 @@ func BC(g Graph, src uint32) []float64 {
 	depth[src] = 0
 	sigma[src] = floatBits(1)
 
-	var levels []VertexSubset
-	frontier := NewSparse(n, []uint32{src})
+	var levels []vertexSubset
+	frontier := newSparse(n, []uint32{src})
 	cur := int32(0)
-	for !frontier.Empty() {
+	for !frontier.empty() {
 		levels = append(levels, frontier)
 		next := cur + 1
-		frontier = EdgeMap(g, frontier,
+		frontier = edgeMap(g, frontier,
 			func(s, d uint32) bool {
 				// Runs only while cond(d) holds, i.e. d is unvisited or
 				// already placed in the next level; both accumulate sigma.
@@ -123,7 +123,6 @@ func BC(g Graph, src uint32) []float64 {
 				dd := atomic.LoadInt32(&depth[d])
 				return dd == -1 || dd == next
 			},
-			nil,
 		)
 		cur = next
 	}
@@ -132,7 +131,7 @@ func BC(g Graph, src uint32) []float64 {
 	delta := make([]float64, n)
 	for l := len(levels) - 2; l >= 0; l-- {
 		lv := levels[l]
-		lv.ForEach(func(v uint32) {
+		lv.forEach(func(v uint32) {
 			sv := bitsFloat(sigma[v])
 			if sv == 0 {
 				return
@@ -155,7 +154,7 @@ func BC(g Graph, src uint32) []float64 {
 }
 
 // BFS returns the BFS depth of every vertex from src (-1 if unreachable),
-// using the direction-switching EdgeMap — the building block of the
+// using the direction-switching edgeMap — the building block of the
 // frontier-based kernels.
 func BFS(g Graph, src uint32) []int32 {
 	n := g.NumVertices()
@@ -164,15 +163,14 @@ func BFS(g Graph, src uint32) []int32 {
 		depth[i] = -1
 	}
 	depth[src] = 0
-	frontier := NewSparse(n, []uint32{src})
-	for d := int32(1); !frontier.Empty(); d++ {
+	frontier := newSparse(n, []uint32{src})
+	for d := int32(1); !frontier.empty(); d++ {
 		dd := d
-		frontier = EdgeMap(g, frontier,
+		frontier = edgeMap(g, frontier,
 			func(s, u uint32) bool {
 				return atomic.CompareAndSwapInt32(&depth[u], -1, dd)
 			},
 			func(u uint32) bool { return atomic.LoadInt32(&depth[u]) == -1 },
-			nil,
 		)
 	}
 	return depth

@@ -45,47 +45,44 @@ type ContribScanner interface {
 	AccumulateContrib(w []float64, acc []float64)
 }
 
-// VertexSubset is a Ligra frontier: sparse (vertex list) or dense (bitmap).
-type VertexSubset struct {
+// vertexSubset is a Ligra frontier: sparse (vertex list) or dense (bitmap).
+type vertexSubset struct {
 	n      int
 	sparse []uint32 // valid when dense == nil
 	dense  []bool
 	size   int
 }
 
-// NewSparse builds a frontier from an explicit vertex list.
-func NewSparse(n int, vs []uint32) VertexSubset {
-	return VertexSubset{n: n, sparse: vs, size: len(vs)}
+// newSparse builds a frontier from an explicit vertex list.
+func newSparse(n int, vs []uint32) vertexSubset {
+	return vertexSubset{n: n, sparse: vs, size: len(vs)}
 }
 
-// NewDense builds a frontier from a bitmap; size is recomputed.
-func NewDense(marks []bool) VertexSubset {
+// newDense builds a frontier from a bitmap; size is recomputed.
+func newDense(marks []bool) vertexSubset {
 	size := 0
 	for _, m := range marks {
 		if m {
 			size++
 		}
 	}
-	return VertexSubset{n: len(marks), dense: marks, size: size}
+	return vertexSubset{n: len(marks), dense: marks, size: size}
 }
 
-// All returns the full frontier over n vertices.
-func All(n int) VertexSubset {
+// all returns the full frontier over n vertices.
+func all(n int) vertexSubset {
 	marks := make([]bool, n)
 	for i := range marks {
 		marks[i] = true
 	}
-	return VertexSubset{n: n, dense: marks, size: n}
+	return vertexSubset{n: n, dense: marks, size: n}
 }
 
-// Size returns the number of vertices in the frontier.
-func (f VertexSubset) Size() int { return f.size }
+// empty reports whether the frontier has no vertices.
+func (f vertexSubset) empty() bool { return f.size == 0 }
 
-// Empty reports whether the frontier has no vertices.
-func (f VertexSubset) Empty() bool { return f.size == 0 }
-
-// ForEach applies fn to every frontier vertex (parallel).
-func (f VertexSubset) ForEach(fn func(v uint32)) {
+// forEach applies fn to every frontier vertex (parallel).
+func (f vertexSubset) forEach(fn func(v uint32)) {
 	if f.dense != nil {
 		parallel.For(f.n, 1024, func(i int) {
 			if f.dense[i] {
@@ -97,21 +94,8 @@ func (f VertexSubset) ForEach(fn func(v uint32)) {
 	parallel.For(len(f.sparse), 256, func(i int) { fn(f.sparse[i]) })
 }
 
-// Has reports membership of v in the frontier.
-func (f VertexSubset) Has(v uint32) bool {
-	if f.dense != nil {
-		return f.dense[v]
-	}
-	for _, u := range f.sparse {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
 // toDense materializes the bitmap form.
-func (f VertexSubset) toDense() []bool {
+func (f vertexSubset) toDense() []bool {
 	if f.dense != nil {
 		return f.dense
 	}
@@ -122,46 +106,35 @@ func (f VertexSubset) toDense() []bool {
 	return marks
 }
 
-// EdgeMapOptions tunes the push/pull direction heuristic.
-type EdgeMapOptions struct {
-	// DenseThresholdFrac d switches to the dense (pull) traversal when
-	// |frontier| + out-degree(frontier) > edges/d. Ligra's default is 20.
-	DenseThresholdFrac int64
-}
-
-// EdgeMap is Ligra's edge traversal: from each frontier vertex s, visit
+// edgeMap is Ligra's edge traversal: from each frontier vertex s, visit
 // edges (s, d) with cond(d) true and apply update(s, d); d joins the output
 // frontier when update returns true. update must be atomic: it may be
 // called concurrently for the same d. Direction (sparse push vs dense pull)
 // follows Ligra's threshold heuristic.
-func EdgeMap(g Graph, frontier VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, opts *EdgeMapOptions) VertexSubset {
-	if denseRound(g, frontier, opts) {
+func edgeMap(g Graph, frontier vertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool) vertexSubset {
+	if denseRound(g, frontier) {
 		return edgeMapDense(g, frontier, update, cond)
 	}
 	return edgeMapSparse(g, frontier, update, cond)
 }
 
 // denseRound is Ligra's direction heuristic: a round goes dense when
-// |frontier| + out-degree(frontier) > edges/DenseThresholdFrac.
-func denseRound(g Graph, frontier VertexSubset, opts *EdgeMapOptions) bool {
-	frac := int64(20)
-	if opts != nil && opts.DenseThresholdFrac > 0 {
-		frac = opts.DenseThresholdFrac
-	}
+// |frontier| + out-degree(frontier) > edges/20.
+func denseRound(g Graph, frontier vertexSubset) bool {
 	var outDeg int64
-	frontier.ForEach(func(v uint32) {
+	frontier.forEach(func(v uint32) {
 		atomic.AddInt64(&outDeg, int64(g.Degree(v)))
 	})
-	return int64(frontier.Size())+outDeg > g.NumEdges()/frac
+	return int64(frontier.size)+outDeg > g.NumEdges()/20
 }
 
-// edgeMapPush is EdgeMap without the pull direction: update runs only
+// edgeMapPush is edgeMap without the pull direction: update runs only
 // along stored edges s→d, so it is exact on directed graphs. A frontier
 // past the dense threshold walks its bitmap and marks a dense output
 // instead of claiming and collecting a sparse list.
-func edgeMapPush(g Graph, frontier VertexSubset, update func(s, d uint32) bool) VertexSubset {
+func edgeMapPush(g Graph, frontier vertexSubset, update func(s, d uint32) bool) vertexSubset {
 	always := func(uint32) bool { return true }
-	if !denseRound(g, frontier, nil) {
+	if !denseRound(g, frontier) {
 		return edgeMapSparse(g, frontier, update, always)
 	}
 	n := g.NumVertices()
@@ -180,12 +153,12 @@ func edgeMapPush(g Graph, frontier VertexSubset, update func(s, d uint32) bool) 
 	})
 	out := make([]bool, n)
 	parallel.For(n, 2048, func(i int) { out[i] = marks[i] != 0 })
-	return NewDense(out)
+	return newDense(out)
 }
 
 // edgeMapDense pulls: every vertex d with cond(d) scans its in-neighbors
 // (graphs are symmetric, so out-neighbors) for frontier members.
-func edgeMapDense(g Graph, frontier VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool) VertexSubset {
+func edgeMapDense(g Graph, frontier vertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool) vertexSubset {
 	n := g.NumVertices()
 	in := frontier.toDense()
 	out := make([]bool, n)
@@ -201,16 +174,16 @@ func edgeMapDense(g Graph, frontier VertexSubset, update func(s, d uint32) bool,
 			return cond(d)
 		})
 	})
-	return NewDense(out)
+	return newDense(out)
 }
 
 // edgeMapSparse pushes from each frontier vertex; output vertices are
 // deduplicated with an atomic claim array.
-func edgeMapSparse(g Graph, frontier VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool) VertexSubset {
+func edgeMapSparse(g Graph, frontier vertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool) vertexSubset {
 	n := g.NumVertices()
 	claimed := make([]int32, n)
 	var mu chunkedAppender
-	frontier.ForEach(func(s uint32) {
+	frontier.forEach(func(s uint32) {
 		var local []uint32
 		g.Neighbors(s, func(d uint32) bool {
 			if cond(d) && update(s, d) {
@@ -224,7 +197,7 @@ func edgeMapSparse(g Graph, frontier VertexSubset, update func(s, d uint32) bool
 			mu.append(local)
 		}
 	})
-	return NewSparse(n, mu.collect())
+	return newSparse(n, mu.collect())
 }
 
 // chunkedAppender gathers per-task slices under a lock; contention is one

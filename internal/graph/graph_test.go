@@ -48,35 +48,39 @@ func pathGraph(n int) *sliceGraph {
 }
 
 func TestVertexSubset(t *testing.T) {
-	s := NewSparse(10, []uint32{1, 3, 5})
-	if s.Size() != 3 || s.Empty() || !s.Has(3) || s.Has(2) {
+	s := newSparse(10, []uint32{1, 3, 5})
+	if s.size != 3 || s.empty() {
 		t.Fatal("sparse subset wrong")
 	}
-	d := NewDense([]bool{true, false, true})
-	if d.Size() != 2 || !d.Has(0) || d.Has(1) {
+	d := newDense([]bool{true, false, true})
+	if d.size != 2 || d.empty() {
 		t.Fatal("dense subset wrong")
 	}
-	if All(5).Size() != 5 {
-		t.Fatal("All wrong")
+	if all(5).size != 5 {
+		t.Fatal("all wrong")
 	}
 }
 
 func TestEdgeMapBFSLevels(t *testing.T) {
-	// BFS on a path must advance one level per EdgeMap round in both
-	// directions of the push/pull heuristic.
-	for _, frac := range []int64{1, 1 << 30} { // force dense, force sparse
+	// BFS on a path must advance one level per round in both directions
+	// of the push/pull heuristic.
+	directions := []struct {
+		name string
+		step func(Graph, vertexSubset, func(s, d uint32) bool, func(d uint32) bool) vertexSubset
+	}{{"dense", edgeMapDense}, {"sparse", edgeMapSparse}}
+	for _, dir := range directions {
 		g := pathGraph(50)
 		depth := make([]int32, 50)
 		for i := range depth {
 			depth[i] = -1
 		}
 		depth[0] = 0
-		frontier := NewSparse(50, []uint32{0})
+		frontier := newSparse(50, []uint32{0})
 		round := int32(0)
-		for !frontier.Empty() {
+		for !frontier.empty() {
 			round++
 			r := round
-			frontier = EdgeMap(g, frontier,
+			frontier = dir.step(g, frontier,
 				func(s, d uint32) bool {
 					if depth[d] == -1 {
 						depth[d] = r
@@ -85,12 +89,11 @@ func TestEdgeMapBFSLevels(t *testing.T) {
 					return false
 				},
 				func(d uint32) bool { return depth[d] == -1 },
-				&EdgeMapOptions{DenseThresholdFrac: frac},
 			)
 		}
 		for i, dep := range depth {
 			if dep != int32(i) {
-				t.Fatalf("frac=%d: depth[%d] = %d, want %d", frac, i, dep, i)
+				t.Fatalf("%s: depth[%d] = %d, want %d", dir.name, i, dep, i)
 			}
 		}
 	}

@@ -8,11 +8,11 @@
 //
 // Everything is built on sync/atomic: recording a histogram sample is
 // three atomic adds, scraping never takes a lock and never blocks a
-// writer, and histograms snapshot/merge/subtract so callers can take
-// percentiles over a window (snap, run, snap, Sub). Buckets are
-// powers of two (bucketOf(v) = bits.Len64(v)), so quantiles are
-// interpolated within a 2x bucket — coarse in absolute terms, exact
-// enough to tell a 100µs stall from a 10ms one.
+// writer, and a histogram snapshot gives percentiles of everything
+// recorded so far. Buckets are powers of two (bucketOf(v) =
+// bits.Len64(v)), so quantiles are interpolated within a 2x bucket —
+// coarse in absolute terms, exact enough to tell a 100µs stall from a
+// 10ms one.
 //
 // # Metrics catalog
 //

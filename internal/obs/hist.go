@@ -9,8 +9,8 @@ import (
 
 // NumBuckets is the fixed bucket count of every Histogram. Bucket 0
 // holds zeros; bucket i (1..64) holds values in [2^(i-1), 2^i). The
-// layout is shared by all histograms, which is what makes snapshots
-// mergeable and subtractable without negotiation.
+// layout is shared by all histograms, so a scraper can sum two snapshots
+// bucket by bucket.
 const NumBuckets = 65
 
 // bucketOf maps a recorded value to its bucket index. bits.Len64 is
@@ -83,34 +83,11 @@ func (h *Histogram) Snapshot() HistSnap {
 	return s
 }
 
-// HistSnap is a frozen histogram capture: plain values, freely copyable,
-// mergeable across shards and subtractable across time for phase deltas.
+// HistSnap is a frozen histogram capture: plain values, freely copyable.
 type HistSnap struct {
 	Count   uint64
 	Sum     uint64
 	Buckets [NumBuckets]uint64
-}
-
-// Merge returns the bucket-wise sum of s and o. Merging is associative
-// and commutative because buckets are independent counters.
-func (s HistSnap) Merge(o HistSnap) HistSnap {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	return s
-}
-
-// Sub returns the bucket-wise delta s - prev, for measuring one phase of
-// a longer run. prev must be an earlier snapshot of the same histogram.
-func (s HistSnap) Sub(prev HistSnap) HistSnap {
-	s.Count -= prev.Count
-	s.Sum -= prev.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] -= prev.Buckets[i]
-	}
-	return s
 }
 
 // Mean returns the average recorded value, or 0 when empty.

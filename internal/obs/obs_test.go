@@ -46,34 +46,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// Property: merging snapshots is associative and commutative, and a
-// merge of per-goroutine histograms equals one shared histogram fed the
-// union of the streams.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	mk := func() HistSnap {
-		var h Histogram
-		for i := 0; i < 5000; i++ {
-			h.Record(rng.Uint64() >> uint(rng.Intn(64)))
-		}
-		return h.Snapshot()
-	}
-	a, b, c := mk(), mk(), mk()
-	left := a.Merge(b).Merge(c)
-	right := a.Merge(b.Merge(c))
-	swap := c.Merge(a).Merge(b)
-	if left != right || left != swap {
-		t.Fatal("merge is not associative/commutative")
-	}
-	if left.Count != a.Count+b.Count+c.Count || left.Sum != a.Sum+b.Sum+c.Sum {
-		t.Fatal("merge lost observations")
-	}
-	// Sub inverts Merge.
-	if left.Sub(c) != a.Merge(b) {
-		t.Fatal("Sub does not invert Merge")
-	}
-}
-
 // Property: quantile estimates are monotone in q, bounded by populated
 // bucket ranges, and stay sane under concurrent Record from 8 goroutines
 // (satellite: quantile monotonicity under concurrency).

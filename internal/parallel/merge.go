@@ -6,10 +6,10 @@ import "sort"
 // sequential chunk comfortably amortizes a goroutine spawn.
 const mergeGrain = 16 << 10
 
-// Merge merges the sorted slices a and b into out, which must have length
+// merge merges the sorted slices a and b into out, which must have length
 // len(a)+len(b). Duplicates are preserved. Large merges are split with the
 // binary-search strategy of load-balanced parallel merging [Akl–Santoro].
-func Merge(a, b, out []uint64) {
+func merge(a, b, out []uint64) {
 	if len(a)+len(b) <= mergeGrain || Serial() {
 		seqMerge(a, b, out)
 		return
@@ -22,8 +22,8 @@ func Merge(a, b, out []uint64) {
 	// Elements equal to pivot in b go left so equal runs stay adjacent.
 	cut := sort.Search(len(b), func(i int) bool { return b[i] > pivot })
 	Do(
-		func() { Merge(a[:mid+1], b[:cut], out[:mid+1+cut]) },
-		func() { Merge(a[mid+1:], b[cut:], out[mid+1+cut:]) },
+		func() { merge(a[:mid+1], b[:cut], out[:mid+1+cut]) },
+		func() { merge(a[mid+1:], b[cut:], out[mid+1+cut:]) },
 	)
 }
 
@@ -72,7 +72,7 @@ func MergeRuns(runs [][]uint64, bufs *[2][]uint64) []uint64 {
 		for i := 0; i+1 < len(runs); i += 2 {
 			a, b := runs[i], runs[i+1]
 			out := dst[off : off+len(a)+len(b)]
-			Merge(a, b, out)
+			merge(a, b, out)
 			runs[n] = out
 			n++
 			off += len(out)
@@ -97,8 +97,8 @@ func MergeDedup(a, b []uint64) (merged []uint64, fresh int) {
 		return seqMergeDedup(a, b)
 	}
 	out := make([]uint64, len(a)+len(b))
-	Merge(a, b, out)
-	merged = DedupSorted(out)
+	merge(a, b, out)
+	merged = dedupSorted(out)
 	return merged, len(merged) - len(a)
 }
 
@@ -127,10 +127,10 @@ func seqMergeDedup(a, b []uint64) ([]uint64, int) {
 	return out, fresh
 }
 
-// DedupSorted returns sorted slice a with adjacent duplicates removed. The
+// dedupSorted returns sorted slice a with adjacent duplicates removed. The
 // result is freshly allocated; a is left unchanged. Large inputs are
 // compacted in parallel with a per-block count, exclusive scan, and scatter.
-func DedupSorted(a []uint64) []uint64 {
+func dedupSorted(a []uint64) []uint64 {
 	if len(a) == 0 {
 		return nil
 	}
@@ -144,7 +144,7 @@ func DedupSorted(a []uint64) []uint64 {
 		}
 		return out
 	}
-	grain := DefaultGrain(len(a))
+	grain := defaultGrain(len(a))
 	nblocks := (len(a) + grain - 1) / grain
 	counts := make([]int, nblocks+1)
 	For(nblocks, 1, func(blk int) {

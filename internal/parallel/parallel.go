@@ -10,10 +10,10 @@
 //
 // Determinism: SortedSet's repeat filter, LSD radix sort and compaction
 // are serial, and the keys it returns are a pure function of its input at
-// every GOMAXPROCS (TestSortedSet runs at each -cpu value). Merge,
-// MergeRuns, MergeDedup and DedupSorted, which SortedSet calls for a
-// sorted batch with repeats, fork, but their output does not depend on how
-// the work was split.
+// every GOMAXPROCS (TestSortedSet runs at each -cpu value). The merges
+// (merge, MergeRuns, MergeDedup) and dedupSorted, which SortedSet calls
+// for a sorted batch with repeats, fork, but their output does not depend
+// on how the work was split.
 package parallel
 
 import (
@@ -21,16 +21,16 @@ import (
 	"sync"
 )
 
-// Procs reports the current GOMAXPROCS setting, i.e. the number of workers
+// procs reports the current GOMAXPROCS setting, i.e. the number of workers
 // fork-join primitives will try to keep busy.
-func Procs() int {
+func procs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
 // Serial reports whether the runtime is limited to a single worker, in which
 // case every primitive in this package runs inline without spawning.
 func Serial() bool {
-	return Procs() == 1
+	return procs() == 1
 }
 
 // Do runs f and g as a binary fork, joining before it returns. When only one
@@ -67,10 +67,10 @@ func Do3(f, g, h func()) {
 	Do(f, func() { Do(g, h) })
 }
 
-// DefaultGrain picks a loop grain that gives each worker roughly eight
+// defaultGrain picks a loop grain that gives each worker roughly eight
 // chunks, bounded below by 1.
-func DefaultGrain(n int) int {
-	g := n / (8 * Procs())
+func defaultGrain(n int) int {
+	g := n / (8 * procs())
 	if g < 1 {
 		g = 1
 	}
@@ -79,7 +79,7 @@ func DefaultGrain(n int) int {
 
 // For runs f(i) for every i in [0, n) with fork-join parallelism. Chunks of
 // at most grain iterations run sequentially; grain <= 0 selects
-// DefaultGrain(n). f must be safe to call concurrently for distinct i.
+// defaultGrain(n). f must be safe to call concurrently for distinct i.
 func For(n, grain int, f func(i int)) {
 	ForRange(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -96,7 +96,7 @@ func ForRange(n, grain int, f func(lo, hi int)) {
 		return
 	}
 	if grain <= 0 {
-		grain = DefaultGrain(n)
+		grain = defaultGrain(n)
 	}
 	if Serial() || n <= grain {
 		f(0, n)
@@ -122,7 +122,7 @@ func forRange(lo, hi, grain int, f func(lo, hi int)) {
 }
 
 // ReduceSum computes the sum of f(i) for i in [0, n) as a parallel tree
-// reduction with the given grain (<= 0 selects DefaultGrain).
+// reduction with the given grain (<= 0 selects defaultGrain).
 func ReduceSum(n, grain int, f func(i int) uint64) uint64 {
 	var total uint64
 	var mu sync.Mutex

@@ -26,7 +26,7 @@ func BenchmarkMerge1M(b *testing.B) {
 	b.SetBytes(int64(8 * len(out)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Merge(a, c, out)
+		merge(a, c, out)
 	}
 }
 
@@ -39,7 +39,7 @@ func BenchmarkDedupSorted(b *testing.B) {
 	b.SetBytes(int64(8 * len(a)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DedupSorted(a)
+		dedupSorted(a)
 	}
 }
 

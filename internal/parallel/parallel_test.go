@@ -84,11 +84,11 @@ func TestMergeMatchesSequential(t *testing.T) {
 			a := randSorted(r, na, 1<<20)
 			b := randSorted(r, nb, 1<<20)
 			out := make([]uint64, na+nb)
-			Merge(a, b, out)
+			merge(a, b, out)
 			want := append(append([]uint64{}, a...), b...)
 			slices.Sort(want)
 			if !slices.Equal(out, want) {
-				t.Fatalf("Merge(%d,%d) mismatch", na, nb)
+				t.Fatalf("merge(%d,%d) mismatch", na, nb)
 			}
 		}
 	}
@@ -126,8 +126,8 @@ func TestMergeDedup(t *testing.T) {
 
 func TestMergeDedupLarge(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	a := DedupSorted(randSorted(r, 60_000, 1<<22))
-	b := DedupSorted(randSorted(r, 60_000, 1<<22))
+	a := dedupSorted(randSorted(r, 60_000, 1<<22))
+	b := dedupSorted(randSorted(r, 60_000, 1<<22))
 	got, fresh := MergeDedup(a, b)
 	seen := map[uint64]bool{}
 	for _, v := range a {
@@ -160,9 +160,9 @@ func TestDedupSorted(t *testing.T) {
 	}
 	wants := [][]uint64{nil, {5}, {1}, {1, 2, 3, 10}}
 	for i, c := range cases {
-		got := DedupSorted(c)
+		got := dedupSorted(c)
 		if !slices.Equal(got, wants[i]) {
-			t.Errorf("DedupSorted(%v) = %v, want %v", c, got, wants[i])
+			t.Errorf("dedupSorted(%v) = %v, want %v", c, got, wants[i])
 		}
 	}
 }
@@ -171,7 +171,7 @@ func TestDedupSortedLargeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randSorted(r, 40_000, 1<<15) // many duplicates
-		got := DedupSorted(a)
+		got := dedupSorted(a)
 		want := slices.Compact(slices.Clone(a))
 		return slices.Equal(got, want)
 	}

@@ -26,27 +26,41 @@ const fibMul = 0x9e3779b97f4a7c15
 // duplicate-free copy. Only the first key is checked for 0.
 //
 // An unsorted batch always comes back as a fresh slice the caller owns,
-// and keys is left unchanged. One pass drops repeats before the sort: each
-// key probes a direct-mapped table of last-seen keys (slot = the top
-// repeatBits bits of a Fibonacci hash) and only keys not found there are
-// copied out. The table is a filter, not a set — a key evicted by a
-// colliding one is copied again — so slices.Compact finishes the job after
-// the sort; on a skewed stream the hot keys stay resident and almost all
-// their occurrences are gone before the sort sees them. The pass is also
-// the batch's key-0 check, made before the probe: the zeroed table already
-// "holds" key 0, so a check after it would drop the key silently.
+// and keys is left unchanged (see sortUnsorted).
 func SortedSet(keys []uint64, sorted bool) []uint64 {
-	if sorted {
-		if len(keys) > 0 && keys[0] == 0 {
-			panic("key 0 is reserved")
-		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i] <= keys[i-1] {
-				return DedupSorted(keys)
-			}
-		}
+	if !sorted {
+		return sortUnsorted(keys)
+	}
+	if len(keys) == 0 {
 		return keys
 	}
+	if keys[0] == 0 {
+		panic("key 0 is reserved")
+	}
+	prev := keys[0]
+	for _, k := range keys[1:] {
+		if k <= prev {
+			return dedupSorted(keys)
+		}
+		prev = k
+	}
+	return keys
+}
+
+// sortUnsorted is SortedSet for an unsorted batch. It is a function of its
+// own so that the repeat filter's 8 KiB table is in its frame only, not in
+// the frame of every sorted batch and one-key update.
+//
+// One pass drops repeats before the sort: each key probes a direct-mapped
+// table of last-seen keys (slot = the top repeatBits bits of a Fibonacci
+// hash) and only keys not found there are copied out. The table is a
+// filter, not a set — a key evicted by a colliding one is copied again —
+// so slices.Compact finishes the job after the sort; on a skewed stream
+// the hot keys stay resident and almost all their occurrences are gone
+// before the sort sees them. The pass is also the batch's key-0 check,
+// made before the probe: the zeroed table already "holds" key 0, so a
+// check after it would drop the key silently.
+func sortUnsorted(keys []uint64) []uint64 {
 	if len(keys) == 0 {
 		return nil
 	}

@@ -17,7 +17,7 @@
 // the routing fields (Partition, KeyBits, Bounds, BoundsGen) and Set,
 // which must match the live set's, and the durability cadence
 // (SyncEvery, SyncBytes, CheckpointEveryBatches, CompactEveryDeltas),
-// whose zero values select the Default* constants.
+// whose zero values select 32 records, 1 MiB, 4096 batches and 8 deltas.
 //
 // # On-disk layout
 //
@@ -136,14 +136,14 @@ import (
 
 // Defaults for the group-commit and checkpoint cadence knobs.
 const (
-	DefaultSyncEvery              = 32
-	DefaultSyncBytes              = 1 << 20
-	DefaultCheckpointEveryBatches = 4096
-	DefaultCompactEveryDeltas     = 8
+	defaultSyncEvery              = 32
+	defaultSyncBytes              = 1 << 20
+	defaultCheckpointEveryBatches = 4096
+	defaultCompactEveryDeltas     = 8
 )
 
 // withDefaults validates a store's arguments and fills the durability
-// cadence fields of o: the zero value of each selects its Default*;
+// cadence fields of o: the zero value of each selects its default above;
 // negative SyncEvery/SyncBytes disable that group-commit trigger and a
 // negative CheckpointEveryBatches disables the background checkpointer
 // (explicit Checkpoint calls still work). KeyBits outside [1, 64] means
@@ -156,16 +156,16 @@ func withDefaults(dir string, shards int, o shard.Options) (shard.Options, error
 		return o, fmt.Errorf("persist: shards must be >= 1 (got %d)", shards)
 	}
 	if o.SyncEvery == 0 {
-		o.SyncEvery = DefaultSyncEvery
+		o.SyncEvery = defaultSyncEvery
 	}
 	if o.SyncBytes == 0 {
-		o.SyncBytes = DefaultSyncBytes
+		o.SyncBytes = defaultSyncBytes
 	}
 	if o.CheckpointEveryBatches == 0 {
-		o.CheckpointEveryBatches = DefaultCheckpointEveryBatches
+		o.CheckpointEveryBatches = defaultCheckpointEveryBatches
 	}
 	if o.CompactEveryDeltas == 0 {
-		o.CompactEveryDeltas = DefaultCompactEveryDeltas
+		o.CompactEveryDeltas = defaultCompactEveryDeltas
 	}
 	if o.KeyBits <= 0 || o.KeyBits > 64 {
 		o.KeyBits = 64

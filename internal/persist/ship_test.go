@@ -101,7 +101,7 @@ func TestTornHeaderTailSegment(t *testing.T) {
 	}{
 		{"zero-byte", nil},
 		{"short-garbage", []byte{0xde, 0xad, 0xbe, 0xef}},
-		{"wrong-magic", make([]byte, SegmentHeaderBytes)},
+		{"wrong-magic", make([]byte, segHeaderSize)},
 	} {
 		t.Run(tail.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -19,11 +19,6 @@ import (
 	"repro/internal/codec"
 )
 
-// SegmentHeaderBytes is the size of a WAL segment file's header (magic,
-// version, shard id). Exported for tools that damage logs on purpose —
-// the crash-injection smoke must chop record bytes, not header bytes.
-const SegmentHeaderBytes = 8 + 4 + 4
-
 const (
 	segMagic = "CPMAWAL1"
 	// walVersion is the segment version, the only one read. Version 2
@@ -31,8 +26,10 @@ const (
 	// which carry a router generation after the sequence number); stores
 	// holding version-1 segments predate manifest version 4 and are
 	// refused at open.
-	walVersion    = 2
-	segHeaderSize = SegmentHeaderBytes
+	walVersion = 2
+	// segHeaderSize is the size of a WAL segment file's header: magic,
+	// version, shard id.
+	segHeaderSize = 8 + 4 + 4
 
 	recHeaderSize  = 8 // payload length u32, payload CRC32C u32
 	maxRecordBytes = 1 << 27

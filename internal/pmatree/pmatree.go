@@ -63,12 +63,6 @@ func New(leaves, leafCap int, b Bounds) *Tree {
 	}
 }
 
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() int { return t.leaves }
-
-// Height returns the height of the implicit tree (0 for a single leaf).
-func (t *Tree) Height() int { return t.height }
-
 // Node identifies a region of the implicit tree: level 0 is the leaves, and
 // node (l, i) covers leaves [i<<l, min((i+1)<<l, leaves)).
 type Node struct {
@@ -76,16 +70,8 @@ type Node struct {
 	Index int
 }
 
-// Root returns the root node.
-func (t *Tree) Root() Node { return Node{Level: t.height, Index: 0} }
-
-// Parent returns the parent of n.
-func (t *Tree) Parent(n Node) Node {
-	return Node{Level: n.Level + 1, Index: n.Index >> 1}
-}
-
-// LeafRange returns the half-open leaf range [lo, hi) covered by n.
-func (t *Tree) LeafRange(n Node) (lo, hi int) {
+// leafRange returns the half-open leaf range [lo, hi) covered by n.
+func (t *Tree) leafRange(n Node) (lo, hi int) {
 	lo = n.Index << uint(n.Level)
 	hi = lo + 1<<uint(n.Level)
 	if hi > t.leaves {
@@ -94,8 +80,8 @@ func (t *Tree) LeafRange(n Node) (lo, hi int) {
 	return lo, hi
 }
 
-// Upper returns the maximum allowed density for a node at the given level.
-func (t *Tree) Upper(level int) float64 {
+// upper returns the maximum allowed density for a node at the given level.
+func (t *Tree) upper(level int) float64 {
 	if t.height == 0 {
 		return t.bounds.UpperRoot
 	}
@@ -103,8 +89,8 @@ func (t *Tree) Upper(level int) float64 {
 	return t.bounds.UpperLeaf + (t.bounds.UpperRoot-t.bounds.UpperLeaf)*frac
 }
 
-// Lower returns the minimum allowed density for a node at the given level.
-func (t *Tree) Lower(level int) float64 {
+// lower returns the minimum allowed density for a node at the given level.
+func (t *Tree) lower(level int) float64 {
 	if t.height == 0 {
 		return t.bounds.LowerRoot
 	}
@@ -112,16 +98,16 @@ func (t *Tree) Lower(level int) float64 {
 	return t.bounds.LowerLeaf + (t.bounds.LowerRoot-t.bounds.LowerLeaf)*frac
 }
 
-// UpperUnits returns the unit budget of node n under its upper bound.
-func (t *Tree) UpperUnits(n Node) int {
-	lo, hi := t.LeafRange(n)
-	return int(t.Upper(n.Level) * float64((hi-lo)*t.leafCap))
+// upperUnits returns the unit budget of node n under its upper bound.
+func (t *Tree) upperUnits(n Node) int {
+	lo, hi := t.leafRange(n)
+	return int(t.upper(n.Level) * float64((hi-lo)*t.leafCap))
 }
 
-// LowerUnits returns the minimum units node n may hold under its lower bound.
-func (t *Tree) LowerUnits(n Node) int {
-	lo, hi := t.LeafRange(n)
-	return int(t.Lower(n.Level) * float64((hi-lo)*t.leafCap))
+// lowerUnits returns the minimum units node n may hold under its lower bound.
+func (t *Tree) lowerUnits(n Node) int {
+	lo, hi := t.leafRange(n)
+	return int(t.lower(n.Level) * float64((hi-lo)*t.leafCap))
 }
 
 // Region is a planner result: a maximal node whose covered leaves must be
@@ -187,12 +173,12 @@ func (t *Tree) Count(used func(leaf int) int, dirty []int, checkUpper, checkLowe
 		next = next[:0]
 		for _, c := range cur {
 			n := Node{level, c.index}
-			over := checkUpper && c.units > t.UpperUnits(n)
-			under := checkLower && c.units < t.LowerUnits(n)
+			over := checkUpper && c.units > t.upperUnits(n)
+			under := checkLower && c.units < t.lowerUnits(n)
 			switch {
 			case !over && !under:
 				if level > 0 {
-					lo, hi := t.LeafRange(n)
+					lo, hi := t.leafRange(n)
 					candidates = append(candidates, Region{Node: n, LoLeaf: lo, HiLeaf: hi, Used: c.units})
 				}
 			case level == t.height:
@@ -210,7 +196,7 @@ func (t *Tree) Count(used func(leaf int) int, dirty []int, checkUpper, checkLowe
 					next[i].units += cur[j].units
 					continue
 				}
-				lo, hi := t.LeafRange(Node{level, child}) // empty past the right edge
+				lo, hi := t.leafRange(Node{level, child}) // empty past the right edge
 				for leaf := lo; leaf < hi; leaf++ {
 					next[i].units += used(leaf)
 				}
@@ -249,7 +235,7 @@ func byIndex(c counted, index int) int { return cmp.Compare(c.index, index) }
 func (t *Tree) FirstViolator(used func(leaf int) int, dirty []int, checkUpper, checkLower bool) (int, int) {
 	for i, leaf := range dirty {
 		u := used(leaf)
-		if checkUpper && u > t.UpperUnits(Node{0, leaf}) || checkLower && u < t.LowerUnits(Node{0, leaf}) {
+		if checkUpper && u > t.upperUnits(Node{0, leaf}) || checkLower && u < t.lowerUnits(Node{0, leaf}) {
 			return i, u
 		}
 	}

@@ -21,38 +21,35 @@ func TestLeafRange(t *testing.T) {
 		{Node{4, 0}, 0, 10}, // root covers everything
 	}
 	for _, c := range cases {
-		lo, hi := tr.LeafRange(c.node)
+		lo, hi := tr.leafRange(c.node)
 		if lo != c.wantLo || hi != c.wantHi {
-			t.Errorf("LeafRange(%v) = [%d,%d), want [%d,%d)", c.node, lo, hi, c.wantLo, c.wantHi)
+			t.Errorf("leafRange(%v) = [%d,%d), want [%d,%d)", c.node, lo, hi, c.wantLo, c.wantHi)
 		}
 	}
-	if tr.Height() != 4 {
-		t.Errorf("Height = %d, want 4", tr.Height())
-	}
-	if tr.Root() != (Node{4, 0}) {
-		t.Errorf("Root = %v", tr.Root())
+	if tr.height != 4 {
+		t.Errorf("height = %d, want 4", tr.height)
 	}
 }
 
 func TestBoundsMonotone(t *testing.T) {
 	tr := New(1024, 32, DefaultBounds())
-	for l := 1; l <= tr.Height(); l++ {
-		if tr.Upper(l) > tr.Upper(l-1) {
-			t.Errorf("Upper not non-increasing at level %d", l)
+	for l := 1; l <= tr.height; l++ {
+		if tr.upper(l) > tr.upper(l-1) {
+			t.Errorf("upper not non-increasing at level %d", l)
 		}
-		if tr.Lower(l) < tr.Lower(l-1) {
-			t.Errorf("Lower not non-decreasing at level %d", l)
+		if tr.lower(l) < tr.lower(l-1) {
+			t.Errorf("lower not non-decreasing at level %d", l)
 		}
 	}
-	if tr.Upper(0) != 0.9 || tr.Upper(tr.Height()) != 0.7 {
-		t.Errorf("endpoint bounds wrong: %f %f", tr.Upper(0), tr.Upper(tr.Height()))
+	if tr.upper(0) != 0.9 || tr.upper(tr.height) != 0.7 {
+		t.Errorf("endpoint bounds wrong: %f %f", tr.upper(0), tr.upper(tr.height))
 	}
 }
 
 func TestSingleLeafTree(t *testing.T) {
 	tr := New(1, 16, DefaultBounds())
-	if tr.Height() != 0 {
-		t.Fatalf("height = %d", tr.Height())
+	if tr.height != 0 {
+		t.Fatalf("height = %d", tr.height)
 	}
 	used := func(int) int { return 14 } // density 0.875 > UpperRoot 0.7
 	plan := tr.Count(used, []int{0}, true, false)
@@ -127,7 +124,7 @@ func TestCountMergesSiblingViolations(t *testing.T) {
 		t.Fatalf("region %+v does not cover both dirty leaves", r)
 	}
 	// Verify the region is in bounds at its own level.
-	if r.Used > tr.UpperUnits(r.Node) {
+	if r.Used > tr.upperUnits(r.Node) {
 		t.Fatalf("chosen region violates its own bound: %+v", r)
 	}
 }
@@ -162,7 +159,7 @@ func TestCountRegionsDisjointProperty(t *testing.T) {
 			if reg.LoLeaf <= last {
 				return false
 			}
-			if reg.Used > tr.UpperUnits(reg.Node) {
+			if reg.Used > tr.upperUnits(reg.Node) {
 				return false
 			}
 			sum := 0
@@ -176,7 +173,7 @@ func TestCountRegionsDisjointProperty(t *testing.T) {
 		}
 		// every overflowed dirty leaf must be covered by some region
 		for _, d := range dirty {
-			if occ[d] <= int(tr.Upper(0)*float64(cap)) {
+			if occ[d] <= int(tr.upper(0)*float64(cap)) {
 				continue
 			}
 			covered := false

@@ -83,17 +83,17 @@ import (
 // Default shipping knobs: how long a caught-up shipper sleeps before
 // polling the seal again, and how many keys one read batch carries.
 const (
-	DefaultTailInterval   = 2 * time.Millisecond
-	DefaultMaxKeysPerRead = 1 << 16
+	defaultTailInterval   = 2 * time.Millisecond
+	defaultMaxKeysPerRead = 1 << 16
 )
 
 // Options tunes a replication link. The zero value selects the defaults.
 type Options struct {
 	// TailInterval is the idle poll interval once a follower is caught up
-	// to the primary's seal. 0 means DefaultTailInterval.
+	// to the primary's seal. 0 means 2ms.
 	TailInterval time.Duration
 	// MaxKeysPerRead bounds the keys one shipping read collects per shard
-	// per iteration. 0 means DefaultMaxKeysPerRead.
+	// per iteration. 0 means 65536.
 	MaxKeysPerRead int
 }
 
@@ -103,10 +103,10 @@ func (o *Options) withDefaults() Options {
 		v = *o
 	}
 	if v.TailInterval <= 0 {
-		v.TailInterval = DefaultTailInterval
+		v.TailInterval = defaultTailInterval
 	}
 	if v.MaxKeysPerRead <= 0 {
-		v.MaxKeysPerRead = DefaultMaxKeysPerRead
+		v.MaxKeysPerRead = defaultMaxKeysPerRead
 	}
 	return v
 }

@@ -31,22 +31,18 @@ func spanWidth(keyBits, shards int) uint64 {
 }
 
 // DefaultBounds returns the equal-width interior boundary table a fresh
-// range-partitioned set starts with (nil for a single shard): the table
-// Options.Bounds defaults to, exported so the persist layer can reason
-// about spans of stores that predate (or never performed) a rebalance.
+// range-partitioned set starts with, the table Options.Bounds defaults to:
+// shards-1 ascending keys, shard p owning [bounds[p-1], bounds[p]) with
+// implicit 0 below and infinity above, and nil for a single shard. keyBits
+// outside [1, 64] means the full 64-bit space. With small key spaces
+// (spanWidth rounds up) trailing shards legitimately own empty spans —
+// their boundaries saturate at the top of the key space. The persist layer
+// calls it to reason about spans of stores that predate (or never
+// performed) a rebalance.
 func DefaultBounds(keyBits, shards int) []uint64 {
 	if keyBits <= 0 || keyBits > 64 {
 		keyBits = 64
 	}
-	return defaultBounds(keyBits, shards)
-}
-
-// defaultBounds builds the equal-width interior boundary table for
-// RangePartition: shards-1 ascending keys, shard p owning
-// [bounds[p-1], bounds[p]) with implicit 0 below and infinity above. With
-// small key spaces (spanWidth rounds up) trailing shards legitimately own
-// empty spans — their boundaries saturate at the top of the key space.
-func defaultBounds(keyBits, shards int) []uint64 {
 	if shards <= 1 {
 		return nil
 	}

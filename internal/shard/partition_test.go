@@ -72,7 +72,7 @@ func routerGeometries(r *workload.RNG) []*router {
 		rts = append(rts, &router{
 			part:    RangePartition,
 			shards:  g.shards,
-			bounds:  defaultBounds(g.keyBits, g.shards),
+			bounds:  DefaultBounds(g.keyBits, g.shards),
 			spanGen: make([]uint64, g.shards),
 		})
 		// A randomized table over the same geometry: sorted draws from the
@@ -185,7 +185,7 @@ func TestDefaultBoundsMatchWidthArithmetic(t *testing.T) {
 		rt := &router{
 			part:    RangePartition,
 			shards:  g.shards,
-			bounds:  defaultBounds(g.keyBits, g.shards),
+			bounds:  DefaultBounds(g.keyBits, g.shards),
 			spanGen: make([]uint64, g.shards),
 		}
 		w := spanWidth(g.keyBits, g.shards)

@@ -169,22 +169,22 @@ const (
 	RangePartition
 )
 
-// Pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
+// Pipeline tuning: a mailbox holds up to defaultMailboxDepth pending
 // sub-batches (Options.MailboxDepth overrides it), and one drain stops
 // coalescing once it holds MaxCoalesceKeys keys (a single larger batch is
 // still applied whole). Log replay (persist.Replay) caps its merged runs
 // the same way.
 const (
-	DefaultMailboxDepth = 64
+	defaultMailboxDepth = 64
 	MaxCoalesceKeys     = 1 << 20
 )
 
 // Default rebalancer tuning: the monitor samples per-shard key counts
-// every DefaultRebalanceEvery and moves boundaries while the max/mean
-// ratio exceeds DefaultMaxSkew.
+// every defaultRebalanceEvery and moves boundaries while the max/mean
+// ratio exceeds defaultMaxSkew.
 const (
-	DefaultMaxSkew        = 1.5
-	DefaultRebalanceEvery = 100 * time.Millisecond
+	defaultMaxSkew        = 1.5
+	defaultRebalanceEvery = 100 * time.Millisecond
 	// minRebalanceKeys is the smallest pair population worth moving a
 	// boundary for; below it skew is noise, not load.
 	minRebalanceKeys = 64
@@ -214,7 +214,7 @@ type Options struct {
 	// remains so existing callers that set it keep compiling.
 	Async bool
 	// MailboxDepth bounds each shard's mailbox (pending sub-batches); a
-	// full mailbox blocks enqueues. 0 means DefaultMailboxDepth.
+	// full mailbox blocks enqueues. 0 means 64.
 	MailboxDepth int
 
 	// Rebalance starts the live span rebalancer (see the package
@@ -225,12 +225,11 @@ type Options struct {
 	// set, monitor or not.
 	Rebalance bool
 	// MaxSkew is the rebalance trigger: the monitor moves boundaries while
-	// the max/mean shard key-count ratio exceeds it. 0 means
-	// DefaultMaxSkew; values below 1.1 are clamped to 1.1 (a perfectly flat
-	// target would rebalance forever on rounding noise).
+	// the max/mean shard key-count ratio exceeds it. 0 means 1.5; values
+	// below 1.1 are clamped to 1.1 (a perfectly flat target would
+	// rebalance forever on rounding noise).
 	MaxSkew float64
-	// RebalanceEvery is the monitor's sampling interval. 0 means
-	// DefaultRebalanceEvery.
+	// RebalanceEvery is the monitor's sampling interval. 0 means 100ms.
 	RebalanceEvery time.Duration
 
 	// The durability fields below configure the store of a durable set,
@@ -439,18 +438,18 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 		o.KeyBits = 64
 	}
 	if o.MailboxDepth <= 0 {
-		o.MailboxDepth = DefaultMailboxDepth
+		o.MailboxDepth = defaultMailboxDepth
 	}
 	if o.Rebalance && o.Partition != RangePartition {
 		panic("shard: Options.Rebalance requires RangePartition")
 	}
 	if o.MaxSkew <= 0 {
-		o.MaxSkew = DefaultMaxSkew
+		o.MaxSkew = defaultMaxSkew
 	} else if o.MaxSkew < 1.1 {
 		o.MaxSkew = 1.1
 	}
 	if o.RebalanceEvery <= 0 {
-		o.RebalanceEvery = DefaultRebalanceEvery
+		o.RebalanceEvery = defaultRebalanceEvery
 	}
 	s := &Sharded{cells: make([]cell, shards), opt: o, replica: replica}
 	s.trace = obs.NewTrace(shards, 0)
@@ -458,7 +457,7 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 	if o.Partition != RangePartition {
 		bounds = nil
 	} else if bounds == nil {
-		bounds = defaultBounds(o.KeyBits, shards)
+		bounds = DefaultBounds(o.KeyBits, shards)
 	} else {
 		if err := checkBounds(bounds, shards); err != nil {
 			panic(err)

@@ -1,5 +1,5 @@
 // Package stats holds the measurement and reporting helpers the benchmark
-// harnesses share: wall-clock throughput, speedup series, geometric means,
+// harnesses share: wall-clock throughput, speedup series,
 // scientific-notation formatting matching the paper's tables, and aligned
 // text-table rendering.
 package stats
@@ -47,39 +47,6 @@ func Ratio(a, b float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f", a/b)
-}
-
-// GeoMean returns the geometric mean of positive values ("on average, the
-// CPMA achieves ..." figures are geometric means over workloads).
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
-}
-
-// Median returns the median of a non-empty slice (copied, not mutated).
-func Median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), vals...)
-	for i := 1; i < len(c); i++ { // insertion sort; inputs are tiny
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
-	if len(c)%2 == 1 {
-		return c[len(c)/2]
-	}
-	return (c[len(c)/2-1] + c[len(c)/2]) / 2
 }
 
 // Table renders aligned columns.

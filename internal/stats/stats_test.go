@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -27,25 +26,6 @@ func TestSci(t *testing.T) {
 		if got := Sci(c.in); got != c.want {
 			t.Errorf("Sci(%g) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GeoMean = %f", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty GeoMean should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median wrong")
 	}
 }
 

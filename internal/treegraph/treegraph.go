@@ -44,14 +44,10 @@ type Graph struct {
 	m     int64
 }
 
-// New returns an empty graph over numVertices ids.
-func New(numVertices int, cfg Config) *Graph {
-	return &Graph{cfg: cfg, verts: make([]*pactree.Tree, numVertices)}
-}
-
-// FromEdges builds a graph from a symmetrized edge list.
+// FromEdges builds a graph over numVertices ids from a symmetrized edge
+// list.
 func FromEdges(numVertices int, edges []workload.Edge, cfg Config) *Graph {
-	g := New(numVertices, cfg)
+	g := &Graph{cfg: cfg, verts: make([]*pactree.Tree, numVertices)}
 	g.InsertEdges(edges)
 	return g
 }

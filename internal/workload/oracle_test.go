@@ -98,12 +98,12 @@ func TestSkipMatchesDraws(t *testing.T) {
 		for range n {
 			a.Uint64()
 		}
-		b.Skip(n)
+		b.skip(n)
 		if *a != *b {
-			t.Fatalf("Skip(%d) left state %x, %d draws left %x", n, b.state, n, a.state)
+			t.Fatalf("skip(%d) left state %x, %d draws left %x", n, b.state, n, a.state)
 		}
 		if a.Uint64() != b.Uint64() {
-			t.Fatalf("Skip(%d): next draws differ", n)
+			t.Fatalf("skip(%d): next draws differ", n)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // exactly what a sequential loop would and leave the RNG in the same state,
 // at every GOMAXPROCS. That rests on splitmix64 being counter-based: draw j
 // after state s is mix(s + j·γ), so a chunk jumps straight to its first
-// draw (RNG.Skip). Uniform's key i is draw i+1. R-MAT candidate edge k is
+// draw (RNG.skip). Uniform's key i is draw i+1. R-MAT candidate edge k is
 // built from draws k·scale+1 … k·scale+scale, one per vertex bit from the
 // lowest up. The tests pin both layouts against the one-draw-at-a-time
 // generators they replaced.
@@ -47,9 +47,9 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Skip advances the generator past n draws in O(1), leaving it where n
+// skip advances the generator past n draws in O(1), leaving it where n
 // Uint64 calls would.
-func (r *RNG) Skip(n int) { r.state += uint64(n) * gamma }
+func (r *RNG) skip(n int) { r.state += uint64(n) * gamma }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -73,12 +73,12 @@ func Uniform(r *RNG, n, bits int) []uint64 {
 	start := *r
 	parallel.ForRange(n, uniformGrain, func(lo, hi int) {
 		g := start
-		g.Skip(lo)
+		g.skip(lo)
 		for i := lo; i < hi; i++ {
 			out[i] = 1 + g.Uint64()%span
 		}
 	})
-	r.Skip(n)
+	r.skip(n)
 	return out
 }
 
@@ -308,10 +308,10 @@ func rmatFill(r *RNG, out []Edge, scale int, c rmatCuts) {
 	start := *r
 	parallel.ForRange(len(out), rmatGrain, func(lo, hi int) {
 		g := start
-		g.Skip(lo * scale)
+		g.skip(lo * scale)
 		c.fill(g, out[lo:hi], scale)
 	})
-	r.Skip(len(out) * scale)
+	r.skip(len(out) * scale)
 }
 
 // rmatCuts are the R-MAT quadrant boundaries as integer thresholds on a
@@ -370,9 +370,9 @@ func (c rmatCuts) fill(g RNG, out []Edge, scale int) {
 	}
 }
 
-// ErdosRenyi generates G(n, p) as a directed edge list via geometric
+// erdosRenyi generates G(n, p) as a directed edge list via geometric
 // skipping, so the cost is proportional to the number of edges.
-func ErdosRenyi(r *RNG, n int, p float64) []Edge {
+func erdosRenyi(r *RNG, n int, p float64) []Edge {
 	if p <= 0 || n <= 0 {
 		return nil
 	}
@@ -454,7 +454,7 @@ func (g SyntheticGraph) Build(seed uint64) []Edge {
 	r := NewRNG(seed)
 	switch g.Kind {
 	case "er":
-		return Symmetrize(ErdosRenyi(r, g.N, g.P))
+		return Symmetrize(erdosRenyi(r, g.N, g.P))
 	default:
 		return Symmetrize(RMAT(r, g.Edges, g.Scale, DefaultRMAT()))
 	}

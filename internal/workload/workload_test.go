@@ -135,7 +135,7 @@ func TestRMATSkewAndRange(t *testing.T) {
 func TestErdosRenyiDensity(t *testing.T) {
 	r := NewRNG(5)
 	n, p := 2000, 0.01
-	edges := ErdosRenyi(r, n, p)
+	edges := erdosRenyi(r, n, p)
 	want := float64(n) * float64(n) * p
 	got := float64(len(edges))
 	if math.Abs(got-want)/want > 0.1 {

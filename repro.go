@@ -384,8 +384,8 @@ type Metrics = obs.Registry
 type MetricsServer = obs.Server
 
 // MetricsHistogram is one lock-free latency histogram: power-of-two
-// buckets, three atomic adds per Record, mergeable snapshots with
-// interpolated quantiles.
+// buckets, three atomic adds per Record, snapshots with interpolated
+// quantiles.
 type MetricsHistogram = obs.Histogram
 
 // EventTrace is a set of fixed-size per-shard ring buffers recording
