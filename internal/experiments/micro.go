@@ -130,28 +130,11 @@ func Fig2RangeQuery(makers []SetMaker, cfg MicroConfig, queries int) []RangeRow 
 		systems[i] = mk.New()
 		systems[i].InsertBatch(base, false)
 	}
-	keySpace := uint64(1) << workload.UniformBits
 	var rows []RangeRow
 	for _, avgLen := range rangeLens(cfg.BaseN) {
-		span := uint64(float64(keySpace) * float64(avgLen) / float64(cfg.BaseN))
-		starts := make([]uint64, queries)
-		qr := workload.NewRNG(cfg.Seed + 1)
-		for i := range starts {
-			starts[i] = 1 + qr.Uint64()%(keySpace-span)
-		}
 		row := RangeRow{AvgLen: avgLen, Throughput: map[string]float64{}}
 		for i, mk := range makers {
-			s := systems[i]
-			var elems int64
-			d := stats.Trials(1, cfg.Trials, func() {
-				var total int64
-				parallel.For(len(starts), 4, func(q int) {
-					_, cnt := s.RangeSum(starts[q], starts[q]+span)
-					atomic.AddInt64(&total, int64(cnt))
-				})
-				elems = total
-			})
-			row.Throughput[mk.Name] = stats.Throughput(int(elems), d)
+			row.Throughput[mk.Name] = rangeThroughput(systems[i], cfg, queries, avgLen)
 		}
 		rows = append(rows, row)
 	}
@@ -159,6 +142,30 @@ func Fig2RangeQuery(makers []SetMaker, cfg MicroConfig, queries int) []RangeRow 
 		closeSet(s)
 	}
 	return rows
+}
+
+// rangeThroughput times queries parallel RangeSums on s, each over a span
+// expected to hold avgLen of cfg.BaseN uniform keys, from starts drawn
+// with seed cfg.Seed+1, and returns the elements summed per second (the
+// mean of cfg.Trials runs after one warm-up).
+func rangeThroughput(s Set, cfg MicroConfig, queries, avgLen int) float64 {
+	keySpace := uint64(1) << workload.UniformBits
+	span := uint64(float64(keySpace) * float64(avgLen) / float64(cfg.BaseN))
+	starts := make([]uint64, queries)
+	qr := workload.NewRNG(cfg.Seed + 1)
+	for i := range starts {
+		starts[i] = 1 + qr.Uint64()%(keySpace-span)
+	}
+	var elems int64
+	d := stats.Trials(1, cfg.Trials, func() {
+		var total int64
+		parallel.For(len(starts), 4, func(q int) {
+			_, cnt := s.RangeSum(starts[q], starts[q]+span)
+			atomic.AddInt64(&total, int64(cnt))
+		})
+		elems = total
+	})
+	return stats.Throughput(int(elems), d)
 }
 
 // Table3Row reports serial vs parallel batch inserts for the PMA.
@@ -310,25 +317,9 @@ func Fig8RangeScaling(cfg MicroConfig, queries, avgLen int) []ScalingRow {
 	p.InsertBatch(base, false)
 	c := cpma.New(nil)
 	c.InsertBatch(base, false)
-	keySpace := uint64(1) << workload.UniformBits
-	span := uint64(float64(keySpace) * float64(avgLen) / float64(cfg.BaseN))
-	starts := make([]uint64, queries)
-	qr := workload.NewRNG(cfg.Seed + 1)
-	for i := range starts {
-		starts[i] = 1 + qr.Uint64()%(keySpace-span)
-	}
 	run := func(s Set, procs int) float64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		var elems int64
-		d := stats.Trials(1, cfg.Trials, func() {
-			var total int64
-			parallel.For(len(starts), 4, func(q int) {
-				_, cnt := s.RangeSum(starts[q], starts[q]+span)
-				atomic.AddInt64(&total, int64(cnt))
-			})
-			elems = total
-		})
-		return stats.Throughput(int(elems), d)
+		return rangeThroughput(s, cfg, queries, avgLen)
 	}
 	var rows []ScalingRow
 	for _, procs := range CoreCounts() {

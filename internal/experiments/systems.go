@@ -1,10 +1,12 @@
 // Package experiments implements one reusable driver per table and figure
-// of the paper's evaluation (§1, §4, §5, §6, Appendices B–C). The
-// cmd/cpma-bench and cmd/fgraph-bench binaries and the root bench_test.go
-// all call into this package, so the scaled-down benchmark defaults and the
-// full-scale command-line runs share one code path. The PMA and CPMA
-// columns, and the RMA comparator of Table 4 (cpma.InsertBatchRMA), all run
-// on the one engine in internal/cpma.
+// of the paper's evaluation (§1, §4, §5, §6, Appendices B–C), which the
+// cmd/cpma-bench and cmd/fgraph-bench binaries run at configurable scale.
+// The root bench_test.go calls none of these drivers: its Benchmarks
+// re-implement their measured loops over this package's set and graph
+// makers, and its one driver call, in BenchmarkTable1CacheModel, is
+// cachesim.Table1. The PMA and CPMA columns, and the RMA comparator of
+// Table 4 (cpma.InsertBatchRMA), all run on the one engine in
+// internal/cpma.
 package experiments
 
 import (

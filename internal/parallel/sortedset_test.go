@@ -237,3 +237,31 @@ func BenchmarkSortedSet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSortedSetSorted times SortedSet on caller-sorted batches, the
+// path every mailbox apply and CPMA point update takes: sorted uniform
+// 40-bit keys, strictly increasing (checked and used uncopied) or with
+// every fourth key repeating its predecessor (copied without the repeats).
+// A one-key batch cannot repeat, so it is timed increasing only.
+func BenchmarkSortedSetSorted(b *testing.B) {
+	for _, n := range []int{1, 250, 1000, 25_000} {
+		for _, shape := range []string{"increasing", "repeats"} {
+			if n == 1 && shape == "repeats" {
+				continue
+			}
+			b.Run(fmt.Sprintf("%d/%s", n, shape), func(b *testing.B) {
+				keys := parallel.SortedSet(workload.Uniform(workload.NewRNG(1), n+n/2, workload.UniformBits), false)[:n]
+				if shape == "repeats" {
+					for i := 3; i < n; i += 4 {
+						keys[i] = keys[i-1]
+					}
+				}
+				b.SetBytes(int64(8 * n))
+				b.ReportAllocs()
+				for b.Loop() {
+					parallel.SortedSet(keys, true)
+				}
+			})
+		}
+	}
+}

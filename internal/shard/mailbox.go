@@ -208,7 +208,7 @@ func (s *Sharded) writer(p int) {
 		// reads never wait on (or block) the apply path. The final drain
 		// before exit publishes too, so reads after Close see the fully
 		// drained state.
-		sn := s.rest(p, c, &ws)
+		sn := s.rest(p, &ws)
 		// Two clock reads bound the whole drain; residency for each
 		// drained sub-batch derives from its enqueue stamp against the
 		// same end time. A drain that carried a quiesce token spent its
@@ -234,7 +234,7 @@ func (s *Sharded) writer(p int) {
 				}
 			}
 		}
-		s.trace.Record(p, obs.EvDrain, sn.epoch, sn.gen, uint64(len(ws.pending)), uint64(n))
+		s.trace.Record(p, obs.EvDrain, sn.snaps[p].epoch, sn.rt.gen, uint64(len(ws.pending)), uint64(n))
 		ws.release()
 		if closed {
 			return
@@ -247,10 +247,10 @@ func (s *Sharded) writer(p int) {
 // immutable state a checkpoint can serialize, covering every record this
 // goroutine appended so far. Then it completes the tickets held since the
 // previous rest point: their results are now visible to every read.
-func (s *Sharded) rest(p int, c *cell, ws *writerScratch) *shardSnap {
-	sn := s.publish(p, c)
+func (s *Sharded) rest(p int, ws *writerScratch) *Snapshot {
+	sn := s.publish(nil, p)
 	if j := s.opt.Journal; j != nil {
-		j.Published(p, sn.set)
+		j.Published(p, sn.snaps[p].set)
 	}
 	ws.ackAll()
 	return sn
@@ -272,7 +272,7 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			// every read must include everything it covered. On a durable
 			// set the token is also the durability barrier — force the log
 			// to disk before anyone waiting on the Flush is released.
-			s.rest(p, c, ws)
+			s.rest(p, ws)
 			if j := s.opt.Journal; j != nil {
 				if err := j.Synced(p); err != nil {
 					panic(fmt.Sprintf("shard %d: journal sync: %v", p, err))
@@ -282,12 +282,12 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			i++
 		case op.kind == opQuiesce:
 			// Park for the rebalancer: publish the rest-point state (the
-			// pre-move handle other shards' captures may still pair with),
+			// pre-move handle reads keep using until the move publishes),
 			// signal arrival, and block. Nothing can follow this
 			// token in the mailbox because the rebalancer holds the
 			// enqueue-side lifecycle lock while it is outstanding. Until
 			// resume closes, the rebalancer is this shard's sole mutator.
-			s.rest(p, c, ws)
+			s.rest(p, ws)
 			op.tk.complete(0)
 			<-op.resume
 			i++

@@ -79,10 +79,9 @@ const fibMul = 0x9e3779b97f4a7c15
 // router routes keys to shards: the partition policy plus the authoritative
 // sorted span-boundary table it needs under RangePartition. A router is
 // immutable once published — rebalancing builds a fresh router (new bounds,
-// bumped gen, copied spanGen) and swaps the Sharded's atomic pointer — so
-// readers and snapshots can hold one and route consistently without locks,
-// and without retaining the live Sharded beyond the frozen handles they
-// serve.
+// bumped gen) and publishes it in the same Snapshot as the frozen handles
+// laid out by it — so a Snapshot routes consistently without locks, and
+// without retaining the live Sharded beyond the frozen handles it serves.
 type router struct {
 	part   Partition
 	shards int
@@ -93,11 +92,6 @@ type router struct {
 	bounds []uint64
 	// gen counts router generations: 0 at construction, +1 per rebalance.
 	gen uint64
-	// spanGen[p] is the generation at which shard p's span last changed.
-	// Snapshot captures validate published handles against it: a handle
-	// published under an older span generation must not be routed with this
-	// router (the keys it holds may have moved shards since).
-	spanGen []uint64
 	// replica marks a follower's table. A replicated move lands shard by
 	// shard, so a follower's range shards can briefly hold keys outside
 	// their spans; the routing audit in validate skips spans there.
@@ -180,18 +174,6 @@ func (rt *router) owns(p int, v uint64) bool {
 	}
 	q, w := rt.route(rt.key(p, v))
 	return q == p && w == v
-}
-
-// spanOf returns shard p's half-open span [lo, hi) under RangePartition;
-// last reports that the span is unbounded above (hi is meaningless then).
-func (rt *router) spanOf(p int) (lo, hi uint64, last bool) {
-	if p > 0 {
-		lo = rt.bounds[p-1]
-	}
-	if p == rt.shards-1 {
-		return lo, 0, true
-	}
-	return lo, rt.bounds[p], false
 }
 
 // shardSpan returns the inclusive shard interval overlapping [start, end):
@@ -287,9 +269,9 @@ func (rt *router) scatter(keys []uint64) [][]uint64 {
 	return subs
 }
 
-// router returns the current routing table. The pointer is immutable;
-// rebalancing publishes replacements through the atomic.
-func (s *Sharded) router() *router { return s.rt.Load() }
+// router returns the published routing table. The pointer is immutable;
+// rebalancing publishes replacements in new Snapshots.
+func (s *Sharded) router() *router { return s.v.Load().rt }
 
 func (s *Sharded) shardOf(key uint64) int { return s.router().shardOf(key) }
 

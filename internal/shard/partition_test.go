@@ -70,10 +70,9 @@ func routerGeometries(r *workload.RNG) []*router {
 		{2, 9}, {3, 8}, {1, 5}, // shards > distinct spans
 	} {
 		rts = append(rts, &router{
-			part:    RangePartition,
-			shards:  g.shards,
-			bounds:  DefaultBounds(g.keyBits, g.shards),
-			spanGen: make([]uint64, g.shards),
+			part:   RangePartition,
+			shards: g.shards,
+			bounds: DefaultBounds(g.keyBits, g.shards),
 		})
 		// A randomized table over the same geometry: sorted draws from the
 		// key space, with duplicates (empty spans) kept.
@@ -84,14 +83,13 @@ func routerGeometries(r *workload.RNG) []*router {
 			}
 			slices.Sort(bounds)
 			rts = append(rts, &router{
-				part:    RangePartition,
-				shards:  g.shards,
-				bounds:  bounds,
-				spanGen: make([]uint64, g.shards),
+				part:   RangePartition,
+				shards: g.shards,
+				bounds: bounds,
 			})
 		}
 	}
-	rts = append(rts, &router{part: HashPartition, shards: 7, spanGen: make([]uint64, 7)})
+	rts = append(rts, &router{part: HashPartition, shards: 7})
 	return rts
 }
 
@@ -183,10 +181,9 @@ func TestDefaultBoundsMatchWidthArithmetic(t *testing.T) {
 		{64, 3}, {64, 16}, {40, 5}, {16, 9}, {2, 9}, {8, 200},
 	} {
 		rt := &router{
-			part:    RangePartition,
-			shards:  g.shards,
-			bounds:  DefaultBounds(g.keyBits, g.shards),
-			spanGen: make([]uint64, g.shards),
+			part:   RangePartition,
+			shards: g.shards,
+			bounds: DefaultBounds(g.keyBits, g.shards),
 		}
 		w := spanWidth(g.keyBits, g.shards)
 		for i := 0; i < 20000; i++ {
@@ -218,7 +215,7 @@ func TestDefaultBoundsMatchWidthArithmetic(t *testing.T) {
 // at 2^16 keys per shard — also for keys whose low bits never vary.
 func TestQuotientRouting(t *testing.T) {
 	for _, P := range []int{1, 2, 3, 4, 5, 7, 8} {
-		rt := &router{part: HashPartition, shards: P, spanGen: make([]uint64, P)}
+		rt := &router{part: HashPartition, shards: P}
 		b := rt.qbits()
 		n := P << 16
 		families := map[string][]uint64{

@@ -24,13 +24,12 @@ package shard
 //     barrier records carrying the moved keys plus a durable boundary-
 //     table update, ordered so any crash point recovers to exactly the
 //     pre- or post-move state.
-//  5. Install the new CPMAs, bump the shard epochs, swap in the new
-//     router, and publish fresh handles stamped with the new span
-//     generation.
+//  5. Install the new CPMAs, bump the shard epochs, and publish the new
+//     router and the pair's fresh handles in one Snapshot swap.
 //  6. Resume the writers and release life.Lock.
 //
-// Every read validates its handles' span generations against the router
-// it routes with (capture), so no read can ever pair pre-move placement
+// Every read loads one Snapshot, whose routing and handles always come
+// from the same publication, so no read can ever pair pre-move placement
 // with post-move routing or vice versa.
 
 import (
@@ -69,17 +68,17 @@ func (s *Sharded) Bounds() []uint64 {
 
 // LoadRatio reports the current max/mean shard key-count ratio and the
 // per-shard key counts it was computed from (1 on an empty or single-shard
-// set). Counts are sampled per shard without a global cut — the monitor
-// needs a trend, not a linearizable total.
+// set), read off the published Snapshot.
 func (s *Sharded) LoadRatio() (float64, []int) {
 	lens := s.shardLens()
 	return loadRatio(lens), lens
 }
 
 func (s *Sharded) shardLens() []int {
-	lens := make([]int, len(s.cells))
-	for p := range lens {
-		lens[p] = s.cellLen(p)
+	sn := s.v.Load()
+	lens := make([]int, len(sn.snaps))
+	for p, h := range sn.snaps {
+		lens[p] = h.set.Len()
 	}
 	return lens
 }
@@ -192,7 +191,7 @@ func (s *Sharded) RebalanceOnce() int {
 }
 
 // cellLen is shard p's key count as of its published handle.
-func (s *Sharded) cellLen(p int) int { return s.cells[p].snap.Load().set.Len() }
+func (s *Sharded) cellLen(p int) int { return s.v.Load().at(p).Len() }
 
 // moveBoundary rebalances the adjacent pair (a, a+1) by moving their
 // shared boundary so the left shard keeps keepLeft keys (clamped to the
@@ -267,16 +266,8 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 	newA := cpma.FromSorted(merged[:splitAt], s.opt.Set)
 	newB := cpma.FromSorted(merged[splitAt:], s.opt.Set)
 
-	nrt := &router{
-		part:    rt.part,
-		shards:  rt.shards,
-		bounds:  append([]uint64(nil), rt.bounds...),
-		gen:     rt.gen + 1,
-		spanGen: append([]uint64(nil), rt.spanGen...),
-	}
+	nrt := &router{part: rt.part, shards: rt.shards, bounds: append([]uint64(nil), rt.bounds...), gen: rt.gen + 1}
 	nrt.bounds[a] = newBound
-	nrt.spanGen[a] = nrt.gen
-	nrt.spanGen[b] = nrt.gen
 
 	// Write-ahead: the journal sees the move before memory does. Its
 	// barrier protocol (dest record, boundary table, source record — each
@@ -289,24 +280,19 @@ func (s *Sharded) moveBoundary(a, keepLeft int) bool {
 		}
 	}
 
-	// Install. Until the fresh handles below land, captures under the new
-	// router see stale-generation handles for the pair and retry; captures
-	// under the old router either finish before the swap (and read the
-	// old placement consistently) or see the router change and retry.
+	// Install: the new router and the pair's fresh handles land in one
+	// Snapshot swap, so every read sees either the old placement with the
+	// old router or the new placement with the new one.
 	ca, cb := &s.cells[a], &s.cells[b]
 	ca.set, cb.set = newA, newB
 	ca.epoch.Add(1)
 	cb.epoch.Add(1)
-	s.rt.Store(nrt)
-	// Publish fresh handles at the new span generation so captures
-	// converge (stale-gen handles are rejected until these land).
-	sa := s.publish(a, ca)
-	sb := s.publish(b, cb)
+	sn := s.publish(nrt, a, b)
 	if j := s.opt.Journal; j != nil {
 		// The writers are still parked, so recording the published handles
 		// (covering the barrier records just appended) is race-free.
-		j.Published(a, sa.set)
-		j.Published(b, sb.set)
+		j.Published(a, sn.snaps[a].set)
+		j.Published(b, sn.snaps[b].set)
 	}
 
 	s.rebalMovedKeys.Add(uint64(len(moved)))

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,6 +153,101 @@ func TestRebalanceDifferential(t *testing.T) {
 	}
 	if st := s.RebalanceStats(); st.Moves == 0 {
 		t.Fatal("differential walk never rebalanced; workload not skewed enough")
+	}
+}
+
+// TestRebalanceReadOracle checks reads during boundary moves. A static key
+// set B — 256-key blocks spread over the key space — is never modified,
+// while a writer churns keys between the blocks in a hot quarter that
+// shifts every round and a goroutine keeps running RebalanceOnce, so the
+// boundaries keep sweeping across B. Readers must find every key of B
+// through live Has, and every Snapshot must return exact range sums over
+// small sub-ranges of a block: a read that paired a router with handles
+// laid out under a different boundary table would miss the keys a move
+// carried across. Readers draw their keys from the blocks next to a
+// current boundary, where a move carries keys.
+func TestRebalanceReadOracle(t *testing.T) {
+	const P, bits, block, stride, churn = 4, 20, 256, 1 << 14, 6000
+	const quarter = 1 << (bits - 2)
+	s := New(P, &Options{Partition: RangePartition, KeyBits: bits, MailboxDepth: 4, MaxSkew: 1.3, Set: smallSet})
+	t.Cleanup(s.Close)
+	var static []uint64 // B: keys k with k % stride in [1, block]
+	for base := uint64(1); base < 1<<bits; base += stride {
+		for i := uint64(0); i < block; i++ {
+			static = append(static, base+i)
+		}
+	}
+	s.InsertBatch(static, true)
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			s.RebalanceOnce()
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := workload.NewRNG(uint64(900 + g))
+			nearBound := func() uint64 { // a key of B within 4 blocks of a boundary
+				bounds := s.Bounds()
+				blk := int(bounds[r.Intn(len(bounds))]/stride) - 4 + r.Intn(8)
+				blk = min(max(blk, 0), 1<<bits/stride-1)
+				return uint64(blk)*stride + 1 + r.Uint64()%block
+			}
+			for !done.Load() {
+				if k := nearBound(); !s.Has(k) {
+					t.Errorf("live Has(%d) = false during rebalancing", k)
+					return
+				}
+				lo := nearBound()
+				n := min(1+r.Uint64()%16, block+1-lo%stride)
+				want := n*lo + n*(n-1)/2
+				if sum, cnt := s.Snapshot().RangeSum(lo, lo+n); sum != want || cnt != int(n) {
+					t.Errorf("snapshot RangeSum[%d,%d) = %d,%d, want %d,%d", lo, lo+n, sum, cnt, want, n)
+					return
+				}
+			}
+		}(g)
+	}
+
+	// At least 40 rounds and 20 moves: at GOMAXPROCS 1 the sweeping
+	// goroutine gets few time slices per round.
+	r := workload.NewRNG(17)
+	var prev []uint64
+	deadline := time.Now().Add(30 * time.Second)
+	for round := 0; round < 40 || s.RebalanceStats().Moves < 20; round++ {
+		if t.Failed() || time.Now().After(deadline) {
+			break
+		}
+		base := uint64(round%P) * quarter
+		hot := make([]uint64, churn)
+		for i := range hot {
+			blk := r.Uint64() % (quarter / stride)
+			hot[i] = base + blk*stride + 2*block + r.Uint64()%(stride-2*block)
+		}
+		s.InsertBatch(hot, false)
+		if prev != nil {
+			s.RemoveBatch(prev, false)
+		}
+		prev = hot
+	}
+	done.Store(true)
+	wg.Wait()
+	if moves := s.RebalanceStats().Moves; moves < 20 {
+		t.Fatalf("only %d boundary moves; the churn is not skewed enough to test", moves)
+	}
+	for _, k := range static {
+		if !s.Has(k) {
+			t.Fatalf("Has(%d) = false after rebalancing", k)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

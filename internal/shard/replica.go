@@ -9,7 +9,7 @@ package shard
 // ReplicaSetBounds below. It is the replica's sole mutator, and so its only
 // publisher: it publishes after each batch of records, after a reset, and
 // after a bounds update. Everything on the read side — live reads,
-// Snapshot, SnapshotStats — is the same handle-based path the primary
+// Snapshot, SnapshotStats — loads the same published Snapshot the primary
 // serves, which is the point: a follower serves the exact read API the
 // primary does, off state that is always a per-shard prefix of the
 // primary's acknowledged history.
@@ -80,7 +80,7 @@ func (s *Sharded) ReplicaApply(p int, remove bool, keys []uint64, records int) i
 // so far visible to reads. Single applier goroutine.
 func (s *Sharded) ReplicaPublish(p int) {
 	s.checkReplica("ReplicaPublish")
-	s.publish(p, &s.cells[p])
+	s.publish(nil, p)
 }
 
 // ReplicaReset replaces shard p's entire state and publishes it — the
@@ -95,15 +95,15 @@ func (s *Sharded) ReplicaReset(p int, set *cpma.CPMA) {
 	c := &s.cells[p]
 	c.set = set
 	c.epoch.Add(1)
-	s.publish(p, c)
+	s.publish(nil, p)
 }
 
 // ReplicaSetBounds installs the primary's boundary table at router
 // generation gen, so the follower's range routing (shardSpan on reads,
 // span pruning on MapRange) matches the shard contents the replicated
-// moves produce, and restamps every shard's handle with the new span
-// generation (reads only accept handles stamped with their router's
-// generations). Stale or repeated generations are ignored, as is any
+// moves produce. It publishes the router alone: each shard's handle
+// changes only when the applier publishes that shard. Stale or repeated
+// generations are ignored, as is any
 // table under HashPartition; a table of the wrong length or out of order
 // is an error and changes nothing. Single applier goroutine.
 func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) error {
@@ -114,21 +114,7 @@ func (s *Sharded) ReplicaSetBounds(gen uint64, bounds []uint64) error {
 	if err := checkBounds(bounds, len(s.cells)); err != nil {
 		return err
 	}
-	sg := make([]uint64, len(s.cells))
-	for i := range sg {
-		sg[i] = gen
-	}
-	s.rt.Store(&router{
-		part:    RangePartition,
-		shards:  len(s.cells),
-		bounds:  append([]uint64(nil), bounds...),
-		gen:     gen,
-		spanGen: sg,
-		replica: true,
-	})
-	for p := range s.cells {
-		s.publish(p, &s.cells[p])
-	}
+	s.publish(&router{part: RangePartition, shards: len(s.cells), bounds: append([]uint64(nil), bounds...), gen: gen, replica: true})
 	return nil
 }
 
@@ -152,10 +138,10 @@ func (s *Sharded) RouterBounds() (gen uint64, bounds []uint64) {
 // the move history than the shard contents do). A shard's stored order is
 // its key order under either partition, so decoding keeps it ascending.
 func (s *Sharded) ShardKeys(p int) []uint64 {
-	rt := s.router()
-	keys := s.cells[p].snap.Load().set.Keys()
+	sn := s.v.Load()
+	keys := sn.at(p).Keys()
 	for i, v := range keys {
-		keys[i] = rt.key(p, v)
+		keys[i] = sn.rt.key(p, v)
 	}
 	return keys
 }

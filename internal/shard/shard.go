@@ -43,17 +43,18 @@
 //     closed set. Close must not race with in-flight mutations, but is safe
 //     against concurrent Flush and reads, and is idempotent.
 //
-// # Reads: published handles
+// # Reads: one published Snapshot
 //
-// After every drain that changed its shard, a writer publishes an immutable
-// cpma.Clone handle through an atomic pointer (copy-on-write: the clone
-// costs O(dirty leaves), see snapshot.go). Every read — Has, Len, Sum,
-// SizeBytes, RangeSum, Next, Min, Max, Map, MapRange, Keys, Validate, and
-// Snapshot itself — grabs the published handles of the shards its span
-// covers, validated against one routing table, and runs on those frozen
-// CPMAs. Readers never wait on an apply and never block a writer, and Map
-// and MapRange callbacks run on frozen data, so they may call back into the
-// set (mutations included).
+// After every drain that changed its shard, a writer freezes an immutable
+// cpma.Clone handle (copy-on-write: the clone costs O(dirty leaves), see
+// snapshot.go) and swaps in a new Snapshot carrying it: the set's whole
+// published state — the router and every shard's frozen handle — behind
+// one atomic pointer. Every read — Has, Len, Sum, SizeBytes, RangeSum,
+// Next, Min, Max, Map, MapRange, Keys, Validate, and Snapshot itself —
+// loads that one Snapshot, whose routing and handles always come from the
+// same publication, and runs on its frozen CPMAs. Readers never wait on an
+// apply and never block a writer, and Map and MapRange callbacks run on
+// frozen data, so they may call back into the set (mutations included).
 //
 // # Consistency contract
 //
@@ -70,17 +71,17 @@
 //     RemoveBatchAsync become visible when their drain publishes; once a
 //     Flush returns, every read covers everything it flushed.
 //   - A read spanning several shards observes one frontier cut: each
-//     shard's handle is a prefix of that shard's history, all grabbed at one
-//     instant, so different shards may sit at different prefixes of a
+//     shard's handle is a prefix of that shard's history, all loaded in one
+//     Snapshot, so different shards may sit at different prefixes of a
 //     multi-shard batch stream. Within one read (or one Snapshot) the data
 //     never changes.
 //
 // # Snapshots
 //
-// Snapshot() captures the same handles as a long-lived value: a frozen view
-// serving the full read API, so many reads share one cut and long analytics
-// scans run concurrently with ingest. A Snapshot outlives Close. See
-// Snapshot and SnapshotStats in snapshot.go.
+// Snapshot() returns the published Snapshot as a long-lived value: a frozen
+// view serving the full read API, so many reads share one cut and long
+// analytics scans run concurrently with ingest. A Snapshot outlives Close.
+// See Snapshot and SnapshotStats in snapshot.go.
 //
 // # Durability (Options.Journal)
 //
@@ -101,24 +102,23 @@
 // Under RangePartition a skewed key distribution loads shards unevenly,
 // and the hot shard's single writer becomes the pipeline's bottleneck.
 // Rebalancing makes the span boundaries dynamic: routing is an
-// authoritative sorted boundary table held behind an atomic pointer, and
+// authoritative sorted boundary table held in the published Snapshot, and
 // a load monitor (or an explicit RebalanceOnce call) moves the boundary
 // between an overloaded shard and its lighter neighbor. One move
 // quiesces exactly the two affected mailbox writers (a quiesce token
 // parks each writer at a rest point between applies), extracts the
 // pair's keys from their frozen CPMAs, rebuilds two CPMAs split at the
 // pair's target share, journals the move on a durable set (see the
-// persist package's barrier protocol), swaps in a new router generation,
-// and publishes fresh handles stamped with it. Every other shard keeps
-// ingesting throughout; enqueues stall only for the move's duration (the
-// rebalancer holds the enqueue-side lifecycle lock so no batch can be
+// persist package's barrier protocol), and publishes a new router
+// generation together with the pair's fresh handles. Every other shard
+// keeps ingesting throughout; enqueues stall only for the move's duration
+// (the rebalancer holds the enqueue-side lifecycle lock so no batch can be
 // split against one boundary table and mailed against another).
 //
-// The consistency contract survives rebalancing unchanged: every read
-// validates each grabbed handle against the router's per-shard span
-// generation, so no read can pair a handle from before a boundary move
-// with a routing table from after it (or vice versa). Rebalancing requires
-// RangePartition.
+// The consistency contract survives rebalancing unchanged: the new router
+// and the pair's handles land in one Snapshot swap, so no read can pair a
+// handle from before a boundary move with a routing table from after it
+// (or vice versa). Rebalancing requires RangePartition.
 //
 // # Repeated keys
 //
@@ -344,7 +344,7 @@ type cell struct {
 	// set is the live CPMA. Only the shard's current sole mutator touches
 	// it: the writer goroutine, the rebalancer while the writer is parked,
 	// the constructor, or (on a replica) the replication applier. Readers
-	// go through snap.
+	// go through the published Snapshot.
 	set  *cpma.CPMA
 	mbox chan shardOp
 
@@ -354,10 +354,10 @@ type cell struct {
 	appKeys    atomic.Uint64
 
 	// Publication state (snapshot.go): epoch counts this shard's
-	// state-changing applies and snap is the last published frozen handle.
-	// Both are written only by the sole mutator.
+	// state-changing applies and last is the frozen handle last published.
+	// Both are written only by the sole mutator, and only it reads last.
 	epoch atomic.Uint64
-	snap  atomic.Pointer[shardSnap]
+	last  shardSnap
 
 	_ [64]byte
 }
@@ -367,12 +367,12 @@ type cell struct {
 type Sharded struct {
 	cells []cell
 	opt   Options
-	// rt is the current routing table. Each published *router is immutable;
-	// a rebalance installs a replacement while holding life.Lock with the
-	// pair's writers parked, so enqueues (which split and mail under
-	// life.RLock) always route against one coherent table, and reads
-	// validate their handles against the table they routed with.
-	rt atomic.Pointer[router]
+	// v is the published state: the current router and every shard's
+	// frozen handle (snapshot.go). A rebalance installs a new router while
+	// holding life.Lock with the pair's writers parked, so enqueues (which
+	// split and mail under life.RLock) always route against one coherent
+	// table.
+	v atomic.Pointer[Snapshot]
 
 	// Lifecycle: enqueues hold life.RLock while sending; Close and the
 	// rebalancer take life.Lock, so no send can race a mailbox close or a
@@ -464,32 +464,27 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options, replica bool) *Sha
 		}
 		bounds = append([]uint64(nil), bounds...) // the router owns its table
 	}
-	s.rt.Store(&router{
-		part:    o.Partition,
-		shards:  shards,
-		bounds:  bounds,
-		gen:     o.BoundsGen,
-		spanGen: make([]uint64, shards),
-		replica: replica,
-	})
+	rt := &router{part: o.Partition, shards: shards, bounds: bounds, gen: o.BoundsGen, replica: replica}
+	sn := &Snapshot{snaps: make([]shardSnap, shards), rt: rt}
 	for i := range s.cells {
 		if seed != nil {
 			s.cells[i].set = seed[i]
 		} else {
 			s.cells[i].set = cpma.New(o.Set)
 		}
-		// Seed each shard's published handle through the regular publish
-		// path, so reads before the first drain hold valid frozen sets
-		// stamped with a real (epoch, gen).
-		sn := s.publish(i, &s.cells[i])
+		// Seed each shard's handle, so reads before the first drain hold
+		// valid frozen sets.
+		s.freeze(i, rt.gen)
+		sn.snaps[i] = s.cells[i].last
 		if o.Journal != nil {
 			// The journal must learn the seed handle too: on a durable
 			// reopen it covers the recovery replay, which the first
 			// checkpoint must capture even if no drain follows. No writers
 			// are running yet, so the call is race-free.
-			o.Journal.Published(i, sn.set)
+			o.Journal.Published(i, sn.snaps[i].set)
 		}
 	}
+	s.v.Store(sn)
 	if replica {
 		return s
 	}
@@ -542,13 +537,7 @@ func (s *Sharded) Remove(x uint64) bool {
 
 // Has reports whether x is in the set, read off x's shard's published
 // handle. It allocates nothing.
-func (s *Sharded) Has(x uint64) bool {
-	var buf [1]*shardSnap
-	return s.capture(func(rt *router) (int, int) {
-		p := rt.shardOf(x)
-		return p, p
-	}, buf[:]).Has(x)
-}
+func (s *Sharded) Has(x uint64) bool { return s.v.Load().Has(x) }
 
 // InsertBatch inserts a batch of keys, returning how many were new. The
 // batch is scattered into per-shard sub-batches mailed with a completion
@@ -753,45 +742,33 @@ func (s *Sharded) PersistErr() error {
 	return s.opt.Journal.Err()
 }
 
-// spanOf is the capture span of a read over [start, end).
-func spanOf(start, end uint64) func(rt *router) (int, int) {
-	return func(rt *router) (int, int) { return rt.shardSpan(start, end) }
-}
-
 // Len returns the number of keys stored.
-func (s *Sharded) Len() int { return s.capture(fullSpan, nil).Len() }
+func (s *Sharded) Len() int { return s.v.Load().Len() }
 
 // SizeBytes returns the summed memory footprint of the shards.
-func (s *Sharded) SizeBytes() uint64 { return s.capture(fullSpan, nil).SizeBytes() }
+func (s *Sharded) SizeBytes() uint64 { return s.v.Load().SizeBytes() }
 
 // Sum returns the sum (mod 2^64) of all keys, shards processed in
 // parallel.
-func (s *Sharded) Sum() uint64 { return s.capture(fullSpan, nil).Sum() }
+func (s *Sharded) Sum() uint64 { return s.v.Load().Sum() }
 
 // RangeSum sums keys in [start, end). Under RangePartition only the span's
 // shards are read; under HashPartition every shard is, in parallel.
 // Degenerate ranges (end <= start) are empty.
 func (s *Sharded) RangeSum(start, end uint64) (sum uint64, count int) {
-	return s.capture(spanOf(start, end), nil).RangeSum(start, end)
+	return s.v.Load().RangeSum(start, end)
 }
 
 // Next returns the smallest key >= x across all shards.
 func (s *Sharded) Next(x uint64) (uint64, bool) {
-	return s.capture(func(rt *router) (int, int) {
-		if rt.part == RangePartition {
-			return rt.shardOf(x), rt.shards - 1
-		}
-		return 0, rt.shards - 1
-	}, nil).Next(x)
+	return s.v.Load().Next(x)
 }
 
 // Min returns the smallest key in the set.
-func (s *Sharded) Min() (uint64, bool) {
-	return s.Next(1)
-}
+func (s *Sharded) Min() (uint64, bool) { return s.v.Load().Min() }
 
 // Max returns the largest key in the set.
-func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).Max() }
+func (s *Sharded) Max() (uint64, bool) { return s.v.Load().Max() }
 
 // MapRange applies f to keys in [start, end) in ascending order, stopping
 // early when f returns false; reports whether the scan completed.
@@ -801,18 +778,18 @@ func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan, nil).Max() }
 // and merged first (so early exits still pay the full gather). f runs on
 // frozen handles and may call back into the set.
 func (s *Sharded) MapRange(start, end uint64, f func(uint64) bool) bool {
-	return s.capture(spanOf(start, end), nil).MapRange(start, end, f)
+	return s.v.Load().MapRange(start, end, f)
 }
 
 // Map applies f to every key in ascending order, stopping early when f
 // returns false; reports whether the scan completed. The same contract as
 // MapRange.
 func (s *Sharded) Map(f func(uint64) bool) bool {
-	return s.capture(fullSpan, nil).Map(f)
+	return s.v.Load().Map(f)
 }
 
 // Keys returns all keys in ascending order; primarily for tests.
-func (s *Sharded) Keys() []uint64 { return s.capture(fullSpan, nil).Keys() }
+func (s *Sharded) Keys() []uint64 { return s.v.Load().Keys() }
 
 // Validate flushes, then checks every shard's published CPMA invariants
 // and audits its routing: every stored value must be one the router sends
@@ -820,5 +797,5 @@ func (s *Sharded) Keys() []uint64 { return s.capture(fullSpan, nil).Keys() }
 // writers.
 func (s *Sharded) Validate() error {
 	s.Flush()
-	return s.capture(fullSpan, nil).Validate()
+	return s.v.Load().Validate()
 }

@@ -858,12 +858,28 @@ func TestMapCallbacksReenter(t *testing.T) {
 	}
 }
 
-// TestHasDoesNotAllocate pins the point-read path to zero allocations.
+// TestHasDoesNotAllocate pins the live point reads, Len and Snapshot to
+// zero allocations on range and hash sets: each is one load of the
+// published Snapshot.
 func TestHasDoesNotAllocate(t *testing.T) {
-	s := New(4, &Options{Partition: RangePartition, KeyBits: 20})
-	defer s.Close()
-	s.InsertBatch(workload.Uniform(workload.NewRNG(2), 5000, 20), false)
-	if n := testing.AllocsPerRun(100, func() { s.Has(12345) }); n != 0 {
-		t.Fatalf("Has allocates %.1f times per call", n)
+	for _, part := range []Partition{RangePartition, HashPartition} {
+		s := New(4, &Options{Partition: part, KeyBits: 20})
+		defer s.Close()
+		s.InsertBatch(workload.Uniform(workload.NewRNG(2), 5000, 20), false)
+		for _, read := range []struct {
+			name string
+			f    func()
+		}{
+			{"Has", func() { s.Has(12345) }},
+			{"Len", func() { s.Len() }},
+			{"Next", func() { s.Next(12345) }},
+			{"Min", func() { s.Min() }},
+			{"Max", func() { s.Max() }},
+			{"Snapshot", func() { s.Snapshot() }},
+		} {
+			if n := testing.AllocsPerRun(100, read.f); n != 0 {
+				t.Fatalf("partition %d: %s allocates %.1f times per call", part, read.name, n)
+			}
+		}
 	}
 }

@@ -1,23 +1,24 @@
 package shard
 
-// Reads via writer-published handles.
+// Reads via one published Snapshot.
 //
 // The CPMA's pointer-free layout makes a whole-structure copy a
 // memcpy-class operation, and its leaf-granular copy-on-write Clone makes
 // it cheaper still — O(dirty leaves) per publication — which this file
 // turns into the set's only read path, the way Aspen derives functional
-// graph snapshots and PAM-style structures derive persistence: each
-// shard's sole mutator publishes an immutable handle after it mutates, and
-// readers grab handles instead of locks. After every drain that changed
-// state, the writer stamps the shard's monotone epoch and publishes a
-// frozen Clone through an atomic.Pointer. Every read — a point lookup, an
-// aggregate, a scan, or a whole Snapshot — captures the handles of the
-// shards it covers (capture) and runs the Snapshot's read algorithms on
-// them.
+// graph snapshots and PaC-trees publish a version by swapping one root
+// pointer: each shard's sole mutator freezes an immutable handle after it
+// mutates, and readers load handles instead of taking locks. After every
+// drain that changed state, the writer stamps the shard's monotone epoch,
+// clones the live CPMA, and swaps in a new Snapshot that carries the clone,
+// every other shard's current handle and the current router, through the
+// set's one atomic.Pointer. Every read — a point lookup, an aggregate, a
+// scan, or a whole Snapshot — loads that pointer once and runs the
+// Snapshot's read algorithms on it, so a read's routing and its handles
+// always come from the same publication.
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -26,138 +27,120 @@ import (
 	"repro/internal/parallel"
 )
 
-// shardSnap is one shard's published frozen state: an immutable CPMA handle
-// stamped with the epoch (count of state-changing applies) it reflects and
-// the span generation (router.spanGen) its shard's key range had when it
-// was published. Once published the handle is never mutated — the live set
-// keeps mutating and the next publication clones afresh. The gen stamp is
-// what keeps captures coherent across rebalances: a capture only accepts a
-// handle whose gen matches the routing table it will serve reads with.
+// shardSnap is one shard's frozen state: an immutable CPMA handle stamped
+// with the epoch (count of state-changing applies) it reflects. Once
+// published the handle is never mutated — the live set keeps mutating and
+// the next publication clones afresh.
 type shardSnap struct {
 	epoch uint64
-	gen   uint64
 	set   *cpma.CPMA
 }
 
-// Snapshot is a frozen, immutable view of a Sharded set: the published
-// handles of the shards one capture covered, serving the full read API off
-// frozen CPMAs. snaps[p-lo] is shard p's handle, for p in [lo, hi] (a
-// whole-set Snapshot covers every shard; the live set's own reads capture
-// only the span they read, so a narrow read holds only what it covers). rt
-// is the routing table the capture was validated against, so a Snapshot's
-// data placement and its routing always agree, even across rebalances.
+// Snapshot is a frozen, immutable view of a Sharded set, and the set's
+// published state itself: snaps[p] is shard p's frozen handle and rt the
+// routing table the handles were published with. A publication never
+// changes a Snapshot; it swaps in a new one, so a Snapshot's data
+// placement and its routing always agree, even across rebalances (a
+// boundary move installs its router and the pair's handles in one swap).
 // Scans on a Snapshot never block writers and never observe in-flight
 // batches, so long analytics reads can run concurrently with ingest. A
 // Snapshot remains valid forever — including after the set is Closed.
 //
 // Consistency: each shard's handle reflects a prefix of that shard's
 // applied operation sequence (its mailbox is FIFO and its writer publishes
-// only at rest points between applies), and all handles are captured at
-// one instant — a frontier cut, where different shards may sit at
+// only at rest points between applies), and all handles come from one
+// publication — a frontier cut, where different shards may sit at
 // different prefixes of a multi-shard batch stream. Within one Snapshot
 // every read is mutually consistent: Len equals the number of keys Map
 // visits, Sum matches Keys, and repeated reads are stable. A Snapshot
-// captured after a blocking mutation returns includes it
-// (read-your-writes); one captured after a Flush returns includes
-// everything the Flush covered (read-your-flushes).
+// taken after a blocking mutation returns includes it (read-your-writes);
+// one taken after a Flush returns includes everything the Flush covered
+// (read-your-flushes).
 //
 // Ordered snapshots (see router.ordered) read keys straight off the
 // shards. Under the quotient layout every shard is read instead, and each
 // stored value is decoded through the snapshot's router before it is
 // compared or returned.
 type Snapshot struct {
-	snaps  []*shardSnap
-	rt     *router
-	lo, hi int
+	snaps []shardSnap
+	rt    *router
 }
 
-func (sn Snapshot) at(p int) *cpma.CPMA { return sn.snaps[p-sn.lo].set }
+func (sn Snapshot) at(p int) *cpma.CPMA { return sn.snaps[p].set }
 
-// capture grabs the published handles of the shards span(rt) covers under
-// the current router rt. Every handle must have been published under rt's
-// span generation for its shard, and rt must still be current once all
-// are grabbed; otherwise a rebalance (or a replica's bounds update) is
-// mid-publication — a handle's keys may sit on the other side of a moved
-// boundary — and the capture starts over. buf backs the Snapshot when it
-// is large enough (Has passes a one-element array so a point read
-// allocates nothing). span may return hi < lo for a degenerate range,
-// which yields an empty Snapshot.
-func (s *Sharded) capture(span func(rt *router) (lo, hi int), buf []*shardSnap) Snapshot {
-retry:
+// publish makes the current state of the listed shards, and rt when it is
+// not nil, visible to reads in one swap, and returns the Snapshot that
+// holds them. A listed shard is cloned only if state-changing applies
+// landed since its last publication; when nothing changed, the current
+// Snapshot is returned as it is. Only a listed shard's sole mutator calls
+// publish for it — the writer between applies, the rebalancer with the
+// writer parked, or a replica's applier — because cpma.Clone moves the
+// live set to a fresh copy-on-write generation, which is single-caller by
+// contract. Publishers of different shards meet only at the swap, a
+// CompareAndSwap that recopies the winner's handles on retry, so readers
+// never wait.
+func (s *Sharded) publish(rt *router, shards ...int) *Snapshot {
+	cur := s.v.Load()
+	gen := cur.rt.gen
+	if rt != nil {
+		gen = rt.gen
+	}
+	changed := rt != nil
+	for _, p := range shards {
+		if s.freeze(p, gen) {
+			changed = true
+		}
+	}
+	if !changed {
+		return cur
+	}
+	next := &Snapshot{snaps: make([]shardSnap, len(s.cells))}
 	for {
-		rt := s.router()
-		lo, hi := span(rt)
-		if hi < lo {
-			return Snapshot{rt: rt, lo: 0, hi: -1}
+		copy(next.snaps, cur.snaps)
+		next.rt = cur.rt
+		if rt != nil {
+			next.rt = rt
 		}
-		snaps := buf
-		if n := hi - lo + 1; cap(snaps) >= n {
-			snaps = snaps[:n]
-		} else {
-			snaps = make([]*shardSnap, n)
+		for _, p := range shards {
+			next.snaps[p] = s.cells[p].last
 		}
-		for p := lo; p <= hi; p++ {
-			sn := s.cells[p].snap.Load()
-			if sn.gen != rt.spanGen[p] {
-				runtime.Gosched()
-				continue retry
-			}
-			snaps[p-lo] = sn
+		if s.v.CompareAndSwap(cur, next) {
+			return next
 		}
-		if s.router() == rt {
-			return Snapshot{snaps: snaps, rt: rt, lo: lo, hi: hi}
-		}
+		cur = s.v.Load()
 	}
 }
 
-// fullSpan is the span callback for whole-set reads.
-func fullSpan(rt *router) (int, int) { return 0, rt.shards - 1 }
-
-// publish refreshes c's published handle if state-changing applies landed
-// since the last publication (or the shard's span changed generation), and
-// returns the current handle. Only the shard's sole mutator calls it —
-// the writer between applies, the rebalancer with the writer parked, the
-// constructor, or a replica's applier — because cpma.Clone moves the live
-// set to a fresh copy-on-write generation, which is single-caller by
-// contract.
-func (s *Sharded) publish(p int, c *cell) *shardSnap {
+// freeze refreshes shard p's last handle with a clone of the live set if
+// state-changing applies landed since it was taken, and reports whether it
+// did. gen is the router generation the trace event is stamped with.
+func (s *Sharded) freeze(p int, gen uint64) bool {
+	c := &s.cells[p]
 	e := c.epoch.Load()
-	g := s.router().spanGen[p]
-	if old := c.snap.Load(); old != nil && old.epoch == e {
-		if old.gen != g {
-			// Only the span generation moved (a replica's bounds update):
-			// the frozen contents are still current, so restamp them.
-			old = &shardSnap{epoch: e, gen: g, set: old.set}
-			c.snap.Store(old)
-		}
-		return old
+	if c.last.set != nil && c.last.epoch == e {
+		return false
 	}
 	t0 := time.Now()
-	sn := &shardSnap{epoch: e, gen: g, set: c.set.Clone()}
-	c.snap.Store(sn)
-	cost := sn.set.CloneCost()
+	c.last = shardSnap{epoch: e, set: c.set.Clone()}
+	cost := c.last.set.CloneCost()
 	s.snapCloneBytes.Add(cost.Total())
 	s.snapSpineBytes.Add(cost.Spine)
 	s.snapSlabBytes.Add(cost.Slab)
-	s.snapFullBytes.Add(sn.set.SizeBytes())
+	s.snapFullBytes.Add(c.last.set.SizeBytes())
 	s.pm.publish.Since(t0)
-	s.trace.Record(p, obs.EvPublish, e, g, cost.Total(), 0)
-	return sn
+	s.trace.Record(p, obs.EvPublish, e, gen, cost.Total(), 0)
+	return true
 }
 
-// Snapshot captures every shard: a lock-free handle grab — no flush
-// barrier, O(shards) work. The capture validates every handle's span
-// generation against the routing table it serves reads with (see
-// capture), so a Snapshot never routes with spans that disagree with
-// where its frozen handles actually hold the keys.
+// Snapshot returns the set's published Snapshot: one atomic load, no
+// flush barrier, nothing copied.
 func (s *Sharded) Snapshot() *Snapshot {
 	t0 := time.Now()
 	defer s.pm.capture.Since(t0)
-	sn := s.capture(fullSpan, nil)
-	return &sn
+	return s.v.Load()
 }
 
-// Shards returns the number of shards the snapshot covers.
+// Shards returns the number of shards in the snapshot.
 func (sn Snapshot) Shards() int { return len(sn.snaps) }
 
 // ShardSets returns the snapshot's frozen per-shard CPMA handles in shard
@@ -180,10 +163,10 @@ func (sn Snapshot) ShardSets() []*cpma.CPMA {
 
 // Bounds returns a copy of the interior span-boundary table the snapshot
 // was routed with (nil for a single shard or a hash partition): shards-1
-// ascending keys, shard p owning [Bounds[p-1], Bounds[p]). Because capture
-// validates every handle's span generation against this table, the
-// returned bounds always agree with where the frozen handles actually hold
-// their keys — even when the capture raced a rebalance.
+// ascending keys, shard p owning [Bounds[p-1], Bounds[p]). The table was
+// published together with the frozen handles, so the returned bounds always
+// agree with where those handles hold their keys — even when the snapshot
+// was taken during a rebalance.
 func (sn Snapshot) Bounds() []uint64 {
 	return append([]uint64(nil), sn.rt.bounds...)
 }
@@ -207,8 +190,7 @@ func (sn Snapshot) Epochs() []uint64 {
 // routing: every stored value must be one the router sends to that shard
 // (a test helper).
 func (sn Snapshot) Validate() error {
-	for i, h := range sn.snaps {
-		p := sn.lo + i
+	for p, h := range sn.snaps {
 		if err := h.set.Validate(); err != nil {
 			return fmt.Errorf("shard %d: %w", p, err)
 		}
@@ -270,7 +252,6 @@ func (sn Snapshot) RangeSum(start, end uint64) (sum uint64, count int) {
 		return sn.sumIn(start, end-1)
 	}
 	lo, hi := sn.rt.shardSpan(start, end)
-	lo, hi = max(lo, sn.lo), min(hi, sn.hi)
 	var su atomic.Uint64
 	var cnt atomic.Int64
 	parallel.For(hi-lo+1, 1, func(i int) {
@@ -290,11 +271,10 @@ func (sn Snapshot) sumIn(first, last uint64) (uint64, int) {
 	var su atomic.Uint64
 	var cnt atomic.Int64
 	b, P := sn.rt.qbits(), sn.rt.shards
-	parallel.For(len(sn.snaps), 1, func(i int) {
+	parallel.For(len(sn.snaps), 1, func(p int) {
 		var s uint64
 		var k int64
-		p := sn.lo + i
-		sn.snaps[i].set.MapRange(first>>b+1, last>>b+2, func(st uint64) bool {
+		sn.snaps[p].set.MapRange(first>>b+1, last>>b+2, func(st uint64) bool {
 			if x := unquote(p, st, b, P); x >= first && x <= last {
 				s += x
 				k++
@@ -310,7 +290,7 @@ func (sn Snapshot) sumIn(first, last uint64) (uint64, int) {
 // Next returns the smallest key >= x in the snapshot.
 func (sn Snapshot) Next(x uint64) (uint64, bool) {
 	if sn.rt.ordered() {
-		for p := max(sn.rt.shardOf(x), sn.lo); p <= sn.hi; p++ {
+		for p := sn.rt.shardOf(x); p < len(sn.snaps); p++ {
 			if r, ok := sn.at(p).Next(x); ok {
 				return r, true
 			}
@@ -323,7 +303,7 @@ func (sn Snapshot) Next(x uint64) (uint64, bool) {
 	q := x >> sn.rt.qbits()
 	var best uint64
 	found := false
-	for p := sn.lo; p <= sn.hi; p++ {
+	for p := range sn.snaps {
 		s, ok := sn.at(p).Next(q + 1)
 		if !ok {
 			continue
@@ -349,7 +329,7 @@ func (sn Snapshot) Min() (uint64, bool) { return sn.Next(1) }
 func (sn Snapshot) Max() (uint64, bool) {
 	var best uint64
 	found := false
-	for p := sn.hi; p >= sn.lo; p-- {
+	for p := len(sn.snaps) - 1; p >= 0; p-- {
 		if s, ok := sn.at(p).Max(); ok {
 			r := sn.rt.key(p, s)
 			if sn.rt.ordered() {
@@ -376,7 +356,7 @@ func (sn Snapshot) MapRange(start, end uint64, f func(uint64) bool) bool {
 	}
 	if sn.rt.ordered() {
 		lo, hi := sn.rt.shardSpan(start, end)
-		for p := max(lo, sn.lo); p <= min(hi, sn.hi); p++ {
+		for p := lo; p <= hi; p++ {
 			if !sn.at(p).MapRange(start, end, f) {
 				return false
 			}
@@ -427,16 +407,15 @@ func iterate(keys []uint64, f func(uint64) bool) bool {
 func (sn Snapshot) gatherRange(first, last uint64) []uint64 {
 	b, P := sn.rt.qbits(), sn.rt.shards
 	lists := make([][]uint64, len(sn.snaps))
-	parallel.For(len(lists), 1, func(i int) {
+	parallel.For(len(lists), 1, func(p int) {
 		var keys []uint64
-		p := sn.lo + i
-		sn.snaps[i].set.MapRange(first>>b+1, last>>b+2, func(s uint64) bool {
+		sn.snaps[p].set.MapRange(first>>b+1, last>>b+2, func(s uint64) bool {
 			if x := unquote(p, s, b, P); x >= first && x <= last {
 				keys = append(keys, x)
 			}
 			return true
 		})
-		lists[i] = keys
+		lists[p] = keys
 	})
 	var bufs [2][]uint64
 	return parallel.MergeRuns(lists, &bufs)

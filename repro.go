@@ -46,9 +46,10 @@
 // enqueued (a full mailbox applies backpressure) and are
 // read-your-flushes: they are visible to every read after a Flush
 // returns. A read spanning several shards sees each shard at some prefix
-// of its own history, all captured at one instant. (*ShardedSet).Snapshot
-// keeps such a capture as a ShardedSnapshot, whose reads are mutually
-// consistent and stable and which remains valid after Close. Close drains
+// of its own history, all from one published snapshot.
+// (*ShardedSet).Snapshot returns that snapshot as a ShardedSnapshot, whose
+// reads are mutually consistent and stable and which remains valid after
+// Close. Close drains
 // the mailboxes and stops the writers. See the repro/internal/shard
 // package documentation for the precise consistency contract.
 //
@@ -231,9 +232,9 @@ type ShardedSetOptions = shard.Options
 // writers; the ratio of the two mean batch sizes is the coalescing win.
 type ShardIngestStats = shard.IngestStats
 
-// ShardedSnapshot is a frozen, immutable view of a ShardedSet captured by
-// its Snapshot method: one capture of every shard's published handle,
-// serving the full read API (Len, Sum, RangeSum, Has, Next, Min/Max, Keys,
+// ShardedSnapshot is a frozen, immutable view of a ShardedSet returned by
+// its Snapshot method: the set's published state, every shard's frozen
+// handle and the routing table swapped in together, serving the full read API (Len, Sum, RangeSum, Has, Next, Min/Max, Keys,
 // Map, MapRange) off frozen Sets with no locks. Scans on a snapshot run
 // concurrently with ingest — they neither block writers nor observe
 // in-flight batches — and a snapshot keeps working after the set is
