@@ -17,11 +17,10 @@ import (
 const mergeForkGrain = 2048
 
 // Insert adds x, returning false if already present. A point update is a
-// one-key batch: the batch path's per-leaf step runs the paper's point
-// insert (§3: search, place, count, redistribute), splicing the key in
-// with the single pass of Figure 6 when the leaf has the slack for it. The
-// key goes in the set's one-key scratch, so Insert allocates nothing that
-// the batch path does not.
+// one-key batch: the batch path runs the paper's point insert (§3: search,
+// place, count, redistribute), its per-leaf splice placing the key with
+// the single pass of Figure 6. The key goes in the set's one-key scratch,
+// so Insert allocates nothing that the batch path does not.
 func (c *CPMA) Insert(x uint64) bool {
 	c.key[0] = x
 	return c.InsertBatch(c.key[:], true) == 1
@@ -42,10 +41,11 @@ func (c *CPMA) Remove(x uint64) bool {
 // duplicate-free copy (its repeat filter drops repeats before the sort),
 // a sorted one with repeats a deduplicated copy, and a strictly increasing
 // one is used as it is, uncopied — no update keeps a batch slice past the
-// call (mergeLeaf copies a run it parks). A batch into an empty set builds it,
-// a batch of Ω(n) keys runs a full two-finger rebuild merge, and every
-// other batch, however small, runs the three-phase
-// merge/count/redistribute algorithm.
+// call (a run that overflows its leaf is parked as encoded bytes). A batch
+// into an empty set builds it, a batch of Ω(n) keys runs a full two-finger
+// rebuild merge, and every other batch, however small, runs the
+// three-phase merge/count/redistribute algorithm, splicing each leaf's run
+// into it in one pass.
 func (c *CPMA) InsertBatch(keys []uint64, sorted bool) int {
 	batch := parallel.SortedSet(keys, sorted)
 	switch {
@@ -82,7 +82,7 @@ func (c *CPMA) batchUpdate(batch []uint64, insert bool) int {
 	// Phase 1: recursive parallel batch merge (or remove). It lists the
 	// leaves it wrote in order, in place of the paper's thread-safe set of
 	// modified leaves; each of them took at least one key.
-	dirty, changed := c.batchRange(batch, 0, c.leaves-1, insert, c.dirty[:0])
+	dirty, changed := c.batchRange(batch, 0, c.leaves-1, insert, c.dirty[:0], c.buf)
 	c.dirty = dirty
 	if insert {
 		c.n += changed
@@ -125,7 +125,7 @@ func (c *CPMA) InsertBatchRMA(keys []uint64, sorted bool) int {
 			end = sort.Search(len(batch), func(i int) bool { return batch[i] >= upper })
 		}
 		c.batchRecords()
-		fresh := c.mergeLeaf(leaf, batch[:end])
+		fresh := c.spliceLeaf(leaf, batch[:end], true, c.buf)
 		c.n += fresh
 		added += fresh
 		dirty[0] = leaf
@@ -172,21 +172,21 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 
 // batchRange implements the recursive phase of both batch updates (paper
 // §4): search for the batch median's target leaf within [loLeaf, hiLeaf],
-// find the extent of the batch destined for that leaf, then in parallel
-// apply that extent to the leaf (mergeLeaf, or removeLeaf if insert is
-// false) and recurse on the left and right remainders. It appends the
-// leaves it wrote to dirty and returns it with how many keys it added or
-// removed.
+// find the extent of the batch destined for that leaf, apply that extent
+// to the leaf (spliceLeaf), and recurse on the left and right remainders,
+// in parallel for a large batch. It appends the leaves it wrote to dirty
+// and returns it with how many keys it added or removed. buf is the leaf
+// edits' scratch slab, which no concurrent call shares.
 //
 // The dirty list is deterministic: it is ascending and the same at every
-// GOMAXPROCS, as a forked call joins its branches' lists as left, self,
-// right. Each leaf is applied once, from bytes no other branch writes, so
-// the leaves end the same however the branches are scheduled.
+// GOMAXPROCS, as a forked call joins its lists as left, self, right. Each
+// leaf is applied once, from bytes no other branch writes, so the leaves
+// end the same however the branches are scheduled.
 //
 // The leaf-range bounds guarantee that no search performed by this call
 // probes a leaf owned by a concurrently forked apply, so the phase is safe
 // without locks.
-func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty []int) ([]int, int) {
+func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty []int, buf []byte) ([]int, int) {
 	if len(batch) == 0 {
 		return dirty, 0
 	}
@@ -204,7 +204,7 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty
 		// surrounding leaves, so the run goes to the middle leaf (an insert
 		// parks it there; redistribution will spread it).
 		if leaf = c.firstNonEmptyIn(loLeaf, hiLeaf); leaf == -1 {
-			return c.editLeaf((loLeaf+hiLeaf)/2, batch, insert, dirty)
+			return c.editLeaf((loLeaf+hiLeaf)/2, batch, insert, dirty, buf)
 		}
 	case leaf > loLeaf:
 		// Elements below this head recurse left; at loLeaf there is no
@@ -224,143 +224,83 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
 		var nl, n, nr int
-		dirty, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty)
-		dirty, n = c.editLeaf(leaf, sub, insert, dirty)
-		dirty, nr = c.batchRange(right, leaf+1, hiLeaf, insert, dirty)
+		dirty, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty, buf)
+		dirty, n = c.editLeaf(leaf, sub, insert, dirty, buf)
+		dirty, nr = c.batchRange(right, leaf+1, hiLeaf, insert, dirty, buf)
 		return dirty, nl + n + nr
 	}
-	var l, self, r []int
-	var nl, n, nr int
-	parallel.Do3(
-		func() { l, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty) },
-		func() { self, n = c.editLeaf(leaf, sub, insert, nil) },
-		func() { r, nr = c.batchRange(right, leaf+1, hiLeaf, insert, nil) },
+	// Forked, the leaf's own edit runs first, on this goroutine's scratch,
+	// and then the two sides in parallel, the right one on a scratch of its
+	// own.
+	var one [1]int
+	self, n := c.editLeaf(leaf, sub, insert, one[:0], buf)
+	var r []int
+	var nl, nr int
+	parallel.Do(
+		func() { dirty, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty, buf) },
+		func() { r, nr = c.batchRange(right, leaf+1, hiLeaf, insert, nil, make([]byte, len(buf))) },
 	)
-	return append(append(l, self...), r...), nl + n + nr
+	return append(append(dirty, self...), r...), nl + n + nr
 }
 
-// editLeaf applies a batch run to a leaf and appends the leaf to dirty if
-// that left a batch record: a merge of any keys records the leaf's size,
-// a remove only if it removed one. It returns dirty and how many keys
-// the run added or removed.
-func (c *CPMA) editLeaf(leaf int, sub []uint64, insert bool, dirty []int) ([]int, int) {
+// editLeaf applies a batch run to a leaf and appends the leaf to dirty for
+// the counting phase: after any merge, and after a remove only if it
+// removed a key. It returns dirty and how many keys the run added or
+// removed.
+func (c *CPMA) editLeaf(leaf int, sub []uint64, insert bool, dirty []int, buf []byte) ([]int, int) {
 	if len(sub) == 0 {
 		return dirty, 0
 	}
 	if insert {
-		return append(dirty, leaf), c.mergeLeaf(leaf, sub)
+		return append(dirty, leaf), c.spliceLeaf(leaf, sub, true, buf)
 	}
-	n := c.removeLeaf(leaf, sub)
+	n := c.spliceLeaf(leaf, sub, false, buf)
 	if n > 0 {
 		dirty = append(dirty, leaf)
 	}
 	return dirty, n
 }
 
-// inPlaceMerge is the largest run mergeLeaf and removeLeaf splice into or
-// out of a leaf key by key with leafInsert and leafRemove, the point
-// update's place step (and all of a one-key batch's), instead of decoding
-// and re-encoding the leaf.
-const inPlaceMerge = 2
-
-// mergeLeaf merges a sorted batch run into a leaf. A run of at most
-// inPlaceMerge keys that the leaf has slack for is spliced in place.
-// Otherwise: decode, merge, re-encode if the bytes fit, or else keep the
-// merged run out-of-place in the overflow buffer (Figure 4). Either way the
-// leaf's new encoded size is recorded in c.sizes for the counting phase.
-// It returns how many keys of sub were new.
-func (c *CPMA) mergeLeaf(leaf int, sub []uint64) int {
-	fresh := 0
-	// The room asked for the first key covers them all: an insert grows a
-	// leaf by at most the slack.
-	for len(sub) <= inPlaceMerge && len(sub) > 0 {
-		u, ok := c.leafInsert(leaf, sub[0], len(sub)*c.f.slack)
-		if u == noRoom {
-			break
-		}
-		if c.sizes[leaf] = int32(u); ok {
-			fresh++
-		}
-		sub = sub[1:]
+// spliceLeaf applies a sorted batch run to a leaf in one pass of the
+// format's edit kernel (§5, Figure 6), inserting the run's keys if insert
+// and removing them otherwise, and returns how many it added or removed.
+// The pass writes the leaf's edited bytes, from the first key at or above
+// the run's first on, into buf, a slab-sized scratch of the caller's, so a
+// run that changes nothing writes nothing. An edited run that fits is then
+// laid into the leaf: its old bytes after the last edit point move into
+// place, and the rest comes from buf, into the leaf's own slab or into the
+// fresh one leafW gives a leaf still shared with a clone. A merge that
+// outgrows the slab is spliced again into a buffer of its own, parked in
+// c.overflow until the counting phase redistributes the leaf (Figure 4),
+// and the slab keeps its old bytes. Deletes never overflow (paper §6). The
+// edited run's size is recorded in c.sizes for the counting phase (0, no
+// record, if a remove emptied the leaf).
+func (c *CPMA) spliceLeaf(leaf int, sub []uint64, insert bool, buf []byte) int {
+	src := c.leafData(leaf)
+	start, w, from, u, changed := c.f.splice(buf, src, sub, insert)
+	if changed == 0 {
+		return 0
 	}
-	if len(sub) == 0 {
-		return fresh
-	}
-	ld := c.leafData(leaf)
-	u := c.f.used(ld)
-	var merged []uint64
-	if u == 0 {
-		merged = sub
-		fresh += len(sub)
+	size := w + u - from
+	var dst []byte
+	if size <= len(src) {
+		dst = c.leafW(leaf)
+		// In place, the old bytes after the last edit point may lie where
+		// the edited ones go: move them first.
+		copy(dst[w:], src[from:u])
+		copy(dst[start:w], buf[start:w])
 	} else {
-		cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)
-		var n int
-		merged, n = parallel.MergeDedup(cur, sub)
-		fresh += n
+		dst = make([]byte, size)
+		c.f.splice(dst, src, sub, insert)
+		copy(dst[w:], src[from:u])
+		c.overflow[leaf] = dst
 	}
-	size := c.f.runSize(merged)
-	// On overflow the bytes stay put until the counting phase redistributes
-	// the leaf, which writes this slab anyway, so unsharing it here copies
-	// nothing extra.
-	ld = c.leafW(leaf)
-	if size <= c.LeafBytes() {
-		clearBytes(ld[c.f.encode(ld, merged):])
-		merged = nil
-	} else if u == 0 {
-		merged = append([]uint64(nil), sub...)
+	if &dst[0] != &src[0] {
+		copy(dst, src[:start])
 	}
-	c.sizes[leaf], c.overflow[leaf] = int32(size), merged
-	return fresh
-}
-
-// removeLeaf deletes the keys of sub present in the leaf. Deletes never
-// overflow (paper §6: "deletes do not have to allocate temporary space as
-// they will never overflow the PMA leaves"), so, by mergeLeaf's rule, a
-// run of at most inPlaceMerge keys is spliced out key by key with
-// leafRemove, and a longer one is a two-finger difference over the
-// decoded run, which always re-encodes in place. It returns how many keys
-// it removed; it writes the leaf and records its size only if that is not
-// zero.
-func (c *CPMA) removeLeaf(leaf int, sub []uint64) int {
-	if len(sub) <= inPlaceMerge {
-		dropped := 0
-		for _, x := range sub {
-			if u := c.leafRemove(leaf, x); u >= 0 {
-				c.sizes[leaf] = int32(u) // 0, no record, if the leaf emptied
-				dropped++
-			}
-		}
-		return dropped
+	if size < u {
+		clearBytes(dst[size:u])
 	}
-	ld := c.leafData(leaf)
-	u := c.f.used(ld)
-	if u == 0 {
-		return 0
-	}
-	cur := c.f.decode(make([]uint64, 0, c.f.count(ld, u)), ld, u)
-	w := 0
-	j := 0
-	dropped := 0
-	for _, v := range cur {
-		for j < len(sub) && sub[j] < v {
-			j++
-		}
-		if j < len(sub) && sub[j] == v {
-			dropped++
-			continue
-		}
-		cur[w] = v
-		w++
-	}
-	if dropped == 0 {
-		return 0
-	}
-	ld = c.leafW(leaf)
-	size := 0
-	if w > 0 {
-		size = c.f.encode(ld, cur[:w])
-	}
-	clearBytes(ld[size:u])
-	c.sizes[leaf] = int32(size) // 0, no record, if the leaf emptied
-	return dropped
+	c.sizes[leaf] = int32(size)
+	return changed
 }

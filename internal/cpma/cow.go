@@ -4,9 +4,10 @@ package cpma
 // making every published snapshot cost O(n) even when a drain touched a
 // handful of leaves. The fix keeps the paper's pointer-free layout but
 // slices it per leaf: each leaf's leafState points at its byte slab, and
-// the first write to a shared leaf copies that one leaf, so the total copy
-// cost is O(written leaves), not O(n). A leaf is only its bytes (leaf.go),
-// so a leafState is one pointer and one stamp, 16 bytes.
+// the first write to a shared leaf gives that one leaf a fresh slab, which
+// the write fills, so the total copy cost is O(written leaves), not O(n).
+// A leaf is only its bytes (leaf.go), so a leafState is one pointer and
+// one stamp, 16 bytes.
 //
 // The leafState spine is shared too, at chunk granularity: the spine is an
 // array of pointers to chunks of chunkLeaves leafStates, and Clone copies
@@ -33,11 +34,12 @@ package cpma
 //     concurrently with any mutation of the receiver; the shard layer
 //     guarantees this by publishing only from a shard's sole mutator.
 //   - After Clone, both sides may be mutated independently; whichever side
-//     writes a shared leaf first pays the one-leaf copy (plus the one-chunk
+//     writes a shared leaf first pays the one-leaf slab (plus the one-chunk
 //     spine copy if the chunk is still shared).
 //   - leafW is the only way to a writable leaf. It unshares the chunk, then
-//     the slab, and so stamps the leaf. Read accessors (leafSt, leafData
-//     and the rest) must not be used to mutate.
+//     the slab, and so stamps the leaf; an unshared slab starts zeroed, and
+//     the writer reads the old bytes from the shared one. Read accessors
+//     (leafSt, leafData and the rest) must not be used to mutate.
 //   - Within one CPMA, the batch recursion partitions leaves disjointly
 //     across goroutines (see batchRange), but two goroutines' leaves can
 //     share a chunk. The goroutine that unshares it installs its copy with
@@ -115,9 +117,11 @@ func (c *CPMA) leafData(leaf int) []byte {
 
 // leafW returns the leaf's slab for writing: the single write gateway. It
 // unshares the leaf's chunk and then its slab if either is still shared,
-// which stamps the leaf with the receiver's generation. Concurrent callers
-// must hold distinct leaves; those sharing a chunk race to install its copy
-// and the losers adopt the winner's.
+// which stamps the leaf with the receiver's generation. An unshared slab
+// is fresh and zeroed, not a copy: every writer writes the whole leaf, and
+// one that edits it reads the old bytes through leafData, taken before the
+// call. Concurrent callers must hold distinct leaves; those sharing a chunk
+// race to install its copy and the losers adopt the winner's.
 func (c *CPMA) leafW(leaf int) []byte {
 	slot := &c.lf[leaf>>chunkLog]
 	ch := slot.Load()
@@ -132,7 +136,7 @@ func (c *CPMA) leafW(leaf int) []byte {
 	st := &ch.leaves[leaf&chunkMask]
 	ld := unsafe.Slice(st.data, c.LeafBytes())
 	if st.gen != c.gen {
-		ld = append(make([]byte, 0, len(ld)), ld...)
+		ld = make([]byte, len(ld))
 		st.data, st.gen = &ld[0], c.gen
 		atomic.AddUint64(&c.slabBytes, uint64(len(ld)))
 	}

@@ -20,8 +20,8 @@
 //
 // There is one update algorithm. InsertBatch and RemoveBatch run every
 // batch, however small, through the batch algorithm of §4, whose per-leaf
-// step splices a run of one or two keys in place: that splice is the
-// point update of §3, with the single pass of Figure 6 as its place step.
+// step splices the leaf's run into or out of it in one pass (Figure 6):
+// for a one-key batch that splice is the place step of §3's point update.
 // A batch into an empty set, or of at least n/10 keys, rebuilds the array
 // instead. Insert and Remove are one-key batches, so an Insert into a set
 // of fewer than 10 keys rebuilds it too. The paper hands small batches to
@@ -90,12 +90,15 @@ type CPMA struct {
 	f        *format
 
 	// Mid-batch only (batchRecords): the encoded size of each leaf the
-	// batch wrote (0: none), and the merged runs that outgrew their leaf.
-	// dirty is the writer's scratch for the list of leaves a batch wrote,
-	// and key for the one-key batch of a point update.
+	// batch wrote (0: none), and the encoded merged runs that outgrew their
+	// leaf.
+	// The writer's scratch: dirty for the list of leaves a batch wrote, buf
+	// (a slab, allocated with the records) for the serial leaf edits, and
+	// key for the one-key batch of a point update.
 	sizes    []int32
-	overflow [][]uint64
+	overflow [][]byte
 	dirty    []int
+	buf      []byte
 	key      [1]uint64
 
 	// Copy-on-write generations (cow.go). gen stamps this CPMA's writes;
@@ -150,7 +153,7 @@ func (c *CPMA) Clone() *CPMA {
 	}
 	// At rest every batch record is zero (CheckInvariants enforces it); the
 	// clone allocates its own records and scratch at its first batch.
-	d.sizes, d.overflow, d.dirty = nil, nil, nil
+	d.sizes, d.overflow, d.dirty, d.buf = nil, nil, nil, nil
 	// Fresh generations share every chunk and slab on both sides. The
 	// clone's is the older one, so the parent's later writes are newer than
 	// anything the handle holds (ChangedSince).
@@ -225,10 +228,21 @@ func (c *CPMA) usedOf(leaf int) int {
 // then still holds its old bytes.
 func (c *CPMA) overflowed(leaf int) bool { return c.overflow != nil && c.overflow[leaf] != nil }
 
-// batchRecords allocates the per-leaf batch records on a batch's first use.
+// leafRun returns the bytes of the leaf's run, of usedOf bytes: its
+// overflowed merged run if it has one, else its slab.
+func (c *CPMA) leafRun(leaf int) []byte {
+	if c.overflowed(leaf) {
+		return c.overflow[leaf]
+	}
+	return c.leafData(leaf)
+}
+
+// batchRecords allocates the per-leaf batch records and the edit scratch
+// on a batch's first use.
 func (c *CPMA) batchRecords() {
 	if c.sizes == nil {
-		c.sizes, c.overflow = make([]int32, c.leaves), make([][]uint64, c.leaves)
+		c.sizes, c.overflow = make([]int32, c.leaves), make([][]byte, c.leaves)
+		c.buf = make([]byte, c.LeafBytes())
 	}
 }
 
@@ -380,27 +394,18 @@ func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 	nl := hiLeaf - loLeaf
 	used, offsets := make([]int, nl), make([]int, nl+1)
 	forLeaves(nl, func(i int) {
-		if leaf := loLeaf + i; c.overflowed(leaf) {
-			offsets[i+1] = len(c.overflow[leaf])
-		} else {
-			used[i] = c.usedOf(leaf)
-			offsets[i+1] = c.f.count(c.leafData(leaf), used[i])
-		}
+		used[i] = c.usedOf(loLeaf + i)
+		offsets[i+1] = c.f.count(c.leafRun(loLeaf+i), used[i])
 	})
 	for i := 0; i < nl; i++ {
 		offsets[i+1] += offsets[i]
 	}
 	buf := make([]uint64, offsets[nl])
 	forLeaves(nl, func(i int) {
-		leaf := loLeaf + i
-		lo, hi := offsets[i], offsets[i+1]
-		if c.overflowed(leaf) {
-			copy(buf[lo:hi], c.overflow[leaf])
-			return
-		}
 		// Append in place: capacity is exactly the leaf's element count, so
 		// decode fills buf[lo:hi] without reallocating.
-		c.f.decode(buf[lo:lo:hi], c.leafData(leaf), used[i])
+		lo, hi := offsets[i], offsets[i+1]
+		c.f.decode(buf[lo:lo:hi], c.leafRun(loLeaf+i), used[i])
 	})
 	return buf
 }

@@ -86,11 +86,13 @@ func BenchmarkBatchRemove(b *testing.B) {
 // batches (the point arm, a loop of Insert/Remove) and as one k-key
 // InsertBatch/RemoveBatch: the amortization of batch updates over point
 // updates that the paper's Figure 1 plots, with both arms on the one
-// batch path.
+// batch path. The cloned arm is the batch arm with a Clone held across
+// each of the two batches, as a sharded set publishes one after every
+// drain: each batch then writes leaves a published handle shares.
 func BenchmarkSmallBatch(b *testing.B) {
 	keys := workload.Uniform(workload.NewRNG(1), 1_000_000, 40)
 	for _, k := range []int{1, 2, 10, 30, 100, 1000} {
-		for _, path := range []string{"point", "batch"} {
+		for _, path := range []string{"point", "batch", "cloned"} {
 			b.Run(fmt.Sprintf("%d/%s", k, path), func(b *testing.B) {
 				c := New(nil)
 				c.InsertBatch(keys, false)
@@ -103,16 +105,22 @@ func BenchmarkSmallBatch(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					batch := batches[i%len(batches)]
-					if path == "batch" {
+					switch path {
+					case "batch":
 						c.InsertBatch(batch, true)
 						c.RemoveBatch(batch, true)
-						continue
-					}
-					for _, x := range batch {
-						c.Insert(x)
-					}
-					for _, x := range batch {
-						c.Remove(x)
+					case "cloned":
+						cloneSink = c.Clone()
+						c.InsertBatch(batch, true)
+						cloneSink = c.Clone()
+						c.RemoveBatch(batch, true)
+					default:
+						for _, x := range batch {
+							c.Insert(x)
+						}
+						for _, x := range batch {
+							c.Remove(x)
+						}
 					}
 				}
 			})

@@ -241,8 +241,7 @@ func step(t *testing.T, r *workload.RNG, bits int, m *model, s sut) string {
 	t.Helper()
 	keyOf := func() uint64 { return 1 + r.Uint64()%(1<<uint(bits)) }
 	// One batch in four has 1-3 keys: tiny batches run the same batch
-	// path as large ones, down to the in-place splice of mergeLeaf and
-	// removeLeaf.
+	// path as large ones, down to the leaf splice.
 	batchOf := func() []uint64 {
 		n := 1 + r.Intn(300)
 		if r.Intn(4) == 0 {

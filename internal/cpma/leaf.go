@@ -12,10 +12,15 @@ import (
 // the format once, so no loop over keys branches on it.
 //
 //   - Compressed: an 8-byte head, then one delta byte code per further key
-//     (internal/codec). Every mutation is one forward walk over the codes
-//     with an in-place byte shift at the edit point (§5, Figure 6).
+//     (internal/codec).
 //   - Uncompressed: every key as 8 little-endian bytes, the first of them
-//     the head. Point operations binary-search the leaf.
+//     the head. Probes binary-search the leaf.
+//
+// Every update of a leaf, a point update's one key or a batch's run, is
+// one forward walk of the format's edit kernel (splice) over the leaf's
+// old bytes and the sorted run together (§5, Figure 6): it seeks the run's
+// first key, copies the bytes between edit points as they are, and
+// encodes only the keys at them.
 
 // format holds the array-scale constants of a leaf format. Density is
 // measured in bytes for both, so one implicit tree (pmatree) plans for
@@ -33,9 +38,8 @@ type format struct {
 	// compressed, an 8-byte key (the PMA's cell) when not.
 	unit int
 	// slack is the most bytes one inserted key can add to a leaf.
-	// mergeLeaf splices a short run in place only into a leaf with this
-	// much free space per key, and merges or overflows it otherwise;
-	// redistribution leaves at least this much free in every leaf.
+	// Redistribution leaves at least this much free in every leaf, so a
+	// point insert never overflows its leaf.
 	slack int
 	// reserve is the headroom the leaf's upper density bound keeps free
 	// (see bounds).
@@ -46,6 +50,19 @@ type format struct {
 	// slop is how far past its fair share a leaf may be filled when a run
 	// is split.
 	slop int
+	// splice is the format's edit kernel. It seeks the leaf run
+	// rd[:used] for the first key of the sorted run sub, then walks the
+	// leaf's keys from there, at byte start, together with sub, and
+	// inserts sub's keys into the leaf run, or removes them from it. The
+	// edited run is rd[:start], then what splice writes to dst[start:w],
+	// then the unchanged rest of the old run, rd[from:used]; changed
+	// counts the keys of sub added or removed. Writes past the end of dst
+	// are dropped, so a dst too short for the edited run (of
+	// w + used - from bytes) only sizes it. Only the edit points are
+	// encoded: an inserted key, and a kept key whose predecessor changed
+	// (compressed: its delta code; a new head). The bytes between them
+	// are copied as they are.
+	splice func(dst, rd []byte, sub []uint64, insert bool) (start, w, from, used, changed int)
 }
 
 var (
@@ -65,7 +82,8 @@ var (
 		headCost: codec.HeadBytes,
 		// One maximal code past the fair share guarantees the greedy
 		// split places the whole run whenever it fits.
-		slop: codec.MaxLen + codec.HeadBytes,
+		slop:   codec.MaxLen + codec.HeadBytes,
+		splice: codeSplice,
 	}
 	uncompressed = &format{
 		raw:          true,
@@ -75,6 +93,7 @@ var (
 		// leaf bound would otherwise allow a full leaf.
 		slack:   8,
 		reserve: 8,
+		splice:  rawSplice,
 	}
 )
 
@@ -145,14 +164,6 @@ func (f *format) runBytes(prefix []int, s, e int) int {
 	return codec.HeadBytes + prefix[e-1] - prefix[s]
 }
 
-// runSize returns the encoded size of a sorted, duplicate-free run.
-func (f *format) runSize(elems []uint64) int {
-	if f.raw {
-		return 8 * len(elems)
-	}
-	return codec.SizeOfRun(elems)
-}
-
 // encode writes a sorted, duplicate-free, non-empty run to dst and
 // returns the bytes written.
 func (f *format) encode(dst []byte, elems []uint64) int {
@@ -173,6 +184,10 @@ func (f *format) used(ld []byte) int {
 	if !f.raw {
 		return codec.RunUsed(ld)
 	}
+	return rawUsed(ld)
+}
+
+func rawUsed(ld []byte) int {
 	off, last := rawSearch(ld, ^uint64(0))
 	if last {
 		off += 8
@@ -200,7 +215,7 @@ func (f *format) decode(dst []uint64, src []byte, used int) []uint64 {
 }
 
 // rawSearch binary-searches the keys of an uncompressed leaf (or of a
-// prefix of it) for the first key >= x, returning its byte offset, or
+// part of it) for the first key >= x, returning its byte offset, or
 // where the keys end, and whether it equals x. x must be nonzero.
 func rawSearch(ld []byte, x uint64) (int, bool) {
 	lo, hi := 0, len(ld)/8
@@ -273,115 +288,124 @@ func (c *CPMA) leafHas(leaf int, x uint64) bool {
 	return ok && v == x
 }
 
-// noRoom is the size leafInsert reports for a leaf short of the room asked.
-const noRoom = -1
-
-// leafInsert inserts x into the leaf unless x is present or the leaf has
-// fewer than room bytes free; room is at least the format's slack, so the
-// shifted keys or codes always fit. It returns the leaf's used bytes
-// afterwards and whether x was inserted, or noRoom. The search reads the
-// leaf as it is, and only an actual insert takes the write gateway: the
-// copy it may make holds the same bytes, so the offsets found still apply.
-// A compressed leaf's end is found past the search, where the shift reads
-// anyway, so no byte before it is read twice.
-func (c *CPMA) leafInsert(leaf int, x uint64, room int) (int, bool) {
-	ld := c.leafData(leaf)
-	if c.f.raw {
-		u := c.f.used(ld)
-		off, found := rawSearch(ld[:u], x)
-		switch {
-		case found:
-			return u, false
-		case u+room > len(ld):
-			return noRoom, false
+// codeSplice is the compressed format's splice. v is the leaf key at hand,
+// stored in rd[r:r+n]; out is the last key the edited run holds so far (0
+// before its head) and in the key before v: while they are equal, the old
+// codes are the new ones.
+func codeSplice(dst, rd []byte, sub []uint64, insert bool) (start, w, from, used, changed int) {
+	var in, v uint64
+	r, n := 0, 0
+	if codec.Head(rd) != 0 {
+		in, v, r, n = codec.Seek(rd, sub[0])
+		used = codec.RunEnd(rd, n)
+		n -= r
+	}
+	start, w, from = r, r, r
+	out, i := in, 0
+	for r < used {
+		j := i
+		for j < len(sub) && sub[j] < v {
+			j++
 		}
-		ld = c.leafW(leaf)
-		copy(ld[off+8:u+8], ld[off:u])
-		binary.LittleEndian.PutUint64(ld[off:], x)
-		return u + 8, true
+		hit := j < len(sub) && sub[j] == v
+		if insert && j > i || hit && !insert || out != in {
+			// An edit point: copy the unchanged codes before v, then
+			// encode the new keys and v, unless v goes.
+			w += putBytes(dst, w, rd[from:r])
+			for ; insert && i < j; i++ {
+				w += putKey(dst, w, out, sub[i])
+				out = sub[i]
+				changed++
+			}
+			if hit && !insert {
+				changed++
+			} else {
+				w += putKey(dst, w, out, v)
+				out = v
+			}
+			from = r + n
+		} else {
+			out = v
+		}
+		in, r, i = v, r+n, j
+		if hit {
+			i++
+		}
+		if r == used || i == len(sub) && out == in {
+			break
+		}
+		var d uint64
+		d, n = codec.Step(rd, r)
+		v = in + d
 	}
-	if codec.Head(ld) == 0 {
-		codec.PutHead(c.leafW(leaf), x)
-		return codec.HeadBytes, true
+	if insert && i < len(sub) {
+		// The rest of sub follows the leaf's last key.
+		w += putBytes(dst, w, rd[from:used])
+		for _, x := range sub[i:] {
+			w += putKey(dst, w, out, x)
+			out = x
+		}
+		from, changed = used, changed+len(sub)-i
 	}
-	prev, v, start, end := codec.Seek(ld, x)
-	u := codec.RunEnd(ld, end)
-	switch {
-	case start < end && v == x:
-		return u, false
-	case u+room > len(ld):
-		return noRoom, false
-	}
-	ld = c.leafW(leaf)
-	var code [2 * codec.MaxLen]byte
-	var w int
-	switch {
-	case start == end:
-		// x is the new maximum: append one delta.
-		return u + codec.Put(ld[u:], x-prev), true
-	case start == 0:
-		// New head; the old head becomes the first delta.
-		w = codec.Put(code[:], v-x)
-		codec.PutHead(ld, x)
-		start, end = codec.HeadBytes, codec.HeadBytes
-	default:
-		// Split v's delta into (x-prev, v-x).
-		w = codec.Put(code[:], x-prev)
-		w += codec.Put(code[w:], v-x)
-	}
-	grow := w - (end - start)
-	copy(ld[start+w:u+grow], ld[end:u])
-	copy(ld[start:], code[:w])
-	return u + grow, true
+	return start, w, from, used, changed
 }
 
-// leafRemove removes x from the leaf if present, returning the leaf's new
-// used bytes, or -1 if x was absent. Removal never grows a leaf:
-// compressed neighbors' deltas merge into one. Like leafInsert, it takes
-// the write gateway only on a hit.
-func (c *CPMA) leafRemove(leaf int, x uint64) int {
-	ld := c.leafData(leaf)
-	if codec.Head(ld) == 0 {
-		return -1
-	}
-	if c.f.raw {
-		u := c.f.used(ld)
-		off, found := rawSearch(ld[:u], x)
-		if !found {
-			return -1
+// putKey writes k at dst[w:] if it fits, as the head if out is 0 and else
+// as its delta from out, and returns the bytes it takes.
+func putKey(dst []byte, w int, out, k uint64) int {
+	if out == 0 {
+		if w+codec.HeadBytes <= len(dst) {
+			codec.PutHead(dst[w:], k)
 		}
-		ld = c.leafW(leaf)
-		copy(ld[off:], ld[off+8:u])
-		clearBytes(ld[u-8 : u])
-		return u - 8
+		return codec.HeadBytes
 	}
-	prev, v, start, end := codec.Seek(ld, x)
-	if start == end || v != x {
-		return -1
+	n := codec.Len(k - out)
+	if w+n <= len(dst) {
+		codec.Put(dst[w:], k-out)
 	}
-	u := codec.RunEnd(ld, end)
-	ld = c.leafW(leaf)
-	if end == u {
-		// x is the last key: drop its bytes (the whole leaf if the head).
-		clearBytes(ld[start:u])
-		return start
+	return n
+}
+
+// putBytes copies b to dst[w:] as far as it fits and returns len(b).
+func putBytes(dst []byte, w int, b []byte) int {
+	if w < len(dst) {
+		copy(dst[w:], b)
 	}
-	// The next key takes x's place: it becomes the head, or its delta
-	// grows to reach back from prev.
-	d, k := codec.Step(ld, end)
-	var code [codec.MaxLen]byte
-	w := 0
-	if start == 0 {
-		codec.PutHead(ld, x+d)
-		start = codec.HeadBytes
-	} else {
-		w = codec.Put(code[:], x+d-prev)
+	return len(b)
+}
+
+// rawSplice is the uncompressed format's splice. Its edit points are only
+// the inserted and the removed keys, each found by a binary search of the
+// rest of the slab, whose zero words past the keys sort last.
+func rawSplice(dst, rd []byte, sub []uint64, insert bool) (start, w, from, used, changed int) {
+	start, hit := rawSearch(rd, sub[0])
+	w, from = start, start
+	for r, i := start, 0; ; {
+		if hit != insert {
+			w += putBytes(dst, w, rd[from:r])
+			if insert {
+				w += putRaw(dst, w, sub[i])
+			} else {
+				r += 8
+			}
+			from = r
+			changed++
+		}
+		if i++; i == len(sub) {
+			break
+		}
+		off, h := rawSearch(rd[r:], sub[i])
+		r, hit = r+off, h
 	}
-	shrink := end + k - start - w
-	copy(ld[start:], code[:w])
-	copy(ld[start+w:u-shrink], ld[end+k:u])
-	clearBytes(ld[u-shrink : u])
-	return u - shrink
+	return start, w, from, rawUsed(rd), changed
+}
+
+// putRaw writes k at dst[w:] if it fits and returns its 8 bytes.
+func putRaw(dst []byte, w int, k uint64) int {
+	if w+8 <= len(dst) {
+		binary.LittleEndian.PutUint64(dst[w:], k)
+	}
+	return 8
 }
 
 // leafSum returns the sum of the leaf's keys. The free words of an

@@ -1,51 +1,72 @@
 package cpma
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/codec"
 	"repro/internal/parallel"
 )
 
-// leafSet returns a compressed CPMA whose leaf 0 holds keys, a sorted,
-// duplicate-free run whose encoding fits the minimum leaf, and whose other
-// leaves are empty: a fixture for the leaf kernels.
-func leafSet(keys []uint64) *CPMA {
-	c := New(&Options{LeafBytes: compressed.minLeafBytes})
+// leafSet returns a CPMA of format f and lb-byte leaves whose leaf 0 holds
+// keys, a sorted, duplicate-free run whose encoding fits the leaf, and
+// whose other leaves are empty: a fixture for the leaf kernels.
+func leafSet(f *format, lb int, keys []uint64) *CPMA {
+	c := newFormat(f, &Options{LeafBytes: lb})
 	if len(keys) > 0 {
-		codec.EncodeRun(c.leafW(0), keys)
+		f.encode(c.leafW(0), keys)
 		c.n = len(keys)
 	}
 	c.batchRecords()
 	return c
 }
 
-// leafKeys returns what leaf 0 holds: its overflow run if it has one,
-// else its decoded bytes.
-func leafKeys(c *CPMA) []uint64 {
-	if ov := c.overflow[0]; ov != nil {
-		return ov
+// leafBytesFor returns the fixture leaf size for keys: the compressed
+// minimum, or the smallest uncompressed leaf that holds them.
+func leafBytesFor(f *format, keys []uint64) int {
+	if !f.raw {
+		return f.minLeafBytes
 	}
-	return codec.DecodeRun(nil, c.leafData(0), c.usedOf(0))
+	return max(f.minLeafBytes, int(bitutil.CeilPow2(uint64(8*len(keys)))))
 }
 
-// checkKernels compares seek, walk, LeafMapPos, LeafMapFrom, the point
-// splices and the batch merge on a leaf holding keys (non-empty) against
-// the DecodeRun/MergeDedup oracle, for every probe in xs.
-func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
+// runSize returns the encoded size of a sorted, duplicate-free run in
+// format f.
+func runSize(f *format, elems []uint64) int {
+	if f.raw {
+		return 8 * len(elems)
+	}
+	return codec.SizeOfRun(elems)
+}
+
+// leafKeys returns what leaf 0 holds: its overflowed run if it has one,
+// else its slab's run.
+func leafKeys(c *CPMA) []uint64 {
+	return c.f.decode(nil, c.leafRun(0), c.usedOf(0))
+}
+
+// checkKernels compares seek, walk, LeafMapPos, LeafMapFrom and the leaf
+// splice on a leaf of format f holding keys (non-empty) against the
+// DecodeRun/MergeDedup oracle, for every probe in xs. Seek and walk are
+// the compressed format's; every splice runs on both formats.
+func checkKernels(t *testing.T, f *format, keys []uint64, xs []uint64) {
 	t.Helper()
-	c := leafSet(keys)
+	lb := leafBytesFor(f, keys)
+	c := leafSet(f, lb, keys)
 	ld, used := c.leafData(0), c.usedOf(0)
-	if got := codec.DecodeRun(nil, ld, used); !slices.Equal(got, keys) || used != codec.SizeOfRun(keys) {
-		t.Fatalf("fixture of %d bytes decodes to %v, want %d bytes of %v", used, got, codec.SizeOfRun(keys), keys)
+	if got := f.decode(nil, ld, used); !slices.Equal(got, keys) || used != runSize(f, keys) {
+		t.Fatalf("fixture of %d bytes decodes to %v, want %d bytes of %v", used, got, runSize(f, keys), keys)
 	}
 	// end[i] is the offset just past key i's bytes.
 	end := make([]int, len(keys))
 	for i := range keys {
-		end[i] = codec.SizeOfRun(keys[:i+1])
+		end[i] = runSize(f, keys[:i+1])
 	}
 	// LeafMapPos reports where each key starts, and LeafMapFrom resumes
 	// there: from the whole previous key, or from its low 32 bits only.
@@ -82,107 +103,166 @@ func checkKernels(t *testing.T, keys []uint64, xs []uint64) {
 	if i != len(keys) {
 		t.Fatalf("LeafMapPos visits %d keys, want %d", i, len(keys))
 	}
-	for _, x := range xs {
+	// Long probe lists splice at every probe near their ends and at every
+	// 17th between, which keeps this quadratic differential quick while
+	// the offsets still cycle through the three probes of a key and the
+	// positions of an 8-byte load.
+	stride := 1
+	if len(xs) > 400 {
+		stride = 17
+	}
+	for pi, x := range xs {
 		j := sort.Search(len(keys), func(i int) bool { return keys[i] >= x })
-		prev, v, start, e := codec.Seek(ld, x)
-		switch {
-		case j == len(keys):
-			last := keys[len(keys)-1]
-			if prev != last || v != last || start != used || e != used {
-				t.Fatalf("seek(%d) past the end = %d, %d, [%d, %d); want %d, %d, [%d, %d)",
-					x, prev, v, start, e, last, last, used, used)
-			}
-		default:
-			wantPrev, wantStart := uint64(0), 0
-			if j > 0 {
-				wantPrev, wantStart = keys[j-1], end[j-1]
-			}
-			if prev != wantPrev || v != keys[j] || start != wantStart || e != end[j] {
-				t.Fatalf("seek(%d) = %d, %d, [%d, %d); want %d, %d, [%d, %d)",
-					x, prev, v, start, e, wantPrev, keys[j], wantStart, end[j])
-			}
-			var rest []uint64
-			codec.Walk(ld, e, v, func(k uint64) bool { rest = append(rest, k); return true })
-			if !slices.Equal(rest, keys[j+1:]) {
-				t.Fatalf("walk after %d visits %v, want %v", v, rest, keys[j+1:])
-			}
+		if !f.raw {
+			checkSeek(t, ld, used, keys, end, x, j)
 		}
 		if got, want := c.leafHas(0, x), j < len(keys) && keys[j] == x; got != want {
 			t.Fatalf("leafHas(%d) = %v, want %v", x, got, want)
 		}
-		if x == 0 {
-			continue // reserved: never inserted or removed
+		if x == 0 || pi%stride != 0 && pi >= 48 && pi < len(xs)-48 {
+			continue // 0 is reserved: never inserted or removed
 		}
-		// Point splices, on a leaf with the slack Insert guarantees.
-		if used+c.f.slack <= c.LeafBytes() {
-			d := leafSet(keys)
-			want, fresh := parallel.MergeDedup(keys, []uint64{x})
-			if u, ok := d.leafInsert(0, x, c.f.slack); ok != (fresh == 1) || u != codec.SizeOfRun(want) {
-				t.Fatalf("leafInsert(%d) = %d, %v; want %d bytes, %v", x, u, ok, codec.SizeOfRun(want), fresh == 1)
+		// Runs starting at x: one to three keys from x on, and x with
+		// keys at and after it, or their successors, which are many edit
+		// points apart.
+		near := func(k int, d uint64) []uint64 {
+			run := []uint64{x}
+			for _, v := range keys[j:min(j+k, len(keys))] {
+				run = append(run, v+d)
 			}
-			checkLeaf(t, d, want, "leafInsert")
+			return run
 		}
-		d := leafSet(keys)
-		want := slices.DeleteFunc(slices.Clone(keys), func(k uint64) bool { return k == x })
-		if got := d.leafRemove(0, x); (got >= 0) != (len(want) < len(keys)) || got >= 0 && got != codec.SizeOfRun(want) {
-			t.Fatalf("leafRemove(%d) = %d", x, got)
-		}
-		checkLeaf(t, d, want, "leafRemove")
-		// Batch merges of one and two keys, in place or not.
-		for _, sub := range [][]uint64{{x}, {x, x + 1}} {
-			if sub[len(sub)-1] < x {
-				continue // x + 1 wrapped
-			}
-			d := leafSet(keys)
-			want, fresh := parallel.MergeDedup(keys, sub)
-			if added := d.mergeLeaf(0, sub); added != fresh {
-				t.Fatalf("mergeLeaf(%v) added %d, want %d", sub, added, fresh)
-			}
-			if got := leafKeys(d); !slices.Equal(got, want) {
-				t.Fatalf("mergeLeaf(%v) leaves %v, want %v", sub, got, want)
-			}
-			if d.usedOf(0) != codec.SizeOfRun(want) {
-				t.Fatalf("mergeLeaf(%v): used %d, want %d", sub, d.usedOf(0), codec.SizeOfRun(want))
+		for _, sub := range [][]uint64{{x}, {x, x + 1}, {x, x + 1, x + 2}, near(2, 0), near(10, 0), near(10, 1)} {
+			if sub = editRun(sub); len(sub) > 0 {
+				checkEdit(t, f, lb, keys, sub, true)
+				checkEdit(t, f, lb, keys, sub, false)
 			}
 		}
-		// Batch removes of one, two and three keys: the runs up to
-		// inPlaceMerge splice, the longer one decodes and filters.
-		subs := [][]uint64{{x}, {x, x + 1}, {x, x + 1, x + 2}}
-		if j+2 < len(keys) {
-			subs = append(subs, []uint64{x, keys[j+1]}, []uint64{x, keys[j+1], keys[j+2]})
+	}
+	// Whole-leaf runs: every probe, every other key, every key.
+	var alternate []uint64
+	for i := 0; i < len(keys); i += 2 {
+		alternate = append(alternate, keys[i])
+	}
+	for _, sub := range [][]uint64{editRun(xs), alternate, keys} {
+		checkEdit(t, f, lb, keys, sub, true)
+		checkEdit(t, f, lb, keys, sub, false)
+	}
+}
+
+// checkSeek checks codec.Seek and codec.Walk on a compressed leaf holding
+// keys, whose key i ends at end[i], for the probe x, whose first key at or
+// above it is keys[j].
+func checkSeek(t *testing.T, ld []byte, used int, keys []uint64, end []int, x uint64, j int) {
+	t.Helper()
+	prev, v, start, e := codec.Seek(ld, x)
+	if j == len(keys) {
+		last := keys[len(keys)-1]
+		if prev != last || v != last || start != used || e != used {
+			t.Fatalf("seek(%d) past the end = %d, %d, [%d, %d); want %d, %d, [%d, %d)",
+				x, prev, v, start, e, last, last, used, used)
 		}
-		for _, sub := range subs {
-			if !slices.IsSorted(sub) || slices.Contains(sub[1:], x) {
-				continue // x + 1 or x + 2 wrapped
+		return
+	}
+	wantPrev, wantStart := uint64(0), 0
+	if j > 0 {
+		wantPrev, wantStart = keys[j-1], end[j-1]
+	}
+	if prev != wantPrev || v != keys[j] || start != wantStart || e != end[j] {
+		t.Fatalf("seek(%d) = %d, %d, [%d, %d); want %d, %d, [%d, %d)",
+			x, prev, v, start, e, wantPrev, keys[j], wantStart, end[j])
+	}
+	var rest []uint64
+	codec.Walk(ld, e, v, func(k uint64) bool { rest = append(rest, k); return true })
+	if !slices.Equal(rest, keys[j+1:]) {
+		t.Fatalf("walk after %d visits %v, want %v", v, rest, keys[j+1:])
+	}
+}
+
+// editRun returns the sorted, duplicate-free nonzero keys of sub, dropping
+// the ones a successor wrapped to.
+func editRun(sub []uint64) []uint64 {
+	run := slices.DeleteFunc(slices.Clone(sub), func(k uint64) bool { return k == 0 })
+	slices.Sort(run)
+	return slices.Compact(run)
+}
+
+// checkEdit splices sub into (insert) or out of a leaf of format f and lb
+// bytes holding keys, once on a private leaf and once on one shared with a
+// Clone taken just before, and checks the result against the MergeDedup
+// oracle: the keys the leaf holds, how many changed, the batch records (an
+// overflowed merge parks its encoded run and leaves the slab as it was)
+// and the bytes past the run. On the shared leaf the clone must still hold
+// keys, and ChangedSince must report the leaf iff its slab was written.
+func checkEdit(t *testing.T, f *format, lb int, keys, sub []uint64, insert bool) {
+	t.Helper()
+	want, n := parallel.MergeDedup(keys, sub)
+	if !insert {
+		want = slices.DeleteFunc(slices.Clone(keys), func(k uint64) bool {
+			_, found := slices.BinarySearch(sub, k)
+			return found
+		})
+		n = len(keys) - len(want)
+	}
+	size := runSize(f, want)
+	for _, shared := range []bool{false, true} {
+		op := func() string { return fmt.Sprintf("raw=%v insert=%v shared=%v %v", f.raw, insert, shared, sub) }
+		c := leafSet(f, lb, keys)
+		var h *CPMA
+		if shared {
+			h = c.Clone()
+		}
+		if got := c.spliceLeaf(0, sub, insert, c.buf); got != n {
+			t.Fatalf("%s: changed %d keys, want %d", op(), got, n)
+		}
+		overflow := size > lb
+		switch rec := int(c.sizes[0]); {
+		case c.overflowed(0) != overflow:
+			t.Fatalf("%s: overflowed %v, want %v (%d bytes)", op(), c.overflowed(0), overflow, size)
+		case n > 0 && rec != size, n == 0 && rec != 0:
+			t.Fatalf("%s: recorded size %d, want %d", op(), rec, size)
+		case overflow:
+			if !slices.Equal(leafKeys(c), want) {
+				t.Fatalf("%s: overflowed run %v, want %v", op(), leafKeys(c), want)
 			}
-			d := leafSet(keys)
-			want := slices.DeleteFunc(slices.Clone(keys), func(k uint64) bool { return slices.Contains(sub, k) })
-			removed := d.removeLeaf(0, sub)
-			if removed != len(keys)-len(want) {
-				t.Fatalf("removeLeaf(%v) removed %d, want %d", sub, removed, len(keys)-len(want))
+			if got := f.decode(nil, c.leafData(0), f.used(c.leafData(0))); !slices.Equal(got, keys) {
+				t.Fatalf("%s: the overflowed leaf's slab holds %v, want its old %v", op(), got, keys)
 			}
-			checkLeaf(t, d, want, "removeLeaf")
-			if rec, size := d.sizes[0], codec.SizeOfRun(want); removed > 0 && int(rec) != size || removed == 0 && rec != 0 {
-				t.Fatalf("removeLeaf(%v) recorded size %d, want %d", sub, rec, size)
-			}
+		default:
+			checkLeaf(t, c, want, op)
+		}
+		if !shared {
+			continue
+		}
+		if !slices.Equal(h.Keys(), keys) {
+			t.Fatalf("%s: the clone holds %v, want %v", op(), h.Keys(), keys)
+		}
+		written := n > 0 && !overflow
+		if all, leaves := c.ChangedSince(h.Gen()); all || slices.Equal(leaves, []int{0}) != written {
+			t.Fatalf("%s: ChangedSince = %v, %v; want leaf 0 listed %v", op(), all, leaves, written)
+		}
+		if written && c.slabBytes != uint64(lb) || !written && c.slabBytes != 0 {
+			t.Fatalf("%s: unshared %d slab bytes", op(), c.slabBytes)
 		}
 	}
 }
 
 // checkLeaf asserts leaf 0 of c holds exactly want, with matching derived
-// size and count and zero bytes past its used bytes.
-func checkLeaf(t *testing.T, c *CPMA, want []uint64, op string) {
+// size and count and zero bytes past its used bytes; op names the edit in
+// a failure.
+func checkLeaf(t *testing.T, c *CPMA, want []uint64, op func() string) {
 	t.Helper()
-	u := c.usedOf(0)
-	if got := codec.DecodeRun(nil, c.leafData(0), u); !slices.Equal(got, want) {
-		t.Fatalf("%s leaves %v, want %v", op, got, want)
+	ld := c.leafData(0)
+	u := c.f.used(ld)
+	if got := c.f.decode(nil, ld, u); !slices.Equal(got, want) {
+		t.Fatalf("%s leaves %v, want %v", op(), got, want)
 	}
-	if n := c.f.count(c.leafData(0), u); n != len(want) || u != codec.SizeOfRun(want) {
-		t.Fatalf("%s: used %d count %d, want %d %d", op, u, n, codec.SizeOfRun(want), len(want))
+	if n := c.f.count(ld, u); n != len(want) || u != runSize(c.f, want) || u != c.usedOf(0) {
+		t.Fatalf("%s: used %d (recorded %d) count %d, want %d %d", op(), u, c.usedOf(0), n, runSize(c.f, want), len(want))
 	}
-	for i, b := range c.leafData(0)[u:] {
+	for i, b := range ld[u:] {
 		if b != 0 {
-			t.Fatalf("%s left byte %d past used nonzero", op, u+i)
+			t.Fatalf("%s left byte %d past used nonzero", op(), u+i)
 		}
 	}
 }
@@ -218,9 +298,10 @@ func fillTo(size, lastLen int) []uint64 {
 }
 
 // TestLeafKernels is the kernel differential: seek, walk, resuming a walk
-// at a byte offset, the point splices and the one- and two-key batch
-// merge against the DecodeRun and MergeDedup oracle, on the leaf shapes
-// where an offset can go wrong.
+// at a byte offset and the leaf splice of insert and remove runs against
+// the DecodeRun and MergeDedup oracle, on the leaf shapes where an offset
+// can go wrong, in both formats (the uncompressed ones in the smallest
+// leaf that holds the run, so a run of a power-of-two size fills it).
 func TestLeafKernels(t *testing.T) {
 	lb := compressed.minLeafBytes
 	slack := compressed.slack
@@ -233,8 +314,8 @@ func TestLeafKernels(t *testing.T) {
 		"full-slab-1":  fillTo(lb, 1),
 		"full-slab-3":  fillTo(lb, 3),
 		"full-slab-10": fillTo(lb, 10),
-		// Exactly the slack two in-place inserts need, and one byte less:
-		// the second takes the decode-merge path (and may overflow).
+		// Exactly the slack two inserts need, and one byte less: the
+		// second may overflow.
 		"slack-boundary-1": fillTo(lb-slack, 2),
 		"slack-boundary-2": fillTo(lb-2*slack, 2),
 		"slack-short-2":    fillTo(lb-2*slack+1, 2),
@@ -245,13 +326,18 @@ func TestLeafKernels(t *testing.T) {
 			return 1 + uint64(r.Intn(1<<15))
 		}),
 		"uniform-40": runOfSize(1+uint64(r.Intn(1<<20)), 120, func() uint64 { return 1 + uint64(r.Intn(1<<21)) }),
+		// 64 keys fill a 512-byte uncompressed leaf.
+		"full-raw-64": runOfSize(1<<8, 64, func() uint64 { return 1 + uint64(r.Intn(1<<30)) }),
 	}
 	for name, keys := range cases {
 		t.Run(name, func(t *testing.T) {
 			if codec.SizeOfRun(keys) > lb {
 				t.Fatalf("fixture is %d bytes, over the %d-byte leaf", codec.SizeOfRun(keys), lb)
 			}
-			checkKernels(t, keys, probes(keys))
+			checkKernels(t, compressed, keys, probes(keys))
+		})
+		t.Run("uncompressed/"+name, func(t *testing.T) {
+			checkKernels(t, uncompressed, keys, probes(keys))
 		})
 	}
 	for _, name := range []string{"full-slab-1", "full-slab-3", "full-slab-10"} {
@@ -289,7 +375,7 @@ func TestDerivedLeafSize(t *testing.T) {
 				runs["one-short-10-byte-code"] = fillTo(lb-1, 10)
 			}
 			for name, keys := range runs {
-				want := f.runSize(keys)
+				want := runSize(f, keys)
 				if want > lb {
 					t.Fatalf("%s: fixture is %d bytes, over the %d-byte leaf", name, want, lb)
 				}
@@ -306,78 +392,87 @@ func TestDerivedLeafSize(t *testing.T) {
 	}
 }
 
-// TestMergeLeafInPlace pins which path mergeLeaf and removeLeaf take: a
-// run of at most inPlaceMerge keys that the leaf has slack for is spliced
-// without allocating; without the slack it goes through the decode-merge
-// path, and a merge that outgrows the leaf lands in the overflow buffer. A
-// remove needs no slack: a run of at most inPlaceMerge keys never
-// allocates, and a longer one decodes.
-func TestMergeLeafInPlace(t *testing.T) {
-	lb, slack := compressed.minLeafBytes, compressed.slack
-	allocs := func(keys, sub []uint64) float64 {
-		c := leafSet(keys)
-		orig := slices.Clone(c.leafData(0))
-		return testing.AllocsPerRun(5, func() {
-			copy(c.leafW(0), orig)
-			c.dropRecord(0)
-			c.mergeLeaf(0, sub)
-		})
-	}
-	two := []uint64{1<<20 + 1<<40, 1<<20 + 1<<41}
-	if a := allocs(fillTo(lb-2*slack, 2), two); a != 0 {
-		t.Fatalf("two keys into a leaf with exactly their slack: %v allocations, want 0", a)
-	}
-	if a := allocs(fillTo(lb-2*slack+1, 2), two); a == 0 {
-		t.Fatal("two keys into a leaf a byte short of their slack took the in-place path")
-	}
-	if a := allocs(fillTo(lb-slack, 2), two[:1]); a != 0 {
-		t.Fatalf("one key into a leaf with exactly its slack: %v allocations, want 0", a)
-	}
-	removeAllocs := func(keys, sub []uint64) float64 {
-		c := leafSet(keys)
-		orig := slices.Clone(c.leafData(0))
-		return testing.AllocsPerRun(5, func() {
-			copy(c.leafW(0), orig)
-			c.dropRecord(0)
-			if c.removeLeaf(0, sub) == 0 {
-				t.Fatalf("removeLeaf(%v) removed nothing", sub)
+// TestLeafEditAllocs pins the edit kernel's allocations. In both formats,
+// a run of 1, 2, 3, 10 or 60 keys spliced into a private leaf and back out
+// allocates nothing; into or out of a leaf shared with a Clone, the leaf's
+// fresh slab is the only allocation. A merge that outgrows its slab, a
+// full one taking one more key (compressed, a 10-byte delta), keeps the
+// encoded merged run and records its size.
+func TestLeafEditAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := runOfSize(1<<20, 100, func() uint64 { return 4 })
+	for _, f := range []*format{compressed, uncompressed} {
+		for _, k := range []int{1, 2, 3, 10, 60} {
+			sub := make([]uint64, k)
+			for i := range sub {
+				sub[i] = keys[i*len(keys)/k] + 1 + uint64(i%3)
 			}
-		})
-	}
-	full := fillTo(lb, 10)
-	last := len(full) - 1
-	for _, sub := range [][]uint64{
-		{full[0]},                  // the head
-		{full[last]},               // the 10-byte code on the slab's last byte
-		{full[0], full[1]},         // the head and its successor
-		{full[1], full[last] + 1},  // a present key and an absent one
-		{full[last-1], full[last]}, // the last two codes
-	} {
-		if a := removeAllocs(full, sub); a != 0 {
-			t.Fatalf("removing %v from a full leaf: %v allocations, want 0", sub, a)
+			c := leafSet(f, 2048, keys)
+			if a := testing.AllocsPerRun(20, func() {
+				if c.spliceLeaf(0, sub, true, c.buf) != k || c.spliceLeaf(0, sub, false, c.buf) != k {
+					t.Fatalf("raw=%v: the %d-key round trip did not add and remove every key", f.raw, k)
+				}
+			}); a != 0 {
+				t.Fatalf("raw=%v: %d-key insert+remove round trip on a private leaf: %v allocations, want 0", f.raw, k, a)
+			}
+			for _, insert := range []bool{true, false} {
+				var h *CPMA
+				share := func() {
+					c.dropRecord(0)
+					h = c.Clone()
+					// Take the chunk back, so only the slab is shared.
+					ch := *c.lf[0].Load()
+					ch.gen = c.gen
+					c.lf[0].Store(&ch)
+				}
+				edit := func() {
+					if c.spliceLeaf(0, sub, insert, c.buf) != k {
+						t.Fatalf("raw=%v insert=%v: the %d-key run did not change every key", f.raw, insert, k)
+					}
+				}
+				if a := allocsAfter(share, edit); a != 1 || c.slabBytes != 2048 {
+					t.Fatalf("raw=%v insert=%v: %d-key run on a shared leaf: %d allocations and %d slab bytes, want 1 and 2048",
+						f.raw, insert, k, a, c.slabBytes)
+				}
+				if old, _ := parallel.MergeDedup(keys, sub); insert && !slices.Equal(h.Keys(), keys) || !insert && !slices.Equal(h.Keys(), old) {
+					t.Fatalf("raw=%v insert=%v: the clone changed with its parent", f.raw, insert)
+				}
+			}
 		}
-	}
-	if a := removeAllocs(full, full[1:inPlaceMerge+2]); a == 0 {
-		t.Fatalf("removing %d keys took the in-place path", inPlaceMerge+1)
-	}
-	// The overflow fallback: a full slab cannot take a 10-byte delta.
-	keys := fillTo(lb, 1)
-	c := leafSet(keys)
-	sub := []uint64{^uint64(0)}
-	added := c.mergeLeaf(0, sub)
-	want, _ := parallel.MergeDedup(keys, sub)
-	if ov := c.overflow[0]; !slices.Equal(ov, want) || added != 1 {
-		t.Fatalf("overflowing merge: overflow %d keys, added %d", len(ov), added)
-	}
-	if c.usedOf(0) != codec.SizeOfRun(want) || c.usedOf(0) <= lb {
-		t.Fatalf("overflowing merge records used %d, want %d > %d", c.usedOf(0), codec.SizeOfRun(want), lb)
+		// The overflow: a full leaf takes one more key.
+		full, x := fillTo(512, 1), ^uint64(0)
+		if f.raw {
+			full, x = runOfSize(1<<8, 64, func() uint64 { return 3 }), 1<<8+1
+		}
+		c := leafSet(f, 512, full)
+		want, _ := parallel.MergeDedup(full, []uint64{x})
+		enc := make([]byte, runSize(f, want))
+		f.encode(enc, want)
+		if added := c.spliceLeaf(0, []uint64{x}, true, c.buf); added != 1 || !bytes.Equal(c.overflow[0], enc) {
+			t.Fatalf("raw=%v: overflowing merge added %d and parked %d bytes, want 1 and the %d-byte run",
+				f.raw, added, len(c.overflow[0]), len(enc))
+		}
+		if c.usedOf(0) != len(enc) || len(enc) <= 512 {
+			t.Fatalf("raw=%v: overflowing merge records used %d, want %d > 512", f.raw, c.usedOf(0), len(enc))
+		}
 	}
 }
 
-// FuzzLeafKernels runs the kernel differential on leaves built from
-// arbitrary bytes: each byte pair (b, s) adds a delta 1 + b<<(s mod 57),
-// so codes of every length appear, until the run would outgrow the
-// minimum leaf. x adds a probe to three fixed ones.
+// allocsAfter returns how many allocations edit makes, run once after
+// setup, whose own allocations are not counted.
+func allocsAfter(setup, edit func()) uint64 {
+	var before, after runtime.MemStats
+	setup()
+	runtime.ReadMemStats(&before)
+	edit()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// FuzzLeafKernels runs the kernel differential on leaves of both formats
+// built from arbitrary bytes: each byte pair (b, s) adds a delta
+// 1 + b<<(s mod 57), so codes of every length appear, until the run would
+// outgrow the minimum compressed leaf. x adds a probe to three fixed ones.
 func FuzzLeafKernels(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0}, uint64(2))
 	f.Add(uint64(7<<32|3), []byte{200, 10, 3, 0, 255, 56, 1, 32}, uint64(7<<32|4))
@@ -395,6 +490,8 @@ func FuzzLeafKernels(f *testing.F) {
 			}
 			keys = append(keys, next)
 		}
-		checkKernels(t, keys, []uint64{x, keys[len(keys)/2], keys[len(keys)-1] + 1, head - 1})
+		xs := []uint64{x, keys[len(keys)/2], keys[len(keys)-1] + 1, head - 1}
+		checkKernels(t, compressed, keys, xs)
+		checkKernels(t, uncompressed, keys, xs)
 	})
 }
