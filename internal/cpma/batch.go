@@ -174,9 +174,10 @@ func (c *CPMA) rebuildMerge(batch []uint64) int {
 // §4): search for the batch median's target leaf within [loLeaf, hiLeaf],
 // find the extent of the batch destined for that leaf, apply that extent
 // to the leaf (spliceLeaf), and recurse on the left and right remainders,
-// in parallel for a large batch. It appends the leaves it wrote to dirty
-// and returns it with how many keys it added or removed. buf is the leaf
-// edits' scratch slab, which no concurrent call shares.
+// in parallel for a large batch when more than one worker runs. It
+// appends the leaves it wrote to dirty and returns it with how many keys
+// it added or removed. buf is the leaf edits' scratch slab, which no
+// concurrent call shares.
 //
 // The dirty list is deterministic: it is ascending and the same at every
 // GOMAXPROCS, as a forked call joins its lists as left, self, right. Each
@@ -222,7 +223,7 @@ func (c *CPMA) batchRange(batch []uint64, loLeaf, hiLeaf int, insert bool, dirty
 	}
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
-	if len(batch) <= mergeForkGrain {
+	if len(batch) <= mergeForkGrain || parallel.Serial() {
 		var nl, n, nr int
 		dirty, nl = c.batchRange(left, loLeaf, leaf-1, insert, dirty, buf)
 		dirty, n = c.editLeaf(leaf, sub, insert, dirty, buf)

@@ -35,7 +35,6 @@ package cpma
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/bitutil"
@@ -291,12 +290,12 @@ func (c *CPMA) leafBytesFor(capacity int) int {
 // rebuildFrom replaces the structure with a fresh array holding the sorted,
 // duplicate-free keys.
 func (c *CPMA) rebuildFrom(all []uint64) {
-	prefix := c.f.prefix(all)
-	capacity := c.capacityFor(c.f.runBytes(prefix, 0, len(all)))
+	size := c.f.size(all)
+	capacity := c.capacityFor(size)
 	lb := c.leafBytesFor(capacity)
 	c.setGeometry(max(1, capacity/lb), lb)
 	c.n = len(all)
-	if err := c.scatterElems(all, prefix, 0, c.leaves); err != nil {
+	if err := c.scatterElems(all, size, 0, c.leaves); err != nil {
 		// capacityFor guarantees fit; reaching here is a bug.
 		panic(err)
 	}
@@ -314,14 +313,16 @@ func (c *CPMA) setGeometry(leaves, lb int) {
 	c.tree = pmatree.New(leaves, lb, c.f.bounds(lb))
 }
 
-// scatterElems splits a sorted run across leaves [loLeaf, hiLeaf) so every
-// leaf stays within its byte capacity, encoding each chunk in parallel. The
-// split walks the leaves greedily, giving each one min(capacity - slack,
-// fair share + the format's slop) bytes — which both balances the leaves
-// and, for the compressed format, guarantees that the whole run is placed
-// whenever it fits. The uncompressed format has no slop, so its leaves get
-// an even split of keys.
-func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) error {
+// scatterElems splits a sorted run of size encoded bytes (format.size)
+// across leaves [loLeaf, hiLeaf) so every leaf stays within its byte
+// capacity, encoding each chunk in parallel. The split walks the leaves
+// greedily, giving each one the longest run from its first key that fits
+// min(capacity - slack, fair share + the format's slop) bytes (format.fit),
+// and carries the size of what is left to the next leaf. This both
+// balances the leaves and, for the compressed format, guarantees that the
+// whole run is placed whenever it fits. The uncompressed format has no
+// slop, so its leaves get an even split of keys.
+func (c *CPMA) scatterElems(elems []uint64, size, loLeaf, hiLeaf int) error {
 	nl := hiLeaf - loLeaf
 	if len(elems) == 0 {
 		forLeaves(nl, func(i int) { c.clearLeaf(loLeaf + i) })
@@ -339,14 +340,9 @@ func (c *CPMA) scatterElems(elems []uint64, prefix []int, loLeaf, hiLeaf int) er
 			continue
 		}
 		remLeaves := nl - t
-		remBytes := (remLeaves-1)*c.f.headCost + c.f.runBytes(prefix, start, n)
-		budget := min(bitutil.CeilDiv(remBytes, remLeaves)+c.f.slop, maxBudget)
-		// Largest e with runBytes(start, e) <= budget; e >= start+1.
-		k := sort.Search(n-(start+1), func(k int) bool {
-			return c.f.runBytes(prefix, start, start+2+k) > budget
-		})
-		starts[t+1] = start + 1 + k
-		start = starts[t+1]
+		fair := bitutil.CeilDiv((remLeaves-1)*c.f.headCost+size, remLeaves)
+		e, taken := c.f.fit(elems, start, min(fair+c.f.slop, maxBudget))
+		starts[t+1], start, size = e, e, size-taken
 	}
 	if start < n {
 		return fmt.Errorf("cpma: scatter overflow (%d of %d elements placed over %d leaves)", start, n, nl)
@@ -413,7 +409,7 @@ func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 // redistribute evens out a planned region by byte budget.
 func (c *CPMA) redistribute(r pmatree.Region) error {
 	elems := c.gatherElems(r.LoLeaf, r.HiLeaf)
-	return c.scatterElems(elems, c.f.prefix(elems), r.LoLeaf, r.HiLeaf)
+	return c.scatterElems(elems, c.f.size(elems), r.LoLeaf, r.HiLeaf)
 }
 
 // applyPlan executes a rebalance plan; a failed regional scatter (possible

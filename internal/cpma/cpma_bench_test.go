@@ -2,6 +2,7 @@ package cpma
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/parallel"
@@ -21,11 +22,22 @@ func benchFormats(b *testing.B, n int, bench func(b *testing.B, c *CPMA)) {
 	}
 }
 
+// BenchmarkPointInsert inserts uniform 40-bit keys one at a time into a
+// set of 100k such keys, and removes each block of 256 inserted keys
+// untimed, so every iteration times the same set, give or take a block.
 func BenchmarkPointInsert(b *testing.B) {
 	benchFormats(b, 100_000, func(b *testing.B, c *CPMA) {
-		r := workload.NewRNG(2)
+		keys := workload.Uniform(workload.NewRNG(2), 256, 40)
+		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Insert(1 + r.Uint64()%(1<<40))
+			j := i % len(keys)
+			c.Insert(keys[j])
+			if j == len(keys)-1 || i == b.N-1 {
+				b.StopTimer()
+				c.RemoveBatch(keys[:j+1], false)
+				b.StartTimer()
+			}
 		}
 	})
 }
@@ -39,6 +51,8 @@ func BenchmarkPointQuery(b *testing.B) {
 	})
 }
 
+// BenchmarkBatchInsert10k inserts unsorted batches of 10k uniform 40-bit
+// keys into a set of 100k such keys, and removes each batch untimed.
 func BenchmarkBatchInsert10k(b *testing.B) {
 	r := workload.NewRNG(4)
 	batches := make([][]uint64, 32)
@@ -46,8 +60,13 @@ func BenchmarkBatchInsert10k(b *testing.B) {
 		batches[i] = workload.Uniform(r, 10_000, 40)
 	}
 	benchFormats(b, 100_000, func(b *testing.B, c *CPMA) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.InsertBatch(batches[i%len(batches)], false)
+			batch := batches[i%len(batches)]
+			c.InsertBatch(batch, false)
+			b.StopTimer()
+			c.RemoveBatch(batch, false)
+			b.StartTimer()
 		}
 	})
 }
@@ -152,16 +171,52 @@ func BenchmarkRangeSum(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildFromSorted builds a set from n sorted uniform 40-bit keys.
 func BenchmarkBuildFromSorted(b *testing.B) {
-	keys := workload.Uniform(workload.NewRNG(6), 200_000, 40)
-	c := New(nil)
-	c.InsertBatch(keys, false)
-	sorted := c.Keys()
-	for _, f := range formats {
-		b.Run(f.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.fromSorted(sorted, nil)
+	for _, n := range []int{200_000, 4_000_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sorted := parallel.SortedSet(workload.Uniform(workload.NewRNG(6), n, 40), false)
+			for _, f := range formats {
+				b.Run(f.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f.fromSorted(sorted, nil)
+					}
+				})
 			}
 		})
+	}
+}
+
+// BenchmarkRebuildMerge applies a sorted batch of k fresh uniform 40-bit
+// keys to a set of 1M such keys, built untimed before each iteration, by
+// the two algorithms InsertBatch chooses between at k = n/10: the rebuild
+// (gather, two-finger merge, rebuild the array) and the three-phase batch
+// update.
+func BenchmarkRebuildMerge(b *testing.B) {
+	base := parallel.SortedSet(workload.Uniform(workload.NewRNG(1), 1_000_000, 40), false)
+	for _, k := range []int{100_000, 200_000} {
+		batch := parallel.SortedSet(workload.Uniform(workload.NewRNG(9), k, 40), false)
+		batch = slices.DeleteFunc(batch, func(x uint64) bool {
+			_, found := slices.BinarySearch(base, x)
+			return found
+		})
+		for _, path := range []string{"rebuild", "batch"} {
+			for _, f := range formats {
+				b.Run(fmt.Sprintf("%d/%s/%s", k, path, f.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						c := f.fromSorted(base, nil)
+						b.StartTimer()
+						if path == "rebuild" {
+							c.rebuildMerge(batch)
+						} else {
+							c.batchUpdate(batch, true)
+						}
+					}
+				})
+			}
+		}
 	}
 }

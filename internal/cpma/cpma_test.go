@@ -5,8 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitutil"
+	"repro/internal/codec"
 )
 
 // formats lists both leaf formats. Every test that does not depend on the
@@ -284,6 +288,129 @@ func TestFromSorted(t *testing.T) {
 	slices.Sort(keys)
 	for _, f := range formats {
 		t.Run(f.name, func(t *testing.T) { checkAgainst(t, f.fromSorted(keys, nil), keys) })
+	}
+}
+
+// prefixSplit is the leaf split scatterElems made when it sized runs with
+// prefix sums of their code sizes: for each of nl leaves of lb bytes in
+// turn, a binary search of the sums for the largest end that fits the
+// leaf's budget. It returns the index of each leaf's first key and the
+// run's end, or nil if the run does not fit.
+func prefixSplit(f *format, elems []uint64, lb, nl int) []int {
+	p := make([]int, len(elems))
+	for i := 1; i < len(elems); i++ {
+		p[i] = p[i-1] + codec.Len(elems[i]-elems[i-1])
+	}
+	runBytes := func(s, e int) int {
+		switch {
+		case e <= s:
+			return 0
+		case f.raw:
+			return 8 * (e - s)
+		}
+		return codec.HeadBytes + p[e-1] - p[s]
+	}
+	n := len(elems)
+	starts := make([]int, nl+1)
+	start := 0
+	for t := 0; t < nl; t++ {
+		if start >= n {
+			starts[t+1] = n
+			continue
+		}
+		remLeaves := nl - t
+		remBytes := (remLeaves-1)*f.headCost + runBytes(start, n)
+		budget := min(bitutil.CeilDiv(remBytes, remLeaves)+f.slop, lb-f.slack)
+		k := sort.Search(n-(start+1), func(k int) bool { return runBytes(start, start+2+k) > budget })
+		starts[t+1] = start + 1 + k
+		start = starts[t+1]
+	}
+	if start < n {
+		return nil
+	}
+	return starts
+}
+
+// mixedRun returns n sorted keys whose gaps take delta codes of 1 to
+// maxLen bytes, each length drawn uniformly while the keys' headroom below
+// 2^64 allows it, and shorter ones after.
+func mixedRun(r *rand.Rand, n, maxLen int) []uint64 {
+	keys := make([]uint64, n)
+	k := 1 + uint64(r.Intn(1000))
+	for i := range keys {
+		if i > 0 {
+			room := ^uint64(0) - k - uint64(n-i)<<14
+			l := 1 + r.Intn(maxLen)
+			lo := uint64(1) << (7 * (l - 1))
+			for lo > room {
+				l--
+				lo = uint64(1) << (7 * (l - 1))
+			}
+			span := room - lo
+			if l < codec.MaxLen {
+				span = min(span, uint64(1)<<(7*l)-1-lo)
+			}
+			k += lo + r.Uint64()%(span+1)
+		}
+		keys[i] = k
+	}
+	return keys
+}
+
+// TestScatterMatchesPrefixSplit checks that scatterElems, which sizes each
+// leaf's run while it walks it, lays every run out exactly as the split by
+// prefix sums and binary search did, in both formats: runs mixing 1- to
+// 10-byte codes, from nearly empty leaves to runs that do not fit, over 1
+// to 300 leaves, scattered twice into the same region as a redistribution
+// rewrites it.
+func TestScatterMatchesPrefixSplit(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 400; trial++ {
+		f := compressed
+		if trial%3 == 2 {
+			f = uncompressed
+		}
+		lb := f.minLeafBytes << r.Intn(3)
+		nl := 1 + r.Intn(16)
+		if trial%4 == 0 {
+			nl = 1 + r.Intn(300)
+		}
+		c := newFormat(f, &Options{LeafBytes: lb})
+		c.setGeometry(nl+2, lb)
+		for pass := 0; pass < 2; pass++ {
+			maxLen := 1 + r.Intn(codec.MaxLen)
+			per := 8
+			if !f.raw {
+				per = (maxLen + 1) / 2
+			}
+			n := int(r.Float64()*1.1*float64(nl*lb)) / per
+			elems := mixedRun(r, n, maxLen)
+			want := prefixSplit(f, elems, lb, nl)
+			err := c.scatterElems(elems, f.size(elems), 1, nl+1)
+			if want == nil {
+				if err == nil {
+					t.Fatalf("trial %d: %d keys over %d leaves of %d B fit, the prefix split overflows", trial, n, nl, lb)
+				}
+				break // the region is left half written
+			}
+			if err != nil {
+				t.Fatalf("trial %d: %v, the prefix split fits", trial, err)
+			}
+			for leaf := 0; leaf < nl+2; leaf++ {
+				ld := c.leafData(leaf)
+				used := f.used(ld)
+				var run []uint64
+				if leaf >= 1 && leaf <= nl {
+					run = elems[want[leaf-1]:want[leaf]]
+				}
+				if got := f.decode(nil, ld, used); !slices.Equal(got, run) {
+					t.Fatalf("trial %d pass %d: leaf %d of %d holds %d keys, the prefix split gives it %d", trial, pass, leaf, nl+2, len(got), len(run))
+				}
+				if slices.ContainsFunc(ld[used:], func(b byte) bool { return b != 0 }) {
+					t.Fatalf("trial %d pass %d: leaf %d has bytes past its run", trial, pass, leaf)
+				}
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/codec"
-	"repro/internal/parallel"
 	"repro/internal/pmatree"
 )
 
@@ -118,50 +117,33 @@ func (f *format) bounds(leafBytes int) pmatree.Bounds {
 	return b
 }
 
-// prefix returns what runBytes needs to size sub-runs of elems: for the
-// compressed format, the prefix sums of the delta code sizes, P[i] = sum
-// of codec.Len(elems[j]-elems[j-1]) for j in [1, i]. The uncompressed
-// format needs none.
-func (f *format) prefix(elems []uint64) []int {
+// size returns the encoded size of a sorted, duplicate-free run as one
+// leaf (0 for an empty run).
+func (f *format) size(elems []uint64) int {
 	if f.raw {
-		return nil
+		return 8 * len(elems)
 	}
-	p := make([]int, len(elems))
-	if len(elems) == 0 {
-		return p
-	}
-	// Parallel by blocks: sizes are independent, only the sum is sequential.
-	grain := 64 << 10
-	if len(elems) <= grain || parallel.Serial() {
-		for i := 1; i < len(elems); i++ {
-			p[i] = p[i-1] + codec.Len(elems[i]-elems[i-1])
-		}
-		return p
-	}
-	parallel.ForRange(len(elems), grain, func(lo, hi int) {
-		if lo == 0 {
-			lo = 1
-		}
-		for i := lo; i < hi; i++ {
-			p[i] = codec.Len(elems[i] - elems[i-1])
-		}
-	})
-	for i := 1; i < len(elems); i++ {
-		p[i] += p[i-1]
-	}
-	return p
+	return codec.SizeOfRun(elems)
 }
 
-// runBytes returns the encoded size of the run elems[s:e] as one leaf,
-// given prefix(elems).
-func (f *format) runBytes(prefix []int, s, e int) int {
-	switch {
-	case e <= s:
-		return 0
-	case f.raw:
-		return 8 * (e - s)
+// fit returns the end e of the longest run elems[s:e] that encodes as one
+// leaf of at most budget bytes, but at least one key, and how much smaller
+// the size of elems[s:] is than that of elems[e:]: the run's bytes, less
+// the head that elems[e] then takes in place of its code.
+func (f *format) fit(elems []uint64, s, budget int) (e, taken int) {
+	if f.raw {
+		e = min(len(elems), s+max(1, budget/8))
+		return e, 8 * (e - s)
 	}
-	return codec.HeadBytes + prefix[e-1] - prefix[s]
+	size := codec.HeadBytes
+	for e = s + 1; e < len(elems); e++ {
+		n := codec.Len(elems[e] - elems[e-1])
+		if size+n > budget {
+			return e, size + n - codec.HeadBytes
+		}
+		size += n
+	}
+	return e, size
 }
 
 // encode writes a sorted, duplicate-free, non-empty run to dst and

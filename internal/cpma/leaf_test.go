@@ -36,15 +36,6 @@ func leafBytesFor(f *format, keys []uint64) int {
 	return max(f.minLeafBytes, int(bitutil.CeilPow2(uint64(8*len(keys)))))
 }
 
-// runSize returns the encoded size of a sorted, duplicate-free run in
-// format f.
-func runSize(f *format, elems []uint64) int {
-	if f.raw {
-		return 8 * len(elems)
-	}
-	return codec.SizeOfRun(elems)
-}
-
 // leafKeys returns what leaf 0 holds: its overflowed run if it has one,
 // else its slab's run.
 func leafKeys(c *CPMA) []uint64 {
@@ -60,13 +51,13 @@ func checkKernels(t *testing.T, f *format, keys []uint64, xs []uint64) {
 	lb := leafBytesFor(f, keys)
 	c := leafSet(f, lb, keys)
 	ld, used := c.leafData(0), c.usedOf(0)
-	if got := f.decode(nil, ld, used); !slices.Equal(got, keys) || used != runSize(f, keys) {
-		t.Fatalf("fixture of %d bytes decodes to %v, want %d bytes of %v", used, got, runSize(f, keys), keys)
+	if got := f.decode(nil, ld, used); !slices.Equal(got, keys) || used != f.size(keys) {
+		t.Fatalf("fixture of %d bytes decodes to %v, want %d bytes of %v", used, got, f.size(keys), keys)
 	}
 	// end[i] is the offset just past key i's bytes.
 	end := make([]int, len(keys))
 	for i := range keys {
-		end[i] = runSize(f, keys[:i+1])
+		end[i] = f.size(keys[:i+1])
 	}
 	// LeafMapPos reports where each key starts, and LeafMapFrom resumes
 	// there: from the whole previous key, or from its low 32 bits only.
@@ -204,7 +195,7 @@ func checkEdit(t *testing.T, f *format, lb int, keys, sub []uint64, insert bool)
 		})
 		n = len(keys) - len(want)
 	}
-	size := runSize(f, want)
+	size := f.size(want)
 	for _, shared := range []bool{false, true} {
 		op := func() string { return fmt.Sprintf("raw=%v insert=%v shared=%v %v", f.raw, insert, shared, sub) }
 		c := leafSet(f, lb, keys)
@@ -257,8 +248,8 @@ func checkLeaf(t *testing.T, c *CPMA, want []uint64, op func() string) {
 	if got := c.f.decode(nil, ld, u); !slices.Equal(got, want) {
 		t.Fatalf("%s leaves %v, want %v", op(), got, want)
 	}
-	if n := c.f.count(ld, u); n != len(want) || u != runSize(c.f, want) || u != c.usedOf(0) {
-		t.Fatalf("%s: used %d (recorded %d) count %d, want %d %d", op(), u, c.usedOf(0), n, runSize(c.f, want), len(want))
+	if n := c.f.count(ld, u); n != len(want) || u != c.f.size(want) || u != c.usedOf(0) {
+		t.Fatalf("%s: used %d (recorded %d) count %d, want %d %d", op(), u, c.usedOf(0), n, c.f.size(want), len(want))
 	}
 	for i, b := range ld[u:] {
 		if b != 0 {
@@ -375,7 +366,7 @@ func TestDerivedLeafSize(t *testing.T) {
 				runs["one-short-10-byte-code"] = fillTo(lb-1, 10)
 			}
 			for name, keys := range runs {
-				want := runSize(f, keys)
+				want := f.size(keys)
 				if want > lb {
 					t.Fatalf("%s: fixture is %d bytes, over the %d-byte leaf", name, want, lb)
 				}
@@ -446,7 +437,7 @@ func TestLeafEditAllocs(t *testing.T) {
 		}
 		c := leafSet(f, 512, full)
 		want, _ := parallel.MergeDedup(full, []uint64{x})
-		enc := make([]byte, runSize(f, want))
+		enc := make([]byte, f.size(want))
 		f.encode(enc, want)
 		if added := c.spliceLeaf(0, []uint64{x}, true, c.buf); added != 1 || !bytes.Equal(c.overflow[0], enc) {
 			t.Fatalf("raw=%v: overflowing merge added %d and parked %d bytes, want 1 and the %d-byte run",

@@ -34,7 +34,6 @@
 //	                                both writers at rest
 //	{p}_move_ns               ns    one whole rebalance boundary move, quiesce
 //	                                through unpark
-//	{p}_snapshot_capture_ns   ns    one Snapshot() capture
 //	{p}_checkpoint_ns         ns    one Sharded.Checkpoint() barrier: flush +
 //	                                journal checkpoint
 //

@@ -62,11 +62,6 @@ func DoIf(cond bool, f, g func()) {
 	}
 }
 
-// Do3 runs three functions as a fork-join group.
-func Do3(f, g, h func()) {
-	Do(f, func() { Do(g, h) })
-}
-
 // defaultGrain picks a loop grain that gives each worker roughly eight
 // chunks, bounded below by 1.
 func defaultGrain(n int) int {

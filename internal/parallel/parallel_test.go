@@ -16,14 +16,6 @@ func TestDo(t *testing.T) {
 	}
 }
 
-func TestDo3(t *testing.T) {
-	var x [3]int32
-	Do3(func() { x[0] = 1 }, func() { x[1] = 2 }, func() { x[2] = 3 })
-	if x != [3]int32{1, 2, 3} {
-		t.Fatalf("Do3 result %v", x)
-	}
-}
-
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000, 100_003} {
 		hits := make([]int32, n)

@@ -34,15 +34,15 @@ func TestRaceConcurrentForClients(t *testing.T) {
 
 func TestRaceNestedForkJoin(t *testing.T) {
 	var total atomic.Int64
-	Do3(
+	Do(
 		func() {
 			ForRange(1000, 16, func(lo, hi int) { total.Add(int64(hi - lo)) })
 		},
 		func() {
-			For(1000, 16, func(int) { total.Add(1) })
-		},
-		func() {
-			total.Add(int64(ReduceSum(1000, 16, func(int) uint64 { return 1 })))
+			Do(
+				func() { For(1000, 16, func(int) { total.Add(1) }) },
+				func() { total.Add(int64(ReduceSum(1000, 16, func(int) uint64 { return 1 }))) },
+			)
 		},
 	)
 	if got := total.Load(); got != 3000 {

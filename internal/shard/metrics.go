@@ -18,8 +18,8 @@ import (
 )
 
 // pipeMetrics aggregates the pipeline histograms across all shards. All
-// durations are nanoseconds. The publish, move and capture counts are also
-// SnapshotStats.Publishes, RebalanceStats.Moves and SnapshotStats.Captures.
+// durations are nanoseconds. The publish and move counts are also
+// SnapshotStats.Publishes and RebalanceStats.Moves.
 type pipeMetrics struct {
 	residency  obs.Histogram // enqueue -> applied mailbox residency per sub-batch
 	drain      obs.Histogram // one writer drain: WAL append + apply + publish
@@ -27,7 +27,6 @@ type pipeMetrics struct {
 	publish    obs.Histogram // one copy-on-write publication (cpma.Clone)
 	quiesce    obs.Histogram // rebalance pair park: tokens sent -> both writers at rest
 	move       obs.Histogram // whole rebalance boundary move
-	capture    obs.Histogram // one Snapshot() capture
 	checkpoint obs.Histogram // one Checkpoint() barrier: flush + journal checkpoint
 }
 
@@ -56,7 +55,6 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+"_publish_ns", "ns", "one copy-on-write publication (cpma.Clone)", &pm.publish)
 	r.RegisterHistogram(prefix+"_quiesce_ns", "ns", "rebalance pair park: quiesce tokens sent to both writers at rest", &pm.quiesce)
 	r.RegisterHistogram(prefix+"_move_ns", "ns", "one whole rebalance boundary move", &pm.move)
-	r.RegisterHistogram(prefix+"_snapshot_capture_ns", "ns", "one Snapshot() capture", &pm.capture)
 	r.RegisterHistogram(prefix+"_checkpoint_ns", "ns", "one Checkpoint() barrier: flush plus journal checkpoint", &pm.checkpoint)
 
 	r.CounterFunc(prefix+"_ingest_enqueued_batches", "batches", "sub-batches handed to shards", func() uint64 { return s.IngestStats().EnqueuedBatches })

@@ -399,6 +399,7 @@ type Sharded struct {
 	snapSpineBytes atomic.Uint64
 	snapSlabBytes  atomic.Uint64
 	snapFullBytes  atomic.Uint64
+	captures       atomic.Uint64
 
 	// Pipeline observability (metrics.go): always-on aggregate stage
 	// latency histograms and the per-shard lifecycle event trace.

@@ -90,7 +90,6 @@ counter   cpma_rebalance_checks               checks
 counter   cpma_rebalance_gen                  generation
 counter   cpma_rebalance_moved_keys           keys
 counter   cpma_rebalance_moves                moves
-histogram cpma_snapshot_capture_ns            ns
 counter   cpma_snapshot_captures              captures
 counter   cpma_snapshot_clone_bytes           bytes
 counter   cpma_snapshot_clone_slab_bytes      bytes
@@ -117,7 +116,6 @@ counter   fgraph_set_rebalance_checks         checks
 counter   fgraph_set_rebalance_gen            generation
 counter   fgraph_set_rebalance_moved_keys     keys
 counter   fgraph_set_rebalance_moves          moves
-histogram fgraph_set_snapshot_capture_ns      ns
 counter   fgraph_set_snapshot_captures        captures
 counter   fgraph_set_snapshot_clone_bytes     bytes
 counter   fgraph_set_snapshot_clone_slab_bytes bytes
