@@ -135,14 +135,8 @@ func dedupSorted(a []uint64) []uint64 {
 		return nil
 	}
 	if len(a) <= mergeGrain || Serial() {
-		out := make([]uint64, 0, len(a))
-		out = append(out, a[0])
-		for i := 1; i < len(a); i++ {
-			if a[i] != a[i-1] {
-				out = append(out, a[i])
-			}
-		}
-		return out
+		out := make([]uint64, len(a))
+		return out[:storeDistinct(out, a, 0, len(a))]
 	}
 	grain := defaultGrain(len(a))
 	nblocks := (len(a) + grain - 1) / grain
@@ -163,13 +157,32 @@ func dedupSorted(a []uint64) []uint64 {
 	out := make([]uint64, counts[nblocks])
 	For(nblocks, 1, func(blk int) {
 		lo, hi := blk*grain, min((blk+1)*grain, len(a))
-		k := counts[blk]
-		for i := lo; i < hi; i++ {
-			if i == 0 || a[i] != a[i-1] {
-				out[k] = a[i]
-				k++
-			}
+		// End the block on a kept key: a repeat past its last one would
+		// store into the next block's share of out.
+		for hi > lo && hi > 1 && a[hi-1] == a[hi-2] {
+			hi--
 		}
+		storeDistinct(out[counts[blk]:], a, lo, hi)
 	})
 	return out
+}
+
+// storeDistinct stores the keys of a[lo:hi] that differ from their
+// predecessor in a (a[0] has none and is kept) into out from out[0] on,
+// and returns how many it kept. It stores every key and advances past a
+// kept one by (d | -d) >> 63, d the XOR of the key and its predecessor, so
+// a repeat costs no branch; a repeat lands in the slot after the last kept
+// key, so out must own that slot unless a[hi-1] is kept.
+func storeDistinct(out, a []uint64, lo, hi int) int {
+	k := 0
+	if lo == 0 {
+		out[0] = a[0]
+		k, lo = 1, 1
+	}
+	for i := lo; i < hi; i++ {
+		out[k] = a[i]
+		d := a[i] ^ a[i-1]
+		k += int((d | -d) >> 63)
+	}
+	return k
 }

@@ -157,6 +157,15 @@ func TestDedupSorted(t *testing.T) {
 			t.Errorf("dedupSorted(%v) = %v, want %v", c, got, wants[i])
 		}
 	}
+	// Runs longer than a parallel block: whole blocks repeat the key
+	// before them, and every block ends on a repeat.
+	long := make([]uint64, 40_000)
+	for i := range long {
+		long[i] = uint64(i/5000) + 1
+	}
+	if got := dedupSorted(long); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Errorf("dedupSorted of 5000-key runs = %v", got)
+	}
 }
 
 func TestDedupSortedLargeProperty(t *testing.T) {

@@ -6,12 +6,13 @@ package persist
 // journaled history was routed against. The table lives in its own
 // generation-stamped sidecar file (dir/BOUNDS) rather than the MANIFEST —
 // the manifest records immutable creation-time geometry, the boundary
-// table is live state rewritten (atomically, via temp file + rename + dir
-// fsync) in the middle of every rebalance barrier.
+// table is live state rewritten (atomically, via writeFile: temp file,
+// data fsync, rename, dir fsync) in the middle of every rebalance barrier.
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -32,16 +33,10 @@ func writeBounds(dir string, gen uint64, bounds []uint64) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, boundsName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	return writeFile(dir, boundsName, func(w io.Writer) error {
+		_, err := w.Write(blob)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // loadBounds reads dir/BOUNDS. ok is false when the file does not exist

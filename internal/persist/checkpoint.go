@@ -7,11 +7,10 @@ package persist
 // non-empty leaf (cpma.WriteTo); a delta lists the leaves dirtied since
 // the previous checkpoint of its chain (cpma.WriteDeltaTo). Both are the
 // same file type, written by one writer and read by one loader. Files are
-// written to a temp name, fsynced, and renamed into place, so a
-// half-written checkpoint is never visible under its real name.
+// written through writeFile, so a half-written checkpoint is never
+// visible under its real name.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -32,90 +31,45 @@ const (
 	ckptCRCSize    = 4
 )
 
-// Base checkpoints and deltas keep distinct name prefixes: retention and
-// loadChain list each kind by prefix.
-func checkpointName(seq uint64) string {
-	return fmt.Sprintf("ckpt-%020d.ckpt", seq)
-}
-
-func deltaName(seq uint64) string {
-	return fmt.Sprintf("delta-%020d.dckpt", seq)
-}
-
 // writeCheckpoint serializes the given leaves of set (an immutable
 // published handle covering WAL records up to and including seq) and
-// atomically places the file in dir. A base has prevSeq 0 and baseSeq seq
-// and lists every non-empty leaf. A delta's header chains it: prevSeq is
-// the checkpoint (base or delta) it patches, baseSeq the base anchoring
-// the chain — recovery applies a delta only when both link up, so a delta
-// from an abandoned chain can never be patched onto the wrong state.
-// Returns the payload size (the checkpoint-bytes stat).
-//
-// The temp file gets a unique name (CreateTemp), not a fixed one: an
-// explicit Checkpoint call and the background checkpointer both reach
-// here under ckptMu today, but a fixed temp name would make that mutual
-// exclusion load-bearing for file integrity — with two writers, one
-// renames the shared temp file into place while the other keeps writing
-// through its still-open fd into the now-final file, defeating the
-// write-then-rename atomicity this format depends on. Unique names keep
-// a lock bug from escalating into a corrupt durable checkpoint.
+// atomically places the file in dir (writeFile). A base has prevSeq 0 and
+// baseSeq seq and lists every non-empty leaf. A delta's header chains it:
+// prevSeq is the checkpoint (base or delta) it patches, baseSeq the base
+// anchoring the chain — recovery applies a delta only when both link up,
+// so a delta from an abandoned chain can never be patched onto the wrong
+// state. Returns the payload size (the checkpoint-bytes stat).
 func writeCheckpoint(dir string, shardID int, seq, prevSeq, baseSeq uint64, set *cpma.CPMA, leaves []int) (uint64, error) {
-	name, pattern := checkpointName(seq), "ckpt-*.tmp"
+	kind := baseFiles
 	if prevSeq != 0 {
-		name, pattern = deltaName(seq), "delta-*.tmp"
+		kind = deltaFiles
 	}
 	payloadLen := set.EncodedSize(leaves)
-	f, err := os.CreateTemp(dir, pattern)
+	err := writeFile(dir, kind.name(seq), func(bw io.Writer) error {
+		crc := crc32.New(castagnoli)
+		w := io.MultiWriter(bw, crc)
+		var hdr [ckptHeaderSize]byte
+		copy(hdr[:], ckptMagic)
+		binary.LittleEndian.PutUint32(hdr[8:], ckptVersion)
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(shardID))
+		binary.LittleEndian.PutUint64(hdr[16:], seq)
+		binary.LittleEndian.PutUint64(hdr[24:], prevSeq)
+		binary.LittleEndian.PutUint64(hdr[32:], baseSeq)
+		binary.LittleEndian.PutUint64(hdr[40:], payloadLen)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		n, err := set.WriteDeltaTo(w, leaves)
+		if err != nil {
+			return err
+		}
+		if uint64(n) != payloadLen {
+			return fmt.Errorf("persist: checkpoint wrote %d bytes, EncodedSize said %d", n, payloadLen)
+		}
+		_, err = bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+		return err
+	})
 	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	bw := bufio.NewWriterSize(f, 1<<16)
-	crc := crc32.New(castagnoli)
-	w := io.MultiWriter(bw, crc)
-
-	var hdr [ckptHeaderSize]byte
-	copy(hdr[:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], ckptVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(shardID))
-	binary.LittleEndian.PutUint64(hdr[16:], seq)
-	binary.LittleEndian.PutUint64(hdr[24:], prevSeq)
-	binary.LittleEndian.PutUint64(hdr[32:], baseSeq)
-	binary.LittleEndian.PutUint64(hdr[40:], payloadLen)
-	fail := func(err error) (uint64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fail(err)
-	}
-	n, err := set.WriteDeltaTo(w, leaves)
-	if err != nil {
-		return fail(err)
-	}
-	if uint64(n) != payloadLen {
-		return fail(fmt.Errorf("persist: checkpoint wrote %d bytes, EncodedSize said %d", n, payloadLen))
-	}
-	var tail [ckptCRCSize]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := bw.Write(tail[:]); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := syncDir(dir); err != nil {
 		return 0, err
 	}
 	return payloadLen, nil
@@ -216,27 +170,8 @@ func ensureManifest(dir string, shards int, o shard.Options) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	return writeFile(dir, manifestName, func(w io.Writer) error {
+		_, err := w.Write(blob)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames and removals within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	})
 }

@@ -194,7 +194,7 @@ func TestKillPointDifferential(t *testing.T) {
 			for p := 0; p < shards; p++ {
 				subs := subBatches(script, cfg.part, shards, keyBits, p)
 				pl := shardPlan{
-					segPath: filepath.Join(base, shardDirName(p), segmentName(1)),
+					segPath: filepath.Join(base, shardDirName(p), segFiles.name(1)),
 					states:  prefixStates(subs),
 				}
 				recs, _, ok, err := scanSegment(pl.segPath, p)
@@ -233,7 +233,7 @@ func TestKillPointDifferential(t *testing.T) {
 					if err := os.CopyFS(killDir, os.DirFS(base)); err != nil {
 						t.Fatal(err)
 					}
-					if err := os.Truncate(filepath.Join(killDir, shardDirName(p), segmentName(1)), n); err != nil {
+					if err := os.Truncate(filepath.Join(killDir, shardDirName(p), segFiles.name(1)), n); err != nil {
 						t.Fatal(err)
 					}
 					st, sets, err := Open(killDir, shards, popt)
@@ -305,11 +305,11 @@ func TestCheckpointFallback(t *testing.T) {
 
 	// Flip a byte inside shard 0's newest checkpoint payload.
 	sdir := filepath.Join(dir, shardDirName(0))
-	ckpts, err := listSeqFiles(sdir, "ckpt-", ".ckpt")
+	ckpts, err := baseFiles.list(sdir)
 	if err != nil || len(ckpts) != 2 {
 		t.Fatalf("want 2 retained checkpoints, have %v (err %v)", ckpts, err)
 	}
-	path := filepath.Join(sdir, checkpointName(ckpts[1]))
+	path := filepath.Join(sdir, baseFiles.name(ckpts[1]))
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -100,19 +100,13 @@ func TestDeltaCheckpointKillPoints(t *testing.T) {
 			// Every checkpoint file shard 0 holds, by kind.
 			sdir := filepath.Join(base, shardDirName(0))
 			var files []string
-			for _, pre := range []struct{ prefix, suffix string }{
-				{"ckpt-", ".ckpt"}, {"delta-", ".dckpt"},
-			} {
-				seqs, err := listSeqFiles(sdir, pre.prefix, pre.suffix)
+			for _, kind := range []fileKind{baseFiles, deltaFiles} {
+				seqs, err := kind.list(sdir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, sq := range seqs {
-					if pre.prefix == "ckpt-" {
-						files = append(files, checkpointName(sq))
-					} else {
-						files = append(files, deltaName(sq))
-					}
+					files = append(files, kind.name(sq))
 				}
 			}
 			// The retention invariant this harness leans on: two bases and
@@ -205,11 +199,11 @@ func TestDeltaChainFallback(t *testing.T) {
 		dir := t.TempDir()
 		want := buildDeltaStore(t, dir, part)
 		sdir := filepath.Join(dir, shardDirName(0))
-		bases, err := listSeqFiles(sdir, "ckpt-", ".ckpt")
+		bases, err := baseFiles.list(sdir)
 		if err != nil || len(bases) < 2 {
 			t.Fatalf("want 2 bases, have %v (err %v)", bases, err)
 		}
-		deltas, err := listSeqFiles(sdir, "delta-", ".dckpt")
+		deltas, err := deltaFiles.list(sdir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +217,7 @@ func TestDeltaChainFallback(t *testing.T) {
 		if len(live) < 2 {
 			t.Fatalf("want a live chain of >= 2 deltas past base %d, have %v", newBase, live)
 		}
-		path := filepath.Join(sdir, deltaName(live[0]))
+		path := filepath.Join(sdir, deltaFiles.name(live[0]))
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +229,7 @@ func TestDeltaChainFallback(t *testing.T) {
 
 		recoverAndCheck(t, dir, part, want, "live chain broken at first delta")
 		for _, d := range live {
-			if _, err := os.Stat(filepath.Join(sdir, deltaName(d))); !os.IsNotExist(err) {
+			if _, err := os.Stat(filepath.Join(sdir, deltaFiles.name(d))); !os.IsNotExist(err) {
 				t.Fatalf("delta %d past the break survived recovery", d)
 			}
 		}
@@ -247,11 +241,11 @@ func TestDeltaChainFallback(t *testing.T) {
 		dir := t.TempDir()
 		want := buildDeltaStore(t, dir, part)
 		sdir := filepath.Join(dir, shardDirName(0))
-		bases, err := listSeqFiles(sdir, "ckpt-", ".ckpt")
+		bases, err := baseFiles.list(sdir)
 		if err != nil || len(bases) < 2 {
 			t.Fatalf("want 2 bases, have %v (err %v)", bases, err)
 		}
-		path := filepath.Join(sdir, checkpointName(bases[len(bases)-1]))
+		path := filepath.Join(sdir, baseFiles.name(bases[len(bases)-1]))
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -32,6 +32,10 @@
 //	dir/shard-NNNN/delta-<seq20>.dckpt delta checkpoints: the changed leaves
 //	                                 since the previous checkpoint in the
 //	                                 chain, patched onto a named base
+//	dir/<name>.<random>.tmp          a MANIFEST, BOUNDS or checkpoint being
+//	dir/shard-NNNN/<name>.<random>.tmp written (writeFile); renamed to
+//	                                 <name> once whole, and removed by
+//	                                 Open if a crash leaves it behind
 //
 // Every WAL record frames one applied batch: a little-endian length and
 // CRC32C header, then kind (insert/remove/moveIn/moveOut), the record's
@@ -86,6 +90,14 @@
 //   - After Checkpoint returns, every shard's state is additionally
 //     captured in a checkpoint and the WAL prefix it covers is
 //     truncated (recovery work becomes proportional to the log tail).
+//
+// A file's fsync does not make its name durable; its directory's fsync
+// does. So every name is made durable before anything depends on it:
+// whole files (MANIFEST, BOUNDS, checkpoints) are written to a temp file,
+// fsynced, renamed into place and the directory fsynced (writeFile); a
+// new WAL segment's directory is fsynced before any record in it can be
+// acknowledged; Open fsyncs the store root once the shard directories
+// exist; and retention fsyncs a directory after removing files from it.
 //
 // # Delta checkpoints
 //

@@ -127,12 +127,12 @@ func TestRebalanceKillPoints(t *testing.T) {
 	// its moveIn record alone, shard 0's log ends with its moveOut record.
 	findBarrier := func(p int, remove bool) Rec {
 		t.Helper()
-		segs, err := listSeqFiles(filepath.Join(base, shardDirName(p)), "wal-", ".log")
+		segs, err := segFiles.list(filepath.Join(base, shardDirName(p)))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("shard %d: no segments (%v)", p, err)
 		}
 		for _, fs := range segs {
-			recs, _, ok, err := scanSegment(filepath.Join(base, shardDirName(p), segmentName(fs)), p)
+			recs, _, ok, err := scanSegment(filepath.Join(base, shardDirName(p), segFiles.name(fs)), p)
 			if err != nil || !ok {
 				t.Fatalf("shard %d: scan failed: %v", p, err)
 			}
@@ -206,19 +206,19 @@ func TestRebalanceKillPoints(t *testing.T) {
 		return killDir
 	}
 	shard0Log := func(dir string) string {
-		segs, err := listSeqFiles(filepath.Join(dir, shardDirName(0)), "wal-", ".log")
+		segs, err := segFiles.list(filepath.Join(dir, shardDirName(0)))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no shard 0 segments: %v", err)
 		}
 		// The moveOut landed in the newest segment.
-		return filepath.Join(dir, shardDirName(0), segmentName(segs[len(segs)-1]))
+		return filepath.Join(dir, shardDirName(0), segFiles.name(segs[len(segs)-1]))
 	}
 	shard1Log := func(dir string) string {
-		segs, err := listSeqFiles(filepath.Join(dir, shardDirName(1)), "wal-", ".log")
+		segs, err := segFiles.list(filepath.Join(dir, shardDirName(1)))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no shard 1 segments: %v", err)
 		}
-		return filepath.Join(dir, shardDirName(1), segmentName(segs[0]))
+		return filepath.Join(dir, shardDirName(1), segFiles.name(segs[0]))
 	}
 
 	// Crash in step 1 (or between 1 and 2): the destination's moveIn is

@@ -36,16 +36,8 @@ import (
 // appending: sh.seq is the last valid record, sh.ckptSeq the recovered
 // chain's tip, sh.baseSeq its base, and a fresh active segment is open.
 func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
-	// Leftover temp files from interrupted checkpoint or delta writes are
-	// garbage (CreateTemp names them uniquely, so they accumulate if not
-	// swept).
-	if tmps, err := filepath.Glob(filepath.Join(sh.dir, "*.tmp")); err == nil {
-		for _, t := range tmps {
-			os.Remove(t)
-		}
-	}
-
-	set, base, tip, applied, ckptSeqs, deltaSeqs, err := loadChain(sh.dir, sh.id, st.opt.Set)
+	removeTemps(sh.dir)
+	set, base, tip, applied, err := loadChain(sh.dir, sh.id, st.opt.Set)
 	if err != nil {
 		return nil, err
 	}
@@ -57,19 +49,11 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	// became readable again (a transient I/O error), a future recovery
 	// would prefer it and resurrect the very state this recovery rejected
 	// while skipping the reused sequence numbers.
-	for _, cs := range ckptSeqs {
-		if cs > base {
-			if err := os.Remove(filepath.Join(sh.dir, checkpointName(cs))); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
+	if _, err := baseFiles.remove(sh.dir, func(s uint64) bool { return s > base }); err != nil {
+		return nil, err
 	}
-	for _, ds := range deltaSeqs {
-		if ds > tip {
-			if err := os.Remove(filepath.Join(sh.dir, deltaName(ds))); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
+	if _, err := deltaFiles.remove(sh.dir, func(s uint64) bool { return s > tip }); err != nil {
+		return nil, err
 	}
 	sh.ckptSeq.Store(tip)
 	sh.baseSeq = base
@@ -80,7 +64,7 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	// delta holds exactly what changed since the tip.
 	sh.ckptGen = set.Clone().Gen()
 
-	segSeqs, err := listSeqFiles(sh.dir, "wal-", ".log")
+	segSeqs, err := segFiles.list(sh.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +85,7 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	}
 	logEnded := false // set once damage ends the log; later segments are orphans
 	for _, fs := range segSeqs {
-		path := filepath.Join(sh.dir, segmentName(fs))
+		path := filepath.Join(sh.dir, segFiles.name(fs))
 		if logEnded {
 			info, serr := os.Stat(path)
 			if serr == nil {
@@ -169,11 +153,8 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 		// covered). The log below the tip is fully subsumed — drop it so
 		// the on-disk record chain restarts cleanly at tip+1 and future
 		// recoveries see no gap.
-		for _, fs := range segSeqs {
-			path := filepath.Join(sh.dir, segmentName(fs))
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
+		if _, err := segFiles.remove(sh.dir, func(uint64) bool { return true }); err != nil {
+			return nil, err
 		}
 		last = tip
 	}
@@ -181,7 +162,7 @@ func (st *Store) recoverShard(sh *storeShard) (*cpma.CPMA, error) {
 	// Appends resume in a fresh segment right after the last valid record.
 	// (The name can only collide with a fully consumed — typically empty —
 	// segment, which createSegment truncates.)
-	sg, err := createSegment(filepath.Join(sh.dir, segmentName(last+1)), sh.id)
+	sg, err := createSegment(filepath.Join(sh.dir, segFiles.name(last+1)), sh.id)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +224,10 @@ func Replay(after uint64, recs []Rec, apply func(remove bool, keys []uint64, rec
 
 // loadChain loads the newest verifiable checkpoint chain in a shard
 // directory without modifying anything on disk: the winning base (or an
-// empty set when none verifies), the delta links that verify and connect,
-// and the directory listings it worked from. recoverShard layers log
-// repair and anti-resurrection deletion on top; the follower bootstrap
-// (Store.BootState) uses it read-only under ckptMu.
+// empty set when none verifies) and the delta links that verify and
+// connect. recoverShard layers log repair and anti-resurrection deletion
+// on top; the follower bootstrap (Store.BootState) uses it read-only under
+// ckptMu.
 //
 // The chain walk: ascending delta sequences past the base, each linking
 // to the chain (its baseSeq names this base, its prevSeq the current tip)
@@ -256,12 +237,12 @@ func Replay(after uint64, recs []Rec, apply func(remove bool, keys []uint64, rec
 // and the previous link, untouched, is the recovery point. Deltas at or
 // below the base belong to the retained previous chain (fallback
 // material, skipped here, reaped by the next base checkpoint).
-func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, base, tip uint64, applied int, ckptSeqs, deltaSeqs []uint64, err error) {
+func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, base, tip uint64, applied int, err error) {
 	// Newest verifiable base checkpoint wins; older ones are only
 	// fallbacks.
-	ckptSeqs, err = listSeqFiles(dir, "ckpt-", ".ckpt")
+	ckptSeqs, err := baseFiles.list(dir)
 	if err != nil {
-		return nil, 0, 0, 0, nil, nil, err
+		return nil, 0, 0, 0, err
 	}
 	for i := len(ckptSeqs) - 1; i >= 0; i-- {
 		if set = loadBase(dir, shardID, ckptSeqs[i], opts); set != nil {
@@ -272,16 +253,16 @@ func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, bas
 	if set == nil {
 		set = cpma.New(opts)
 	}
-	deltaSeqs, err = listSeqFiles(dir, "delta-", ".dckpt")
+	deltaSeqs, err := deltaFiles.list(dir)
 	if err != nil {
-		return nil, 0, 0, 0, nil, nil, err
+		return nil, 0, 0, 0, err
 	}
 	tip = base
 	for _, ds := range deltaSeqs {
 		if ds <= base || base == 0 {
 			continue
 		}
-		prevSeq, baseRef, payload, lerr := loadCheckpoint(filepath.Join(dir, deltaName(ds)), shardID, ds)
+		prevSeq, baseRef, payload, lerr := loadCheckpoint(filepath.Join(dir, deltaFiles.name(ds)), shardID, ds)
 		if lerr != nil || baseRef != base || prevSeq != tip {
 			break
 		}
@@ -295,14 +276,14 @@ func loadChain(dir string, shardID int, opts *cpma.Options) (set *cpma.CPMA, bas
 		set, tip = next, ds
 		applied++
 	}
-	return set, base, tip, applied, ckptSeqs, deltaSeqs, nil
+	return set, base, tip, applied, nil
 }
 
 // loadBase loads base checkpoint seq, or returns nil when the file fails
 // any check: framing, the base links (prevSeq 0, baseSeq its own seq),
 // the cpma decoder, and the strict validator.
 func loadBase(dir string, shardID int, seq uint64, opts *cpma.Options) *cpma.CPMA {
-	prevSeq, baseSeq, payload, err := loadCheckpoint(filepath.Join(dir, checkpointName(seq)), shardID, seq)
+	prevSeq, baseSeq, payload, err := loadCheckpoint(filepath.Join(dir, baseFiles.name(seq)), shardID, seq)
 	if err != nil || prevSeq != 0 || baseSeq != seq {
 		return nil
 	}

@@ -105,7 +105,7 @@ func (st *Store) ReadShippable(dst []byte, p int, afterSeq uint64, maxKeys int) 
 	if afterSeq >= seal {
 		return dst, afterSeq, 0, nil
 	}
-	segSeqs, err := listSeqFiles(sh.dir, "wal-", ".log")
+	segSeqs, err := segFiles.list(sh.dir)
 	if err != nil {
 		return nil, afterSeq, 0, err
 	}
@@ -126,7 +126,7 @@ func (st *Store) ReadShippable(dst []byte, p int, afterSeq uint64, maxKeys int) 
 		if fs > seal {
 			break // sorted: every later file starts above the seal too
 		}
-		path := filepath.Join(sh.dir, segmentName(fs))
+		path := filepath.Join(sh.dir, segFiles.name(fs))
 		data, err := os.ReadFile(path)
 		if os.IsNotExist(err) {
 			// Deleted between listing and reading: the retention floor
@@ -190,7 +190,7 @@ func (st *Store) BootState(p int) (*cpma.CPMA, uint64, error) {
 	st.ckptMu.Lock()
 	defer st.ckptMu.Unlock()
 	sh := st.shards[p]
-	set, _, tip, _, _, _, err := loadChain(sh.dir, sh.id, st.opt.Set)
+	set, _, tip, _, err := loadChain(sh.dir, sh.id, st.opt.Set)
 	if err != nil {
 		return nil, 0, err
 	}

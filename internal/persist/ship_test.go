@@ -116,7 +116,7 @@ func TestTornHeaderTailSegment(t *testing.T) {
 			// headerless (reopen itself recreates the slot at last+1, so the
 			// torn file sits one beyond it — the same headerOK=false branch
 			// deletes both shapes).
-			tp := filepath.Join(dir, shardDirName(0), segmentName(last+2))
+			tp := filepath.Join(dir, shardDirName(0), segFiles.name(last+2))
 			if err := os.WriteFile(tp, tail.bytes, 0o644); err != nil {
 				t.Fatalf("write torn tail: %v", err)
 			}
@@ -380,7 +380,7 @@ func TestShipFramesAreTheLog(t *testing.T) {
 		sh.mu.Lock()
 		seal, active, synced := sh.syncedSeq, sh.seg.path, sh.seg.synced
 		sh.mu.Unlock()
-		segs, err := listSeqFiles(sh.dir, "wal-", ".log")
+		segs, err := segFiles.list(sh.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func TestShipFramesAreTheLog(t *testing.T) {
 		var want []byte
 		var wantRecs []Rec
 		for _, fs := range segs {
-			path := filepath.Join(sh.dir, segmentName(fs))
+			path := filepath.Join(sh.dir, segFiles.name(fs))
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

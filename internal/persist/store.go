@@ -162,6 +162,7 @@ func Open(dir string, shards int, opts shard.Options) (*Store, []*cpma.CPMA, err
 			st.releaseLock()
 		}
 	}()
+	removeTemps(dir)
 	if err := ensureManifest(dir, shards, o); err != nil {
 		return nil, nil, err
 	}
@@ -180,6 +181,11 @@ func Open(dir string, shards int, opts shard.Options) (*Store, []*cpma.CPMA, err
 		}
 		st.shards[p] = sh
 		sets[p] = set
+	}
+	// The shard directories' names are durable before anything is
+	// acknowledged in them.
+	if err := syncDir(dir); err != nil {
+		return nil, nil, err
 	}
 	// Span enforcement: a crash inside a rebalance barrier can leave the
 	// moved keys present in both shards of the pair (the protocol orders
@@ -574,51 +580,29 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 
 	// Drop checkpoint files — bases and deltas — from chains older than
 	// the retained previous base, then every closed segment whose records
-	// are all covered by the deletion floor (a segment's records end one
-	// before the next segment's first seq).
-	ckptSeqs, err := listSeqFiles(sh.dir, "ckpt-", ".ckpt")
+	// are all covered by the deletion floor: each one before the segment
+	// that holds record floor+1 (a segment's records end one before the
+	// next segment's first seq).
+	older := func(s uint64) bool { return s < sh.prevBaseSeq }
+	if _, err := baseFiles.remove(sh.dir, older); err != nil {
+		return err
+	}
+	if _, err := deltaFiles.remove(sh.dir, older); err != nil {
+		return err
+	}
+	segs, err := segFiles.list(sh.dir)
 	if err != nil {
 		return err
 	}
-	for _, s := range ckptSeqs {
-		if s < sh.prevBaseSeq {
-			if err := os.Remove(filepath.Join(sh.dir, checkpointName(s))); err != nil {
-				return err
-			}
+	var keep uint64
+	for _, s := range segs {
+		if s <= floor+1 {
+			keep = s
 		}
 	}
-	deltaSeqs, err := listSeqFiles(sh.dir, "delta-", ".dckpt")
-	if err != nil {
-		return err
-	}
-	for _, s := range deltaSeqs {
-		if s < sh.prevBaseSeq {
-			if err := os.Remove(filepath.Join(sh.dir, deltaName(s))); err != nil {
-				return err
-			}
-		}
-	}
-	segSeqs, err := listSeqFiles(sh.dir, "wal-", ".log")
-	if err != nil {
-		return err
-	}
-	removed := false
-	for i := 0; i+1 < len(segSeqs); i++ {
-		if segSeqs[i+1]-1 > floor {
-			break
-		}
-		if err := os.Remove(filepath.Join(sh.dir, segmentName(segSeqs[i]))); err != nil {
-			return err
-		}
-		st.truncSegs.Add(1)
-		removed = true
-	}
-	if removed {
-		if err := syncDir(sh.dir); err != nil {
-			return err
-		}
-	}
-	return nil
+	n, err := segFiles.remove(sh.dir, func(s uint64) bool { return s < keep })
+	st.truncSegs.Add(uint64(n))
+	return err
 }
 
 // rotateSegment closes the active WAL segment (if it holds any records)
@@ -636,8 +620,15 @@ func (st *Store) rotateSegment(sh *storeShard) error {
 	if err := sh.seg.close(); err != nil {
 		return err
 	}
-	nsg, err := createSegment(filepath.Join(sh.dir, segmentName(sh.seq.Load()+1)), sh.id)
+	nsg, err := createSegment(filepath.Join(sh.dir, segFiles.name(sh.seq.Load()+1)), sh.id)
 	if err != nil {
+		return err
+	}
+	// A Flush may acknowledge records in the new segment only once its
+	// name is durable; holding mu keeps every append and sync off it
+	// until then.
+	if err := syncDir(sh.dir); err != nil {
+		nsg.close()
 		return err
 	}
 	sh.seg = nsg

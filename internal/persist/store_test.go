@@ -139,6 +139,73 @@ func TestReopenOldLeafStore(t *testing.T) {
 	}
 }
 
+// TestReopenRangeStore reopens testdata/store-range, a two-shard range
+// store over 14-bit keys holding every file kind: shard 0 has a base
+// checkpoint and a two-delta chain, one rebalance move left BOUNDS and a
+// barrier record in each shard's WAL tail, and shard 1 two bases. The
+// history, with keys = 1..1500 and extra = workload.Uniform(NewRNG(5),
+// 400, 14), SyncEvery 1 and a Flush before each checkpoint:
+//
+//	insert keys                  checkpoint (bases)
+//	insert extra[:200]; remove keys[:100]     checkpoint (deltas)
+//	insert extra[200:300]; remove keys[100:150] checkpoint (deltas)
+//	insert keys[:100]; one rebalance move
+//	insert extra[300:]; remove keys[150:170]
+func TestReopenRangeStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/store-range")); err != nil {
+		t.Fatal(err)
+	}
+	keys := seqKeys(1500)
+	extra := workload.Uniform(workload.NewRNG(5), 400, 14)
+	model := map[uint64]bool{}
+	for _, op := range []struct {
+		remove bool
+		keys   []uint64
+	}{
+		{false, keys}, {false, extra[:200]}, {true, keys[:100]},
+		{false, extra[200:300]}, {true, keys[100:150]},
+		{false, keys[:100]}, {false, extra[300:]}, {true, keys[150:170]},
+	} {
+		for _, k := range op.keys {
+			model[k] = !op.remove
+		}
+	}
+	var want []uint64
+	for k, in := range model {
+		if in {
+			want = append(want, k)
+		}
+	}
+	slices.Sort(want)
+	if len(want) != 1785 {
+		t.Fatalf("the history holds %d keys, the store was written with 1785", len(want))
+	}
+
+	set, base, tip, applied, err := loadChain(filepath.Join(dir, shardDirName(0)), 0, nil)
+	if err != nil || set == nil || base != 6 || tip != 10 || applied != 2 {
+		t.Fatalf("shard 0 chain: base %d tip %d, %d deltas applied (err %v); want base 6, tip 10, 2 deltas", base, tip, applied, err)
+	}
+	opt := shard.Options{Partition: shard.RangePartition, KeyBits: 14, SyncEvery: 1, CheckpointEveryBatches: -1}
+	s, st := openSet(t, dir, 2, opt)
+	defer s.Close()
+	if got := s.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("recovered %d keys, want %d", len(got), len(want))
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if b, gen := st.Bounds(); !slices.Equal(b, []uint64{909}) || gen != 1 {
+		t.Fatalf("recovered bounds %v gen %d, want [909] gen 1", b, gen)
+	}
+	if !slices.Equal(s.Bounds(), []uint64{909}) {
+		t.Fatalf("the set routes by %v, want [909]", s.Bounds())
+	}
+	if ps := s.PersistStats(); ps.ReplayedBatches == 0 || ps.DroppedKeys != 0 {
+		t.Fatalf("WAL tail not replayed cleanly: %+v", ps)
+	}
+}
+
 func TestCheckpointTruncatesWAL(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -175,11 +242,11 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 			}
 			for p := 0; p < 2; p++ {
 				sdir := filepath.Join(dir, shardDirName(p))
-				ckpts, _ := listSeqFiles(sdir, "ckpt-", ".ckpt")
+				ckpts, _ := baseFiles.list(sdir)
 				if len(ckpts) > 2 {
 					t.Fatalf("shard %d retains %d checkpoints, want <= 2", p, len(ckpts))
 				}
-				segs, _ := listSeqFiles(sdir, "wal-", ".log")
+				segs, _ := segFiles.list(sdir)
 				if len(segs) == 0 {
 					t.Fatalf("shard %d has no active segment", p)
 				}

@@ -238,12 +238,6 @@ type segment struct {
 	synced int64
 }
 
-// segmentName returns the file name for a segment whose first record will
-// carry the given sequence number.
-func segmentName(firstSeq uint64) string {
-	return fmt.Sprintf("wal-%020d.log", firstSeq)
-}
-
 // createSegment creates (truncating any leftover of the same name — its
 // contents, if any, were consumed by recovery) a segment and writes its
 // header. The header reaches disk with the first sync.
@@ -316,29 +310,4 @@ func segHeaderOK(data []byte, shardID int) bool {
 	return len(data) >= segHeaderSize && string(data[:8]) == segMagic &&
 		binary.LittleEndian.Uint32(data[8:]) == walVersion &&
 		binary.LittleEndian.Uint32(data[12:]) == uint32(shardID)
-}
-
-// listSeqFiles returns the sequence numbers parsed from files in dir that
-// match the prefix/suffix pattern, sorted ascending.
-func listSeqFiles(dir, prefix, suffix string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || len(name) != len(prefix)+20+len(suffix) ||
-			name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name[len(prefix):len(name)-len(suffix)], "%d", &seq); err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
-	}
-	// ReadDir sorts lexicographically and the zero-padded width is fixed,
-	// so seqs is already ascending.
-	return seqs, nil
 }

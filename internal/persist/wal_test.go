@@ -233,7 +233,7 @@ func scanSegment(path string, shardID int) (recs []Rec, validEnd int64, headerOK
 // returns its path.
 func writeTestSegment(t *testing.T, dir string, shardID int, firstSeq uint64, batches [][]uint64) string {
 	t.Helper()
-	path := filepath.Join(dir, segmentName(firstSeq))
+	path := filepath.Join(dir, segFiles.name(firstSeq))
 	sg, err := createSegment(path, shardID)
 	if err != nil {
 		t.Fatal(err)
