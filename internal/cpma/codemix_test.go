@@ -55,7 +55,7 @@ func TestWorkloadCodeMix(t *testing.T) {
 		codes := 0
 		for leaf := 0; leaf < c.Leaves(); leaf++ {
 			prev := uint64(0)
-			c.LeafMap(leaf, func(k uint64) bool {
+			c.LeafMapFrom(leaf, 0, 0, func(k uint64) bool {
 				if prev != 0 {
 					hist[codec.Len(k-prev)]++
 					codes++

@@ -45,19 +45,14 @@ func (c *CPMA) mapFrom(start uint64, g func(uint64) bool) {
 	}
 }
 
-// LeafMap applies f to the keys of one leaf in ascending order until f
-// returns false, reporting whether the whole leaf was visited. Combined
-// with Leaves it gives clients (notably F-Graph's vertex-index builder)
-// leaf-granular parallel access to the flat layout.
-func (c *CPMA) LeafMap(leaf int, f func(uint64) bool) bool {
-	return c.leafIter(leaf, f)
-}
-
-// LeafMapPos is LeafMap that also passes f the byte offset at which each
-// key is stored, where LeafMapFrom can resume the walk. It steps the codes
-// itself: deriving the offsets in a callback over leafIter (codec.Len of
-// each delta) took ~1.4x as long in BenchmarkFGraphIndexBuild, the one
-// caller's loop.
+// LeafMapPos applies f to the keys of one leaf in ascending order, with
+// the byte offset at which each key is stored, until f returns false,
+// reporting whether the whole leaf was visited. Combined with Leaves it
+// gives F-Graph's vertex-index builder leaf-granular parallel access to
+// the flat layout, and LeafMapFrom resumes the walk at any offset it
+// passed. It steps the codes itself: deriving the offsets in a callback
+// over leafIter (codec.Len of each delta) took ~1.4x as long in
+// BenchmarkFGraphIndexBuild, the one caller's loop.
 func (c *CPMA) LeafMapPos(leaf int, f func(k uint64, off int) bool) bool {
 	if c.f.raw {
 		off := -8
@@ -85,11 +80,12 @@ func (c *CPMA) LeafMapPos(leaf int, f func(k uint64, off int) bool) bool {
 	return true
 }
 
-// LeafMapFrom resumes LeafMap at a byte offset from LeafMapPos: it applies
-// f to the leaf's keys stored from off on, where prev is the key stored
-// before them, until f returns false. Keys are prev plus their deltas, mod
-// 2^64, so a caller that knows only the low bits of prev gets the same
-// low bits of every key (F-Graph's neighbor cursors keep 32).
+// LeafMapFrom resumes a leaf's walk at a byte offset from LeafMapPos: it
+// applies f to the leaf's keys stored from off on, where prev is the key
+// stored before them, until f returns false; off 0 (prev ignored) walks
+// the whole leaf. Keys are prev plus their deltas, mod 2^64, so a caller
+// that knows only the low bits of prev gets the same low bits of every key
+// (F-Graph's neighbor cursors keep 32).
 func (c *CPMA) LeafMapFrom(leaf, off int, prev uint64, f func(uint64) bool) bool {
 	return c.leafIterFrom(leaf, off, prev, f)
 }

@@ -1,23 +1,18 @@
 package fgraph
 
-// The deterministic flat-scan contribution kernel shared by the single-CPMA
-// Graph and the sharded View — the §6 PageRank path ("PR can be cast as a
-// straightforward pass through the data structure"), restated so the result
-// is layout-independent.
+// The §6 vertex index and the three kernels that read it (Degree,
+// Neighbors and the PageRank flat scan), shared by the single-CPMA Graph
+// and the sharded View.
 //
-// The old scan CAS-merged per-run partial sums, so a vertex whose run
-// crossed a leaf boundary had its neighbor contributions grouped by where
-// the boundaries fell: correct to within float rounding, but different
-// bit patterns for different leaf layouts (and nondeterministic across
-// schedules). The kernel here assigns every vertex's whole run to exactly
-// one task — the one owning the leaf where the run starts — which then
-// scans forward across leaf (and shard) boundaries until the run ends.
-// Each acc[src] is one sequential left-to-right sum in ascending key order,
-// written once: bit-identical to a per-vertex Neighbors pull, and therefore
-// identical across leaf sizes, shard counts, and schedules. Ownership needs
-// one structure-only precomputation (the source of the key preceding each
-// leaf), cached until the graph mutates, so PageRank's 10 iterations pay
-// for it once.
+// The flat scan ("PR can be cast as a straightforward pass through the
+// data structure") is restated so its result is layout-independent. It
+// assigns every vertex's whole run to exactly one task, the one owning the
+// leaf where the run starts, which then scans forward across leaf (and
+// shard) boundaries until the run ends. Each acc[src] is one sequential
+// left-to-right sum in ascending key order, written once: bit-identical to
+// a per-vertex Neighbors pull, and therefore identical across leaf sizes,
+// shard counts and schedules. The index's cursors already name the leaf
+// where each run starts, so ownership costs no pass of its own.
 
 import (
 	"sync/atomic"
@@ -62,52 +57,110 @@ func (ls leafSpan) locate(leaf int) (int, int) {
 // until f returns false.
 func (ls leafSpan) leafMap(leaf int, f func(uint64) bool) {
 	i, l := ls.locate(leaf)
-	ls.sets[i].LeafMap(l, f)
+	ls.sets[i].LeafMapFrom(l, 0, 0, f)
 }
 
-// contribIndex is the structure-only precomputation run ownership needs:
-// for every global leaf, the source vertex of the key immediately before
-// the leaf's first key (so a run continuing into a leaf can be told apart
-// from a run starting there). It depends only on the stored key set, not
-// on the weights, so one build serves every AccumulateContrib call until
-// the graph mutates.
-type contribIndex struct {
-	prevSrc []uint32 // source of the nearest preceding key
-	hasPrev []bool   // false for leaves before the first stored key
+const noCursor = ^uint64(0)
+
+// vertexIndex is the per-vertex index of §6 over a leaf span: each
+// vertex's degree and a cursor to its first edge key. A cursor packs
+// globalLeaf<<32 | the byte offset of the key in its leaf (noCursor marks
+// degree-0 vertices), and prev holds the low 32 bits of the key stored
+// before it, so a neighbor scan resumes the leaf's walk there
+// (cpma.LeafMapFrom) instead of decoding the leaf from its head.
+// Destinations are the low 32 bits of a key, so they come out exact. The
+// index is immutable once built and safe for concurrent use.
+type vertexIndex struct {
+	ls      leafSpan
+	deg     []int32
+	cursors []uint64
+	prev    []uint32
 }
 
-func buildContribIndex(ls leafSpan) *contribIndex {
-	lastSrc := make([]uint32, ls.n)
-	nonEmpty := make([]bool, ls.n)
-	parallel.For(ls.n, 4, func(leaf int) {
-		var last uint64
-		found := false
-		ls.leafMap(leaf, func(k uint64) bool {
-			last, found = k, true
+// buildIndex reconstructs the vertex index over sets with one parallel
+// pass: the §6 index rebuild, shared by the single-CPMA graph and the
+// sharded view (where the pass covers every frozen shard's leaves under
+// one global numbering, so the per-shard builds run in parallel for free).
+func buildIndex(sets []*cpma.CPMA, nv int) *vertexIndex {
+	ix := &vertexIndex{ls: newLeafSpan(sets), deg: make([]int32, nv), cursors: make([]uint64, nv), prev: make([]uint32, nv)}
+	for i := range ix.cursors {
+		ix.cursors[i] = noCursor
+	}
+	parallel.For(ix.ls.n, 4, func(leaf int) {
+		var prev uint64
+		runSrc := uint32(0)
+		runCount := int32(0)
+		i, l := ix.ls.locate(leaf)
+		ix.ls.sets[i].LeafMapPos(l, func(k uint64, off int) bool {
+			src := uint32(k >> 32)
+			if off == 0 || src != runSrc {
+				if runCount > 0 {
+					atomic.AddInt32(&ix.deg[runSrc], runCount)
+				}
+				runSrc, runCount = src, 0
+				cursorMin(&ix.cursors[src], uint64(leaf)<<32|uint64(off))
+				if off > 0 {
+					// Only the leaf where src's run starts sees it past
+					// offset 0, so this write has no rival.
+					ix.prev[src] = uint32(prev)
+				}
+			}
+			runCount++
+			prev = k
 			return true
 		})
-		if found {
-			lastSrc[leaf] = uint32(last >> 32)
-			nonEmpty[leaf] = true
+		if runCount > 0 {
+			atomic.AddInt32(&ix.deg[runSrc], runCount)
 		}
 	})
-	ci := &contribIndex{prevSrc: make([]uint32, ls.n), hasPrev: make([]bool, ls.n)}
-	var prev uint32
-	have := false
-	for leaf := 0; leaf < ls.n; leaf++ {
-		ci.prevSrc[leaf], ci.hasPrev[leaf] = prev, have
-		if nonEmpty[leaf] {
-			prev, have = lastSrc[leaf], true
-		}
-	}
-	return ci
+	return ix
 }
 
-// accumulateContrib runs the deterministic flat scan: for every source
-// vertex s with at least one stored edge, acc[s] = sum of w[dst] over s's
-// edges in ascending key order, written exactly once. Entries for vertices
-// without edges are not touched.
-func accumulateContrib(ls leafSpan, ci *contribIndex, w, acc []float64) {
+func cursorMin(addr *uint64, v uint64) {
+	for {
+		old := atomic.LoadUint64(addr)
+		if v >= old {
+			return
+		}
+		if atomic.CompareAndSwapUint64(addr, old, v) {
+			return
+		}
+	}
+}
+
+// Degree returns the out-degree of v.
+func (ix *vertexIndex) Degree(v uint32) int { return int(ix.deg[v]) }
+
+// Neighbors applies f to the destinations of v's stored edges in ascending
+// order until f returns false, walking the leaf span from v's cursor
+// (across shard boundaries when v's key range straddles one).
+func (ix *vertexIndex) Neighbors(v uint32, f func(u uint32) bool) {
+	cur := ix.cursors[v]
+	if cur == noCursor {
+		return
+	}
+	leaf, off := int(cur>>32), int(uint32(cur))
+	remaining := int(ix.deg[v])
+	for l := leaf; remaining > 0 && l < ix.ls.n; l, off = l+1, 0 {
+		i, ll := ix.ls.locate(l)
+		ix.ls.sets[i].LeafMapFrom(ll, off, uint64(ix.prev[v]), func(k uint64) bool {
+			remaining--
+			if !f(uint32(k)) {
+				remaining = 0
+				return false
+			}
+			return remaining > 0
+		})
+	}
+}
+
+// AccumulateContrib implements graph.ContribScanner with the deterministic
+// flat scan: for every source vertex s with at least one stored edge,
+// acc[s] = sum of w[dst] over s's edges in ascending key order, written
+// exactly once by the task owning the leaf where s's run starts. Entries
+// for vertices without edges are not touched.
+func (ix *vertexIndex) AccumulateContrib(w, acc []float64) {
+	ls := ix.ls
 	parallel.For(ls.n, 4, func(leaf int) {
 		var curSrc uint32
 		sum := 0.0
@@ -119,7 +172,8 @@ func accumulateContrib(ls leafSpan, ci *contribIndex, w, acc []float64) {
 			if first {
 				first = false
 				curSrc = src
-				if ci.hasPrev[leaf] && src == ci.prevSrc[leaf] {
+				// A run starts in exactly the leaf its cursor names.
+				if int(ix.cursors[src]>>32) != leaf {
 					skipping = true
 					return true
 				}
@@ -160,79 +214,4 @@ func accumulateContrib(ls leafSpan, ci *contribIndex, w, acc []float64) {
 		}
 		acc[curSrc] = sum
 	})
-}
-
-// vertexIndex is the per-vertex index of §6: each vertex's degree and a
-// cursor to its first edge key. A cursor packs globalLeaf<<32 | the byte
-// offset of the key in its leaf (noCursor marks degree-0 vertices), and
-// prev holds the low 32 bits of the key stored before it, so a neighbor
-// scan resumes the leaf's walk there (cpma.LeafMapFrom) instead of
-// decoding the leaf from its head. Destinations are the low 32 bits of a
-// key, so they come out exact.
-type vertexIndex struct {
-	deg     []int32
-	cursors []uint64
-	prev    []uint32
-}
-
-// buildIndex reconstructs the vertex index over a leaf span with one
-// parallel pass — the §6 index rebuild, shared by the single-CPMA graph
-// and the sharded view (where the pass covers every frozen shard's leaves
-// under one global numbering, so the per-shard builds run in parallel for
-// free).
-func buildIndex(ls leafSpan, nv int) vertexIndex {
-	ix := vertexIndex{deg: make([]int32, nv), cursors: make([]uint64, nv), prev: make([]uint32, nv)}
-	for i := range ix.cursors {
-		ix.cursors[i] = noCursor
-	}
-	parallel.For(ls.n, 4, func(leaf int) {
-		var prev uint64
-		runSrc := uint32(0)
-		runCount := int32(0)
-		i, l := ls.locate(leaf)
-		ls.sets[i].LeafMapPos(l, func(k uint64, off int) bool {
-			src := uint32(k >> 32)
-			if off == 0 || src != runSrc {
-				if runCount > 0 {
-					atomic.AddInt32(&ix.deg[runSrc], runCount)
-				}
-				runSrc, runCount = src, 0
-				cursorMin(&ix.cursors[src], uint64(leaf)<<32|uint64(off))
-				if off > 0 {
-					// Only the leaf where src's run starts sees it past
-					// offset 0, so this write has no rival.
-					ix.prev[src] = uint32(prev)
-				}
-			}
-			runCount++
-			prev = k
-			return true
-		})
-		if runCount > 0 {
-			atomic.AddInt32(&ix.deg[runSrc], runCount)
-		}
-	})
-	return ix
-}
-
-// neighbors streams the destinations of v's stored edges in ascending
-// order until f returns false, walking the leaf span from v's cursor.
-func (ix *vertexIndex) neighbors(ls leafSpan, v uint32, f func(u uint32) bool) {
-	cur := ix.cursors[v]
-	if cur == noCursor {
-		return
-	}
-	leaf, off := int(cur>>32), int(uint32(cur))
-	remaining := int(ix.deg[v])
-	for l := leaf; remaining > 0 && l < ls.n; l, off = l+1, 0 {
-		i, ll := ls.locate(l)
-		ls.sets[i].LeafMapFrom(ll, off, uint64(ix.prev[v]), func(k uint64) bool {
-			remaining--
-			if !f(uint32(k)) {
-				remaining = 0
-				return false
-			}
-			return remaining > 0
-		})
-	}
 }

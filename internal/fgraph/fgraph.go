@@ -10,6 +10,8 @@
 // a cursor (leaf, offset) and the degree for every vertex with one parallel
 // pass over the CPMA leaves — the "fixed cost to reconstruct the vertex
 // array of offsets" the paper measures inside each algorithm's runtime.
+// PageRank reads every degree from it, and its flat scan (contrib.go)
+// takes run ownership from the cursors.
 //
 // Two flavors share those kernels:
 //
@@ -34,7 +36,6 @@ package fgraph
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/cpma"
 	"repro/internal/graph"
@@ -51,14 +52,10 @@ var ErrEdgeZeroZero = errors.New("fgraph: edge (0,0) packs to reserved key 0 and
 // Graph is a dynamic undirected graph on a single CPMA. One writer at a
 // time; batch updates and algorithms are phased, as in the paper.
 type Graph struct {
-	set     *cpma.CPMA
-	nv      int
-	indexed bool
-	vertexIndex
-	contrib *contribIndex
+	set *cpma.CPMA
+	nv  int
+	ix  *vertexIndex // nil from a mutation until the next BuildIndex
 }
-
-const noCursor = ^uint64(0)
 
 // New returns an empty graph over a vertex-id space of numVertices.
 func New(numVertices int, opts *cpma.Options) *Graph {
@@ -77,20 +74,15 @@ func FromEdges(numVertices int, edges []workload.Edge, opts *cpma.Options) *Grap
 // that were new. Duplicates are absorbed by the set semantics; the edge
 // (0,0) is dropped (see the package documentation).
 func (g *Graph) InsertEdges(edges []workload.Edge) int {
-	g.invalidate()
+	g.ix = nil
 	return g.set.InsertBatch(workload.EdgeKeys(edges), false)
 }
 
 // DeleteEdges removes a batch of directed edges, returning how many were
 // present.
 func (g *Graph) DeleteEdges(edges []workload.Edge) int {
-	g.invalidate()
+	g.ix = nil
 	return g.set.RemoveBatch(workload.EdgeKeys(edges), false)
-}
-
-func (g *Graph) invalidate() {
-	g.indexed = false
-	g.contrib = nil
 }
 
 // NumVertices returns the vertex-id space.
@@ -107,70 +99,33 @@ func (g *Graph) SizeBytes() uint64 { return g.set.SizeBytes() }
 func (g *Graph) Set() *cpma.CPMA { return g.set }
 
 // BuildIndex reconstructs the per-vertex cursors and degrees with one
-// parallel pass over the CPMA leaves. Algorithms that need per-vertex
-// access must run it after any mutation; the paper includes this cost in
-// every algorithm's measured time except PR's flat scans.
-func (g *Graph) BuildIndex() {
-	g.vertexIndex = buildIndex(g.span(), g.nv)
-	g.indexed = true
-}
+// parallel pass over the CPMA leaves. Degree, Neighbors and
+// AccumulateContrib read the index, so it must be rebuilt after any
+// mutation; the paper includes this cost in every algorithm's measured
+// time.
+func (g *Graph) BuildIndex() { g.ix = buildIndex([]*cpma.CPMA{g.set}, g.nv) }
 
 // EnsureIndex rebuilds the index if a mutation invalidated it. Must be
 // called from a single goroutine before parallel per-vertex access.
 func (g *Graph) EnsureIndex() {
-	if !g.indexed {
+	if g.ix == nil {
 		g.BuildIndex()
 	}
 }
 
-func (g *Graph) span() leafSpan { return newLeafSpan([]*cpma.CPMA{g.set}) }
-
-func cursorMin(addr *uint64, v uint64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		if v >= old {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, v) {
-			return
-		}
-	}
-}
-
-// Degree returns the out-degree of v. The index must be current.
-func (g *Graph) Degree(v uint32) int {
-	g.mustIndex()
-	return int(g.deg[v])
-}
+// Degree returns the out-degree of v. The index must be current (a stale
+// one is nil, and reading it panics).
+func (g *Graph) Degree(v uint32) int { return g.ix.Degree(v) }
 
 // Neighbors applies f to the destinations of v's stored edges in ascending
 // order until f returns false. The index must be current.
-func (g *Graph) Neighbors(v uint32, f func(u uint32) bool) {
-	g.mustIndex()
-	g.neighbors(g.span(), v, f)
-}
+func (g *Graph) Neighbors(v uint32, f func(u uint32) bool) { g.ix.Neighbors(v, f) }
 
 // AccumulateContrib implements graph.ContribScanner with the deterministic
-// flat scan (contrib.go): one parallel pass over the CPMA leaves, each
-// vertex's run owned end-to-end by one task, so acc[src] is the sequential
-// ascending-order sum of w[dst] — bit-identical to a Neighbors pull and to
-// the sharded view's scan of the same edge set. It does not need the vertex
-// index (the §6 property: PR skips the index rebuild); the run-ownership
-// precomputation is cached until the next mutation. Call from one goroutine
-// at a time (the PageRank driver does).
-func (g *Graph) AccumulateContrib(w []float64, acc []float64) {
-	ls := g.span()
-	if g.contrib == nil {
-		g.contrib = buildContribIndex(ls)
-	}
-	accumulateContrib(ls, g.contrib, w, acc)
-}
-
-func (g *Graph) mustIndex() {
-	if !g.indexed {
-		panic("fgraph: vertex index stale; call EnsureIndex/BuildIndex after mutations")
-	}
-}
+// flat scan (contrib.go): acc[src] is the sequential ascending-order sum of
+// w[dst], bit-identical to a Neighbors pull and to the sharded view's scan
+// of the same edge set. The index must be current.
+func (g *Graph) AccumulateContrib(w, acc []float64) { g.ix.AccumulateContrib(w, acc) }
 
 // Interface conformance checks.
 var (

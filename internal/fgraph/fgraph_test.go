@@ -110,7 +110,7 @@ func TestIndexInvalidation(t *testing.T) {
 	g := FromEdges(4, ring(4), nil)
 	g.EnsureIndex()
 	g.InsertEdges([]workload.Edge{{Src: 0, Dst: 2}})
-	if g.indexed {
+	if g.ix != nil {
 		t.Fatal("index should be stale after mutation")
 	}
 	defer func() {

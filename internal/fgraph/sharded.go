@@ -155,10 +155,9 @@ func (g *Sharded) View() *View {
 	}
 	t0 := time.Now()
 	snap := g.set.Snapshot()
-	ls := newLeafSpan(snap.ShardSets())
-	ix := buildIndex(ls, g.nv)
+	ix := buildIndex(snap.ShardSets(), g.nv)
 	edges := int64(0)
-	for _, set := range ls.sets {
+	for _, set := range ix.ls.sets {
 		edges += int64(set.Len())
 	}
 	d := time.Since(t0)
@@ -167,11 +166,9 @@ func (g *Sharded) View() *View {
 	g.lastViewEdges.Store(edges)
 	g.set.Trace().Record(-1, obs.EvIndex, 0, 0, uint64(edges), uint64(d))
 	return &View{
-		snap:        snap,
-		ls:          ls,
-		nv:          g.nv,
-		edges:       edges,
 		vertexIndex: ix,
+		snap:        snap,
+		edges:       edges,
 		capturedAt:  t0,
 		lagKeys:     lag,
 	}

@@ -1,7 +1,6 @@
 package fgraph
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/shard"
@@ -39,44 +38,19 @@ import (
 //
 // Views are safe for concurrent use by multiple goroutines.
 type View struct {
-	snap  *shard.Snapshot
-	ls    leafSpan
-	nv    int
-	edges int64
-	vertexIndex
+	*vertexIndex // Degree, Neighbors and the AccumulateContrib flat scan
+	snap         *shard.Snapshot
+	edges        int64
 
 	capturedAt time.Time
 	lagKeys    uint64
-
-	contribOnce sync.Once
-	contrib     *contribIndex
 }
 
 // NumVertices returns the vertex-id space.
-func (v *View) NumVertices() int { return v.nv }
+func (v *View) NumVertices() int { return len(v.deg) }
 
 // NumEdges returns the number of stored directed edges in the view.
 func (v *View) NumEdges() int64 { return v.edges }
-
-// Degree returns the out-degree of vertex u in the view.
-func (v *View) Degree(u uint32) int { return int(v.deg[u]) }
-
-// Neighbors applies f to the destinations of u's stored edges in ascending
-// order until f returns false, streaming across shard boundaries when u's
-// key range straddles one.
-func (v *View) Neighbors(u uint32, f func(w uint32) bool) {
-	v.neighbors(v.ls, u, f)
-}
-
-// AccumulateContrib implements graph.ContribScanner over the frozen shard
-// leaves — the sharded PR flat-scan path. Deterministic by run ownership
-// (contrib.go): bit-identical to a single-CPMA Graph scanning the same
-// edge set, at any shard count. The structure-only ownership
-// precomputation is built once per View, on first use.
-func (v *View) AccumulateContrib(w []float64, acc []float64) {
-	v.contribOnce.Do(func() { v.contrib = buildContribIndex(v.ls) })
-	accumulateContrib(v.ls, v.contrib, w, acc)
-}
 
 // Snapshot returns the underlying frozen shard snapshot (for set-level
 // reads: Len, Keys, MapRange, Validate).

@@ -6,6 +6,7 @@
 package graph
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -40,7 +41,9 @@ type Graph interface {
 // schedules — which the streaming-graph differential harness relies on.
 // Implementations parallelize by run ownership (one task owns all of a
 // vertex's edges) rather than by CAS-merging partial sums, whose grouping
-// would depend on leaf boundaries.
+// would depend on leaf boundaries. An implementation may rely on its
+// graph's per-vertex index (F-Graph takes run ownership from its cursors):
+// PageRank reads every Degree before it scans, so the index is current.
 type ContribScanner interface {
 	AccumulateContrib(w []float64, acc []float64)
 }
@@ -203,7 +206,7 @@ func edgeMapSparse(g Graph, frontier vertexSubset, update func(s, d uint32) bool
 // chunkedAppender gathers per-task slices under a lock; contention is one
 // lock acquisition per frontier vertex with output, not per edge.
 type chunkedAppender struct {
-	mu     spinMutex
+	mu     sync.Mutex
 	chunks [][]uint32
 	total  int
 }
@@ -222,16 +225,6 @@ func (c *chunkedAppender) collect() []uint32 {
 	}
 	return out
 }
-
-// spinMutex is a tiny test-and-set lock: the critical sections above are a
-// few nanoseconds, shorter than a sync.Mutex slow path.
-type spinMutex struct{ v int32 }
-
-func (m *spinMutex) Lock() {
-	for !atomic.CompareAndSwapInt32(&m.v, 0, 1) {
-	}
-}
-func (m *spinMutex) Unlock() { atomic.StoreInt32(&m.v, 0) }
 
 // atomicAddFloat64 adds delta to *addr with a CAS loop.
 func atomicAddFloat64(addr *uint64, delta float64) {

@@ -10,10 +10,10 @@
 //
 // Determinism: SortedSet's repeat filter, LSD radix sort and compaction
 // are serial, and the keys it returns are a pure function of its input at
-// every GOMAXPROCS (TestSortedSet runs at each -cpu value). The merges
-// (merge, MergeRuns, MergeDedup) and dedupSorted, which SortedSet calls
-// for a sorted batch with repeats, fork, but their output does not depend
-// on how the work was split.
+// every GOMAXPROCS (TestSortedSet runs at each -cpu value); so is
+// dedupSorted, which SortedSet calls for a sorted batch with repeats. The
+// merges (merge, MergeRuns, MergeDedup) fork, but their output does not
+// depend on how the work was split.
 package parallel
 
 import (

@@ -3,9 +3,11 @@ package persist
 // Store files. Every file the store writes whole (MANIFEST, BOUNDS, base
 // and delta checkpoints) goes through writeFile, and every numbered shard
 // file (WAL segments, bases, deltas) is named, listed and retired through
-// its fileKind. Both leave a name durable before anything can depend on
-// it: writeFile fsyncs the directory after its rename, and fileKind.remove
-// after its removals.
+// its fileKind. A new name is durable before anything can depend on it:
+// writeFile fsyncs the directory after its rename. fileKind.remove does
+// not fsync; each pass of removals ends with one directory fsync of its
+// own (checkpointShard after its three removals, recoverShard in its final
+// fsync, before any append can reuse a removed file's sequence numbers).
 
 import (
 	"bufio"
@@ -56,8 +58,8 @@ func (k fileKind) list(dir string) ([]uint64, error) {
 }
 
 // remove deletes dir's files of kind k whose sequence number drop selects
-// and, if any went, fsyncs dir so the removals are durable. It returns how
-// many went.
+// and returns how many went. The removals are durable once the caller
+// fsyncs dir.
 func (k fileKind) remove(dir string, drop func(seq uint64) bool) (int, error) {
 	seqs, err := k.list(dir)
 	if err != nil {
@@ -73,10 +75,7 @@ func (k fileKind) remove(dir string, drop func(seq uint64) bool) (int, error) {
 		}
 		n++
 	}
-	if n == 0 {
-		return 0, nil
-	}
-	return n, syncDir(dir)
+	return n, nil
 }
 
 // writeFile atomically replaces dir/name with the bytes write produces: it

@@ -97,7 +97,9 @@
 // fsynced, renamed into place and the directory fsynced (writeFile); a
 // new WAL segment's directory is fsynced before any record in it can be
 // acknowledged; Open fsyncs the store root once the shard directories
-// exist; and retention fsyncs a directory after removing files from it.
+// exist; and a retention pass fsyncs a directory once after removing
+// files from it (recovery's deletions ride on its final fsync, which runs
+// before any append).
 //
 // # Delta checkpoints
 //

@@ -582,12 +582,15 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	// the retained previous base, then every closed segment whose records
 	// are all covered by the deletion floor: each one before the segment
 	// that holds record floor+1 (a segment's records end one before the
-	// next segment's first seq).
+	// next segment's first seq). One directory fsync makes them all
+	// durable.
 	older := func(s uint64) bool { return s < sh.prevBaseSeq }
-	if _, err := baseFiles.remove(sh.dir, older); err != nil {
+	bases, err := baseFiles.remove(sh.dir, older)
+	if err != nil {
 		return err
 	}
-	if _, err := deltaFiles.remove(sh.dir, older); err != nil {
+	deltas, err := deltaFiles.remove(sh.dir, older)
+	if err != nil {
 		return err
 	}
 	segs, err := segFiles.list(sh.dir)
@@ -602,7 +605,10 @@ func (st *Store) checkpointShard(sh *storeShard, minAdvance uint64) error {
 	}
 	n, err := segFiles.remove(sh.dir, func(s uint64) bool { return s < keep })
 	st.truncSegs.Add(uint64(n))
-	return err
+	if err != nil || bases+deltas+n == 0 {
+		return err
+	}
+	return syncDir(sh.dir)
 }
 
 // rotateSegment closes the active WAL segment (if it holds any records)

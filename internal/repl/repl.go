@@ -477,16 +477,3 @@ func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	}
 	return err
 }
-
-func checkGeometry(p, f *shard.Sharded) error {
-	if p.Shards() != f.Shards() {
-		return fmt.Errorf("repl: primary has %d shards, follower %d", p.Shards(), f.Shards())
-	}
-	if p.Partition() != f.Partition() {
-		return errors.New("repl: primary and follower partition policies differ")
-	}
-	if p.KeyBits() != f.KeyBits() {
-		return fmt.Errorf("repl: primary KeyBits %d, follower %d", p.KeyBits(), f.KeyBits())
-	}
-	return nil
-}

@@ -256,12 +256,10 @@ type Link struct {
 // per-connection shipper serves one end of an in-memory pipe and the
 // follower dials the other, so the link runs the same protocol as Dial.
 // It returns once the primary counts the link, or with the primary's
-// reason for refusing the hello; shipping (catch-up, with a bootstrap if
+// reason for refusing the hello (a shard count, partition or key width
+// unlike its own among them); shipping (catch-up, with a bootstrap if
 // needed, then tailing) runs until Close.
 func Pair(pr *Primary, f *Follower, opts *Options) (*Link, error) {
-	if err := checkGeometry(pr.set, f.set); err != nil {
-		return nil, err
-	}
 	o := opts.withDefaults()
 	hello, served := make(chan error, 1), make(chan struct{})
 	l, err := connect(f, func() (net.Conn, error) {

@@ -144,7 +144,7 @@ func (sn Snapshot) Shards() int { return len(sn.snaps) }
 
 // ShardSets returns the snapshot's frozen per-shard CPMA handles in shard
 // order. The handles are immutable by the publication contract: callers may
-// scan them freely (Leaves/LeafMap/Map and the other read APIs) from any
+// scan them freely (Leaves/LeafMapFrom/Map and the other read APIs) from any
 // number of goroutines, concurrently with ingest on the live set, but must
 // never mutate them. Under RangePartition shard order is key order, so the
 // concatenated leaf sequence of the returned sets holds every key of the
